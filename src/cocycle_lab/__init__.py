@@ -19,7 +19,7 @@ from .criterion import (AlphaCertificate, best_alpha_bisection,
                         best_alpha_pencil, check_element)
 from .poincare import (poincare_ratio, l2_oracle, worst_constant,
                        maximize_on_sphere, sweep_and_fit, fit_exponent,
-                       PoincareReport)
+                       PoincareReport, ZeroNumeratorError)
 from .matrixalg import (ClockShiftBasis, Superoperator, clock_shift_basis,
                         heisenberg_multiplier, lindblad_generator,
                         superop_gamma, superop_gamma2, matrix_poincare,
@@ -27,7 +27,7 @@ from .matrixalg import (ClockShiftBasis, Superoperator, clock_shift_basis,
 from .dilation import (BrownianScenario, sample_scenario, dilation_matrix,
                        dilation_mean, martingale_transform, bracket_estimates,
                        inequality_report, transform_l2_analytic)
-from .families import (walsh_length, delta_psi, wordlength_psi,
+from .families import (walsh_length, delta_psi,
                        heisenberg_delta, heisenberg_wordlength, builtin_length)
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ import numpy as np
 
 from .cocycles import GromovForm, LengthFunction, gromov_form
 from .groups import FiniteGroup
-from .linalg import hermitize, schatten_norm
+from .linalg import hermitize, psd_scale, schatten_norm
 
 
 @dataclass(frozen=True)
@@ -170,5 +170,4 @@ def operator_positivity(f: AlgebraElement, tol: float = 1e-9) -> PositivityRepor
         raise ValueError(f"element is not Hermitian: f* - f has max coefficient {herm_dev:.3e}")
     M = hermitize(regular_rep(f))
     w = np.linalg.eigvalsh(M)
-    norm_inf = max(abs(w[0]), abs(w[-1]))
-    return PositivityReport(bool(w[0] >= -tol * (1.0 + norm_inf)), float(w[0]))
+    return PositivityReport(bool(w[0] >= -tol * psd_scale(w)), float(w[0]))

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import rng
+from . import __version__, rng
 from .algebra import AlgebraElement, Semigroup, element, gamma, gamma2, tau
 from .cocycles import (gromov_form, is_conditionally_negative, length_function,
                        realize_cocycle, verify_schur_identity)
@@ -32,8 +32,6 @@ from .groups import build_from_spec, group_to_dict, load_group, save_group
 from .matrixalg import (heisenberg_multiplier, lindblad_generator,
                         matrix_poincare, superop_gamma, superop_gamma2)
 from .poincare import sweep_and_fit
-
-TOOL_VERSION = "0.1.0"
 
 
 # ---------------------------------------------------------------- encoding
@@ -68,7 +66,7 @@ def _report_text(command: str, config: dict, results: dict,
         "config": config,
         "inputs_digest": _digest(config),
         "seed": seed,
-        "tool_version": TOOL_VERSION,
+        "tool_version": __version__,
         "results": results,
     }
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
@@ -244,12 +242,10 @@ def run_poincare(config: dict) -> dict:
 
 def run_matrix(config: dict) -> dict:
     A = heisenberg_multiplier(config["n"], config["mode"])
-    w = np.linalg.eigvalsh(0.5 * (A.mat + A.mat.conj().T))
-    scale = 1.0 + max(abs(w[0]), abs(w[-1]))
     out = {
         "n": A.n,
         "mode": config["mode"],
-        "fix_dimension": int((np.abs(w) <= 1e-12 * scale).sum()),
+        "fix_dimension": A.fix_dimension(),
         "spectral_gap": A.min_positive_eig(),
     }
     if config.get("alpha_check") is not None:
@@ -279,8 +275,6 @@ def run_lindblad(config: dict) -> dict:
     mats = [np.array([[complex(re, im) for re, im in row] for row in m])
             for m in config["a"]]
     A = lindblad_generator(mats)
-    w = np.linalg.eigvalsh(0.5 * (A.mat + A.mat.conj().T))
-    scale = 1.0 + max(abs(w[0]), abs(w[-1]))
     resid = 0.0
     for i in range(20):
         st = rng.stream(config["seed"], rng.TAG_BATTERY, i)
@@ -290,7 +284,7 @@ def run_lindblad(config: dict) -> dict:
     out = {
         "n": A.n,
         "family_size": len(mats),
-        "fix_dimension": int((np.abs(w) <= 1e-12 * scale).sum()),
+        "fix_dimension": A.fix_dimension(),
         "spectral_gap": A.min_positive_eig(),
         "gamma_oracle_residual": resid,
     }

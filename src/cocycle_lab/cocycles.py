@@ -13,6 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .groups import FiniteGroup, build_cyclic
+from .linalg import psd_scale
 
 DEFAULT_TOL = 1e-9
 
@@ -78,8 +79,7 @@ class CnVerdict:
 def is_conditionally_negative(psi: LengthFunction, tol: float = DEFAULT_TOL) -> CnVerdict:
     K = gromov_form(psi).K
     w = np.linalg.eigvalsh(0.5 * (K + K.T))
-    scale = 1.0 + (np.abs(w[0]) if abs(w[0]) > w[-1] else w[-1])  # 1 + ||K||_2
-    return CnVerdict(bool(w[0] >= -tol * scale), float(w[0]))
+    return CnVerdict(bool(w[0] >= -tol * psd_scale(w)), float(w[0]))
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def realize_cocycle(K: GromovForm, tol: float = DEFAULT_TOL) -> CocycleRealizati
     group = K.group
     M = 0.5 * (K.K + K.K.T)
     lam, U = np.linalg.eigh(M)
-    scale = 1.0 + max(abs(lam[0]), abs(lam[-1]))
+    scale = psd_scale(lam)
     if lam[0] < -tol * scale:
         raise ValueError(f"K is not PSD: min eigenvalue {lam[0]:.3e}")
     keep = lam > tol * scale

@@ -15,6 +15,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, PositivityReport, Semigroup, gamma, gamma2, operator_positivity
 from .cocycles import GromovForm
+from .linalg import psd_scale
 
 # Feasibility slack during bisection.  Tighter than the generic PSD test:
 # the binding eigenvalue can be shallow in alpha, so a loose slack here
@@ -37,8 +38,7 @@ class AlphaCertificate:
 def _check_psd_input(K: GromovForm) -> np.ndarray:
     M = 0.5 * (K.K + K.K.T)
     w = np.linalg.eigvalsh(M)
-    scale = 1.0 + max(abs(w[0]), abs(w[-1]))
-    if w[0] < -1e-9 * scale:
+    if w[0] < -1e-9 * psd_scale(w):
         raise ValueError(f"K is not PSD: min eigenvalue {w[0]:.3e}")
     return M
 
@@ -87,8 +87,7 @@ def best_alpha_pencil(K: GromovForm, tol: float = 1e-9) -> AlphaCertificate:
     M = _check_psd_input(K)
     Q = M * M
     lam, U = np.linalg.eigh(M)
-    scale = 1.0 + max(abs(lam[0]), abs(lam[-1]))
-    keep = lam > tol * scale
+    keep = lam > tol * psd_scale(lam)
     if not keep.any():
         return _certificate(M, float(np.diag(M).max()), "pencil")
     Ur, Uk = U[:, keep], U[:, ~keep]

@@ -21,8 +21,6 @@ brackets call for it (E_{k-1}[dB^j dB^l] = 2 dt delta_{jl}).
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -32,7 +30,7 @@ import numpy as np
 from .algebra import AlgebraElement, Semigroup, gamma, regular_rep
 from .cocycles import CocycleRealization, LengthFunction
 from .criterion import AlphaCertificate
-from .linalg import schatten_norm, schatten_pow_batch
+from .linalg import schatten_norm, schatten_pow_batch, thread_map
 from . import rng
 
 BRACKET_PS = (2.0, 4.0, 6.0, 8.0)
@@ -139,15 +137,7 @@ def _chunks(scenario: BrownianScenario) -> list[tuple[int, int]]:
 
 def _map_chunks(scenario: BrownianScenario, fn) -> list:
     """Apply fn(lo, hi) to every chunk; fixed-order results regardless of workers."""
-    spans = _chunks(scenario)
-    try:
-        workers = max(1, int(os.environ.get("COCYCLE_LAB_THREADS", "1")))
-    except ValueError:
-        workers = 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(lambda s: fn(*s), spans))
-    return [fn(lo, hi) for lo, hi in spans]
+    return thread_map(lambda s: fn(*s), _chunks(scenario))
 
 
 def dilation_matrix(x: AlgebraElement, t: float, scenario: BrownianScenario,
@@ -189,12 +179,12 @@ def dilation_mean(x: AlgebraElement, t: float, scenario: BrownianScenario):
 
 
 def _transform_amp(tab: _Tables, x: AlgebraElement, decay: np.ndarray,
-                   dB: np.ndarray, Bcum: np.ndarray):
-    """Phase and contraction fields for a chunk: amp[c,k,h,g], w[c,k,h,g]."""
+                   dB: np.ndarray) -> np.ndarray:
+    """Phase field amp[c,k,h,g] of a chunk, from the path B_{t_k} before step k."""
+    Bcum = np.concatenate([np.zeros((dB.shape[0], 1, dB.shape[2])),
+                           np.cumsum(dB, axis=1)], axis=1)[:, :-1]
     args = np.einsum("hgj,ckj->ckhg", tab.bdiff, Bcum)
-    amp = x.coeffs[None, None, None, :] * decay[None, :, None, :] * np.exp(1j * args)
-    w = np.einsum("hgj,ckj->ckhg", tab.bdiff, dB)
-    return amp, w
+    return x.coeffs[None, None, None, :] * decay[None, :, None, :] * np.exp(1j * args)
 
 
 def _decay(scenario: BrownianScenario, L: float, tab: _Tables) -> np.ndarray:
@@ -218,10 +208,8 @@ def martingale_transform(x: AlgebraElement, scenario: BrownianScenario, L: float
 
     def work(lo, hi):
         dB = scenario.increments(lo, hi)
-        Bcum = np.concatenate([np.zeros((hi - lo, 1, scenario.d)),
-                               np.cumsum(dB, axis=1)], axis=1)[:, :scenario.steps]
         drive = scenario.increments_copy(lo, hi) if decoupled else dB
-        amp, _ = _transform_amp(tab, x, decay, dB, Bcum)
+        amp = _transform_amp(tab, x, decay, dB)
         w = np.einsum("hgj,ckj->ckhg", tab.bdiff, drive)
         return _scatter(tab, 1j * np.sum(amp * w, axis=1))
 
@@ -265,30 +253,21 @@ class BracketEstimates:
     hd: MeanSE
 
 
-def _bracket_pass(x: AlgebraElement, scenario: BrownianScenario, L: float, p: float,
-                  want_hd: bool) -> dict:
+def _bracket_pass(x: AlgebraElement, scenario: BrownianScenario, L: float, p: float) -> dict:
     tab = _tables(scenario.cocycle)
     decay = _decay(scenario, L, tab)
     q = p / 2.0
-    order = x.group.order
-    rows = np.arange(order)
 
     def work(lo, hi):
         dB = scenario.increments(lo, hi)
-        Bcum = np.concatenate([np.zeros((hi - lo, 1, scenario.d)),
-                               np.cumsum(dB, axis=1)], axis=1)[:, :scenario.steps]
-        amp, w = _transform_amp(tab, x, decay, dB, Bcum)
-        C = amp[:, :, None, :, :] * tab.bdiff.transpose(2, 0, 1)[None, None]
-        Cm = np.zeros(C.shape[:3] + (order, order), dtype=complex)
-        for g in range(order):
-            Cm[..., rows, tab.invmul[g]] += C[..., :, g]
+        amp = _transform_amp(tab, x, decay, dB)
+        Cm = _scatter(tab, amp[:, :, None, :, :] * tab.bdiff.transpose(2, 0, 1)[None, None])
         Sc = 2.0 * scenario.dt * np.einsum("ckjau,ckjav->cuv", np.conj(Cm), Cm)
         Sr = 2.0 * scenario.dt * np.einsum("ckjua,ckjva->cuv", Cm, np.conj(Cm))
-        out = {"c": schatten_pow_batch(Sc, q), "r": schatten_pow_batch(Sr, q)}
-        if want_hd:
-            dx = _scatter(tab, 1j * amp * w)
-            out["d"] = schatten_pow_batch(dx, p).sum(axis=1)
-        return out
+        w = np.einsum("hgj,ckj->ckhg", tab.bdiff, dB)
+        dx = _scatter(tab, 1j * amp * w)
+        return {"c": schatten_pow_batch(Sc, q), "r": schatten_pow_batch(Sr, q),
+                "d": schatten_pow_batch(dx, p).sum(axis=1)}
 
     parts = _map_chunks(scenario, work)
     return {k: np.concatenate([pt[k] for pt in parts]) for k in parts[0]}
@@ -305,7 +284,7 @@ def bracket_estimates(x: AlgebraElement, scenario: BrownianScenario, L: float,
     _check_horizon(scenario, L)
     if float(p) not in BRACKET_PS:
         raise ValueError(f"bracket estimation supports p in {BRACKET_PS}, got {p}")
-    vals = _bracket_pass(x, scenario, L, float(p), want_hd=True)
+    vals = _bracket_pass(x, scenario, L, float(p))
     q = p / 2.0
     return BracketEstimates(
         float(p),

@@ -28,11 +28,6 @@ def delta_psi(group_or_n) -> LengthFunction:
     return length_function(group, psi)
 
 
-def wordlength_psi(n: int) -> LengthFunction:
-    """Cyclic word length min(k, n-k) on Z_n."""
-    return word_length_psi(n)
-
-
 def heisenberg_delta(n: int) -> LengthFunction:
     """psi(a,b,c) = (1 - delta_{b,0}) + (1 - delta_{c,0}) on the mod-n Heisenberg group.
 
@@ -67,7 +62,7 @@ def builtin_length(spec: str) -> LengthFunction:
     table = {
         "walsh": (walsh_length, 2),
         "delta": (delta_psi, 1),
-        "wordlength": (wordlength_psi, 1),
+        "wordlength": (word_length_psi, 1),
         "heisenberg-delta": (heisenberg_delta, 1),
         "heisenberg-wordlength": (heisenberg_wordlength, 1),
     }

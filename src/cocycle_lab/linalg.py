@@ -1,5 +1,8 @@
-"""Small shared numerical helpers: Schatten norms and Hermitian guards."""
+"""Small shared numerical helpers: Schatten norms, Hermitian/PSD guards, threaded map."""
 from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -36,3 +39,26 @@ def hermitize(M: np.ndarray, tol: float = HERMITIAN_PRECHECK) -> np.ndarray:
     if dev > tol:
         raise ValueError(f"matrix deviates from Hermitian by {dev:.3e} (tol {tol:.0e})")
     return 0.5 * (M + M.conj().T)
+
+
+def psd_scale(w: np.ndarray) -> float:
+    """1 + max(|lambda_min|, |lambda_max|) of ascending eigenvalues: the scale of PSD tests."""
+    return 1.0 + max(abs(w[0]), abs(w[-1]))
+
+
+def thread_map(fn, items) -> list:
+    """[fn(item) for item in items] on COCYCLE_LAB_THREADS (an integer >= 1) threads.
+
+    Results keep the input order, so they do not depend on the thread count.
+    """
+    text = os.environ.get("COCYCLE_LAB_THREADS", "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"COCYCLE_LAB_THREADS must be an integer >= 1, got {text!r}")
+    if workers == 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        return list(ex.map(fn, items))

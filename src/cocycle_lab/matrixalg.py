@@ -17,8 +17,9 @@ import numpy as np
 import scipy.linalg
 
 from .criterion import AlphaCertificate
-from .linalg import schatten_norm
-from .poincare import PoincareReport, fit_exponent, maximize_on_sphere
+from .linalg import psd_scale, schatten_norm
+from .poincare import (PoincareReport, WorstConstant, ZeroNumeratorError,
+                       maximize_ratio, sweep)
 
 SUPEROP_CAP = 12
 
@@ -34,10 +35,6 @@ def unvec(v: np.ndarray, n: int) -> np.ndarray:
 def pair(x: np.ndarray, y: np.ndarray) -> complex:
     """Normalized trace pairing <x, y> = tr(x^dag y)/n."""
     return complex(np.trace(x.conj().T @ y) / x.shape[0])
-
-
-def matrix_lp(x: np.ndarray, p: float) -> float:
-    return schatten_norm(x, p)
 
 
 @dataclass(frozen=True)
@@ -85,21 +82,27 @@ class Superoperator:
         return np.linalg.eigh(0.5 * (self.mat + self.mat.conj().T))
 
     @cached_property
+    def _kernel(self) -> np.ndarray:
+        """Mask of the eigenvalues of A within 1e-12 (1 + ||A||) of zero."""
+        w, _ = self._eig
+        return np.abs(w) <= 1e-12 * psd_scale(w)
+
+    @cached_property
     def fix_projector(self) -> np.ndarray:
         """Orthogonal projector (on vec space) onto ker A."""
-        w, V = self._eig
-        scale = 1.0 + max(abs(w[0]), abs(w[-1]))
-        kern = np.abs(w) <= 1e-12 * scale
-        Vk = V[:, kern]
+        Vk = self._eig[1][:, self._kernel]
         return Vk @ Vk.conj().T
+
+    def fix_dimension(self) -> int:
+        """dim ker A, the dimension of the fixed-point algebra."""
+        return int(self._kernel.sum())
 
     def fix_project(self, x: np.ndarray) -> np.ndarray:
         return unvec(self.fix_projector @ vec(x), self.n)
 
     def min_positive_eig(self) -> float:
         w, _ = self._eig
-        scale = 1.0 + max(abs(w[0]), abs(w[-1]))
-        pos = w[w > 1e-12 * scale]
+        pos = w[(w > 0) & ~self._kernel]
         if pos.size == 0:
             raise ValueError("generator has no positive spectrum: no gap")
         return float(pos.min())
@@ -193,49 +196,25 @@ def matrix_poincare_ratio(A: Superoperator, x: np.ndarray, p: float) -> float:
     if p < 2:
         raise ValueError(f"Poincare ratio needs p >= 2, got {p}")
     x0 = x - A.fix_project(x)
-    num = matrix_lp(x0, p)
+    num = schatten_norm(x0, p)
     if num < 1e-14 * (1.0 + np.abs(x).max()):
-        raise ValueError("witness lies in the fixed-point algebra (zero numerator)")
+        raise ZeroNumeratorError("witness lies in the fixed-point algebra (zero numerator)")
     den = max(schatten_norm(superop_gamma(A, x0, x0), p / 2.0),
               schatten_norm(superop_gamma(A, x0.conj().T, x0.conj().T), p / 2.0)) ** 0.5
     return num / den
 
 
 def matrix_worst_constant(A: Superoperator, p: float, budget: int = 20000,
-                          seed: int = 0, n_starts: int = 32):
+                          seed: int = 0, n_starts: int = 32) -> WorstConstant:
+    """Empirical lower bound for the best L_p Poincare constant over matrix witnesses."""
     n = A.n
-
-    def to_matrix(z: np.ndarray) -> np.ndarray:
-        return (z[:n * n] + 1j * z[n * n:]).reshape(n, n)
-
-    def fun(z: np.ndarray) -> float:
-        try:
-            return matrix_poincare_ratio(A, to_matrix(z), p)
-        except ValueError:
-            return 0.0
-
-    val, z, gap = maximize_on_sphere(fun, 2 * n * n, budget, seed, n_starts)
-    return float(val), to_matrix(z), float(gap)
+    return maximize_ratio(lambda x: matrix_poincare_ratio(A, x, p),
+                          lambda z: z.reshape(n, n), n * n, budget, seed, n_starts)
 
 
 def matrix_poincare(A: Superoperator, p_grid: Sequence[float], budget: int = 20000,
                     seed: int = 0, alpha_cert: Optional[AlphaCertificate] = None,
                     n_starts: int = 32) -> PoincareReport:
     """Poincare sweep over matrix witnesses; E_Fix comes from ker(A)."""
-    ps = [float(p) for p in p_grid]
-    if any(p < 2 or p > 16 for p in ps):
-        raise ValueError(f"p grid must lie in [2, 16], got {ps}")
-    results = [matrix_worst_constant(A, p, budget, seed + i, n_starts)
-               for i, p in enumerate(ps)]
-    constants = [r[0] for r in results]
-    slope, stderr, fit_resid = fit_exponent(ps, constants)
-    alpha_used = None
-    envelope = None
-    if alpha_cert is not None and alpha_cert.alpha_star > 0:
-        alpha_used = float(alpha_cert.alpha_star)
-        c2 = constants[ps.index(2.0)] if 2.0 in ps else \
-            matrix_worst_constant(A, 2.0, budget, seed + len(ps), n_starts)[0]
-        envelope = tuple(np.sqrt(p / alpha_used) * c2 for p in ps)
-    return PoincareReport(tuple(ps), tuple(constants),
-                          tuple(r[1] for r in results),
-                          slope, stderr, fit_resid, alpha_used, envelope)
+    return sweep(lambda p, s: matrix_worst_constant(A, p, budget, s, n_starts),
+                 p_grid, seed, alpha_cert)

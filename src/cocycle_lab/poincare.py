@@ -7,24 +7,27 @@ worst_constant maximizes the ratio
 over unit coefficient vectors; the result is a certified *lower* bound on
 the best constant.  At p = 2 the exact constant is (min nonzero psi)^{-1/2},
 which doubles as an optimizer soundness oracle.  sweep_and_fit runs a p
-grid and fits the growth exponent of log C_p against log p.
+grid and fits the growth exponent of log C_p against log p; matrixalg
+reuses maximize_ratio and sweep with its own witness chart and ratio.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .algebra import AlgebraElement, Semigroup, fix_project, gamma, lp_norm, regular_rep
 from .criterion import AlphaCertificate
-from .linalg import schatten_norm
+from .linalg import schatten_norm, thread_map
 from . import rng
 
 GRAD_STEP = 1e-6
 REL_IMPROVEMENT_STOP = 1e-8
+
+
+class ZeroNumeratorError(ValueError):
+    """The witness lies in the fixed-point algebra, where the ratio is 0/0."""
 
 
 def poincare_ratio(sg: Semigroup, f: AlgebraElement, p: float) -> float:
@@ -34,7 +37,7 @@ def poincare_ratio(sg: Semigroup, f: AlgebraElement, p: float) -> float:
     f0 = f - fix_project(sg, f)
     num = lp_norm(f0, p)
     if num < 1e-14 * (1.0 + np.abs(f.coeffs).max()):
-        raise ValueError("witness lies in the fixed-point algebra (zero numerator)")
+        raise ZeroNumeratorError("witness lies in the fixed-point algebra (zero numerator)")
     gc = gamma(sg, f0, f0)
     gr = gamma(sg, f0.adjoint(), f0.adjoint())
     den = max(schatten_norm(regular_rep(gc), p / 2.0),
@@ -50,18 +53,10 @@ def l2_oracle(sg: Semigroup) -> float:
     return float(pos.min()) ** -0.5
 
 
-@dataclass(frozen=True)
-class WorstConstant:
+class WorstConstant(NamedTuple):
     constant: float
-    witness: AlgebraElement
+    witness: Any            # AlgebraElement, or an n x n matrix on the matrix side
     optimizer_gap: float    # relative improvement in the last accepted ascent step
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("COCYCLE_LAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def maximize_on_sphere(fun: Callable[[np.ndarray], float], dim: int,
@@ -124,14 +119,26 @@ def maximize_on_sphere(fun: Callable[[np.ndarray], float], dim: int,
                 break
         return val, x, gap if np.isfinite(gap) else 0.0
 
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(run_start, starts))
-    else:
-        results = [run_start(x0) for x0 in starts]
+    results = thread_map(run_start, starts)
     best = max(range(len(results)), key=lambda i: results[i][0])
     return results[best]
+
+
+def maximize_ratio(ratio: Callable[[Any], float], chart: Callable[[np.ndarray], Any],
+                   dim: int, budget: int, seed: int, n_starts: int) -> WorstConstant:
+    """Maximize ratio(chart(x + iy)) over unit vectors (x, y) in R^{2 dim}.
+
+    chart maps dim complex coordinates to a witness.  A witness in the
+    fixed-point algebra scores 0; every other error propagates.
+    """
+    def fun(z: np.ndarray) -> float:
+        try:
+            return ratio(chart(z[:dim] + 1j * z[dim:]))
+        except ZeroNumeratorError:
+            return 0.0
+
+    val, z, gap = maximize_on_sphere(fun, 2 * dim, budget, seed, n_starts)
+    return WorstConstant(float(val), chart(z[:dim] + 1j * z[dim:]), float(gap))
 
 
 def worst_constant(sg: Semigroup, p: float, budget: int = 20000,
@@ -140,23 +147,14 @@ def worst_constant(sg: Semigroup, p: float, budget: int = 20000,
     nonfix = np.where(~sg.fix_mask)[0]
     if nonfix.size == 0:
         raise ValueError("psi is identically 0: no spectral gap")
-    m = nonfix.size
-    group = sg.group
 
-    def to_element(x: np.ndarray) -> AlgebraElement:
-        c = np.zeros(group.order, dtype=complex)
-        c[nonfix] = x[:m] + 1j * x[m:]
-        return AlgebraElement(group, c)
+    def chart(z: np.ndarray) -> AlgebraElement:
+        c = np.zeros(sg.group.order, dtype=complex)
+        c[nonfix] = z
+        return AlgebraElement(sg.group, c)
 
-    def fun(x: np.ndarray) -> float:
-        f = to_element(x)
-        try:
-            return poincare_ratio(sg, f, p)
-        except ValueError:
-            return 0.0
-
-    val, x, gap = maximize_on_sphere(fun, 2 * m, budget, seed, n_starts)
-    return WorstConstant(float(val), to_element(x), float(gap))
+    return maximize_ratio(lambda f: poincare_ratio(sg, f, p), chart,
+                          nonfix.size, budget, seed, n_starts)
 
 
 @dataclass(frozen=True)
@@ -184,10 +182,9 @@ def fit_exponent(p_grid: Sequence[float], constants: Sequence[float]):
     return float(coef[0]), float(np.sqrt(var)), float(np.abs(resid).max())
 
 
-def sweep_and_fit(sg: Semigroup, p_grid: Sequence[float], budget: int = 20000,
-                  seed: int = 0, alpha_cert: Optional[AlphaCertificate] = None,
-                  n_starts: int = 32) -> PoincareReport:
-    """worst_constant per p, growth-exponent fit, optional sqrt(p/alpha) envelope.
+def sweep(worst: Callable[[float, int], WorstConstant], p_grid: Sequence[float],
+          seed: int, alpha_cert: Optional[AlphaCertificate]) -> PoincareReport:
+    """worst(p, seed + i) for the i-th p, growth-exponent fit, optional envelope.
 
     The envelope sqrt(p/alpha*) C_2 is only reported for a strictly positive
     alpha certificate; with alpha* = 0 (criterion fails) the slope is still
@@ -196,17 +193,23 @@ def sweep_and_fit(sg: Semigroup, p_grid: Sequence[float], budget: int = 20000,
     ps = [float(p) for p in p_grid]
     if any(p < 2 or p > 16 for p in ps):
         raise ValueError(f"p grid must lie in [2, 16], got {ps}")
-    results = [worst_constant(sg, p, budget, seed + i, n_starts)
-               for i, p in enumerate(ps)]
+    results = [worst(p, seed + i) for i, p in enumerate(ps)]
     constants = [r.constant for r in results]
     slope, stderr, fit_resid = fit_exponent(ps, constants)
     alpha_used = None
     envelope = None
     if alpha_cert is not None and alpha_cert.alpha_star > 0:
         alpha_used = float(alpha_cert.alpha_star)
-        c2 = constants[ps.index(2.0)] if 2.0 in ps else \
-            worst_constant(sg, 2.0, budget, seed + len(ps), n_starts).constant
+        c2 = constants[ps.index(2.0)] if 2.0 in ps else worst(2.0, seed + len(ps)).constant
         envelope = tuple(np.sqrt(p / alpha_used) * c2 for p in ps)
     return PoincareReport(tuple(ps), tuple(constants),
                           tuple(r.witness for r in results),
                           slope, stderr, fit_resid, alpha_used, envelope)
+
+
+def sweep_and_fit(sg: Semigroup, p_grid: Sequence[float], budget: int = 20000,
+                  seed: int = 0, alpha_cert: Optional[AlphaCertificate] = None,
+                  n_starts: int = 32) -> PoincareReport:
+    """sweep over worst_constant on the group algebra."""
+    return sweep(lambda p, s: worst_constant(sg, p, budget, s, n_starts),
+                 p_grid, seed, alpha_cert)

@@ -176,3 +176,11 @@ def test_cli_errors_exit_nonzero(tmp_path, capsys):
     assert "cn-check:" in capsys.readouterr().err
     assert main(["schur-identity", "--n", "5"]) == 1
     assert "schur-identity:" in capsys.readouterr().err
+
+
+def test_cli_rejects_invalid_thread_count(monkeypatch, capsys):
+    monkeypatch.setenv("COCYCLE_LAB_THREADS", "two")
+    assert main(["poincare", "--builtin", "wordlength:4", "--p", "2",
+                 "--budget", "10"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("poincare:") and "COCYCLE_LAB_THREADS" in err

@@ -5,7 +5,7 @@ from cocycle_lab.algebra import (Semigroup, delta, element, gamma, lp_norm,
                                  regular_rep, semigroup_apply)
 from cocycle_lab.cocycles import gromov_form, realize_cocycle, word_length_cocycle
 from cocycle_lab.criterion import AlphaCertificate, best_alpha_pencil
-from cocycle_lab.dilation import (bracket_estimates, dilation_matrix,
+from cocycle_lab.dilation import (_chunks, bracket_estimates, dilation_matrix,
                                   dilation_mean, inequality_report,
                                   martingale_transform, sample_scenario,
                                   transform_l2_analytic)
@@ -204,3 +204,16 @@ def test_inequality_report_without_alpha(small_scenario):
                             alpha_cert=AlphaCertificate(0.0, "synthetic",
                                                         np.zeros(1), 0.0))
     assert rep.bracket_bound is None
+
+
+def test_inequality_report_independent_of_thread_count(monkeypatch):
+    coc = walsh_cocycle(2, 2)
+    sc = sample_scenario(coc, 64, 2.0 / 64, 1536, seed=11)
+    assert len(_chunks(sc)) >= 2    # a single chunk leaves nothing to spread over threads
+    x = element(coc.group, [0.0, 1.0, 0.7, 0.3j])
+    cert = best_alpha_pencil(gromov_form(sc.semigroup.psi))
+    reps = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("COCYCLE_LAB_THREADS", threads)
+        reps.append(inequality_report(x, sc, 2.0, 4.0, alpha_cert=cert))
+    assert reps[0] == reps[1]

@@ -185,6 +185,8 @@ def test_matrix_ratio_rejects_fixed_points():
         matrix_poincare_ratio(A, np.eye(2, dtype=complex), 2.0)
     with pytest.raises(ValueError, match="p >= 2"):
         matrix_poincare_ratio(A, rand_matrix(2, 80), 1.0)
+    with pytest.raises(ValueError, match="p >= 2"):
+        matrix_worst_constant(A, 1.0, budget=10)
 
 
 def test_matrix_worst_constant_p2():

@@ -4,7 +4,7 @@ import pytest
 from cocycle_lab.algebra import Semigroup, element
 from cocycle_lab.cocycles import gromov_form, length_function, word_length_psi
 from cocycle_lab.criterion import AlphaCertificate, best_alpha_pencil
-from cocycle_lab.families import delta_psi
+from cocycle_lab.families import builtin_length, delta_psi
 from cocycle_lab.groups import build_cyclic
 from cocycle_lab.poincare import (fit_exponent, l2_oracle, maximize_on_sphere,
                                   poincare_ratio, sweep_and_fit, worst_constant)
@@ -30,6 +30,8 @@ def test_ratio_input_validation():
     f = element(sg.group, [0.0, 1.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="p >= 2"):
         poincare_ratio(sg, f, 1.5)
+    with pytest.raises(ValueError, match="p >= 2"):
+        worst_constant(sg, 1.5, budget=10)
     fixed = element(sg.group, [2.0, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="zero numerator"):
         poincare_ratio(sg, fixed, 2.0)
@@ -49,6 +51,24 @@ def test_worst_constant_deterministic():
     b = worst_constant(sg, 3.0, budget=800, seed=9)
     assert a.constant == b.constant
     assert np.array_equal(a.witness.coeffs, b.witness.coeffs)
+
+
+def test_worst_constant_independent_of_thread_count(monkeypatch):
+    sg = Semigroup(builtin_length("walsh:2:3"))
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("COCYCLE_LAB_THREADS", threads)
+        runs.append(worst_constant(sg, 4.0, budget=3000, seed=1))
+    a, b = runs
+    assert a.constant == b.constant and a.optimizer_gap == b.optimizer_gap
+    assert np.array_equal(a.witness.coeffs, b.witness.coeffs)
+
+
+@pytest.mark.parametrize("threads", ["two", "0"])
+def test_invalid_thread_count_is_rejected(monkeypatch, threads):
+    monkeypatch.setenv("COCYCLE_LAB_THREADS", threads)
+    with pytest.raises(ValueError, match="COCYCLE_LAB_THREADS"):
+        worst_constant(Semigroup(word_length_psi(4)), 2.0, budget=10)
 
 
 def test_maximizer_budget_validation():
