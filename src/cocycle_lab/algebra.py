@@ -23,13 +23,13 @@ from .linalg import hermitize, psd_scale, schatten_norm
 @dataclass(frozen=True)
 class AlgebraElement:
     group: FiniteGroup
-    coeffs: np.ndarray      # (order,) complex
+    coeffs: np.ndarray      # (order,) complex; (..., order) for a stack of elements
 
     def __post_init__(self):
         self.coeffs.setflags(write=False)
 
     def adjoint(self) -> "AlgebraElement":
-        return AlgebraElement(self.group, np.conj(self.coeffs)[self.group.inv])
+        return AlgebraElement(self.group, np.take(np.conj(self.coeffs), self.group.inv, axis=-1))
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         _same_group(self, other)
@@ -74,10 +74,11 @@ def conv(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
 
 def regular_rep(f: AlgebraElement) -> np.ndarray:
     """M[x, y] = a_{x y^{-1}}; a *-homomorphism with tau = normalized trace."""
-    return f.coeffs[f.group.rep_index]
+    return np.take(f.coeffs, f.group.rep_index, axis=-1)
 
 
-def lp_norm(f: AlgebraElement, p: float) -> float:
+def lp_norm(f: AlgebraElement, p: float):
+    """||f||_p, or per element of a stack."""
     return schatten_norm(regular_rep(f), p)
 
 
@@ -120,6 +121,12 @@ def fix_project(sg: Semigroup, f: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(f.group, np.where(sg.fix_mask, f.coeffs, 0.0))
 
 
+def _kernel_contract(sg: Semigroup, f: AlgebraElement, g: AlgebraElement, weight):
+    """sum_s conj(a_s) b_{su} weight[s, u] as the coefficient of lambda(u), per row of a stack."""
+    w = np.take(g.coeffs, sg.group.mul, axis=-1) * weight
+    return AlgebraElement(f.group, (np.conj(f.coeffs)[..., None, :] @ w)[..., 0, :])
+
+
 def gamma(sg: Semigroup, f: AlgebraElement, g: AlgebraElement,
           path: str = "kernel") -> AlgebraElement:
     """Gamma(f,g) = (A(f*)g + f*A(g) - A(f*g))/2.
@@ -128,8 +135,7 @@ def gamma(sg: Semigroup, f: AlgebraElement, g: AlgebraElement,
     """
     _same_group(f, g)
     if path == "kernel":
-        w = g.coeffs[sg.group.mul] * sg._kernel_su
-        return AlgebraElement(f.group, np.conj(f.coeffs) @ w)
+        return _kernel_contract(sg, f, g, sg._kernel_su)
     if path == "definitional":
         fs = f.adjoint()
         a = conv(generator_apply(sg, fs), g)
@@ -147,8 +153,7 @@ def gamma2(sg: Semigroup, f: AlgebraElement, g: AlgebraElement,
     """
     _same_group(f, g)
     if path == "kernel":
-        w = g.coeffs[sg.group.mul] * sg._kernel_su ** 2
-        return AlgebraElement(f.group, np.conj(f.coeffs) @ w)
+        return _kernel_contract(sg, f, g, sg._kernel_su ** 2)
     if path == "definitional":
         a = gamma(sg, generator_apply(sg, f), g)
         b = gamma(sg, f, generator_apply(sg, g))

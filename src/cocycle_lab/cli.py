@@ -187,11 +187,7 @@ def run_alpha(config: dict) -> dict:
     psi = _psi_from_config(config["psi"])
     K = gromov_form(psi)
     method = config.get("method", "pencil")
-    if method == "bisect":
-        cert = best_alpha_bisection(K)
-        return {"alpha_star": cert.alpha_star, "method": cert.method,
-                "min_eig_at_alpha": cert.residual}
-    cert = best_alpha_pencil(K)
+    cert = best_alpha_bisection(K) if method == "bisect" else best_alpha_pencil(K)
     out = {"alpha_star": cert.alpha_star, "method": cert.method,
            "min_eig_at_alpha": cert.residual}
     if method == "both":
@@ -242,12 +238,7 @@ def run_poincare(config: dict) -> dict:
 
 def run_matrix(config: dict) -> dict:
     A = heisenberg_multiplier(config["n"], config["mode"])
-    out = {
-        "n": A.n,
-        "mode": config["mode"],
-        "fix_dimension": A.fix_dimension(),
-        "spectral_gap": A.min_positive_eig(),
-    }
+    out = {"n": A.n, "mode": config["mode"]}
     if config.get("alpha_check") is not None:
         alpha = float(config["alpha_check"])
         worst = np.inf
@@ -264,11 +255,7 @@ def run_matrix(config: dict) -> dict:
             "passed": bool(worst >= -1e-9),
             "samples": config.get("alpha_samples", 200),
         }
-    if config.get("p"):
-        report = matrix_poincare(A, config["p"], budget=config["budget"],
-                                 seed=config["seed"])
-        out["poincare"] = _poincare_results(report)
-    return out
+    return _generator_results(A, config, out)
 
 
 def run_lindblad(config: dict) -> dict:
@@ -281,13 +268,13 @@ def run_lindblad(config: dict) -> dict:
         x = st.standard_normal((A.n, A.n)) + 1j * st.standard_normal((A.n, A.n))
         direct = sum((m @ x - x @ m).conj().T @ (m @ x - x @ m) for m in mats)
         resid = max(resid, float(np.abs(superop_gamma(A, x, x) - direct).max()))
-    out = {
-        "n": A.n,
-        "family_size": len(mats),
-        "fix_dimension": A.fix_dimension(),
-        "spectral_gap": A.min_positive_eig(),
-        "gamma_oracle_residual": resid,
-    }
+    return _generator_results(A, config, {"n": A.n, "family_size": len(mats),
+                                          "gamma_oracle_residual": resid})
+
+
+def _generator_results(A, config: dict, out: dict) -> dict:
+    """out plus the fixed-point dimension, the spectral gap and an optional Poincare sweep."""
+    out.update(fix_dimension=A.fix_dimension(), spectral_gap=A.min_positive_eig())
     if config.get("p"):
         report = matrix_poincare(A, config["p"], budget=config["budget"],
                                  seed=config["seed"])

@@ -9,22 +9,31 @@ import numpy as np
 HERMITIAN_PRECHECK = 1e-10
 
 
-def schatten_norm(mat: np.ndarray, p: float, normalized: bool = True) -> float:
-    """((1/n) sum sigma_i^p)^{1/p} of a single matrix; max sigma for p = inf.
+def schatten_norm(mat: np.ndarray, p: float):
+    """((1/n) sum sigma_i^p)^{1/p} of a matrix; max sigma for p = inf.
 
-    Singular values are rescaled by their max before powering so large p
-    neither overflows nor underflows.
+    A float for one matrix; an array for an (..., n, n) stack, which takes
+    one SVD call.  Singular values are rescaled by their max before
+    powering so large p neither overflows nor underflows.
     """
     if p < 1:
         raise ValueError(f"Schatten norm needs p >= 1, got {p}")
     s = np.linalg.svd(mat, compute_uv=False)
+    smax = s[..., 0]
     if np.isinf(p):
-        return float(s[0])
-    smax = float(s[0])
-    if smax == 0.0:
-        return 0.0
-    acc = np.mean((s / smax) ** p) if normalized else np.sum((s / smax) ** p)
-    return smax * float(acc) ** (1.0 / p)
+        out = smax
+    else:
+        acc = np.mean((s / np.where(smax > 0, smax, 1.0)[..., None]) ** p, axis=-1)
+        out = smax * root(acc, p)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def root(x, k: float):
+    """x^{1/k} elementwise by Python float power, so a stack rounds as its values do one by one.
+
+    numpy's vectorized power can differ from the scalar one in the last ulp.
+    """
+    return np.array([v ** (1.0 / k) for v in np.ravel(x).tolist()]).reshape(np.shape(x))
 
 
 def schatten_pow_batch(mats: np.ndarray, p: float) -> np.ndarray:

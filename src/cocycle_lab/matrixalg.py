@@ -18,23 +18,17 @@ import scipy.linalg
 
 from .criterion import AlphaCertificate
 from .linalg import psd_scale, schatten_norm
-from .poincare import (PoincareReport, WorstConstant, ZeroNumeratorError,
-                       maximize_ratio, sweep)
+from .poincare import PoincareReport, WorstConstant, maximize_ratio, ratio_scores, sweep
 
 SUPEROP_CAP = 12
 
 
 def vec(x: np.ndarray) -> np.ndarray:
-    return np.asarray(x).reshape(-1)
+    return np.reshape(x, np.shape(x)[:-2] + (-1,))
 
 
 def unvec(v: np.ndarray, n: int) -> np.ndarray:
-    return v.reshape(n, n)
-
-
-def pair(x: np.ndarray, y: np.ndarray) -> complex:
-    """Normalized trace pairing <x, y> = tr(x^dag y)/n."""
-    return complex(np.trace(x.conj().T @ y) / x.shape[0])
+    return v.reshape(v.shape[:-1] + (n, n))
 
 
 @dataclass(frozen=True)
@@ -75,7 +69,8 @@ class Superoperator:
         self.mat.setflags(write=False)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return unvec(self.mat @ vec(x), self.n)
+        """A(x) for an n x n matrix or an (..., n, n) stack."""
+        return unvec((self.mat @ vec(x)[..., None])[..., 0], self.n)
 
     @cached_property
     def _eig(self):
@@ -98,7 +93,7 @@ class Superoperator:
         return int(self._kernel.sum())
 
     def fix_project(self, x: np.ndarray) -> np.ndarray:
-        return unvec(self.fix_projector @ vec(x), self.n)
+        return unvec((self.fix_projector @ vec(x)[..., None])[..., 0], self.n)
 
     def min_positive_eig(self) -> float:
         w, _ = self._eig
@@ -177,12 +172,12 @@ def lindblad_generator(a: Sequence[np.ndarray]) -> Superoperator:
 
 
 def superop_gamma(A: Superoperator, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gamma(x,y) = (A(x^dag) y + x^dag A(y) - A(x^dag y))/2."""
+    """Gamma(x,y) = (A(x^dag) y + x^dag A(y) - A(x^dag y))/2, per matrix of a stack."""
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    if x.shape != (A.n, A.n) or y.shape != (A.n, A.n):
+    if x.shape[-2:] != (A.n, A.n) or y.shape[-2:] != (A.n, A.n):
         raise ValueError(f"arguments must be {A.n}x{A.n} matrices")
-    xd = x.conj().T
+    xd = np.swapaxes(x.conj(), -1, -2)
     return 0.5 * (A.apply(xd) @ y + xd @ A.apply(y) - A.apply(xd @ y))
 
 
@@ -192,16 +187,16 @@ def superop_gamma2(A: Superoperator, x: np.ndarray, y: np.ndarray) -> np.ndarray
     return 0.5 * (g(A, A.apply(x), y) + g(A, x, A.apply(y)) - A.apply(g(A, x, y)))
 
 
-def matrix_poincare_ratio(A: Superoperator, x: np.ndarray, p: float) -> float:
+def matrix_poincare_ratio(A: Superoperator, x: np.ndarray, p: float):
+    """Poincare ratio per witness of x, an n x n matrix or an (..., n, n) stack."""
     if p < 2:
         raise ValueError(f"Poincare ratio needs p >= 2, got {p}")
     x0 = x - A.fix_project(x)
-    num = schatten_norm(x0, p)
-    if num < 1e-14 * (1.0 + np.abs(x).max()):
-        raise ZeroNumeratorError("witness lies in the fixed-point algebra (zero numerator)")
-    den = max(schatten_norm(superop_gamma(A, x0, x0), p / 2.0),
-              schatten_norm(superop_gamma(A, x0.conj().T, x0.conj().T), p / 2.0)) ** 0.5
-    return num / den
+    x0d = np.swapaxes(x0.conj(), -1, -2)
+    return ratio_scores(schatten_norm(x0, p),
+                        schatten_norm(superop_gamma(A, x0, x0), p / 2.0),
+                        schatten_norm(superop_gamma(A, x0d, x0d), p / 2.0),
+                        np.abs(x).max(axis=(-2, -1)))
 
 
 def matrix_worst_constant(A: Superoperator, p: float, budget: int = 20000,
@@ -209,7 +204,7 @@ def matrix_worst_constant(A: Superoperator, p: float, budget: int = 20000,
     """Empirical lower bound for the best L_p Poincare constant over matrix witnesses."""
     n = A.n
     return maximize_ratio(lambda x: matrix_poincare_ratio(A, x, p),
-                          lambda z: z.reshape(n, n), n * n, budget, seed, n_starts)
+                          lambda z: unvec(z, n), n * n, budget, seed, n_starts)
 
 
 def matrix_poincare(A: Superoperator, p_grid: Sequence[float], budget: int = 20000,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, Semigroup, fix_project, gamma, lp_norm, regular_rep
 from .criterion import AlphaCertificate
-from .linalg import schatten_norm, thread_map
+from .linalg import root, schatten_norm, thread_map
 from . import rng
 
 GRAD_STEP = 1e-6
@@ -27,22 +27,36 @@ REL_IMPROVEMENT_STOP = 1e-8
 
 
 class ZeroNumeratorError(ValueError):
-    """The witness lies in the fixed-point algebra, where the ratio is 0/0."""
+    """A witness lies in the fixed-point algebra, where the ratio is 0/0; scores holds it as 0."""
+
+    def __init__(self, scores):
+        super().__init__("witness lies in the fixed-point algebra (zero numerator)")
+        self.scores = scores
 
 
-def poincare_ratio(sg: Semigroup, f: AlgebraElement, p: float) -> float:
-    """Ratio at a single witness; uses ||Gamma^{1/2}||_p = ||Gamma||_{p/2}^{1/2}."""
+def ratio_scores(num, den_c, den_r, coeff_max):
+    """num / max{den_c, den_r}^{1/2} per witness: a float for one, an array for a stack.
+
+    num < 1e-14 (1 + coeff_max) flags a witness in the fixed-point algebra.
+    """
+    zero = num < 1e-14 * (1.0 + coeff_max)
+    r = np.where(zero, 0.0, num / root(np.where(zero, 1.0, np.maximum(den_c, den_r)), 2.0))
+    r = float(r) if r.ndim == 0 else r
+    if np.any(zero):
+        raise ZeroNumeratorError(r)
+    return r
+
+
+def poincare_ratio(sg: Semigroup, f: AlgebraElement, p: float):
+    """Ratio per witness of f, an element or a stack; ||Gamma^{1/2}||_p = ||Gamma||_{p/2}^{1/2}."""
     if p < 2:
         raise ValueError(f"Poincare ratio needs p >= 2, got {p}")
     f0 = f - fix_project(sg, f)
-    num = lp_norm(f0, p)
-    if num < 1e-14 * (1.0 + np.abs(f.coeffs).max()):
-        raise ZeroNumeratorError("witness lies in the fixed-point algebra (zero numerator)")
-    gc = gamma(sg, f0, f0)
-    gr = gamma(sg, f0.adjoint(), f0.adjoint())
-    den = max(schatten_norm(regular_rep(gc), p / 2.0),
-              schatten_norm(regular_rep(gr), p / 2.0)) ** 0.5
-    return num / den
+    f0s = f0.adjoint()
+    return ratio_scores(lp_norm(f0, p),
+                        schatten_norm(regular_rep(gamma(sg, f0, f0)), p / 2.0),
+                        schatten_norm(regular_rep(gamma(sg, f0s, f0s)), p / 2.0),
+                        np.abs(f.coeffs).max(axis=-1))
 
 
 def l2_oracle(sg: Semigroup) -> float:
@@ -59,47 +73,45 @@ class WorstConstant(NamedTuple):
     optimizer_gap: float    # relative improvement in the last accepted ascent step
 
 
-def maximize_on_sphere(fun: Callable[[np.ndarray], float], dim: int,
+def maximize_on_sphere(fun: Callable[[np.ndarray], Any], dim: int,
                        budget: int, seed: int, n_starts: int = 32,
                        coord_starts: int = 16, rng_tag: int = rng.TAG_POINCARE):
     """Multi-start projected gradient ascent on the unit sphere.
 
-    Central-difference gradients with step 1e-6; the step size adapts by
-    backtracking; a start stops when its relative improvement drops below
-    1e-8 or the shared budget is spent.  Deterministic for a fixed seed:
-    start s draws from the stream (seed, tag, s) and ties resolve in start
-    order.  Returns (best value, best point, gap).
+    fun maps a point (dim,) to a float and a stack (k, dim) to k values.
+    A central-difference gradient (step 1e-6) scores its 2 dim points,
+    x + 1e-6 e_i then x - 1e-6 e_i, in one call; a line-search probe is a
+    one-point call.  A start takes a new gradient while it has scored
+    fewer than budget // (number of starts) points, adapts its step by
+    backtracking, and stops when its relative improvement drops below
+    1e-8.  Deterministic for a fixed seed: start s draws from the stream
+    (seed, tag, s) and ties resolve in start order.  Returns (best value,
+    best point, gap).
     """
     if budget < 1:
         raise ValueError(f"optimizer budget must be >= 1, got {budget}")
-    starts = []
-    for i in range(min(dim, coord_starts)):
-        e = np.zeros(dim)
-        e[i] = 1.0
-        starts.append(e)
+    starts = list(np.eye(dim)[:min(dim, coord_starts)])
     for s in range(len(starts), n_starts):
         v = rng.stream(seed, rng_tag, s).standard_normal(dim)
         n = np.linalg.norm(v)
         starts.append(v / n if n > 0 else np.eye(dim)[0])
     per_start = max(1, budget // len(starts))
+    h = GRAD_STEP * np.eye(dim)
 
     def run_start(x0: np.ndarray):
         evals = 0
 
-        def f(x):
+        def f(X):
             nonlocal evals
-            evals += 1
-            return fun(x)
+            evals += 1 if X.ndim == 1 else len(X)
+            return fun(X)
 
         x = x0 / np.linalg.norm(x0)
         val = f(x)
         step, gap = 0.1, np.inf
         while evals < per_start:
-            g = np.zeros(dim)
-            for i in range(dim):
-                e = np.zeros(dim)
-                e[i] = GRAD_STEP
-                g[i] = (f(x + e) - f(x - e)) / (2 * GRAD_STEP)
+            v = f(np.concatenate([x + h, x - h]))
+            g = (v[:dim] - v[dim:]) / (2 * GRAD_STEP)
             g -= (g @ x) * x                      # tangent projection
             if np.linalg.norm(g) < 1e-12:
                 break
@@ -124,18 +136,19 @@ def maximize_on_sphere(fun: Callable[[np.ndarray], float], dim: int,
     return results[best]
 
 
-def maximize_ratio(ratio: Callable[[Any], float], chart: Callable[[np.ndarray], Any],
+def maximize_ratio(ratio: Callable[[Any], Any], chart: Callable[[np.ndarray], Any],
                    dim: int, budget: int, seed: int, n_starts: int) -> WorstConstant:
     """Maximize ratio(chart(x + iy)) over unit vectors (x, y) in R^{2 dim}.
 
-    chart maps dim complex coordinates to a witness.  A witness in the
-    fixed-point algebra scores 0; every other error propagates.
+    chart maps complex coordinates, shape (..., dim), to a witness or a
+    stack of witnesses, and ratio scores them all in one call.  A witness
+    in the fixed-point algebra scores 0; every other error propagates.
     """
-    def fun(z: np.ndarray) -> float:
+    def fun(Z: np.ndarray):
         try:
-            return ratio(chart(z[:dim] + 1j * z[dim:]))
-        except ZeroNumeratorError:
-            return 0.0
+            return ratio(chart(Z[..., :dim] + 1j * Z[..., dim:]))
+        except ZeroNumeratorError as exc:
+            return exc.scores
 
     val, z, gap = maximize_on_sphere(fun, 2 * dim, budget, seed, n_starts)
     return WorstConstant(float(val), chart(z[:dim] + 1j * z[dim:]), float(gap))
@@ -149,8 +162,8 @@ def worst_constant(sg: Semigroup, p: float, budget: int = 20000,
         raise ValueError("psi is identically 0: no spectral gap")
 
     def chart(z: np.ndarray) -> AlgebraElement:
-        c = np.zeros(sg.group.order, dtype=complex)
-        c[nonfix] = z
+        c = np.zeros(z.shape[:-1] + (sg.group.order,), dtype=complex)
+        c[..., nonfix] = z
         return AlgebraElement(sg.group, c)
 
     return maximize_ratio(lambda f: poincare_ratio(sg, f, p), chart,

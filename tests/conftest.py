@@ -17,6 +17,20 @@ def rand_matrix(n: int, index: int, seed: int = 0) -> np.ndarray:
     return x / np.linalg.norm(x)
 
 
+def captured_objective(monkeypatch, run):
+    """The batched objective that run() hands to poincare.maximize_on_sphere, which is not run."""
+    from cocycle_lab import poincare
+    seen = {}
+
+    def capture(fun, dim, *args):
+        seen["fun"] = fun
+        return 0.0, np.ones(dim), 0.0
+
+    monkeypatch.setattr(poincare, "maximize_on_sphere", capture)
+    run()
+    return seen["fun"]
+
+
 def pytest_runtest_logreport(report):
     # live one-line verdict per acceptance criterion, independent of capture
     if report.when == "call" and "test_acceptance.py" in report.nodeid:

@@ -10,6 +10,7 @@ from cocycle_lab.algebra import (AlgebraElement, Semigroup, conv, delta,
 from cocycle_lab.cocycles import word_length_psi
 from cocycle_lab.families import delta_psi, walsh_length
 from cocycle_lab.groups import build_cyclic
+from cocycle_lab.linalg import schatten_norm
 
 from conftest import rand_coeffs
 
@@ -56,9 +57,18 @@ def test_lp_norms():
     f = element(g, [1.0, 1.0])
     assert lp_norm(f, 2) == pytest.approx(np.sqrt(2.0))
     assert lp_norm(f, np.inf) == pytest.approx(2.0)
-    lam = delta(build_cyclic(5), 3)
+    g5 = build_cyclic(5)
+    lam = delta(g5, 3)
+    stack = np.array([rand_coeffs(5, 60 + i) for i in range(3)] + [np.zeros(5)])
+    mats = regular_rep(AlgebraElement(g5, stack))
     for p in (1, 2, 4, np.inf):
         assert lp_norm(lam, p) == pytest.approx(1.0)
+        # a stack of matrices takes one call and matches the matrices one by one
+        norms = schatten_norm(mats, p)
+        assert norms.shape == (4,) and norms[3] == 0.0
+        assert np.array_equal(norms, [schatten_norm(m, p) for m in mats])
+        assert np.array_equal(lp_norm(AlgebraElement(g5, stack), p), norms)
+        assert isinstance(schatten_norm(mats[3], p), float)
     with pytest.raises(ValueError, match="p >= 1"):
         lp_norm(f, 0.5)
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cocycle_lab.algebra import Semigroup, element, gamma
 from cocycle_lab.families import heisenberg_delta, heisenberg_wordlength
@@ -7,8 +8,9 @@ from cocycle_lab.matrixalg import (clock_shift_basis, heisenberg_multiplier,
                                    lindblad_generator, matrix_poincare_ratio,
                                    matrix_worst_constant, multiplier_symbol,
                                    superop_gamma, superop_gamma2, unvec, vec)
+from cocycle_lab.poincare import ZeroNumeratorError
 
-from conftest import rand_matrix
+from conftest import captured_objective, rand_matrix
 
 
 def tr(x):
@@ -195,3 +197,47 @@ def test_matrix_worst_constant_p2():
     # best L_2 constant is (min positive symbol)^{-1/2} = 1
     assert abs(val - 1.0) < 5e-3
     assert matrix_poincare_ratio(A, witness, 2.0) == pytest.approx(val)
+
+
+def _reference_matrix_ratio(A, x, p):
+    """Ratio of one witness from plain SVDs, with E_Fix from a null-space basis of A."""
+    def norm(M, q):
+        return np.mean(np.linalg.svd(M, compute_uv=False) ** q) ** (1.0 / q)
+
+    N = scipy.linalg.null_space(A.mat, rcond=1e-10)
+    x0 = x - (N @ (N.conj().T @ x.reshape(-1))).reshape(A.n, A.n)
+    x0d = x0.conj().T
+    den = max(norm(superop_gamma(A, x0, x0), p / 2), norm(superop_gamma(A, x0d, x0d), p / 2))
+    return norm(x0, p) / np.sqrt(den)
+
+
+@pytest.mark.parametrize("A", [heisenberg_multiplier(2, "delta"),
+                               heisenberg_multiplier(2, "wordlength"),
+                               heisenberg_multiplier(3, "delta"),
+                               heisenberg_multiplier(3, "wordlength"),
+                               lindblad_generator([np.diag([0.0, 1.0, 0.0, 1.0]),
+                                                   np.diag([0.0, 0.0, 1.0, 1.0])])],
+                         ids=["M2-delta", "M2-wordlength", "M3-delta", "M3-wordlength",
+                              "lindblad-4"])
+def test_batched_matrix_ratio_matches_reference(monkeypatch, A):
+    n = A.n
+    X = np.array([rand_matrix(n, 90 + i) for i in range(6)])
+    X[3] = 0.7 * np.eye(n)                          # a witness in the fixed-point algebra
+    fun = captured_objective(monkeypatch, lambda: matrix_worst_constant(A, 4.0, budget=1))
+    for p in (2.0, 5.0, 16.0):
+        with pytest.raises(ValueError, match="zero numerator"):
+            matrix_poincare_ratio(A, X[3], p)
+        with pytest.raises(ZeroNumeratorError) as exc:
+            matrix_poincare_ratio(A, X, p)
+        scores = exc.value.scores
+        assert scores.shape == (6,) and scores[3] == 0.0
+        for i in (0, 1, 2, 4, 5):
+            want = _reference_matrix_ratio(A, X[i], p)
+            assert abs(scores[i] - want) <= 1e-12 * want
+            assert scores[i] == matrix_poincare_ratio(A, X[i], p)
+        assert np.array_equal(matrix_poincare_ratio(A, np.delete(X, 3, axis=0), p),
+                              np.delete(scores, 3))
+    # through the optimizer's objective the fixed-point row scores 0
+    Z = X.reshape(6, n * n)
+    scores = fun(np.concatenate([Z.real, Z.imag], axis=1))
+    assert scores[3] == 0.0 and np.all(np.delete(scores, 3) > 0)

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from cocycle_lab.algebra import Semigroup, element
+from cocycle_lab.algebra import AlgebraElement, Semigroup, element, gamma, regular_rep
 from cocycle_lab.cocycles import gromov_form, length_function, word_length_psi
 from cocycle_lab.criterion import AlphaCertificate, best_alpha_pencil
 from cocycle_lab.families import builtin_length, delta_psi
 from cocycle_lab.groups import build_cyclic
-from cocycle_lab.poincare import (fit_exponent, l2_oracle, maximize_on_sphere,
+from cocycle_lab.poincare import (GRAD_STEP, ZeroNumeratorError, fit_exponent,
+                                  l2_oracle, maximize_on_sphere, maximize_ratio,
                                   poincare_ratio, sweep_and_fit, worst_constant)
+
+from conftest import captured_objective, rand_coeffs
 
 
 def test_l2_oracle_values():
@@ -79,7 +82,7 @@ def test_maximizer_budget_validation():
 def test_maximizer_finds_quadratic_peak():
     rng = np.random.default_rng(3)
     v = rng.standard_normal(4)
-    val, x, _ = maximize_on_sphere(lambda y: float((v @ y) ** 2), 4,
+    val, x, _ = maximize_on_sphere(lambda Y: (Y @ v) ** 2, 4,
                                    budget=6000, seed=1)
     assert val >= 0.99 * float(v @ v)
     assert abs(np.linalg.norm(x) - 1.0) < 1e-9
@@ -88,11 +91,41 @@ def test_maximizer_finds_quadratic_peak():
 def test_maximizer_deterministic():
     rng = np.random.default_rng(4)
     v = rng.standard_normal(5)
-    fun = lambda y: float((v @ y) ** 2)
+    fun = lambda Y: (Y @ v) ** 2
     a = maximize_on_sphere(fun, 5, budget=1500, seed=7)
     b = maximize_on_sphere(fun, 5, budget=1500, seed=7)
     assert a[0] == b[0]
     assert np.array_equal(a[1], b[1])
+
+
+def test_maximizer_scores_each_gradient_in_one_call():
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal(5)
+    dim, budget, n_starts = 5, 120, 4
+    calls = []
+
+    def fun(Y):
+        calls.append(Y.copy())
+        return (Y @ v) ** 2
+
+    maximize_on_sphere(fun, dim, budget, seed=2, n_starts=n_starts, coord_starts=n_starts)
+    h = GRAD_STEP * np.eye(dim)
+    last_point = None
+    for Y in calls:
+        if Y.ndim == 1:                 # start point or line-search probe: one point
+            assert Y.shape == (dim,)
+            last_point = Y
+        else:                           # gradient: the whole stencil around the last point
+            assert np.array_equal(Y, np.concatenate([last_point + h, last_point - h]))
+    # every start is a coordinate start e_s, whose first call is e_s itself
+    firsts = [i for i, Y in enumerate(calls) if Y.ndim == 1 and np.count_nonzero(Y) == 1]
+    assert len(firsts) == n_starts
+    per_start = budget // n_starts
+    for a, b in zip(firsts, firsts[1:] + [len(calls)]):
+        points = [1 if Y.ndim == 1 else len(Y) for Y in calls[a:b]]
+        last_gradient = max(i for i in range(b - a) if calls[a + i].ndim == 2)
+        assert sum(points[:last_gradient]) < per_start     # a new gradient only within budget
+        assert per_start <= sum(points) <= per_start + 2 * dim
 
 
 def test_fit_exponent_recovers_power_law():
@@ -130,3 +163,44 @@ def test_sweep_without_positive_alpha_has_no_envelope():
     assert rep.envelope is None
     assert rep.alpha_used is None
     assert rep.slope == rep.slope  # fitted even without an envelope
+
+
+def _reference_ratio(sg, c, p):
+    """Ratio of one witness from plain SVDs and the definitional Gamma."""
+    def norm(M, q):
+        return np.mean(np.linalg.svd(M, compute_uv=False) ** q) ** (1.0 / q)
+
+    f0 = element(sg.group, np.where(sg.fix_mask, 0.0, c))
+    f0s = f0.adjoint()
+    den = max(norm(regular_rep(gamma(sg, f0, f0, path="definitional")), p / 2),
+              norm(regular_rep(gamma(sg, f0s, f0s, path="definitional")), p / 2))
+    return norm(regular_rep(f0), p) / np.sqrt(den)
+
+
+@pytest.mark.parametrize("spec", ["walsh:2:3", "wordlength:8", "delta:5",
+                                  "heisenberg-delta:3", "heisenberg-wordlength:3"])
+def test_batched_ratio_matches_reference(monkeypatch, spec):
+    sg = Semigroup(builtin_length(spec))
+    order = sg.group.order
+    C = np.array([rand_coeffs(order, 40 + i) for i in range(6)])
+    C[3] = np.where(sg.fix_mask, C[3], 0.0)         # a witness in the fixed-point algebra
+    chart = lambda z: AlgebraElement(sg.group, z)
+    fun = captured_objective(monkeypatch, lambda: maximize_ratio(
+        lambda f: poincare_ratio(sg, f, 5.0), chart, order, budget=1, seed=0, n_starts=1))
+    for p in (2.0, 5.0, 16.0):
+        with pytest.raises(ZeroNumeratorError, match="zero numerator"):
+            poincare_ratio(sg, element(sg.group, C[3]), p)
+        with pytest.raises(ZeroNumeratorError) as exc:
+            poincare_ratio(sg, AlgebraElement(sg.group, C), p)
+        scores = exc.value.scores
+        assert scores.shape == (6,) and scores[3] == 0.0
+        for i in (0, 1, 2, 4, 5):
+            want = _reference_ratio(sg, C[i], p)
+            assert abs(scores[i] - want) <= 1e-12 * want
+            assert scores[i] == poincare_ratio(sg, element(sg.group, C[i]), p)
+        rows = np.delete(C, 3, axis=0)
+        assert np.array_equal(poincare_ratio(sg, AlgebraElement(sg.group, rows), p),
+                              np.delete(scores, 3))
+    # through the optimizer's objective the fixed-point row scores 0
+    scores = fun(np.concatenate([C.real, C.imag], axis=1))
+    assert scores[3] == 0.0 and np.all(np.delete(scores, 3) > 0)
