@@ -9,6 +9,9 @@ where inputs_digest is the sha256 of the canonical (sorted, compact)
 config encoding.  `replay` re-runs the embedded config and fails hard
 unless the regenerated report is byte-identical.  Complex numbers are
 encoded as [re, im] pairs; CSV output always uses the dot decimal.
+
+Each command is declared once, by the `_command` registration on its
+runner, which the parser, the config and the dispatch all read.
 """
 from __future__ import annotations
 
@@ -17,11 +20,12 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 from typing import Optional
 
 import numpy as np
 
-from . import __version__, rng
+from . import __version__
 from .algebra import AlgebraElement, Semigroup, element, gamma, gamma2, tau
 from .cocycles import (gromov_form, is_conditionally_negative, length_function,
                        realize_cocycle, verify_schur_identity)
@@ -29,8 +33,8 @@ from .criterion import best_alpha_bisection, best_alpha_pencil
 from .dilation import inequality_report, sample_scenario
 from .families import builtin_length
 from .groups import build_from_spec, group_to_dict, load_group, save_group
-from .matrixalg import (heisenberg_multiplier, lindblad_generator,
-                        matrix_poincare, superop_gamma, superop_gamma2)
+from .matrixalg import (alpha_battery, heisenberg_multiplier, lindblad_gamma_residual,
+                        lindblad_generator, matrix_poincare)
 from .poincare import sweep_and_fit
 
 
@@ -80,31 +84,37 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-# ------------------------------------------------------- config resolution
+# ---------------------------------------------------------------- loaders
+
+def _read_json(path: str):
+    with open(path) as fh:
+        return json.load(fh)
+
 
 def _group_spec_from_file(path: str) -> dict:
-    g = load_group(path)
-    spec = {"kind": "table"}
-    spec.update(group_to_dict(g))
-    return spec
+    return {"kind": "table", **group_to_dict(load_group(path))}
 
 
-def _psi_config_from_args(args) -> dict:
+def _psi_config_from_args(args, required: bool) -> Optional[dict]:
     """Resolve --psi/--builtin (and --group when present) into a pure config."""
-    if getattr(args, "builtin", None):
-        if getattr(args, "psi", None):
+    group = getattr(args, "group", None)
+    if args.builtin:
+        if args.psi:
             raise ValueError("give either --psi or --builtin, not both")
+        if group:
+            raise ValueError("--group applies to --psi, not to --builtin")
         return {"builtin": args.builtin}
-    if not getattr(args, "psi", None):
-        raise ValueError("a length function is required: --psi FILE or --builtin NAME")
-    with open(args.psi) as fh:
-        data = json.load(fh)
+    if not args.psi:
+        if required:
+            raise ValueError("a length function is required: --psi FILE or --builtin NAME")
+        return None
+    data = _read_json(args.psi)
     if isinstance(data, list):
         data = {"psi": data}
-    if "psi" not in data:
+    if not isinstance(data, dict) or "psi" not in data:
         raise ValueError(f"{args.psi} has no 'psi' field")
-    if getattr(args, "group", None):
-        gspec = _group_spec_from_file(args.group)
+    if group:
+        gspec = _group_spec_from_file(group)
     elif "group" in data:
         gsrc = data["group"]
         gspec = _group_spec_from_file(gsrc) if isinstance(gsrc, str) else dict(gsrc)
@@ -121,16 +131,21 @@ def _psi_from_config(cfg: dict):
 
 
 def _coeffs_from_file(path: str) -> list:
-    with open(path) as fh:
-        data = json.load(fh)
-    coeffs = data["coeffs"] if isinstance(data, dict) else data
-    out = []
-    for c in coeffs:
-        if isinstance(c, (list, tuple)):
-            out.append([float(c[0]), float(c[1])])
-        else:
-            out.append([float(c), 0.0])
-    return out
+    data = _read_json(path)
+    try:
+        coeffs = data["coeffs"] if isinstance(data, dict) else data
+        return [[float(c[0]), float(c[1])] if isinstance(c, list) else [float(c), 0.0]
+                for c in coeffs]
+    except (KeyError, IndexError, TypeError, ValueError):
+        raise ValueError(f"{path}: an element is a list of numbers or [re, im] pairs, "
+                         "bare or under 'coeffs'") from None
+
+
+def _family_from_file(path: str) -> list:
+    data = _read_json(path)
+    if not isinstance(data, dict) or "a" not in data:
+        raise ValueError(f"{path} has no 'a' field: the list of family matrices")
+    return data["a"]
 
 
 def _element_from_config(group, coeffs: list) -> AlgebraElement:
@@ -142,6 +157,38 @@ def _parse_pgrid(text: str) -> list:
         return [float(p) for p in text.split(",") if p.strip()]
     except ValueError:
         raise ValueError(f"bad p grid {text!r}: expected comma-separated numbers") from None
+
+
+# ----------------------------------------------------------- registration
+
+_COMMANDS: dict = {}    # name -> (help, psi mode, flags): what the parser and the config read
+_RUNNERS: dict = {}     # name -> runner: what the CLI, the gallery and replay dispatch through
+
+
+def _command(name: str, summary: str, *flags: tuple, psi: str = ""):
+    """Register the decorated runner as the subcommand `name`.
+
+    Each flag is (option, loader, add_argument keywords); a flag whose
+    loader is None only says where output goes.  psi is "required",
+    "optional" or "group" (which adds --group) for commands whose
+    --psi/--builtin flags resolve into config["psi"].
+    """
+    def register(run):
+        _COMMANDS[name] = (summary, psi, flags)
+        _RUNNERS[name] = run
+        return run
+    return register
+
+
+def _flag(option: str, load=lambda value: value, **kw) -> tuple:
+    return option, load, kw
+
+
+_OUT = _flag("--out", None, help="write the report here instead of stdout")
+_BUDGET = _flag("--budget", type=int, default=20000)
+_SEED = _flag("--seed", type=int, default=0)
+_SWEEP = (_flag("--p", lambda text: _parse_pgrid(text) if text else None,
+                help="optional comma-separated p grid for a Poincare sweep"), _BUDGET, _SEED, _OUT)
 
 
 # ---------------------------------------------------------------- runners
@@ -157,12 +204,18 @@ def run_group(config: dict) -> dict:
     }
 
 
+_RUNNERS["group"] = run_group      # `group build` is parsed and configured by hand: a nested spec
+
+
+@_command("cn-check", "conditional negativity verdict for psi",
+          _flag("--tol", type=float, default=1e-9), _OUT, psi="required")
 def run_cn_check(config: dict) -> dict:
     psi = _psi_from_config(config["psi"])
-    verdict = is_conditionally_negative(psi, tol=config.get("tol", 1e-9))
+    verdict = is_conditionally_negative(psi, tol=config["tol"])
     return {"verdict": bool(verdict.verdict), "min_eig": float(verdict.min_eig)}
 
 
+@_command("realize", "factor the Gromov form into cocycle vectors", _OUT, psi="required")
 def run_realize(config: dict) -> dict:
     psi = _psi_from_config(config["psi"])
     K = gromov_form(psi)
@@ -177,16 +230,21 @@ def run_realize(config: dict) -> dict:
     }
 
 
+@_command("schur-identity", "word-length Schur identity residual",
+          _flag("--n", type=int, required=True), _OUT, psi="optional")
 def run_schur(config: dict) -> dict:
-    psi = _psi_from_config(config["psi"]) if config.get("psi") else None
+    psi = _psi_from_config(config["psi"]) if config["psi"] else None
     rep = verify_schur_identity(config["n"], psi)
     return {"residual": float(rep.residual), "terms": rep.terms}
 
 
+@_command("alpha", "best constant in Gamma_2 >= alpha Gamma (kernel level)",
+          _flag("--method", choices=["pencil", "bisect", "both"], default="pencil"), _OUT,
+          psi="required")
 def run_alpha(config: dict) -> dict:
     psi = _psi_from_config(config["psi"])
     K = gromov_form(psi)
-    method = config.get("method", "pencil")
+    method = config["method"]
     cert = best_alpha_bisection(K) if method == "bisect" else best_alpha_pencil(K)
     out = {"alpha_star": cert.alpha_star, "method": cert.method,
            "min_eig_at_alpha": cert.residual}
@@ -198,11 +256,16 @@ def run_alpha(config: dict) -> dict:
     return out
 
 
+@_command("gamma", "Gamma and Gamma_2 forms of algebra elements",
+          _flag("--f", _coeffs_from_file, required=True,
+                help="element JSON {'coeffs': [[re,im],...]}"),
+          _flag("--g", _coeffs_from_file, help="second element (defaults to f)"), _OUT,
+          psi="group")
 def run_gamma(config: dict) -> dict:
     psi = _psi_from_config(config["psi"])
     sg = Semigroup(psi)
     f = _element_from_config(psi.group, config["f"])
-    g = _element_from_config(psi.group, config["g"]) if config.get("g") else f
+    g = _element_from_config(psi.group, config["g"]) if config["g"] else f
     out = {}
     for name, fn in (("gamma", gamma), ("gamma2", gamma2)):
         kern = fn(sg, f, g, path="kernel")
@@ -214,60 +277,51 @@ def run_gamma(config: dict) -> dict:
 
 
 def _poincare_results(report) -> dict:
-    return {
-        "p_grid": list(report.p_grid),
-        "constants": list(report.constants),
-        "slope": report.slope,
-        "slope_stderr": report.slope_stderr,
-        "fit_residual": report.fit_residual,
-        "alpha_used": report.alpha_used,
-        "envelope": list(report.envelope) if report.envelope is not None else None,
-        "witnesses": [_cplx_array(np.asarray(w.coeffs if hasattr(w, "coeffs") else w))
-                      for w in report.witnesses],
-    }
+    out = {f.name: getattr(report, f.name) for f in fields(report)}
+    out["witnesses"] = [_cplx_array(getattr(w, "coeffs", w)) for w in report.witnesses]
+    return out
 
 
+@_command("poincare", "L_p Poincare constants and growth fit",
+          _flag("--p", _parse_pgrid, default="2,4,8,16",
+                help="comma-separated p grid in [2,16], at least two distinct values"),
+          _BUDGET, _SEED,
+          _flag("--alpha", action="store_true", help="attach the sqrt(p/alpha*) envelope"),
+          _flag("--emit-csv", None, help="write (p, constant) rows to this CSV"), _OUT,
+          psi="required")
 def run_poincare(config: dict) -> dict:
     psi = _psi_from_config(config["psi"])
     sg = Semigroup(psi)
-    cert = best_alpha_pencil(sg.gromov) if config.get("alpha") else None
+    cert = best_alpha_pencil(sg.gromov) if config["alpha"] else None
     report = sweep_and_fit(sg, config["p"], budget=config["budget"],
                            seed=config["seed"], alpha_cert=cert)
     return _poincare_results(report)
 
 
+@_command("matrix", "clock/shift multiplier semigroup on M_n",
+          _flag("--n", type=int, required=True),
+          _flag("--mode", choices=["delta", "wordlength"], default="delta"),
+          _flag("--alpha-check", type=float,
+                help="test Gamma_2 - alpha Gamma >= 0 on random matrices"), *_SWEEP)
 def run_matrix(config: dict) -> dict:
     A = heisenberg_multiplier(config["n"], config["mode"])
     out = {"n": A.n, "mode": config["mode"]}
-    if config.get("alpha_check") is not None:
-        alpha = float(config["alpha_check"])
-        worst = np.inf
-        n = A.n
-        for i in range(config.get("alpha_samples", 200)):
-            st = rng.stream(config["seed"], rng.TAG_BATTERY, i)
-            x = st.standard_normal((n, n)) + 1j * st.standard_normal((n, n))
-            x /= np.linalg.norm(x)
-            form = superop_gamma2(A, x, x) - alpha * superop_gamma(A, x, x)
-            worst = min(worst, float(np.linalg.eigvalsh(0.5 * (form + form.conj().T))[0]))
-        out["alpha_check"] = {
-            "alpha": alpha,
-            "worst_min_eig": worst,
-            "passed": bool(worst >= -1e-9),
-            "samples": config.get("alpha_samples", 200),
-        }
+    if config["alpha_check"] is not None:
+        alpha, samples = float(config["alpha_check"]), 200
+        worst = alpha_battery(A, alpha, config["seed"], samples)
+        out["alpha_check"] = {"alpha": alpha, "worst_min_eig": worst,
+                              "passed": bool(worst >= -1e-9), "samples": samples}
     return _generator_results(A, config, out)
 
 
+@_command("lindblad", "commuting-family Lindblad semigroup",
+          _flag("--a", _family_from_file, required=True,
+                help="family JSON {'a': [matrix, ...]}, rows of [re,im] pairs"), *_SWEEP)
 def run_lindblad(config: dict) -> dict:
     mats = [np.array([[complex(re, im) for re, im in row] for row in m])
             for m in config["a"]]
     A = lindblad_generator(mats)
-    resid = 0.0
-    for i in range(20):
-        st = rng.stream(config["seed"], rng.TAG_BATTERY, i)
-        x = st.standard_normal((A.n, A.n)) + 1j * st.standard_normal((A.n, A.n))
-        direct = sum((m @ x - x @ m).conj().T @ (m @ x - x @ m) for m in mats)
-        resid = max(resid, float(np.abs(superop_gamma(A, x, x) - direct).max()))
+    resid = lindblad_gamma_residual(A, mats, config["seed"], 20)
     return _generator_results(A, config, {"n": A.n, "family_size": len(mats),
                                           "gamma_oracle_residual": resid})
 
@@ -275,17 +329,24 @@ def run_lindblad(config: dict) -> dict:
 def _generator_results(A, config: dict, out: dict) -> dict:
     """out plus the fixed-point dimension, the spectral gap and an optional Poincare sweep."""
     out.update(fix_dimension=A.fix_dimension(), spectral_gap=A.min_positive_eig())
-    if config.get("p"):
+    if config["p"]:
         report = matrix_poincare(A, config["p"], budget=config["budget"],
                                  seed=config["seed"])
         out["poincare"] = _poincare_results(report)
     return out
 
 
-def _mean_se_dict(ms) -> dict:
-    return {"mean": ms.mean, "se": ms.se}
-
-
+@_command("dilate", "Monte-Carlo dilation and martingale transform",
+          _flag("--x", _coeffs_from_file, required=True,
+                help="element JSON {'coeffs': [[re,im],...]}"),
+          _flag("--L", type=float, required=True),
+          _flag("--steps", type=int, default=64),
+          _flag("--samples", type=int, default=4096),
+          _flag("--p", type=float, default=4.0),
+          _flag("--seed", type=int, default=11),
+          _flag("--alpha", action="store_true",
+                help="attach the bracket envelope at alpha = alpha*(psi)"), _OUT,
+          psi="required")
 def run_dilate(config: dict) -> dict:
     psi = _psi_from_config(config["psi"])
     K = gromov_form(psi)
@@ -294,30 +355,11 @@ def run_dilate(config: dict) -> dict:
     scenario = sample_scenario(real, config["steps"],
                                config["L"] / config["steps"],
                                config["samples"], config["seed"])
-    cert = best_alpha_pencil(K) if config.get("alpha") else None
+    cert = best_alpha_pencil(K) if config["alpha"] else None
     rep = inequality_report(x, scenario, config["L"], config["p"], alpha_cert=cert)
-    out = {
-        "p": rep.p,
-        "L": config["L"],
-        "steps": config["steps"],
-        "samples": config["samples"],
-        "cocycle_dimension": real.dimension,
-        "transform_norm": _mean_se_dict(rep.transform_norm),
-        "decoupled_norm": _mean_se_dict(rep.decoupled_norm),
-        "decoupling_ratio": rep.decoupling_ratio,
-        "decoupling_se": rep.decoupling_se,
-        "hc": _mean_se_dict(rep.hc),
-        "hr": _mean_se_dict(rep.hr),
-        "hd": _mean_se_dict(rep.hd),
-        "bdg_ratio": rep.bdg_ratio,
-        "ito_mc": _mean_se_dict(rep.ito_mc),
-        "ito_analytic": rep.ito_analytic,
-        "bracket_bound": None,
-    }
-    if rep.bracket_bound is not None:
-        bb = rep.bracket_bound
-        out["bracket_bound"] = {"bound": bb.bound, "max_bracket": bb.max_bracket,
-                                "slack": bb.slack, "se": bb.se}
+    out = asdict(rep)
+    out.update(L=config["L"], steps=config["steps"], samples=config["samples"],
+               cocycle_dimension=real.dimension)
     if cert is not None:
         out["alpha_star"] = cert.alpha_star
     return out
@@ -326,27 +368,18 @@ def run_dilate(config: dict) -> dict:
 # ---------------------------------------------------------------- gallery
 
 def _gallery_entries(seed: int) -> list:
-    entries = []
-    for n in (2, 3, 4):
-        for m in (1, 2, 3):
-            entries.append((f"walsh_n{n}_m{m}", "alpha",
-                            {"psi": {"builtin": f"walsh:{n}:{m}"}, "method": "both"}))
-    for n in (2, 3, 4):
-        for mode in ("delta", "wordlength"):
-            entries.append((f"heisenberg_{mode}_n{n}", "alpha",
-                            {"psi": {"builtin": f"heisenberg-{mode}:{n}"}, "method": "both"}))
-    for n in range(4, 17):
-        entries.append((f"wordlength_n{n}", "alpha",
-                        {"psi": {"builtin": f"wordlength:{n}"}, "method": "both"}))
-    for n in range(4, 17, 2):
-        entries.append((f"schur_n{n}", "schur-identity", {"n": n, "psi": None}))
-    entries.append(("lindblad_2x2", "lindblad",
-                    {"a": [_cplx_array(np.diag([0.0, 1.0]))], "p": None,
-                     "budget": 0, "seed": seed}))
-    entries.append(("lindblad_4x4", "lindblad",
-                    {"a": [_cplx_array(np.diag([0.0, 1.0, 1.0, 0.0])),
-                           _cplx_array(np.diag([0.0, 0.0, 1.0, 1.0]))],
-                     "p": None, "budget": 0, "seed": seed}))
+    alphas = [(f"walsh_n{n}_m{m}", f"walsh:{n}:{m}") for n in (2, 3, 4) for m in (1, 2, 3)]
+    alphas += [(f"heisenberg_{mode}_n{n}", f"heisenberg-{mode}:{n}")
+               for n in (2, 3, 4) for mode in ("delta", "wordlength")]
+    alphas += [(f"wordlength_n{n}", f"wordlength:{n}") for n in range(4, 17)]
+    entries = [(name, "alpha", {"psi": {"builtin": spec}, "method": "both"})
+               for name, spec in alphas]
+    entries += [(f"schur_n{n}", "schur-identity", {"n": n, "psi": None})
+                for n in range(4, 17, 2)]
+    for name, diagonals in (("lindblad_2x2", [[0.0, 1.0]]),
+                            ("lindblad_4x4", [[0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 1.0, 1.0]])):
+        entries.append((name, "lindblad", {"a": [_cplx_array(np.diag(d)) for d in diagonals],
+                                           "p": None, "budget": 0, "seed": seed}))
     return entries
 
 
@@ -358,6 +391,8 @@ def _summary_row(name: str, command: str, results: dict) -> dict:
     return row
 
 
+@_command("gallery", "run the whole example suite",
+          _flag("--out-dir", None, default="gallery"), _SEED)
 def run_gallery(config: dict, out_dir: Optional[str] = None) -> dict:
     seed = config["seed"]
     rows = []
@@ -370,30 +405,7 @@ def run_gallery(config: dict, out_dir: Optional[str] = None) -> dict:
     return {"rows": rows, "row_count": len(rows)}
 
 
-_RUNNERS = {
-    "group": run_group,
-    "cn-check": run_cn_check,
-    "realize": run_realize,
-    "schur-identity": run_schur,
-    "alpha": run_alpha,
-    "gamma": run_gamma,
-    "poincare": run_poincare,
-    "matrix": run_matrix,
-    "lindblad": run_lindblad,
-    "dilate": run_dilate,
-    "gallery": run_gallery,
-}
-
-
-# ------------------------------------------------------------ subcommands
-
-def _add_psi_flags(sp, group_flag: bool = False) -> None:
-    sp.add_argument("--psi", help="length function JSON {'group': path-or-spec, 'psi': [...]}")
-    sp.add_argument("--builtin", help="builtin family, e.g. walsh:2:3, wordlength:8, "
-                                      "heisenberg-delta:2")
-    if group_flag:
-        sp.add_argument("--group", help="group JSON file; overrides the psi file's group")
-
+# ------------------------------------------------------------ parser, config
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="cocycle-lab",
@@ -410,134 +422,62 @@ def _build_parser() -> argparse.ArgumentParser:
     gb.add_argument("--path", help="input table JSON (kind=table)")
     gb.add_argument("--out", required=True, help="output group JSON")
 
-    sp = sub.add_parser("cn-check", help="conditional negativity verdict for psi")
-    _add_psi_flags(sp)
-    sp.add_argument("--tol", type=float, default=1e-9)
-    sp.add_argument("--out")
-
-    sp = sub.add_parser("realize", help="factor the Gromov form into cocycle vectors")
-    _add_psi_flags(sp)
-    sp.add_argument("--out")
-
-    sp = sub.add_parser("schur-identity", help="word-length Schur identity residual")
-    sp.add_argument("--n", type=int, required=True)
-    _add_psi_flags(sp)
-    sp.add_argument("--out")
-
-    sp = sub.add_parser("alpha", help="best constant in Gamma_2 >= alpha Gamma (kernel level)")
-    _add_psi_flags(sp)
-    sp.add_argument("--method", choices=["pencil", "bisect", "both"], default="pencil")
-    sp.add_argument("--out")
-
-    sp = sub.add_parser("gamma", help="Gamma and Gamma_2 forms of algebra elements")
-    _add_psi_flags(sp, group_flag=True)
-    sp.add_argument("--f", required=True, help="element JSON {'coeffs': [[re,im],...]}")
-    sp.add_argument("--g", help="second element (defaults to f)")
-    sp.add_argument("--out")
-
-    sp = sub.add_parser("poincare", help="L_p Poincare constants and growth fit")
-    _add_psi_flags(sp)
-    sp.add_argument("--p", default="2,4,8,16", help="comma-separated p grid in [2,16]")
-    sp.add_argument("--budget", type=int, default=20000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--alpha", action="store_true",
-                    help="attach the sqrt(p/alpha*) envelope")
-    sp.add_argument("--emit-csv", help="write (p, constant) rows to this CSV")
-    sp.add_argument("--out")
-
-    sp = sub.add_parser("matrix", help="clock/shift multiplier semigroup on M_n")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--mode", choices=["delta", "wordlength"], default="delta")
-    sp.add_argument("--alpha-check", type=float, default=None,
-                    help="test Gamma_2 - alpha Gamma >= 0 on random matrices")
-    sp.add_argument("--p", help="optional comma-separated p grid for a Poincare sweep")
-    sp.add_argument("--budget", type=int, default=20000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out")
-
-    sp = sub.add_parser("lindblad", help="commuting-family Lindblad semigroup")
-    sp.add_argument("--a", required=True,
-                    help="family JSON {'n': int, 'a': [[[re,im],...],...]}")
-    sp.add_argument("--p", help="optional comma-separated p grid for a Poincare sweep")
-    sp.add_argument("--budget", type=int, default=20000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out")
-
-    sp = sub.add_parser("dilate", help="Monte-Carlo dilation and martingale transform")
-    _add_psi_flags(sp)
-    sp.add_argument("--x", required=True, help="element JSON {'coeffs': [[re,im],...]}")
-    sp.add_argument("--L", type=float, required=True)
-    sp.add_argument("--steps", type=int, default=64)
-    sp.add_argument("--samples", type=int, default=4096)
-    sp.add_argument("--p", type=float, default=4.0)
-    sp.add_argument("--seed", type=int, default=11)
-    sp.add_argument("--alpha", action="store_true",
-                    help="attach the bracket envelope at alpha = alpha*(psi)")
-    sp.add_argument("--out")
-
-    sp = sub.add_parser("gallery", help="run the whole example suite")
-    sp.add_argument("--out-dir", default="gallery")
-    sp.add_argument("--seed", type=int, default=0)
+    for name, (summary, psi, flags) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=summary)
+        if psi:
+            sp.add_argument("--psi", help="length function JSON "
+                                          "{'group': path-or-spec, 'psi': [...]}")
+            sp.add_argument("--builtin", help="builtin family, e.g. walsh:2:3, "
+                                              "wordlength:8, heisenberg-delta:2")
+        if psi == "group":
+            sp.add_argument("--group", help="group JSON file; overrides the psi file's group")
+        for option, _, kw in flags:
+            sp.add_argument(option, **kw)
 
     sp = sub.add_parser("replay", help="re-run a stored report and compare bytes")
     sp.add_argument("--report", required=True)
     return ap
 
 
+def _group_spec_from_args(args) -> dict:
+    spec = {"kind": args.kind}
+    if args.kind == "table":
+        if not args.path:
+            raise ValueError("kind=table needs --path")
+        spec.update(_group_spec_from_file(args.path))
+    else:
+        if args.n is None:
+            raise ValueError(f"kind={args.kind} needs --n")
+        spec["n"] = args.n
+        if args.kind == "product":
+            spec["m"] = args.m
+    return spec
+
+
 def _config_from_args(args) -> dict:
-    cmd = args.command
-    if cmd == "group":
-        spec = {"kind": args.kind}
-        if args.kind == "table":
-            if not args.path:
-                raise ValueError("kind=table needs --path")
-            spec.update(_group_spec_from_file(args.path))
-        else:
-            if args.n is None:
-                raise ValueError(f"kind={args.kind} needs --n")
-            spec["n"] = args.n
-            if args.kind == "product":
-                spec["m"] = args.m
-        return {"spec": spec}
-    if cmd == "cn-check":
-        return {"psi": _psi_config_from_args(args), "tol": args.tol}
-    if cmd == "realize":
-        return {"psi": _psi_config_from_args(args)}
-    if cmd == "schur-identity":
-        psi = _psi_config_from_args(args) if (args.psi or args.builtin) else None
-        return {"n": args.n, "psi": psi}
-    if cmd == "alpha":
-        return {"psi": _psi_config_from_args(args), "method": args.method}
-    if cmd == "gamma":
-        cfg = {"psi": _psi_config_from_args(args), "f": _coeffs_from_file(args.f)}
-        cfg["g"] = _coeffs_from_file(args.g) if args.g else None
-        return cfg
-    if cmd == "poincare":
-        return {"psi": _psi_config_from_args(args), "p": _parse_pgrid(args.p),
-                "budget": args.budget, "seed": args.seed, "alpha": args.alpha}
-    if cmd == "matrix":
-        return {"n": args.n, "mode": args.mode, "alpha_check": args.alpha_check,
-                "p": _parse_pgrid(args.p) if args.p else None,
-                "budget": args.budget, "seed": args.seed}
-    if cmd == "lindblad":
-        with open(args.a) as fh:
-            fam = json.load(fh)
-        return {"a": fam["a"], "p": _parse_pgrid(args.p) if args.p else None,
-                "budget": args.budget, "seed": args.seed}
-    if cmd == "dilate":
-        return {"psi": _psi_config_from_args(args), "x": _coeffs_from_file(args.x),
-                "L": args.L, "steps": args.steps, "samples": args.samples,
-                "p": args.p, "seed": args.seed, "alpha": args.alpha}
-    if cmd == "gallery":
-        return {"seed": args.seed}
-    raise ValueError(f"unknown command {cmd!r}")
+    """config["psi"] from the psi flags, and loader(value) under each loaded flag's dest."""
+    if args.command == "group":
+        return {"spec": _group_spec_from_args(args)}
+    _, psi, flags = _COMMANDS[args.command]
+    config = {"psi": _psi_config_from_args(args, psi != "optional")} if psi else {}
+    for option, load, _ in flags:
+        dest = option.lstrip("-").replace("-", "_")
+        if load is not None:
+            config[dest] = None if getattr(args, dest) is None else load(getattr(args, dest))
+    return config
 
 
 def _run_replay(args) -> int:
     with open(args.report) as fh:
         original = fh.read()
     report = json.loads(original)
+    missing = [k for k in ("command", "config", "inputs_digest", "seed")
+               if not isinstance(report, dict) or k not in report]
+    if missing:
+        raise ValueError(f"{args.report} is not a report: it lacks {', '.join(missing)}")
     command, config = report["command"], report["config"]
+    if command not in _RUNNERS:
+        raise ValueError(f"{args.report} names an unknown command {command!r}")
     if _digest(config) != report["inputs_digest"]:
         sys.stderr.write("replay: config digest mismatch (report edited or version drift)\n")
         return 1
@@ -557,28 +497,23 @@ def main(argv=None) -> int:
         if cmd == "replay":
             return _run_replay(args)
         config = _config_from_args(args)
-        seed = getattr(args, "seed", None)
-        if cmd == "group":
-            group = build_from_spec(config["spec"])
-            save_group(group, args.out)
-            _emit(_report_text(cmd, config, run_group(config), seed), None)
-            return 0
+        out = getattr(args, "out", None)
         if cmd == "gallery":
             os.makedirs(args.out_dir, exist_ok=True)
-            results = run_gallery(config, args.out_dir)
-            _emit(_report_text(cmd, config, results, seed),
-                  os.path.join(args.out_dir, "summary.json"))
+            results = _RUNNERS[cmd](config, args.out_dir)
+            out = os.path.join(args.out_dir, "summary.json")
+        else:
+            results = _RUNNERS[cmd](config)
+        if cmd == "group":
+            save_group(build_from_spec(config["spec"]), out)
+            out = None
+        _emit(_report_text(cmd, config, results, config.get("seed")), out)
+        if cmd == "gallery":
             sys.stdout.write(f"gallery: {results['row_count']} entries in {args.out_dir}\n")
-            return 0
-        results = _RUNNERS[cmd](config)
-        text = _report_text(cmd, config, results, seed)
-        _emit(text, getattr(args, "out", None))
-        if cmd == "poincare" and args.emit_csv:
-            lines = ["p,constant"]
-            for p, c in zip(results["p_grid"], results["constants"]):
-                lines.append(f"{p!r},{c!r}")
+        if getattr(args, "emit_csv", None):
+            rows = [f"{p!r},{c!r}" for p, c in zip(results["p_grid"], results["constants"])]
             with open(args.emit_csv, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
+                fh.write("\n".join(["p,constant"] + rows) + "\n")
         return 0
     except (ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"{cmd}: {exc}\n")

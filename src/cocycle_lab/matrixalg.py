@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.linalg
 
+from . import rng
 from .criterion import AlphaCertificate
 from .linalg import psd_scale, schatten_norm
 from .poincare import PoincareReport, WorstConstant, maximize_ratio, ratio_scores, sweep
@@ -185,6 +186,36 @@ def superop_gamma2(A: Superoperator, x: np.ndarray, y: np.ndarray) -> np.ndarray
     """Gamma_2(x,y) = (Gamma(Ax,y) + Gamma(x,Ay) - A Gamma(x,y))/2."""
     g = superop_gamma
     return 0.5 * (g(A, A.apply(x), y) + g(A, x, A.apply(y)) - A.apply(g(A, x, y)))
+
+
+def battery_matrix(n: int, seed: int, index: int) -> np.ndarray:
+    """The index-th random complex n x n matrix of the stream (seed, TAG_BATTERY, index)."""
+    st = rng.stream(seed, rng.TAG_BATTERY, index)
+    return st.standard_normal((n, n)) + 1j * st.standard_normal((n, n))
+
+
+def alpha_battery(A: Superoperator, alpha: float, seed: int, samples: int) -> float:
+    """Least eigenvalue of the Hermitian part of Gamma_2(x,x) - alpha Gamma(x,x) over the
+    first `samples` battery matrices, each scaled to unit Frobenius norm."""
+    worst = np.inf
+    for i in range(samples):
+        x = battery_matrix(A.n, seed, i)
+        x /= np.linalg.norm(x)
+        form = superop_gamma2(A, x, x) - alpha * superop_gamma(A, x, x)
+        worst = min(worst, float(np.linalg.eigvalsh(0.5 * (form + form.conj().T))[0]))
+    return worst
+
+
+def lindblad_gamma_residual(A: Superoperator, a: Sequence[np.ndarray], seed: int,
+                            samples: int) -> float:
+    """Max entry of Gamma(x,x) - sum_j [a_j,x]^dag [a_j,x] over the first `samples` battery
+    matrices: the Lindblad generator of the family a against its carre du champ."""
+    resid = 0.0
+    for i in range(samples):
+        x = battery_matrix(A.n, seed, i)
+        direct = sum((m @ x - x @ m).conj().T @ (m @ x - x @ m) for m in a)
+        resid = max(resid, float(np.abs(superop_gamma(A, x, x) - direct).max()))
+    return resid
 
 
 def matrix_poincare_ratio(A: Superoperator, x: np.ndarray, p: float):

@@ -206,6 +206,8 @@ def sweep(worst: Callable[[float, int], WorstConstant], p_grid: Sequence[float],
     ps = [float(p) for p in p_grid]
     if any(p < 2 or p > 16 for p in ps):
         raise ValueError(f"p grid must lie in [2, 16], got {ps}")
+    if len(set(ps)) < 2:
+        raise ValueError(f"p grid needs two distinct values to fit the growth exponent, got {ps}")
     results = [worst(p, seed + i) for i, p in enumerate(ps)]
     constants = [r.constant for r in results]
     slope, stderr, fit_resid = fit_exponent(ps, constants)

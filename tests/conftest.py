@@ -11,10 +11,11 @@ def rand_coeffs(order: int, index: int, seed: int = 0) -> np.ndarray:
     return c / np.linalg.norm(c)
 
 
-def rand_matrix(n: int, index: int, seed: int = 0) -> np.ndarray:
+def rand_matrix(n: int, index: int, seed: int = 0, unit: bool = True) -> np.ndarray:
+    """Deterministic complex n x n matrix, scaled to unit Frobenius norm unless unit=False."""
     st = clrng.stream(seed, clrng.TAG_BATTERY, index)
     x = st.standard_normal((n, n)) + 1j * st.standard_normal((n, n))
-    return x / np.linalg.norm(x)
+    return x / np.linalg.norm(x) if unit else x
 
 
 def captured_objective(monkeypatch, run):

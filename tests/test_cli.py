@@ -1,10 +1,12 @@
 import filecmp
 import json
 import os
+import re
+import shlex
 
 import pytest
 
-from cocycle_lab.cli import main
+from cocycle_lab.cli import _build_parser, _digest, main
 
 
 def write_json(path, payload):
@@ -177,10 +179,120 @@ def test_cli_errors_exit_nonzero(tmp_path, capsys):
     assert main(["schur-identity", "--n", "5"]) == 1
     assert "schur-identity:" in capsys.readouterr().err
 
+    for grid in ("2", "4,4", ""):
+        assert main(["poincare", "--builtin", "wordlength:4", "--p", grid,
+                     "--budget", "10"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("poincare:") and "two distinct values" in err
+    for cmd in (["matrix", "--n", "2"],
+                ["lindblad", "--a", write_json(tmp_path / "a.json", {"a": [
+                    [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]})]):
+        assert main([*cmd, "--p", "2", "--budget", "10"]) == 1
+        assert "two distinct values" in capsys.readouterr().err
+
+    f = write_json(tmp_path / "f.json", [0.0, 1.0, 1.0, 0.0])
+    for i, bad in enumerate(([[1.0]], {"coeffs": 5})):
+        path = write_json(tmp_path / f"bad{i}.json", bad)
+        for argv in (["gamma", "--builtin", "wordlength:4", "--f", path],
+                     ["gamma", "--builtin", "wordlength:4", "--f", f, "--g", path],
+                     ["dilate", "--builtin", "walsh:2:2", "--x", path, "--L", "1.0"]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"{argv[0]}:") and path in err
+
+    group = tmp_path / "z4.json"
+    assert main(["group", "build", "--kind", "cyclic", "--n", "4", "--out", str(group)]) == 0
+    capsys.readouterr()
+    assert main(["gamma", "--builtin", "wordlength:4", "--group", str(group), "--f", f]) == 1
+    assert "--group" in capsys.readouterr().err
+
+    lacking = write_json(tmp_path / "lacking.json", {"command": "alpha", "config": {}})
+    assert main(["replay", "--report", lacking]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("replay:") and "inputs_digest" in err and "seed" in err
+    unknown = write_json(tmp_path / "unknown.json", {
+        "command": "nope", "config": {}, "inputs_digest": _digest({}), "seed": None})
+    assert main(["replay", "--report", unknown]) == 1
+    assert "unknown command 'nope'" in capsys.readouterr().err
+
+    assert main(["cn-check", "--psi", write_json(tmp_path / "five.json", 5)]) == 1
+    assert "no 'psi' field" in capsys.readouterr().err
+    no_a = write_json(tmp_path / "no_a.json", {"n": 2})
+    assert main(["lindblad", "--a", no_a]) == 1
+    assert "no 'a' field" in capsys.readouterr().err
+
 
 def test_cli_rejects_invalid_thread_count(monkeypatch, capsys):
     monkeypatch.setenv("COCYCLE_LAB_THREADS", "two")
-    assert main(["poincare", "--builtin", "wordlength:4", "--p", "2",
+    assert main(["poincare", "--builtin", "wordlength:4", "--p", "2,4",
                  "--budget", "10"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("poincare:") and "COCYCLE_LAB_THREADS" in err
+
+
+# argv per command, and the inputs_digest the same argv gave before the
+# registry-driven CLI: a drift in any config key or value changes it.
+REPLAY_CASES = {
+    "group-build": ("group build --kind product --n 2 --m 2",
+                    "383be91af34e41860c0100ff54848c4513bd045d3065921ddbbc94a52d4c046b"),
+    "cn-check": ("cn-check --psi {psi}",
+                 "8ccc2b48982526cbef861c9d0e717483c1958a3d447fa6434d6b5c1c2565dcac"),
+    "realize": ("realize --builtin wordlength:6",
+                "f7e261ad76d164794cc641670164e9b37061ea965173ebf519e6d0427c50b888"),
+    "schur-identity": ("schur-identity --n 6",
+                       "f2bb82e8fc857cb22e2dfa45681d5135a96deac7b43852624277505af2c0306e"),
+    "schur-identity-builtin": (
+        "schur-identity --n 4 --builtin delta:4",
+        "3ba6dd1080f9be22c6d1b17e96cbff673097780273275418a239fd4d1d278036"),
+    "alpha": ("alpha --builtin heisenberg-delta:2 --method both",
+              "77cebb130e0787d5472c40a7f293364be3a08893f059165fb82a7dbdae38b719"),
+    "gamma": ("gamma --builtin wordlength:4 --f {f} --g {g}",
+              "9b59e8ad0de093888564a6b0537f4a1d39e57f1cf10b4859579c525cd0b056df"),
+    "poincare": ("poincare --builtin wordlength:4 --p 2,4 --budget 200 --alpha",
+                 "d547db51ecd54d3864b628cb32faebee1d5aeb31112c95b94d93a90200d313bd"),
+    "matrix": ("matrix --n 2 --alpha-check 0.5 --p 2,4 --budget 200",
+               "c1a1dcd3fa77d005f1e813ff0e98bef0750aa1ec2556e868c7a394a2861ff786"),
+    "lindblad": ("lindblad --a {a} --p 2,4 --budget 200",
+                 "9fd6da164d890826c875a9851dbe283ad9da1438ae67e5391186a5f38fc72968"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPLAY_CASES))
+def test_every_command_replays_with_pinned_config(case, tmp_path, capsys):
+    files = {
+        "psi": write_json(tmp_path / "psi.json",
+                          {"group": {"kind": "cyclic", "n": 6}, "psi": [0, 1, 2, 3, 2, 1]}),
+        "f": write_json(tmp_path / "f.json", [0.0, 1.0, 1.0, 0.0]),
+        "g": write_json(tmp_path / "g.json", {"coeffs": [[0.0, 0.5], 1.0, 0.0, [2.0, 0.0]]}),
+        "a": write_json(tmp_path / "a.json",
+                        {"a": [[[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}),
+    }
+    line, digest = REPLAY_CASES[case]
+    argv = [tok.format(**files) for tok in line.split()]
+    report = tmp_path / "report.json"
+    if argv[0] == "group":      # --out is the group table; the report goes to stdout
+        assert main([*argv, "--out", str(tmp_path / "group.json")]) == 0
+        report.write_text(capsys.readouterr().out)
+    else:
+        assert main([*argv, "--out", str(report)]) == 0
+    rep = read_report(report)
+    assert rep["command"] == argv[0]
+    assert rep["inputs_digest"] == digest
+    capsys.readouterr()
+    assert main(["replay", "--report", str(report)]) == 0
+    assert "byte-identical" in capsys.readouterr().out
+
+
+def test_readme_cli_examples_parse():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", text, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    examples = [shlex.split(ln, comments=True) for ln in lines]
+    examples = [ex for ex in examples if ex]
+    assert len(examples) >= 12
+    parser = _build_parser()
+    for ex in examples:
+        assert ex[0] == "cocycle-lab"
+        parser.parse_args(ex[1:])

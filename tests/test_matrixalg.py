@@ -4,8 +4,9 @@ import scipy.linalg
 
 from cocycle_lab.algebra import Semigroup, element, gamma
 from cocycle_lab.families import heisenberg_delta, heisenberg_wordlength
-from cocycle_lab.matrixalg import (clock_shift_basis, heisenberg_multiplier,
-                                   lindblad_generator, matrix_poincare_ratio,
+from cocycle_lab.matrixalg import (alpha_battery, clock_shift_basis, heisenberg_multiplier,
+                                   lindblad_gamma_residual, lindblad_generator,
+                                   matrix_poincare_ratio,
                                    matrix_worst_constant, multiplier_symbol,
                                    superop_gamma, superop_gamma2, unvec, vec)
 from cocycle_lab.poincare import ZeroNumeratorError
@@ -241,3 +242,30 @@ def test_batched_matrix_ratio_matches_reference(monkeypatch, A):
     Z = X.reshape(6, n * n)
     scores = fun(np.concatenate([Z.real, Z.imag], axis=1))
     assert scores[3] == 0.0 and np.all(np.delete(scores, 3) > 0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_alpha_battery_matches_reference_loop(n):
+    A = heisenberg_multiplier(n, "delta")
+    for alpha in ((n + 2) / (2 * n), 2 * (n + 2) / (2 * n)):
+        worst = np.inf
+        for i in range(200):
+            x = rand_matrix(n, i)
+            form = superop_gamma2(A, x, x) - alpha * superop_gamma(A, x, x)
+            worst = min(worst, float(np.linalg.eigvalsh(0.5 * (form + form.conj().T))[0]))
+        assert alpha_battery(A, alpha, 0, 200) == worst
+    # twice (n+2)/(2n) breaks Gamma_2 >= alpha Gamma on the battery (-0.78, -0.36, -0.19)
+    assert worst < -1e-9
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_lindblad_gamma_residual_matches_reference_loop(n):
+    fam = [np.diag(np.arange(n) % 2.0), np.diag(np.arange(n) // 2 % 2.0)]
+    A = lindblad_generator(fam)
+    resid = 0.0
+    for i in range(20):
+        x = rand_matrix(n, i, unit=False)
+        want = sum((m @ x - x @ m).conj().T @ (m @ x - x @ m) for m in fam)
+        resid = max(resid, float(np.abs(superop_gamma(A, x, x) - want).max()))
+    assert lindblad_gamma_residual(A, fam, 0, 20) == resid
+    assert resid < 1e-10

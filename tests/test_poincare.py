@@ -6,6 +6,7 @@ from cocycle_lab.cocycles import gromov_form, length_function, word_length_psi
 from cocycle_lab.criterion import AlphaCertificate, best_alpha_pencil
 from cocycle_lab.families import builtin_length, delta_psi
 from cocycle_lab.groups import build_cyclic
+from cocycle_lab.matrixalg import heisenberg_multiplier, matrix_poincare
 from cocycle_lab.poincare import (GRAD_STEP, ZeroNumeratorError, fit_exponent,
                                   l2_oracle, maximize_on_sphere, maximize_ratio,
                                   poincare_ratio, sweep_and_fit, worst_constant)
@@ -154,6 +155,11 @@ def test_sweep_p_grid_range_checked():
         sweep_and_fit(sg, [1.5, 4.0], budget=10)
     with pytest.raises(ValueError, match=r"\[2, 16\]"):
         sweep_and_fit(sg, [2.0, 18.0], budget=10)
+    for grid in ([2.0], [4.0, 4.0], []):
+        with pytest.raises(ValueError, match="two distinct values"):
+            sweep_and_fit(sg, grid, budget=10)
+    with pytest.raises(ValueError, match="two distinct values"):
+        matrix_poincare(heisenberg_multiplier(2, "delta"), [4.0], budget=10)
 
 
 def test_sweep_without_positive_alpha_has_no_envelope():
