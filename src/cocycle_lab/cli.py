@@ -88,7 +88,10 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def _read_json(path: str):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _group_spec_from_file(path: str) -> dict:
@@ -145,7 +148,20 @@ def _family_from_file(path: str) -> list:
     data = _read_json(path)
     if not isinstance(data, dict) or "a" not in data:
         raise ValueError(f"{path} has no 'a' field: the list of family matrices")
-    return data["a"]
+    mats = data["a"]
+    if not isinstance(mats, list):
+        raise ValueError(f"{path}: 'a' is not a list of matrices")
+    for i, m in enumerate(mats):
+        if not (isinstance(m, list) and m and all(
+                isinstance(row, list) and len(row) == len(m) and all(_is_pair(z) for z in row)
+                for row in m)):
+            raise ValueError(f"{path}: matrix {i} of 'a' is not a square list of rows "
+                             "of [re, im] pairs")
+    return mats
+
+
+def _is_pair(z) -> bool:
+    return isinstance(z, list) and len(z) == 2 and all(isinstance(v, (int, float)) for v in z)
 
 
 def _element_from_config(group, coeffs: list) -> AlgebraElement:

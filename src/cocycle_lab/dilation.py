@@ -9,9 +9,11 @@ B a d-dimensional Brownian motion of covariance 2 min(s,t) per
 coordinate.  The realization is an exact *-homomorphism sample by
 sample; expectations recover the semigroup.
 
-The discretized martingale transform, its decoupled twin (driven by an
-independent increment copy), and the h_p^c / h_p^r / h_p^d bracket
-estimators all share the matrices
+Each matrix is placed from a field amp[..., h, g] by one gather through
+the group's rep_index table: entry (h, u) = amp[..., h, h u^{-1}].  The
+discretized martingale transform M_n(x) and its decoupled twin M~_n(x),
+driven by an independent increment copy, come as a pair from one pass;
+they and the h_p^c / h_p^r / h_p^d bracket estimators share the matrices
 
     C_{k,j} entry (h, g^{-1}h) = x_g e^{-(L-t_k) psi(g)}
             e^{i beta_{t_k}(alpha_{h^{-1}} b(g))} (alpha_{h^{-1}} b(g))_j,
@@ -30,6 +32,7 @@ import numpy as np
 from .algebra import AlgebraElement, Semigroup, gamma, regular_rep
 from .cocycles import CocycleRealization, LengthFunction
 from .criterion import AlphaCertificate
+from .groups import FiniteGroup
 from .linalg import schatten_norm, schatten_pow_batch, thread_map
 from . import rng
 
@@ -50,7 +53,6 @@ class BrownianScenario:
     dt: float
     samples: int
     seed: int
-    with_copy: bool = True
 
     @property
     def d(self) -> int:
@@ -75,8 +77,6 @@ class BrownianScenario:
         return self._block(rng.TAG_SCENARIO, lo, hi)
 
     def increments_copy(self, lo: int, hi: int) -> np.ndarray:
-        if not self.with_copy:
-            raise ValueError("scenario was built without the independent increment copy")
         return self._block(rng.TAG_SCENARIO_COPY, lo, hi)
 
     @cached_property
@@ -85,39 +85,36 @@ class BrownianScenario:
 
 
 def sample_scenario(cocycle: CocycleRealization, n: int, dt: float,
-                    samples: int, seed: int, with_copy: bool = True) -> BrownianScenario:
+                    samples: int, seed: int) -> BrownianScenario:
     if dt <= 0:
         raise ValueError(f"step size must be positive, got {dt}")
     if n < 1:
         raise ValueError(f"need at least one step, got {n}")
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    return BrownianScenario(cocycle, int(n), float(dt), int(samples), int(seed), with_copy)
+    return BrownianScenario(cocycle, int(n), float(dt), int(samples), int(seed))
 
 
-@dataclass(frozen=True)
-class _Tables:
-    bdiff: np.ndarray       # (order, order, d): bdiff[h, g] = alpha_{h^{-1}} b(g)
-    invmul: np.ndarray      # invmul[g, h] = g^{-1} h
-    psi: np.ndarray
-
-
-def _tables(cocycle: CocycleRealization) -> _Tables:
+def _bdiff(cocycle: CocycleRealization) -> np.ndarray:
+    """(order, order, d) twisted vectors: bdiff[h, g] = alpha_{h^{-1}} b(g)."""
     g = cocycle.group
-    b = cocycle.vectors
-    invmul = g.conv_index
-    bdiff = b[invmul] - b[g.inv][:, None, :]
-    return _Tables(bdiff, invmul, cocycle.psi)
+    return cocycle.vectors[g.conv_index] - cocycle.vectors[g.inv][:, None, :]
 
 
-def _scatter(tab: _Tables, amp: np.ndarray) -> np.ndarray:
-    """amp[..., h, g] -> matrix with entry (h, g^{-1}h)."""
-    order = tab.invmul.shape[0]
-    out = np.zeros(amp.shape[:-2] + (order, order), dtype=complex)
-    rows = np.arange(order)
-    for g in range(order):
-        out[..., rows, tab.invmul[g]] += amp[..., :, g]
-    return out
+def _gather(group: FiniteGroup, amp: np.ndarray) -> np.ndarray:
+    """amp[..., h, g] -> matrix with entry (h, g^{-1}h) = amp[..., h, g].
+
+    np.take, unlike amp[..., rows, rep_index], returns a C-contiguous array;
+    sums over the leading axes of a non-contiguous one round differently.
+    """
+    n = group.order
+    flat = np.arange(n)[:, None] * n + group.rep_index
+    return np.take(amp.reshape(amp.shape[:-2] + (n * n,)), flat, axis=-1)
+
+
+def _phases(weight: np.ndarray, bdiff: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """weight[..., g] e^{i <alpha_{h^{-1}} b(g), B>} at path points B[..., j]: [..., h, g]."""
+    return weight * np.exp(1j * np.einsum("hgj,...j->...hg", bdiff, B))
 
 
 def _grid_index(scenario: BrownianScenario, t: float) -> int:
@@ -146,50 +143,43 @@ def dilation_matrix(x: AlgebraElement, t: float, scenario: BrownianScenario,
     k = _grid_index(scenario, t)
     if not 0 <= sample < scenario.samples:
         raise ValueError(f"sample index {sample} out of range [0, {scenario.samples})")
-    tab = _tables(scenario.cocycle)
-    dB = scenario.increments(sample, sample + 1)[0]
-    Bt = dB[:k].sum(axis=0)
-    args = tab.bdiff @ Bt
-    return _scatter(tab, x.coeffs[None, :] * np.exp(1j * args))
+    Bt = scenario.increments(sample, sample + 1)[0, :k].sum(axis=0)
+    return _gather(scenario.cocycle.group, _phases(x.coeffs, _bdiff(scenario.cocycle), Bt))
 
 
 def dilation_mean(x: AlgebraElement, t: float, scenario: BrownianScenario):
     """MC mean of the dilation matrices with entrywise standard errors."""
     k = _grid_index(scenario, t)
-    tab = _tables(scenario.cocycle)
-    order = x.group.order
+    group = scenario.cocycle.group
+    bdiff = _bdiff(scenario.cocycle)
 
     def work(lo, hi):
-        dB = scenario.increments(lo, hi)
-        Bt = dB[:, :k].sum(axis=1)
-        args = np.einsum("hgj,cj->chg", tab.bdiff, Bt)
-        D = _scatter(tab, x.coeffs[None, None, :] * np.exp(1j * args))
+        Bt = scenario.increments(lo, hi)[:, :k].sum(axis=1)
+        D = _gather(group, _phases(x.coeffs, bdiff, Bt))
         return D.sum(axis=0), (np.abs(D) ** 2).sum(axis=0)
 
-    tot = np.zeros((order, order), dtype=complex)
-    tot2 = np.zeros((order, order))
-    for s, s2 in _map_chunks(scenario, work):
-        tot += s
-        tot2 += s2
+    parts = _map_chunks(scenario, work)
     N = scenario.samples
-    mean = tot / N
-    var = np.maximum(tot2 / N - np.abs(mean) ** 2, 0.0)
+    mean = sum(s for s, _ in parts) / N
+    var = np.maximum(sum(s2 for _, s2 in parts) / N - np.abs(mean) ** 2, 0.0)
     se = np.sqrt(var / N)
     return mean, se
 
 
-def _transform_amp(tab: _Tables, x: AlgebraElement, decay: np.ndarray,
-                   dB: np.ndarray) -> np.ndarray:
-    """Phase field amp[c,k,h,g] of a chunk, from the path B_{t_k} before step k."""
+def _transform_amp(x: AlgebraElement, scenario: BrownianScenario, L: float,
+                   bdiff: np.ndarray, dB: np.ndarray) -> np.ndarray:
+    """Phase field amp[c,k,h,g] of a chunk, weighted by x_g e^{-(L-t_k) psi(g)}, at B_{t_k}."""
+    tk = np.arange(scenario.steps) * scenario.dt
+    decay = np.exp(-(L - tk)[:, None] * scenario.cocycle.psi[None, :])
     Bcum = np.concatenate([np.zeros((dB.shape[0], 1, dB.shape[2])),
                            np.cumsum(dB, axis=1)], axis=1)[:, :-1]
-    args = np.einsum("hgj,ckj->ckhg", tab.bdiff, Bcum)
-    return x.coeffs[None, None, None, :] * decay[None, :, None, :] * np.exp(1j * args)
+    return _phases(x.coeffs * decay[:, None, :], bdiff, Bcum)
 
 
-def _decay(scenario: BrownianScenario, L: float, tab: _Tables) -> np.ndarray:
-    tk = np.arange(scenario.steps) * scenario.dt
-    return np.exp(-(L - tk)[:, None] * tab.psi[None, :])
+def _step_matrices(group: FiniteGroup, bdiff: np.ndarray, amp: np.ndarray,
+                   drive: np.ndarray) -> np.ndarray:
+    """Step matrices dx[c, k]: the gather of i amp[c, k] <alpha_{h^{-1}} b(g), drive[c, k]>."""
+    return _gather(group, 1j * amp * np.einsum("hgj,ckj->ckhg", bdiff, drive))
 
 
 def _check_horizon(scenario: BrownianScenario, L: float) -> None:
@@ -197,23 +187,25 @@ def _check_horizon(scenario: BrownianScenario, L: float) -> None:
         raise ValueError(f"L = {L} does not match the scenario horizon {scenario.horizon}")
 
 
-def martingale_transform(x: AlgebraElement, scenario: BrownianScenario, L: float,
-                         decoupled: bool = False) -> np.ndarray:
-    """Per-sample matrices of M_n(x); decoupled swaps in the independent copy."""
+def martingale_transform(x: AlgebraElement, scenario: BrownianScenario,
+                         L: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample matrices (M, M~) of M_n(x) and of its decoupled twin.
+
+    One pass: each chunk builds the phase field once and sums its step
+    matrices driven by the increments (M) and by the independent copy (M~).
+    """
     _check_horizon(scenario, L)
-    if decoupled and not scenario.with_copy:
-        raise ValueError("decoupled transform requested but scenario has no independent copy")
-    tab = _tables(scenario.cocycle)
-    decay = _decay(scenario, L, tab)
+    group = scenario.cocycle.group
+    bdiff = _bdiff(scenario.cocycle)
 
     def work(lo, hi):
         dB = scenario.increments(lo, hi)
-        drive = scenario.increments_copy(lo, hi) if decoupled else dB
-        amp = _transform_amp(tab, x, decay, dB)
-        w = np.einsum("hgj,ckj->ckhg", tab.bdiff, drive)
-        return _scatter(tab, 1j * np.sum(amp * w, axis=1))
+        amp = _transform_amp(x, scenario, L, bdiff, dB)
+        return tuple(_step_matrices(group, bdiff, amp, drive).sum(axis=1)
+                     for drive in (dB, scenario.increments_copy(lo, hi)))
 
-    return np.concatenate(_map_chunks(scenario, work), axis=0)
+    M, Mt = zip(*_map_chunks(scenario, work))
+    return np.concatenate(M, axis=0), np.concatenate(Mt, axis=0)
 
 
 def transform_l2_analytic(x: AlgebraElement, scenario: BrownianScenario, L: float) -> float:
@@ -237,8 +229,9 @@ def _mean_se(vals: np.ndarray) -> MeanSE:
     return MeanSE(m, se)
 
 
-def _root_stat(ms: MeanSE, root: float) -> MeanSE:
-    """Delta method for mean^{1/root}."""
+def _root_stat(vals: np.ndarray, root: float) -> MeanSE:
+    """Delta method for mean^{1/root} of the per-sample values."""
+    ms = _mean_se(vals)
     if ms.mean <= 0:
         return MeanSE(0.0, 0.0)
     v = ms.mean ** (1.0 / root)
@@ -253,26 +246,6 @@ class BracketEstimates:
     hd: MeanSE
 
 
-def _bracket_pass(x: AlgebraElement, scenario: BrownianScenario, L: float, p: float) -> dict:
-    tab = _tables(scenario.cocycle)
-    decay = _decay(scenario, L, tab)
-    q = p / 2.0
-
-    def work(lo, hi):
-        dB = scenario.increments(lo, hi)
-        amp = _transform_amp(tab, x, decay, dB)
-        Cm = _scatter(tab, amp[:, :, None, :, :] * tab.bdiff.transpose(2, 0, 1)[None, None])
-        Sc = 2.0 * scenario.dt * np.einsum("ckjau,ckjav->cuv", np.conj(Cm), Cm)
-        Sr = 2.0 * scenario.dt * np.einsum("ckjua,ckjva->cuv", Cm, np.conj(Cm))
-        w = np.einsum("hgj,ckj->ckhg", tab.bdiff, dB)
-        dx = _scatter(tab, 1j * amp * w)
-        return {"c": schatten_pow_batch(Sc, q), "r": schatten_pow_batch(Sr, q),
-                "d": schatten_pow_batch(dx, p).sum(axis=1)}
-
-    parts = _map_chunks(scenario, work)
-    return {k: np.concatenate([pt[k] for pt in parts]) for k in parts[0]}
-
-
 def bracket_estimates(x: AlgebraElement, scenario: BrownianScenario, L: float,
                       p: float) -> BracketEstimates:
     """hc/hr from the analytically conditioned square brackets, hd per step.
@@ -284,14 +257,21 @@ def bracket_estimates(x: AlgebraElement, scenario: BrownianScenario, L: float,
     _check_horizon(scenario, L)
     if float(p) not in BRACKET_PS:
         raise ValueError(f"bracket estimation supports p in {BRACKET_PS}, got {p}")
-    vals = _bracket_pass(x, scenario, L, float(p))
-    q = p / 2.0
-    return BracketEstimates(
-        float(p),
-        _root_stat(_mean_se(vals["c"]), 2.0 * q),
-        _root_stat(_mean_se(vals["r"]), 2.0 * q),
-        _root_stat(_mean_se(vals["d"]), float(p)),
-    )
+    p = float(p)
+    group = scenario.cocycle.group
+    bdiff = _bdiff(scenario.cocycle)
+
+    def work(lo, hi):
+        dB = scenario.increments(lo, hi)
+        amp = _transform_amp(x, scenario, L, bdiff, dB)
+        Cm = _gather(group, amp[:, :, None, :, :] * bdiff.transpose(2, 0, 1)[None, None])
+        Sc = 2.0 * scenario.dt * np.einsum("ckjau,ckjav->cuv", np.conj(Cm), Cm)
+        Sr = 2.0 * scenario.dt * np.einsum("ckjua,ckjva->cuv", Cm, np.conj(Cm))
+        return (schatten_pow_batch(Sc, p / 2.0), schatten_pow_batch(Sr, p / 2.0),
+                schatten_pow_batch(_step_matrices(group, bdiff, amp, dB), p).sum(axis=1))
+
+    hc, hr, hd = (np.concatenate(part) for part in zip(*_map_chunks(scenario, work)))
+    return BracketEstimates(p, _root_stat(hc, p), _root_stat(hr, p), _root_stat(hd, p))
 
 
 @dataclass(frozen=True)
@@ -329,17 +309,13 @@ def inequality_report(x: AlgebraElement, scenario: BrownianScenario, L: float, p
     gradient bound Gamma(T_s x, T_s x) <= e^{-2 alpha s} T_s Gamma(x,x)
     makes the slack nonnegative up to MC error.
     """
-    _check_horizon(scenario, L)
-    if float(p) not in BRACKET_PS:
-        raise ValueError(f"inequality report supports p in {BRACKET_PS}, got {p}")
-    p = float(p)
-    M = martingale_transform(x, scenario, L, decoupled=False)
-    Mt = martingale_transform(x, scenario, L, decoupled=True)
-    mn = _root_stat(_mean_se(schatten_pow_batch(M, p)), p)
-    mt = _root_stat(_mean_se(schatten_pow_batch(Mt, p)), p)
+    br = bracket_estimates(x, scenario, L, p)
+    p = br.p
+    M, Mt = martingale_transform(x, scenario, L)
+    mn = _root_stat(schatten_pow_batch(M, p), p)
+    mt = _root_stat(schatten_pow_batch(Mt, p), p)
     ratio = mn.mean / mt.mean if mt.mean > 0 else np.inf
     ratio_se = ratio * (mn.se / mn.mean + mt.se / mt.mean) if mt.mean > 0 and mn.mean > 0 else 0.0
-    br = bracket_estimates(x, scenario, L, p)
     denom = np.sqrt(p) * max(br.hc.mean, br.hr.mean)
     bdg = mn.mean / denom if denom > 0 else np.inf
     ito = _mean_se(schatten_pow_batch(M, 2.0))

@@ -99,6 +99,26 @@ def test_poincare_cli_with_csv(tmp_path):
         assert float(c) > 0
 
 
+# results of the dilate argv below at commit 7468425, where M and M~ took two
+# chunk passes (numpy 2.4.6, scipy-openblas 0.3.31)
+DILATE_RESULTS = {
+    "L": 1.0, "steps": 8, "samples": 64, "cocycle_dimension": 2, "p": 2.0,
+    "alpha_star": 0.9999999999999992,
+    "bdg_ratio": 0.6684913641244421,
+    "bracket_bound": {"bound": 1.2016613820019584, "max_bracket": 1.0964061893781982,
+                      "se": 1.77578070234303e-17, "slack": 0.10525519262376015},
+    "decoupled_norm": {"mean": 1.1723756297644008, "se": 0.08364045839467306},
+    "decoupling_ratio": 0.8841287139436439,
+    "decoupling_se": 0.09325412827489345,
+    "hc": {"mean": 1.0964061893781982, "se": 1.77578070234303e-17},
+    "hd": {"mean": 1.0751503387154238, "se": 0.02840916060559048},
+    "hr": {"mean": 1.0964061893781982, "se": 1.7322855919370187e-17},
+    "ito_analytic": 1.2021065321068214,
+    "ito_mc": {"mean": 1.0743964264829042, "se": 0.07334479883157621},
+    "transform_norm": {"mean": 1.0365309578024693, "se": 0.035379936450269274},
+}
+
+
 def test_dilate_cli_and_replay(tmp_path, capsys):
     x = write_json(tmp_path / "x.json", [0.0, 1.0, 0.7, [0.0, 0.3]])
     rep_path = tmp_path / "dilate.json"
@@ -108,6 +128,7 @@ def test_dilate_cli_and_replay(tmp_path, capsys):
     rep = read_report(rep_path)
     assert rep["seed"] == 3
     res = rep["results"]
+    assert res == DILATE_RESULTS
     assert res["cocycle_dimension"] == 2
     assert res["alpha_star"] == pytest.approx(1.0, abs=1e-8)
     assert res["bracket_bound"]["slack"] > 0
@@ -220,6 +241,21 @@ def test_cli_errors_exit_nonzero(tmp_path, capsys):
     no_a = write_json(tmp_path / "no_a.json", {"n": 2})
     assert main(["lindblad", "--a", no_a]) == 1
     assert "no 'a' field" in capsys.readouterr().err
+    eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    for i, (name, mats) in enumerate((("not_pairs", [[[0.0, 1.0]]]),
+                                      ("ragged", [eye, [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0]]]]))):
+        path = write_json(tmp_path / f"{name}.json", {"a": mats})
+        assert main(["lindblad", "--a", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("lindblad:") and path in err and f"matrix {i} " in err
+
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"psi": [0, 1, 2, 1],\n')
+    for argv in (["cn-check", "--psi", str(broken)],
+                 ["dilate", "--builtin", "walsh:2:2", "--x", str(broken), "--L", "1.0"]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{argv[0]}:") and str(broken) in err and "not valid JSON" in err
 
 
 def test_cli_rejects_invalid_thread_count(monkeypatch, capsys):

@@ -8,7 +8,7 @@ from cocycle_lab.cocycles import (CocycleRealization, NumericalRankError,
                                   length_function, realize_cocycle,
                                   verify_schur_identity, word_length_cocycle,
                                   word_length_psi)
-from cocycle_lab.families import delta_psi, heisenberg_delta, walsh_length
+from cocycle_lab.families import builtin_length, delta_psi, heisenberg_delta, walsh_length
 from cocycle_lab.groups import build_cyclic
 
 # Gromov matrix of the Z_4 word length over indices 1..3, by hand
@@ -155,3 +155,17 @@ def test_conic_combinations_stay_cn(n, s, t):
     assert is_conditionally_negative(psi).verdict
     real = realize_cocycle(gromov_form(psi))
     assert np.abs(real.psi - psi.values).max() < 1e-7
+    assert cocycle_law_deviation(real) < 1e-8
+
+
+def cocycle_law_deviation(real: CocycleRealization) -> float:
+    """max over g, h of |b(gh) - b(g) - alpha_g b(h)| and |alpha_{gh} - alpha_g alpha_h|."""
+    mul, b, a = real.group.mul, real.vectors, real.reps
+    law = b[mul] - b[:, None, :] - np.einsum("gij,hj->ghi", a, b)
+    hom = a[mul] - np.einsum("gij,hjk->ghik", a, a)
+    return max(np.abs(law).max(), np.abs(hom).max())
+
+
+def test_heisenberg_realizations_obey_cocycle_law():
+    for spec in ("heisenberg-delta:3", "heisenberg-wordlength:3"):
+        assert cocycle_law_deviation(realize_cocycle(gromov_form(builtin_length(spec)))) < 1e-8

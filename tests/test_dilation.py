@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,29 @@ from cocycle_lab.dilation import (_chunks, bracket_estimates, dilation_matrix,
                                   dilation_mean, inequality_report,
                                   martingale_transform, sample_scenario,
                                   transform_l2_analytic)
-from cocycle_lab.families import walsh_length
+from cocycle_lab.families import builtin_length, walsh_length
 from cocycle_lab.linalg import schatten_norm, schatten_pow_batch
+
+from conftest import rand_coeffs
+
+# inequality_report on small_scenario, x = [0, 1, 0.7, 0.3j], p = 4, with the
+# pencil certificate, at commit 7468425, where M and M~ took two chunk passes
+# (numpy 2.4.6, scipy-openblas 0.3.31); the one-pass transform keeps every bit
+PINNED_REPORT = {
+    "p": 4.0,
+    "transform_norm": {"mean": 1.3434420358637167, "se": 0.025308782812087045},
+    "decoupled_norm": {"mean": 1.3915393657455086, "se": 0.03949565296951975},
+    "decoupling_ratio": 0.9654358826880732,
+    "decoupling_se": 0.04558929841346598,
+    "hc": {"mean": 1.096406189378198, "se": 4.355153203207102e-18},
+    "hr": {"mean": 1.096406189378198, "se": 5.040591829319728e-18},
+    "hd": {"mean": 0.9443819626332379, "se": 0.019590564567718495},
+    "bdg_ratio": 0.6126570831498221,
+    "ito_mc": {"mean": 1.2301809699161947, "se": 0.04516445582868858},
+    "ito_analytic": 1.2021065321068214,
+    "bracket_bound": {"bound": 1.201661382001959, "max_bracket": 1.096406189378198,
+                      "slack": 0.10525519262376104, "se": 4.355153203207102e-18},
+}
 
 
 def walsh_cocycle(n, m):
@@ -23,6 +46,14 @@ def small_scenario():
     return sample_scenario(walsh_cocycle(2, 2), 8, 0.125, 256, seed=5)
 
 
+@pytest.fixture(scope="module")
+def heisenberg_scenario():
+    # H_3(Z_3) is non-abelian: a gather that fills entry (h, u) from
+    # amp[h, u^{-1}h] instead of amp[h, h u^{-1}] passes on abelian groups only
+    coc = realize_cocycle(gromov_form(builtin_length("heisenberg-wordlength:3")))
+    return sample_scenario(coc, 8, 0.125, 8, seed=5)
+
+
 def test_scenario_validation():
     coc = word_length_cocycle(4)
     with pytest.raises(ValueError, match="step size"):
@@ -31,12 +62,8 @@ def test_scenario_validation():
         sample_scenario(coc, 0, 0.1, 8, 0)
     with pytest.raises(ValueError, match="at least one sample"):
         sample_scenario(coc, 4, 0.1, 0, 0)
-    sc = sample_scenario(coc, 4, 0.25, 8, 0, with_copy=False)
-    with pytest.raises(ValueError, match="independent"):
-        sc.increments_copy(0, 1)
+    sc = sample_scenario(coc, 4, 0.25, 8, 0)
     x = delta(coc.group, 1)
-    with pytest.raises(ValueError, match="independent"):
-        martingale_transform(x, sc, 1.0, decoupled=True)
     with pytest.raises(ValueError, match="horizon"):
         martingale_transform(x, sc, 2.0)
     with pytest.raises(ValueError, match="not on the grid"):
@@ -68,30 +95,34 @@ def test_brownian_variance(small_scenario):
     assert np.all(np.abs(var - 2.0 * sc.horizon) <= 5 * se)
 
 
-def test_dilation_time_zero_is_regular_rep(small_scenario):
-    sc = small_scenario
-    g = sc.cocycle.group
-    x = element(g, [0.5, -1.0, 0.25j, 2.0])
-    D = dilation_matrix(x, 0.0, sc, 3)
-    assert np.abs(D - regular_rep(x)).max() < 1e-12
+def test_dilation_time_zero_is_regular_rep(small_scenario, heisenberg_scenario):
+    hg = heisenberg_scenario.cocycle.group
+    for sc, x in ((small_scenario, element(small_scenario.cocycle.group, [0.5, -1.0, 0.25j, 2.0])),
+                  (heisenberg_scenario, element(hg, rand_coeffs(hg.order, 0)))):
+        D = dilation_matrix(x, 0.0, sc, 3)
+        assert np.abs(D - regular_rep(x)).max() < 1e-12
 
 
-def test_dilation_multiplicative_per_sample(small_scenario):
-    sc = small_scenario
-    g = sc.cocycle.group
-    rng = np.random.default_rng(0)
-    x = element(g, rng.standard_normal(4) + 1j * rng.standard_normal(4))
-    y = element(g, rng.standard_normal(4) + 1j * rng.standard_normal(4))
+def test_dilation_multiplicative_per_sample(small_scenario, heisenberg_scenario):
     from cocycle_lab.algebra import conv, tau
-    for s in (0, 7):
-        Dx = dilation_matrix(x, 1.0, sc, s)
-        Dy = dilation_matrix(y, 1.0, sc, s)
-        Dxy = dilation_matrix(conv(x, y), 1.0, sc, s)
-        assert np.abs(Dx @ Dy - Dxy).max() < 1e-12
-        Dxs = dilation_matrix(x.adjoint(), 1.0, sc, s)
-        assert np.abs(Dxs - Dx.conj().T).max() < 1e-12
-        # trace preservation of the embedding
-        assert abs(np.trace(Dx) / g.order - tau(x)) < 1e-12
+    rng = np.random.default_rng(0)
+    walsh = small_scenario.cocycle.group
+    hg = heisenberg_scenario.cocycle.group
+    cases = [(small_scenario, *(element(walsh, rng.standard_normal(4) + 1j * rng.standard_normal(4))
+                                for _ in range(2))),
+             (heisenberg_scenario, element(hg, rand_coeffs(hg.order, 1)),
+              element(hg, rand_coeffs(hg.order, 2)))]
+    for sc, x, y in cases:
+        g = sc.cocycle.group
+        for s in (0, 7):
+            Dx = dilation_matrix(x, 1.0, sc, s)
+            Dy = dilation_matrix(y, 1.0, sc, s)
+            Dxy = dilation_matrix(conv(x, y), 1.0, sc, s)
+            assert np.abs(Dx @ Dy - Dxy).max() < 1e-12
+            Dxs = dilation_matrix(x.adjoint(), 1.0, sc, s)
+            assert np.abs(Dxs - Dx.conj().T).max() < 1e-12
+            # trace preservation of the embedding
+            assert abs(np.trace(Dx) / g.order - tau(x)) < 1e-12
 
 
 def test_dilation_mean_matches_semigroup(small_scenario):
@@ -109,8 +140,10 @@ def test_dilation_mean_matches_semigroup(small_scenario):
 def test_martingale_transform_identity_is_zero(small_scenario):
     sc = small_scenario
     one = element(sc.cocycle.group, [1.0, 0, 0, 0])
-    M = martingale_transform(one, sc, 1.0)
+    M, Mt = martingale_transform(one, sc, 1.0)
+    assert M.shape == Mt.shape == (sc.samples, 4, 4)
     assert np.abs(M).max() == 0.0
+    assert np.abs(Mt).max() == 0.0
 
 
 def test_single_generator_bracket_closed_form(small_scenario):
@@ -127,7 +160,7 @@ def test_single_generator_bracket_closed_form(small_scenario):
 def test_ito_isometry(small_scenario):
     sc = small_scenario
     x = element(sc.cocycle.group, [0.0, 1.0, 0.7, 0.3j])
-    M = martingale_transform(x, sc, 1.0)
+    M, _ = martingale_transform(x, sc, 1.0)
     vals = schatten_pow_batch(M, 2.0)
     mean = vals.mean()
     se = vals.std(ddof=1) / np.sqrt(sc.samples)
@@ -137,8 +170,8 @@ def test_ito_isometry(small_scenario):
 def test_ito_isometry_decoupled(small_scenario):
     sc = small_scenario
     x = element(sc.cocycle.group, [0.0, 1.0, 0.7, 0.3j])
-    M = martingale_transform(x, sc, 1.0, decoupled=True)
-    vals = schatten_pow_batch(M, 2.0)
+    _, Mt = martingale_transform(x, sc, 1.0)
+    vals = schatten_pow_batch(Mt, 2.0)
     mean = vals.mean()
     se = vals.std(ddof=1) / np.sqrt(sc.samples)
     assert abs(mean - transform_l2_analytic(x, sc, 1.0)) <= 5 * se
@@ -147,9 +180,12 @@ def test_ito_isometry_decoupled(small_scenario):
 def test_transform_norms_deterministic(small_scenario):
     sc = small_scenario
     x = element(sc.cocycle.group, [0.0, 1.0, 0.7, 0.3j])
-    a = martingale_transform(x, sc, 1.0)
-    b = martingale_transform(x, sc, 1.0)
-    assert np.array_equal(a, b)
+    M, Mt = martingale_transform(x, sc, 1.0)
+    M2, Mt2 = martingale_transform(x, sc, 1.0)
+    assert M.shape == Mt.shape == (sc.samples, 4, 4)
+    assert np.array_equal(M, M2)
+    assert np.array_equal(Mt, Mt2)
+    assert not np.allclose(M, Mt)
 
 
 def test_richardson_step_refinement():
@@ -159,7 +195,7 @@ def test_richardson_step_refinement():
     L = 1.0
     vals = []
     for steps in (16, 32, 64):
-        sc = sample_scenario(coc, steps, L / steps, 1024, seed=7, with_copy=False)
+        sc = sample_scenario(coc, steps, L / steps, 1024, seed=7)
         vals.append(bracket_estimates(x, sc, L, 4.0).hc.mean)
     ratio = (vals[2] - vals[1]) / (vals[1] - vals[0])
     assert 0.3 < ratio < 0.7
@@ -172,7 +208,7 @@ def test_step_bracket_halves_with_dt():
     L = 1.0
     vals = []
     for steps in (32, 64):
-        sc = sample_scenario(coc, steps, L / steps, 512, seed=3, with_copy=False)
+        sc = sample_scenario(coc, steps, L / steps, 512, seed=3)
         est = bracket_estimates(x, sc, L, 4.0)
         vals.append(est.hd.mean ** 4.0)
     factor = vals[1] / vals[0]
@@ -184,6 +220,7 @@ def test_inequality_report_fields(small_scenario):
     x = element(sc.cocycle.group, [0.0, 1.0, 0.7, 0.3j])
     cert = best_alpha_pencil(gromov_form(sc.semigroup.psi))
     rep = inequality_report(x, sc, 1.0, 4.0, alpha_cert=cert)
+    assert dataclasses.asdict(rep) == PINNED_REPORT
     assert rep.p == 4.0
     assert rep.transform_norm.mean > 0
     assert rep.decoupled_norm.mean > 0
