@@ -106,9 +106,10 @@ class Semigroup:
         return self.psi.values == 0.0
 
 
-def semigroup_apply(sg: Semigroup, f: AlgebraElement, t: float) -> AlgebraElement:
-    if t < 0:
-        raise ValueError(f"semigroup time must be >= 0, got {t}")
+def semigroup_apply(sg: Semigroup, f: AlgebraElement, t: float | np.ndarray) -> AlgebraElement:
+    """T_t f; a column of times t[:, None] gives the stack of T_{t_k} f."""
+    if np.min(t) < 0:
+        raise ValueError(f"semigroup time must be >= 0, got {np.min(t)}")
     return AlgebraElement(f.group, f.coeffs * np.exp(-t * sg.psi.values))
 
 

@@ -86,12 +86,15 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 # ---------------------------------------------------------------- loaders
 
-def _read_json(path: str):
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path} is not valid JSON: {exc}") from None
+def _read_json(path: str, text: Optional[str] = None):
+    """The JSON value in the file at path, parsed from text when the caller has read it."""
+    if text is None:
+        with open(path) as fh:
+            text = fh.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _group_spec_from_file(path: str) -> dict:
@@ -486,7 +489,7 @@ def _config_from_args(args) -> dict:
 def _run_replay(args) -> int:
     with open(args.report) as fh:
         original = fh.read()
-    report = json.loads(original)
+    report = _read_json(args.report, original)
     missing = [k for k in ("command", "config", "inputs_digest", "seed")
                if not isinstance(report, dict) or k not in report]
     if missing:

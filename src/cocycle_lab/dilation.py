@@ -1,7 +1,7 @@
 """Monte-Carlo realization of the Gaussian Markov dilation.
 
-Per sample omega, the crossed-product image of x = sum_g x_g lambda(g) at
-time t is the |G| x |G| matrix with entry (h, g^{-1}h) equal to
+Per sample omega, the crossed-product image pi_t(x) of x = sum_g x_g lambda(g)
+at time t is the |G| x |G| matrix with entry (h, g^{-1}h) equal to
 x_g exp(i beta_t(alpha_{h^{-1}} b(g))(omega)); the twisted vector is
 alpha_{h^{-1}} b(g) = b(h^{-1}g) - b(h^{-1}) by the cocycle law, so no
 representation matrices are ever applied.  beta_t(xi) = <xi, B_t> with
@@ -10,16 +10,14 @@ coordinate.  The realization is an exact *-homomorphism sample by
 sample; expectations recover the semigroup.
 
 Each matrix is placed from a field amp[..., h, g] by one gather through
-the group's rep_index table: entry (h, u) = amp[..., h, h u^{-1}].  The
-discretized martingale transform M_n(x) and its decoupled twin M~_n(x),
-driven by an independent increment copy, come as a pair from one pass;
-they and the h_p^c / h_p^r / h_p^d bracket estimators share the matrices
-
-    C_{k,j} entry (h, g^{-1}h) = x_g e^{-(L-t_k) psi(g)}
-            e^{i beta_{t_k}(alpha_{h^{-1}} b(g))} (alpha_{h^{-1}} b(g))_j,
-
-with conditional Gaussian steps integrated out analytically where the
-brackets call for it (E_{k-1}[dB^j dB^l] = 2 dt delta_{jl}).
+the group's rep_index table: entry (h, u) = amp[..., h, h u^{-1}].  With
+y_k = T_{L-t_k} x, the step dx_k of the transform M_n(x) is the gather of
+i (y_k)_g e^{i beta_{t_k}(alpha_{h^{-1}} b(g))} <alpha_{h^{-1}} b(g), dB_k>;
+M_n(x) and its decoupled twin M~_n(x), driven by an independent increment
+copy, come as a pair from one pass.  With the Gaussian step integrated out
+(E_{k-1}[dB^j dB^l] = 2 dt delta_{jl}), the conditioned square functions
+are the dilation of Gamma, S_c = 2 dt sum_k pi_{t_k}(Gamma(y_k, y_k)) and
+S_r = the same with y_k^*: the brackets read the transform's phase field.
 """
 from __future__ import annotations
 
@@ -29,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import AlgebraElement, Semigroup, gamma, regular_rep
+from .algebra import AlgebraElement, Semigroup, gamma, regular_rep, semigroup_apply
 from .cocycles import CocycleRealization, LengthFunction
 from .criterion import AlphaCertificate
 from .groups import FiniteGroup
@@ -112,9 +110,9 @@ def _gather(group: FiniteGroup, amp: np.ndarray) -> np.ndarray:
     return np.take(amp.reshape(amp.shape[:-2] + (n * n,)), flat, axis=-1)
 
 
-def _phases(weight: np.ndarray, bdiff: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """weight[..., g] e^{i <alpha_{h^{-1}} b(g), B>} at path points B[..., j]: [..., h, g]."""
-    return weight * np.exp(1j * np.einsum("hgj,...j->...hg", bdiff, B))
+def _phases(bdiff: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Phase field e^{i <alpha_{h^{-1}} b(g), B>} at path points B[..., j]: [..., h, g]."""
+    return np.exp(1j * np.einsum("hgj,...j->...hg", bdiff, B))
 
 
 def _grid_index(scenario: BrownianScenario, t: float) -> int:
@@ -126,7 +124,7 @@ def _grid_index(scenario: BrownianScenario, t: float) -> int:
 
 def _chunks(scenario: BrownianScenario) -> list[tuple[int, int]]:
     order = scenario.cocycle.group.order
-    # keep the largest per-chunk tensor (steps x d x order^2 per sample) near 2^21 entries
+    # c x steps x order^2 x (d + 2) near 2^21 entries; each chunk field is c x steps x order^2
     per = max(1, scenario.steps * order * order * (scenario.d + 2))
     c = max(1, int(2 ** 21 // per))
     return [(lo, min(lo + c, scenario.samples)) for lo in range(0, scenario.samples, c)]
@@ -144,7 +142,7 @@ def dilation_matrix(x: AlgebraElement, t: float, scenario: BrownianScenario,
     if not 0 <= sample < scenario.samples:
         raise ValueError(f"sample index {sample} out of range [0, {scenario.samples})")
     Bt = scenario.increments(sample, sample + 1)[0, :k].sum(axis=0)
-    return _gather(scenario.cocycle.group, _phases(x.coeffs, _bdiff(scenario.cocycle), Bt))
+    return _gather(scenario.cocycle.group, x.coeffs * _phases(_bdiff(scenario.cocycle), Bt))
 
 
 def dilation_mean(x: AlgebraElement, t: float, scenario: BrownianScenario):
@@ -155,25 +153,21 @@ def dilation_mean(x: AlgebraElement, t: float, scenario: BrownianScenario):
 
     def work(lo, hi):
         Bt = scenario.increments(lo, hi)[:, :k].sum(axis=1)
-        D = _gather(group, _phases(x.coeffs, bdiff, Bt))
+        D = _gather(group, x.coeffs * _phases(bdiff, Bt))
         return D.sum(axis=0), (np.abs(D) ** 2).sum(axis=0)
 
     parts = _map_chunks(scenario, work)
     N = scenario.samples
     mean = sum(s for s, _ in parts) / N
     var = np.maximum(sum(s2 for _, s2 in parts) / N - np.abs(mean) ** 2, 0.0)
-    se = np.sqrt(var / N)
-    return mean, se
+    return mean, np.sqrt(var / N)
 
 
-def _transform_amp(x: AlgebraElement, scenario: BrownianScenario, L: float,
-                   bdiff: np.ndarray, dB: np.ndarray) -> np.ndarray:
-    """Phase field amp[c,k,h,g] of a chunk, weighted by x_g e^{-(L-t_k) psi(g)}, at B_{t_k}."""
-    tk = np.arange(scenario.steps) * scenario.dt
-    decay = np.exp(-(L - tk)[:, None] * scenario.cocycle.psi[None, :])
+def _path_phases(bdiff: np.ndarray, dB: np.ndarray) -> np.ndarray:
+    """Phase field [c, k, h, g] of a chunk at B_{t_k} = sum_{i<k} dB[c, i]."""
     Bcum = np.concatenate([np.zeros((dB.shape[0], 1, dB.shape[2])),
                            np.cumsum(dB, axis=1)], axis=1)[:, :-1]
-    return _phases(x.coeffs * decay[:, None, :], bdiff, Bcum)
+    return _phases(bdiff, Bcum)
 
 
 def _step_matrices(group: FiniteGroup, bdiff: np.ndarray, amp: np.ndarray,
@@ -197,10 +191,11 @@ def martingale_transform(x: AlgebraElement, scenario: BrownianScenario,
     _check_horizon(scenario, L)
     group = scenario.cocycle.group
     bdiff = _bdiff(scenario.cocycle)
+    y = semigroup_apply(scenario.semigroup, x, L - scenario.grid[:-1, None]).coeffs[:, None, :]
 
     def work(lo, hi):
         dB = scenario.increments(lo, hi)
-        amp = _transform_amp(x, scenario, L, bdiff, dB)
+        amp = y * _path_phases(bdiff, dB)
         return tuple(_step_matrices(group, bdiff, amp, drive).sum(axis=1)
                      for drive in (dB, scenario.increments_copy(lo, hi)))
 
@@ -250,25 +245,26 @@ def bracket_estimates(x: AlgebraElement, scenario: BrownianScenario, L: float,
                       p: float) -> BracketEstimates:
     """hc/hr from the analytically conditioned square brackets, hd per step.
 
-    hc^2 is the L_{p/2} norm of S_c = sum_k 2 dt sum_j C_{k,j}^dag C_{k,j}
-    (the Gaussian step is integrated out; the path-measurable phases stay);
-    hr uses C C^dag; hd^p sums E ||dx_k||_p^p over steps.
+    hc^2 is the L_{p/2} norm of S_c = 2 dt sum_k pi_{t_k}(Gamma(y_k, y_k)),
+    the conditioned sum of dx_k^dag dx_k (the Gaussian step is integrated
+    out; the path-measurable phases stay); hr uses S_r, the same with
+    y_k^* = (T_{L-t_k} x)^*; hd^p sums E ||dx_k||_p^p over steps.
     """
     _check_horizon(scenario, L)
     if float(p) not in BRACKET_PS:
         raise ValueError(f"bracket estimation supports p in {BRACKET_PS}, got {p}")
     p = float(p)
-    group = scenario.cocycle.group
+    group, sg = scenario.cocycle.group, scenario.semigroup
     bdiff = _bdiff(scenario.cocycle)
+    y = semigroup_apply(sg, x, L - scenario.grid[:-1, None])
+    gam = np.stack([gamma(sg, y, y).coeffs, gamma(sg, y.adjoint(), y.adjoint()).coeffs])
 
     def work(lo, hi):
         dB = scenario.increments(lo, hi)
-        amp = _transform_amp(x, scenario, L, bdiff, dB)
-        Cm = _gather(group, amp[:, :, None, :, :] * bdiff.transpose(2, 0, 1)[None, None])
-        Sc = 2.0 * scenario.dt * np.einsum("ckjau,ckjav->cuv", np.conj(Cm), Cm)
-        Sr = 2.0 * scenario.dt * np.einsum("ckjua,ckjva->cuv", Cm, np.conj(Cm))
-        return (schatten_pow_batch(Sc, p / 2.0), schatten_pow_batch(Sr, p / 2.0),
-                schatten_pow_batch(_step_matrices(group, bdiff, amp, dB), p).sum(axis=1))
+        ph = _path_phases(bdiff, dB)
+        S = 2.0 * scenario.dt * _gather(group, np.einsum("ckhg,skg->schg", ph, gam))
+        dx = _step_matrices(group, bdiff, y.coeffs[:, None, :] * ph, dB)
+        return (*schatten_pow_batch(S, p / 2.0), schatten_pow_batch(dx, p).sum(axis=1))
 
     hc, hr, hd = (np.concatenate(part) for part in zip(*_map_chunks(scenario, work)))
     return BracketEstimates(p, _root_stat(hc, p), _root_stat(hr, p), _root_stat(hd, p))

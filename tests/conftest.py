@@ -18,6 +18,23 @@ def rand_matrix(n: int, index: int, seed: int = 0, unit: bool = True) -> np.ndar
     return x / np.linalg.norm(x) if unit else x
 
 
+# bracket SEs of a walsh:2:2 dilation report: there S_c and S_r have the same spectrum
+# on every path, so the per-sample spread behind these SEs is rounding noise
+ROUNDING_NOISE = (("hc", "se"), ("hr", "se"), ("bracket_bound", "se"))
+
+
+def assert_report_pinned(report: dict, pinned: dict) -> None:
+    """report equals pinned exactly, apart from ROUNDING_NOISE fields (absolute 1e-15)."""
+    for key, name in ROUNDING_NOISE:
+        assert abs(report[key][name] - pinned[key][name]) <= 1e-15, (key, name)
+
+    def exact(rep):
+        return {k: {n: v for n, v in val.items() if (k, n) not in ROUNDING_NOISE}
+                if isinstance(val, dict) else val for k, val in rep.items()}
+
+    assert exact(report) == exact(pinned)
+
+
 def captured_objective(monkeypatch, run):
     """The batched objective that run() hands to poincare.maximize_on_sphere, which is not run."""
     from cocycle_lab import poincare

@@ -8,7 +8,7 @@ from cocycle_lab.algebra import (AlgebraElement, Semigroup, conv, delta,
                                  generator_apply, lp_norm, operator_positivity,
                                  regular_rep, semigroup_apply, tau)
 from cocycle_lab.cocycles import word_length_psi
-from cocycle_lab.families import delta_psi, walsh_length
+from cocycle_lab.families import builtin_length, delta_psi, walsh_length
 from cocycle_lab.groups import build_cyclic
 from cocycle_lab.linalg import schatten_norm
 
@@ -87,6 +87,28 @@ def test_semigroup_laws(z4word):
     assert tau(p) == tau(f)
     # psi > 0 off e: projection keeps only the trace part
     assert np.allclose(p.coeffs, [f.coeffs[0], 0, 0, 0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("walsh:2:2", "walsh:2:3", "delta:5", "wordlength:6",
+                        "heisenberg-delta:3", "heisenberg-wordlength:3")),
+       st.integers(0, 10 ** 6), st.floats(0.0, 4.0), st.floats(0.0, 4.0),
+       st.floats(-4.0, -1e-300), st.integers(0, 2))
+def test_semigroup_law_hypothesis(spec, index, s, t, negative, where):
+    sg = Semigroup(builtin_length(spec))
+    f = element(sg.group, rand_coeffs(sg.group.order, index))
+    composed = semigroup_apply(sg, semigroup_apply(sg, f, t), s)
+    assert np.abs(composed.coeffs - semigroup_apply(sg, f, s + t).coeffs).max() < 1e-14
+    # a column of times is the stack of the one-time calls, bit for bit
+    times = np.array([s, t, s + t])
+    column = semigroup_apply(sg, f, times[:, None]).coeffs
+    assert column.shape == (3, sg.group.order)
+    for row, time in zip(column, times):
+        assert np.array_equal(row, semigroup_apply(sg, f, time).coeffs)
+    times[where] = negative
+    for bad in (negative, times[:, None]):
+        with pytest.raises(ValueError, match=f"semigroup time must be >= 0, got {negative}"):
+            semigroup_apply(sg, f, bad)
 
 
 def test_semigroup_contraction(z4word):

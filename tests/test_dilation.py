@@ -3,22 +3,24 @@ import dataclasses
 import numpy as np
 import pytest
 
+from cocycle_lab import dilation
 from cocycle_lab.algebra import (Semigroup, delta, element, gamma, lp_norm,
                                  regular_rep, semigroup_apply)
 from cocycle_lab.cocycles import gromov_form, realize_cocycle, word_length_cocycle
 from cocycle_lab.criterion import AlphaCertificate, best_alpha_pencil
-from cocycle_lab.dilation import (_chunks, bracket_estimates, dilation_matrix,
+from cocycle_lab.dilation import (_chunks, _root_stat, bracket_estimates, dilation_matrix,
                                   dilation_mean, inequality_report,
                                   martingale_transform, sample_scenario,
                                   transform_l2_analytic)
 from cocycle_lab.families import builtin_length, walsh_length
 from cocycle_lab.linalg import schatten_norm, schatten_pow_batch
 
-from conftest import rand_coeffs
+from conftest import assert_report_pinned, rand_coeffs
 
 # inequality_report on small_scenario, x = [0, 1, 0.7, 0.3j], p = 4, with the
 # pencil certificate, at commit 7468425, where M and M~ took two chunk passes
-# (numpy 2.4.6, scipy-openblas 0.3.31); the one-pass transform keeps every bit
+# (numpy 2.4.6, scipy-openblas 0.3.31); the one-pass transform keeps every bit,
+# and the brackets read off Gamma keep every bit but the rounding-noise SEs
 PINNED_REPORT = {
     "p": 4.0,
     "transform_norm": {"mean": 1.3434420358637167, "se": 0.025308782812087045},
@@ -44,6 +46,34 @@ def walsh_cocycle(n, m):
 def small_scenario():
     # Walsh Z_2 x Z_2, 8 steps to L = 1, 256 samples
     return sample_scenario(walsh_cocycle(2, 2), 8, 0.125, 256, seed=5)
+
+
+def bracket_reference(x, sc, L, p):
+    """(hc, hr) through the cocycle-indexed matrices C_{k,j}, with entry (h, g^{-1}h)
+
+        x_g e^{-(L-t_k) psi(g)} e^{i <alpha_{h^{-1}} b(g), B_{t_k}>} (alpha_{h^{-1}} b(g))_j,
+
+    S_c = 2 dt sum_{k,j} C_{k,j}^dag C_{k,j} and S_r = 2 dt sum_{k,j} C_{k,j} C_{k,j}^dag:
+    the conditioned brackets written out coordinate by coordinate, without Gamma.
+    """
+    coc, g = sc.cocycle, sc.cocycle.group
+    bdiff = coc.vectors[g.conv_index] - coc.vectors[g.inv][:, None, :]         # [h, g, j]
+    tk = np.arange(sc.steps) * sc.dt
+    weight = x.coeffs * np.exp(-(L - tk)[:, None] * coc.psi)                   # [k, g]
+    dB = sc.increments(0, sc.samples)
+    B = np.cumsum(dB, axis=1) - dB                                             # B_{t_k}
+    amp = weight[:, None, :] * np.exp(1j * np.einsum("hgj,ckj->ckhg", bdiff, B))
+    Cm = (amp[:, :, None] * bdiff.transpose(2, 0, 1))[..., np.arange(g.order)[:, None],
+                                                      g.rep_index]
+    Sc = 2.0 * sc.dt * np.einsum("ckjau,ckjav->cuv", np.conj(Cm), Cm)
+    Sr = 2.0 * sc.dt * np.einsum("ckjua,ckjva->cuv", Cm, np.conj(Cm))
+    return tuple(_root_stat(schatten_pow_batch(S, p / 2.0), p) for S in (Sc, Sr))
+
+
+@pytest.fixture(scope="module")
+def wordlength_scenario():
+    coc = realize_cocycle(gromov_form(builtin_length("wordlength:6")))
+    return sample_scenario(coc, 8, 0.125, 64, seed=5)
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +187,22 @@ def test_single_generator_bracket_closed_form(small_scenario):
     assert abs(est.hr.mean - want) < 1e-10
 
 
+@pytest.mark.parametrize("p", [4.0, 8.0])
+def test_brackets_match_cocycle_coordinate_reference(p, small_scenario, wordlength_scenario,
+                                                     heisenberg_scenario):
+    # p = 2 cannot tell S_c built from x from one built from x*: tau(S) is the same
+    cases = [(small_scenario, [0.0, 1.0, 0.7, 0.3j]),
+             (wordlength_scenario, rand_coeffs(6, 3)),
+             (heisenberg_scenario, rand_coeffs(27, 4))]
+    for sc, coeffs in cases:
+        x = element(sc.cocycle.group, coeffs)
+        est = bracket_estimates(x, sc, 1.0, p)
+        for got, want in zip((est.hc, est.hr), bracket_reference(x, sc, 1.0, p)):
+            assert got.mean == pytest.approx(want.mean, rel=1e-12)
+            # absolute 1e-15 for SEs that are rounding noise (walsh:2:2)
+            assert got.se == pytest.approx(want.se, rel=1e-12, abs=1e-15)
+
+
 def test_ito_isometry(small_scenario):
     sc = small_scenario
     x = element(sc.cocycle.group, [0.0, 1.0, 0.7, 0.3j])
@@ -220,7 +266,7 @@ def test_inequality_report_fields(small_scenario):
     x = element(sc.cocycle.group, [0.0, 1.0, 0.7, 0.3j])
     cert = best_alpha_pencil(gromov_form(sc.semigroup.psi))
     rep = inequality_report(x, sc, 1.0, 4.0, alpha_cert=cert)
-    assert dataclasses.asdict(rep) == PINNED_REPORT
+    assert_report_pinned(dataclasses.asdict(rep), PINNED_REPORT)
     assert rep.p == 4.0
     assert rep.transform_norm.mean > 0
     assert rep.decoupled_norm.mean > 0
@@ -244,13 +290,23 @@ def test_inequality_report_without_alpha(small_scenario):
 
 
 def test_inequality_report_independent_of_thread_count(monkeypatch):
-    coc = walsh_cocycle(2, 2)
-    sc = sample_scenario(coc, 64, 2.0 / 64, 1536, seed=11)
-    assert len(_chunks(sc)) >= 2    # a single chunk leaves nothing to spread over threads
-    x = element(coc.group, [0.0, 1.0, 0.7, 0.3j])
-    cert = best_alpha_pencil(gromov_form(sc.semigroup.psi))
-    reps = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("COCYCLE_LAB_THREADS", threads)
-        reps.append(inequality_report(x, sc, 2.0, 4.0, alpha_cert=cert))
-    assert reps[0] == reps[1]
+    # ... and of the chunking that the threads spread: chunks of 1, 7 and all samples
+    for spec, steps, samples in (("walsh:2:2", 64, 1536), ("heisenberg-wordlength:3", 16, 64)):
+        coc = realize_cocycle(gromov_form(builtin_length(spec)))
+        sc = sample_scenario(coc, steps, 2.0 / steps, samples, seed=11)
+        assert len(_chunks(sc)) >= 2    # a single chunk leaves nothing to spread over threads
+        x = element(coc.group, [0.0, 1.0, 0.7, 0.3j] if spec == "walsh:2:2"
+                    else rand_coeffs(coc.group.order, 5))
+        cert = best_alpha_pencil(gromov_form(sc.semigroup.psi))
+        reps = {}
+        for threads in ("1", "2"):
+            with monkeypatch.context() as m:
+                m.setenv("COCYCLE_LAB_THREADS", threads)
+                reps[f"threads={threads}"] = inequality_report(x, sc, 2.0, 4.0, alpha_cert=cert)
+        for size in (1, 7, samples):
+            with monkeypatch.context() as m:
+                m.setattr(dilation, "_chunks", lambda s, c=size: [
+                    (lo, min(lo + c, s.samples)) for lo in range(0, s.samples, c)])
+                reps[f"chunk={size}"] = inequality_report(x, sc, 2.0, 4.0, alpha_cert=cert)
+        for name, rep in reps.items():
+            assert rep == reps["threads=1"], (spec, name)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cocycle_lab.algebra import Semigroup, element, gamma
 from cocycle_lab.families import heisenberg_delta, heisenberg_wordlength
@@ -141,6 +143,15 @@ def test_expm_semigroup_and_decay():
     for t in (0.3, 1.0):
         flowed = unvec(A.expm(t) @ vec(x), 2)
         assert np.abs(flowed - np.exp(-2.0 * t) * x).max() < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(2, "delta"), (2, "wordlength"), (3, "delta"), (3, "wordlength")]),
+       st.floats(0.0, 4.0), st.floats(0.0, 4.0))
+def test_expm_semigroup_law_hypothesis(case, s, t):
+    # T_s T_t = T_{s+t} on M_n
+    A = heisenberg_multiplier(*case)
+    assert np.abs(A.expm(s) @ A.expm(t) - A.expm(s + t)).max() < 1e-12
 
 
 def _heisenberg_rep(n: int):
