@@ -108,6 +108,8 @@ class Semigroup:
 
 def semigroup_apply(sg: Semigroup, f: AlgebraElement, t: float | np.ndarray) -> AlgebraElement:
     """T_t f; a column of times t[:, None] gives the stack of T_{t_k} f."""
+    if not np.isfinite(np.max(t)):
+        raise ValueError(f"semigroup time must be finite, got {np.max(t)}")
     if np.min(t) < 0:
         raise ValueError(f"semigroup time must be >= 0, got {np.min(t)}")
     return AlgebraElement(f.group, f.coeffs * np.exp(-t * sg.psi.values))

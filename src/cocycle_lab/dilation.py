@@ -84,8 +84,8 @@ class BrownianScenario:
 
 def sample_scenario(cocycle: CocycleRealization, n: int, dt: float,
                     samples: int, seed: int) -> BrownianScenario:
-    if dt <= 0:
-        raise ValueError(f"step size must be positive, got {dt}")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"step size must be positive and finite, got {dt}")
     if n < 1:
         raise ValueError(f"need at least one step, got {n}")
     if samples < 1:
@@ -177,7 +177,7 @@ def _step_matrices(group: FiniteGroup, bdiff: np.ndarray, amp: np.ndarray,
 
 
 def _check_horizon(scenario: BrownianScenario, L: float) -> None:
-    if abs(L - scenario.horizon) > 1e-12 * max(1.0, L):
+    if not np.isfinite(L) or abs(L - scenario.horizon) > 1e-12 * max(1.0, L):
         raise ValueError(f"L = {L} does not match the scenario horizon {scenario.horizon}")
 
 

@@ -1,4 +1,8 @@
-"""Small shared numerical helpers: Schatten norms, Hermitian/PSD guards, threaded map."""
+"""Small shared numerical helpers: Schatten norms, Hermitian/PSD guards, threaded map.
+
+Schatten norms at even integer p use matrix products only; every other p
+takes the singular values, which stay the reference route.
+"""
 from __future__ import annotations
 
 import os
@@ -7,24 +11,19 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 HERMITIAN_PRECHECK = 1e-10
+_BLOCK = 2 ** 16      # entries per block of the even-p Schatten route
+_NOT_FINITE = "Schatten norm input is not finite (it holds NaN or inf)"
 
 
 def schatten_norm(mat: np.ndarray, p: float):
     """((1/n) sum sigma_i^p)^{1/p} of a matrix; max sigma for p = inf.
 
     A float for one matrix; an array for an (..., n, n) stack, which takes
-    one SVD call.  Singular values are rescaled by their max before
-    powering so large p neither overflows nor underflows.
+    one call.
     """
     if p < 1:
         raise ValueError(f"Schatten norm needs p >= 1, got {p}")
-    s = np.linalg.svd(mat, compute_uv=False)
-    smax = s[..., 0]
-    if np.isinf(p):
-        out = smax
-    else:
-        acc = np.mean((s / np.where(smax > 0, smax, 1.0)[..., None]) ** p, axis=-1)
-        out = smax * root(acc, p)
+    out = _schatten(mat, p, take_root=True)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -38,8 +37,60 @@ def root(x, k: float):
 
 def schatten_pow_batch(mats: np.ndarray, p: float) -> np.ndarray:
     """(1/n) sum sigma_i^p per matrix in a (..., n, n) batch (no root taken)."""
+    return _schatten(mats, p, take_root=False)
+
+
+def _schatten(mats: np.ndarray, p: float, take_root: bool) -> np.ndarray:
+    """tau(|X|^p) per matrix of a stack, or its p-th root: the one even-p / SVD rule.
+
+    Even integer p >= 2 takes matrix products (_even_moment), in blocks of
+    about _BLOCK entries so its temporaries stay small on large stacks.  Any
+    other p (odd, fractional, inf) takes the singular values, the reference
+    route; for the root they are rescaled by their max before powering.
+    Non-finite input raises ValueError on both routes.
+    """
+    mats = np.asarray(mats)
+    if p >= 2 and float(p).is_integer() and int(p) % 2 == 0:
+        flat = mats.reshape((-1,) + mats.shape[-2:])
+        step = max(1, _BLOCK // max(1, mats.shape[-1] ** 2))
+        scale, acc = np.empty((2, len(flat)))
+        for lo in range(0, len(flat), step):
+            scale[lo:lo + step], acc[lo:lo + step] = _even_moment(flat[lo:lo + step], int(p) // 2)
+        scale, acc = scale.reshape(mats.shape[:-2]), acc.reshape(mats.shape[:-2])
+        return scale * root(acc, p) if take_root else scale ** p * acc
+    if not np.isfinite(mats).all():
+        raise ValueError(_NOT_FINITE)
     s = np.linalg.svd(mats, compute_uv=False)
-    return np.mean(s ** p, axis=-1)
+    if not take_root:
+        return np.mean(s ** p, axis=-1)
+    smax = s[..., 0]
+    if np.isinf(p):
+        return smax
+    acc = np.mean((s / np.where(smax > 0, smax, 1.0)[..., None]) ** p, axis=-1)
+    return smax * root(acc, p)
+
+
+def _even_moment(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(c, tau((Y* Y)^m)) per matrix of a (k, n, n) stack x, with Y = x / c.
+
+    c = 2^e is the power of two at or below the largest |entry|, with
+    e >= -1022 so that 1/c is finite too: the scaling is exact, and
+    p = 2m = 16 neither overflows nor underflows.  With H = Y* Y,
+    tau(H^m) = (1/n) ||Z||_F^2 for Z = H^{m/2} (m even) or Z = Y H^{(m-1)/2}
+    (m odd): a sum of squares, and Z = Y itself at p = 2.
+    """
+    amax = np.abs(x).max(axis=(-2, -1))
+    if not np.isfinite(amax).all():
+        raise ValueError(_NOT_FINITE)
+    e = np.maximum(np.frexp(amax)[1] - 1, -1022)
+    y = x * np.ldexp(1.0, -e)[:, None, None]
+    z = y
+    if m > 1:
+        z = np.linalg.matrix_power(np.swapaxes(y.conj(), -1, -2) @ y, m // 2)
+        if m % 2:
+            z = y @ z
+    sq = (z * z.conj()).real
+    return np.ldexp(1.0, e), sq.reshape(len(sq), -1).sum(axis=-1) / z.shape[-1]
 
 
 def hermitize(M: np.ndarray, tol: float = HERMITIAN_PRECHECK) -> np.ndarray:

@@ -11,8 +11,8 @@ import time
 
 import numpy as np
 
-from cocycle_lab.algebra import (Semigroup, conv, element, gamma, gamma2,
-                                 regular_rep, semigroup_apply, tau)
+from cocycle_lab.algebra import (Semigroup, conv, element, fix_project, gamma,
+                                 gamma2, regular_rep, semigroup_apply, tau)
 from cocycle_lab.cli import run_gallery
 from cocycle_lab.cocycles import (gromov_form, realize_cocycle,
                                   verify_schur_identity, word_length_psi)
@@ -27,7 +27,7 @@ from cocycle_lab.matrixalg import (heisenberg_multiplier, lindblad_generator,
 from cocycle_lab.poincare import l2_oracle, sweep_and_fit, worst_constant
 from cocycle_lab import rng
 
-from conftest import rand_coeffs, rand_matrix
+from conftest import rand_coeffs, rand_matrix, svd_schatten
 
 EXAMPLE_FAMILIES = ("wordlength:8", "walsh:2:3", "walsh:3:2",
                     "heisenberg-delta:2", "heisenberg-wordlength:2", "delta:5")
@@ -94,16 +94,35 @@ MATRIX_SWEEP_CONSTANTS = (1.0, 1.1892071149935584, 1.2599210497282256,
                           1.296839553728627, 1.334839850690046, 1.354255537554401)
 
 
+def svd_ratio(x0, gamma_c, gamma_r, p):
+    """The Poincare ratio of a centred witness, every norm from the SVD reference."""
+    den = max(svd_schatten(gamma_c, p / 2), svd_schatten(gamma_r, p / 2))
+    return svd_schatten(x0, p) / den ** 0.5
+
+
 def test_subgaussian_growth_exponent():
     start = time.perf_counter()
     grid = [2.0, 4.0, 6.0, 8.0, 12.0, 16.0]
-    rep = sweep_and_fit(Semigroup(walsh_length(2, 3)), grid, budget=20000, seed=0)
+    sg = Semigroup(walsh_length(2, 3))
+    rep = sweep_and_fit(sg, grid, budget=20000, seed=0)
     assert rep.slope <= 0.6
     assert np.allclose(rep.constants, SWEEP_CONSTANTS, rtol=1e-9, atol=0.0)
-    mrep = matrix_poincare(heisenberg_multiplier(2, "delta"), grid,
-                           budget=20000, seed=0)
+    # each C_p is a certified lower bound: its witness re-scores to it on the SVD route
+    for p, c, f in zip(rep.p_grid, rep.constants, rep.witnesses):
+        f0 = f - fix_project(sg, f)
+        f0s = f0.adjoint()
+        again = svd_ratio(regular_rep(f0), regular_rep(gamma(sg, f0, f0)),
+                          regular_rep(gamma(sg, f0s, f0s)), p)
+        assert abs(again - c) <= 1e-12 * c, (p, again, c)
+    A = heisenberg_multiplier(2, "delta")
+    mrep = matrix_poincare(A, grid, budget=20000, seed=0)
     assert mrep.slope <= 0.6
     assert np.allclose(mrep.constants, MATRIX_SWEEP_CONSTANTS, rtol=1e-9, atol=0.0)
+    for p, c, x in zip(mrep.p_grid, mrep.constants, mrep.witnesses):
+        x0 = x - A.fix_project(x)
+        x0d = x0.conj().T
+        again = svd_ratio(x0, superop_gamma(A, x0, x0), superop_gamma(A, x0d, x0d), p)
+        assert abs(again - c) <= 1e-12 * c, (p, again, c)
     assert time.perf_counter() - start < 600.0
 
 

@@ -10,9 +10,9 @@ from cocycle_lab.algebra import (AlgebraElement, Semigroup, conv, delta,
 from cocycle_lab.cocycles import word_length_psi
 from cocycle_lab.families import builtin_length, delta_psi, walsh_length
 from cocycle_lab.groups import build_cyclic
-from cocycle_lab.linalg import schatten_norm
+from cocycle_lab.linalg import schatten_norm, schatten_pow_batch
 
-from conftest import rand_coeffs
+from conftest import rand_coeffs, rand_matrix, svd_schatten
 
 
 @pytest.fixture(scope="module")
@@ -61,16 +61,68 @@ def test_lp_norms():
     lam = delta(g5, 3)
     stack = np.array([rand_coeffs(5, 60 + i) for i in range(3)] + [np.zeros(5)])
     mats = regular_rep(AlgebraElement(g5, stack))
-    for p in (1, 2, 4, np.inf):
+    for p in (1, 2, 3, 4, 6, 16, np.inf):
         assert lp_norm(lam, p) == pytest.approx(1.0)
         # a stack of matrices takes one call and matches the matrices one by one
         norms = schatten_norm(mats, p)
         assert norms.shape == (4,) and norms[3] == 0.0
         assert np.array_equal(norms, [schatten_norm(m, p) for m in mats])
+        if np.isfinite(p):
+            moments = schatten_pow_batch(mats, p)
+            assert moments[3] == 0.0
+            assert np.array_equal(moments, [schatten_pow_batch(m, p) for m in mats])
         assert np.array_equal(lp_norm(AlgebraElement(g5, stack), p), norms)
         assert isinstance(schatten_norm(mats[3], p), float)
     with pytest.raises(ValueError, match="p >= 1"):
         lp_norm(f, 0.5)
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0, 16.0, 1.0, 3.0, 5.5, np.inf])
+def test_schatten_rejects_non_finite_input(p):
+    """Even p (matrix products) and the SVD route both refuse NaN and inf entries."""
+    mats = np.stack([rand_matrix(4, 70 + i) for i in range(3)])
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+        stack = mats.copy()
+        stack[1, 2, 3] = bad
+        calls = [lambda: schatten_norm(stack, p), lambda: schatten_norm(stack[1], p),
+                 lambda: schatten_norm(np.full((3, 3), bad), p)]
+        if np.isfinite(p):
+            calls.append(lambda: schatten_pow_batch(stack, p))
+        for call in calls:
+            with pytest.raises(ValueError, match="not finite"):
+                call()
+
+
+def test_schatten_scale_guard():
+    """p = 16 neither overflows nor underflows: the norm is homogeneous per matrix."""
+    x = rand_matrix(8, 80, unit=False)
+    base = schatten_norm(x, 16)
+    assert base == pytest.approx(svd_schatten(x, 16), rel=1e-12)
+    scales = (1e-150, 1.0, 1e150, 1e200)
+    stack = schatten_norm(np.stack([c * x for c in scales] + [np.zeros((8, 8))]), 16)
+    for c, norm in zip(scales, stack):
+        assert abs(schatten_norm(c * x, 16) - c * base) <= 1e-12 * c * base
+        assert abs(norm - c * base) <= 1e-12 * c * base
+    assert stack[-1] == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("walsh:2:2", "walsh:2:3", "delta:5", "wordlength:6",
+                        "heisenberg-delta:2", "heisenberg-delta:3",
+                        "heisenberg-wordlength:2", "heisenberg-wordlength:3")),
+       st.integers(0, 10 ** 6), st.sampled_from((2, 4, 6, 8, 10, 12, 14, 16)))
+def test_even_p_moments_match_svd_hypothesis(spec, index, p):
+    """Even-p norms (matrix products) agree with the singular-value reference to 1e-12,
+    on regular_rep stacks of random elements and on their Gamma."""
+    sg = Semigroup(builtin_length(spec))
+    order = sg.group.order
+    f = AlgebraElement(sg.group, np.array([rand_coeffs(order, index + i) for i in range(3)]))
+    fs = f.adjoint()
+    for elem in (f, gamma(sg, f, f), gamma(sg, fs, fs), gamma(sg, f, fs)):
+        mats = regular_rep(elem)
+        ref = svd_schatten(mats, p)
+        assert np.all(np.abs(schatten_norm(mats, p) - ref) <= 1e-12 * ref)
+        assert np.all(np.abs(schatten_pow_batch(mats, p) - ref ** p) <= 1e-12 * ref ** p)
 
 
 def test_semigroup_laws(z4word):
@@ -82,6 +134,9 @@ def test_semigroup_laws(z4word):
     assert np.abs(a.coeffs - b.coeffs).max() < 1e-14
     with pytest.raises(ValueError, match=">= 0"):
         semigroup_apply(z4word, f, -0.1)
+    for bad in (np.nan, np.inf, np.array([[0.5], [np.nan]])):
+        with pytest.raises(ValueError, match="semigroup time must be finite"):
+            semigroup_apply(z4word, f, bad)
     p = fix_project(z4word, f)
     assert np.allclose(fix_project(z4word, p).coeffs, p.coeffs)
     assert tau(p) == tau(f)

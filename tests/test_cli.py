@@ -102,7 +102,8 @@ def test_poincare_cli_with_csv(tmp_path):
 
 
 # results of the dilate argv below at commit 7468425, where M and M~ took two
-# chunk passes (numpy 2.4.6, scipy-openblas 0.3.31); exact but for the
+# chunk passes (numpy 2.4.6, scipy-openblas 0.3.31); equal to 1e-12 relative
+# (even-p norms by matrix products move them in the last ulp) but for the
 # rounding-noise bracket SEs
 DILATE_RESULTS = {
     "L": 1.0, "steps": 8, "samples": 64, "cocycle_dimension": 2, "p": 2.0,
@@ -260,6 +261,16 @@ def test_cli_errors_exit_nonzero(tmp_path, capsys):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"{argv[0]}:") and str(broken) in err and "not valid JSON" in err
+
+
+def test_dilate_rejects_non_finite_horizon(tmp_path, capsys):
+    x = write_json(tmp_path / "x.json", [0.0, 1.0, 0.7, [0.0, 0.3]])
+    for L in ("nan", "inf"):
+        assert main(["dilate", "--builtin", "walsh:2:2", "--x", x, "--L", L,
+                     "--steps", "4", "--samples", "8", "--p", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("dilate:")
+        assert f"step size must be positive and finite, got {L}" in err
 
 
 def test_cli_rejects_invalid_thread_count(monkeypatch, capsys):

@@ -20,7 +20,9 @@ from conftest import assert_report_pinned, rand_coeffs
 # inequality_report on small_scenario, x = [0, 1, 0.7, 0.3j], p = 4, with the
 # pencil certificate, at commit 7468425, where M and M~ took two chunk passes
 # (numpy 2.4.6, scipy-openblas 0.3.31); the one-pass transform keeps every bit,
-# and the brackets read off Gamma keep every bit but the rounding-noise SEs
+# the brackets read off Gamma keep every bit but the rounding-noise SEs, and
+# even-p norms by matrix products move the floats by <= 3.6e-16 relative
+# (the slack, a difference of two pinned values, by 2.1e-15)
 PINNED_REPORT = {
     "p": 4.0,
     "transform_norm": {"mean": 1.3434420358637167, "se": 0.025308782812087045},
@@ -86,16 +88,20 @@ def heisenberg_scenario():
 
 def test_scenario_validation():
     coc = word_length_cocycle(4)
-    with pytest.raises(ValueError, match="step size"):
-        sample_scenario(coc, 4, 0.0, 8, 0)
+    for dt in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="step size must be positive and finite"):
+            sample_scenario(coc, 4, dt, 8, 0)
     with pytest.raises(ValueError, match="at least one step"):
         sample_scenario(coc, 0, 0.1, 8, 0)
     with pytest.raises(ValueError, match="at least one sample"):
         sample_scenario(coc, 4, 0.1, 0, 0)
     sc = sample_scenario(coc, 4, 0.25, 8, 0)
     x = delta(coc.group, 1)
-    with pytest.raises(ValueError, match="horizon"):
-        martingale_transform(x, sc, 2.0)
+    for L in (2.0, np.nan, np.inf):
+        for call in (martingale_transform, transform_l2_analytic,
+                     lambda x, sc, L: bracket_estimates(x, sc, L, 4.0)):
+            with pytest.raises(ValueError, match=f"L = {L} does not match the scenario horizon"):
+                call(x, sc, L)
     with pytest.raises(ValueError, match="not on the grid"):
         dilation_matrix(x, 0.3, sc, 0)
     with pytest.raises(ValueError, match="sample index"):
