@@ -25,8 +25,8 @@ from .matrixalg import (ClockShiftBasis, Superoperator, clock_shift_basis,
                         superop_gamma, superop_gamma2, matrix_poincare,
                         matrix_poincare_ratio, matrix_worst_constant)
 from .dilation import (BrownianScenario, sample_scenario, dilation_matrix,
-                       dilation_mean, martingale_transform, bracket_estimates,
-                       inequality_report, transform_l2_analytic)
+                       dilation_mean, martingale_transform, TransformPass,
+                       bracket_estimates, inequality_report, transform_l2_analytic)
 from .families import (walsh_length, delta_psi,
                        heisenberg_delta, heisenberg_wordlength, builtin_length)
 

@@ -17,13 +17,14 @@ M_n(x) and its decoupled twin M~_n(x), driven by an independent increment
 copy, come as a pair from one pass.  With the Gaussian step integrated out
 (E_{k-1}[dB^j dB^l] = 2 dt delta_{jl}), the conditioned square functions
 are the dilation of Gamma, S_c = 2 dt sum_k pi_{t_k}(Gamma(y_k, y_k)) and
-S_r = the same with y_k^*: the brackets read the transform's phase field.
+S_r = the same with y_k^*: the brackets read the transform's phase field,
+so M, M~ and the bracket moments all come from one chunk pass.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -61,8 +62,8 @@ class BrownianScenario:
         return self.steps * self.dt
 
     @property
-    def grid(self) -> np.ndarray:
-        return np.arange(self.steps + 1) * self.dt
+    def times(self) -> np.ndarray:
+        return np.arange(self.steps) * self.dt      # t_k, the start of step k
 
     def _block(self, tag: int, lo: int, hi: int) -> np.ndarray:
         out = np.empty((hi - lo, self.steps, self.d))
@@ -163,52 +164,62 @@ def dilation_mean(x: AlgebraElement, t: float, scenario: BrownianScenario):
     return mean, np.sqrt(var / N)
 
 
-def _path_phases(bdiff: np.ndarray, dB: np.ndarray) -> np.ndarray:
-    """Phase field [c, k, h, g] of a chunk at B_{t_k} = sum_{i<k} dB[c, i]."""
-    Bcum = np.concatenate([np.zeros((dB.shape[0], 1, dB.shape[2])),
-                           np.cumsum(dB, axis=1)], axis=1)[:, :-1]
-    return _phases(bdiff, Bcum)
-
-
-def _step_matrices(group: FiniteGroup, bdiff: np.ndarray, amp: np.ndarray,
-                   drive: np.ndarray) -> np.ndarray:
-    """Step matrices dx[c, k]: the gather of i amp[c, k] <alpha_{h^{-1}} b(g), drive[c, k]>."""
-    return _gather(group, 1j * amp * np.einsum("hgj,ckj->ckhg", bdiff, drive))
-
-
 def _check_horizon(scenario: BrownianScenario, L: float) -> None:
     if not np.isfinite(L) or abs(L - scenario.horizon) > 1e-12 * max(1.0, L):
         raise ValueError(f"L = {L} does not match the scenario horizon {scenario.horizon}")
 
 
-def martingale_transform(x: AlgebraElement, scenario: BrownianScenario,
-                         L: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample matrices (M, M~) of M_n(x) and of its decoupled twin.
+class TransformPass(NamedTuple):
+    """Per-sample output of martingale_transform at p."""
+    p: float
+    M: np.ndarray           # M_n(x)
+    Mt: np.ndarray          # its decoupled twin M~_n(x)
+    sc_pow: np.ndarray      # tau(|S_c|^{p/2})
+    sr_pow: np.ndarray      # tau(|S_r|^{p/2})
+    dx_pow: np.ndarray      # sum_k tau(|dx_k|^p)
 
-    One pass: each chunk builds the phase field once and sums its step
-    matrices driven by the increments (M) and by the independent copy (M~).
+
+def martingale_transform(x: AlgebraElement, scenario: BrownianScenario, L: float,
+                         p: float) -> TransformPass:
+    """M_n(x), its decoupled twin and the bracket moments at p, per sample, in one pass.
+
+    Each chunk draws its increments and their copy once and builds the phase
+    field at B_{t_k} = sum_{i<k} dB_i once.  S_c and S_r read it against the
+    Gamma table; it is dropped once amp = y_k e^{i beta} is formed; the copy's
+    steps give M~, then the steps dx_k give M and sum_k ||dx_k||_p^p.  That
+    order keeps a chunk's peak memory low.
     """
     _check_horizon(scenario, L)
-    group = scenario.cocycle.group
+    if float(p) not in BRACKET_PS:
+        raise ValueError(f"bracket estimation supports p in {BRACKET_PS}, got {p}")
+    p = float(p)
+    group, sg = scenario.cocycle.group, scenario.semigroup
     bdiff = _bdiff(scenario.cocycle)
-    y = semigroup_apply(scenario.semigroup, x, L - scenario.grid[:-1, None]).coeffs[:, None, :]
+    y = semigroup_apply(sg, x, L - scenario.times[:, None])
+    gam = np.stack([gamma(sg, y, y).coeffs, gamma(sg, y.adjoint(), y.adjoint()).coeffs])
 
     def work(lo, hi):
         dB = scenario.increments(lo, hi)
-        amp = y * _path_phases(bdiff, dB)
-        return tuple(_step_matrices(group, bdiff, amp, drive).sum(axis=1)
-                     for drive in (dB, scenario.increments_copy(lo, hi)))
+        ph = _phases(bdiff, np.concatenate([np.zeros_like(dB[:, :1]),
+                                            np.cumsum(dB, axis=1)[:, :-1]], axis=1))
+        sc, sr = schatten_pow_batch(
+            2.0 * scenario.dt * _gather(group, np.einsum("ckhg,skg->schg", ph, gam)), p / 2.0)
+        amp = y.coeffs[:, None, :] * ph
+        del ph
+        def steps(drive):   # dx[c, k]: the gather of i amp[c, k] <alpha_{h^{-1}} b(g), drive[c, k]>
+            return _gather(group, 1j * amp * np.einsum("hgj,ckj->ckhg", bdiff, drive))
+        Mt = steps(scenario.increments_copy(lo, hi)).sum(axis=1)
+        dx = steps(dB)
+        return dx.sum(axis=1), Mt, sc, sr, schatten_pow_batch(dx, p).sum(axis=1)
 
-    M, Mt = zip(*_map_chunks(scenario, work))
-    return np.concatenate(M, axis=0), np.concatenate(Mt, axis=0)
+    return TransformPass(p, *(np.concatenate(part) for part in zip(*_map_chunks(scenario, work))))
 
 
 def transform_l2_analytic(x: AlgebraElement, scenario: BrownianScenario, L: float) -> float:
     """Exact E ||M_n(x)||_2^2 = sum_g |x_g|^2 psi(g) 2dt sum_k e^{-2(L-t_k) psi(g)}."""
     _check_horizon(scenario, L)
     psi = scenario.cocycle.psi
-    tk = np.arange(scenario.steps) * scenario.dt
-    w = np.exp(-2.0 * (L - tk)[:, None] * psi[None, :]).sum(axis=0)
+    w = np.exp(-2.0 * (L - scenario.times)[:, None] * psi[None, :]).sum(axis=0)
     return float(np.sum(np.abs(x.coeffs) ** 2 * psi * 2.0 * scenario.dt * w))
 
 
@@ -241,33 +252,18 @@ class BracketEstimates:
     hd: MeanSE
 
 
-def bracket_estimates(x: AlgebraElement, scenario: BrownianScenario, L: float,
-                      p: float) -> BracketEstimates:
+def bracket_estimates(transform: TransformPass) -> BracketEstimates:
     """hc/hr from the analytically conditioned square brackets, hd per step.
 
     hc^2 is the L_{p/2} norm of S_c = 2 dt sum_k pi_{t_k}(Gamma(y_k, y_k)),
     the conditioned sum of dx_k^dag dx_k (the Gaussian step is integrated
     out; the path-measurable phases stay); hr uses S_r, the same with
-    y_k^* = (T_{L-t_k} x)^*; hd^p sums E ||dx_k||_p^p over steps.
+    y_k^* = (T_{L-t_k} x)^*; hd^p sums E ||dx_k||_p^p over steps.  This
+    reduces the per-sample moments of one martingale_transform pass.
     """
-    _check_horizon(scenario, L)
-    if float(p) not in BRACKET_PS:
-        raise ValueError(f"bracket estimation supports p in {BRACKET_PS}, got {p}")
-    p = float(p)
-    group, sg = scenario.cocycle.group, scenario.semigroup
-    bdiff = _bdiff(scenario.cocycle)
-    y = semigroup_apply(sg, x, L - scenario.grid[:-1, None])
-    gam = np.stack([gamma(sg, y, y).coeffs, gamma(sg, y.adjoint(), y.adjoint()).coeffs])
-
-    def work(lo, hi):
-        dB = scenario.increments(lo, hi)
-        ph = _path_phases(bdiff, dB)
-        S = 2.0 * scenario.dt * _gather(group, np.einsum("ckhg,skg->schg", ph, gam))
-        dx = _step_matrices(group, bdiff, y.coeffs[:, None, :] * ph, dB)
-        return (*schatten_pow_batch(S, p / 2.0), schatten_pow_batch(dx, p).sum(axis=1))
-
-    hc, hr, hd = (np.concatenate(part) for part in zip(*_map_chunks(scenario, work)))
-    return BracketEstimates(p, _root_stat(hc, p), _root_stat(hr, p), _root_stat(hd, p))
+    p = transform.p
+    return BracketEstimates(p, _root_stat(transform.sc_pow, p), _root_stat(transform.sr_pow, p),
+                            _root_stat(transform.dx_pow, p))
 
 
 @dataclass(frozen=True)
@@ -305,16 +301,16 @@ def inequality_report(x: AlgebraElement, scenario: BrownianScenario, L: float, p
     gradient bound Gamma(T_s x, T_s x) <= e^{-2 alpha s} T_s Gamma(x,x)
     makes the slack nonnegative up to MC error.
     """
-    br = bracket_estimates(x, scenario, L, p)
-    p = br.p
-    M, Mt = martingale_transform(x, scenario, L)
-    mn = _root_stat(schatten_pow_batch(M, p), p)
-    mt = _root_stat(schatten_pow_batch(Mt, p), p)
+    tr = martingale_transform(x, scenario, L, p)
+    br = bracket_estimates(tr)
+    p = tr.p
+    mn = _root_stat(schatten_pow_batch(tr.M, p), p)
+    mt = _root_stat(schatten_pow_batch(tr.Mt, p), p)
     ratio = mn.mean / mt.mean if mt.mean > 0 else np.inf
     ratio_se = ratio * (mn.se / mn.mean + mt.se / mt.mean) if mt.mean > 0 and mn.mean > 0 else 0.0
     denom = np.sqrt(p) * max(br.hc.mean, br.hr.mean)
     bdg = mn.mean / denom if denom > 0 else np.inf
-    ito = _mean_se(schatten_pow_batch(M, 2.0))
+    ito = _mean_se(schatten_pow_batch(tr.M, 2.0))
     bound = None
     if alpha_cert is not None and alpha_cert.alpha_star > 0:
         a = alpha_cert.alpha_star

@@ -21,8 +21,6 @@ def schatten_norm(mat: np.ndarray, p: float):
     A float for one matrix; an array for an (..., n, n) stack, which takes
     one call.
     """
-    if p < 1:
-        raise ValueError(f"Schatten norm needs p >= 1, got {p}")
     out = _schatten(mat, p, take_root=True)
     return float(out) if np.ndim(out) == 0 else out
 
@@ -47,8 +45,10 @@ def _schatten(mats: np.ndarray, p: float, take_root: bool) -> np.ndarray:
     about _BLOCK entries so its temporaries stay small on large stacks.  Any
     other p (odd, fractional, inf) takes the singular values, the reference
     route; for the root they are rescaled by their max before powering.
-    Non-finite input raises ValueError on both routes.
+    Both scale by _pow2_scale first; a p not >= 1 (NaN too) raises ValueError.
     """
+    if not p >= 1:
+        raise ValueError(f"Schatten norm needs p >= 1, got {p}")
     mats = np.asarray(mats)
     if p >= 2 and float(p).is_integer() and int(p) % 2 == 0:
         flat = mats.reshape((-1,) + mats.shape[-2:])
@@ -58,39 +58,41 @@ def _schatten(mats: np.ndarray, p: float, take_root: bool) -> np.ndarray:
             scale[lo:lo + step], acc[lo:lo + step] = _even_moment(flat[lo:lo + step], int(p) // 2)
         scale, acc = scale.reshape(mats.shape[:-2]), acc.reshape(mats.shape[:-2])
         return scale * root(acc, p) if take_root else scale ** p * acc
-    if not np.isfinite(mats).all():
-        raise ValueError(_NOT_FINITE)
-    s = np.linalg.svd(mats, compute_uv=False)
+    c, y = _pow2_scale(mats)
+    s = np.linalg.svd(y, compute_uv=False)
     if not take_root:
-        return np.mean(s ** p, axis=-1)
+        return np.mean((c[..., None] * s) ** p, axis=-1)
     smax = s[..., 0]
     if np.isinf(p):
-        return smax
+        return c * smax
     acc = np.mean((s / np.where(smax > 0, smax, 1.0)[..., None]) ** p, axis=-1)
-    return smax * root(acc, p)
+    return c * (smax * root(acc, p))     # c * smax alone can overflow where the norm does not
 
 
-def _even_moment(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(c, tau((Y* Y)^m)) per matrix of a (k, n, n) stack x, with Y = x / c.
-
-    c = 2^e is the power of two at or below the largest |entry|, with
-    e >= -1022 so that 1/c is finite too: the scaling is exact, and
-    p = 2m = 16 neither overflows nor underflows.  With H = Y* Y,
-    tau(H^m) = (1/n) ||Z||_F^2 for Z = H^{m/2} (m even) or Z = Y H^{(m-1)/2}
-    (m odd): a sum of squares, and Z = Y itself at p = 2.
-    """
+def _pow2_scale(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c, x / c) per matrix of a (..., n, n) stack, c = 2^e at or below its largest |entry|:
+    exact, since e >= -1022 keeps 1/c finite.  Non-finite input raises ValueError."""
     amax = np.abs(x).max(axis=(-2, -1))
     if not np.isfinite(amax).all():
         raise ValueError(_NOT_FINITE)
     e = np.maximum(np.frexp(amax)[1] - 1, -1022)
-    y = x * np.ldexp(1.0, -e)[:, None, None]
+    return np.ldexp(1.0, e), x * np.ldexp(1.0, -e)[..., None, None]
+
+
+def _even_moment(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(c, tau((Y* Y)^m)) per matrix of a (k, n, n) stack x, with (c, Y) = _pow2_scale(x).
+
+    With H = Y* Y, tau(H^m) = (1/n) ||Z||_F^2 for Z = H^{m/2} (m even) or
+    Z = Y H^{(m-1)/2} (m odd): a sum of squares, and Z = Y itself at p = 2.
+    """
+    c, y = _pow2_scale(x)
     z = y
     if m > 1:
         z = np.linalg.matrix_power(np.swapaxes(y.conj(), -1, -2) @ y, m // 2)
         if m % 2:
             z = y @ z
     sq = (z * z.conj()).real
-    return np.ldexp(1.0, e), sq.reshape(len(sq), -1).sum(axis=-1) / z.shape[-1]
+    return c, sq.reshape(len(sq), -1).sum(axis=-1) / z.shape[-1]
 
 
 def hermitize(M: np.ndarray, tol: float = HERMITIAN_PRECHECK) -> np.ndarray:

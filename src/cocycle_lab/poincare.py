@@ -204,7 +204,7 @@ def sweep(worst: Callable[[float, int], WorstConstant], p_grid: Sequence[float],
     fitted but no envelope exists.
     """
     ps = [float(p) for p in p_grid]
-    if any(p < 2 or p > 16 for p in ps):
+    if not all(2 <= p <= 16 for p in ps):
         raise ValueError(f"p grid must lie in [2, 16], got {ps}")
     if len(set(ps)) < 2:
         raise ValueError(f"p grid needs two distinct values to fit the growth exponent, got {ps}")

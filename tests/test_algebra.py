@@ -73,8 +73,12 @@ def test_lp_norms():
             assert np.array_equal(moments, [schatten_pow_batch(m, p) for m in mats])
         assert np.array_equal(lp_norm(AlgebraElement(g5, stack), p), norms)
         assert isinstance(schatten_norm(mats[3], p), float)
-    with pytest.raises(ValueError, match="p >= 1"):
-        lp_norm(f, 0.5)
+    # one p check serves both norm functions; NaN fails it too
+    for bad in (0.5, np.nan):
+        for call in (lambda: lp_norm(f, bad), lambda: schatten_norm(np.eye(3), bad),
+                     lambda: schatten_pow_batch(mats, bad)):
+            with pytest.raises(ValueError, match=f"p >= 1, got {bad}"):
+                call()
 
 
 @pytest.mark.parametrize("p", [2.0, 4.0, 16.0, 1.0, 3.0, 5.5, np.inf])
@@ -94,16 +98,21 @@ def test_schatten_rejects_non_finite_input(p):
 
 
 def test_schatten_scale_guard():
-    """p = 16 neither overflows nor underflows: the norm is homogeneous per matrix."""
+    """The norm is homogeneous per matrix on both routes: p = 16 neither overflows nor
+    underflows, and the SVD route stays finite where sigma_max itself overflows."""
     x = rand_matrix(8, 80, unit=False)
-    base = schatten_norm(x, 16)
-    assert base == pytest.approx(svd_schatten(x, 16), rel=1e-12)
-    scales = (1e-150, 1.0, 1e150, 1e200)
-    stack = schatten_norm(np.stack([c * x for c in scales] + [np.zeros((8, 8))]), 16)
-    for c, norm in zip(scales, stack):
-        assert abs(schatten_norm(c * x, 16) - c * base) <= 1e-12 * c * base
-        assert abs(norm - c * base) <= 1e-12 * c * base
-    assert stack[-1] == 0.0
+    huge = 1e308 / np.abs(x).max()      # sigma_max(huge * x) is 2.4e308, past the float range
+    for p in (16, 1, 3, 2.5, np.inf):
+        base = schatten_norm(x, p)
+        want = np.linalg.svd(x, compute_uv=False)[0] if np.isinf(p) else svd_schatten(x, p)
+        assert base == pytest.approx(want, rel=1e-12)
+        # the norm of huge * x is below the float maximum at p = 1, 3 and 2.5 only
+        scales = (1e-150, 1.0, 1e150, 1e200) + ((huge,) if p in (1, 3, 2.5) else ())
+        stack = schatten_norm(np.stack([c * x for c in scales] + [np.zeros((8, 8))]), p)
+        for c, norm in zip(scales, stack):
+            assert abs(schatten_norm(c * x, p) - c * base) <= 1e-12 * c * base
+            assert abs(norm - c * base) <= 1e-12 * c * base
+        assert stack[-1] == 0.0
 
 
 @settings(max_examples=40, deadline=None)

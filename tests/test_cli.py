@@ -209,6 +209,10 @@ def test_cli_errors_exit_nonzero(tmp_path, capsys):
                      "--budget", "10"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("poincare:") and "two distinct values" in err
+    for cmd in (["poincare", "--builtin", "wordlength:4"], ["matrix", "--n", "2"]):
+        assert main([*cmd, "--p", "2,nan", "--budget", "10"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{cmd[0]}:") and "p grid must lie in [2, 16], got [2.0, nan]" in err
     for cmd in (["matrix", "--n", "2"],
                 ["lindblad", "--a", write_json(tmp_path / "a.json", {"a": [
                     [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]})]):

@@ -72,6 +72,10 @@ def bracket_reference(x, sc, L, p):
     return tuple(_root_stat(schatten_pow_batch(S, p / 2.0), p) for S in (Sc, Sr))
 
 
+def brackets(x, sc, L, p):
+    return bracket_estimates(martingale_transform(x, sc, L, p))
+
+
 @pytest.fixture(scope="module")
 def wordlength_scenario():
     coc = realize_cocycle(gromov_form(builtin_length("wordlength:6")))
@@ -98,16 +102,16 @@ def test_scenario_validation():
     sc = sample_scenario(coc, 4, 0.25, 8, 0)
     x = delta(coc.group, 1)
     for L in (2.0, np.nan, np.inf):
-        for call in (martingale_transform, transform_l2_analytic,
-                     lambda x, sc, L: bracket_estimates(x, sc, L, 4.0)):
+        for call in (lambda x, sc, L: martingale_transform(x, sc, L, 4.0), transform_l2_analytic):
             with pytest.raises(ValueError, match=f"L = {L} does not match the scenario horizon"):
                 call(x, sc, L)
     with pytest.raises(ValueError, match="not on the grid"):
         dilation_matrix(x, 0.3, sc, 0)
     with pytest.raises(ValueError, match="sample index"):
         dilation_matrix(x, 0.25, sc, 8)
-    with pytest.raises(ValueError, match="supports p in"):
-        bracket_estimates(x, sc, 1.0, 3.0)
+    for p in (3.0, np.nan):
+        with pytest.raises(ValueError, match="supports p in"):
+            martingale_transform(x, sc, 1.0, p)
 
 
 def test_increments_deterministic_and_copy_independent(small_scenario):
@@ -176,17 +180,19 @@ def test_dilation_mean_matches_semigroup(small_scenario):
 def test_martingale_transform_identity_is_zero(small_scenario):
     sc = small_scenario
     one = element(sc.cocycle.group, [1.0, 0, 0, 0])
-    M, Mt = martingale_transform(one, sc, 1.0)
-    assert M.shape == Mt.shape == (sc.samples, 4, 4)
-    assert np.abs(M).max() == 0.0
-    assert np.abs(Mt).max() == 0.0
+    tr = martingale_transform(one, sc, 1.0, 4.0)
+    assert tr.M.shape == tr.Mt.shape == (sc.samples, 4, 4)
+    assert np.abs(tr.M).max() == 0.0
+    assert np.abs(tr.Mt).max() == 0.0
+    for moments in (tr.sc_pow, tr.sr_pow, tr.dx_pow):
+        assert moments.shape == (sc.samples,) and np.abs(moments).max() == 0.0
 
 
 def test_single_generator_bracket_closed_form(small_scenario):
     # for x = lambda(g) the conditioned bracket is deterministic
     sc = small_scenario
     x = delta(sc.cocycle.group, 1)
-    est = bracket_estimates(x, sc, 1.0, 2.0)
+    est = brackets(x, sc, 1.0, 2.0)
     want = np.sqrt(transform_l2_analytic(x, sc, 1.0))
     assert est.hc.se < 1e-12
     assert abs(est.hc.mean - want) < 1e-10
@@ -202,7 +208,7 @@ def test_brackets_match_cocycle_coordinate_reference(p, small_scenario, wordleng
              (heisenberg_scenario, rand_coeffs(27, 4))]
     for sc, coeffs in cases:
         x = element(sc.cocycle.group, coeffs)
-        est = bracket_estimates(x, sc, 1.0, p)
+        est = brackets(x, sc, 1.0, p)
         for got, want in zip((est.hc, est.hr), bracket_reference(x, sc, 1.0, p)):
             assert got.mean == pytest.approx(want.mean, rel=1e-12)
             # absolute 1e-15 for SEs that are rounding noise (walsh:2:2)
@@ -212,8 +218,7 @@ def test_brackets_match_cocycle_coordinate_reference(p, small_scenario, wordleng
 def test_ito_isometry(small_scenario):
     sc = small_scenario
     x = element(sc.cocycle.group, [0.0, 1.0, 0.7, 0.3j])
-    M, _ = martingale_transform(x, sc, 1.0)
-    vals = schatten_pow_batch(M, 2.0)
+    vals = schatten_pow_batch(martingale_transform(x, sc, 1.0, 2.0).M, 2.0)
     mean = vals.mean()
     se = vals.std(ddof=1) / np.sqrt(sc.samples)
     assert abs(mean - transform_l2_analytic(x, sc, 1.0)) <= 5 * se
@@ -222,8 +227,7 @@ def test_ito_isometry(small_scenario):
 def test_ito_isometry_decoupled(small_scenario):
     sc = small_scenario
     x = element(sc.cocycle.group, [0.0, 1.0, 0.7, 0.3j])
-    _, Mt = martingale_transform(x, sc, 1.0)
-    vals = schatten_pow_batch(Mt, 2.0)
+    vals = schatten_pow_batch(martingale_transform(x, sc, 1.0, 2.0).Mt, 2.0)
     mean = vals.mean()
     se = vals.std(ddof=1) / np.sqrt(sc.samples)
     assert abs(mean - transform_l2_analytic(x, sc, 1.0)) <= 5 * se
@@ -232,12 +236,12 @@ def test_ito_isometry_decoupled(small_scenario):
 def test_transform_norms_deterministic(small_scenario):
     sc = small_scenario
     x = element(sc.cocycle.group, [0.0, 1.0, 0.7, 0.3j])
-    M, Mt = martingale_transform(x, sc, 1.0)
-    M2, Mt2 = martingale_transform(x, sc, 1.0)
-    assert M.shape == Mt.shape == (sc.samples, 4, 4)
-    assert np.array_equal(M, M2)
-    assert np.array_equal(Mt, Mt2)
-    assert not np.allclose(M, Mt)
+    tr = martingale_transform(x, sc, 1.0, 4.0)
+    tr2 = martingale_transform(x, sc, 1.0, 4.0)
+    assert tr.M.shape == tr.Mt.shape == (sc.samples, 4, 4)
+    for a, b in zip(tr, tr2):
+        assert np.array_equal(a, b)
+    assert not np.allclose(tr.M, tr.Mt)
 
 
 def test_richardson_step_refinement():
@@ -248,7 +252,7 @@ def test_richardson_step_refinement():
     vals = []
     for steps in (16, 32, 64):
         sc = sample_scenario(coc, steps, L / steps, 1024, seed=7)
-        vals.append(bracket_estimates(x, sc, L, 4.0).hc.mean)
+        vals.append(brackets(x, sc, L, 4.0).hc.mean)
     ratio = (vals[2] - vals[1]) / (vals[1] - vals[0])
     assert 0.3 < ratio < 0.7
 
@@ -261,7 +265,7 @@ def test_step_bracket_halves_with_dt():
     vals = []
     for steps in (32, 64):
         sc = sample_scenario(coc, steps, L / steps, 512, seed=3)
-        est = bracket_estimates(x, sc, L, 4.0)
+        est = brackets(x, sc, L, 4.0)
         vals.append(est.hd.mean ** 4.0)
     factor = vals[1] / vals[0]
     assert 0.44 < factor < 0.60
@@ -293,6 +297,25 @@ def test_inequality_report_without_alpha(small_scenario):
                             alpha_cert=AlphaCertificate(0.0, "synthetic",
                                                         np.zeros(1), 0.0))
     assert rep.bracket_bound is None
+
+
+def test_inequality_report_draws_each_block_once(small_scenario, monkeypatch):
+    # one chunk pass: the transform, the brackets and h_d read one draw of each
+    # sample's increment block and of its copy, in one chunk or in chunks of 7
+    sc = small_scenario
+    x = element(sc.cocycle.group, [0.0, 1.0, 0.7, 0.3j])
+    for size in (sc.samples, 7):
+        drawn = {"increments": [], "increments_copy": []}
+        with monkeypatch.context() as m:
+            m.setattr(dilation, "_chunks", lambda s, c=size: [
+                (lo, min(lo + c, s.samples)) for lo in range(0, s.samples, c)])
+            for name, log in drawn.items():
+                draw = getattr(dilation.BrownianScenario, name)
+                m.setattr(dilation.BrownianScenario, name, lambda self, lo, hi, draw=draw, log=log:
+                          log.extend(range(lo, hi)) or draw(self, lo, hi))
+            inequality_report(x, sc, 1.0, 4.0)
+        for name, log in drawn.items():
+            assert sorted(log) == list(range(sc.samples)), (size, name)
 
 
 def test_inequality_report_independent_of_thread_count(monkeypatch):

@@ -153,8 +153,9 @@ def test_sweep_p_grid_range_checked():
     sg = Semigroup(word_length_psi(4))
     with pytest.raises(ValueError, match=r"\[2, 16\]"):
         sweep_and_fit(sg, [1.5, 4.0], budget=10)
-    with pytest.raises(ValueError, match=r"\[2, 16\]"):
-        sweep_and_fit(sg, [2.0, 18.0], budget=10)
+    for grid in ([2.0, 18.0], [2.0, float("nan")]):
+        with pytest.raises(ValueError, match=r"\[2, 16\]"):
+            sweep_and_fit(sg, grid, budget=10)
     for grid in ([2.0], [4.0, 4.0], []):
         with pytest.raises(ValueError, match="two distinct values"):
             sweep_and_fit(sg, grid, budget=10)
