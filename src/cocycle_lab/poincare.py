@@ -24,6 +24,7 @@ from . import rng
 
 GRAD_STEP = 1e-6
 REL_IMPROVEMENT_STOP = 1e-8
+ROUND_ROWS = 128      # rows per objective call in an optimizer round: bounds its memory
 
 
 class ZeroNumeratorError(ValueError):
@@ -76,21 +77,26 @@ class WorstConstant(NamedTuple):
 def maximize_on_sphere(fun: Callable[[np.ndarray], Any], dim: int,
                        budget: int, seed: int, n_starts: int = 32,
                        coord_starts: int = 16, rng_tag: int = rng.TAG_POINCARE):
-    """Multi-start projected gradient ascent on the unit sphere.
+    """Multi-start projected gradient ascent on the unit sphere, the starts in lock step.
 
-    fun maps a point (dim,) to a float and a stack (k, dim) to k values.
-    A central-difference gradient (step 1e-6) scores its 2 dim points,
-    x + 1e-6 e_i then x - 1e-6 e_i, in one call; a line-search probe is a
-    one-point call.  A start takes a new gradient while it has scored
-    fewer than budget // (number of starts) points, adapts its step by
-    backtracking, and stops when its relative improvement drops below
-    1e-8.  Deterministic for a fixed seed: start s draws from the stream
-    (seed, tag, s) and ties resolve in start order.  Returns (best value,
-    best point, gap).
+    fun maps a (k, dim) stack of points to k values, each row on its own.
+    Each round scores the pending request of every active start, in start
+    order, in blocks of at most ROUND_ROWS rows through thread_map: a start
+    point or line-search probe (one row), or a central-difference gradient
+    (step 1e-6) of 2 dim rows, x + 1e-6 e_i then x - 1e-6 e_i.  A start
+    takes a new gradient while it has scored fewer than budget // n_starts
+    points, adapts its step by backtracking, and stops when its relative
+    improvement drops below 1e-8.  The starts are min(dim, coord_starts,
+    n_starts) coordinate vectors, then start s draws from the stream (seed,
+    tag, s).  Each start visits the points it would visit alone, whatever
+    the block size or thread count; ties resolve in start order.  Returns
+    (best value, best point, gap).
     """
     if budget < 1:
         raise ValueError(f"optimizer budget must be >= 1, got {budget}")
-    starts = list(np.eye(dim)[:min(dim, coord_starts)])
+    if n_starts < 1:
+        raise ValueError(f"optimizer n_starts must be >= 1, got {n_starts}")
+    starts = list(np.eye(dim)[:min(dim, coord_starts, n_starts)])
     for s in range(len(starts), n_starts):
         v = rng.stream(seed, rng_tag, s).standard_normal(dim)
         n = np.linalg.norm(v)
@@ -99,18 +105,13 @@ def maximize_on_sphere(fun: Callable[[np.ndarray], Any], dim: int,
     h = GRAD_STEP * np.eye(dim)
 
     def run_start(x0: np.ndarray):
-        evals = 0
-
-        def f(X):
-            nonlocal evals
-            evals += 1 if X.ndim == 1 else len(X)
-            return fun(X)
-
         x = x0 / np.linalg.norm(x0)
-        val = f(x)
+        val = (yield x[None])[0]
+        evals = 1
         step, gap = 0.1, np.inf
         while evals < per_start:
-            v = f(np.concatenate([x + h, x - h]))
+            v = yield np.concatenate([x + h, x - h])
+            evals += 2 * dim
             g = (v[:dim] - v[dim:]) / (2 * GRAD_STEP)
             g -= (g @ x) * x                      # tangent projection
             if np.linalg.norm(g) < 1e-12:
@@ -119,7 +120,8 @@ def maximize_on_sphere(fun: Callable[[np.ndarray], Any], dim: int,
             while step > 1e-12:
                 xn = x + step * g
                 xn /= np.linalg.norm(xn)
-                vn = f(xn)
+                vn = (yield xn[None])[0]
+                evals += 1
                 if vn > val:
                     gap = (vn - val) / max(abs(val), 1e-30)
                     x, val = xn, vn
@@ -131,7 +133,21 @@ def maximize_on_sphere(fun: Callable[[np.ndarray], Any], dim: int,
                 break
         return val, x, gap if np.isfinite(gap) else 0.0
 
-    results = thread_map(run_start, starts)
+    runs = [run_start(x0) for x0 in starts]
+    pending = {i: next(r) for i, r in enumerate(runs)}
+    results = [None] * len(runs)
+    while pending:
+        rows = np.concatenate(list(pending.values()))
+        blocks = [rows[lo:lo + ROUND_ROWS] for lo in range(0, len(rows), ROUND_ROWS)]
+        values = np.concatenate(thread_map(fun, blocks))
+        lo = 0
+        for i, req in list(pending.items()):
+            try:
+                pending[i] = runs[i].send(values[lo:lo + len(req)])
+            except StopIteration as done:
+                results[i] = done.value
+                del pending[i]
+            lo += len(req)
     best = max(range(len(results)), key=lambda i: results[i][0])
     return results[best]
 

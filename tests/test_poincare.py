@@ -1,14 +1,17 @@
+import sys
+
 import numpy as np
 import pytest
 
+from cocycle_lab import poincare, rng as clrng
 from cocycle_lab.algebra import AlgebraElement, Semigroup, element, gamma, regular_rep
 from cocycle_lab.cocycles import gromov_form, length_function, word_length_psi
 from cocycle_lab.criterion import AlphaCertificate, best_alpha_pencil
 from cocycle_lab.families import builtin_length, delta_psi
 from cocycle_lab.groups import build_cyclic
-from cocycle_lab.matrixalg import heisenberg_multiplier, matrix_poincare
-from cocycle_lab.poincare import (GRAD_STEP, ZeroNumeratorError, fit_exponent,
-                                  l2_oracle, maximize_on_sphere, maximize_ratio,
+from cocycle_lab.matrixalg import heisenberg_multiplier, matrix_poincare, matrix_worst_constant
+from cocycle_lab.poincare import (GRAD_STEP, REL_IMPROVEMENT_STOP, ZeroNumeratorError,
+                                  fit_exponent, l2_oracle, maximize_on_sphere, maximize_ratio,
                                   poincare_ratio, sweep_and_fit, worst_constant)
 
 from conftest import captured_objective, rand_coeffs
@@ -58,14 +61,26 @@ def test_worst_constant_deterministic():
 
 
 def test_worst_constant_independent_of_thread_count(monkeypatch):
-    sg = Semigroup(builtin_length("walsh:2:3"))
-    runs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("COCYCLE_LAB_THREADS", threads)
-        runs.append(worst_constant(sg, 4.0, budget=3000, seed=1))
-    a, b = runs
-    assert a.constant == b.constant and a.optimizer_gap == b.optimizer_gap
-    assert np.array_equal(a.witness.coeffs, b.witness.coeffs)
+    # ... and of the row blocks that the threads spread: blocks of 1, 7 and one per round
+    runs = {"group": lambda: worst_constant(Semigroup(builtin_length("walsh:2:3")), 4.0,
+                                            budget=3000, seed=1),
+            "matrix": lambda: matrix_worst_constant(heisenberg_multiplier(2, "delta"), 4.0,
+                                                    budget=3000, seed=1)}
+    for side, run in runs.items():
+        res = {}
+        for threads in ("1", "2"):
+            with monkeypatch.context() as m:
+                m.setenv("COCYCLE_LAB_THREADS", threads)
+                res[f"threads={threads}"] = run()
+        for rows in (1, 7, sys.maxsize):
+            with monkeypatch.context() as m:
+                m.setattr(poincare, "ROUND_ROWS", rows)
+                res[f"rows={rows}"] = run()
+        a = res["threads=1"]
+        for name, b in res.items():
+            assert a.constant == b.constant and a.optimizer_gap == b.optimizer_gap, (side, name)
+            assert np.array_equal(getattr(a.witness, "coeffs", a.witness),
+                                  getattr(b.witness, "coeffs", b.witness)), (side, name)
 
 
 @pytest.mark.parametrize("threads", ["two", "0"])
@@ -99,32 +114,115 @@ def test_maximizer_deterministic():
     assert np.array_equal(a[1], b[1])
 
 
-def test_maximizer_scores_each_gradient_in_one_call():
-    rng = np.random.default_rng(5)
-    v = rng.standard_normal(5)
-    dim, budget, n_starts = 5, 120, 4
+def test_maximizer_n_starts():
     calls = []
 
     def fun(Y):
         calls.append(Y.copy())
-        return (Y @ v) ** 2
+        return Y[:, 0] ** 2
 
-    maximize_on_sphere(fun, dim, budget, seed=2, n_starts=n_starts, coord_starts=n_starts)
+    dim, budget, n_starts = 20, 400, 4
+    maximize_on_sphere(fun, dim, budget, seed=0, n_starts=n_starts)
+    assert np.array_equal(calls[0], np.eye(dim)[:n_starts])   # the first round: every start point
+    assert sum(map(len, calls)) <= n_starts * (budget // n_starts + 2 * dim)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="n_starts"):
+            maximize_on_sphere(fun, dim, budget, seed=0, n_starts=bad)
+
+
+def _one_start_at_a_time(fun, dim, budget, seed, n_starts):
+    """maximize_on_sphere with each start run alone, one objective call per request.
+
+    Returns its result and each start's requests in order.
+    """
+    starts = list(np.eye(dim)[:min(dim, 16, n_starts)])
+    for s in range(len(starts), n_starts):
+        v = clrng.stream(seed, clrng.TAG_POINCARE, s).standard_normal(dim)
+        starts.append(v / np.linalg.norm(v))
+    per_start = max(1, budget // n_starts)
     h = GRAD_STEP * np.eye(dim)
-    last_point = None
-    for Y in calls:
-        if Y.ndim == 1:                 # start point or line-search probe: one point
-            assert Y.shape == (dim,)
-            last_point = Y
-        else:                           # gradient: the whole stencil around the last point
-            assert np.array_equal(Y, np.concatenate([last_point + h, last_point - h]))
-    # every start is a coordinate start e_s, whose first call is e_s itself
-    firsts = [i for i, Y in enumerate(calls) if Y.ndim == 1 and np.count_nonzero(Y) == 1]
-    assert len(firsts) == n_starts
+    results, requests = [], []
+    for x0 in starts:
+        log = []
+        requests.append(log)
+
+        def f(X):
+            log.append(X)
+            return fun(X)
+
+        x = x0 / np.linalg.norm(x0)
+        val = f(x)
+        step, gap = 0.1, np.inf
+        while sum(len(np.atleast_2d(X)) for X in log) < per_start:
+            v = f(np.concatenate([x + h, x - h]))
+            g = (v[:dim] - v[dim:]) / (2 * GRAD_STEP)
+            g -= (g @ x) * x
+            if np.linalg.norm(g) < 1e-12:
+                break
+            improved = False
+            while step > 1e-12:
+                xn = x + step * g
+                xn /= np.linalg.norm(xn)
+                vn = f(xn)
+                if vn > val:
+                    gap = (vn - val) / max(abs(val), 1e-30)
+                    x, val = xn, vn
+                    step *= 1.3
+                    improved = True
+                    break
+                step *= 0.5
+            if not improved or gap < REL_IMPROVEMENT_STOP:
+                break
+        results.append((val, x, gap if np.isfinite(gap) else 0.0))
+    best = max(range(len(results)), key=lambda i: results[i][0])
+    return results[best], requests
+
+
+@pytest.mark.parametrize("rows", [7, poincare.ROUND_ROWS], ids=["7", "default"])
+def test_lock_step_matches_one_start_at_a_time(monkeypatch, rows):
+    monkeypatch.setattr(poincare, "ROUND_ROWS", rows)
+    v = np.random.default_rng(5).standard_normal(5)
+    dim, budget, n_starts = 5, 120, 4
+    calls = []
+
+    def fun(Y):                          # records its input and scores each row on its own
+        calls.append(Y.copy())
+        vals = np.array([(y @ v) ** 2 for y in np.atleast_2d(Y)])
+        return vals if Y.ndim == 2 else float(vals[0])
+
+    got = maximize_on_sphere(fun, dim, budget, seed=2, n_starts=n_starts)
+    rounds_calls = calls[:]
+    want, requests = _one_start_at_a_time(fun, dim, budget, 2, n_starts)
+    assert got[0] == want[0] and np.array_equal(got[1], want[1]) and got[2] == want[2]
+    assert len(requests) == n_starts
+    # round r holds the r-th request of every start that has one, in start order, and
+    # is scored in calls of `rows` rows; pull each start's requests out of the rounds
+    stream = iter(np.concatenate(rounds_calls))
+    pulled = [[] for _ in requests]
+    sizes = []
+    for r in range(max(map(len, requests))):
+        total = 0
+        for s, reqs in enumerate(requests):
+            if r < len(reqs):
+                k = len(np.atleast_2d(reqs[r]))
+                pulled[s].append(np.array([next(stream) for _ in range(k)]))
+                total += k
+        sizes += [min(rows, total - lo) for lo in range(0, total, rows)]
+    assert next(stream, None) is None
+    assert [len(Y) for Y in rounds_calls] == sizes      # no call exceeds the row bound
+    h = GRAD_STEP * np.eye(dim)
     per_start = budget // n_starts
-    for a, b in zip(firsts, firsts[1:] + [len(calls)]):
-        points = [1 if Y.ndim == 1 else len(Y) for Y in calls[a:b]]
-        last_gradient = max(i for i in range(b - a) if calls[a + i].ndim == 2)
+    for reqs, mine in zip(requests, pulled):
+        assert len(mine) == len(reqs)
+        assert all(np.array_equal(Y, np.atleast_2d(X)) for Y, X in zip(mine, reqs))
+        last_point = None
+        for Y in mine:
+            if len(Y) == 1:              # start point or line-search probe: one point
+                last_point = Y[0]
+            else:                        # gradient: the whole stencil around the last point
+                assert np.array_equal(Y, np.concatenate([last_point + h, last_point - h]))
+        points = [len(Y) for Y in mine]
+        last_gradient = max(i for i, n in enumerate(points) if n == 2 * dim)
         assert sum(points[:last_gradient]) < per_start     # a new gradient only within budget
         assert per_start <= sum(points) <= per_start + 2 * dim
 
