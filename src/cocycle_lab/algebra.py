@@ -15,9 +15,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .cocycles import GromovForm, LengthFunction, gromov_form
+from .cocycles import DEFAULT_TOL, GromovForm, LengthFunction, gromov_form
 from .groups import FiniteGroup
-from .linalg import hermitize, psd_scale, schatten_norm
+from .linalg import HERMITIAN_PRECHECK, hermitize, psd_scale, schatten_norm
 
 
 @dataclass(frozen=True)
@@ -171,11 +171,11 @@ class PositivityReport:
     min_eig: float
 
 
-def operator_positivity(f: AlgebraElement, tol: float = 1e-9) -> PositivityReport:
+def operator_positivity(f: AlgebraElement) -> PositivityReport:
     """Minimum eigenvalue of regular_rep(f) for Hermitian f."""
     herm_dev = np.abs(f.adjoint().coeffs - f.coeffs).max()
-    if herm_dev > 1e-10:
+    if herm_dev > HERMITIAN_PRECHECK:
         raise ValueError(f"element is not Hermitian: f* - f has max coefficient {herm_dev:.3e}")
     M = hermitize(regular_rep(f))
     w = np.linalg.eigvalsh(M)
-    return PositivityReport(bool(w[0] >= -tol * psd_scale(w)), float(w[0]))
+    return PositivityReport(bool(w[0] >= -DEFAULT_TOL * psd_scale(w)), float(w[0]))

@@ -32,7 +32,7 @@ from .cocycles import (gromov_form, is_conditionally_negative, length_function,
 from .criterion import best_alpha_bisection, best_alpha_pencil
 from .dilation import inequality_report, sample_scenario
 from .families import builtin_length
-from .groups import build_from_spec, group_to_dict, load_group, save_group
+from .groups import build_from_spec, group_to_dict, load_group
 from .matrixalg import (alpha_battery, heisenberg_multiplier, lindblad_gamma_residual,
                         lindblad_generator, matrix_poincare)
 from .poincare import sweep_and_fit
@@ -123,6 +123,8 @@ def _psi_config_from_args(args, required: bool) -> Optional[dict]:
         gspec = _group_spec_from_file(group)
     elif "group" in data:
         gsrc = data["group"]
+        if isinstance(gsrc, dict) and gsrc.get("kind") == "table" and "path" in gsrc:
+            gsrc = gsrc["path"]         # inline the table: the config must not name a file
         gspec = _group_spec_from_file(gsrc) if isinstance(gsrc, str) else dict(gsrc)
     else:
         raise ValueError("no group given: add --group FILE or a 'group' field to the psi JSON")
@@ -524,7 +526,7 @@ def main(argv=None) -> int:
         else:
             results = _RUNNERS[cmd](config)
         if cmd == "group":
-            save_group(build_from_spec(config["spec"]), out)
+            _emit(json.dumps(results["group"]) + "\n", out)     # the bytes save_group writes
             out = None
         _emit(_report_text(cmd, config, results, config.get("seed")), out)
         if cmd == "gallery":

@@ -32,10 +32,13 @@ class LengthFunction:
 
 
 def length_function(group: FiniteGroup, values) -> LengthFunction:
-    """Validated constructor: psi(e) = 0, psi >= 0, psi(g) = psi(g^{-1})."""
+    """Validated constructor: psi finite, psi(e) = 0, psi >= 0, psi(g) = psi(g^{-1})."""
     v = np.asarray(values, dtype=float)
     if v.shape != (group.order,):
         raise ValueError(f"psi has shape {v.shape}, expected ({group.order},)")
+    if not np.isfinite(v).all():
+        g = int(np.argmin(np.isfinite(v)))
+        raise ValueError(f"psi({g}) = {v[g]} is not finite")
     if v[0] != 0.0:
         raise ValueError(f"psi(e) = {v[0]}, must be 0")
     if v.min() < 0:
@@ -99,7 +102,7 @@ class CocycleRealization:
         return np.einsum("gj,gj->g", self.vectors, self.vectors)
 
 
-def realize_cocycle(K: GromovForm, tol: float = DEFAULT_TOL) -> CocycleRealization:
+def realize_cocycle(K: GromovForm) -> CocycleRealization:
     """Factor K = B B^T (rank-revealing) and solve for the orthogonal maps alpha_g.
 
     B's rows are the cocycle vectors; d is the numerical rank of K.  Each
@@ -112,9 +115,9 @@ def realize_cocycle(K: GromovForm, tol: float = DEFAULT_TOL) -> CocycleRealizati
     M = 0.5 * (K.K + K.K.T)
     lam, U = np.linalg.eigh(M)
     scale = psd_scale(lam)
-    if lam[0] < -tol * scale:
+    if lam[0] < -DEFAULT_TOL * scale:
         raise ValueError(f"K is not PSD: min eigenvalue {lam[0]:.3e}")
-    keep = lam > tol * scale
+    keep = lam > DEFAULT_TOL * scale
     d = int(keep.sum())
     B = U[:, keep] * np.sqrt(np.clip(lam[keep], 0.0, None))
     # alpha_g^T = B^+ (b(g h) - b(g)); B^+ computed once.
@@ -125,12 +128,12 @@ def realize_cocycle(K: GromovForm, tol: float = DEFAULT_TOL) -> CocycleRealizati
         C = B[group.mul[g]] - B[g]
         At = Bpinv @ C
         resid = np.abs(B @ At - C).max() if d else 0.0
-        if resid > 10 * tol * gram_scale:
+        if resid > 10 * DEFAULT_TOL * gram_scale:
             raise NumericalRankError(
                 f"cocycle system for g={g} inconsistent: residual {resid:.3e}")
         alpha = At.T
         orth = np.abs(alpha.T @ alpha - np.eye(d)).max() if d else 0.0
-        if orth > 10 * tol * gram_scale:
+        if orth > 10 * DEFAULT_TOL * gram_scale:
             raise NumericalRankError(
                 f"alpha_{g} deviates from orthogonal by {orth:.3e}")
         reps[g] = alpha

@@ -22,6 +22,7 @@ from .linalg import psd_scale
 # would translate into an alpha* overshoot far above the bisection width.
 BISECT_FEAS_TOL = 1e-12
 BISECT_WIDTH = 1e-10
+PENCIL_TOL = 1e-9       # the pencil's range/kernel eigenvalue cut and coupling slack
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,7 @@ def _certificate(K: np.ndarray, alpha: float, method: str) -> AlphaCertificate:
     return AlphaCertificate(float(alpha), method, V[:, 0], float(w[0]))
 
 
-def best_alpha_bisection(K: GromovForm, tol: float = BISECT_FEAS_TOL) -> AlphaCertificate:
+def best_alpha_bisection(K: GromovForm) -> AlphaCertificate:
     """Largest alpha with K o K - alpha K PSD, by bisection to width 1e-10.
 
     alpha_hi = max psi suffices: the diagonal of K o K - alpha K is
@@ -59,7 +60,7 @@ def best_alpha_bisection(K: GromovForm, tol: float = BISECT_FEAS_TOL) -> AlphaCe
     scale = 1.0 + np.linalg.norm(Q, 2)
 
     def feasible(alpha: float) -> bool:
-        return np.linalg.eigvalsh(Q - alpha * M)[0] >= -tol * scale
+        return np.linalg.eigvalsh(Q - alpha * M)[0] >= -BISECT_FEAS_TOL * scale
 
     hi = float(np.diag(M).max())
     if hi == 0.0 or feasible(hi):
@@ -74,7 +75,7 @@ def best_alpha_bisection(K: GromovForm, tol: float = BISECT_FEAS_TOL) -> AlphaCe
     return _certificate(M, lo, "bisection")
 
 
-def best_alpha_pencil(K: GromovForm, tol: float = 1e-9) -> AlphaCertificate:
+def best_alpha_pencil(K: GromovForm) -> AlphaCertificate:
     """Direct solver: generalized eigenvalue of (K o K, K) on the range of K.
 
     Split K's eigenspaces into range and kernel; on vectors v = v_r + v_k the
@@ -87,7 +88,7 @@ def best_alpha_pencil(K: GromovForm, tol: float = 1e-9) -> AlphaCertificate:
     M = _check_psd_input(K)
     Q = M * M
     lam, U = np.linalg.eigh(M)
-    keep = lam > tol * psd_scale(lam)
+    keep = lam > PENCIL_TOL * psd_scale(lam)
     if not keep.any():
         return _certificate(M, float(np.diag(M).max()), "pencil")
     Ur, Uk = U[:, keep], U[:, ~keep]
@@ -98,7 +99,7 @@ def best_alpha_pencil(K: GromovForm, tol: float = 1e-9) -> AlphaCertificate:
         Qkk = Uk.T @ Q @ Uk
         Qkk_p = np.linalg.pinv(Qkk, rcond=1e-12, hermitian=True)
         coupling = np.abs(Qrk - Qrk @ Qkk_p @ Qkk).max()
-        if coupling > tol * (1.0 + np.abs(Q).max()):
+        if coupling > PENCIL_TOL * (1.0 + np.abs(Q).max()):
             cert = best_alpha_bisection(K)
             return AlphaCertificate(cert.alpha_star, "bisection-fallback",
                                     cert.witness, cert.residual)
@@ -111,12 +112,11 @@ def best_alpha_pencil(K: GromovForm, tol: float = 1e-9) -> AlphaCertificate:
     return _certificate(M, alpha, "pencil")
 
 
-def check_element(sg: Semigroup, f: AlgebraElement, alpha: float,
-                  tol: float = 1e-9) -> PositivityReport:
+def check_element(sg: Semigroup, f: AlgebraElement, alpha: float) -> PositivityReport:
     """Operator-level test: is Gamma_2(f,f) - alpha Gamma(f,f) PSD?"""
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     g2 = gamma2(sg, f, f)
     g1 = gamma(sg, f, f)
     diff = AlgebraElement(f.group, g2.coeffs - alpha * g1.coeffs)
-    return operator_positivity(diff, tol)
+    return operator_positivity(diff)

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cocycles import LengthFunction, length_function, word_length_psi
-from .groups import FiniteGroup, build_cyclic, build_heisenberg, build_product
+from .groups import build_cyclic, build_heisenberg, build_product
 
 
 def walsh_length(n: int, m: int) -> LengthFunction:
@@ -20,12 +20,9 @@ def walsh_length(n: int, m: int) -> LengthFunction:
     return length_function(group, (coords != 0).sum(axis=1).astype(float))
 
 
-def delta_psi(group_or_n) -> LengthFunction:
-    """psi = 1 - delta_e: the flat length charging every nontrivial element once."""
-    group = build_cyclic(group_or_n) if isinstance(group_or_n, int) else group_or_n
-    psi = np.ones(group.order)
-    psi[0] = 0.0
-    return length_function(group, psi)
+def delta_psi(n: int) -> LengthFunction:
+    """psi = 1 - delta_e on Z_n: the flat length charging every nontrivial element once."""
+    return length_function(build_cyclic(n), (np.arange(n) > 0).astype(float))
 
 
 def heisenberg_delta(n: int) -> LengthFunction:

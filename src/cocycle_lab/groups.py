@@ -67,14 +67,12 @@ class FiniteGroup:
         return bool(np.array_equal(self.mul, self.mul.T))
 
 
-def validate_group(order: int, mul: np.ndarray, inv: np.ndarray,
-                   exhaustive: Optional[bool] = None) -> None:
+def validate_group(order: int, mul: np.ndarray, inv: np.ndarray) -> None:
     """Check identity/inverse axioms and associativity.
 
-    Associativity is verified over all order**3 triples when
-    ``exhaustive`` (default: order <= EXHAUSTIVE_ASSOC_CAP), otherwise on a
-    deterministic sample of triples.  Raises TableValidationError naming
-    the first offending triple.
+    Associativity is verified over all order**3 triples when order <=
+    EXHAUSTIVE_ASSOC_CAP, otherwise on a deterministic sample of triples.
+    Raises TableValidationError naming the first offending triple.
     """
     if mul.shape != (order, order):
         raise TableValidationError(f"mul table has shape {mul.shape}, expected {(order, order)}")
@@ -102,9 +100,7 @@ def validate_group(order: int, mul: np.ndarray, inv: np.ndarray,
         raise TableValidationError(
             f"inverse axiom fails: mul(inv({g})={inv[g]},{g}) = {ig[g]} != 0")
 
-    if exhaustive is None:
-        exhaustive = order <= EXHAUSTIVE_ASSOC_CAP
-    if exhaustive:
+    if order <= EXHAUSTIVE_ASSOC_CAP:
         for i in range(order):
             lhs = mul[mul[i], :]       # (i*j)*k over j,k
             rhs = mul[i][mul]          # i*(j*k)
@@ -141,14 +137,14 @@ def build_cyclic(n: int) -> FiniteGroup:
     return _finish(n, mul, [str(k) for k in range(n)], {"kind": "cyclic", "n": n})
 
 
-def build_product(factors: Sequence[FiniteGroup], cap: int = ORDER_CAP) -> FiniteGroup:
+def build_product(factors: Sequence[FiniteGroup]) -> FiniteGroup:
     """Direct product with mixed-radix element encoding, first factor most significant."""
     if not factors:
         raise ValueError("product of zero factors")
     orders = [f.order for f in factors]
     order = int(np.prod(orders))
-    if order > cap:
-        raise SizeCapError(f"product order {order} exceeds cap {cap}")
+    if order > ORDER_CAP:
+        raise SizeCapError(f"product order {order} exceeds cap {ORDER_CAP}")
     idx = np.arange(order)
     digits = []
     rem = idx
@@ -168,7 +164,7 @@ def build_product(factors: Sequence[FiniteGroup], cap: int = ORDER_CAP) -> Finit
                    {"kind": "product", "orders": orders})
 
 
-def build_heisenberg(n: int, cap: int = ORDER_CAP) -> FiniteGroup:
+def build_heisenberg(n: int) -> FiniteGroup:
     """H_3(Z_n): triples (a,b,c) with (a,b,c)*(a',b',c') = (a+a'+b c', b+b', c+c') mod n.
 
     This is the upper-unitriangular convention [[1,b,a],[0,1,c],[0,0,1]];
@@ -178,8 +174,8 @@ def build_heisenberg(n: int, cap: int = ORDER_CAP) -> FiniteGroup:
     if n < 2:
         raise ValueError(f"Heisenberg group needs n >= 2, got {n}")
     order = n ** 3
-    if order > cap:
-        raise SizeCapError(f"Heisenberg order {order} exceeds cap {cap}")
+    if order > ORDER_CAP:
+        raise SizeCapError(f"Heisenberg order {order} exceeds cap {ORDER_CAP}")
     idx = np.arange(order)
     a, b, c = idx // (n * n), (idx // n) % n, idx % n
     a1, b1, c1 = a[:, None], b[:, None], c[:, None]
@@ -223,9 +219,7 @@ def group_from_dict(d: dict) -> FiniteGroup:
     if not rows_ok:
         r = int(np.argmin((np.sort(mul, axis=1) == np.arange(order)).all(axis=1)))
         raise TableValidationError(f"row {r} of mul is not a permutation (no inverse row)")
-    inv = np.argmax(mul == 0, axis=1).astype(np.int64)
-    validate_group(order, mul, inv)
-    return FiniteGroup(order, mul, inv, labels, {"kind": "table"})
+    return _finish(order, mul, labels, {"kind": "table"})
 
 
 def load_group(path: str) -> FiniteGroup:
@@ -239,7 +233,10 @@ def load_group(path: str) -> FiniteGroup:
 
 
 def build_from_spec(spec: dict) -> FiniteGroup:
-    """GroupSpec dispatch: {"kind": cyclic|product|heisenberg|table, ...}."""
+    """GroupSpec dispatch: {"kind": cyclic|product|heisenberg|table, ...}.
+
+    A table spec holds the table itself ({"order", "mul", "labels"?}), never a path.
+    """
     kind = spec.get("kind")
     if kind == "cyclic":
         return build_cyclic(int(spec["n"]))
@@ -249,7 +246,5 @@ def build_from_spec(spec: dict) -> FiniteGroup:
     if kind == "heisenberg":
         return build_heisenberg(int(spec["n"]))
     if kind == "table":
-        if "path" in spec:
-            return load_group(spec["path"])
         return group_from_dict(spec)
     raise ValueError(f"unknown group kind {kind!r}")

@@ -95,11 +95,12 @@ def _even_moment(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return c, sq.reshape(len(sq), -1).sum(axis=-1) / z.shape[-1]
 
 
-def hermitize(M: np.ndarray, tol: float = HERMITIAN_PRECHECK) -> np.ndarray:
-    """Symmetrize after checking the input is Hermitian to within tol."""
+def hermitize(M: np.ndarray) -> np.ndarray:
+    """Symmetrize after checking the input is Hermitian to within HERMITIAN_PRECHECK."""
     dev = np.abs(M - M.conj().T).max()
-    if dev > tol:
-        raise ValueError(f"matrix deviates from Hermitian by {dev:.3e} (tol {tol:.0e})")
+    if dev > HERMITIAN_PRECHECK:
+        raise ValueError(
+            f"matrix deviates from Hermitian by {dev:.3e} (tol {HERMITIAN_PRECHECK:.0e})")
     return 0.5 * (M + M.conj().T)
 
 

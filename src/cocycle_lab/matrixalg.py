@@ -9,7 +9,7 @@ over row-major vec, capped at n <= 12.  The working inner product is
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -63,8 +63,6 @@ def clock_shift_basis(n: int) -> ClockShiftBasis:
 class Superoperator:
     n: int
     mat: np.ndarray         # (n^2, n^2) complex, row-major vec convention
-    kind: str
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         self.mat.setflags(write=False)
@@ -135,7 +133,7 @@ def heisenberg_multiplier(n: int, psi_mode: str = "delta") -> Superoperator:
         for c in range(n):
             m = vec(basis.product(b, c))
             A += sym[b, c] * np.outer(m, m.conj()) / n
-    return Superoperator(n, A, "multiplier", {"psi_mode": psi_mode, "symbol": sym})
+    return Superoperator(n, A)
 
 
 def lindblad_generator(a: Sequence[np.ndarray]) -> Superoperator:
@@ -148,6 +146,9 @@ def lindblad_generator(a: Sequence[np.ndarray]) -> Superoperator:
     for j, m in enumerate(mats):
         if m.shape != (n, n):
             raise ValueError(f"a[{j}] has shape {m.shape}, expected {(n, n)}")
+        if not np.isfinite(m).all():
+            i, k = np.argwhere(~np.isfinite(m))[0]
+            raise ValueError(f"a[{j}] has a non-finite entry at ({i}, {k})")
         dev = np.abs(m - m.conj().T).max()
         if dev > 1e-10:
             raise ValueError(f"a[{j}] is not Hermitian: deviation {dev:.3e}")
@@ -163,7 +164,7 @@ def lindblad_generator(a: Sequence[np.ndarray]) -> Superoperator:
     for m in mats:
         m2 = m @ m
         A += np.kron(eye, m2.T) + np.kron(m2, eye) - 2.0 * np.kron(m, m.T)
-    sup = Superoperator(n, A, "lindblad", {"family_size": len(mats)})
+    sup = Superoperator(n, A)
     # construction-time sanity: A(1) = 0 and self-adjointness for the pairing
     if np.abs(sup.apply(eye)).max() > 1e-10:
         raise ValueError("Lindblad generator does not annihilate the identity")
@@ -231,16 +232,16 @@ def matrix_poincare_ratio(A: Superoperator, x: np.ndarray, p: float):
 
 
 def matrix_worst_constant(A: Superoperator, p: float, budget: int = 20000,
-                          seed: int = 0, n_starts: int = 32) -> WorstConstant:
+                          seed: int = 0) -> WorstConstant:
     """Empirical lower bound for the best L_p Poincare constant over matrix witnesses."""
     n = A.n
     return maximize_ratio(lambda x: matrix_poincare_ratio(A, x, p),
-                          lambda z: unvec(z, n), n * n, budget, seed, n_starts)
+                          lambda z: unvec(z, n), n * n, budget, seed)
 
 
 def matrix_poincare(A: Superoperator, p_grid: Sequence[float], budget: int = 20000,
-                    seed: int = 0, alpha_cert: Optional[AlphaCertificate] = None,
-                    n_starts: int = 32) -> PoincareReport:
+                    seed: int = 0,
+                    alpha_cert: Optional[AlphaCertificate] = None) -> PoincareReport:
     """Poincare sweep over matrix witnesses; E_Fix comes from ker(A)."""
-    return sweep(lambda p, s: matrix_worst_constant(A, p, budget, s, n_starts),
+    return sweep(lambda p, s: matrix_worst_constant(A, p, budget, s),
                  p_grid, seed, alpha_cert)

@@ -25,6 +25,8 @@ from . import rng
 GRAD_STEP = 1e-6
 REL_IMPROVEMENT_STOP = 1e-8
 ROUND_ROWS = 128      # rows per objective call in an optimizer round: bounds its memory
+N_STARTS = 32         # optimizer starts per constant
+COORD_STARTS = 16     # of which at most this many are coordinate vectors
 
 
 class ZeroNumeratorError(ValueError):
@@ -74,31 +76,28 @@ class WorstConstant(NamedTuple):
     optimizer_gap: float    # relative improvement in the last accepted ascent step
 
 
-def maximize_on_sphere(fun: Callable[[np.ndarray], Any], dim: int,
-                       budget: int, seed: int, n_starts: int = 32,
-                       coord_starts: int = 16, rng_tag: int = rng.TAG_POINCARE):
+def maximize_on_sphere(fun: Callable[[np.ndarray], Any], dim: int, budget: int, seed: int):
     """Multi-start projected gradient ascent on the unit sphere, the starts in lock step.
 
     fun maps a (k, dim) stack of points to k values, each row on its own.
-    Each round scores the pending request of every active start, in start
-    order, in blocks of at most ROUND_ROWS rows through thread_map: a start
-    point or line-search probe (one row), or a central-difference gradient
-    (step 1e-6) of 2 dim rows, x + 1e-6 e_i then x - 1e-6 e_i.  A start
-    takes a new gradient while it has scored fewer than budget // n_starts
-    points, adapts its step by backtracking, and stops when its relative
-    improvement drops below 1e-8.  The starts are min(dim, coord_starts,
-    n_starts) coordinate vectors, then start s draws from the stream (seed,
-    tag, s).  Each start visits the points it would visit alone, whatever
-    the block size or thread count; ties resolve in start order.  Returns
-    (best value, best point, gap).
+    There are N_STARTS starts: the first min(dim, COORD_STARTS, N_STARTS)
+    coordinate vectors, then start s draws from the stream (seed,
+    TAG_POINCARE, s).  Each round scores the pending request of every active
+    start, in start order, in blocks of at most ROUND_ROWS rows through
+    thread_map: a start point or line-search probe (one row), or a
+    central-difference gradient (step 1e-6) of 2 dim rows, x + 1e-6 e_i then
+    x - 1e-6 e_i.  A start takes a new gradient while it has scored fewer
+    than budget // N_STARTS points, adapts its step by backtracking, and
+    stops when its relative improvement drops below 1e-8.  Each start
+    visits the points it would visit alone, whatever the block size or
+    thread count; ties resolve in start order.  Returns (best value, best
+    point, gap).
     """
     if budget < 1:
         raise ValueError(f"optimizer budget must be >= 1, got {budget}")
-    if n_starts < 1:
-        raise ValueError(f"optimizer n_starts must be >= 1, got {n_starts}")
-    starts = list(np.eye(dim)[:min(dim, coord_starts, n_starts)])
-    for s in range(len(starts), n_starts):
-        v = rng.stream(seed, rng_tag, s).standard_normal(dim)
+    starts = list(np.eye(dim)[:min(dim, COORD_STARTS, N_STARTS)])
+    for s in range(len(starts), N_STARTS):
+        v = rng.stream(seed, rng.TAG_POINCARE, s).standard_normal(dim)
         n = np.linalg.norm(v)
         starts.append(v / n if n > 0 else np.eye(dim)[0])
     per_start = max(1, budget // len(starts))
@@ -153,7 +152,7 @@ def maximize_on_sphere(fun: Callable[[np.ndarray], Any], dim: int,
 
 
 def maximize_ratio(ratio: Callable[[Any], Any], chart: Callable[[np.ndarray], Any],
-                   dim: int, budget: int, seed: int, n_starts: int) -> WorstConstant:
+                   dim: int, budget: int, seed: int) -> WorstConstant:
     """Maximize ratio(chart(x + iy)) over unit vectors (x, y) in R^{2 dim}.
 
     chart maps complex coordinates, shape (..., dim), to a witness or a
@@ -166,12 +165,11 @@ def maximize_ratio(ratio: Callable[[Any], Any], chart: Callable[[np.ndarray], An
         except ZeroNumeratorError as exc:
             return exc.scores
 
-    val, z, gap = maximize_on_sphere(fun, 2 * dim, budget, seed, n_starts)
+    val, z, gap = maximize_on_sphere(fun, 2 * dim, budget, seed)
     return WorstConstant(float(val), chart(z[:dim] + 1j * z[dim:]), float(gap))
 
 
-def worst_constant(sg: Semigroup, p: float, budget: int = 20000,
-                   seed: int = 0, n_starts: int = 32) -> WorstConstant:
+def worst_constant(sg: Semigroup, p: float, budget: int = 20000, seed: int = 0) -> WorstConstant:
     """Empirical lower bound for the best L_p Poincare constant."""
     nonfix = np.where(~sg.fix_mask)[0]
     if nonfix.size == 0:
@@ -183,7 +181,7 @@ def worst_constant(sg: Semigroup, p: float, budget: int = 20000,
         return AlgebraElement(sg.group, c)
 
     return maximize_ratio(lambda f: poincare_ratio(sg, f, p), chart,
-                          nonfix.size, budget, seed, n_starts)
+                          nonfix.size, budget, seed)
 
 
 @dataclass(frozen=True)
@@ -239,8 +237,7 @@ def sweep(worst: Callable[[float, int], WorstConstant], p_grid: Sequence[float],
 
 
 def sweep_and_fit(sg: Semigroup, p_grid: Sequence[float], budget: int = 20000,
-                  seed: int = 0, alpha_cert: Optional[AlphaCertificate] = None,
-                  n_starts: int = 32) -> PoincareReport:
+                  seed: int = 0, alpha_cert: Optional[AlphaCertificate] = None) -> PoincareReport:
     """sweep over worst_constant on the group algebra."""
-    return sweep(lambda p, s: worst_constant(sg, p, budget, s, n_starts),
+    return sweep(lambda p, s: worst_constant(sg, p, budget, s),
                  p_grid, seed, alpha_cert)

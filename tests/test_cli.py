@@ -7,6 +7,7 @@ import shlex
 import pytest
 
 from cocycle_lab.cli import _build_parser, _digest, main
+from cocycle_lab.groups import build_cyclic, save_group
 
 from conftest import assert_report_pinned
 
@@ -32,6 +33,9 @@ def test_group_build_then_cn_check(tmp_path, capsys):
     built = json.loads(capsys.readouterr().out)
     assert built["results"]["order"] == 6
     assert built["results"]["abelian"] is True
+    assert json.loads(gp.read_text()) == built["results"]["group"]
+    save_group(build_cyclic(6), str(tmp_path / "saved.json"))
+    assert filecmp.cmp(gp, tmp_path / "saved.json", shallow=False)
 
     psi = write_json(tmp_path / "psi.json",
                      {"group": str(gp), "psi": [0, 1, 2, 3, 2, 1]})
@@ -267,6 +271,36 @@ def test_cli_errors_exit_nonzero(tmp_path, capsys):
         assert err.startswith(f"{argv[0]}:") and str(broken) in err and "not valid JSON" in err
 
 
+def test_cli_rejects_non_finite_inputs(tmp_path, capsys):
+    for text, bad in (("NaN", "nan"), ("Infinity", "inf")):
+        psi = tmp_path / f"psi_{bad}.json"
+        psi.write_text(f'{{"group": {{"kind": "cyclic", "n": 4}}, "psi": [0, {text}, 2, {text}]}}')
+        for cmd in ("cn-check", "alpha"):
+            assert main([cmd, "--psi", str(psi)]) == 1
+            err = capsys.readouterr().err
+            assert err == f"{cmd}: psi(1) = {bad} is not finite\n"
+        a = tmp_path / f"a_{bad}.json"
+        a.write_text(f'{{"a": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [{text}, 0.0]]]]}}')
+        assert main(["lindblad", "--a", str(a)]) == 1
+        err = capsys.readouterr().err
+        assert err == "lindblad: a[0] has a non-finite entry at (1, 1)\n"
+
+
+def test_report_config_holds_the_table_not_its_path(tmp_path, capsys):
+    gp = tmp_path / "z6.json"
+    assert main(["group", "build", "--kind", "cyclic", "--n", "6", "--out", str(gp)]) == 0
+    capsys.readouterr()
+    psi = write_json(tmp_path / "psi.json",
+                     {"group": {"kind": "table", "path": str(gp)}, "psi": [0, 1, 2, 3, 2, 1]})
+    report = tmp_path / "alpha.json"
+    assert main(["alpha", "--psi", psi, "--out", str(report)]) == 0
+    gspec = read_report(report)["config"]["psi"]["group"]
+    assert "path" not in gspec and gspec["mul"] == json.loads(gp.read_text())["mul"]
+    gp.unlink()
+    assert main(["replay", "--report", str(report)]) == 0
+    assert "byte-identical" in capsys.readouterr().out
+
+
 def test_dilate_rejects_non_finite_horizon(tmp_path, capsys):
     x = write_json(tmp_path / "x.json", [0.0, 1.0, 0.7, [0.0, 0.3]])
     for L in ("nan", "inf"):
@@ -338,11 +372,19 @@ def test_every_command_replays_with_pinned_config(case, tmp_path, capsys):
     assert "byte-identical" in capsys.readouterr().out
 
 
-def test_readme_cli_examples_parse():
-    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(readme) as fh:
+def _readme_block(section: str, lang: str) -> str:
+    """The first ```lang code block under the README heading `## section`."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
         text = fh.read()
-    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", text, re.S).group(1)
+    return re.search(rf"## {section}\n.*?```{lang}\n(.*?)```", text, re.S).group(1)
+
+
+def test_readme_library_tour_runs():
+    exec(compile(_readme_block("Library tour", "python"), "README.md", "exec"), {})
+
+
+def test_readme_cli_examples_parse():
+    block = _readme_block("CLI", "sh")
     lines = block.replace("\\\n", " ").splitlines()
     examples = [shlex.split(ln, comments=True) for ln in lines]
     examples = [ex for ex in examples if ex]

@@ -33,6 +33,14 @@ def test_length_function_validation():
         length_function(g, [0.0, -1.0, -1.0])
     with pytest.raises(ValueError, match="not symmetric"):
         length_function(g, [0.0, 1.0, 2.0])
+    # NaN compares false against every guard above, so it must be caught by name
+    g = build_cyclic(4)
+    with pytest.raises(ValueError, match=r"psi\(1\) = nan is not finite"):
+        length_function(g, [0.0, np.nan, 2.0, np.nan])
+    with pytest.raises(ValueError, match=r"psi\(2\) = inf is not finite"):
+        length_function(g, [0.0, 1.0, np.inf, 1.0])
+    with pytest.raises(ValueError, match=r"psi\(0\) = nan is not finite"):
+        length_function(g, [np.nan, 1.0, 2.0, 1.0])
 
 
 def test_gromov_form_word_length_oracle():

@@ -154,6 +154,8 @@ def test_build_from_spec_dispatch():
     assert build_from_spec(d).order == 3
     with pytest.raises(ValueError, match="unknown group kind"):
         build_from_spec({"kind": "dihedral", "n": 3})
+    with pytest.raises(TableValidationError, match="malformed group JSON"):
+        build_from_spec({"kind": "table", "path": "z3.json"})     # a spec holds the table
 
 
 def test_shared_index_tables():

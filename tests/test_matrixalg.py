@@ -94,6 +94,9 @@ def test_lindblad_validation():
         lindblad_generator([x, y])
     with pytest.raises(ValueError, match="shape"):
         lindblad_generator([np.eye(2), np.eye(3)])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=r"a\[1\] has a non-finite entry at \(1, 1\)"):
+            lindblad_generator([np.eye(2), np.diag([0.0, bad])])
 
 
 def test_lindblad_gamma_is_commutator_gram():

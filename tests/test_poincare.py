@@ -114,7 +114,7 @@ def test_maximizer_deterministic():
     assert np.array_equal(a[1], b[1])
 
 
-def test_maximizer_n_starts():
+def test_maximizer_n_starts(monkeypatch):
     calls = []
 
     def fun(Y):
@@ -122,12 +122,10 @@ def test_maximizer_n_starts():
         return Y[:, 0] ** 2
 
     dim, budget, n_starts = 20, 400, 4
-    maximize_on_sphere(fun, dim, budget, seed=0, n_starts=n_starts)
+    monkeypatch.setattr(poincare, "N_STARTS", n_starts)
+    maximize_on_sphere(fun, dim, budget, seed=0)
     assert np.array_equal(calls[0], np.eye(dim)[:n_starts])   # the first round: every start point
     assert sum(map(len, calls)) <= n_starts * (budget // n_starts + 2 * dim)
-    for bad in (0, -1):
-        with pytest.raises(ValueError, match="n_starts"):
-            maximize_on_sphere(fun, dim, budget, seed=0, n_starts=bad)
 
 
 def _one_start_at_a_time(fun, dim, budget, seed, n_starts):
@@ -183,6 +181,7 @@ def test_lock_step_matches_one_start_at_a_time(monkeypatch, rows):
     monkeypatch.setattr(poincare, "ROUND_ROWS", rows)
     v = np.random.default_rng(5).standard_normal(5)
     dim, budget, n_starts = 5, 120, 4
+    monkeypatch.setattr(poincare, "N_STARTS", n_starts)
     calls = []
 
     def fun(Y):                          # records its input and scores each row on its own
@@ -190,7 +189,7 @@ def test_lock_step_matches_one_start_at_a_time(monkeypatch, rows):
         vals = np.array([(y @ v) ** 2 for y in np.atleast_2d(Y)])
         return vals if Y.ndim == 2 else float(vals[0])
 
-    got = maximize_on_sphere(fun, dim, budget, seed=2, n_starts=n_starts)
+    got = maximize_on_sphere(fun, dim, budget, seed=2)
     rounds_calls = calls[:]
     want, requests = _one_start_at_a_time(fun, dim, budget, 2, n_starts)
     assert got[0] == want[0] and np.array_equal(got[1], want[1]) and got[2] == want[2]
@@ -291,7 +290,7 @@ def test_batched_ratio_matches_reference(monkeypatch, spec):
     C[3] = np.where(sg.fix_mask, C[3], 0.0)         # a witness in the fixed-point algebra
     chart = lambda z: AlgebraElement(sg.group, z)
     fun = captured_objective(monkeypatch, lambda: maximize_ratio(
-        lambda f: poincare_ratio(sg, f, 5.0), chart, order, budget=1, seed=0, n_starts=1))
+        lambda f: poincare_ratio(sg, f, 5.0), chart, order, budget=1, seed=0))
     for p in (2.0, 5.0, 16.0):
         with pytest.raises(ZeroNumeratorError, match="zero numerator"):
             poincare_ratio(sg, element(sg.group, C[3]), p)
