@@ -17,7 +17,7 @@ import numpy as np
 
 from .cocycles import DEFAULT_TOL, GromovForm, LengthFunction, gromov_form
 from .groups import FiniteGroup
-from .linalg import HERMITIAN_PRECHECK, hermitize, psd_scale, schatten_norm
+from .linalg import HERMITIAN_PRECHECK, psd_scale, schatten_norm
 
 
 @dataclass(frozen=True)
@@ -176,6 +176,6 @@ def operator_positivity(f: AlgebraElement) -> PositivityReport:
     herm_dev = np.abs(f.adjoint().coeffs - f.coeffs).max()
     if herm_dev > HERMITIAN_PRECHECK:
         raise ValueError(f"element is not Hermitian: f* - f has max coefficient {herm_dev:.3e}")
-    M = hermitize(regular_rep(f))
-    w = np.linalg.eigvalsh(M)
+    M = regular_rep(f)
+    w = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
     return PositivityReport(bool(w[0] >= -DEFAULT_TOL * psd_scale(w)), float(w[0]))

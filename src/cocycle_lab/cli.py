@@ -21,6 +21,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, fields
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -142,11 +143,15 @@ def _coeffs_from_file(path: str) -> list:
     data = _read_json(path)
     try:
         coeffs = data["coeffs"] if isinstance(data, dict) else data
-        return [[float(c[0]), float(c[1])] if isinstance(c, list) else [float(c), 0.0]
-                for c in coeffs]
+        pairs = [[float(c[0]), float(c[1])] if isinstance(c, list) else [float(c), 0.0]
+                 for c in coeffs]
     except (KeyError, IndexError, TypeError, ValueError):
         raise ValueError(f"{path}: an element is a list of numbers or [re, im] pairs, "
                          "bare or under 'coeffs'") from None
+    for i, (re, im) in enumerate(pairs):
+        if not np.isfinite([re, im]).all():
+            raise ValueError(f"{path}: coefficient {i} = {complex(re, im)} is not finite")
+    return pairs
 
 
 def _family_from_file(path: str) -> list:
@@ -428,6 +433,7 @@ def run_gallery(config: dict, out_dir: Optional[str] = None) -> dict:
 
 # ------------------------------------------------------------ parser, config
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="cocycle-lab",
                                  description="cocycle machinery on finite groups")

@@ -1,4 +1,4 @@
-"""Small shared numerical helpers: Schatten norms, Hermitian/PSD guards, threaded map.
+"""Small shared numerical helpers: Schatten norms, the Hermitian and PSD tolerances, threaded map.
 
 Schatten norms at even integer p use matrix products only; every other p
 takes the singular values, which stay the reference route.
@@ -93,15 +93,6 @@ def _even_moment(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
             z = y @ z
     sq = (z * z.conj()).real
     return c, sq.reshape(len(sq), -1).sum(axis=-1) / z.shape[-1]
-
-
-def hermitize(M: np.ndarray) -> np.ndarray:
-    """Symmetrize after checking the input is Hermitian to within HERMITIAN_PRECHECK."""
-    dev = np.abs(M - M.conj().T).max()
-    if dev > HERMITIAN_PRECHECK:
-        raise ValueError(
-            f"matrix deviates from Hermitian by {dev:.3e} (tol {HERMITIAN_PRECHECK:.0e})")
-    return 0.5 * (M + M.conj().T)
 
 
 def psd_scale(w: np.ndarray) -> float:

@@ -11,6 +11,20 @@ def rand_coeffs(order: int, index: int, seed: int = 0) -> np.ndarray:
     return c / np.linalg.norm(c)
 
 
+def associativity_failure(mul: np.ndarray):
+    """The first triple (i, j, k) with (i*j)*k != i*(j*k), or None: all order**3 triples.
+
+    The reference route for groups.validate_group, which checks a generating set only.
+    """
+    for i in range(len(mul)):
+        lhs = mul[mul[i], :]       # (i*j)*k over j,k
+        rhs = mul[i][mul]          # i*(j*k)
+        if not np.array_equal(lhs, rhs):
+            j, k = np.argwhere(lhs != rhs)[0]
+            return i, int(j), int(k)
+    return None
+
+
 def rand_matrix(n: int, index: int, seed: int = 0, unit: bool = True) -> np.ndarray:
     """Deterministic complex n x n matrix, scaled to unit Frobenius norm unless unit=False."""
     st = clrng.stream(seed, clrng.TAG_BATTERY, index)

@@ -7,7 +7,7 @@ import shlex
 import pytest
 
 from cocycle_lab.cli import _build_parser, _digest, main
-from cocycle_lab.groups import build_cyclic, save_group
+from cocycle_lab.groups import build_cyclic, build_product, group_to_dict, save_group
 
 from conftest import assert_report_pinned
 
@@ -238,6 +238,16 @@ def test_cli_errors_exit_nonzero(tmp_path, capsys):
     capsys.readouterr()
     assert main(["gamma", "--builtin", "wordlength:4", "--group", str(group), "--f", f]) == 1
     assert "--group" in capsys.readouterr().err
+    table = group_to_dict(build_product([build_cyclic(2), build_cyclic(512)]))
+    for r in (1, 513):      # swap one intercalate: only an exact associativity check sees it
+        table["mul"][r][5], table["mul"][r][517] = table["mul"][r][517], table["mul"][r][5]
+    bad_table = write_json(tmp_path / "bad_table.json", table)
+    unwritten = tmp_path / "unwritten.json"
+    assert main(["group", "build", "--kind", "table", "--path", bad_table,
+                 "--out", str(unwritten)]) == 1
+    assert re.fullmatch(r"group: associativity fails at \(i,j,k\)=\(\d+,\d+,\d+\): .*\n",
+                        capsys.readouterr().err)
+    assert not unwritten.exists()
 
     lacking = write_json(tmp_path / "lacking.json", {"command": "alpha", "config": {}})
     assert main(["replay", "--report", lacking]) == 1
@@ -284,6 +294,25 @@ def test_cli_rejects_non_finite_inputs(tmp_path, capsys):
         assert main(["lindblad", "--a", str(a)]) == 1
         err = capsys.readouterr().err
         assert err == "lindblad: a[0] has a non-finite entry at (1, 1)\n"
+        x = tmp_path / f"x_{bad}.json"
+        x.write_text(f"[0.0, {text}, 1.0, 0.0]")
+        for argv in (["gamma", "--builtin", "wordlength:4", "--f", str(x)],
+                     ["dilate", "--builtin", "walsh:2:2", "--x", str(x), "--L", "1.0"]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err == f"{argv[0]}: {x}: coefficient 1 = ({bad}+0j) is not finite\n"
+
+
+def test_parser_is_built_once_and_keeps_no_flag_values(tmp_path):
+    assert _build_parser() is _build_parser()
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert main(["poincare", "--builtin", "wordlength:4", "--alpha", "--p", "2,4",
+                 "--budget", "300", "--seed", "3", "--out", str(first)]) == 0
+    assert read_report(first)["config"]["alpha"] is True
+    assert main(["poincare", "--builtin", "wordlength:4", "--out", str(second)]) == 0
+    assert read_report(second)["config"] == {
+        "alpha": False, "budget": 20000, "p": [2.0, 4.0, 8.0, 16.0],
+        "psi": {"builtin": "wordlength:4"}, "seed": 0}
 
 
 def test_report_config_holds_the_table_not_its_path(tmp_path, capsys):

@@ -1,16 +1,18 @@
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cocycle_lab.groups import (EXHAUSTIVE_ASSOC_CAP, ORDER_CAP, FiniteGroup,
-                                SizeCapError, TableValidationError,
-                                build_cyclic, build_from_spec,
-                                build_heisenberg, build_product,
-                                group_from_dict, group_to_dict, load_group,
-                                save_group, validate_group)
+from cocycle_lab.groups import (ORDER_CAP, FiniteGroup, SizeCapError,
+                                TableValidationError, build_cyclic,
+                                build_from_spec, build_heisenberg,
+                                build_product, group_from_dict, group_to_dict,
+                                load_group, save_group, validate_group)
+
+from conftest import associativity_failure
 
 
 def test_cyclic_tables():
@@ -39,8 +41,13 @@ def test_product_mixed_radix():
 
 def test_product_z3_z4_is_z12():
     g = build_product([build_cyclic(3), build_cyclic(4)])
-    orders = g.element_orders()
-    census = {d: int((orders == d).sum()) for d in sorted(set(orders))}
+    orders = []
+    for h in range(g.order):            # the order of h by iterated multiplication
+        x, k = h, 1
+        while x != 0:
+            x, k = int(g.mul[x, h]), k + 1
+        orders.append(k)
+    census = {d: orders.count(d) for d in sorted(set(orders))}
     # Z_12 has phi(d) elements of order d for each divisor d
     assert census == {1: 1, 2: 1, 3: 2, 4: 2, 6: 2, 12: 4}
 
@@ -111,10 +118,68 @@ def test_size_caps():
     assert build_product([build_cyclic(64), build_cyclic(64)]).order == ORDER_CAP
 
 
-def test_large_group_uses_sampled_associativity():
-    # above the exhaustive cap construction must still validate quickly
-    g = build_product([build_cyclic(EXHAUSTIVE_ASSOC_CAP + 2)])
-    assert g.order == EXHAUSTIVE_ASSOC_CAP + 2
+def test_exact_associativity_above_512():
+    g = build_cyclic(514)
+    validate_group(g.order, g.mul, g.inv)
+    mul = g.mul.copy()
+    for r in (1, 258):                  # swap the intercalate at rows 1, 258 and columns 5, 262
+        mul[r, 5], mul[r, 262] = mul[r, 262], mul[r, 5]
+    with pytest.raises(TableValidationError, match="associativity fails"):
+        validate_group(g.order, mul, g.inv)
+
+
+def _swapped_intercalates(mul: np.ndarray):
+    """Copies of mul with one 2x2 Latin subsquare swapped, for every one clear of e.
+
+    Rows r1 < r2 and columns c1 < c2 with mul[r1,c1] = mul[r2,c2] and
+    mul[r1,c2] = mul[r2,c1]; the identity row and column and every entry 0
+    are left alone, so the identity and inverse axioms still hold and
+    associativity is the only axiom in question.
+    """
+    n = len(mul)
+    pos = np.argsort(mul, axis=1)               # pos[r, v] = column of v in row r
+    for r1 in range(1, n):
+        for r2 in range(r1 + 1, n):
+            for c1 in range(1, n):
+                a, b = mul[r1, c1], mul[r2, c1]
+                c2 = pos[r1, b]
+                if c2 > c1 and mul[r2, c2] == a and 0 not in (a, b):
+                    bad = mul.copy()
+                    bad[r1, c1], bad[r1, c2], bad[r2, c1], bad[r2, c2] = b, a, a, b
+                    yield bad
+
+
+def test_light_test_agrees_with_exhaustive_reference():
+    # groups of order 8-16: cyclic, Z_2^m, Heisenberg and mixed products
+    z = build_cyclic
+    groups = ([z(n) for n in range(8, 17)]
+              + [build_product([z(2)] * 3), build_product([z(2)] * 4), build_heisenberg(2)]
+              + [build_product([z(a), z(b)]) for a, b in ((2, 4), (3, 3), (2, 5), (2, 6),
+                                                         (3, 4), (2, 7), (3, 5), (2, 8), (4, 4))]
+              + [build_product([z(2), z(2), z(3)]), build_product([z(2), z(2), z(4)])])
+    checked = 0
+    for g in groups:
+        assert associativity_failure(g.mul) is None
+        validate_group(g.order, g.mul, g.inv)
+        for mul in _swapped_intercalates(g.mul):
+            assert associativity_failure(mul) is not None
+            with pytest.raises(TableValidationError, match="associativity fails") as err:
+                validate_group(g.order, mul, g.inv)
+            x, s, y = map(int, re.search(r"=\((\d+),(\d+),(\d+)\)", str(err.value)).groups())
+            assert mul[mul[x, s], y] != mul[x, mul[s, y]]     # the named triple fails
+            checked += 1
+    assert checked > 1000
+
+
+def test_corrupted_intercalate_at_order_1024_rejected():
+    # Z_2 x Z_512 with the intercalate at rows 1, 513 and columns 5, 517 swapped:
+    # rows and columns stay permutations, so only an exact associativity check sees it
+    d = group_to_dict(build_product([build_cyclic(2), build_cyclic(512)]))
+    for r in (1, 513):
+        d["mul"][r][5], d["mul"][r][517] = d["mul"][r][517], d["mul"][r][5]
+    with pytest.raises(TableValidationError,
+                       match=r"associativity fails at \(i,j,k\)=\(\d+,\d+,\d+\)"):
+        group_from_dict(d)
 
 
 def test_save_load_roundtrip(tmp_path):
