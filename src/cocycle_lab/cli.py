@@ -41,19 +41,10 @@ from .poincare import sweep_and_fit
 
 # ---------------------------------------------------------------- encoding
 
-def _cplx(z) -> list:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def _cplx_array(a: np.ndarray) -> list:
-    a = np.asarray(a)
-    if a.ndim == 0:
-        return _cplx(a[()])
-    return [_cplx_array(row) for row in a]
-
-
-def _real_array(a: np.ndarray) -> list:
-    return np.asarray(a, dtype=float).tolist()
+def _cplx(a) -> list:
+    """a as nested lists of [re, im] pairs; a scalar gives one pair."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def _canonical(config: dict) -> str:
@@ -174,7 +165,10 @@ def _is_pair(z) -> bool:
     return isinstance(z, list) and len(z) == 2 and all(isinstance(v, (int, float)) for v in z)
 
 
-def _element_from_config(group, coeffs: list) -> AlgebraElement:
+def _element_from_config(group, coeffs: list, flag: str) -> AlgebraElement:
+    if len(coeffs) != group.order:
+        raise ValueError(f"{flag} has {len(coeffs)} coefficients, "
+                         f"but the group has order {group.order}")
     return element(group, [complex(re, im) for re, im in coeffs])
 
 
@@ -252,7 +246,7 @@ def run_realize(config: dict) -> dict:
         "dimension": real.dimension,
         "psi_residual": psi_resid,
         "gram_residual": gram_resid,
-        "vectors": _real_array(real.vectors),
+        "vectors": real.vectors.tolist(),
     }
 
 
@@ -290,13 +284,13 @@ def run_alpha(config: dict) -> dict:
 def run_gamma(config: dict) -> dict:
     psi = _psi_from_config(config["psi"])
     sg = Semigroup(psi)
-    f = _element_from_config(psi.group, config["f"])
-    g = _element_from_config(psi.group, config["g"]) if config["g"] else f
+    f = _element_from_config(psi.group, config["f"], "--f")
+    g = _element_from_config(psi.group, config["g"], "--g") if config["g"] else f
     out = {}
     for name, fn in (("gamma", gamma), ("gamma2", gamma2)):
         kern = fn(sg, f, g, path="kernel")
         defn = fn(sg, f, g, path="definitional")
-        out[name] = _cplx_array(kern.coeffs)
+        out[name] = _cplx(kern.coeffs)
         out[f"{name}_path_deviation"] = float(np.abs(kern.coeffs - defn.coeffs).max())
     out["tau_gamma"] = _cplx(tau(gamma(sg, f, g)))
     return out
@@ -304,7 +298,7 @@ def run_gamma(config: dict) -> dict:
 
 def _poincare_results(report) -> dict:
     out = {f.name: getattr(report, f.name) for f in fields(report)}
-    out["witnesses"] = [_cplx_array(getattr(w, "coeffs", w)) for w in report.witnesses]
+    out["witnesses"] = [_cplx(getattr(w, "coeffs", w)) for w in report.witnesses]
     return out
 
 
@@ -377,7 +371,7 @@ def run_dilate(config: dict) -> dict:
     psi = _psi_from_config(config["psi"])
     K = gromov_form(psi)
     real = realize_cocycle(K)
-    x = _element_from_config(psi.group, config["x"])
+    x = _element_from_config(psi.group, config["x"], "--x")
     scenario = sample_scenario(real, config["steps"],
                                config["L"] / config["steps"],
                                config["samples"], config["seed"])
@@ -404,7 +398,7 @@ def _gallery_entries(seed: int) -> list:
                 for n in range(4, 17, 2)]
     for name, diagonals in (("lindblad_2x2", [[0.0, 1.0]]),
                             ("lindblad_4x4", [[0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 1.0, 1.0]])):
-        entries.append((name, "lindblad", {"a": [_cplx_array(np.diag(d)) for d in diagonals],
+        entries.append((name, "lindblad", {"a": [_cplx(np.diag(d)) for d in diagonals],
                                            "p": None, "budget": 0, "seed": seed}))
     return entries
 

@@ -2,27 +2,24 @@
 
 The kernel condition "K o K - alpha K is PSD" (o = entrywise product) is
 sufficient for the operator-level criterion; alpha* is its largest
-feasible alpha.  Two independent solvers are provided: a PSD-feasibility
-bisection (reference) and a direct generalized-eigenvalue method through
-a Schur complement onto the range of K.  check_element tests single
-elements at the operator level.
+feasible alpha.  Two independent solvers are provided: Dinkelbach's
+iteration over Rayleigh-quotient upper bounds (the reference, under the
+name best_alpha_bisection) and a direct generalized-eigenvalue method
+through a Schur complement onto the range of K.  check_element tests
+single elements at the operator level.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .algebra import AlgebraElement, PositivityReport, Semigroup, gamma, gamma2, operator_positivity
 from .cocycles import GromovForm
 from .linalg import psd_scale
 
-# Feasibility slack during bisection.  Tighter than the generic PSD test:
-# the binding eigenvalue can be shallow in alpha, so a loose slack here
-# would translate into an alpha* overshoot far above the bisection width.
-BISECT_FEAS_TOL = 1e-12
-BISECT_WIDTH = 1e-10
-PENCIL_TOL = 1e-9       # the pencil's range/kernel eigenvalue cut and coupling slack
+PENCIL_TOL = 1e-9       # the range/kernel eigenvalue cut of K, and the pencil's coupling slack
 
 
 @dataclass(frozen=True)
@@ -36,12 +33,12 @@ class AlphaCertificate:
         self.witness.setflags(write=False)
 
 
-def _check_psd_input(K: GromovForm) -> np.ndarray:
+def _check_psd_input(K: GromovForm) -> tuple[np.ndarray, float]:
     M = 0.5 * (K.K + K.K.T)
     w = np.linalg.eigvalsh(M)
     if w[0] < -1e-9 * psd_scale(w):
         raise ValueError(f"K is not PSD: min eigenvalue {w[0]:.3e}")
-    return M
+    return M, psd_scale(w)
 
 
 def _certificate(K: np.ndarray, alpha: float, method: str) -> AlphaCertificate:
@@ -50,29 +47,31 @@ def _certificate(K: np.ndarray, alpha: float, method: str) -> AlphaCertificate:
 
 
 def best_alpha_bisection(K: GromovForm) -> AlphaCertificate:
-    """Largest alpha with K o K - alpha K PSD, by bisection to width 1e-10.
+    """Largest alpha with K o K - alpha K PSD, by Dinkelbach's iteration (1967).
 
-    alpha_hi = max psi suffices: the diagonal of K o K - alpha K is
-    psi(g)^2 - alpha psi(g).
+    From alpha = max psi (the diagonal is psi^2 - alpha psi, so alpha* <= max psi),
+    take the least eigenpair (w, v) of K o K - alpha K and move alpha to the Rayleigh
+    quotient v^T (K o K) v / v^T K v, which is an upper bound on alpha*.  This is
+    Newton's method on the concave lambda_min from the right, so alpha falls strictly
+    onto alpha*.  Stop at w >= 0, when alpha stops falling, or when v^T K v is under
+    the PENCIL_TOL rank cut: then v lies in ker K and w is rounding noise.  Nothing
+    splits ran/ker K or forms a Schur complement, so this route is independent of
+    best_alpha_pencil.
     """
-    M = _check_psd_input(K)
+    M, scale = _check_psd_input(K)
     Q = M * M
-    scale = 1.0 + np.linalg.norm(Q, 2)
-
-    def feasible(alpha: float) -> bool:
-        return np.linalg.eigvalsh(Q - alpha * M)[0] >= -BISECT_FEAS_TOL * scale
-
-    hi = float(np.diag(M).max())
-    if hi == 0.0 or feasible(hi):
-        return _certificate(M, hi, "bisection")
-    lo = 0.0
-    while hi - lo > BISECT_WIDTH:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return _certificate(M, lo, "bisection")
+    alpha = float(np.diag(M).max())
+    while True:
+        w, V = scipy.linalg.eigh(Q - alpha * M, subset_by_index=[0, 0])
+        v = V[:, 0]
+        mass = v @ M @ v
+        if w[0] >= 0 or mass <= PENCIL_TOL * scale:
+            break
+        quotient = float(v @ Q @ v / mass)
+        if not quotient < alpha:
+            break
+        alpha = quotient
+    return AlphaCertificate(alpha, "bisection", v, float(w[0]))
 
 
 def best_alpha_pencil(K: GromovForm) -> AlphaCertificate:
@@ -85,7 +84,7 @@ def best_alpha_pencil(K: GromovForm) -> AlphaCertificate:
     If kernel directions couple to the range outside ran(Q_kk) the
     elimination is invalid and we fall back to bisection.
     """
-    M = _check_psd_input(K)
+    M, _ = _check_psd_input(K)
     Q = M * M
     lam, U = np.linalg.eigh(M)
     keep = lam > PENCIL_TOL * psd_scale(lam)

@@ -131,6 +131,8 @@ def build_cyclic(n: int) -> FiniteGroup:
     """Z_n with mul(i,j) = (i+j) mod n."""
     if n < 1:
         raise ValueError(f"cyclic group needs n >= 1, got {n}")
+    if n > ORDER_CAP:
+        raise SizeCapError(f"cyclic order {n} exceeds cap {ORDER_CAP}")
     idx = np.arange(n)
     mul = (idx[:, None] + idx[None, :]) % n
     return _finish(n, mul, [str(k) for k in range(n)], {"kind": "cyclic", "n": n})

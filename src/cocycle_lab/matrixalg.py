@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
 from . import rng
-from .criterion import AlphaCertificate
 from .linalg import psd_scale, schatten_norm
 from .poincare import PoincareReport, WorstConstant, maximize_ratio, ratio_scores, sweep
 
@@ -240,8 +239,6 @@ def matrix_worst_constant(A: Superoperator, p: float, budget: int = 20000,
 
 
 def matrix_poincare(A: Superoperator, p_grid: Sequence[float], budget: int = 20000,
-                    seed: int = 0,
-                    alpha_cert: Optional[AlphaCertificate] = None) -> PoincareReport:
-    """Poincare sweep over matrix witnesses; E_Fix comes from ker(A)."""
-    return sweep(lambda p, s: matrix_worst_constant(A, p, budget, s),
-                 p_grid, seed, alpha_cert)
+                    seed: int = 0) -> PoincareReport:
+    """Poincare sweep over matrix witnesses; E_Fix comes from ker(A).  No alpha envelope."""
+    return sweep(lambda p, s: matrix_worst_constant(A, p, budget, s), p_grid, seed, None)

@@ -248,6 +248,10 @@ def test_cli_errors_exit_nonzero(tmp_path, capsys):
     assert re.fullmatch(r"group: associativity fails at \(i,j,k\)=\(\d+,\d+,\d+\): .*\n",
                         capsys.readouterr().err)
     assert not unwritten.exists()
+    assert main(["group", "build", "--kind", "cyclic", "--n", "4097",
+                 "--out", str(unwritten)]) == 1
+    assert capsys.readouterr().err == "group: cyclic order 4097 exceeds cap 4096\n"
+    assert not unwritten.exists()
 
     lacking = write_json(tmp_path / "lacking.json", {"command": "alpha", "config": {}})
     assert main(["replay", "--report", lacking]) == 1
@@ -301,6 +305,17 @@ def test_cli_rejects_non_finite_inputs(tmp_path, capsys):
             assert main(argv) == 1
             err = capsys.readouterr().err
             assert err == f"{argv[0]}: {x}: coefficient 1 = ({bad}+0j) is not finite\n"
+
+
+def test_cli_names_the_flag_of_a_short_coefficient_file(tmp_path, capsys):
+    f = write_json(tmp_path / "f.json", [0.0, 1.0, 1.0, 0.0])
+    short = write_json(tmp_path / "short.json", [0.0, 1.0, 1.0])
+    for flag, argv in (("--f", ["gamma", "--builtin", "wordlength:4", "--f", short]),
+                       ("--g", ["gamma", "--builtin", "wordlength:4", "--f", f, "--g", short]),
+                       ("--x", ["dilate", "--builtin", "walsh:2:2", "--x", short, "--L", "1.0"])):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"{argv[0]}: {flag} has 3 coefficients, but the group has order 4\n"
 
 
 def test_parser_is_built_once_and_keeps_no_flag_values(tmp_path):

@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cocycle_lab.algebra import Semigroup, delta
+from cocycle_lab.cli import _gallery_entries
 from cocycle_lab.cocycles import gromov_form, length_function, word_length_psi
 from cocycle_lab.criterion import (best_alpha_bisection, best_alpha_pencil,
                                    check_element)
-from cocycle_lab.families import delta_psi
+from cocycle_lab.families import builtin_length, delta_psi
 from cocycle_lab.groups import build_cyclic
+
+GALLERY_ALPHA = [sub["psi"]["builtin"] for _, command, sub in _gallery_entries(0)
+                 if command == "alpha"]
+LARGE = ["walsh:2:8", "wordlength:256", "heisenberg-wordlength:7"]    # orders 256, 256, 343
 
 
 def test_delta_family_closed_form():
@@ -45,15 +51,15 @@ def test_heisenberg_methods_agree():
 
 def test_certificate_contents():
     K = gromov_form(word_length_psi(6))
-    cert = best_alpha_pencil(K)
-    assert cert.method in ("pencil", "bisection-fallback")
-    assert np.linalg.norm(cert.witness) == pytest.approx(1.0)
     M = 0.5 * (K.K + K.K.T)
     Q = M * M
-    rayleigh = cert.witness @ (Q - cert.alpha_star * M) @ cert.witness
-    assert abs(rayleigh - cert.residual) < 1e-9
-    with pytest.raises(ValueError):
-        cert.witness[0] = 5.0   # frozen
+    for cert in (best_alpha_pencil(K), best_alpha_bisection(K)):
+        assert cert.method in ("pencil", "bisection-fallback", "bisection")
+        assert np.linalg.norm(cert.witness) == pytest.approx(1.0)
+        rayleigh = cert.witness @ (Q - cert.alpha_star * M) @ cert.witness
+        assert abs(rayleigh - cert.residual) < 1e-9
+        with pytest.raises(ValueError):
+            cert.witness[0] = 5.0   # frozen
 
 
 def test_check_element_oracle():
@@ -78,11 +84,37 @@ def test_random_conic_combinations_maximality():
         K = gromov_form(psi)
         M = 0.5 * (K.K + K.K.T)
         Q = M * M
-        cert = best_alpha_pencil(K)
         scale = 1.0 + np.linalg.norm(Q, 2)
-        # feasible at alpha*, infeasible once pushed past it
-        assert np.linalg.eigvalsh(Q - cert.alpha_star * M)[0] >= -1e-8 * scale
-        assert np.linalg.eigvalsh(Q - (cert.alpha_star + 1e-4) * M)[0] < 0
+        for cert in (best_alpha_pencil(K), best_alpha_bisection(K)):
+            # feasible at alpha*, infeasible once pushed past it
+            assert np.linalg.eigvalsh(Q - cert.alpha_star * M)[0] >= -1e-8 * scale
+            assert np.linalg.eigvalsh(Q - (cert.alpha_star + 1e-4) * M)[0] < 0
+
+
+@pytest.mark.parametrize("name", GALLERY_ALPHA + LARGE)
+def test_bisection_matches_pencil(name):
+    K = gromov_form(builtin_length(name))
+    a, b = best_alpha_pencil(K), best_alpha_bisection(K)
+    assert a.method == "pencil" and b.method == "bisection"
+    assert abs(a.alpha_star - b.alpha_star) <= 1e-12 * (1 + a.alpha_star)
+
+
+def test_bisection_exact_on_wordlength_256():
+    # even word length on Z_n has alpha* = 1
+    assert abs(best_alpha_bisection(gromov_form(builtin_length("wordlength:256"))).alpha_star
+               - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("name", LARGE)
+def test_bisection_eigensolve_count(name, monkeypatch):
+    K = gromov_form(builtin_length(name))
+    calls = []
+    for module, fn in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (scipy.linalg, "eigh")):
+        solver = getattr(module, fn)
+        monkeypatch.setattr(module, fn,
+                            lambda *a, _solver=solver, **kw: calls.append(1) or _solver(*a, **kw))
+    best_alpha_bisection(K)
+    assert 1 < len(calls) <= 20
 
 
 def test_non_psd_kernel_rejected():

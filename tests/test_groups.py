@@ -110,6 +110,8 @@ def test_inverse_axiom_violation_named():
 
 
 def test_size_caps():
+    with pytest.raises(SizeCapError, match=f"cyclic order {ORDER_CAP + 1} exceeds cap {ORDER_CAP}"):
+        build_cyclic(ORDER_CAP + 1)
     with pytest.raises(SizeCapError):
         build_heisenberg(17)
     with pytest.raises(SizeCapError):
