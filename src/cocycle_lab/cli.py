@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import AlgebraElement, Semigroup, element, gamma, gamma2, tau
-from .cocycles import (gromov_form, is_conditionally_negative, length_function,
+from .cocycles import (DEFAULT_TOL, gromov_form, is_conditionally_negative, length_function,
                        realize_cocycle, verify_schur_identity)
 from .criterion import best_alpha_bisection, best_alpha_pencil
 from .dilation import inequality_report, sample_scenario
@@ -111,16 +111,28 @@ def _psi_config_from_args(args, required: bool) -> Optional[dict]:
         data = {"psi": data}
     if not isinstance(data, dict) or "psi" not in data:
         raise ValueError(f"{args.psi} has no 'psi' field")
+    values = data["psi"]
+    if not isinstance(values, list):
+        raise ValueError(f"{args.psi}: 'psi' is {json.dumps(values)}, not a list of numbers")
+    for g, v in enumerate(values):
+        if not isinstance(v, (int, float)):
+            raise ValueError(f"{args.psi}: psi({g}) = {json.dumps(v)} is not a number")
     if group:
         gspec = _group_spec_from_file(group)
     elif "group" in data:
         gsrc = data["group"]
         if isinstance(gsrc, dict) and gsrc.get("kind") == "table" and "path" in gsrc:
             gsrc = gsrc["path"]         # inline the table: the config must not name a file
-        gspec = _group_spec_from_file(gsrc) if isinstance(gsrc, str) else dict(gsrc)
+        if isinstance(gsrc, str):
+            gspec = _group_spec_from_file(gsrc)
+        elif isinstance(gsrc, dict):
+            gspec = dict(gsrc)
+        else:
+            raise ValueError(f"{args.psi}: 'group' is {json.dumps(gsrc)}, "
+                             "neither a group file path nor a group spec")
     else:
         raise ValueError("no group given: add --group FILE or a 'group' field to the psi JSON")
-    return {"group": gspec, "values": [float(v) for v in data["psi"]]}
+    return {"group": gspec, "values": [float(v) for v in values]}
 
 
 def _psi_from_config(cfg: dict):
@@ -132,16 +144,20 @@ def _psi_from_config(cfg: dict):
 
 def _coeffs_from_file(path: str) -> list:
     data = _read_json(path)
-    try:
-        coeffs = data["coeffs"] if isinstance(data, dict) else data
-        pairs = [[float(c[0]), float(c[1])] if isinstance(c, list) else [float(c), 0.0]
-                 for c in coeffs]
-    except (KeyError, IndexError, TypeError, ValueError):
+    coeffs = data.get("coeffs") if isinstance(data, dict) else data
+    if not isinstance(coeffs, list):
         raise ValueError(f"{path}: an element is a list of numbers or [re, im] pairs, "
-                         "bare or under 'coeffs'") from None
-    for i, (re, im) in enumerate(pairs):
+                         "bare or under 'coeffs'")
+    pairs = []
+    for i, c in enumerate(coeffs):
+        try:
+            re, im = (float(v) for v in c) if isinstance(c, list) else (float(c), 0.0)
+        except (TypeError, ValueError):
+            raise ValueError(f"{path}: coefficient {i} = {json.dumps(c)} is not a number "
+                             "or an [re, im] pair") from None
         if not np.isfinite([re, im]).all():
             raise ValueError(f"{path}: coefficient {i} = {complex(re, im)} is not finite")
+        pairs.append([re, im])
     return pairs
 
 
@@ -228,7 +244,7 @@ _RUNNERS["group"] = run_group      # `group build` is parsed and configured by h
 
 
 @_command("cn-check", "conditional negativity verdict for psi",
-          _flag("--tol", type=float, default=1e-9), _OUT, psi="required")
+          _flag("--tol", type=float, default=DEFAULT_TOL), _OUT, psi="required")
 def run_cn_check(config: dict) -> dict:
     psi = _psi_from_config(config["psi"])
     verdict = is_conditionally_negative(psi, tol=config["tol"])
@@ -330,7 +346,7 @@ def run_matrix(config: dict) -> dict:
         alpha, samples = float(config["alpha_check"]), 200
         worst = alpha_battery(A, alpha, config["seed"], samples)
         out["alpha_check"] = {"alpha": alpha, "worst_min_eig": worst,
-                              "passed": bool(worst >= -1e-9), "samples": samples}
+                              "passed": bool(worst >= -DEFAULT_TOL), "samples": samples}
     return _generator_results(A, config, out)
 
 
@@ -368,6 +384,8 @@ def _generator_results(A, config: dict, out: dict) -> dict:
                 help="attach the bracket envelope at alpha = alpha*(psi)"), _OUT,
           psi="required")
 def run_dilate(config: dict) -> dict:
+    if config["steps"] < 1:
+        raise ValueError(f"need at least one step, got {config['steps']}")
     psi = _psi_from_config(config["psi"])
     K = gromov_form(psi)
     real = realize_cocycle(K)
@@ -497,6 +515,8 @@ def _run_replay(args) -> int:
     if missing:
         raise ValueError(f"{args.report} is not a report: it lacks {', '.join(missing)}")
     command, config = report["command"], report["config"]
+    if not isinstance(config, dict):
+        raise ValueError(f"{args.report} is not a report: its config is not an object")
     if command not in _RUNNERS:
         raise ValueError(f"{args.report} names an unknown command {command!r}")
     if _digest(config) != report["inputs_digest"]:

@@ -2,12 +2,14 @@
 
 The Gromov form K(s,t) = (psi(s)+psi(t)-psi(s^{-1}t))/2 is the Gram matrix
 of the cocycle vectors b(g); psi is conditionally negative exactly when K
-is positive semidefinite.  PSD tests are relative:
-lambda_min >= -tol*(1 + ||K||_2).
+is positive semidefinite.  K is diagonalised once: the PSD test reads
+lambda_min >= -tol*(1 + ||K||_2), and at tol = DEFAULT_TOL that bound is
+also the rank cut, above which the eigenvalues span ran K.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -32,7 +34,8 @@ class LengthFunction:
 
 
 def length_function(group: FiniteGroup, values) -> LengthFunction:
-    """Validated constructor: psi finite, psi(e) = 0, psi >= 0, psi(g) = psi(g^{-1})."""
+    """Validated constructor: psi finite, psi(e) = 0, psi >= 0, psi(g) = psi(g^{-1}) to 1e-12;
+    stored as (v + v[inv]) / 2, so psi and its Gromov form are exactly symmetric."""
     v = np.asarray(values, dtype=float)
     if v.shape != (group.order,):
         raise ValueError(f"psi has shape {v.shape}, expected ({group.order},)")
@@ -49,11 +52,12 @@ def length_function(group: FiniteGroup, values) -> LengthFunction:
         g = int(np.argmax(np.abs(v - v[group.inv])))
         raise ValueError(
             f"psi not symmetric: psi({g}) = {v[g]} but psi(inv({g})) = {v[group.inv[g]]}")
-    return LengthFunction(group, v)
+    return LengthFunction(group, (v + v[group.inv]) / 2)
 
 
 @dataclass(frozen=True)
 class GromovForm:
+    """K, diagonalised once for the PSD test, the rank cut, realize and both alpha* solvers."""
     group: FiniteGroup
     K: np.ndarray           # (order, order) real symmetric
 
@@ -64,10 +68,29 @@ class GromovForm:
     def psi(self) -> np.ndarray:
         return np.diag(self.K)
 
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lam, U) = eigh(K), ascending, read-only."""
+        lam, U = np.linalg.eigh(self.K)
+        lam.flags.writeable = U.flags.writeable = False
+        return lam, U
+
+    def _psd_test(self, tol: float = DEFAULT_TOL) -> CnVerdict:
+        lam = self.spectrum[0]
+        return CnVerdict(bool(lam[0] >= -tol * psd_scale(lam)), float(lam[0]))
+
+    def _rank_cut(self) -> float:
+        """DEFAULT_TOL * (1 + ||K||_2), once K passes the PSD test (else ValueError)."""
+        test = self._psd_test()
+        if not test.verdict:
+            raise ValueError(f"K is not PSD: min eigenvalue {test.min_eig:.3e}")
+        return DEFAULT_TOL * psd_scale(self.spectrum[0])
+
 
 def gromov_form(psi: LengthFunction) -> GromovForm:
-    """K(s,t) = (psi(s) + psi(t) - psi(s^{-1} t)) / 2."""
-    psi = length_function(psi.group, psi.values)  # revalidate invariants
+    """K(s,t) = (psi(s) + psi(t) - psi(s^{-1} t)) / 2 from psi.values as given: a LengthFunction
+    built directly (the dilation's ||b(g)||^2) is not re-symmetrized, which would move its Gamma."""
+    length_function(psi.group, psi.values)      # revalidate invariants
     v = psi.values
     K = 0.5 * (v[:, None] + v[None, :] - v[psi.group.conv_index])
     return GromovForm(psi.group, K)
@@ -80,9 +103,7 @@ class CnVerdict:
 
 
 def is_conditionally_negative(psi: LengthFunction, tol: float = DEFAULT_TOL) -> CnVerdict:
-    K = gromov_form(psi).K
-    w = np.linalg.eigvalsh(0.5 * (K + K.T))
-    return CnVerdict(bool(w[0] >= -tol * psd_scale(w)), float(w[0]))
+    return gromov_form(psi)._psd_test(tol)
 
 
 @dataclass(frozen=True)
@@ -112,18 +133,15 @@ def realize_cocycle(K: GromovForm) -> CocycleRealization:
     an orthocomplement never has anything to act on).
     """
     group = K.group
-    M = 0.5 * (K.K + K.K.T)
-    lam, U = np.linalg.eigh(M)
-    scale = psd_scale(lam)
-    if lam[0] < -DEFAULT_TOL * scale:
-        raise ValueError(f"K is not PSD: min eigenvalue {lam[0]:.3e}")
-    keep = lam > DEFAULT_TOL * scale
+    lam, U = K.spectrum
+    keep = lam > K._rank_cut()
     d = int(keep.sum())
-    B = U[:, keep] * np.sqrt(np.clip(lam[keep], 0.0, None))
-    # alpha_g^T = B^+ (b(g h) - b(g)); B^+ computed once.
-    Bpinv = np.linalg.pinv(B, rcond=1e-12)
+    root = np.sqrt(lam[keep])
+    B = U[:, keep] * root
+    # alpha_g^T = B^+ (b(g h) - b(g)); B = U_r Lambda_r^{1/2}, so B^+ = Lambda_r^{-1/2} U_r^T.
+    Bpinv = U[:, keep].T / root[:, None]
     reps = np.empty((group.order, d, d))
-    gram_scale = 1.0 + np.abs(M).max()
+    gram_scale = 1.0 + np.abs(K.K).max()
     for g in range(group.order):
         C = B[group.mul[g]] - B[g]
         At = Bpinv @ C

@@ -5,8 +5,9 @@ sufficient for the operator-level criterion; alpha* is its largest
 feasible alpha.  Two independent solvers are provided: Dinkelbach's
 iteration over Rayleigh-quotient upper bounds (the reference, under the
 name best_alpha_bisection) and a direct generalized-eigenvalue method
-through a Schur complement onto the range of K.  check_element tests
-single elements at the operator level.
+through a Schur complement onto the range of K; both read K's PSD test and
+rank cut off GromovForm.spectrum.  check_element tests single elements at
+the operator level.
 """
 from __future__ import annotations
 
@@ -16,10 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .algebra import AlgebraElement, PositivityReport, Semigroup, gamma, gamma2, operator_positivity
-from .cocycles import GromovForm
-from .linalg import psd_scale
-
-PENCIL_TOL = 1e-9       # the range/kernel eigenvalue cut of K, and the pencil's coupling slack
+from .cocycles import DEFAULT_TOL, GromovForm
 
 
 @dataclass(frozen=True)
@@ -31,14 +29,6 @@ class AlphaCertificate:
 
     def __post_init__(self):
         self.witness.setflags(write=False)
-
-
-def _check_psd_input(K: GromovForm) -> tuple[np.ndarray, float]:
-    M = 0.5 * (K.K + K.K.T)
-    w = np.linalg.eigvalsh(M)
-    if w[0] < -1e-9 * psd_scale(w):
-        raise ValueError(f"K is not PSD: min eigenvalue {w[0]:.3e}")
-    return M, psd_scale(w)
 
 
 def _certificate(K: np.ndarray, alpha: float, method: str) -> AlphaCertificate:
@@ -53,19 +43,20 @@ def best_alpha_bisection(K: GromovForm) -> AlphaCertificate:
     take the least eigenpair (w, v) of K o K - alpha K and move alpha to the Rayleigh
     quotient v^T (K o K) v / v^T K v, which is an upper bound on alpha*.  This is
     Newton's method on the concave lambda_min from the right, so alpha falls strictly
-    onto alpha*.  Stop at w >= 0, when alpha stops falling, or when v^T K v is under
-    the PENCIL_TOL rank cut: then v lies in ker K and w is rounding noise.  Nothing
-    splits ran/ker K or forms a Schur complement, so this route is independent of
-    best_alpha_pencil.
+    onto alpha*.  Stop at w >= 0, when alpha stops falling, or when v^T K v is at or
+    under K's rank cut: then v lies in ker K and w is rounding noise.  Nothing splits
+    ran/ker K or forms a Schur complement, so this route is independent of
+    best_alpha_pencil; of K's spectrum it reads only the PSD test and the cut value.
     """
-    M, scale = _check_psd_input(K)
+    cut = K._rank_cut()
+    M = K.K
     Q = M * M
     alpha = float(np.diag(M).max())
     while True:
         w, V = scipy.linalg.eigh(Q - alpha * M, subset_by_index=[0, 0])
         v = V[:, 0]
         mass = v @ M @ v
-        if w[0] >= 0 or mass <= PENCIL_TOL * scale:
+        if w[0] >= 0 or mass <= cut:
             break
         quotient = float(v @ Q @ v / mass)
         if not quotient < alpha:
@@ -84,10 +75,10 @@ def best_alpha_pencil(K: GromovForm) -> AlphaCertificate:
     If kernel directions couple to the range outside ran(Q_kk) the
     elimination is invalid and we fall back to bisection.
     """
-    M, _ = _check_psd_input(K)
+    M = K.K
     Q = M * M
-    lam, U = np.linalg.eigh(M)
-    keep = lam > PENCIL_TOL * psd_scale(lam)
+    lam, U = K.spectrum
+    keep = lam > K._rank_cut()
     if not keep.any():
         return _certificate(M, float(np.diag(M).max()), "pencil")
     Ur, Uk = U[:, keep], U[:, ~keep]
@@ -98,7 +89,7 @@ def best_alpha_pencil(K: GromovForm) -> AlphaCertificate:
         Qkk = Uk.T @ Q @ Uk
         Qkk_p = np.linalg.pinv(Qkk, rcond=1e-12, hermitian=True)
         coupling = np.abs(Qrk - Qrk @ Qkk_p @ Qkk).max()
-        if coupling > PENCIL_TOL * (1.0 + np.abs(Q).max()):
+        if coupling > DEFAULT_TOL * (1.0 + np.abs(Q).max()):
             cert = best_alpha_bisection(K)
             return AlphaCertificate(cert.alpha_star, "bisection-fallback",
                                     cert.witness, cert.residual)

@@ -239,13 +239,19 @@ def build_from_spec(spec: dict) -> FiniteGroup:
     A table spec holds the table itself ({"order", "mul", "labels"?}), never a path.
     """
     kind = spec.get("kind")
-    if kind == "cyclic":
-        return build_cyclic(int(spec["n"]))
-    if kind == "product":
-        n, m = int(spec["n"]), int(spec.get("m", 1))
-        return build_product([build_cyclic(n)] * m)
-    if kind == "heisenberg":
-        return build_heisenberg(int(spec["n"]))
     if kind == "table":
         return group_from_dict(spec)
-    raise ValueError(f"unknown group kind {kind!r}")
+    if kind not in ("cyclic", "product", "heisenberg"):
+        raise ValueError(f"unknown group kind {kind!r}")
+    if "n" not in spec:
+        raise ValueError(f"group kind {kind!r} needs the key 'n'")
+    try:
+        n = int(spec["n"])
+        m = int(spec.get("m", 1)) if kind == "product" else 1
+    except (TypeError, ValueError):
+        raise ValueError(f"group kind {kind!r} needs integer sizes, got {spec!r}") from None
+    if kind == "cyclic":
+        return build_cyclic(n)
+    if kind == "product":
+        return build_product([build_cyclic(n)] * m)
+    return build_heisenberg(n)

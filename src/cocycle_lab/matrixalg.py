@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from . import rng
-from .linalg import psd_scale, schatten_norm
+from .linalg import HERMITIAN_PRECHECK, psd_scale, schatten_norm
 from .poincare import PoincareReport, WorstConstant, maximize_ratio, ratio_scores, sweep
 
 SUPEROP_CAP = 12
@@ -149,13 +149,13 @@ def lindblad_generator(a: Sequence[np.ndarray]) -> Superoperator:
             i, k = np.argwhere(~np.isfinite(m))[0]
             raise ValueError(f"a[{j}] has a non-finite entry at ({i}, {k})")
         dev = np.abs(m - m.conj().T).max()
-        if dev > 1e-10:
+        if dev > HERMITIAN_PRECHECK:
             raise ValueError(f"a[{j}] is not Hermitian: deviation {dev:.3e}")
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             comm = mats[i] @ mats[j] - mats[j] @ mats[i]
             dev = np.abs(comm).max()
-            if dev > 1e-10:
+            if dev > HERMITIAN_PRECHECK:
                 raise ValueError(
                     f"a[{i}] and a[{j}] do not commute: ||[a_{i},a_{j}]|| = {dev:.3e}")
     eye = np.eye(n, dtype=complex)
@@ -165,9 +165,9 @@ def lindblad_generator(a: Sequence[np.ndarray]) -> Superoperator:
         A += np.kron(eye, m2.T) + np.kron(m2, eye) - 2.0 * np.kron(m, m.T)
     sup = Superoperator(n, A)
     # construction-time sanity: A(1) = 0 and self-adjointness for the pairing
-    if np.abs(sup.apply(eye)).max() > 1e-10:
+    if np.abs(sup.apply(eye)).max() > HERMITIAN_PRECHECK:
         raise ValueError("Lindblad generator does not annihilate the identity")
-    if np.abs(A - A.conj().T).max() > 1e-10:
+    if np.abs(A - A.conj().T).max() > HERMITIAN_PRECHECK:
         raise ValueError("Lindblad generator is not self-adjoint")
     return sup
 

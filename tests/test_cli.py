@@ -261,6 +261,10 @@ def test_cli_errors_exit_nonzero(tmp_path, capsys):
         "command": "nope", "config": {}, "inputs_digest": _digest({}), "seed": None})
     assert main(["replay", "--report", unknown]) == 1
     assert "unknown command 'nope'" in capsys.readouterr().err
+    listed = write_json(tmp_path / "listed.json", {
+        "command": "alpha", "config": [1, 2], "inputs_digest": _digest([1, 2]), "seed": None})
+    assert main(["replay", "--report", listed]) == 1
+    assert capsys.readouterr().err == f"replay: {listed} is not a report: its config is not an object\n"
 
     assert main(["cn-check", "--psi", write_json(tmp_path / "five.json", 5)]) == 1
     assert "no 'psi' field" in capsys.readouterr().err
@@ -318,6 +322,37 @@ def test_cli_names_the_flag_of_a_short_coefficient_file(tmp_path, capsys):
         assert err == f"{argv[0]}: {flag} has 3 coefficients, but the group has order 4\n"
 
 
+def test_cli_names_a_coefficient_entry_that_is_not_a_pair(tmp_path, capsys):
+    f = write_json(tmp_path / "f.json", [0.0, 1.0, 1.0, 0.0])
+    for i, entry, payload in ((2, "[1.0, 0.0, 9.0]", [0.0, 1.0, [1.0, 0.0, 9.0], 0.0]),
+                              (1, "[1.0]", {"coeffs": [0.0, [1.0], 0.0, 0.0]}),
+                              (0, "null", [None, 1.0, 0.0, 0.0])):
+        path = write_json(tmp_path / f"bad{i}.json", payload)
+        for argv in (["gamma", "--builtin", "wordlength:4", "--f", path],
+                     ["gamma", "--builtin", "wordlength:4", "--f", f, "--g", path],
+                     ["dilate", "--builtin", "walsh:2:2", "--x", path, "--L", "1.0"]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == (f"{argv[0]}: {path}: coefficient {i} = {entry} "
+                                               "is not a number or an [re, im] pair\n")
+
+
+def test_cli_names_the_malformed_field_of_a_psi_file(tmp_path, capsys):
+    cyclic4, psi4 = {"kind": "cyclic", "n": 4}, [0, 1, 2, 1]
+    for name, payload, want in (
+            ("psi_five", {"group": cyclic4, "psi": 5}, "'psi' is 5, not a list of numbers"),
+            ("psi_null", {"group": cyclic4, "psi": None}, "'psi' is null, not a list of numbers"),
+            ("psi_entry", {"group": cyclic4, "psi": [0, 1, None, 1]}, "psi(2) = null is not a number"),
+            ("group_seven", {"group": 7, "psi": psi4},
+             "'group' is 7, neither a group file path nor a group spec")):
+        path = write_json(tmp_path / f"{name}.json", payload)
+        for cmd in ("cn-check", "alpha"):
+            assert main([cmd, "--psi", path]) == 1
+            assert capsys.readouterr().err == f"{cmd}: {path}: {want}\n"
+    no_n = write_json(tmp_path / "no_n.json", {"group": {"kind": "cyclic"}, "psi": psi4})
+    assert main(["cn-check", "--psi", no_n]) == 1
+    assert capsys.readouterr().err == "cn-check: group kind 'cyclic' needs the key 'n'\n"
+
+
 def test_parser_is_built_once_and_keeps_no_flag_values(tmp_path):
     assert _build_parser() is _build_parser()
     first, second = tmp_path / "first.json", tmp_path / "second.json"
@@ -353,6 +388,14 @@ def test_dilate_rejects_non_finite_horizon(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("dilate:")
         assert f"step size must be positive and finite, got {L}" in err
+
+
+def test_dilate_rejects_zero_steps(tmp_path, capsys):
+    x = write_json(tmp_path / "x.json", [0.0, 1.0, 0.7, 0.2])
+    for steps in ("0", "-3"):
+        assert main(["dilate", "--builtin", "walsh:2:2", "--x", x, "--L", "1.0",
+                     "--steps", steps]) == 1
+        assert capsys.readouterr().err == f"dilate: need at least one step, got {steps}\n"
 
 
 def test_cli_rejects_invalid_thread_count(monkeypatch, capsys):

@@ -43,6 +43,14 @@ def test_length_function_validation():
         length_function(g, [np.nan, 1.0, 2.0, 1.0])
 
 
+def test_length_function_stores_an_exactly_symmetric_psi():
+    g = build_cyclic(4)
+    psi = length_function(g, [0.0, 1.0, 2.0, 1.0 + 4e-13])     # inside the 1e-12 check
+    assert np.array_equal(psi.values, psi.values[g.inv])
+    K = gromov_form(psi).K
+    assert np.array_equal(K, K.T)
+
+
 def test_gromov_form_word_length_oracle():
     K = gromov_form(word_length_psi(4)).K
     assert np.array_equal(K[0], np.zeros(4))

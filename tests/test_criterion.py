@@ -4,7 +4,7 @@ import scipy.linalg
 
 from cocycle_lab.algebra import Semigroup, delta
 from cocycle_lab.cli import _gallery_entries
-from cocycle_lab.cocycles import gromov_form, length_function, word_length_psi
+from cocycle_lab.cocycles import gromov_form, length_function, realize_cocycle, word_length_psi
 from cocycle_lab.criterion import (best_alpha_bisection, best_alpha_pencil,
                                    check_element)
 from cocycle_lab.families import builtin_length, delta_psi
@@ -115,6 +115,28 @@ def test_bisection_eigensolve_count(name, monkeypatch):
                             lambda *a, _solver=solver, **kw: calls.append(1) or _solver(*a, **kw))
     best_alpha_bisection(K)
     assert 1 < len(calls) <= 20
+
+
+@pytest.mark.parametrize("name", LARGE)
+def test_one_gromov_spectrum_serves_both_solvers_and_realize(name, monkeypatch):
+    K = gromov_form(builtin_length(name))
+    n = K.group.order
+    full = []       # per numpy eigensolve: is its input n x n?
+
+    def counted(solver):
+        def call(a, *rest, **kw):
+            full.append(np.shape(a) == (n, n))
+            return solver(a, *rest, **kw)
+        return call
+    for fn in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, fn, counted(getattr(np.linalg, fn)))
+    best_alpha_pencil(K)
+    best_alpha_bisection(K)
+    pinv = []
+    monkeypatch.setattr(np.linalg, "pinv", lambda *a, **kw: pinv.append(1))
+    realize_cocycle(K)
+    assert sum(full) <= 2       # K's spectrum and the pencil's certificate
+    assert not pinv
 
 
 def test_non_psd_kernel_rejected():

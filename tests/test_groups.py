@@ -223,6 +223,13 @@ def test_build_from_spec_dispatch():
         build_from_spec({"kind": "dihedral", "n": 3})
     with pytest.raises(TableValidationError, match="malformed group JSON"):
         build_from_spec({"kind": "table", "path": "z3.json"})     # a spec holds the table
+    for kind in ("cyclic", "product", "heisenberg"):
+        with pytest.raises(ValueError, match=f"^group kind '{kind}' needs the key 'n'$"):
+            build_from_spec({"kind": kind})
+    for spec in ({"kind": "cyclic", "n": None}, {"kind": "product", "n": 2, "m": "x"}):
+        with pytest.raises(ValueError, match=f"^group kind '{spec['kind']}' needs integer sizes, "
+                                             f"got {re.escape(repr(spec))}$"):
+            build_from_spec(spec)
 
 
 def test_shared_index_tables():
