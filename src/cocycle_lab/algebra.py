@@ -99,7 +99,14 @@ class Semigroup:
         # weight[s, u] = K(s, s u), the kernel aligned for the Gamma contraction
         K = self.gromov.K
         g = self.group
-        return K[np.arange(g.order)[:, None], g.mul]
+        w = K[np.arange(g.order)[:, None], g.mul]
+        w.setflags(write=False)
+        return w
+
+    @cached_property
+    def gamma_psd(self) -> bool:
+        """psi passes the Gromov-form PSD test, so every Gamma(f, f) is PSD (Schoenberg)."""
+        return self.gromov._psd_test().verdict
 
     @cached_property
     def fix_mask(self) -> np.ndarray:

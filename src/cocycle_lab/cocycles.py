@@ -64,10 +64,6 @@ class GromovForm:
     def __post_init__(self):
         self.K.setflags(write=False)
 
-    @property
-    def psi(self) -> np.ndarray:
-        return np.diag(self.K)
-
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """(lam, U) = eigh(K), ascending, read-only."""

@@ -41,18 +41,23 @@ class FiniteGroup:
     @cached_property
     def conv_index(self) -> np.ndarray:
         """conv_index[s, u] = s^{-1} u; shared read-only convolution table."""
-        return self.mul[self.inv]
+        return _frozen(self.mul[self.inv])
 
     @cached_property
     def rep_index(self) -> np.ndarray:
-        """rep_index[x, y] = x y^{-1}; regular-representation lookup."""
-        return self.mul[:, self.inv]
+        """rep_index[x, y] = x y^{-1}; shared read-only regular-representation lookup."""
+        return _frozen(self.mul[:, self.inv])
 
     def label(self, g: int) -> str:
         return self.labels[g] if self.labels else str(g)
 
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.mul, self.mul.T))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def validate_group(order: int, mul: np.ndarray, inv: np.ndarray) -> None:

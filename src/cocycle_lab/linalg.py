@@ -1,7 +1,10 @@
 """Small shared numerical helpers: Schatten norms, the Hermitian and PSD tolerances, threaded map.
 
-Schatten norms at even integer p use matrix products only; every other p
-takes the singular values, which stay the reference route.
+Schatten norms at even integer p use matrix products only.  So does odd
+integer p on a stack that the caller certifies PSD (psd_schatten_norm):
+there ||X||_p^p = tau(X^p), a trace read at p = 1 and a product beyond.
+Every other p, and odd p on any other stack, takes the singular values,
+which stay the reference route.
 """
 from __future__ import annotations
 
@@ -25,6 +28,15 @@ def schatten_norm(mat: np.ndarray, p: float):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def psd_schatten_norm(mats: np.ndarray, p: float):
+    """schatten_norm of a matrix or stack the caller knows to be PSD; odd integer p by trace powers.
+
+    On a matrix that is not PSD the odd-p value is tau(X^p)^{1/p}, not the norm.
+    """
+    out = _schatten(mats, p, take_root=True, psd=True)
+    return float(out) if np.ndim(out) == 0 else out
+
+
 def root(x, k: float):
     """x^{1/k} elementwise by Python float power, so a stack rounds as its values do one by one.
 
@@ -38,24 +50,26 @@ def schatten_pow_batch(mats: np.ndarray, p: float) -> np.ndarray:
     return _schatten(mats, p, take_root=False)
 
 
-def _schatten(mats: np.ndarray, p: float, take_root: bool) -> np.ndarray:
-    """tau(|X|^p) per matrix of a stack, or its p-th root: the one even-p / SVD rule.
+def _schatten(mats: np.ndarray, p: float, take_root: bool, psd: bool = False) -> np.ndarray:
+    """tau(|X|^p) per matrix of a stack, or its p-th root: the one product / SVD rule.
 
-    Even integer p >= 2 takes matrix products (_even_moment), in blocks of
-    about _BLOCK entries so its temporaries stay small on large stacks.  Any
-    other p (odd, fractional, inf) takes the singular values, the reference
-    route; for the root they are rescaled by their max before powering.
-    Both scale by _pow2_scale first; a p not >= 1 (NaN too) raises ValueError.
+    Even integer p >= 2 takes matrix products (_even_moment), and so does
+    odd integer p on a PSD stack (_trace_power), in blocks of about _BLOCK
+    entries so their temporaries stay small on large stacks.  Any other p
+    (odd, fractional, inf) takes the singular values, the reference route;
+    for the root they are rescaled by their max before powering.  All scale
+    by _pow2_scale first; a p not >= 1 (NaN too) raises ValueError.
     """
     if not p >= 1:
         raise ValueError(f"Schatten norm needs p >= 1, got {p}")
     mats = np.asarray(mats)
-    if p >= 2 and float(p).is_integer() and int(p) % 2 == 0:
+    if float(p).is_integer() and (p % 2 == 0 or psd):
+        rule = _even_moment if p % 2 == 0 else _trace_power
         flat = mats.reshape((-1,) + mats.shape[-2:])
         step = max(1, _BLOCK // max(1, mats.shape[-1] ** 2))
         scale, acc = np.empty((2, len(flat)))
         for lo in range(0, len(flat), step):
-            scale[lo:lo + step], acc[lo:lo + step] = _even_moment(flat[lo:lo + step], int(p) // 2)
+            scale[lo:lo + step], acc[lo:lo + step] = rule(flat[lo:lo + step], int(p))
         scale, acc = scale.reshape(mats.shape[:-2]), acc.reshape(mats.shape[:-2])
         return scale * root(acc, p) if take_root else scale ** p * acc
     c, y = _pow2_scale(mats)
@@ -79,13 +93,14 @@ def _pow2_scale(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ldexp(1.0, e), x * np.ldexp(1.0, -e)[..., None, None]
 
 
-def _even_moment(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(c, tau((Y* Y)^m)) per matrix of a (k, n, n) stack x, with (c, Y) = _pow2_scale(x).
+def _even_moment(x: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(c, tau((Y* Y)^m)) per matrix of a (k, n, n) stack x, p = 2m, with (c, Y) = _pow2_scale(x).
 
     With H = Y* Y, tau(H^m) = (1/n) ||Z||_F^2 for Z = H^{m/2} (m even) or
     Z = Y H^{(m-1)/2} (m odd): a sum of squares, and Z = Y itself at p = 2.
     """
     c, y = _pow2_scale(x)
+    m = p // 2
     z = y
     if m > 1:
         z = np.linalg.matrix_power(np.swapaxes(y.conj(), -1, -2) @ y, m // 2)
@@ -93,6 +108,21 @@ def _even_moment(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
             z = y @ z
     sq = (z * z.conj()).real
     return c, sq.reshape(len(sq), -1).sum(axis=-1) / z.shape[-1]
+
+
+def _trace_power(x: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(c, tau(Y^q)) per matrix of a PSD (k, n, n) stack x, q odd, with (c, Y) = _pow2_scale(x).
+
+    q = 1 is the normalized trace; q = 2m + 1 is (1/n) Re sum conj(Z) o (Y Z)
+    with Z = Y^m.  Y's entries are below 2 in modulus, so tau(Y^q) <= (2n)^q
+    does not overflow.
+    """
+    c, y = _pow2_scale(x)
+    n = y.shape[-1]
+    if q == 1:
+        return c, np.trace(y, axis1=-2, axis2=-1).real / n
+    z = np.linalg.matrix_power(y, q // 2)
+    return c, (z.conj() * (y @ z)).real.reshape(len(y), -1).sum(axis=-1) / n
 
 
 def psd_scale(w: np.ndarray) -> float:

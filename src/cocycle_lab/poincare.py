@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, Semigroup, fix_project, gamma, lp_norm, regular_rep
 from .criterion import AlphaCertificate
-from .linalg import root, schatten_norm, thread_map
+from .linalg import psd_schatten_norm, root, schatten_norm, thread_map
 from . import rng
 
 GRAD_STEP = 1e-6
@@ -51,14 +51,23 @@ def ratio_scores(num, den_c, den_r, coeff_max):
 
 
 def poincare_ratio(sg: Semigroup, f: AlgebraElement, p: float):
-    """Ratio per witness of f, an element or a stack; ||Gamma^{1/2}||_p = ||Gamma||_{p/2}^{1/2}."""
+    """Ratio per witness of f, an element or a stack; ||Gamma^{1/2}||_p = ||Gamma||_{p/2}^{1/2}.
+
+    When psi passes the CN test (sg.gamma_psd) both Gamma are PSD, so an odd
+    p/2 takes trace powers (psd_schatten_norm); otherwise the denominators
+    take schatten_norm, as the numerator always does.
+    """
+    return _ratio(sg, f, p, psd_schatten_norm if sg.gamma_psd else schatten_norm)
+
+
+def _ratio(sg: Semigroup, f: AlgebraElement, p: float, den_norm):
     if p < 2:
         raise ValueError(f"Poincare ratio needs p >= 2, got {p}")
     f0 = f - fix_project(sg, f)
     f0s = f0.adjoint()
     return ratio_scores(lp_norm(f0, p),
-                        schatten_norm(regular_rep(gamma(sg, f0, f0)), p / 2.0),
-                        schatten_norm(regular_rep(gamma(sg, f0s, f0s)), p / 2.0),
+                        den_norm(regular_rep(gamma(sg, f0, f0)), p / 2.0),
+                        den_norm(regular_rep(gamma(sg, f0s, f0s)), p / 2.0),
                         np.abs(f.coeffs).max(axis=-1))
 
 
@@ -170,7 +179,12 @@ def maximize_ratio(ratio: Callable[[Any], Any], chart: Callable[[np.ndarray], An
 
 
 def worst_constant(sg: Semigroup, p: float, budget: int = 20000, seed: int = 0) -> WorstConstant:
-    """Empirical lower bound for the best L_p Poincare constant."""
+    """Empirical lower bound for the best L_p Poincare constant.
+
+    The optimizer scores by poincare_ratio; the constant is the winning
+    witness re-scored with schatten_norm denominators, so it stays a
+    certified bound for a psi that passes the CN test only within its tolerance.
+    """
     nonfix = np.where(~sg.fix_mask)[0]
     if nonfix.size == 0:
         raise ValueError("psi is identically 0: no spectral gap")
@@ -180,8 +194,8 @@ def worst_constant(sg: Semigroup, p: float, budget: int = 20000, seed: int = 0) 
         c[..., nonfix] = z
         return AlgebraElement(sg.group, c)
 
-    return maximize_ratio(lambda f: poincare_ratio(sg, f, p), chart,
-                          nonfix.size, budget, seed)
+    res = maximize_ratio(lambda f: poincare_ratio(sg, f, p), chart, nonfix.size, budget, seed)
+    return res._replace(constant=float(_ratio(sg, res.witness, p, schatten_norm)))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ from cocycle_lab.algebra import (AlgebraElement, Semigroup, conv, delta,
 from cocycle_lab.cocycles import word_length_psi
 from cocycle_lab.families import builtin_length, delta_psi, walsh_length
 from cocycle_lab.groups import build_cyclic
-from cocycle_lab.linalg import schatten_norm, schatten_pow_batch
+from cocycle_lab.linalg import (_pow2_scale, _trace_power, psd_schatten_norm, schatten_norm,
+                                schatten_pow_batch)
 
 from conftest import rand_coeffs, rand_matrix, svd_schatten
 
@@ -132,6 +133,27 @@ def test_even_p_moments_match_svd_hypothesis(spec, index, p):
         ref = svd_schatten(mats, p)
         assert np.all(np.abs(schatten_norm(mats, p) - ref) <= 1e-12 * ref)
         assert np.all(np.abs(schatten_pow_batch(mats, p) - ref ** p) <= 1e-12 * ref ** p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 10 ** 6), st.integers(1, 9),
+       st.sampled_from((1e-300, 1e-150, 1.0, 1e150, 1e300)), st.sampled_from((1, 3, 5, 7)))
+def test_odd_trace_powers_match_svd_on_psd_stacks_hypothesis(n, index, rank, scale, q):
+    """On PSD stacks B*B, rank deficient too, tau(X^q) by trace powers matches the singular
+    values to 1e-12 at odd q; at entries near 1e+-300 neither it nor the norm overflows."""
+    B = np.stack([rand_matrix(n, index + i, unit=False) for i in range(3)])
+    B[:, min(rank, n):] = 0.0
+    X = scale * (np.swapaxes(B.conj(), -1, -2) @ B)
+    c, acc = _trace_power(X, q)
+    y = _pow2_scale(X)[1]
+    want = np.mean(np.linalg.svd(y, compute_uv=False) ** q, axis=-1)
+    assert np.all(np.isfinite(c)) and np.all(np.isfinite(acc))
+    assert np.all(np.abs(acc - want) <= 1e-12 * want)
+    norms = psd_schatten_norm(X, q)
+    ref = np.array([svd_schatten(x / scale, q) * scale for x in X])
+    assert np.all(np.isfinite(norms))
+    assert np.all(np.abs(norms - ref) <= 1e-12 * ref)
+    assert np.array_equal(norms, [psd_schatten_norm(x, q) for x in X])
 
 
 def test_semigroup_laws(z4word):
@@ -288,6 +310,19 @@ def test_p_energy_gamma_regularity(z4word):
         lhs = tau(gamma(z4word, f2, f2)).real
         rhs = (16.0 / 12.0) * tau(gamma(z4word, f, f3)).real
         assert lhs <= rhs + 1e-9
+
+
+def test_cached_index_tables_are_read_only():
+    """The cached fancy-index copies are shared by every later caller, so a write must fail."""
+    sg = Semigroup(word_length_psi(4))
+    g = sg.group
+    for name, table in (("conv_index", g.conv_index), ("rep_index", g.rep_index),
+                        ("_kernel_su", sg._kernel_su)):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            table += 1
+        assert not table.flags.writeable, name
 
 
 def test_mismatched_groups_rejected():

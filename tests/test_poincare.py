@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from cocycle_lab import poincare, rng as clrng
-from cocycle_lab.algebra import AlgebraElement, Semigroup, element, gamma, regular_rep
+from cocycle_lab.algebra import (AlgebraElement, Semigroup, element, fix_project, gamma, lp_norm,
+                                regular_rep)
 from cocycle_lab.cocycles import gromov_form, length_function, word_length_psi
 from cocycle_lab.criterion import AlphaCertificate, best_alpha_pencil
 from cocycle_lab.families import builtin_length, delta_psi
 from cocycle_lab.groups import build_cyclic
+from cocycle_lab.linalg import schatten_norm
 from cocycle_lab.matrixalg import heisenberg_multiplier, matrix_poincare, matrix_worst_constant
 from cocycle_lab.poincare import (GRAD_STEP, REL_IMPROVEMENT_STOP, ZeroNumeratorError,
                                   fit_exponent, l2_oracle, maximize_on_sphere, maximize_ratio,
-                                  poincare_ratio, sweep_and_fit, worst_constant)
+                                  poincare_ratio, ratio_scores, sweep_and_fit, worst_constant)
 
 from conftest import captured_objective, rand_coeffs
 
@@ -291,7 +293,8 @@ def test_batched_ratio_matches_reference(monkeypatch, spec):
     chart = lambda z: AlgebraElement(sg.group, z)
     fun = captured_objective(monkeypatch, lambda: maximize_ratio(
         lambda f: poincare_ratio(sg, f, 5.0), chart, order, budget=1, seed=0))
-    for p in (2.0, 5.0, 16.0):
+    assert sg.gamma_psd         # so q = p/2 = 1, 3, 5, 7 take the trace powers
+    for p in (2.0, 5.0, 6.0, 10.0, 14.0, 16.0):
         with pytest.raises(ZeroNumeratorError, match="zero numerator"):
             poincare_ratio(sg, element(sg.group, C[3]), p)
         with pytest.raises(ZeroNumeratorError) as exc:
@@ -308,3 +311,46 @@ def test_batched_ratio_matches_reference(monkeypatch, spec):
     # through the optimizer's objective the fixed-point row scores 0
     scores = fun(np.concatenate([C.real, C.imag], axis=1))
     assert scores[3] == 0.0 and np.all(np.delete(scores, 3) > 0)
+
+
+def _svd_route_ratio(sg, f, p):
+    """poincare_ratio with schatten_norm denominators at every p, whatever psi is."""
+    f0 = f - fix_project(sg, f)
+    f0s = f0.adjoint()
+    return ratio_scores(lp_norm(f0, p),
+                        schatten_norm(regular_rep(gamma(sg, f0, f0)), p / 2.0),
+                        schatten_norm(regular_rep(gamma(sg, f0s, f0s)), p / 2.0),
+                        np.abs(f.coeffs).max(axis=-1))
+
+
+def test_odd_q_denominators_take_trace_powers_only_for_a_cn_psi(monkeypatch):
+    """At p = 6 (q = 3) a CN psi scores with no SVD at all; a non-CN psi keeps the SVD
+    route and its scores bit for bit."""
+    bad = Semigroup(length_function(build_cyclic(4), [0.0, 1.0, 3.0, 1.0]))
+    cn = Semigroup(word_length_psi(4))
+    assert not bad.gamma_psd and cn.gamma_psd
+    C = np.array([rand_coeffs(4, 90 + i) for i in range(5)])
+    for p in (2.0, 6.0):
+        f = AlgebraElement(bad.group, C)
+        assert np.array_equal(poincare_ratio(bad, f, p), _svd_route_ratio(bad, f, p))
+        for c in C:
+            g = element(bad.group, c)
+            assert poincare_ratio(bad, g, p) == _svd_route_ratio(bad, g, p)
+    calls = []
+    real_svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or real_svd(*a, **k))
+    poincare_ratio(cn, AlgebraElement(cn.group, C), 6.0)
+    assert calls == []
+    poincare_ratio(bad, AlgebraElement(bad.group, C), 6.0)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("spec", ["walsh:2:3", "heisenberg-wordlength:3"])
+def test_sweep_constants_are_their_witnesses_on_the_svd_route(spec):
+    """Each constant is its witness re-scored with SVD denominators, exactly; on this grid
+    and budget the optimizer's trace-power score of some winner differs in its last ulp."""
+    sg = Semigroup(builtin_length(spec))
+    assert sg.gamma_psd
+    rep = sweep_and_fit(sg, [2.0, 6.0, 10.0, 14.0], budget=1500, seed=0)
+    for p, c, w in zip(rep.p_grid, rep.constants, rep.witnesses):
+        assert c == _svd_route_ratio(sg, w, p), p
