@@ -155,6 +155,15 @@ def gamma(sg: Semigroup, f: AlgebraElement, g: AlgebraElement,
     raise ValueError(f"unknown gamma path {path!r}")
 
 
+def gamma_norm(sg: Semigroup, f: AlgebraElement, q: float, psd: bool = False):
+    """max{||Gamma(f,f)||_q, ||Gamma(f*,f*)||_q} per element of f, an element or a stack.
+
+    psd=True, for a psi that passes the CN test (Semigroup.gamma_psd), lets odd q take trace powers.
+    """
+    return np.maximum(*(schatten_norm(regular_rep(gamma(sg, g, g)), q, psd)
+                        for g in (f, f.adjoint())))
+
+
 def gamma2(sg: Semigroup, f: AlgebraElement, g: AlgebraElement,
            path: str = "kernel") -> AlgebraElement:
     """Gamma_2(f,g) = (Gamma(Af,g) + Gamma(f,Ag) - A Gamma(f,g))/2.

@@ -28,11 +28,11 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .algebra import AlgebraElement, Semigroup, gamma, regular_rep, semigroup_apply
+from .algebra import AlgebraElement, Semigroup, gamma, gamma_norm, semigroup_apply
 from .cocycles import CocycleRealization, LengthFunction
 from .criterion import AlphaCertificate
 from .groups import FiniteGroup
-from .linalg import schatten_norm, schatten_pow_batch, thread_map
+from .linalg import schatten_pow_batch, thread_map
 from . import rng
 
 BRACKET_PS = (2.0, 4.0, 6.0, 8.0)
@@ -296,10 +296,9 @@ def inequality_report(x: AlgebraElement, scenario: BrownianScenario, L: float, p
 
     decoupling_ratio = ||M_n||_p / ||M~_n||_p, bdg_ratio = ||M_n||_p /
     (sqrt(p) max{hc, hr}).  With a positive alpha certificate the bracket
-    bound sqrt((1-e^{-2 alpha L})/alpha) max{||Gamma(x,x)||_{p/2},
-    ||Gamma(x*,x*)||_{p/2}}^{1/2} is compared against max{hc, hr}; the
-    gradient bound Gamma(T_s x, T_s x) <= e^{-2 alpha s} T_s Gamma(x,x)
-    makes the slack nonnegative up to MC error.
+    bound sqrt((1-e^{-2 alpha L})/alpha) gamma_norm(x, p/2)^{1/2} is compared
+    against max{hc, hr}; the gradient bound Gamma(T_s x, T_s x) <=
+    e^{-2 alpha s} T_s Gamma(x,x) makes the slack nonnegative up to MC error.
     """
     tr = martingale_transform(x, scenario, L, p)
     br = bracket_estimates(tr)
@@ -314,10 +313,7 @@ def inequality_report(x: AlgebraElement, scenario: BrownianScenario, L: float, p
     bound = None
     if alpha_cert is not None and alpha_cert.alpha_star > 0:
         a = alpha_cert.alpha_star
-        sg = scenario.semigroup
-        gnorm = max(
-            schatten_norm(regular_rep(gamma(sg, x, x)), p / 2.0),
-            schatten_norm(regular_rep(gamma(sg, x.adjoint(), x.adjoint())), p / 2.0))
+        gnorm = gamma_norm(scenario.semigroup, x, p / 2.0)
         env = float(np.sqrt((1.0 - np.exp(-2.0 * a * L)) / a) * np.sqrt(gnorm))
         mb = max(br.hc.mean, br.hr.mean)
         mb_se = br.hc.se if br.hc.mean >= br.hr.mean else br.hr.se

@@ -1,10 +1,9 @@
 """Small shared numerical helpers: Schatten norms, the Hermitian and PSD tolerances, threaded map.
 
-Schatten norms at even integer p use matrix products only.  So does odd
-integer p on a stack that the caller certifies PSD (psd_schatten_norm):
-there ||X||_p^p = tau(X^p), a trace read at p = 1 and a product beyond.
-Every other p, and odd p on any other stack, takes the singular values,
-which stay the reference route.
+Schatten norms at even integer p use matrix products only, and so does odd
+integer p on a stack the caller certifies PSD (psd=True): there
+||X||_p^p = tau(X^p), a trace read at p = 1 and a product beyond.  Every
+other p, and odd p without the flag, takes the singular values, the reference route.
 """
 from __future__ import annotations
 
@@ -18,22 +17,14 @@ _BLOCK = 2 ** 16      # entries per block of the even-p Schatten route
 _NOT_FINITE = "Schatten norm input is not finite (it holds NaN or inf)"
 
 
-def schatten_norm(mat: np.ndarray, p: float):
+def schatten_norm(mat: np.ndarray, p: float, psd: bool = False):
     """((1/n) sum sigma_i^p)^{1/p} of a matrix; max sigma for p = inf.
 
     A float for one matrix; an array for an (..., n, n) stack, which takes
-    one call.
+    one call.  psd=True lets odd integer p take trace powers, which give
+    the norm only where every matrix is PSD.
     """
-    out = _schatten(mat, p, take_root=True)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def psd_schatten_norm(mats: np.ndarray, p: float):
-    """schatten_norm of a matrix or stack the caller knows to be PSD; odd integer p by trace powers.
-
-    On a matrix that is not PSD the odd-p value is tau(X^p)^{1/p}, not the norm.
-    """
-    out = _schatten(mats, p, take_root=True, psd=True)
+    out = _schatten(mat, p, take_root=True, psd=psd)
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -225,8 +225,8 @@ def matrix_poincare_ratio(A: Superoperator, x: np.ndarray, p: float):
     x0 = x - A.fix_project(x)
     x0d = np.swapaxes(x0.conj(), -1, -2)
     return ratio_scores(schatten_norm(x0, p),
-                        schatten_norm(superop_gamma(A, x0, x0), p / 2.0),
-                        schatten_norm(superop_gamma(A, x0d, x0d), p / 2.0),
+                        np.maximum(schatten_norm(superop_gamma(A, x0, x0), p / 2.0),
+                                   schatten_norm(superop_gamma(A, x0d, x0d), p / 2.0)),
                         np.abs(x).max(axis=(-2, -1)))
 
 

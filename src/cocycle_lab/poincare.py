@@ -17,9 +17,9 @@ from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, Semigroup, fix_project, gamma, lp_norm, regular_rep
+from .algebra import AlgebraElement, Semigroup, fix_project, gamma_norm, lp_norm
 from .criterion import AlphaCertificate
-from .linalg import psd_schatten_norm, root, schatten_norm, thread_map
+from .linalg import root, thread_map
 from . import rng
 
 GRAD_STEP = 1e-6
@@ -37,13 +37,13 @@ class ZeroNumeratorError(ValueError):
         self.scores = scores
 
 
-def ratio_scores(num, den_c, den_r, coeff_max):
-    """num / max{den_c, den_r}^{1/2} per witness: a float for one, an array for a stack.
+def ratio_scores(num, den, coeff_max):
+    """num / den^{1/2} per witness: a float for one, an array for a stack.
 
     num < 1e-14 (1 + coeff_max) flags a witness in the fixed-point algebra.
     """
     zero = num < 1e-14 * (1.0 + coeff_max)
-    r = np.where(zero, 0.0, num / root(np.where(zero, 1.0, np.maximum(den_c, den_r)), 2.0))
+    r = np.where(zero, 0.0, num / root(np.where(zero, 1.0, den), 2.0))
     r = float(r) if r.ndim == 0 else r
     if np.any(zero):
         raise ZeroNumeratorError(r)
@@ -53,21 +53,17 @@ def ratio_scores(num, den_c, den_r, coeff_max):
 def poincare_ratio(sg: Semigroup, f: AlgebraElement, p: float):
     """Ratio per witness of f, an element or a stack; ||Gamma^{1/2}||_p = ||Gamma||_{p/2}^{1/2}.
 
-    When psi passes the CN test (sg.gamma_psd) both Gamma are PSD, so an odd
-    p/2 takes trace powers (psd_schatten_norm); otherwise the denominators
-    take schatten_norm, as the numerator always does.
+    When psi passes the CN test (sg.gamma_psd), odd p/2 takes trace powers in
+    gamma_norm; otherwise the denominator takes the SVD, as the numerator always does.
     """
-    return _ratio(sg, f, p, psd_schatten_norm if sg.gamma_psd else schatten_norm)
+    return _ratio(sg, f, p, sg.gamma_psd)
 
 
-def _ratio(sg: Semigroup, f: AlgebraElement, p: float, den_norm):
+def _ratio(sg: Semigroup, f: AlgebraElement, p: float, psd: bool):
     if p < 2:
         raise ValueError(f"Poincare ratio needs p >= 2, got {p}")
     f0 = f - fix_project(sg, f)
-    f0s = f0.adjoint()
-    return ratio_scores(lp_norm(f0, p),
-                        den_norm(regular_rep(gamma(sg, f0, f0)), p / 2.0),
-                        den_norm(regular_rep(gamma(sg, f0s, f0s)), p / 2.0),
+    return ratio_scores(lp_norm(f0, p), gamma_norm(sg, f0, p / 2.0, psd),
                         np.abs(f.coeffs).max(axis=-1))
 
 
@@ -182,7 +178,7 @@ def worst_constant(sg: Semigroup, p: float, budget: int = 20000, seed: int = 0) 
     """Empirical lower bound for the best L_p Poincare constant.
 
     The optimizer scores by poincare_ratio; the constant is the winning
-    witness re-scored with schatten_norm denominators, so it stays a
+    witness re-scored with SVD denominators (psd=False), so it stays a
     certified bound for a psi that passes the CN test only within its tolerance.
     """
     nonfix = np.where(~sg.fix_mask)[0]
@@ -195,7 +191,7 @@ def worst_constant(sg: Semigroup, p: float, budget: int = 20000, seed: int = 0) 
         return AlgebraElement(sg.group, c)
 
     res = maximize_ratio(lambda f: poincare_ratio(sg, f, p), chart, nonfix.size, budget, seed)
-    return res._replace(constant=float(_ratio(sg, res.witness, p, schatten_norm)))
+    return res._replace(constant=float(_ratio(sg, res.witness, p, False)))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from cocycle_lab.algebra import (AlgebraElement, Semigroup, conv, delta,
 from cocycle_lab.cocycles import word_length_psi
 from cocycle_lab.families import builtin_length, delta_psi, walsh_length
 from cocycle_lab.groups import build_cyclic
-from cocycle_lab.linalg import (_pow2_scale, _trace_power, psd_schatten_norm, schatten_norm,
+from cocycle_lab.linalg import (_pow2_scale, _trace_power, schatten_norm,
                                 schatten_pow_batch)
 
 from conftest import rand_coeffs, rand_matrix, svd_schatten
@@ -149,11 +149,11 @@ def test_odd_trace_powers_match_svd_on_psd_stacks_hypothesis(n, index, rank, sca
     want = np.mean(np.linalg.svd(y, compute_uv=False) ** q, axis=-1)
     assert np.all(np.isfinite(c)) and np.all(np.isfinite(acc))
     assert np.all(np.abs(acc - want) <= 1e-12 * want)
-    norms = psd_schatten_norm(X, q)
+    norms = schatten_norm(X, q, psd=True)
     ref = np.array([svd_schatten(x / scale, q) * scale for x in X])
     assert np.all(np.isfinite(norms))
     assert np.all(np.abs(norms - ref) <= 1e-12 * ref)
-    assert np.array_equal(norms, [psd_schatten_norm(x, q) for x in X])
+    assert np.array_equal(norms, [schatten_norm(x, q, psd=True) for x in X])
 
 
 def test_semigroup_laws(z4word):

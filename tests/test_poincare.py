@@ -318,8 +318,8 @@ def _svd_route_ratio(sg, f, p):
     f0 = f - fix_project(sg, f)
     f0s = f0.adjoint()
     return ratio_scores(lp_norm(f0, p),
-                        schatten_norm(regular_rep(gamma(sg, f0, f0)), p / 2.0),
-                        schatten_norm(regular_rep(gamma(sg, f0s, f0s)), p / 2.0),
+                        np.maximum(schatten_norm(regular_rep(gamma(sg, f0, f0)), p / 2.0),
+                                   schatten_norm(regular_rep(gamma(sg, f0s, f0s)), p / 2.0)),
                         np.abs(f.coeffs).max(axis=-1))
 
 
