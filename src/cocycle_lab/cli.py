@@ -115,7 +115,7 @@ def _psi_config_from_args(args, required: bool) -> Optional[dict]:
     if not isinstance(values, list):
         raise ValueError(f"{args.psi}: 'psi' is {json.dumps(values)}, not a list of numbers")
     for g, v in enumerate(values):
-        if not isinstance(v, (int, float)):
+        if not _is_number(v):
             raise ValueError(f"{args.psi}: psi({g}) = {json.dumps(v)} is not a number")
     if group:
         gspec = _group_spec_from_file(group)
@@ -131,7 +131,8 @@ def _psi_config_from_args(args, required: bool) -> Optional[dict]:
             raise ValueError(f"{args.psi}: 'group' is {json.dumps(gsrc)}, "
                              "neither a group file path nor a group spec")
     else:
-        raise ValueError("no group given: add --group FILE or a 'group' field to the psi JSON")
+        flag = "--group FILE or " if hasattr(args, "group") else ""
+        raise ValueError(f"no group given: add {flag}a 'group' field to the psi JSON")
     return {"group": gspec, "values": [float(v) for v in values]}
 
 
@@ -150,11 +151,10 @@ def _coeffs_from_file(path: str) -> list:
                          "bare or under 'coeffs'")
     pairs = []
     for i, c in enumerate(coeffs):
-        try:
-            re, im = (float(v) for v in c) if isinstance(c, list) else (float(c), 0.0)
-        except (TypeError, ValueError):
+        if not (_is_pair(c) or _is_number(c)):
             raise ValueError(f"{path}: coefficient {i} = {json.dumps(c)} is not a number "
-                             "or an [re, im] pair") from None
+                             "or an [re, im] pair")
+        re, im = (float(v) for v in c) if isinstance(c, list) else (float(c), 0.0)
         if not np.isfinite([re, im]).all():
             raise ValueError(f"{path}: coefficient {i} = {complex(re, im)} is not finite")
         pairs.append([re, im])
@@ -177,8 +177,13 @@ def _family_from_file(path: str) -> list:
     return mats
 
 
+def _is_number(v) -> bool:
+    """v is a JSON number: an int or a float, not a bool (which Python counts as an int)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _is_pair(z) -> bool:
-    return isinstance(z, list) and len(z) == 2 and all(isinstance(v, (int, float)) for v in z)
+    return isinstance(z, list) and len(z) == 2 and all(map(_is_number, z))
 
 
 def _element_from_config(group, coeffs: list, flag: str) -> AlgebraElement:

@@ -72,6 +72,8 @@ class GromovForm:
         return lam, U
 
     def _psd_test(self, tol: float = DEFAULT_TOL) -> CnVerdict:
+        if not 0 <= tol < np.inf:
+            raise ValueError(f"tol must be finite and >= 0, got {tol}")
         lam = self.spectrum[0]
         return CnVerdict(bool(lam[0] >= -tol * psd_scale(lam)), float(lam[0]))
 

@@ -104,8 +104,8 @@ def best_alpha_pencil(K: GromovForm) -> AlphaCertificate:
 
 def check_element(sg: Semigroup, f: AlgebraElement, alpha: float) -> PositivityReport:
     """Operator-level test: is Gamma_2(f,f) - alpha Gamma(f,f) PSD?"""
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if not 0 <= alpha < np.inf:
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     g2 = gamma2(sg, f, f)
     g1 = gamma(sg, f, f)
     diff = AlgebraElement(f.group, g2.coeffs - alpha * g1.coeffs)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -206,9 +207,21 @@ def save_group(g: FiniteGroup, path: str) -> None:
         fh.write("\n")
 
 
+def _whole(v) -> bool:
+    """v is an int or a float without a fraction: not a bool, a string, NaN or inf."""
+    return not isinstance(v, bool) and (isinstance(v, (int, np.integer)) or (
+        isinstance(v, (float, np.floating)) and float(v).is_integer()))
+
+
 def group_from_dict(d: dict) -> FiniteGroup:
     try:
+        if not _whole(d["order"]):
+            raise ValueError(f"order {d['order']!r} is not an integer")
         order = int(d["order"])
+        flat = list(chain.from_iterable(d["mul"]))
+        bad = [v for v in flat if not _whole(v)] if set(map(type, flat)) - {int} else []
+        if bad:                                   # an all-int table, the usual one, skips the scan
+            raise ValueError(f"mul entry {bad[0]!r} is not an integer")
         mul = np.asarray(d["mul"], dtype=np.int64)
     except (KeyError, TypeError, ValueError) as exc:
         raise TableValidationError(f"malformed group JSON: {exc}") from exc
@@ -250,11 +263,10 @@ def build_from_spec(spec: dict) -> FiniteGroup:
         raise ValueError(f"unknown group kind {kind!r}")
     if "n" not in spec:
         raise ValueError(f"group kind {kind!r} needs the key 'n'")
-    try:
-        n = int(spec["n"])
-        m = int(spec.get("m", 1)) if kind == "product" else 1
-    except (TypeError, ValueError):
-        raise ValueError(f"group kind {kind!r} needs integer sizes, got {spec!r}") from None
+    sizes = (spec["n"], spec.get("m", 1) if kind == "product" else 1)
+    if not all(map(_whole, sizes)):
+        raise ValueError(f"group kind {kind!r} needs integer sizes, got {spec!r}")
+    n, m = map(int, sizes)
     if kind == "cyclic":
         return build_cyclic(n)
     if kind == "product":

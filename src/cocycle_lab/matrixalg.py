@@ -197,6 +197,10 @@ def battery_matrix(n: int, seed: int, index: int) -> np.ndarray:
 def alpha_battery(A: Superoperator, alpha: float, seed: int, samples: int) -> float:
     """Least eigenvalue of the Hermitian part of Gamma_2(x,x) - alpha Gamma(x,x) over the
     first `samples` battery matrices, each scaled to unit Frobenius norm."""
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    if samples < 1:
+        raise ValueError(f"the alpha battery needs samples >= 1, got {samples}")
     worst = np.inf
     for i in range(samples):
         x = battery_matrix(A.n, seed, i)

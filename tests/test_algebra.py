@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocycle_lab.algebra import (AlgebraElement, Semigroup, conv, delta,
-                                 element, fix_project, gamma, gamma2,
+                                 element, fix_project, gamma, gamma2, gamma_norm,
                                  generator_apply, lp_norm, operator_positivity,
                                  regular_rep, semigroup_apply, tau)
 from cocycle_lab.cocycles import word_length_psi
@@ -154,6 +154,22 @@ def test_odd_trace_powers_match_svd_on_psd_stacks_hypothesis(n, index, rank, sca
     assert np.all(np.isfinite(norms))
     assert np.all(np.abs(norms - ref) <= 1e-12 * ref)
     assert np.array_equal(norms, [schatten_norm(x, q, psd=True) for x in X])
+
+
+@pytest.mark.parametrize("spec", ["walsh:2:3", "heisenberg-wordlength:2", "wordlength:6"])
+def test_gamma_norm_is_the_larger_gamma_norm_of_f_and_its_adjoint(spec):
+    """Per element of a stack, on the SVD route and, for a CN psi, on trace powers."""
+    sg = Semigroup(builtin_length(spec))
+    C = np.stack([rand_coeffs(sg.group.order, i) for i in range(5)])
+    assert sg.gamma_psd
+    for q in (1.0, 1.5, 2.0, 3.0):
+        norms = gamma_norm(sg, AlgebraElement(sg.group, C), q)
+        for i, c in enumerate(C):
+            f = element(sg.group, c)
+            want = max(svd_schatten(regular_rep(gamma(sg, g, g)), q) for g in (f, f.adjoint()))
+            assert abs(norms[i] - want) <= 1e-12 * want
+            assert norms[i] == gamma_norm(sg, f, q)
+            assert abs(gamma_norm(sg, f, q, psd=True) - want) <= 1e-12 * want
 
 
 def test_semigroup_laws(z4word):

@@ -273,7 +273,9 @@ def test_cli_errors_exit_nonzero(tmp_path, capsys):
     assert "no 'a' field" in capsys.readouterr().err
     eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     for i, (name, mats) in enumerate((("not_pairs", [[[0.0, 1.0]]]),
-                                      ("ragged", [eye, [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0]]]]))):
+                                      ("ragged", [eye, [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0]]]]),
+                                      ("bool_entry", [eye, eye, [[[1.0, 0.0], [0.0, 0.0]],
+                                                                 [[0.0, 0.0], [True, 0.0]]]]))):
         path = write_json(tmp_path / f"{name}.json", {"a": mats})
         assert main(["lindblad", "--a", path]) == 1
         err = capsys.readouterr().err
@@ -309,6 +311,8 @@ def test_cli_rejects_non_finite_inputs(tmp_path, capsys):
             assert main(argv) == 1
             err = capsys.readouterr().err
             assert err == f"{argv[0]}: {x}: coefficient 1 = ({bad}+0j) is not finite\n"
+        assert main(["matrix", "--n", "2", "--alpha-check", bad]) == 1
+        assert capsys.readouterr().err == f"matrix: alpha must be finite, got {bad}\n"
 
 
 def test_cli_names_the_flag_of_a_short_coefficient_file(tmp_path, capsys):
@@ -326,7 +330,8 @@ def test_cli_names_a_coefficient_entry_that_is_not_a_pair(tmp_path, capsys):
     f = write_json(tmp_path / "f.json", [0.0, 1.0, 1.0, 0.0])
     for i, entry, payload in ((2, "[1.0, 0.0, 9.0]", [0.0, 1.0, [1.0, 0.0, 9.0], 0.0]),
                               (1, "[1.0]", {"coeffs": [0.0, [1.0], 0.0, 0.0]}),
-                              (0, "null", [None, 1.0, 0.0, 0.0])):
+                              (0, "null", [None, 1.0, 0.0, 0.0]),
+                              (3, '"1.5"', [0.0, 1.0, 0.0, "1.5"])):
         path = write_json(tmp_path / f"bad{i}.json", payload)
         for argv in (["gamma", "--builtin", "wordlength:4", "--f", path],
                      ["gamma", "--builtin", "wordlength:4", "--f", f, "--g", path],
@@ -342,6 +347,7 @@ def test_cli_names_the_malformed_field_of_a_psi_file(tmp_path, capsys):
             ("psi_five", {"group": cyclic4, "psi": 5}, "'psi' is 5, not a list of numbers"),
             ("psi_null", {"group": cyclic4, "psi": None}, "'psi' is null, not a list of numbers"),
             ("psi_entry", {"group": cyclic4, "psi": [0, 1, None, 1]}, "psi(2) = null is not a number"),
+            ("psi_bool", {"group": cyclic4, "psi": [0, True, 2, 1]}, "psi(1) = true is not a number"),
             ("group_seven", {"group": 7, "psi": psi4},
              "'group' is 7, neither a group file path nor a group spec")):
         path = write_json(tmp_path / f"{name}.json", payload)
@@ -351,6 +357,69 @@ def test_cli_names_the_malformed_field_of_a_psi_file(tmp_path, capsys):
     no_n = write_json(tmp_path / "no_n.json", {"group": {"kind": "cyclic"}, "psi": psi4})
     assert main(["cn-check", "--psi", no_n]) == 1
     assert capsys.readouterr().err == "cn-check: group kind 'cyclic' needs the key 'n'\n"
+
+
+def test_cli_rejects_booleans_where_numbers_go(tmp_path, capsys):
+    """JSON true is a Python int, so a plain isinstance check would read it as 1.0."""
+    for i, payload, entry in ((1, [0.0, True, 1.0, 0.0], "true"),
+                              (2, {"coeffs": [0.0, 1.0, [False, 1.0], 0.0]}, "[false, 1.0]")):
+        path = write_json(tmp_path / f"bool{i}.json", payload)
+        assert main(["gamma", "--builtin", "wordlength:4", "--f", path]) == 1
+        assert capsys.readouterr().err == (f"gamma: {path}: coefficient {i} = {entry} "
+                                           "is not a number or an [re, im] pair\n")
+
+
+def test_cli_bare_psi_list_names_group_only_where_the_command_has_it(tmp_path, capsys):
+    bare = write_json(tmp_path / "bare.json", [0, 1, 2, 1])
+    f = write_json(tmp_path / "f.json", [0.0, 1.0, 1.0, 0.0])
+    for argv, hint in ((["cn-check", "--psi", bare], ""),
+                       (["alpha", "--psi", bare], ""),
+                       (["gamma", "--psi", bare, "--f", f], "--group FILE or ")):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (f"{argv[0]}: no group given: add {hint}"
+                                           "a 'group' field to the psi JSON\n")
+
+
+def test_cli_gamma_on_a_bare_psi_with_a_group_file_inlines_the_table(tmp_path, capsys):
+    group = tmp_path / "z4.json"
+    save_group(build_cyclic(4), str(group))
+    bare = write_json(tmp_path / "bare.json", [0, 1, 2, 1])
+    f = write_json(tmp_path / "f.json", [0.0, 1.0, 1.0, 0.0])
+    out = tmp_path / "gamma.json"
+    assert main(["gamma", "--psi", bare, "--group", str(group), "--f", f, "--out", str(out)]) == 0
+    rep = read_report(out)
+    assert rep["config"]["psi"] == {"group": {"kind": "table", **group_to_dict(build_cyclic(4))},
+                                    "values": [0.0, 1.0, 2.0, 1.0]}
+    assert str(group) not in out.read_text() and str(tmp_path) not in out.read_text()
+    assert rep["results"]["gamma_path_deviation"] < 1e-12
+    assert main(["replay", "--report", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("replay: byte-identical")
+
+
+def test_cli_names_each_bad_flag_combination(tmp_path, capsys):
+    unwritten = str(tmp_path / "unwritten.json")
+    psi = write_json(tmp_path / "psi.json", {"group": {"kind": "cyclic", "n": 4}, "psi": [0, 1, 2, 1]})
+    no_list = write_json(tmp_path / "no_list.json", {"a": 5})
+    for argv, want in (
+            (["group", "build", "--kind", "table", "--out", unwritten], "kind=table needs --path"),
+            (["group", "build", "--kind", "cyclic", "--out", unwritten], "kind=cyclic needs --n"),
+            (["poincare", "--builtin", "wordlength:4", "--p", "2,x"],
+             "bad p grid '2,x': expected comma-separated numbers"),
+            (["matrix", "--n", "2", "--p", "2;4"], "bad p grid '2;4': expected comma-separated numbers"),
+            (["lindblad", "--a", no_list], f"{no_list}: 'a' is not a list of matrices"),
+            (["alpha", "--psi", psi, "--builtin", "wordlength:4"], "give either --psi or --builtin, not both")):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"{argv[0]}: {want}\n"
+    assert not os.path.exists(unwritten)
+
+
+def test_cn_check_rejects_a_tolerance_that_could_flip_the_verdict(tmp_path, capsys):
+    """--tol inf called psi = [0, 1, 3, 1] on Z_4 (min eig -0.71) CN; NaN and -1 called a CN psi not CN."""
+    for values in ([0, 1, 3, 1], [0, 1, 2, 1]):
+        psi = write_json(tmp_path / "psi.json", {"group": {"kind": "cyclic", "n": 4}, "psi": values})
+        for tol in ("inf", "nan", "-1"):
+            assert main(["cn-check", "--psi", psi, "--tol", tol]) == 1
+            assert capsys.readouterr().err == f"cn-check: tol must be finite and >= 0, got {float(tol)}\n"
 
 
 def test_parser_is_built_once_and_keeps_no_flag_values(tmp_path):

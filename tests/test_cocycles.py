@@ -71,6 +71,16 @@ def test_cn_verdicts():
     assert not v.verdict and v.min_eig < -0.1
 
 
+def test_cn_tolerance_must_be_finite_and_nonnegative():
+    """A tol of inf would call every psi CN, and NaN or a negative tol would call none CN."""
+    bad = length_function(build_cyclic(4), [0.0, 1.0, 3.0, 1.0])
+    for psi in (bad, delta_psi(4)):
+        for tol in (np.inf, np.nan, -1.0):
+            with pytest.raises(ValueError, match=f"^tol must be finite and >= 0, got {tol}$"):
+                is_conditionally_negative(psi, tol=tol)
+    assert is_conditionally_negative(delta_psi(4), tol=0.0).verdict
+
+
 def test_realize_walsh():
     psi = walsh_length(2, 2)
     real = realize_cocycle(gromov_form(psi))

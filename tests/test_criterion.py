@@ -72,6 +72,9 @@ def test_check_element_oracle():
     assert check_element(sg, f, 1.0).psd
     with pytest.raises(ValueError, match=">= 0"):
         check_element(sg, f, -0.5)
+    for alpha in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"^alpha must be finite and >= 0, got {alpha}$"):
+            check_element(sg, f, alpha)
 
 
 def test_random_conic_combinations_maximality():

@@ -226,10 +226,46 @@ def test_build_from_spec_dispatch():
     for kind in ("cyclic", "product", "heisenberg"):
         with pytest.raises(ValueError, match=f"^group kind '{kind}' needs the key 'n'$"):
             build_from_spec({"kind": kind})
-    for spec in ({"kind": "cyclic", "n": None}, {"kind": "product", "n": 2, "m": "x"}):
+    for spec in ({"kind": "cyclic", "n": None}, {"kind": "product", "n": 2, "m": "x"},
+                 {"kind": "cyclic", "n": 4.7}, {"kind": "cyclic", "n": "4"},
+                 {"kind": "cyclic", "n": True}, {"kind": "product", "n": 2, "m": 2.9},
+                 {"kind": "heisenberg", "n": float("nan")}):
         with pytest.raises(ValueError, match=f"^group kind '{spec['kind']}' needs integer sizes, "
                                              f"got {re.escape(repr(spec))}$"):
             build_from_spec(spec)
+
+
+def test_group_from_dict_accepts_only_integral_entries():
+    assert build_from_spec({"kind": "product", "n": 2.0, "m": 2}).order == 4
+    d = group_to_dict(build_cyclic(3))
+    assert group_from_dict({**d, "mul": [[float(v) for v in row] for row in d["mul"]]}).order == 3
+    for change, bad in (({"order": 2.9}, "order 2.9"), ({"order": True}, "order True"),
+                        ({"order": "3"}, "order '3'"),
+                        ({"mul": [[0, 1, 2], [1, 1.7, 0], [2, 0, 1]]}, "mul entry 1.7"),
+                        ({"mul": [[0, 1, 2], [1, 2, 0], [2, 0, True]]}, "mul entry True"),
+                        ({"mul": [[0, 1, 2], [1, "2", 0], [2, 0, 1]]}, "mul entry '2'"),
+                        ({"mul": [[0, 1, 2], [1, 2, 0], [2, 0, None]]}, "mul entry None")):
+        with pytest.raises(TableValidationError,
+                           match=f"^malformed group JSON: {re.escape(bad)} is not an integer$"):
+            group_from_dict({**d, **change})
+
+
+def test_validate_group_names_each_failing_axiom():
+    z3 = build_cyclic(3)
+    mul, inv = np.array(z3.mul), np.array(z3.inv)
+    ragged = np.array([[0, 1, 3], [1, 2, 0], [2, 0, 1]])
+    right = np.array([[0, 1, 2], [2, 2, 0], [2, 0, 1]])
+    # right inverses inv = (0, 2, 3, 1) hold, but inv(1) = 2 is no left inverse: mul(2, 1) = 3
+    loop = np.array([[0, 1, 2, 3], [1, 1, 0, 1], [2, 3, 1, 0], [3, 0, 1, 1]])
+    for order, m, i, want in (
+            (3, mul[:2, :2], inv, "mul table has shape (2, 2), expected (3, 3)"),
+            (3, ragged, inv, "mul(0,2) = 3 out of range [0,3)"),
+            (3, right, inv, "identity axiom fails: mul(1,0) = 2 != 1"),
+            (3, mul, inv[:2], "inv table has shape (2,), expected (3,)"),
+            (3, mul, np.arange(3), "inverse axiom fails: mul(1,inv(1)=1) = 2 != 0"),
+            (4, loop, np.array([0, 2, 3, 1]), "inverse axiom fails: mul(inv(1)=2,1) = 3 != 0")):
+        with pytest.raises(TableValidationError, match=f"^{re.escape(want)}$"):
+            validate_group(order, m, i)
 
 
 def test_shared_index_tables():

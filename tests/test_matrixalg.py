@@ -272,6 +272,17 @@ def test_alpha_battery_matches_reference_loop(n):
     assert worst < -1e-9
 
 
+def test_alpha_battery_rejects_a_non_finite_alpha_and_an_empty_battery():
+    """min(inf, nan) keeps inf, so a NaN alpha would pass; zero samples would pass vacuously."""
+    A = heisenberg_multiplier(2, "delta")
+    for alpha in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"^alpha must be finite, got {alpha}$"):
+            alpha_battery(A, alpha, 0, 200)
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match=f"needs samples >= 1, got {samples}$"):
+            alpha_battery(A, 1.0, 0, samples)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_lindblad_gamma_residual_matches_reference_loop(n):
     fam = [np.diag(np.arange(n) % 2.0), np.diag(np.arange(n) // 2 % 2.0)]
