@@ -72,9 +72,13 @@ def test_check_element_oracle():
     assert check_element(sg, f, 1.0).psd
     with pytest.raises(ValueError, match=">= 0"):
         check_element(sg, f, -0.5)
+
+
+def test_check_element_rejects_a_non_finite_alpha():
+    sg = Semigroup(word_length_psi(4))
     for alpha in (np.nan, np.inf):
         with pytest.raises(ValueError, match=f"^alpha must be finite and >= 0, got {alpha}$"):
-            check_element(sg, f, alpha)
+            check_element(sg, delta(sg.group, 1), alpha)
 
 
 def test_random_conic_combinations_maximality():
