@@ -33,7 +33,7 @@ from .cocycles import (DEFAULT_TOL, gromov_form, is_conditionally_negative, leng
 from .criterion import best_alpha_bisection, best_alpha_pencil
 from .dilation import inequality_report, sample_scenario
 from .families import builtin_length
-from .groups import build_from_spec, group_to_dict, load_group
+from .groups import build_from_spec, group_to_dict, is_number, load_group
 from .matrixalg import (alpha_battery, heisenberg_multiplier, lindblad_gamma_residual,
                         lindblad_generator, matrix_poincare)
 from .poincare import sweep_and_fit
@@ -115,7 +115,7 @@ def _psi_config_from_args(args, required: bool) -> Optional[dict]:
     if not isinstance(values, list):
         raise ValueError(f"{args.psi}: 'psi' is {json.dumps(values)}, not a list of numbers")
     for g, v in enumerate(values):
-        if not _is_number(v):
+        if not is_number(v):
             raise ValueError(f"{args.psi}: psi({g}) = {json.dumps(v)} is not a number")
     if group:
         gspec = _group_spec_from_file(group)
@@ -151,7 +151,7 @@ def _coeffs_from_file(path: str) -> list:
                          "bare or under 'coeffs'")
     pairs = []
     for i, c in enumerate(coeffs):
-        if not (_is_pair(c) or _is_number(c)):
+        if not (_is_pair(c) or is_number(c)):
             raise ValueError(f"{path}: coefficient {i} = {json.dumps(c)} is not a number "
                              "or an [re, im] pair")
         re, im = (float(v) for v in c) if isinstance(c, list) else (float(c), 0.0)
@@ -177,13 +177,8 @@ def _family_from_file(path: str) -> list:
     return mats
 
 
-def _is_number(v) -> bool:
-    """v is a JSON number: an int or a float, not a bool (which Python counts as an int)."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _is_pair(z) -> bool:
-    return isinstance(z, list) and len(z) == 2 and all(map(_is_number, z))
+    return isinstance(z, list) and len(z) == 2 and all(map(is_number, z))
 
 
 def _element_from_config(group, coeffs: list, flag: str) -> AlgebraElement:

@@ -8,9 +8,10 @@ element objects.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from numbers import Real
 from typing import Optional, Sequence
 
 import numpy as np
@@ -149,7 +150,7 @@ def build_product(factors: Sequence[FiniteGroup]) -> FiniteGroup:
     if not factors:
         raise ValueError("product of zero factors")
     orders = [f.order for f in factors]
-    order = int(np.prod(orders))
+    order = math.prod(orders)                  # exact: an int64 product wraps past 2^63
     if order > ORDER_CAP:
         raise SizeCapError(f"product order {order} exceeds cap {ORDER_CAP}")
     idx = np.arange(order)
@@ -207,10 +208,21 @@ def save_group(g: FiniteGroup, path: str) -> None:
         fh.write("\n")
 
 
+def is_number(v) -> bool:
+    """v is a real number a float holds: not a bool (which Python counts as an int),
+    a string, None or an int too large for a float."""
+    if isinstance(v, bool) or not isinstance(v, Real):
+        return False
+    try:
+        float(v)
+    except OverflowError:
+        return False
+    return True
+
+
 def _whole(v) -> bool:
-    """v is an int or a float without a fraction: not a bool, a string, NaN or inf."""
-    return not isinstance(v, bool) and (isinstance(v, (int, np.integer)) or (
-        isinstance(v, (float, np.floating)) and float(v).is_integer()))
+    """v is a number without a fraction: not NaN or inf."""
+    return is_number(v) and float(v).is_integer()
 
 
 def group_from_dict(d: dict) -> FiniteGroup:
@@ -218,12 +230,12 @@ def group_from_dict(d: dict) -> FiniteGroup:
         if not _whole(d["order"]):
             raise ValueError(f"order {d['order']!r} is not an integer")
         order = int(d["order"])
-        flat = list(chain.from_iterable(d["mul"]))
-        bad = [v for v in flat if not _whole(v)] if set(map(type, flat)) - {int} else []
-        if bad:                                   # an all-int table, the usual one, skips the scan
-            raise ValueError(f"mul entry {bad[0]!r} is not an integer")
+        if isinstance(d["mul"], list) and all(isinstance(row, list) for row in d["mul"]):
+            bad = [v for row in d["mul"] for v in row if not _whole(v)]
+            if bad:                           # any other shape gets the shape message below
+                raise ValueError(f"mul entry {bad[0]!r} is not an integer")
         mul = np.asarray(d["mul"], dtype=np.int64)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TableValidationError(f"malformed group JSON: {exc}") from exc
     labels = tuple(d.get("labels", ()))
     if labels and len(labels) != order:

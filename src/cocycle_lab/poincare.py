@@ -54,7 +54,7 @@ def poincare_ratio(sg: Semigroup, f: AlgebraElement, p: float):
     """Ratio per witness of f, an element or a stack; ||Gamma^{1/2}||_p = ||Gamma||_{p/2}^{1/2}.
 
     When psi passes the CN test (sg.gamma_psd), odd p/2 takes trace powers in
-    gamma_norm; otherwise the denominator takes the SVD, as the numerator always does.
+    gamma_norm; otherwise the denominator takes schatten_norm without the PSD flag.
     """
     return _ratio(sg, f, p, sg.gamma_psd)
 
@@ -177,9 +177,9 @@ def maximize_ratio(ratio: Callable[[Any], Any], chart: Callable[[np.ndarray], An
 def worst_constant(sg: Semigroup, p: float, budget: int = 20000, seed: int = 0) -> WorstConstant:
     """Empirical lower bound for the best L_p Poincare constant.
 
-    The optimizer scores by poincare_ratio; the constant is the winning
-    witness re-scored with SVD denominators (psd=False), so it stays a
-    certified bound for a psi that passes the CN test only within its tolerance.
+    The optimizer scores by poincare_ratio; the constant is the winning witness
+    re-scored with psd=False, so it stays a certified bound for a psi that passes
+    the CN test only within its tolerance.
     """
     nonfix = np.where(~sg.fix_mask)[0]
     if nonfix.size == 0:

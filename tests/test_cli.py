@@ -275,7 +275,9 @@ def test_cli_errors_exit_nonzero(tmp_path, capsys):
     for i, (name, mats) in enumerate((("not_pairs", [[[0.0, 1.0]]]),
                                       ("ragged", [eye, [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0]]]]),
                                       ("bool_entry", [eye, eye, [[[1.0, 0.0], [0.0, 0.0]],
-                                                                 [[0.0, 0.0], [True, 0.0]]]]))):
+                                                                 [[0.0, 0.0], [True, 0.0]]]]),
+                                      ("huge_entry", [eye, eye, eye, [[[1.0, 0.0], [0.0, 0.0]],
+                                                                      [[0.0, 10 ** 400], [1.0, 0.0]]]]))):
         path = write_json(tmp_path / f"{name}.json", {"a": mats})
         assert main(["lindblad", "--a", path]) == 1
         err = capsys.readouterr().err
@@ -333,7 +335,8 @@ def test_cli_names_a_coefficient_entry_that_is_not_a_pair(tmp_path, capsys):
                               (0, "null", [None, 1.0, 0.0, 0.0]),
                               (3, '"1.5"', [0.0, 1.0, 0.0, "1.5"]),
                               (1, "true", [0.0, True, 1.0, 0.0]),
-                              (2, "[false, 1.0]", {"coeffs": [0.0, 1.0, [False, 1.0], 0.0]})):
+                              (2, "[false, 1.0]", {"coeffs": [0.0, 1.0, [False, 1.0], 0.0]}),
+                              (3, str(10 ** 400), [0.0, 1.0, 0.0, 10 ** 400])):
         path = write_json(tmp_path / f"bad{i}.json", payload)
         for argv in (["gamma", "--builtin", "wordlength:4", "--f", path],
                      ["gamma", "--builtin", "wordlength:4", "--f", f, "--g", path],
@@ -350,6 +353,8 @@ def test_cli_names_the_malformed_field_of_a_psi_file(tmp_path, capsys):
             ("psi_null", {"group": cyclic4, "psi": None}, "'psi' is null, not a list of numbers"),
             ("psi_entry", {"group": cyclic4, "psi": [0, 1, None, 1]}, "psi(2) = null is not a number"),
             ("psi_bool", {"group": cyclic4, "psi": [0, True, 2, 1]}, "psi(1) = true is not a number"),
+            ("psi_huge", {"group": cyclic4, "psi": [0, 1, 10 ** 400, 1]},
+             f"psi(2) = {10 ** 400} is not a number"),
             ("group_seven", {"group": 7, "psi": psi4},
              "'group' is 7, neither a group file path nor a group spec")):
         path = write_json(tmp_path / f"{name}.json", payload)

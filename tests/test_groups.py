@@ -116,6 +116,8 @@ def test_size_caps():
         build_heisenberg(17)
     with pytest.raises(SizeCapError):
         build_product([build_cyclic(65), build_cyclic(65)])
+    with pytest.raises(SizeCapError, match=f"product order {2 ** 64} exceeds cap {ORDER_CAP}"):
+        build_product([build_cyclic(2)] * 64)
     # exactly at the cap is fine
     assert build_product([build_cyclic(64), build_cyclic(64)]).order == ORDER_CAP
 
@@ -229,7 +231,7 @@ def test_build_from_spec_dispatch():
     for spec in ({"kind": "cyclic", "n": None}, {"kind": "product", "n": 2, "m": "x"},
                  {"kind": "cyclic", "n": 4.7}, {"kind": "cyclic", "n": "4"},
                  {"kind": "cyclic", "n": True}, {"kind": "product", "n": 2, "m": 2.9},
-                 {"kind": "heisenberg", "n": float("nan")}):
+                 {"kind": "heisenberg", "n": float("nan")}, {"kind": "cyclic", "n": 10 ** 400}):
         with pytest.raises(ValueError, match=f"^group kind '{spec['kind']}' needs integer sizes, "
                                              f"got {re.escape(repr(spec))}$"):
             build_from_spec(spec)
@@ -244,10 +246,18 @@ def test_group_from_dict_accepts_only_integral_entries():
                         ({"mul": [[0, 1, 2], [1, 1.7, 0], [2, 0, 1]]}, "mul entry 1.7"),
                         ({"mul": [[0, 1, 2], [1, 2, 0], [2, 0, True]]}, "mul entry True"),
                         ({"mul": [[0, 1, 2], [1, "2", 0], [2, 0, 1]]}, "mul entry '2'"),
-                        ({"mul": [[0, 1, 2], [1, 2, 0], [2, 0, None]]}, "mul entry None")):
+                        ({"mul": [[0, 1, 2], [1, 2, 0], [2, 0, None]]}, "mul entry None"),
+                        ({"mul": [[0, 1, 2], [1, 2, 0], [2, 0, 10 ** 400]]}, f"mul entry {10 ** 400}"),
+                        ({"order": 10 ** 400}, f"order {10 ** 400}")):
         with pytest.raises(TableValidationError,
                            match=f"^malformed group JSON: {re.escape(bad)} is not an integer$"):
             group_from_dict({**d, **change})
+    for mul, shape in ((5, "()"), ([0, 1, 2], "(3,)")):
+        with pytest.raises(TableValidationError,
+                           match=re.escape(f"mul table has shape {shape}, expected (3, 3)")):
+            group_from_dict({**d, "mul": mul})
+    with pytest.raises(TableValidationError, match="^malformed group JSON: .*too large"):
+        group_from_dict({**d, "mul": [[0, 1, 2], [1, 2, 0], [2, 0, 2 ** 63]]})
 
 
 def test_validate_group_names_each_failing_axiom():
