@@ -6,15 +6,14 @@ feasible alpha.  Two independent solvers are provided: Dinkelbach's
 iteration over Rayleigh-quotient upper bounds (the reference, under the
 name best_alpha_bisection) and a direct generalized-eigenvalue method
 through a Schur complement onto the range of K; both read K's PSD test and
-rank cut off GromovForm.spectrum.  check_element tests single elements at
-the operator level.
+rank cut off GromovForm.spectrum.  Every eigensolve is np.linalg.eigh or
+eigvalsh.  check_element tests single elements at the operator level.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import AlgebraElement, PositivityReport, Semigroup, gamma, gamma2, operator_positivity
 from .cocycles import DEFAULT_TOL, GromovForm
@@ -53,7 +52,7 @@ def best_alpha_bisection(K: GromovForm) -> AlphaCertificate:
     Q = M * M
     alpha = float(np.diag(M).max())
     while True:
-        w, V = scipy.linalg.eigh(Q - alpha * M, subset_by_index=[0, 0])
+        w, V = np.linalg.eigh(Q - alpha * M)
         v = V[:, 0]
         mass = v @ M @ v
         if w[0] >= 0 or mass <= cut:

@@ -4,14 +4,14 @@ from __future__ import annotations
 import numpy as np
 
 from .cocycles import LengthFunction, length_function, word_length_psi
-from .groups import build_cyclic, build_heisenberg, build_product
+from .groups import build_cyclic, build_heisenberg, build_power
 
 
 def walsh_length(n: int, m: int) -> LengthFunction:
     """Number of nonzero coordinates of Z_n^m; cn via the product of delta lengths."""
     if n < 2 or m < 1:
         raise ValueError(f"walsh length needs n >= 2, m >= 1, got n={n}, m={m}")
-    group = build_product([build_cyclic(n)] * m)
+    group = build_power(n, m)
     coords = np.empty((group.order, m), dtype=np.int64)
     rem = np.arange(group.order)
     for i in range(m - 1, -1, -1):

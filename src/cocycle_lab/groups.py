@@ -126,6 +126,11 @@ def validate_group(order: int, mul: np.ndarray, inv: np.ndarray) -> None:
                     stack.append(g)
 
 
+def _show(k: int) -> str:
+    """k in decimal, or as a power of two when the decimal would be long."""
+    return str(k) if k.bit_length() <= 128 else f"~2^{k.bit_length() - 1}"
+
+
 def _finish(order: int, mul: np.ndarray, labels: Sequence[str],
             metadata: Optional[dict] = None) -> FiniteGroup:
     inv = np.argmax(mul == 0, axis=1).astype(mul.dtype)
@@ -139,7 +144,7 @@ def build_cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError(f"cyclic group needs n >= 1, got {n}")
     if n > ORDER_CAP:
-        raise SizeCapError(f"cyclic order {n} exceeds cap {ORDER_CAP}")
+        raise SizeCapError(f"cyclic order {_show(n)} exceeds cap {ORDER_CAP}")
     idx = np.arange(n)
     mul = (idx[:, None] + idx[None, :]) % n
     return _finish(n, mul, [str(k) for k in range(n)], {"kind": "cyclic", "n": n})
@@ -152,7 +157,7 @@ def build_product(factors: Sequence[FiniteGroup]) -> FiniteGroup:
     orders = [f.order for f in factors]
     order = math.prod(orders)                  # exact: an int64 product wraps past 2^63
     if order > ORDER_CAP:
-        raise SizeCapError(f"product order {order} exceeds cap {ORDER_CAP}")
+        raise SizeCapError(f"product order {_show(order)} exceeds cap {ORDER_CAP}")
     idx = np.arange(order)
     digits = []
     rem = idx
@@ -172,6 +177,14 @@ def build_product(factors: Sequence[FiniteGroup]) -> FiniteGroup:
                    {"kind": "product", "orders": orders})
 
 
+def build_power(n: int, m: int) -> FiniteGroup:
+    """Z_n^m; n^m is held to ORDER_CAP before any factor exists, so a huge m fails at once."""
+    if min(n, m) >= 1 and (max(n, m) > ORDER_CAP or n ** m > ORDER_CAP):
+        what = f"order {_show(n)}^{_show(m)}" if n > 1 else f"factor count {_show(m)}"
+        raise SizeCapError(f"product {what} exceeds cap {ORDER_CAP}")
+    return build_product([build_cyclic(n)] * m)
+
+
 def build_heisenberg(n: int) -> FiniteGroup:
     """H_3(Z_n): triples (a,b,c) with (a,b,c)*(a',b',c') = (a+a'+b c', b+b', c+c') mod n.
 
@@ -183,7 +196,7 @@ def build_heisenberg(n: int) -> FiniteGroup:
         raise ValueError(f"Heisenberg group needs n >= 2, got {n}")
     order = n ** 3
     if order > ORDER_CAP:
-        raise SizeCapError(f"Heisenberg order {order} exceeds cap {ORDER_CAP}")
+        raise SizeCapError(f"Heisenberg order {_show(order)} exceeds cap {ORDER_CAP}")
     idx = np.arange(order)
     a, b, c = idx // (n * n), (idx // n) % n, idx % n
     a1, b1, c1 = a[:, None], b[:, None], c[:, None]
@@ -282,5 +295,5 @@ def build_from_spec(spec: dict) -> FiniteGroup:
     if kind == "cyclic":
         return build_cyclic(n)
     if kind == "product":
-        return build_product([build_cyclic(n)] * m)
+        return build_power(n, m)
     return build_heisenberg(n)

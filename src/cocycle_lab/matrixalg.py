@@ -14,7 +14,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import rng
 from .linalg import HERMITIAN_PRECHECK, psd_scale, schatten_norm
@@ -101,8 +100,10 @@ class Superoperator:
         return float(pos.min())
 
     def expm(self, t: float) -> np.ndarray:
-        """e^{-tA} as a superoperator matrix (scaling and squaring)."""
-        return scipy.linalg.expm(-t * self.mat)
+        """e^{-tA} as a superoperator matrix, V e^{-tw} V^dag from the cached _eig.
+        This relies on A being self-adjoint, which both constructors guarantee."""
+        w, V = self._eig
+        return (V * np.exp(-t * w)) @ V.conj().T
 
 
 def _check_cap(n: int) -> None:

@@ -261,6 +261,12 @@ def test_gamma_paths_agree(z4word):
         gamma(z4word, f, f, path="spectral")
 
 
+def test_gamma2_names_an_unknown_path(z4word):
+    f = element(z4word.group, rand_coeffs(4, 20))
+    with pytest.raises(ValueError, match="^unknown gamma path 'bogus'$"):
+        gamma2(z4word, f, f, path="bogus")
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(min_value=-2, max_value=2), min_size=12, max_size=12))
 def test_gamma_paths_agree_hypothesis(vals):

@@ -3,11 +3,14 @@ import json
 import os
 import re
 import shlex
+import subprocess
+import sys
+import time
 
 import pytest
 
 from cocycle_lab.cli import _build_parser, _digest, main
-from cocycle_lab.groups import build_cyclic, build_product, group_to_dict, save_group
+from cocycle_lab.groups import ORDER_CAP, build_cyclic, build_product, group_to_dict, save_group
 
 from conftest import assert_report_pinned
 
@@ -315,6 +318,65 @@ def test_cli_rejects_non_finite_inputs(tmp_path, capsys):
             assert err == f"{argv[0]}: {x}: coefficient 1 = ({bad}+0j) is not finite\n"
         assert main(["matrix", "--n", "2", "--alpha-check", bad]) == 1
         assert capsys.readouterr().err == f"matrix: alpha must be finite, got {bad}\n"
+
+
+def test_cli_oversized_group_specs_fail_fast_naming_the_cap(tmp_path, capsys):
+    psi = write_json(tmp_path / "psi.json",
+                     {"group": {"kind": "product", "n": 2, "m": 2 ** 70}, "psi": [0, 1, 1, 2]})
+    nines = "9" * 1500
+    for argv, err in ((["cn-check", "--psi", psi], f"product order 2^{2 ** 70}"),
+                      (["alpha", "--builtin", "walsh:2:100000"], "product order 2^100000"),
+                      (["group", "build", "--kind", "product", "--n", "2", "--m", "100000",
+                        "--out", str(tmp_path / "g.json")], "product order 2^100000"),
+                      (["alpha", "--builtin", "walsh:2:100000000"], "product order 2^100000000"),
+                      (["alpha", "--builtin", f"heisenberg-delta:{nines}"],
+                       "Heisenberg order ~2^14948")):
+        start = time.perf_counter()
+        assert main(argv) == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == f"{argv[0]}: {err} exceeds cap {ORDER_CAP}\n"
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_cli_names_each_bad_builtin_spec(capsys):
+    for spec, err in (("walsh:2:x", "non-integer parameter in length spec 'walsh:2:x'"),
+                      ("walsh:2", "walsh takes 2 integer parameter(s), got 1"),
+                      ("walsh:1:2", "walsh length needs n >= 2, m >= 1, got n=1, m=2"),
+                      ("heisenberg-delta:1", "Heisenberg group needs n >= 2, got 1")):
+        assert main(["alpha", "--builtin", spec]) == 1
+        assert capsys.readouterr().err == f"alpha: {err}\n"
+
+
+def test_alpha_on_a_zero_psi_takes_the_pencil_no_range_branch(tmp_path):
+    out = tmp_path / "alpha.json"
+    assert main(["alpha", "--builtin", "delta:1", "--method", "both", "--out", str(out)]) == 0
+    res = read_report(out)["results"]
+    assert res["alpha_star"] == 0.0 and res["bisection"]["alpha_star"] == 0.0
+
+
+def test_lindblad_on_a_zero_family_has_no_gap(tmp_path, capsys):
+    zero = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    a = write_json(tmp_path / "a.json", {"a": [zero]})
+    assert main(["lindblad", "--a", a]) == 1
+    assert capsys.readouterr().err == "lindblad: generator has no positive spectrum: no gap\n"
+
+
+def test_runtime_imports_no_scipy():
+    code = (
+        "import contextlib, io, sys\n"
+        "from cocycle_lab.cli import main\n"
+        "from cocycle_lab.matrixalg import heisenberg_multiplier\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['alpha', '--builtin', 'walsh:2:3', '--method', 'both']) == 0\n"
+        "heisenberg_multiplier(2).expm(0.5)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
 
 
 def test_cli_names_the_flag_of_a_short_coefficient_file(tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cocycle_lab.cocycles import (CocycleRealization, NumericalRankError,
+from cocycle_lab.cocycles import (CocycleRealization, GromovForm, NumericalRankError,
                                   gromov_form, is_conditionally_negative,
                                   length_function, realize_cocycle,
                                   verify_schur_identity, word_length_cocycle,
@@ -101,6 +101,12 @@ def test_realize_rejects_non_psd():
     bad = length_function(build_cyclic(4), [0.0, 1.0, 3.0, 1.0])
     with pytest.raises(ValueError, match="not PSD"):
         realize_cocycle(gromov_form(bad))
+
+
+def test_realize_names_a_non_orthogonal_alpha():
+    # K = I is PSD but no Gromov form (K(e,e) = 1), so no orthogonal alpha_g fits
+    with pytest.raises(NumericalRankError, match="^alpha_0 deviates from orthogonal by 1.000e"):
+        realize_cocycle(GromovForm(build_cyclic(3), np.eye(3)))
 
 
 def test_word_length_cocycle_oracle():

@@ -128,21 +128,25 @@ def test_bisection_eigensolve_count(name, monkeypatch):
 def test_one_gromov_spectrum_serves_both_solvers_and_realize(name, monkeypatch):
     K = gromov_form(builtin_length(name))
     n = K.group.order
-    full = []       # per numpy eigensolve: is its input n x n?
+    solves = []     # per numpy eigensolve: (is its input K.K, is it n x n)
 
     def counted(solver):
         def call(a, *rest, **kw):
-            full.append(np.shape(a) == (n, n))
+            solves.append((a is K.K, np.shape(a) == (n, n)))
             return solver(a, *rest, **kw)
         return call
     for fn in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, fn, counted(getattr(np.linalg, fn)))
     best_alpha_pencil(K)
-    best_alpha_bisection(K)
+    in_pencil = len(solves)
+    best_alpha_bisection(K)         # Dinkelbach's own n x n solves are not K's spectrum
+    in_bisection = len(solves) - in_pencil
     pinv = []
     monkeypatch.setattr(np.linalg, "pinv", lambda *a, **kw: pinv.append(1))
     realize_cocycle(K)
-    assert sum(full) <= 2       # K's spectrum and the pencil's certificate
+    assert sum(of_K for of_K, _ in solves) == 1
+    outside = solves[:in_pencil] + solves[in_pencil + in_bisection:]
+    assert sum(full for _, full in outside) <= 2    # K's spectrum and the pencil's certificate
     assert not pinv
 
 

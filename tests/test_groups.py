@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import numpy as np
 import pytest
@@ -120,6 +121,18 @@ def test_size_caps():
         build_product([build_cyclic(2)] * 64)
     # exactly at the cap is fine
     assert build_product([build_cyclic(64), build_cyclic(64)]).order == ORDER_CAP
+    # n^m is held to the cap before any factor list exists, and the message stays short
+    for n, m, what in ((2, 2 ** 70, f"order 2^{2 ** 70}"), (2, 10 ** 8, f"order 2^{10 ** 8}"),
+                       (2, 13, "order 2^13"), (4097, 1, "order 4097^1"),
+                       (1, 10 ** 8, f"factor count {10 ** 8}")):
+        start = time.perf_counter()
+        with pytest.raises(SizeCapError,
+                           match=f"^product {re.escape(what)} exceeds cap {ORDER_CAP}$"):
+            build_from_spec({"kind": "product", "n": n, "m": m})
+        assert time.perf_counter() - start < 1.0
+    assert build_from_spec({"kind": "product", "n": 16, "m": 3}).order == ORDER_CAP
+    with pytest.raises(SizeCapError, match=rf"^Heisenberg order ~2\^14948 exceeds cap {ORDER_CAP}$"):
+        build_heisenberg(10 ** 1500 - 1)
 
 
 def test_exact_associativity_above_512():

@@ -148,6 +148,21 @@ def test_expm_semigroup_and_decay():
         assert np.abs(flowed - np.exp(-2.0 * t) * x).max() < 1e-12
 
 
+@pytest.mark.parametrize("A", [heisenberg_multiplier(2, "delta"),
+                               heisenberg_multiplier(2, "wordlength"),
+                               heisenberg_multiplier(3, "delta"),
+                               heisenberg_multiplier(3, "wordlength"),
+                               lindblad_generator([np.diag([0.0, 1.0, 0.0, 1.0]),
+                                                   np.diag([0.0, 0.0, 1.0, 1.0])]),
+                               lindblad_generator([np.array([[0.0, 1.0], [1.0, 0.0]])])],
+                         ids=["M2-delta", "M2-wordlength", "M3-delta", "M3-wordlength",
+                              "lindblad-4", "lindblad-pauli-x"])
+def test_expm_matches_pade_reference(A):
+    # e^{-tA} from A's eigendecomposition against scipy's Pade scaling and squaring
+    for t in (0.0, 0.3, 2.0, 10.0):
+        assert np.abs(A.expm(t) - scipy.linalg.expm(-t * A.mat)).max() <= 1e-12
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([(2, "delta"), (2, "wordlength"), (3, "delta"), (3, "wordlength")]),
        st.floats(0.0, 4.0), st.floats(0.0, 4.0))
