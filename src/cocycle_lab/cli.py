@@ -37,6 +37,7 @@ from .groups import build_from_spec, group_to_dict, is_number, load_group
 from .matrixalg import (alpha_battery, heisenberg_multiplier, lindblad_gamma_residual,
                         lindblad_generator, matrix_poincare)
 from .poincare import sweep_and_fit
+from .rng import check_seed
 
 
 # ---------------------------------------------------------------- encoding
@@ -222,7 +223,7 @@ def _flag(option: str, load=lambda value: value, **kw) -> tuple:
 
 _OUT = _flag("--out", None, help="write the report here instead of stdout")
 _BUDGET = _flag("--budget", type=int, default=20000)
-_SEED = _flag("--seed", type=int, default=0)
+_SEED = _flag("--seed", check_seed, type=int, default=0)
 _SWEEP = (_flag("--p", lambda text: _parse_pgrid(text) if text else None,
                 help="optional comma-separated p grid for a Poincare sweep"), _BUDGET, _SEED, _OUT)
 
@@ -379,7 +380,7 @@ def _generator_results(A, config: dict, out: dict) -> dict:
           _flag("--steps", type=int, default=64),
           _flag("--samples", type=int, default=4096),
           _flag("--p", type=float, default=4.0),
-          _flag("--seed", type=int, default=11),
+          _flag("--seed", check_seed, type=int, default=11),
           _flag("--alpha", action="store_true",
                 help="attach the bracket envelope at alpha = alpha*(psi)"), _OUT,
           psi="required")

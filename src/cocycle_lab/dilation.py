@@ -45,7 +45,10 @@ class BrownianScenario:
     Sample s draws its (steps, d) increment block dB[k, j] ~ N(0, 2 dt)
     from the stream (seed, TAG_SCENARIO, s), row-major in (k, j); the
     independent decoupling copy uses TAG_SCENARIO_COPY with the same
-    sample index.
+    sample index.  A block of samples lo..hi-1 is drawn by
+    rng.normal_block: one SeedSequence for sample lo, and a re-keyed
+    Philox for each later sample, with the same values as one
+    rng.stream per sample.
     """
     cocycle: CocycleRealization
     steps: int
@@ -66,11 +69,8 @@ class BrownianScenario:
         return np.arange(self.steps) * self.dt      # t_k, the start of step k
 
     def _block(self, tag: int, lo: int, hi: int) -> np.ndarray:
-        out = np.empty((hi - lo, self.steps, self.d))
-        sd = np.sqrt(2.0 * self.dt)
-        for i in range(lo, hi):
-            out[i - lo] = rng.stream(self.seed, tag, i).normal(0.0, sd, (self.steps, self.d))
-        return out
+        return rng.normal_block(self.seed, tag, lo, hi, np.sqrt(2.0 * self.dt),
+                                (self.steps, self.d))
 
     def increments(self, lo: int, hi: int) -> np.ndarray:
         return self._block(rng.TAG_SCENARIO, lo, hi)

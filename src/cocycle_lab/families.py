@@ -47,15 +47,30 @@ def heisenberg_wordlength(n: int) -> LengthFunction:
     return length_function(group, (np.minimum(b, n - b) + np.minimum(c, n - c)).astype(float))
 
 
+_ECHO = 80     # longest spec text an error message echoes in full
+
+
+def _shown(text: str) -> str:
+    return repr(text if len(text) <= _ECHO else text[:_ECHO - 3] + "...")
+
+
+def _spec_int(text: str, spec: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    digits = text.strip().lstrip("+-")
+    if digits.isdecimal():      # a number past int()'s digit limit
+        raise ValueError(f"{len(digits)}-digit parameter is too large in length spec {_shown(spec)}")
+    raise ValueError(f"non-integer parameter in length spec {_shown(spec)}")
+
+
 def builtin_length(spec: str) -> LengthFunction:
     """Parse 'walsh:n:m', 'delta:n', 'wordlength:n', 'heisenberg-delta:n',
     'heisenberg-wordlength:n'."""
     parts = spec.split(":")
     kind, args = parts[0], parts[1:]
-    try:
-        nums = [int(a) for a in args]
-    except ValueError:
-        raise ValueError(f"non-integer parameter in length spec {spec!r}") from None
+    nums = [_spec_int(a, spec) for a in args]
     table = {
         "walsh": (walsh_length, 2),
         "delta": (delta_psi, 1),
@@ -64,7 +79,7 @@ def builtin_length(spec: str) -> LengthFunction:
         "heisenberg-wordlength": (heisenberg_wordlength, 1),
     }
     if kind not in table:
-        raise ValueError(f"unknown length family {kind!r}; choose from {sorted(table)}")
+        raise ValueError(f"unknown length family {_shown(kind)}; choose from {sorted(table)}")
     fn, arity = table[kind]
     if len(nums) != arity:
         raise ValueError(f"{kind} takes {arity} integer parameter(s), got {len(nums)}")

@@ -339,12 +339,30 @@ def test_cli_oversized_group_specs_fail_fast_naming_the_cap(tmp_path, capsys):
 
 
 def test_cli_names_each_bad_builtin_spec(capsys):
+    huge = "walsh:2:" + "1" * 5000      # past int()'s 4300-digit limit; the echo is clipped
     for spec, err in (("walsh:2:x", "non-integer parameter in length spec 'walsh:2:x'"),
+                      (huge, f"5000-digit parameter is too large in length spec "
+                             f"{huge[:77] + '...'!r}"),
+                      ("x" * 5000 + ":2", f"unknown length family {'x' * 77 + '...'!r}; choose from "
+                                          "['delta', 'heisenberg-delta', 'heisenberg-wordlength', "
+                                          "'walsh', 'wordlength']"),
                       ("walsh:2", "walsh takes 2 integer parameter(s), got 1"),
                       ("walsh:1:2", "walsh length needs n >= 2, m >= 1, got n=1, m=2"),
                       ("heisenberg-delta:1", "Heisenberg group needs n >= 2, got 1")):
         assert main(["alpha", "--builtin", spec]) == 1
         assert capsys.readouterr().err == f"alpha: {err}\n"
+
+
+def test_cli_rejects_a_negative_seed(tmp_path, capsys):
+    x = write_json(tmp_path / "x.json", {"coeffs": [0.0, 1.0, 0.7, 0.0]})
+    for argv in (["dilate", "--builtin", "walsh:2:2", "--x", x, "--L", "1", "--steps", "8",
+                  "--samples", "64"],
+                 ["poincare", "--builtin", "walsh:2:2"],
+                 ["matrix", "--n", "2"],
+                 ["gallery", "--out-dir", str(tmp_path / "gallery")]):
+        assert main(argv + ["--seed", "-1"]) == 1
+        assert capsys.readouterr().err == f"{argv[0]}: seed must be a non-negative integer, got -1\n"
+    assert not (tmp_path / "gallery").exists()
 
 
 def test_alpha_on_a_zero_psi_takes_the_pencil_no_range_branch(tmp_path):

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cocycle_lab import dilation
+from cocycle_lab import dilation, rng
 from cocycle_lab.algebra import (Semigroup, delta, element, gamma, lp_norm,
                                  regular_rep, semigroup_apply)
 from cocycle_lab.cocycles import gromov_form, realize_cocycle, word_length_cocycle
@@ -124,6 +124,25 @@ def test_increments_deterministic_and_copy_independent(small_scenario):
     assert not np.allclose(a, c)
     # sample blocks are independent of the chunking
     assert np.array_equal(sc.increments(2, 3)[0], a[2])
+
+
+def test_increment_blocks_match_one_stream_per_sample(small_scenario, monkeypatch):
+    # the reference route: sample s of either tag is stream(seed, tag, s).normal(0, sqrt(2 dt)),
+    # and a block builds one SeedSequence, for its first sample
+    sc = small_scenario
+    built = []
+    real = np.random.SeedSequence
+    monkeypatch.setattr(np.random, "SeedSequence",
+                        lambda *a, **kw: built.append(kw["spawn_key"]) or real(*a, **kw))
+    for draw, tag in ((sc.increments, rng.TAG_SCENARIO), (sc.increments_copy, rng.TAG_SCENARIO_COPY)):
+        for lo, hi in ((0, sc.samples), (37, 101), (255, 256)):
+            del built[:]
+            block = draw(lo, hi)
+            assert built == [(tag, lo)]
+            want = np.stack([rng.stream(sc.seed, tag, s).normal(0.0, np.sqrt(2.0 * sc.dt),
+                                                                (sc.steps, sc.d))
+                             for s in range(lo, hi)])
+            assert block.tobytes() == want.tobytes(), (tag, lo, hi)
 
 
 def test_brownian_variance(small_scenario):

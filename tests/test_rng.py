@@ -1,0 +1,64 @@
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from cocycle_lab import rng
+
+# seeds of 1, 1, 2, 3, 4 and 5 words; indices of one word and of two
+SEEDS = (0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 2 ** 127 - 1, 2 ** 130)
+INDICES = (0, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 7)
+
+
+def reference_key(seed, tag, index):
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(tag, index))
+    return ss.generate_state(2, np.uint64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.sampled_from(SEEDS), st.integers(0, 2 ** 160)),
+       st.integers(1, 4),
+       st.lists(st.one_of(st.sampled_from(INDICES), st.integers(0, 2 ** 64 - 1)),
+                min_size=1, max_size=6))
+@example(0, 1, [0, 2 ** 63 + 1])      # numpy reads this list as float64
+def test_keys_match_seed_sequence_hypothesis(seed, tag, indices):
+    """The vectorized hash gives, row by row and in order, the key SeedSequence derives."""
+    got = rng.keys(seed, tag, indices)
+    assert got.dtype == np.uint64 and got.shape == (len(indices), 2)
+    for row, index in zip(got, indices):
+        assert np.array_equal(row, reference_key(seed, tag, index)), (seed, tag, index)
+
+
+def reference_rows(seed, tag, lo, hi, sd, shape):
+    return np.stack([rng.stream(seed, tag, i).normal(0.0, sd, shape) for i in range(lo, hi)])
+
+
+@pytest.mark.parametrize("seed, tag, lo, hi", [(11, 1, 0, 40), (11, 2, 17, 53),
+                                               (2 ** 64 + 3, 1, 9, 10), (0, 2, 0, 1),
+                                               (5, 1, 2 ** 32 - 2, 2 ** 32 + 2)])
+def test_normal_block_equals_one_stream_per_sample(seed, tag, lo, hi):
+    got = rng.normal_block(seed, tag, lo, hi, 0.5, (8, 3))
+    want = reference_rows(seed, tag, lo, hi, 0.5, (8, 3))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_normal_block_builds_one_seed_sequence(monkeypatch):
+    built = []
+    real = np.random.SeedSequence
+    monkeypatch.setattr(np.random, "SeedSequence",
+                        lambda *a, **kw: built.append(kw["spawn_key"]) or real(*a, **kw))
+    block = rng.normal_block(7, rng.TAG_SCENARIO_COPY, 100, 612, 1.0, (4, 2))
+    assert block.shape == (512, 4, 2)
+    assert built == [(rng.TAG_SCENARIO_COPY, 100)]
+    assert rng.normal_block(7, rng.TAG_SCENARIO, 3, 3, 1.0, (4, 2)).shape == (0, 4, 2)
+    assert len(built) == 1
+
+
+def test_bad_seed_and_indices_are_named():
+    for call in (lambda: rng.stream(-1, 1, 0), lambda: rng.keys(-1, 1, [0]),
+                 lambda: rng.normal_block(-1, 1, 0, 4, 1.0, (2,))):
+        with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
+            call()
+    for indices, shown in ((np.array([2, -3]), "-3 to 2"), ([5, 2 ** 64], f"5 to {2 ** 64}")):
+        with pytest.raises(ValueError, match=rf"stream indices must lie in \[0, 2\^64\), got {shown}$"):
+            rng.keys(0, 1, indices)
