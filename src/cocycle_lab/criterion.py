@@ -3,11 +3,12 @@
 The kernel condition "K o K - alpha K is PSD" (o = entrywise product) is
 sufficient for the operator-level criterion; alpha* is its largest
 feasible alpha.  Two independent solvers are provided: Dinkelbach's
-iteration over Rayleigh-quotient upper bounds (the reference, under the
-name best_alpha_bisection) and a direct generalized-eigenvalue method
-through a Schur complement onto the range of K; both read K's PSD test and
-rank cut off GromovForm.spectrum.  Every eigensolve is np.linalg.eigh or
-eigvalsh.  check_element tests single elements at the operator level.
+iteration over Rayleigh-quotient upper bounds, from the least psi above
+K's rank cut down to eigh's rounding level (the reference, under the name
+best_alpha_bisection), and a direct generalized-eigenvalue method through a
+Schur complement onto the range of K; both read K's PSD test and rank cut
+off GromovForm.spectrum.  Every eigensolve is np.linalg.eigh or eigvalsh.
+check_element tests single elements at the operator level.
 """
 from __future__ import annotations
 
@@ -38,24 +39,28 @@ def _certificate(K: np.ndarray, alpha: float, method: str) -> AlphaCertificate:
 def best_alpha_bisection(K: GromovForm) -> AlphaCertificate:
     """Largest alpha with K o K - alpha K PSD, by Dinkelbach's iteration (1967).
 
-    From alpha = max psi (the diagonal is psi^2 - alpha psi, so alpha* <= max psi),
-    take the least eigenpair (w, v) of K o K - alpha K and move alpha to the Rayleigh
-    quotient v^T (K o K) v / v^T K v, which is an upper bound on alpha*.  This is
-    Newton's method on the concave lambda_min from the right, so alpha falls strictly
-    onto alpha*.  Stop at w >= 0, when alpha stops falling, or when v^T K v is at or
-    under K's rank cut: then v lies in ker K and w is rounding noise.  Nothing splits
-    ran/ker K or forms a Schur complement, so this route is independent of
-    best_alpha_pencil; of K's spectrum it reads only the PSD test and the cut value.
+    The diagonal of K o K - alpha K is psi^2 - alpha psi, so alpha* <= psi(g) whenever
+    psi(g) > 0: start from alpha = min{psi(g) : psi(g) > cut} (max psi if none is).
+    Take the least eigenpair (w, v) of K o K - alpha K and move alpha to the Rayleigh
+    quotient v^T (K o K) v / v^T K v, also an upper bound on alpha*.  This is Newton's
+    method on the concave lambda_min from the right, so alpha falls strictly onto
+    alpha*.  Stop once w >= -n eps max|w|, rounding level for eigh: past it v is noise
+    and its quotient may undershoot alpha*.  Stop too when alpha stops falling, or when
+    v^T K v is at or under K's rank cut: then v lies in ker K.  Nothing splits ran/ker K
+    or forms a Schur complement, so this route is independent of best_alpha_pencil; of
+    K's spectrum it reads only the PSD test and the cut value.
     """
     cut = K._rank_cut()
     M = K.K
     Q = M * M
-    alpha = float(np.diag(M).max())
+    psi = np.diag(M)
+    alpha = float(psi[psi > cut].min(initial=psi.max()))
+    rounding = len(M) * np.finfo(float).eps
     while True:
         w, V = np.linalg.eigh(Q - alpha * M)
         v = V[:, 0]
         mass = v @ M @ v
-        if w[0] >= 0 or mass <= cut:
+        if w[0] >= -rounding * max(abs(w[0]), abs(w[-1])) or mass <= cut:
             break
         quotient = float(v @ Q @ v / mass)
         if not quotient < alpha:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cocycle_lab.algebra import Semigroup, delta
 from cocycle_lab.cli import _gallery_entries
@@ -98,12 +100,58 @@ def test_random_conic_combinations_maximality():
             assert np.linalg.eigvalsh(Q - (cert.alpha_star + 1e-4) * M)[0] < 0
 
 
+def _dinkelbach_iterates(K, star):
+    """best_alpha_bisection(K), its alphas replayed: the start min{psi > cut} (else max psi),
+    then each Rayleigh quotient of the previous least eigenvector.  Every solve must be at
+    exactly Q - alpha K for the next alpha in that sequence, and every alpha must be an
+    upper bound on the pencil's alpha* = star, falling strictly.  Every solve but the last
+    must find lambda_min below rounding level: past that, the least eigenvector is noise."""
+    M = K.K
+    Q = M * M
+    tol = 1e-12 * (1 + star)
+    psi = np.diag(M)
+    above = psi[psi > K._rank_cut()]
+    alphas = [float(above.min() if above.size else psi.max())]
+    assert alphas[0] >= star - tol
+    rounding = []
+    eigh = np.linalg.eigh
+
+    def replayed(A):
+        assert np.array_equal(A, Q - alphas[-1] * M)
+        w, V = eigh(A)
+        rounding.append(w[0] >= -len(A) * np.finfo(float).eps * np.abs(w).max())
+        v = V[:, 0]
+        with np.errstate(invalid="ignore"):     # 0/0 at psi = 0, where the route stops
+            alphas.append(float(v @ Q @ v / (v @ M @ v)))
+        return w, V
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigh", replayed)
+        cert = best_alpha_bisection(K)
+    solved = alphas[:-1]        # the last quotient is never solved at
+    assert solved and cert.alpha_star == solved[-1]
+    assert all(alpha >= star - tol for alpha in solved)
+    assert all(b < a for a, b in zip(solved, solved[1:]))
+    assert not any(rounding[:-1])
+    return cert
+
+
 @pytest.mark.parametrize("name", GALLERY_ALPHA + LARGE)
 def test_bisection_matches_pencil(name):
     K = gromov_form(builtin_length(name))
-    a, b = best_alpha_pencil(K), best_alpha_bisection(K)
+    a = best_alpha_pencil(K)
+    b = _dinkelbach_iterates(K, a.alpha_star)
     assert a.method == "pencil" and b.method == "bisection"
     assert abs(a.alpha_star - b.alpha_star) <= 1e-12 * (1 + a.alpha_star)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), s=st.just(0.0) | st.floats(0.1, 3.0),
+       t=st.just(0.0) | st.floats(0.1, 3.0))
+def test_dinkelbach_iterates_on_conic_combinations_hypothesis(n, s, t):
+    K = gromov_form(length_function(build_cyclic(n),
+                                    s * delta_psi(n).values + t * word_length_psi(n).values))
+    star = best_alpha_pencil(K).alpha_star
+    assert abs(_dinkelbach_iterates(K, star).alpha_star - star) <= 1e-12 * (1 + star)
 
 
 def test_bisection_exact_on_wordlength_256():
@@ -112,16 +160,19 @@ def test_bisection_exact_on_wordlength_256():
                - 1.0) <= 1e-12
 
 
-@pytest.mark.parametrize("name", LARGE)
+@pytest.mark.parametrize("name", GALLERY_ALPHA + LARGE)
 def test_bisection_eigensolve_count(name, monkeypatch):
     K = gromov_form(builtin_length(name))
+    K._rank_cut()       # K.spectrum, which the PSD test and the rank cut read, is not counted
     calls = []
     for module, fn in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (scipy.linalg, "eigh")):
         solver = getattr(module, fn)
         monkeypatch.setattr(module, fn,
                             lambda *a, _solver=solver, **kw: calls.append(1) or _solver(*a, **kw))
     best_alpha_bisection(K)
-    assert 1 < len(calls) <= 20
+    # the diagonal start min psi is alpha* itself on walsh:2:8 and wordlength:256
+    exact = {"walsh:2:8": 1, "wordlength:256": 1, "heisenberg-wordlength:7": 5}
+    assert len(calls) == exact[name] if name in exact else len(calls) <= 8
 
 
 @pytest.mark.parametrize("name", LARGE)
