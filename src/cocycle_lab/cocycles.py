@@ -186,10 +186,19 @@ def word_length_cocycle(n: int) -> CocycleRealization:
     return CocycleRealization(group, d, B, reps)
 
 
+def cyclic_length(mode: str, k: np.ndarray, n: int) -> np.ndarray:
+    """A length of Z_n at the coordinates k, as floats: 'delta' is k != 0 and
+    'wordlength' is min(k, n - k).  Every builtin length is a sum of these."""
+    if mode == "delta":
+        return (k != 0).astype(float)
+    if mode == "wordlength":
+        return np.minimum(k, n - k).astype(float)
+    raise ValueError(f"unknown psi_mode {mode!r}")
+
+
 def word_length_psi(n: int) -> LengthFunction:
     """psi(k) = min(k, n-k) on Z_n (any n >= 1)."""
-    k = np.arange(n)
-    return length_function(build_cyclic(n), np.minimum(k, n - k).astype(float))
+    return length_function(build_cyclic(n), cyclic_length("wordlength", np.arange(n), n))
 
 
 @dataclass(frozen=True)

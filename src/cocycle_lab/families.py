@@ -3,8 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cocycles import LengthFunction, length_function, word_length_psi
-from .groups import build_cyclic, build_heisenberg, build_power
+from .cocycles import LengthFunction, cyclic_length, length_function, word_length_psi
+from .groups import build_cyclic, build_heisenberg, build_power, coordinates
 
 
 def walsh_length(n: int, m: int) -> LengthFunction:
@@ -12,17 +12,20 @@ def walsh_length(n: int, m: int) -> LengthFunction:
     if n < 2 or m < 1:
         raise ValueError(f"walsh length needs n >= 2, m >= 1, got n={n}, m={m}")
     group = build_power(n, m)
-    coords = np.empty((group.order, m), dtype=np.int64)
-    rem = np.arange(group.order)
-    for i in range(m - 1, -1, -1):
-        coords[:, i] = rem % n
-        rem //= n
-    return length_function(group, (coords != 0).sum(axis=1).astype(float))
+    digits = coordinates(group.order, [n] * m)
+    return length_function(group, cyclic_length("delta", digits, n).sum(axis=0))
 
 
 def delta_psi(n: int) -> LengthFunction:
     """psi = 1 - delta_e on Z_n: the flat length charging every nontrivial element once."""
-    return length_function(build_cyclic(n), (np.arange(n) > 0).astype(float))
+    return length_function(build_cyclic(n), cyclic_length("delta", np.arange(n), n))
+
+
+def _abelianized(n: int, mode: str) -> LengthFunction:
+    """psi(a,b,c) = w(b) + w(c) on the mod-n Heisenberg group, w a cyclic length of Z_n."""
+    group = build_heisenberg(n)
+    _, b, c = coordinates(group.order, (n, n, n))
+    return length_function(group, cyclic_length(mode, b, n) + cyclic_length(mode, c, n))
 
 
 def heisenberg_delta(n: int) -> LengthFunction:
@@ -31,20 +34,12 @@ def heisenberg_delta(n: int) -> LengthFunction:
     Pulled back from the abelianization, so the center is in the kernel
     and the Gromov form degenerates there by design.
     """
-    group = build_heisenberg(n)
-    idx = np.arange(group.order)
-    b = (idx // n) % n
-    c = idx % n
-    return length_function(group, (b != 0).astype(float) + (c != 0).astype(float))
+    return _abelianized(n, "delta")
 
 
 def heisenberg_wordlength(n: int) -> LengthFunction:
     """psi(a,b,c) = |b| + |c| with cyclic absolute values, also via the abelianization."""
-    group = build_heisenberg(n)
-    idx = np.arange(group.order)
-    b = (idx // n) % n
-    c = idx % n
-    return length_function(group, (np.minimum(b, n - b) + np.minimum(c, n - c)).astype(float))
+    return _abelianized(n, "wordlength")
 
 
 _ECHO = 80     # longest spec text an error message echoes in full

@@ -139,6 +139,13 @@ def _finish(order: int, mul: np.ndarray, labels: Sequence[str],
     return g
 
 
+def coordinates(order: int, radices: Sequence[int]) -> np.ndarray:
+    """(len(radices), order) mixed-radix digits of the indices 0..order-1, first digit
+    most significant: the one decode of every product and Heisenberg element encoding."""
+    idx = np.arange(order)
+    return np.array([idx // math.prod(radices[f + 1:]) % r for f, r in enumerate(radices)])
+
+
 def build_cyclic(n: int) -> FiniteGroup:
     """Z_n with mul(i,j) = (i+j) mod n."""
     if n < 1:
@@ -158,23 +165,14 @@ def build_product(factors: Sequence[FiniteGroup]) -> FiniteGroup:
     order = math.prod(orders)                  # exact: an int64 product wraps past 2^63
     if order > ORDER_CAP:
         raise SizeCapError(f"product order {_show(order)} exceeds cap {ORDER_CAP}")
-    idx = np.arange(order)
-    digits = []
-    rem = idx
-    for o in reversed(orders):
-        digits.append(rem % o)
-        rem = rem // o
-    digits = digits[::-1]                      # digits[f][g] = coordinate of g in factor f
+    digits = coordinates(order, orders)        # digits[f][g] = coordinate of g in factor f
     mul = np.zeros((order, order), dtype=np.int64)
     for f, grp in enumerate(factors):
         comp = grp.mul[np.ix_(digits[f], digits[f])]
         mul = mul * orders[f] + comp
-    labels = []
-    for g in range(order):
-        labels.append("(" + ",".join(factors[f].label(int(digits[f][g]))
-                                     for f in range(len(factors))) + ")")
-    return _finish(order, mul, labels,
-                   {"kind": "product", "orders": orders})
+    labels = ["(" + ",".join(f.label(int(k)) for f, k in zip(factors, col)) + ")"
+              for col in digits.T]
+    return _finish(order, mul, labels, {"kind": "product", "orders": orders})
 
 
 def build_power(n: int, m: int) -> FiniteGroup:
@@ -197,12 +195,10 @@ def build_heisenberg(n: int) -> FiniteGroup:
     order = n ** 3
     if order > ORDER_CAP:
         raise SizeCapError(f"Heisenberg order {_show(order)} exceeds cap {ORDER_CAP}")
-    idx = np.arange(order)
-    a, b, c = idx // (n * n), (idx // n) % n, idx % n
-    a1, b1, c1 = a[:, None], b[:, None], c[:, None]
-    a2, b2, c2 = a[None, :], b[None, :], c[None, :]
+    abc = coordinates(order, (n, n, n))
+    (a1, b1, c1), (a2, b2, c2) = abc[:, :, None], abc[:, None, :]
     mul = ((a1 + a2 + b1 * c2) % n) * n * n + ((b1 + b2) % n) * n + (c1 + c2) % n
-    labels = [f"({a[g]},{b[g]},{c[g]})" for g in range(order)]
+    labels = [f"({a},{b},{c})" for a, b, c in abc.T]
     return _finish(order, mul, labels,
                    {"kind": "heisenberg", "n": n,
                     "convention": "matrix (a,b,c) = [[1,b,a],[0,1,c],[0,0,1]]"})
@@ -250,7 +246,11 @@ def group_from_dict(d: dict) -> FiniteGroup:
         mul = np.asarray(d["mul"], dtype=np.int64)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TableValidationError(f"malformed group JSON: {exc}") from exc
-    labels = tuple(d.get("labels", ()))
+    labels = d.get("labels", [])
+    bad = [s for s in labels if not isinstance(s, str)] if isinstance(labels, list) else [labels]
+    if bad:
+        raise TableValidationError(
+            f"labels must be a list of {order} strings, found type {type(bad[0]).__name__}")
     if labels and len(labels) != order:
         raise TableValidationError(
             f"got {len(labels)} labels for order {order}")

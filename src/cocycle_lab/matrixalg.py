@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng
+from .cocycles import cyclic_length
 from .linalg import HERMITIAN_PRECHECK, psd_scale, schatten_norm
 from .poincare import PoincareReport, WorstConstant, maximize_ratio, ratio_scores, sweep
 
@@ -112,15 +113,9 @@ def _check_cap(n: int) -> None:
 
 
 def multiplier_symbol(n: int, psi_mode: str) -> np.ndarray:
-    """psi(b,c) on the (b,c) grid: delta 2-d_{b0}-d_{c0}, or |b|+|c| word length."""
-    b = np.arange(n)
-    if psi_mode == "delta":
-        w = 1.0 - (b == 0)
-        return w[:, None] + w[None, :]
-    if psi_mode == "wordlength":
-        w = np.minimum(b, n - b).astype(float)
-        return w[:, None] + w[None, :]
-    raise ValueError(f"unknown psi_mode {psi_mode!r}")
+    """psi(b,c) = w(b) + w(c) on the (b,c) grid, w the cyclic delta or word length of Z_n."""
+    w = cyclic_length(psi_mode, np.arange(n), n)
+    return w[:, None] + w[None, :]
 
 
 def heisenberg_multiplier(n: int, psi_mode: str = "delta") -> Superoperator:

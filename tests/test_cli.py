@@ -446,6 +446,18 @@ def test_cli_names_the_malformed_field_of_a_psi_file(tmp_path, capsys):
     assert capsys.readouterr().err == "cn-check: group kind 'cyclic' needs the key 'n'\n"
 
 
+def test_cli_rejects_table_labels_that_are_not_a_list_of_strings(tmp_path, capsys):
+    table = {"order": 2, "mul": [[0, 1], [1, 0]], "labels": 5}
+    path = write_json(tmp_path / "table.json", table)
+    unwritten = tmp_path / "unwritten.json"
+    assert main(["group", "build", "--kind", "table", "--path", path, "--out", str(unwritten)]) == 1
+    assert capsys.readouterr().err == "group: labels must be a list of 2 strings, found type int\n"
+    assert not unwritten.exists()
+    inline = write_json(tmp_path / "psi.json", {"group": {"kind": "table", **table}, "psi": [0, 1]})
+    assert main(["cn-check", "--psi", inline]) == 1
+    assert capsys.readouterr().err == "cn-check: labels must be a list of 2 strings, found type int\n"
+
+
 def test_cli_bare_psi_list_names_group_only_where_the_command_has_it(tmp_path, capsys):
     bare = write_json(tmp_path / "bare.json", [0, 1, 2, 1])
     f = write_json(tmp_path / "f.json", [0.0, 1.0, 1.0, 0.0])

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from cocycle_lab.groups import (ORDER_CAP, FiniteGroup, SizeCapError,
                                 TableValidationError, build_cyclic,
                                 build_from_spec, build_heisenberg,
-                                build_product, group_from_dict, group_to_dict,
-                                load_group, save_group, validate_group)
+                                build_power, build_product, coordinates,
+                                group_from_dict, group_to_dict, load_group,
+                                save_group, validate_group)
 
 from conftest import associativity_failure
 
@@ -227,6 +228,16 @@ def test_load_rejects_label_mismatch():
         group_from_dict(d)
 
 
+def test_group_from_dict_requires_a_list_of_string_labels():
+    d = group_to_dict(build_cyclic(2))
+    for labels, kind in ((5, "int"), ("ab", "str"), ([None, {"x": 1}], "NoneType"),
+                         (["a", {"x": 1}], "dict")):
+        with pytest.raises(TableValidationError,
+                           match=f"^labels must be a list of 2 strings, found type {kind}$"):
+            group_from_dict({**d, "labels": labels})
+    assert group_from_dict({**d, "labels": ["e", "x"]}).labels == ("e", "x")
+
+
 def test_build_from_spec_dispatch():
     assert build_from_spec({"kind": "cyclic", "n": 6}).order == 6
     assert build_from_spec({"kind": "product", "n": 2, "m": 3}).order == 8
@@ -297,3 +308,26 @@ def test_shared_index_tables():
     assert np.array_equal(g.rep_index, g.mul[:, g.inv])
     with pytest.raises(ValueError):
         g.mul[0, 0] = 1   # tables are frozen read-only
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=2, max_value=8), st.data())
+def test_coordinates_add_digitwise_on_powers(n, data):
+    m = data.draw(st.integers(min_value=1, max_value=max(k for k in range(1, 10) if n ** k <= 512)))
+    g = build_power(n, m)
+    d = coordinates(g.order, [n] * m)
+    assert d.shape == (m, g.order)
+    assert np.array_equal(d.T @ n ** np.arange(m - 1, -1, -1), np.arange(g.order))
+    assert np.array_equal(d[:, g.mul], (d[:, :, None] + d[:, None, :]) % n)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=2, max_value=8))
+def test_coordinates_follow_the_heisenberg_law(n):
+    g = build_heisenberg(n)
+    a, b, c = coordinates(g.order, (n, n, n))
+    assert np.array_equal((a * n + b) * n + c, np.arange(g.order))
+    pa, pb, pc = coordinates(g.order, (n, n, n))[:, g.mul]
+    assert np.array_equal(pa, (a[:, None] + a[None, :] + b[:, None] * c[None, :]) % n)
+    assert np.array_equal(pb, (b[:, None] + b[None, :]) % n)
+    assert np.array_equal(pc, (c[:, None] + c[None, :]) % n)
