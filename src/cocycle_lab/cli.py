@@ -66,7 +66,7 @@ def _report_text(command: str, config: dict, results: dict,
         "tool_version": __version__,
         "results": results,
     }
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _emit(text: str, out: Optional[str]) -> None:

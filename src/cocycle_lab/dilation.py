@@ -2,23 +2,23 @@
 
 Per sample omega, the crossed-product image pi_t(x) of x = sum_g x_g lambda(g)
 at time t is the |G| x |G| matrix with entry (h, g^{-1}h) equal to
-x_g exp(i beta_t(alpha_{h^{-1}} b(g))(omega)); the twisted vector is
-alpha_{h^{-1}} b(g) = b(h^{-1}g) - b(h^{-1}) by the cocycle law, so no
-representation matrices are ever applied.  beta_t(xi) = <xi, B_t> with
-B a d-dimensional Brownian motion of covariance 2 min(s,t) per
-coordinate.  The realization is an exact *-homomorphism sample by
-sample; expectations recover the semigroup.
+x_g exp(i beta_t(alpha_{h^{-1}} b(g))(omega)), where beta_t(xi) = <xi, B_t>
+with B a d-dimensional Brownian motion of covariance 2 min(s,t) per
+coordinate.  At u = g^{-1}h the cocycle law gives alpha_{h^{-1}} b(g) =
+b(h^{-1}g) - b(h^{-1}) = b(u^{-1}) - b(h^{-1}), so with D_B = diag(w_B),
+w_B(u) = e^{i <b(u^{-1}), B>}, the image is a diagonal unitary conjugation
+of the regular representation Lambda(x)[h, u] = x(h u^{-1}):
 
-Each matrix is placed from a field amp[..., h, g] by one gather through
-the group's rep_index table: entry (h, u) = amp[..., h, h u^{-1}].  With
-y_k = T_{L-t_k} x, the step dx_k of the transform M_n(x) is the gather of
-i (y_k)_g e^{i beta_{t_k}(alpha_{h^{-1}} b(g))} <alpha_{h^{-1}} b(g), dB_k>;
-M_n(x) and its decoupled twin M~_n(x), driven by an independent increment
-copy, come as a pair from one pass.  With the Gaussian step integrated out
-(E_{k-1}[dB^j dB^l] = 2 dt delta_{jl}), the conditioned square functions
-are the dilation of Gamma, S_c = 2 dt sum_k pi_{t_k}(Gamma(y_k, y_k)) and
-S_r = the same with y_k^*: the brackets read the transform's phase field,
-so M, M~ and the bracket moments all come from one chunk pass.
+    pi_B(x) = D_B^* Lambda(x) D_B,   dx_k = i D_k^* [Lambda(y_k), diag beta_k] D_k,
+
+|G| exponentials per path point, an exact *-homomorphism sample by sample.
+dx_k is the step of the transform M_n(x), with y_k = T_{L-t_k} x, D_k at
+B_{t_k} and beta_k(u) = <b(u^{-1}), dB_k>; its decoupled twin M~_n(x) takes
+an independent increment copy, and tau|dx_k|^p = tau|[Lambda(y_k), diag
+beta_k]|^p by unitary invariance.  With the Gaussian step integrated out
+(E_{k-1}[dB^j dB^l] = 2 dt delta_{jl}), the conditioned square functions are
+S_c = 2 dt sum_k D_k^* Lambda(Gamma(y_k, y_k)) D_k and S_r = the same with
+y_k^*: M, M~ and the bracket moments all come from one chunk pass.
 """
 from __future__ import annotations
 
@@ -28,10 +28,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .algebra import AlgebraElement, Semigroup, gamma, gamma_norm, semigroup_apply
+from .algebra import AlgebraElement, Semigroup, gamma, gamma_norm, regular_rep, semigroup_apply
 from .cocycles import CocycleRealization, LengthFunction
 from .criterion import AlphaCertificate
-from .groups import FiniteGroup
 from .linalg import schatten_pow_batch, thread_map
 from . import rng
 
@@ -94,26 +93,14 @@ def sample_scenario(cocycle: CocycleRealization, n: int, dt: float,
     return BrownianScenario(cocycle, int(n), float(dt), int(samples), int(seed))
 
 
-def _bdiff(cocycle: CocycleRealization) -> np.ndarray:
-    """(order, order, d) twisted vectors: bdiff[h, g] = alpha_{h^{-1}} b(g)."""
-    g = cocycle.group
-    return cocycle.vectors[g.conv_index] - cocycle.vectors[g.inv][:, None, :]
+def _pair(cocycle: CocycleRealization, v: np.ndarray) -> np.ndarray:
+    """<b(u^{-1}), v[..., :]> per group element u: [..., u]."""
+    return np.einsum("...j,uj->...u", v, cocycle.vectors[cocycle.group.inv])
 
 
-def _gather(group: FiniteGroup, amp: np.ndarray) -> np.ndarray:
-    """amp[..., h, g] -> matrix with entry (h, g^{-1}h) = amp[..., h, g].
-
-    np.take, unlike amp[..., rows, rep_index], returns a C-contiguous array;
-    sums over the leading axes of a non-contiguous one round differently.
-    """
-    n = group.order
-    flat = np.arange(n)[:, None] * n + group.rep_index
-    return np.take(amp.reshape(amp.shape[:-2] + (n * n,)), flat, axis=-1)
-
-
-def _phases(bdiff: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Phase field e^{i <alpha_{h^{-1}} b(g), B>} at path points B[..., j]: [..., h, g]."""
-    return np.exp(1j * np.einsum("hgj,...j->...hg", bdiff, B))
+def _path_phases(cocycle: CocycleRealization, B: np.ndarray) -> np.ndarray:
+    """w_B[..., u] = e^{i <b(u^{-1}), B[..., :]>} at path points B[..., j]."""
+    return np.exp(1j * _pair(cocycle, B))
 
 
 def _grid_index(scenario: BrownianScenario, t: float) -> int:
@@ -142,19 +129,18 @@ def dilation_matrix(x: AlgebraElement, t: float, scenario: BrownianScenario,
     k = _grid_index(scenario, t)
     if not 0 <= sample < scenario.samples:
         raise ValueError(f"sample index {sample} out of range [0, {scenario.samples})")
-    Bt = scenario.increments(sample, sample + 1)[0, :k].sum(axis=0)
-    return _gather(scenario.cocycle.group, x.coeffs * _phases(_bdiff(scenario.cocycle), Bt))
+    w = _path_phases(scenario.cocycle, scenario.increments(sample, sample + 1)[0, :k].sum(axis=0))
+    return w.conj()[:, None] * regular_rep(x) * w
 
 
 def dilation_mean(x: AlgebraElement, t: float, scenario: BrownianScenario):
     """MC mean of the dilation matrices with entrywise standard errors."""
     k = _grid_index(scenario, t)
-    group = scenario.cocycle.group
-    bdiff = _bdiff(scenario.cocycle)
+    lx = regular_rep(x)
 
     def work(lo, hi):
-        Bt = scenario.increments(lo, hi)[:, :k].sum(axis=1)
-        D = _gather(group, x.coeffs * _phases(bdiff, Bt))
+        w = _path_phases(scenario.cocycle, scenario.increments(lo, hi)[:, :k].sum(axis=1))
+        D = w.conj()[:, :, None] * lx * w[:, None, :]
         return D.sum(axis=0), (np.abs(D) ** 2).sum(axis=0)
 
     parts = _map_chunks(scenario, work)
@@ -183,34 +169,43 @@ def martingale_transform(x: AlgebraElement, scenario: BrownianScenario, L: float
                          p: float) -> TransformPass:
     """M_n(x), its decoupled twin and the bracket moments at p, per sample, in one pass.
 
-    Each chunk draws its increments and their copy once and builds the phase
-    field at B_{t_k} = sum_{i<k} dB_i once.  S_c and S_r read it against the
-    Gamma table; it is dropped once amp = y_k e^{i beta} is formed; the copy's
-    steps give M~, then the steps dx_k give M and sum_k ||dx_k||_p^p.  That
-    order keeps a chunk's peak memory low.
+    Lambda(y_k) and 2 dt Lambda(Gamma_k) do not depend on the sample and are
+    gathered once.  Each chunk draws its increments and their copy once and
+    forms ww[c, k, h, u] = conj(w_k(h)) w_k(u), the conjugation by D_k as an
+    entrywise factor, from (c, steps, |G|) exponentials.  S_c and S_r read ww
+    against Lambda(Gamma_k); the copy's commutators give M~; the steps'
+    commutators give sum_k ||dx_k||_p^p unphased, then M.  That order keeps a
+    chunk's peak memory low.
     """
     _check_horizon(scenario, L)
     if float(p) not in BRACKET_PS:
         raise ValueError(f"bracket estimation supports p in {BRACKET_PS}, got {p}")
     p = float(p)
-    group, sg = scenario.cocycle.group, scenario.semigroup
-    bdiff = _bdiff(scenario.cocycle)
+    coc, sg = scenario.cocycle, scenario.semigroup
     y = semigroup_apply(sg, x, L - scenario.times[:, None])
-    gam = np.stack([gamma(sg, y, y).coeffs, gamma(sg, y.adjoint(), y.adjoint()).coeffs])
+    ly = regular_rep(y)
+    lgam = 2.0 * scenario.dt * np.stack([regular_rep(gamma(sg, y, y)),
+                                         regular_rep(gamma(sg, y.adjoint(), y.adjoint()))])
+
+    def commutator(drive):   # [Lambda(y_k), diag beta_k][c, k], beta_k(u) = <b(u^{-1}), drive[c, k]>
+        beta = _pair(coc, drive)
+        cm = np.subtract(beta[..., None, :], beta[..., :, None], dtype=complex)
+        cm *= ly
+        return cm
 
     def work(lo, hi):
         dB = scenario.increments(lo, hi)
-        ph = _phases(bdiff, np.concatenate([np.zeros_like(dB[:, :1]),
-                                            np.cumsum(dB, axis=1)[:, :-1]], axis=1))
-        sc, sr = schatten_pow_batch(
-            2.0 * scenario.dt * _gather(group, np.einsum("ckhg,skg->schg", ph, gam)), p / 2.0)
-        amp = y.coeffs[:, None, :] * ph
-        del ph
-        def steps(drive):   # dx[c, k]: the gather of i amp[c, k] <alpha_{h^{-1}} b(g), drive[c, k]>
-            return _gather(group, 1j * amp * np.einsum("hgj,ckj->ckhg", bdiff, drive))
-        Mt = steps(scenario.increments_copy(lo, hi)).sum(axis=1)
-        dx = steps(dB)
-        return dx.sum(axis=1), Mt, sc, sr, schatten_pow_batch(dx, p).sum(axis=1)
+        w = _path_phases(coc, np.concatenate([np.zeros_like(dB[:, :1]),
+                                              np.cumsum(dB, axis=1)[:, :-1]], axis=1))
+        ww = w.conj()[..., :, None] * w[..., None, :]
+        del w
+        sc, sr = schatten_pow_batch(np.einsum("ckhu,skhu->schu", ww, lgam), p / 2.0)
+        cm = commutator(scenario.increments_copy(lo, hi))
+        Mt = 1j * np.einsum("ckhu,ckhu->chu", ww, cm)
+        del cm
+        cm = commutator(dB)
+        M = 1j * np.einsum("ckhu,ckhu->chu", ww, cm)
+        return M, Mt, sc, sr, schatten_pow_batch(cm, p).sum(axis=1)
 
     return TransformPass(p, *(np.concatenate(part) for part in zip(*_map_chunks(scenario, work))))
 
@@ -305,10 +300,14 @@ def inequality_report(x: AlgebraElement, scenario: BrownianScenario, L: float, p
     p = tr.p
     mn = _root_stat(schatten_pow_batch(tr.M, p), p)
     mt = _root_stat(schatten_pow_batch(tr.Mt, p), p)
-    ratio = mn.mean / mt.mean if mt.mean > 0 else np.inf
-    ratio_se = ratio * (mn.se / mn.mean + mt.se / mt.mean) if mt.mean > 0 and mn.mean > 0 else 0.0
     denom = np.sqrt(p) * max(br.hc.mean, br.hr.mean)
-    bdg = mn.mean / denom if denom > 0 else np.inf
+    if not (mt.mean > 0 and denom > 0):
+        raise ValueError(f"M_n(x) vanishes at p = {p:g}: x lies in the fixed-point algebra "
+                         "(psi = 0 on its support) or is too small for its p-th moments, "
+                         "so the decoupling and BDG ratios are 0/0")
+    ratio = mn.mean / mt.mean
+    ratio_se = ratio * (mn.se / mn.mean + mt.se / mt.mean) if mn.mean > 0 else 0.0
+    bdg = mn.mean / denom
     ito = _mean_se(schatten_pow_batch(tr.M, 2.0))
     bound = None
     if alpha_cert is not None and alpha_cert.alpha_star > 0:

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from cocycle_lab.cli import _build_parser, _digest, main
+from cocycle_lab.cli import _build_parser, _digest, _report_text, main
 from cocycle_lab.groups import ORDER_CAP, build_cyclic, build_product, group_to_dict, save_group
 
 from conftest import assert_report_pinned
@@ -554,6 +554,24 @@ def test_dilate_rejects_zero_steps(tmp_path, capsys):
         assert main(["dilate", "--builtin", "walsh:2:2", "--x", x, "--L", "1.0",
                      "--steps", steps]) == 1
         assert capsys.readouterr().err == f"dilate: need at least one step, got {steps}\n"
+
+
+def test_dilate_on_the_fixed_point_algebra_fails_naming_the_cause(tmp_path, capsys):
+    # x = lambda(e) has M_n(x) = 0: the ratios would be 0/0, written as the token Infinity
+    x = write_json(tmp_path / "x.json", [1, 0, 0, 0])
+    out = tmp_path / "d.json"
+    assert main(["dilate", "--builtin", "walsh:2:2", "--x", x, "--L", "1", "--steps", "4",
+                 "--samples", "16", "--p", "4", "--alpha", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dilate: M_n(x) vanishes at p = 4: x lies in the fixed-point algebra")
+    assert not out.exists()
+
+
+def test_reports_carry_no_nan_or_infinity():
+    assert _report_text("dilate", {}, {"bdg_ratio": 1.5}, 0).count("1.5") == 1
+    for bad in (float("inf"), -float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _report_text("dilate", {}, {"bdg_ratio": bad}, 0)
 
 
 def test_cli_rejects_invalid_thread_count(monkeypatch, capsys):

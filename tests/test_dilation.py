@@ -1,16 +1,19 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cocycle_lab import dilation, rng
 from cocycle_lab.algebra import (Semigroup, delta, element, gamma, lp_norm,
                                  regular_rep, semigroup_apply)
 from cocycle_lab.cocycles import gromov_form, realize_cocycle, word_length_cocycle
 from cocycle_lab.criterion import AlphaCertificate, best_alpha_pencil
-from cocycle_lab.dilation import (_chunks, _root_stat, bracket_estimates, dilation_matrix,
-                                  dilation_mean, inequality_report,
-                                  martingale_transform, sample_scenario,
+from cocycle_lab.dilation import (BRACKET_PS, TransformPass, _chunks, _root_stat,
+                                  bracket_estimates, dilation_matrix, dilation_mean,
+                                  inequality_report, martingale_transform, sample_scenario,
                                   transform_l2_analytic)
 from cocycle_lab.families import builtin_length, walsh_length
 from cocycle_lab.linalg import schatten_norm, schatten_pow_batch
@@ -70,6 +73,38 @@ def bracket_reference(x, sc, L, p):
     Sc = 2.0 * sc.dt * np.einsum("ckjau,ckjav->cuv", np.conj(Cm), Cm)
     Sr = 2.0 * sc.dt * np.einsum("ckjua,ckjva->cuv", Cm, np.conj(Cm))
     return tuple(_root_stat(schatten_pow_batch(S, p / 2.0), p) for S in (Sc, Sr))
+
+
+def transform_reference(x, sc, L, p):
+    """martingale_transform through the |G|^2 phase field, without the diagonal conjugation.
+
+    Every entry carries its own phase e^{i <alpha_{h^{-1}} b(g), B_{t_k}>}, with the twisted
+    vectors bdiff[h, g] = b(h^{-1}g) - b(h^{-1}), and each step is the gather to entry
+    (h, g^{-1}h) of i (y_k)_g e^{i beta} <bdiff[h, g], dB_k>; S_c and S_r gather the phase
+    field times Gamma(y_k, y_k) and Gamma(y_k^*, y_k^*).  All samples in one block.
+    """
+    coc, g, sg = sc.cocycle, sc.cocycle.group, sc.semigroup
+    bdiff = coc.vectors[g.conv_index] - coc.vectors[g.inv][:, None, :]         # [h, g, j]
+    flat = np.arange(g.order)[:, None] * g.order + g.rep_index
+
+    def gather(amp):    # amp[..., h, g] -> matrix with entry (h, g^{-1}h) = amp[..., h, g]
+        return np.take(amp.reshape(amp.shape[:-2] + (g.order ** 2,)), flat, axis=-1)
+
+    y = semigroup_apply(sg, x, L - sc.times[:, None])
+    gam = np.stack([gamma(sg, y, y).coeffs, gamma(sg, y.adjoint(), y.adjoint()).coeffs])
+    dB = sc.increments(0, sc.samples)
+    B = np.concatenate([np.zeros_like(dB[:, :1]), np.cumsum(dB, axis=1)[:, :-1]], axis=1)
+    ph = np.exp(1j * np.einsum("hgj,ckj->ckhg", bdiff, B))
+    sc_pow, sr_pow = schatten_pow_batch(
+        2.0 * sc.dt * gather(np.einsum("ckhg,skg->schg", ph, gam)), p / 2.0)
+    amp = y.coeffs[:, None, :] * ph
+
+    def steps(drive):
+        return gather(1j * amp * np.einsum("hgj,ckj->ckhg", bdiff, drive))
+
+    dx = steps(dB)
+    return TransformPass(p, dx.sum(axis=1), steps(sc.increments_copy(0, sc.samples)).sum(axis=1),
+                         sc_pow, sr_pow, schatten_pow_batch(dx, p).sum(axis=1))
 
 
 def brackets(x, sc, L, p):
@@ -218,6 +253,47 @@ def test_single_generator_bracket_closed_form(small_scenario):
     assert abs(est.hr.mean - want) < 1e-10
 
 
+@pytest.mark.parametrize("p", BRACKET_PS)
+def test_transform_matches_the_phase_field_reference(p, small_scenario, heisenberg_scenario):
+    # the diagonal conjugation D_k^* Lambda D_k against |G|^2 phases per path point, sample
+    # by sample: the matrices to 1e-13 of their Frobenius norm, the moments to 1e-13 relative
+    cases = [(small_scenario, [0.0, 1.0, 0.7, 0.3j]),
+             (heisenberg_scenario, rand_coeffs(27, 6)),
+             (sample_scenario(word_length_cocycle(8), 8, 0.125, 64, seed=5), rand_coeffs(8, 7))]
+    for sc, coeffs in cases:
+        x = element(sc.cocycle.group, coeffs)
+        got, want = martingale_transform(x, sc, 1.0, p), transform_reference(x, sc, 1.0, p)
+        assert got.p == want.p == p
+        order = sc.cocycle.group.order
+        for name in ("M", "Mt"):
+            a, b = getattr(got, name), getattr(want, name)
+            dev = np.linalg.norm(a - b, axis=(-2, -1))
+            assert np.all(dev <= 1e-13 * np.linalg.norm(b, axis=(-2, -1))), (order, name)
+        for name in ("sc_pow", "sr_pow", "dx_pow"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == (sc.samples,)
+            assert np.all(np.abs(a - b) <= 1e-13 * np.abs(b)), (order, name)
+
+
+@functools.cache
+def _scenario(spec):
+    coc = realize_cocycle(gromov_form(builtin_length(spec)))
+    return sample_scenario(coc, 8, 0.125, 16, seed=9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("walsh:2:2", "wordlength:6", "heisenberg-delta:2", "heisenberg-wordlength:3")),
+       st.integers(0, 10 ** 6), st.integers(0, 15), st.integers(0, 8), st.sampled_from((1.0, 3.0, 4.0)))
+def test_dilation_preserves_schatten_moments_hypothesis(spec, index, sample, k, p):
+    """tau|pi_t(x)|^p = tau|Lambda(x)|^p per sample and grid time: pi_t is a unitary
+    conjugation of the regular representation (odd p through the singular values)."""
+    sc = _scenario(spec)
+    x = element(sc.cocycle.group, rand_coeffs(sc.cocycle.group.order, index))
+    got = schatten_pow_batch(dilation_matrix(x, k * sc.dt, sc, sample), p)
+    want = schatten_pow_batch(regular_rep(x), p)
+    assert abs(got - want) <= 1e-12 * want
+
+
 @pytest.mark.parametrize("p", [4.0, 8.0])
 def test_brackets_match_cocycle_coordinate_reference(p, small_scenario, wordlength_scenario,
                                                      heisenberg_scenario):
@@ -316,6 +392,25 @@ def test_inequality_report_without_alpha(small_scenario):
                             alpha_cert=AlphaCertificate(0.0, "synthetic",
                                                         np.zeros(1), 0.0))
     assert rep.bracket_bound is None
+
+
+def test_inequality_report_refuses_a_vanishing_transform(small_scenario, heisenberg_scenario):
+    # x = lambda(e), or lambda of a central (a, 0, 0) of H_3(Z_3), lies in the fixed-point
+    # algebra: M_n(x) = M~_n(x) = 0 (up to the rounding of b(h^{-1}g) - b(h^{-1}) on H_3)
+    # and S_c = S_r = 0 exactly, so both ratios would read 0/0; a tiny x has p = 8 moments
+    # that underflow to the same 0/0
+    central = np.eye(27)[9]
+    assert heisenberg_scenario.cocycle.psi[9] == 0.0
+    cases = [(small_scenario, [1.0, 0, 0, 0], 4.0), (small_scenario, [2.0, 0, 0, 0], 2.0),
+             (small_scenario, [0, 1e-200, 0, 0], 8.0), (heisenberg_scenario, central, 4.0)]
+    for sc, coeffs, p in cases:
+        x = element(sc.cocycle.group, coeffs)
+        if p == 4.0:
+            tr = martingale_transform(x, sc, 1.0, p)
+            assert np.abs(tr.M).max() <= 1e-12 and not tr.sc_pow.any() and not tr.sr_pow.any()
+        with pytest.raises(ValueError, match=f"M_n\\(x\\) vanishes at p = {p:g}: x lies in the "
+                                             "fixed-point algebra"):
+            inequality_report(x, sc, 1.0, p)
 
 
 def test_inequality_report_draws_each_block_once(small_scenario, monkeypatch):
