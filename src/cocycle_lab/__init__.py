@@ -8,9 +8,8 @@ from .groups import (FiniteGroup, TableValidationError, SizeCapError,
                      build_cyclic, build_product, build_heisenberg,
                      build_from_spec, load_group, save_group, validate_group)
 from .cocycles import (LengthFunction, GromovForm, CocycleRealization,
-                       NumericalRankError, length_function, gromov_form,
-                       is_conditionally_negative, realize_cocycle,
-                       word_length_cocycle, word_length_psi,
+                       length_function, gromov_form, is_conditionally_negative,
+                       realize_cocycle, word_length_cocycle, word_length_psi,
                        verify_schur_identity)
 from .algebra import (AlgebraElement, Semigroup, element, delta, tau, conv,
                       regular_rep, lp_norm, semigroup_apply, generator_apply,

@@ -4,7 +4,9 @@ The Gromov form K(s,t) = (psi(s)+psi(t)-psi(s^{-1}t))/2 is the Gram matrix
 of the cocycle vectors b(g); psi is conditionally negative exactly when K
 is positive semidefinite.  K is diagonalised once: the PSD test reads
 lambda_min >= -tol*(1 + ||K||_2), and at tol = DEFAULT_TOL that bound is
-also the rank cut, above which the eigenvalues span ran K.
+also the rank cut, above which the eigenvalues span ran K.  A realization
+is B alone: the orthogonal action alpha of the cocycle (b, alpha) is
+determined by b and never formed.
 """
 from __future__ import annotations
 
@@ -18,10 +20,6 @@ from .groups import FiniteGroup, build_cyclic
 from .linalg import psd_scale
 
 DEFAULT_TOL = 1e-9
-
-
-class NumericalRankError(ValueError):
-    """Linear system for a cocycle representation is inconsistent beyond tolerance."""
 
 
 @dataclass(frozen=True)
@@ -57,7 +55,11 @@ def length_function(group: FiniteGroup, values) -> LengthFunction:
 
 @dataclass(frozen=True)
 class GromovForm:
-    """K, diagonalised once for the PSD test, the rank cut, realize and both alpha* solvers."""
+    """K, diagonalised once for the PSD test, the rank cut, realize and both alpha* solvers.
+
+    Built by gromov_form, K satisfies the Gromov identity exactly; one built
+    directly is checked against it by realize_cocycle.
+    """
     group: FiniteGroup
     K: np.ndarray           # (order, order) real symmetric
 
@@ -106,14 +108,17 @@ def is_conditionally_negative(psi: LengthFunction, tol: float = DEFAULT_TOL) -> 
 
 @dataclass(frozen=True)
 class CocycleRealization:
+    """The cocycle vectors b(g) of a 1-cocycle (b, alpha) on an orthogonal R^d.
+
+    alpha is determined by b and not stored: the b(h) span R^d, so
+    b(gh) = b(g) + alpha_g b(h) over all h fixes each alpha_g.
+    """
     group: FiniteGroup
     dimension: int
     vectors: np.ndarray     # (order, d), rows b(g)
-    reps: np.ndarray        # (order, d, d) orthogonal alpha_g
 
     def __post_init__(self):
         self.vectors.setflags(write=False)
-        self.reps.setflags(write=False)
 
     @property
     def psi(self) -> np.ndarray:
@@ -122,45 +127,38 @@ class CocycleRealization:
 
 
 def realize_cocycle(K: GromovForm) -> CocycleRealization:
-    """Factor K = B B^T (rank-revealing) and solve for the orthogonal maps alpha_g.
+    """Factor K = B B^T from K's eigenvalues above the rank cut; B's rows are the b(g).
 
-    B's rows are the cocycle vectors; d is the numerical rank of K.  Each
-    alpha_g is the solution of alpha_g b(h) = b(gh) - b(g) over all h.  For
-    the eigendecomposition factor the b(g) span all of R^d, so the system
-    determines alpha_g completely (the formal completion by the identity on
-    an orthocomplement never has anything to act on).
+    d is the numerical rank of K, and the b(g) span R^d.  An orthogonal
+    alpha_g with b(gh) = b(g) + alpha_g b(h) exists for every g exactly when
+    K is a Gromov form: symmetric, with K(s,t) = (K(s,s) + K(t,t) -
+    K(s^{-1}t, s^{-1}t))/2 for all s, t.  Then the Gram matrix of the
+    b(gh) - b(g) over h is K again.  After the PSD test, both conditions are
+    checked entrywise to the rank cut, and a K that fails one is a ValueError
+    naming the worst (s, t).
     """
-    group = K.group
     lam, U = K.spectrum
-    keep = lam > K._rank_cut()
-    d = int(keep.sum())
-    root = np.sqrt(lam[keep])
-    B = U[:, keep] * root
-    # alpha_g^T = B^+ (b(g h) - b(g)); B = U_r Lambda_r^{1/2}, so B^+ = Lambda_r^{-1/2} U_r^T.
-    Bpinv = U[:, keep].T / root[:, None]
-    reps = np.empty((group.order, d, d))
-    gram_scale = 1.0 + np.abs(K.K).max()
-    for g in range(group.order):
-        C = B[group.mul[g]] - B[g]
-        At = Bpinv @ C
-        resid = np.abs(B @ At - C).max() if d else 0.0
-        if resid > 10 * DEFAULT_TOL * gram_scale:
-            raise NumericalRankError(
-                f"cocycle system for g={g} inconsistent: residual {resid:.3e}")
-        alpha = At.T
-        orth = np.abs(alpha.T @ alpha - np.eye(d)).max() if d else 0.0
-        if orth > 10 * DEFAULT_TOL * gram_scale:
-            raise NumericalRankError(
-                f"alpha_{g} deviates from orthogonal by {orth:.3e}")
-        reps[g] = alpha
-    return CocycleRealization(group, d, B, reps)
+    cut = K._rank_cut()
+    diag = np.diag(K.K)
+    for what, rhs, ref in (
+            ("symmetric", "K(t,s)", K.K.T),
+            ("a Gromov form", "(K(s,s) + K(t,t) - K(s^-1 t, s^-1 t))/2",
+             0.5 * (diag[:, None] + diag[None, :] - diag[K.group.conv_index]))):
+        dev = np.abs(K.K - ref)
+        s, t = np.unravel_index(np.argmax(dev), dev.shape)
+        if not dev[s, t] <= cut:        # argmax stops at a NaN, which fails too
+            raise ValueError(f"K is not {what}: at (s, t) = ({s}, {t}), "
+                             f"K(s,t) = {K.K[s, t]:.6g} but {rhs} = {ref[s, t]:.6g}")
+    keep = lam > cut
+    B = U[:, keep] * np.sqrt(lam[keep])
+    return CocycleRealization(K.group, int(keep.sum()), B)
 
 
 def word_length_cocycle(n: int) -> CocycleRealization:
     """The explicit d = n/2 realization of the word length on Z_n, n even.
 
     b(k) = e_1 + ... + e_k for k <= n/2 and e_{k-n/2+1} + ... + e_{n/2}
-    beyond; alpha_1 is the signed shift e_j -> e_{j+1}, e_{n/2} -> -e_1,
+    beyond; its alpha_1 is the signed shift e_j -> e_{j+1}, e_{n/2} -> -e_1,
     and alpha_k = alpha_1^k.  Everything is integer-exact.
     """
     if n < 2 or n % 2:
@@ -168,22 +166,13 @@ def word_length_cocycle(n: int) -> CocycleRealization:
             f"word-length realization needs even n >= 2, got {n}; "
             f"for odd n embed Z_n into Z_(2n) and restrict")
     d = n // 2
-    group = build_cyclic(n)
     B = np.zeros((n, d))
     for k in range(1, n):
         if k <= d:
             B[k, :k] = 1.0
         else:
             B[k, k - d:d] = 1.0
-    a1 = np.zeros((d, d))
-    for j in range(d - 1):
-        a1[j + 1, j] = 1.0
-    a1[0, d - 1] = -1.0
-    reps = np.empty((n, d, d))
-    reps[0] = np.eye(d)
-    for k in range(1, n):
-        reps[k] = a1 @ reps[k - 1]
-    return CocycleRealization(group, d, B, reps)
+    return CocycleRealization(build_cyclic(n), d, B)
 
 
 def cyclic_length(mode: str, k: np.ndarray, n: int) -> np.ndarray:

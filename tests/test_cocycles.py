@@ -1,10 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cocycle_lab.cocycles import (CocycleRealization, GromovForm, NumericalRankError,
-                                  gromov_form, is_conditionally_negative,
+from cocycle_lab.cocycles import (GromovForm, gromov_form, is_conditionally_negative,
                                   length_function, realize_cocycle,
                                   verify_schur_identity, word_length_cocycle,
                                   word_length_psi)
@@ -81,20 +82,39 @@ def test_cn_tolerance_must_be_finite_and_nonnegative():
     assert is_conditionally_negative(delta_psi(4), tol=0.0).verdict
 
 
+def reference_alpha(K: GromovForm) -> np.ndarray:
+    """(order, d, d) stack of alpha_g solved from b(gh) - b(g) = alpha_g b(h) over all h.
+
+    alpha_g^T = B^+ (b(gh) - b(g)) with B^+ = Lambda_r^{-1/2} U_r^T, U_r and
+    Lambda_r the part of K's spectrum above the rank cut.
+    """
+    lam, U = K.spectrum
+    keep = lam > K._rank_cut()
+    B = realize_cocycle(K).vectors
+    Bpinv = U[:, keep].T / np.sqrt(lam[keep])[:, None]
+    return np.swapaxes(Bpinv @ (B[K.group.mul] - B[:, None, :]), 1, 2)
+
+
+def assert_cocycle(K: GromovForm) -> None:
+    """realize_cocycle(K) and the reference alpha obey b(gh) = b(g) + alpha_g b(h),
+    alpha_g^T alpha_g = I and alpha_{gh} = alpha_g alpha_h, each to 1e-8."""
+    b, alpha, mul = realize_cocycle(K).vectors, reference_alpha(K), K.group.mul
+    law = b[mul] - b[:, None, :] - np.einsum("gij,hj->ghi", alpha, b)
+    orth = np.swapaxes(alpha, 1, 2) @ alpha - np.eye(b.shape[1])
+    hom = alpha[mul] - np.einsum("gij,hjk->ghik", alpha, alpha)
+    for name, dev in (("law", law), ("orthogonality", orth), ("homomorphism", hom)):
+        assert np.abs(dev).max(initial=0.0) < 1e-8, name
+
+
 def test_realize_walsh():
     psi = walsh_length(2, 2)
-    real = realize_cocycle(gromov_form(psi))
+    K = gromov_form(psi)
+    real = realize_cocycle(K)
     assert real.dimension == 2
     B = real.vectors
-    K = gromov_form(psi).K
-    assert np.abs(B @ B.T - K).max() < 1e-9
+    assert np.abs(B @ B.T - K.K).max() < 1e-9
     assert np.abs(real.psi - psi.values).max() < 1e-9
-    g = psi.group
-    for a in range(g.order):
-        assert np.abs(real.reps[a].T @ real.reps[a] - np.eye(2)).max() < 1e-8
-        for h in range(g.order):
-            law = B[a] + real.reps[a] @ B[h]
-            assert np.abs(law - B[g.mul[a, h]]).max() < 1e-8
+    assert_cocycle(K)
 
 
 def test_realize_rejects_non_psd():
@@ -105,22 +125,57 @@ def test_realize_rejects_non_psd():
 
 def test_realize_names_a_non_orthogonal_alpha():
     # K = I is PSD but no Gromov form (K(e,e) = 1), so no orthogonal alpha_g fits
-    with pytest.raises(NumericalRankError, match="^alpha_0 deviates from orthogonal by 1.000e"):
+    with pytest.raises(ValueError, match=re.escape(
+            "K is not a Gromov form: at (s, t) = (0, 0), K(s,t) = 1 but "
+            "(K(s,s) + K(t,t) - K(s^-1 t, s^-1 t))/2 = 0.5")):
         realize_cocycle(GromovForm(build_cyclic(3), np.eye(3)))
+    # eigh reads one triangle only, so a K asymmetric above the diagonal passes the PSD test
+    K = gromov_form(walsh_length(2, 2))
+    asym = K.K.copy()
+    asym[0, 3] = 0.25
+    with pytest.raises(ValueError, match=re.escape(
+            "K is not symmetric: at (s, t) = (0, 3), K(s,t) = 0.25 but K(t,s) = 0")):
+        realize_cocycle(GromovForm(K.group, asym))
+    # a NaN off the diagonal leaves eigh's smallest eigenvalue 0, so the PSD test passes
+    nan = np.zeros((3, 3))
+    nan[1, 2] = nan[2, 1] = np.nan
+    with pytest.raises(ValueError, match=re.escape(
+            "K is not symmetric: at (s, t) = (1, 2), K(s,t) = nan but K(t,s) = nan")):
+        realize_cocycle(GromovForm(build_cyclic(3), nan))
+
+
+def test_realize_drops_the_directions_below_the_rank_cut():
+    # four eigenvalues of 5e-9 fall below the cut of 7.0e-9 and one of 1.33e-8 stays above
+    k = np.arange(8)
+    psi = length_function(build_cyclic(8), 1 - np.cos(2 * np.pi * k / 8) + 1e-8 * (k != 0))
+    K = gromov_form(psi)
+    cut = K._rank_cut()
+    assert np.isclose(cut, 7.0e-9, rtol=1e-6, atol=0)
+    lam = K.spectrum[0]
+    assert np.allclose(lam[1:6], [5e-9] * 4 + [4e-8 / 3], rtol=1e-6, atol=0)
+    real = realize_cocycle(K)
+    assert real.dimension == 3
+    assert np.abs(real.vectors @ real.vectors.T - K.K).max() <= cut
 
 
 def test_word_length_cocycle_oracle():
-    real = word_length_cocycle(4)
-    assert real.dimension == 2
-    assert np.array_equal(real.vectors, [[0, 0], [1, 0], [1, 1], [0, 1]])
-    a1 = real.reps[1]
-    assert np.array_equal(a1, [[0, -1], [1, 0]])
-    assert np.array_equal(real.psi, [0, 1, 2, 1])
-    g = real.group
-    for a in range(4):
-        for h in range(4):
-            assert np.array_equal(real.vectors[a] + real.reps[a] @ real.vectors[h],
-                                  real.vectors[g.mul[a, h]])
+    assert np.array_equal(word_length_cocycle(4).vectors, [[0, 0], [1, 0], [1, 1], [0, 1]])
+    assert np.array_equal(word_length_cocycle(4).psi, [0, 1, 2, 1])
+    # alpha_1 is the signed shift e_j -> e_(j+1), e_(n/2) -> -e_1 and alpha_a = alpha_1^a;
+    # alpha_1^(n/2) = -1, so its matrix order is 2n though alpha is an n-periodic action
+    for n in (4, 6):
+        real = word_length_cocycle(n)
+        d = n // 2
+        assert real.dimension == d
+        a1 = np.zeros((d, d), dtype=int)
+        a1[np.arange(1, d), np.arange(d - 1)] = 1
+        a1[0, d - 1] = -1
+        assert np.array_equal(np.linalg.matrix_power(a1, d), -np.eye(d))
+        for a in range(n):
+            alpha = np.linalg.matrix_power(a1, a)
+            for h in range(n):
+                assert np.array_equal(real.vectors[a] + alpha @ real.vectors[h],
+                                      real.vectors[(a + h) % n])
 
 
 def test_word_length_cocycle_matches_gromov():
@@ -128,16 +183,6 @@ def test_word_length_cocycle_matches_gromov():
         real = word_length_cocycle(n)
         K = gromov_form(word_length_psi(n)).K
         assert np.array_equal(real.vectors @ real.vectors.T, K)
-
-
-def test_word_length_alpha1_has_order_two_n():
-    # the generator matrix is a signed shift: alpha_1^(n/2) = -1, so its
-    # matrix order is 2n even though alpha is an n-periodic cocycle action
-    n = 6
-    real = word_length_cocycle(n)
-    a1 = real.reps[1]
-    assert np.array_equal(np.linalg.matrix_power(a1, n // 2), -np.eye(n // 2))
-    assert np.array_equal(np.linalg.matrix_power(a1, n), np.eye(n // 2))
 
 
 def test_word_length_cocycle_odd_rejected():
@@ -185,19 +230,22 @@ def test_conic_combinations_stay_cn(n, s, t):
     psi = length_function(build_cyclic(n),
                           s * delta_psi(n).values + t * word_length_psi(n).values)
     assert is_conditionally_negative(psi).verdict
-    real = realize_cocycle(gromov_form(psi))
-    assert np.abs(real.psi - psi.values).max() < 1e-7
-    assert cocycle_law_deviation(real) < 1e-8
-
-
-def cocycle_law_deviation(real: CocycleRealization) -> float:
-    """max over g, h of |b(gh) - b(g) - alpha_g b(h)| and |alpha_{gh} - alpha_g alpha_h|."""
-    mul, b, a = real.group.mul, real.vectors, real.reps
-    law = b[mul] - b[:, None, :] - np.einsum("gij,hj->ghi", a, b)
-    hom = a[mul] - np.einsum("gij,hjk->ghik", a, a)
-    return max(np.abs(law).max(), np.abs(hom).max())
+    K = gromov_form(psi)
+    assert np.abs(realize_cocycle(K).psi - psi.values).max() < 1e-7
+    assert_cocycle(K)
 
 
 def test_heisenberg_realizations_obey_cocycle_law():
     for spec in ("heisenberg-delta:3", "heisenberg-wordlength:3"):
-        assert cocycle_law_deviation(realize_cocycle(gromov_form(builtin_length(spec)))) < 1e-8
+        assert_cocycle(gromov_form(builtin_length(spec)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(
+    st.builds("delta:{}".format, st.integers(1, 12)),
+    st.builds("wordlength:{}".format, st.integers(1, 16)),
+    st.builds("walsh:{}:{}".format, st.integers(2, 4), st.integers(1, 2)),
+    st.builds("heisenberg-delta:{}".format, st.integers(2, 3)),
+    st.builds("heisenberg-wordlength:{}".format, st.integers(2, 3))))
+def test_builtin_realizations_obey_cocycle_law(spec):
+    assert_cocycle(gromov_form(builtin_length(spec)))
