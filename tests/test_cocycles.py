@@ -161,6 +161,9 @@ def test_realize_drops_the_directions_below_the_rank_cut():
 def test_word_length_cocycle_oracle():
     assert np.array_equal(word_length_cocycle(4).vectors, [[0, 0], [1, 0], [1, 1], [0, 1]])
     assert np.array_equal(word_length_cocycle(4).psi, [0, 1, 2, 1])
+
+
+def test_word_length_alpha1_has_order_two_n():
     # alpha_1 is the signed shift e_j -> e_(j+1), e_(n/2) -> -e_1 and alpha_a = alpha_1^a;
     # alpha_1^(n/2) = -1, so its matrix order is 2n though alpha is an n-periodic action
     for n in (4, 6):
@@ -171,6 +174,7 @@ def test_word_length_cocycle_oracle():
         a1[np.arange(1, d), np.arange(d - 1)] = 1
         a1[0, d - 1] = -1
         assert np.array_equal(np.linalg.matrix_power(a1, d), -np.eye(d))
+        assert np.array_equal(np.linalg.matrix_power(a1, n), np.eye(d))
         for a in range(n):
             alpha = np.linalg.matrix_power(a1, a)
             for h in range(n):
