@@ -3,6 +3,9 @@
 Elements are coefficient vectors f = sum_g a_g lambda(g); the regular
 representation sends them to order x order matrices, tau is the
 normalized matrix trace, and L_p norms are normalized Schatten norms.
+On a group with a character table, lambda(f) is normal and the
+characters diagonalise it: its eigenvalues are the transform f^(chi),
+so ||f||_p^p = mean_chi |f^(chi)|^p at every p.
 The heat semigroup T_t acts by coefficient multipliers e^{-t psi(g)};
 Gamma and Gamma_2 have both a kernel code path (Gromov kernel weights)
 and a definitional one (through the generator), kept deliberately
@@ -80,6 +83,15 @@ def regular_rep(f: AlgebraElement) -> np.ndarray:
 def lp_norm(f: AlgebraElement, p: float):
     """||f||_p, or per element of a stack."""
     return schatten_norm(regular_rep(f), p)
+
+
+def fourier(f: AlgebraElement) -> np.ndarray:
+    """f^(chi_k) = sum_g a_g chi_k(g), the eigenvalues of lambda(f), per element of a stack.
+
+    Needs the group's character table.  einsum without optimize contracts each
+    row on its own, so a row transforms as it does alone, whatever the stack size.
+    """
+    return np.einsum("...g,kg->...k", f.coeffs, f.group.characters)
 
 
 @dataclass(frozen=True)

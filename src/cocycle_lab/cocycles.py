@@ -57,13 +57,20 @@ def length_function(group: FiniteGroup, values) -> LengthFunction:
 class GromovForm:
     """K, diagonalised once for the PSD test, the rank cut, realize and both alpha* solvers.
 
-    Built by gromov_form, K satisfies the Gromov identity exactly; one built
-    directly is checked against it by realize_cocycle.
+    K must be finite, of shape (order, order), or ValueError.  Built by
+    gromov_form, K satisfies the Gromov identity exactly; one built directly
+    is checked against it by realize_cocycle.
     """
     group: FiniteGroup
     K: np.ndarray           # (order, order) real symmetric
 
     def __post_init__(self):
+        n = self.group.order
+        if self.K.shape != (n, n):
+            raise ValueError(f"K has shape {self.K.shape}, expected {(n, n)}")
+        if not np.isfinite(self.K).all():
+            s, t = np.argwhere(~np.isfinite(self.K))[0]
+            raise ValueError(f"K({s},{t}) = {self.K[s, t]} is not finite")
         self.K.setflags(write=False)
 
     @cached_property
@@ -146,7 +153,7 @@ def realize_cocycle(K: GromovForm) -> CocycleRealization:
              0.5 * (diag[:, None] + diag[None, :] - diag[K.group.conv_index]))):
         dev = np.abs(K.K - ref)
         s, t = np.unravel_index(np.argmax(dev), dev.shape)
-        if not dev[s, t] <= cut:        # argmax stops at a NaN, which fails too
+        if dev[s, t] > cut:
             raise ValueError(f"K is not {what}: at (s, t) = ({s}, {t}), "
                              f"K(s,t) = {K.K[s, t]:.6g} but {rhs} = {ref[s, t]:.6g}")
     keep = lam > cut

@@ -30,6 +30,13 @@ class SizeCapError(ValueError):
 
 @dataclass(frozen=True)
 class FiniteGroup:
+    """A multiplication table with shared read-only index tables.
+
+    A group that build_cyclic builds, or build_product from factors that are
+    all such groups, records the orders of its cyclic factors in
+    metadata["cyclic_radices"] and has a character table; every other group
+    (Heisenberg, a loaded table, a mixed product) has characters None.
+    """
     order: int
     mul: np.ndarray          # (order, order) int indices, mul[g, h] = g*h
     inv: np.ndarray          # (order,) int indices
@@ -50,6 +57,18 @@ class FiniteGroup:
         """rep_index[x, y] = x y^{-1}; shared read-only regular-representation lookup."""
         return _frozen(self.mul[:, self.inv])
 
+    @cached_property
+    def characters(self) -> Optional[np.ndarray]:
+        """characters[k, g] = exp(2 pi i sum_f k_f g_f / r_f) over the coordinates of k and g
+        in the cyclic radices r; read-only, or None for a group without them."""
+        radices = self.metadata.get("cyclic_radices")
+        if radices is None:
+            return None
+        turns = math.lcm(*radices)
+        phase = sum((np.outer(x, x) % r) * (turns // r)
+                    for x, r in zip(coordinates(self.order, radices), radices))
+        return _frozen(_roots_of_unity(turns)[phase % turns])
+
     def label(self, g: int) -> str:
         return self.labels[g] if self.labels else str(g)
 
@@ -60,6 +79,15 @@ class FiniteGroup:
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _roots_of_unity(n: int) -> np.ndarray:
+    """exp(2 pi i j / n) for j = 0..n-1, exact at the quarter turns (1, i, -1, -i)."""
+    j = np.arange(n)
+    w = np.exp(2j * np.pi * j / n)
+    quarter = 4 * j % n == 0
+    w[quarter] = np.array([1, 1j, -1, -1j])[4 * j[quarter] // n]
+    return w
 
 
 def validate_group(order: int, mul: np.ndarray, inv: np.ndarray) -> None:
@@ -154,11 +182,14 @@ def build_cyclic(n: int) -> FiniteGroup:
         raise SizeCapError(f"cyclic order {_show(n)} exceeds cap {ORDER_CAP}")
     idx = np.arange(n)
     mul = (idx[:, None] + idx[None, :]) % n
-    return _finish(n, mul, [str(k) for k in range(n)], {"kind": "cyclic", "n": n})
+    return _finish(n, mul, [str(k) for k in range(n)],
+                   {"kind": "cyclic", "n": n, "cyclic_radices": (n,)})
 
 
 def build_product(factors: Sequence[FiniteGroup]) -> FiniteGroup:
-    """Direct product with mixed-radix element encoding, first factor most significant."""
+    """Direct product with mixed-radix element encoding, first factor most significant.
+
+    The cyclic radices are recorded when every factor has them."""
     if not factors:
         raise ValueError("product of zero factors")
     orders = [f.order for f in factors]
@@ -172,7 +203,11 @@ def build_product(factors: Sequence[FiniteGroup]) -> FiniteGroup:
         mul = mul * orders[f] + comp
     labels = ["(" + ",".join(f.label(int(k)) for f, k in zip(factors, col)) + ")"
               for col in digits.T]
-    return _finish(order, mul, labels, {"kind": "product", "orders": orders})
+    metadata = {"kind": "product", "orders": orders}
+    radices = [f.metadata.get("cyclic_radices") for f in factors]
+    if None not in radices:                    # every factor is cyclic or a product of cyclics
+        metadata["cyclic_radices"] = tuple(r for rs in radices for r in rs)
+    return _finish(order, mul, labels, metadata)
 
 
 def build_power(n: int, m: int) -> FiniteGroup:

@@ -5,10 +5,13 @@ worst_constant maximizes the ratio
     ||f - E_Fix f||_p / max{ ||Gamma(f,f)||_{p/2}, ||Gamma(f*,f*)||_{p/2} }^{1/2}
 
 over unit coefficient vectors; the result is a certified *lower* bound on
-the best constant.  At p = 2 the exact constant is (min nonzero psi)^{-1/2},
-which doubles as an optimizer soundness oracle.  sweep_and_fit runs a p
-grid and fits the growth exponent of log C_p against log p; matrixalg
-reuses maximize_ratio and sweep with its own witness chart and ratio.
+the best constant.  On an abelian group with a character table the
+optimizer scores through the characters; the certifying re-score takes
+the regular representation everywhere.  At p = 2 the exact constant is
+(min nonzero psi)^{-1/2}, which doubles as an optimizer soundness oracle.
+sweep_and_fit runs a p grid and fits the growth exponent of log C_p
+against log p; matrixalg reuses maximize_ratio and sweep with its own
+witness chart and ratio.
 """
 from __future__ import annotations
 
@@ -17,7 +20,8 @@ from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, Semigroup, fix_project, gamma_norm, lp_norm
+from .algebra import (AlgebraElement, Semigroup, fix_project, fourier, gamma, gamma_norm,
+                      lp_norm)
 from .criterion import AlphaCertificate
 from .linalg import root, thread_map
 from . import rng
@@ -53,15 +57,45 @@ def ratio_scores(num, den, coeff_max):
 def poincare_ratio(sg: Semigroup, f: AlgebraElement, p: float):
     """Ratio per witness of f, an element or a stack; ||Gamma^{1/2}||_p = ||Gamma||_{p/2}^{1/2}.
 
-    When psi passes the CN test (sg.gamma_psd), odd p/2 takes trace powers in
-    gamma_norm; otherwise the denominator takes schatten_norm without the PSD flag.
+    On a group with a character table, whatever psi is, the ratio is
+    (mean|f0^|^p / max mean|Gamma^|^{p/2})^{1/p} from the transforms of
+    f0 = f - E_Fix f and of the kernel Gamma(f0, f0) and Gamma(f0*, f0*),
+    each moment scaled by its max.  Every other group takes the regular
+    representation: when psi passes the CN test (sg.gamma_psd), odd p/2
+    takes trace powers in gamma_norm; otherwise the denominator takes
+    schatten_norm without the PSD flag.
     """
-    return _ratio(sg, f, p, sg.gamma_psd)
+    if sg.group.characters is None:
+        return _ratio(sg, f, p, sg.gamma_psd)
+    _require_p(p)
+    f0 = f - fix_project(sg, f)
+    rows = AlgebraElement(sg.group, f0.coeffs.reshape(-1, sg.group.order))
+    a = np.abs(fourier(rows))
+    b = np.abs(np.stack([fourier(gamma(sg, g, g)) for g in (rows, rows.adjoint())]))
+    amax, bmax = a.max(axis=-1), b.max(axis=(0, -1))
+    if not (np.isfinite(amax).all() and np.isfinite(bmax).all()):
+        raise ValueError("Poincare ratio input is not finite (it holds NaN or inf)")
+    mu = np.mean((a / _nonzero(amax)[:, None]) ** p, axis=-1)
+    nu = np.mean((b / _nonzero(bmax)[:, None]) ** (p / 2.0), axis=-1).max(axis=0)
+    # the numerator is ||f0||_p / nu^{1/p} with nu <= 1: at least ||f0||_p, and 0 exactly when it is
+    shape = f.coeffs.shape[:-1]
+    return ratio_scores((amax * root(mu / _nonzero(nu), p)).reshape(shape), bmax.reshape(shape),
+                        np.abs(f.coeffs).max(axis=-1))
+
+
+def _nonzero(x: np.ndarray) -> np.ndarray:
+    """x with its zeros replaced by 1: a divisor that leaves a zero row at 0."""
+    return np.where(x > 0, x, 1.0)
+
+
+def _require_p(p: float) -> None:
+    if not p >= 2:
+        raise ValueError(f"Poincare ratio needs p >= 2, got {p}")
 
 
 def _ratio(sg: Semigroup, f: AlgebraElement, p: float, psd: bool):
-    if p < 2:
-        raise ValueError(f"Poincare ratio needs p >= 2, got {p}")
+    """The ratio on the regular representation, the reference route."""
+    _require_p(p)
     f0 = f - fix_project(sg, f)
     return ratio_scores(lp_norm(f0, p), gamma_norm(sg, f0, p / 2.0, psd),
                         np.abs(f.coeffs).max(axis=-1))
@@ -177,9 +211,10 @@ def maximize_ratio(ratio: Callable[[Any], Any], chart: Callable[[np.ndarray], An
 def worst_constant(sg: Semigroup, p: float, budget: int = 20000, seed: int = 0) -> WorstConstant:
     """Empirical lower bound for the best L_p Poincare constant.
 
-    The optimizer scores by poincare_ratio; the constant is the winning witness
-    re-scored with psd=False, so it stays a certified bound for a psi that passes
-    the CN test only within its tolerance.
+    The optimizer scores by poincare_ratio, through the characters where the
+    group has them; the constant is the winning witness re-scored on the
+    regular representation with psd=False on every group, so it stays a
+    certified bound for a psi that passes the CN test only within its tolerance.
     """
     nonfix = np.where(~sg.fix_mask)[0]
     if nonfix.size == 0:

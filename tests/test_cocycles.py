@@ -136,12 +136,32 @@ def test_realize_names_a_non_orthogonal_alpha():
     with pytest.raises(ValueError, match=re.escape(
             "K is not symmetric: at (s, t) = (0, 3), K(s,t) = 0.25 but K(t,s) = 0")):
         realize_cocycle(GromovForm(K.group, asym))
-    # a NaN off the diagonal leaves eigh's smallest eigenvalue 0, so the PSD test passes
+    # a NaN off the diagonal would leave eigh's smallest eigenvalue 0 and pass the PSD
+    # test; GromovForm refuses it (test_gromov_form_rejects_a_non_finite_k)
     nan = np.zeros((3, 3))
     nan[1, 2] = nan[2, 1] = np.nan
-    with pytest.raises(ValueError, match=re.escape(
-            "K is not symmetric: at (s, t) = (1, 2), K(s,t) = nan but K(t,s) = nan")):
+    with pytest.raises(ValueError, match=re.escape("K(1,2) = nan is not finite")):
         realize_cocycle(GromovForm(build_cyclic(3), nan))
+
+
+def test_gromov_form_rejects_a_non_finite_k():
+    """Before the check, this K passed _psd_test and both alpha* solvers returned 0."""
+    for bad in (np.nan, np.inf, -np.inf):
+        K = np.zeros((3, 3))
+        K[1, 2] = K[2, 1] = bad
+        with pytest.raises(ValueError, match=re.escape(f"K(1,2) = {bad} is not finite")):
+            GromovForm(build_cyclic(3), K)
+    K = np.zeros((4, 4))
+    K[3, 0] = np.nan
+    with pytest.raises(ValueError, match=re.escape("K(3,0) = nan is not finite")):
+        GromovForm(build_cyclic(4), K)
+
+
+def test_gromov_form_rejects_a_k_of_the_wrong_shape():
+    for shape in ((4, 4), (3,), (3, 4), (3, 3, 1)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"K has shape {shape}, expected (3, 3)")):
+            GromovForm(build_cyclic(3), np.zeros(shape))
 
 
 def test_realize_drops_the_directions_below_the_rank_cut():

@@ -14,6 +14,8 @@ from cocycle_lab.groups import (ORDER_CAP, FiniteGroup, SizeCapError,
                                 group_from_dict, group_to_dict, load_group,
                                 save_group, validate_group)
 
+from cocycle_lab.families import builtin_length
+
 from conftest import associativity_failure
 
 
@@ -331,3 +333,36 @@ def test_coordinates_follow_the_heisenberg_law(n):
     assert np.array_equal(pa, (a[:, None] + a[None, :] + b[:, None] * c[None, :]) % n)
     assert np.array_equal(pb, (b[:, None] + b[None, :]) % n)
     assert np.array_equal(pc, (c[:, None] + c[None, :]) % n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["delta", "wordlength", "walsh"]), st.data())
+def test_characters_are_an_orthogonal_homomorphism(kind, data):
+    if kind == "walsh":
+        n = data.draw(st.integers(min_value=2, max_value=5))
+        m = data.draw(st.integers(min_value=1, max_value=max(k for k in range(1, 7) if n ** k <= 64)))
+        spec = f"walsh:{n}:{m}"
+    else:
+        spec = f"{kind}:{data.draw(st.integers(min_value=1, max_value=40))}"
+    g = builtin_length(spec).group
+    chi = g.characters
+    assert chi.shape == (g.order, g.order) and not chi.flags.writeable
+    assert np.abs(chi[:, g.mul] - chi[:, :, None] * chi[:, None, :]).max() <= 1e-12, spec
+    assert np.abs(chi @ chi.conj().T - g.order * np.eye(g.order)).max() <= 1e-10 * g.order, spec
+
+
+def test_characters_exist_for_products_of_cyclic_groups_only():
+    z2, z3 = build_cyclic(2), build_cyclic(3)
+    assert z3.metadata["cyclic_radices"] == (3,)
+    nested = build_product([build_product([z2, z3]), z2])
+    flat = build_product([z2, z3, z2])
+    assert nested.metadata["cyclic_radices"] == flat.metadata["cyclic_radices"] == (2, 3, 2)
+    assert np.array_equal(nested.characters, flat.characters)
+    # on Z_2^3 the table is the Walsh-Hadamard matrix, exactly
+    walsh = build_power(2, 3)
+    d = coordinates(8, [2] * 3)
+    assert np.array_equal(walsh.characters, (-1.0) ** (d.T @ d))
+    assert build_cyclic(4).characters[1].tolist() == [1, 1j, -1, -1j]
+    for g in (build_heisenberg(2), group_from_dict(group_to_dict(walsh)),
+              build_product([build_heisenberg(2), z2]), build_product([z3, build_heisenberg(2)])):
+        assert g.characters is None and "cyclic_radices" not in g.metadata

@@ -9,7 +9,7 @@ from cocycle_lab.algebra import (AlgebraElement, Semigroup, element, fix_project
 from cocycle_lab.cocycles import gromov_form, length_function, word_length_psi
 from cocycle_lab.criterion import AlphaCertificate, best_alpha_pencil
 from cocycle_lab.families import builtin_length, delta_psi
-from cocycle_lab.groups import build_cyclic
+from cocycle_lab.groups import build_cyclic, build_product, group_from_dict, group_to_dict
 from cocycle_lab.linalg import schatten_norm
 from cocycle_lab.matrixalg import heisenberg_multiplier, matrix_poincare, matrix_worst_constant
 from cocycle_lab.poincare import (GRAD_STEP, REL_IMPROVEMENT_STOP, ZeroNumeratorError,
@@ -66,6 +66,8 @@ def test_worst_constant_independent_of_thread_count(monkeypatch):
     # ... and of the row blocks that the threads spread: blocks of 1, 7 and one per round
     runs = {"group": lambda: worst_constant(Semigroup(builtin_length("walsh:2:3")), 4.0,
                                             budget=3000, seed=1),
+            "delta:5": lambda: worst_constant(Semigroup(builtin_length("delta:5")), 5.0,
+                                              budget=3000, seed=1),
             "matrix": lambda: matrix_worst_constant(heisenberg_multiplier(2, "delta"), 4.0,
                                                     budget=3000, seed=1)}
     for side, run in runs.items():
@@ -313,21 +315,86 @@ def test_batched_ratio_matches_reference(monkeypatch, spec):
     assert scores[3] == 0.0 and np.all(np.delete(scores, 3) > 0)
 
 
-def _svd_route_ratio(sg, f, p):
-    """poincare_ratio with schatten_norm denominators at every p, whatever psi is."""
+def _svd_route_ratio(sg, f, p, psd=False):
+    """The ratio on the regular representation: schatten_norm denominators, which take
+    trace powers at odd p/2 only with psd=True, whatever group and psi are."""
     f0 = f - fix_project(sg, f)
     f0s = f0.adjoint()
     return ratio_scores(lp_norm(f0, p),
-                        np.maximum(schatten_norm(regular_rep(gamma(sg, f0, f0)), p / 2.0),
-                                   schatten_norm(regular_rep(gamma(sg, f0s, f0s)), p / 2.0)),
+                        np.maximum(schatten_norm(regular_rep(gamma(sg, f0, f0)), p / 2.0, psd),
+                                   schatten_norm(regular_rep(gamma(sg, f0s, f0s)), p / 2.0, psd)),
                         np.abs(f.coeffs).max(axis=-1))
 
 
+def _not_cn(group, seed):
+    """A symmetric psi >= 0 on group whose Gromov form is not PSD: sqrt(psi) is not
+    subadditive at g = 1, as sqrt(10) > 2 sqrt(1.5), so psi is no ||b||^2."""
+    v = np.random.default_rng(seed).uniform(1.0, 1.5, group.order)
+    v[0], v[1], v[group.inv[1]] = 0.0, 10.0, 10.0
+    psi = length_function(group, (v + v[group.inv]) / 2)
+    assert not Semigroup(psi).gamma_psd
+    return psi
+
+
+@pytest.mark.parametrize("spec", ["delta:5", "wordlength:8", "walsh:2:3", "walsh:3:2",
+                                  "not-cn:7", "not-cn:2x3x2"])
+def test_character_route_matches_the_regular_representation(spec):
+    """On a group with characters poincare_ratio agrees with the SVD route to 1e-12, for a
+    CN psi and for a non-CN one, and a witness scores exactly as its row of a stack."""
+    if spec.startswith("not-cn"):
+        orders = [int(k) for k in spec.split(":")[1].split("x")]
+        group = build_product([build_cyclic(k) for k in orders])
+        sg = Semigroup(_not_cn(group, len(orders)))
+    else:
+        sg = Semigroup(builtin_length(spec))
+    assert sg.group.characters is not None
+    C = np.array([rand_coeffs(sg.group.order, 60 + i) for i in range(7)])
+    C[2] *= 1e-3                           # the scale of a witness does not matter
+    F = AlgebraElement(sg.group, C)
+    for p in (2.0, 3.0, 5.0, 6.0, 10.0, 16.0):
+        got = poincare_ratio(sg, F, p)
+        want = _svd_route_ratio(sg, F, p)
+        assert np.all(np.abs(got - want) <= 1e-12 * want), (p, np.abs(got / want - 1).max())
+        for c, r in zip(C, got):
+            assert poincare_ratio(sg, element(sg.group, c), p) == r
+        assert np.array_equal(poincare_ratio(sg, AlgebraElement(sg.group, C[3:]), p), got[3:])
+
+
+@pytest.mark.parametrize("spec", ["heisenberg-delta:3", "heisenberg-wordlength:2",
+                                  "table:wordlength:6", "table:not-cn:6"])
+def test_groups_without_characters_keep_the_regular_representation(spec):
+    """Heisenberg groups and loaded tables score exactly as the regular-representation
+    route, trace powers at odd p/2 for a CN psi included."""
+    if spec.startswith("table"):
+        table = group_from_dict(group_to_dict(build_cyclic(6)))
+        psi = (_not_cn(table, 3) if "not-cn" in spec
+               else length_function(table, builtin_length("wordlength:6").values))
+    else:
+        psi = builtin_length(spec)
+    sg = Semigroup(psi)
+    assert sg.group.characters is None
+    F = AlgebraElement(sg.group, np.array([rand_coeffs(sg.group.order, 70 + i) for i in range(4)]))
+    for p in (2.0, 3.0, 6.0, 10.0):
+        assert np.array_equal(poincare_ratio(sg, F, p), _svd_route_ratio(sg, F, p, sg.gamma_psd))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_character_route_rejects_non_finite_coefficients():
+    sg = Semigroup(builtin_length("walsh:2:2"))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            poincare_ratio(sg, element(sg.group, [0.0, 1.0, bad, 0.0]), 4.0)
+    with pytest.raises(ValueError, match="p >= 2"):
+        poincare_ratio(sg, element(sg.group, [0.0, 1.0, 0.0, 0.0]), float("nan"))
+
+
 def test_odd_q_denominators_take_trace_powers_only_for_a_cn_psi(monkeypatch):
-    """At p = 6 (q = 3) a CN psi scores with no SVD at all; a non-CN psi keeps the SVD
-    route and its scores bit for bit."""
-    bad = Semigroup(length_function(build_cyclic(4), [0.0, 1.0, 3.0, 1.0]))
-    cn = Semigroup(word_length_psi(4))
+    """On the regular representation (Z_4 loaded as a table, so it has no characters), at
+    p = 6 (q = 3) a CN psi scores with no SVD at all; a non-CN psi keeps the SVD route and
+    its scores bit for bit.  The builtin Z_4 scores through its characters, to 1e-12."""
+    table = group_from_dict(group_to_dict(build_cyclic(4)))
+    assert table.characters is None and build_cyclic(4).characters is not None
+    bad, cn = (Semigroup(length_function(table, v)) for v in ([0.0, 1.0, 3.0, 1.0], [0, 1, 2, 1]))
     assert not bad.gamma_psd and cn.gamma_psd
     C = np.array([rand_coeffs(4, 90 + i) for i in range(5)])
     for p in (2.0, 6.0):
@@ -336,6 +403,12 @@ def test_odd_q_denominators_take_trace_powers_only_for_a_cn_psi(monkeypatch):
         for c in C:
             g = element(bad.group, c)
             assert poincare_ratio(bad, g, p) == _svd_route_ratio(bad, g, p)
+    for v in ([0.0, 1.0, 3.0, 1.0], [0, 1, 2, 1]):
+        sg = Semigroup(length_function(build_cyclic(4), v))
+        f = AlgebraElement(sg.group, C)
+        for p in (2.0, 6.0):
+            want = _svd_route_ratio(sg, f, p)
+            assert np.all(np.abs(poincare_ratio(sg, f, p) - want) <= 1e-12 * want)
     calls = []
     real_svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or real_svd(*a, **k))
@@ -348,7 +421,8 @@ def test_odd_q_denominators_take_trace_powers_only_for_a_cn_psi(monkeypatch):
 @pytest.mark.parametrize("spec", ["walsh:2:3", "heisenberg-wordlength:3"])
 def test_sweep_constants_are_their_witnesses_on_the_svd_route(spec):
     """Each constant is its witness re-scored with SVD denominators, exactly; on this grid
-    and budget the optimizer's trace-power score of some winner differs in its last ulp."""
+    and budget the optimizer's own score of some winner (through the characters on walsh,
+    trace powers on the Heisenberg group) may differ in its last ulp."""
     sg = Semigroup(builtin_length(spec))
     assert sg.gamma_psd
     rep = sweep_and_fit(sg, [2.0, 6.0, 10.0, 14.0], budget=1500, seed=0)
