@@ -6,19 +6,29 @@ commuting-family Lindblad generator A(x) = sum_j (x a_j^2 + a_j^2 x
 - 2 a_j x a_j).  Superoperators are materialized as n^2 x n^2 matrices
 over row-major vec, capped at n <= 12.  The working inner product is
 <x,y> = tr(x^dag y)/n and L_p norms are normalized Schatten norms.
+
+The multiplier also records its symbol, a length function on Z_n x Z_n:
+its algebra is the twisted group algebra of that group, so Gamma takes the
+Gromov-kernel contraction of the group side with a phase, and Poincare
+witnesses score through it.  The superoperator route (superop_gamma) is
+the reference that certifies every matrix constant, and the only route
+for Lindblad generators.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import rng
-from .cocycles import cyclic_length
+from .algebra import AlgebraElement, Semigroup, _kernel_contract
+from .cocycles import LengthFunction, cyclic_length, length_function
+from .groups import build_cyclic, build_product, coordinates
 from .linalg import HERMITIAN_PRECHECK, psd_scale, schatten_norm
-from .poincare import PoincareReport, WorstConstant, maximize_ratio, ratio_scores, sweep
+from .poincare import (PoincareReport, WorstConstant, _require_finite, _require_p,
+                       maximize_ratio, ratio_scores, sweep)
 
 SUPEROP_CAP = 12
 
@@ -58,13 +68,39 @@ def clock_shift_basis(n: int) -> ClockShiftBasis:
     return ClockShiftBasis(n, u, tuple(v))
 
 
+class _SymbolKernel(NamedTuple):
+    sg: Semigroup           # the symbol's semigroup on Z_n x Z_n
+    basis: np.ndarray       # (n^2, n^2), row s = vec(w_s), w_s = v_c u_b for s = b n + c
+    dual: np.ndarray        # conj(basis) / n: dual[s] . vec(x) = tau(w_s^dag x)
+    weight: np.ndarray      # (n^2, n^2), K(s, s + u) omega^(-b_s c_u)
+    psd: bool               # the Gromov form passes the PSD test: every Gamma(x, x) >= 0
+
+
 @dataclass(frozen=True)
 class Superoperator:
+    """A generator as an n^2 x n^2 matrix; symbol is the multiplier's length on Z_n x Z_n,
+    None for every other generator, and left out of equality."""
     n: int
     mat: np.ndarray         # (n^2, n^2) complex, row-major vec convention
+    symbol: Optional[LengthFunction] = field(default=None, compare=False)
 
     def __post_init__(self):
         self.mat.setflags(write=False)
+
+    @cached_property
+    def _symbol_kernel(self) -> _SymbolKernel:
+        """The twisted Gromov kernel of the symbol, built on first use.
+
+        w_s^dag w_(s+u) = omega^(-b_s c_u) w_u for omega = e^(2 pi i/n), so
+        Gamma(x, x) = sum_u (sum_s conj(a_s) a_(s+u) weight[s, u]) w_u.
+        """
+        n = self.n
+        sg = Semigroup(self.symbol)
+        b, c = coordinates(n * n, (n, n))
+        basis = clock_shift_basis(n)
+        W = np.array([vec(basis.product(bs, cs)) for bs, cs in zip(b, c)])
+        phase = np.exp(-2j * np.pi * (b[:, None] * c[None, :] % n) / n)
+        return _SymbolKernel(sg, W, W.conj() / n, sg._kernel_su * phase, sg.gamma_psd)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A(x) for an n x n matrix or an (..., n, n) stack."""
@@ -119,7 +155,10 @@ def multiplier_symbol(n: int, psi_mode: str) -> np.ndarray:
 
 
 def heisenberg_multiplier(n: int, psi_mode: str = "delta") -> Superoperator:
-    """Generator diagonal in the v_c u_b basis: A(v_c u_b) = psi(b,c) v_c u_b."""
+    """Generator diagonal in the v_c u_b basis: A(v_c u_b) = psi(b,c) v_c u_b.
+
+    Its symbol is psi on build_product([Z_n, Z_n]) at the index s = b n + c.
+    """
     _check_cap(n)
     basis = clock_shift_basis(n)
     sym = multiplier_symbol(n, psi_mode)
@@ -128,7 +167,8 @@ def heisenberg_multiplier(n: int, psi_mode: str = "delta") -> Superoperator:
         for c in range(n):
             m = vec(basis.product(b, c))
             A += sym[b, c] * np.outer(m, m.conj()) / n
-    return Superoperator(n, A)
+    group = build_product([build_cyclic(n), build_cyclic(n)])
+    return Superoperator(n, A, length_function(group, sym.reshape(-1)))
 
 
 def lindblad_generator(a: Sequence[np.ndarray]) -> Superoperator:
@@ -218,10 +258,42 @@ def lindblad_gamma_residual(A: Superoperator, a: Sequence[np.ndarray], seed: int
     return resid
 
 
+def _symbol_gammas(A: Superoperator, x: np.ndarray) -> np.ndarray:
+    """Gamma(x,x) and Gamma(x^dag,x^dag) stacked on a new first axis, through A's symbol.
+
+    The coefficients a_s = tau(w_s^dag x) contract with the twisted kernel
+    one row at a time, as on the group side, so a matrix gets the same
+    bits alone and inside any stack.
+    """
+    ker = A._symbol_kernel
+    xs = vec(np.stack([x, np.swapaxes(x.conj(), -1, -2)]))
+    f = AlgebraElement(ker.sg.group, np.einsum("...m,sm->...s", xs, ker.dual))
+    g = _kernel_contract(ker.sg, f, f, ker.weight).coeffs
+    return unvec(np.einsum("...u,um->...m", g, ker.basis), A.n)
+
+
 def matrix_poincare_ratio(A: Superoperator, x: np.ndarray, p: float):
-    """Poincare ratio per witness of x, an n x n matrix or an (..., n, n) stack."""
-    if p < 2:
-        raise ValueError(f"Poincare ratio needs p >= 2, got {p}")
+    """Poincare ratio per witness of x, an n x n matrix or an (..., n, n) stack.
+
+    With a symbol, Gamma(x0,x0) and Gamma(x0^dag,x0^dag) come from the
+    twisted kernel and take one schatten_norm call, with the PSD flag when
+    the symbol passes the CN test (odd p/2 then takes trace powers).
+    Without one, the superoperator route runs.
+    """
+    if A.symbol is None:
+        return _superop_ratio(A, x, p)
+    _require_p(p)
+    x0 = x - A.fix_project(x)
+    gam = _symbol_gammas(A, x0)
+    _require_finite(x0, gam)
+    den = schatten_norm(gam, p / 2.0, A._symbol_kernel.psd)
+    return ratio_scores(schatten_norm(x0, p), np.maximum(den[0], den[1]),
+                        np.abs(x).max(axis=(-2, -1)))
+
+
+def _superop_ratio(A: Superoperator, x: np.ndarray, p: float):
+    """The ratio through superop_gamma, without the PSD flag: the reference route."""
+    _require_p(p)
     x0 = x - A.fix_project(x)
     x0d = np.swapaxes(x0.conj(), -1, -2)
     return ratio_scores(schatten_norm(x0, p),
@@ -232,10 +304,19 @@ def matrix_poincare_ratio(A: Superoperator, x: np.ndarray, p: float):
 
 def matrix_worst_constant(A: Superoperator, p: float, budget: int = 20000,
                           seed: int = 0) -> WorstConstant:
-    """Empirical lower bound for the best L_p Poincare constant over matrix witnesses."""
+    """Empirical lower bound for the best L_p Poincare constant over matrix witnesses.
+
+    The optimizer scores by matrix_poincare_ratio; the constant is the
+    winning witness re-scored on the superoperator route without the PSD
+    flag, so it stays a certified bound for a symbol that passes the CN
+    test only within its tolerance.
+    """
     n = A.n
-    return maximize_ratio(lambda x: matrix_poincare_ratio(A, x, p),
-                          lambda z: unvec(z, n), n * n, budget, seed)
+    if A.fix_dimension() == n * n:
+        raise ValueError("generator is identically 0: no spectral gap")
+    res = maximize_ratio(lambda x: matrix_poincare_ratio(A, x, p),
+                         lambda z: unvec(z, n), n * n, budget, seed)
+    return res._replace(constant=float(_superop_ratio(A, res.witness, p)))
 
 
 def matrix_poincare(A: Superoperator, p_grid: Sequence[float], budget: int = 20000,

@@ -60,7 +60,9 @@ def poincare_ratio(sg: Semigroup, f: AlgebraElement, p: float):
     On a group with a character table, whatever psi is, the ratio is
     (mean|f0^|^p / max mean|Gamma^|^{p/2})^{1/p} from the transforms of
     f0 = f - E_Fix f and of the kernel Gamma(f0, f0) and Gamma(f0*, f0*),
-    each moment scaled by its max.  Every other group takes the regular
+    each moment scaled by its max.  There an exactly symmetric psi (every
+    length_function) has Gamma(f0*, f0*) = Gamma(f0, f0) as elements, so
+    only the first is formed.  Every other group takes the regular
     representation: when psi passes the CN test (sg.gamma_psd), odd p/2
     takes trace powers in gamma_norm; otherwise the denominator takes
     schatten_norm without the PSD flag.
@@ -71,10 +73,11 @@ def poincare_ratio(sg: Semigroup, f: AlgebraElement, p: float):
     f0 = f - fix_project(sg, f)
     rows = AlgebraElement(sg.group, f0.coeffs.reshape(-1, sg.group.order))
     a = np.abs(fourier(rows))
-    b = np.abs(np.stack([fourier(gamma(sg, g, g)) for g in (rows, rows.adjoint())]))
+    v = sg.psi.values
+    pair = (rows,) if np.array_equal(v, v[sg.group.inv]) else (rows, rows.adjoint())
+    b = np.abs(np.stack([fourier(gamma(sg, g, g)) for g in pair]))
     amax, bmax = a.max(axis=-1), b.max(axis=(0, -1))
-    if not (np.isfinite(amax).all() and np.isfinite(bmax).all()):
-        raise ValueError("Poincare ratio input is not finite (it holds NaN or inf)")
+    _require_finite(amax, bmax)
     mu = np.mean((a / _nonzero(amax)[:, None]) ** p, axis=-1)
     nu = np.mean((b / _nonzero(bmax)[:, None]) ** (p / 2.0), axis=-1).max(axis=0)
     # the numerator is ||f0||_p / nu^{1/p} with nu <= 1: at least ||f0||_p, and 0 exactly when it is
@@ -91,6 +94,11 @@ def _nonzero(x: np.ndarray) -> np.ndarray:
 def _require_p(p: float) -> None:
     if not p >= 2:
         raise ValueError(f"Poincare ratio needs p >= 2, got {p}")
+
+
+def _require_finite(*arrays: np.ndarray) -> None:
+    if not all(np.isfinite(x).all() for x in arrays):
+        raise ValueError("Poincare ratio input is not finite (it holds NaN or inf)")
 
 
 def _ratio(sg: Semigroup, f: AlgebraElement, p: float, psd: bool):

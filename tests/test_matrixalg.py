@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,12 +8,15 @@ from hypothesis import strategies as st
 
 from cocycle_lab.algebra import Semigroup, element, gamma
 from cocycle_lab.families import heisenberg_delta, heisenberg_wordlength
-from cocycle_lab.matrixalg import (alpha_battery, clock_shift_basis, heisenberg_multiplier,
-                                   lindblad_gamma_residual, lindblad_generator,
+from cocycle_lab.groups import coordinates
+from cocycle_lab.linalg import schatten_norm
+from cocycle_lab.matrixalg import (Superoperator, _symbol_gammas, alpha_battery,
+                                   clock_shift_basis, heisenberg_multiplier,
+                                   lindblad_gamma_residual, lindblad_generator, matrix_poincare,
                                    matrix_poincare_ratio,
                                    matrix_worst_constant, multiplier_symbol,
                                    superop_gamma, superop_gamma2, unvec, vec)
-from cocycle_lab.poincare import ZeroNumeratorError
+from cocycle_lab.poincare import ZeroNumeratorError, ratio_scores
 
 from conftest import captured_objective, rand_matrix
 
@@ -221,6 +226,14 @@ def test_matrix_ratio_rejects_fixed_points():
         matrix_worst_constant(A, 1.0, budget=10)
 
 
+def test_matrix_worst_constant_needs_a_gap():
+    """A generator that fixes every matrix has no witness to score: no certified 0."""
+    A = lindblad_generator([np.eye(2)])
+    assert A.fix_dimension() == 4
+    with pytest.raises(ValueError, match="^generator is identically 0: no spectral gap$"):
+        matrix_worst_constant(A, 4.0, budget=200)
+
+
 def test_matrix_worst_constant_p2():
     A = heisenberg_multiplier(2, "delta")
     val, witness, _ = matrix_worst_constant(A, 2.0, budget=4000, seed=0)
@@ -309,3 +322,113 @@ def test_lindblad_gamma_residual_matches_reference_loop(n):
         resid = max(resid, float(np.abs(superop_gamma(A, x, x) - want).max()))
     assert lindblad_gamma_residual(A, fam, 0, 20) == resid
     assert resid < 1e-10
+
+
+LINDBLAD_4 = [np.diag([0.0, 1.0, 0.0, 1.0]), np.diag([0.0, 0.0, 1.0, 1.0])]
+
+
+@lru_cache(maxsize=None)
+def _multiplier(n, mode):
+    return heisenberg_multiplier(n, mode)
+
+
+def _superop_route_ratio(A, x, p):
+    """The ratio with both denominators from superop_gamma and schatten_norm without the
+    PSD flag: the reference route of every generator."""
+    x0 = x - A.fix_project(x)
+    x0d = np.swapaxes(x0.conj(), -1, -2)
+    return ratio_scores(schatten_norm(x0, p),
+                        np.maximum(schatten_norm(superop_gamma(A, x0, x0), p / 2.0),
+                                   schatten_norm(superop_gamma(A, x0d, x0d), p / 2.0)),
+                        np.abs(x).max(axis=(-2, -1)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_multiplier_records_its_symbol(n):
+    """The multiplier's symbol is psi(b,c) on Z_n x Z_n at s = b n + c, left out of equality
+    and with its kernel built on first use; every other generator has none."""
+    for mode in ("delta", "wordlength"):
+        A = heisenberg_multiplier(n, mode)
+        b, c = coordinates(n * n, (n, n))
+        assert A.symbol.group.order == n * n
+        assert np.array_equal(A.symbol.group.mul[b * n, c], b * n + c)
+        assert np.array_equal(A.symbol.values, multiplier_symbol(n, mode)[b, c])
+        assert "_symbol_kernel" not in vars(A)
+        assert A._symbol_kernel.psd
+        for s, row in enumerate(A._symbol_kernel.basis):
+            w = unvec(row, n)
+            assert np.abs(A.apply(w) - A.symbol.values[s] * w).max() < 1e-12
+    assert lindblad_generator(LINDBLAD_4).symbol is None
+    assert Superoperator(2, np.zeros((4, 4), dtype=complex)).symbol is None
+    assert Superoperator.__dataclass_fields__["symbol"].compare is False
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 6])
+def test_twisted_products_of_the_clock_shift_basis(n):
+    """w_s^dag w_(s+u) = omega^(-b_s c_u) w_u, the phase of the twisted kernel."""
+    basis = clock_shift_basis(n)
+    b, c = coordinates(n * n, (n, n))
+    om = np.exp(2j * np.pi / n)
+    w = [basis.product(bs, cs) for bs, cs in zip(b, c)]
+    for s in range(n * n):
+        for u in range(n * n):
+            t = (b[s] + b[u]) % n * n + (c[s] + c[u]) % n
+            want = om ** (-(b[s] * c[u])) * w[u]
+            assert np.abs(w[s].conj().T @ w[t] - want).max() <= 5e-15
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6), st.sampled_from(["delta", "wordlength"]), st.integers(0, 3),
+       st.integers(0, 2 ** 32 - 1))
+def test_symbol_gammas_match_the_superoperator(n, mode, k, seed):
+    """Gamma(x,x) and Gamma(x^dag,x^dag) through the twisted kernel match superop_gamma
+    to 1e-12 relative per matrix, for one matrix (k = 0) and stacks of k."""
+    A = _multiplier(n, mode)
+    shape = (n, n) if k == 0 else (k, n, n)
+    r = np.random.default_rng(seed)
+    x = r.standard_normal(shape) + 1j * r.standard_normal(shape)
+    got = _symbol_gammas(A, x)
+    assert got.shape == (2,) + shape
+    for g, y in zip(got, (x, np.swapaxes(x.conj(), -1, -2))):
+        want = superop_gamma(A, y, y)
+        assert np.all(np.abs(g - want).max(axis=(-2, -1))
+                      <= 1e-12 * np.abs(want).max(axis=(-2, -1)))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_matrix_ratio_rejects_nan_p_and_non_finite_witnesses():
+    x = rand_matrix(2, 81)
+    for A in (heisenberg_multiplier(2, "delta"), lindblad_generator([np.diag([0.0, 1.0])])):
+        with pytest.raises(ValueError, match=r"^Poincare ratio needs p >= 2, got nan$"):
+            matrix_poincare_ratio(A, x, float("nan"))
+        with pytest.raises(ValueError, match=r"^Poincare ratio needs p >= 2, got nan$"):
+            matrix_worst_constant(A, float("nan"), budget=10)
+    A = heisenberg_multiplier(2, "delta")
+    for bad in (np.nan, np.inf):
+        y = x.copy()
+        y[1, 0] = bad
+        for w in (y, np.stack([x, y])):
+            with pytest.raises(ValueError, match="^Poincare ratio input is not finite"):
+                matrix_poincare_ratio(A, w, 4.0)
+
+
+@pytest.mark.parametrize("A", [heisenberg_multiplier(2, "delta"),
+                               heisenberg_multiplier(3, "wordlength"),
+                               lindblad_generator(LINDBLAD_4)],
+                         ids=["M2-delta", "M3-wordlength", "lindblad-4"])
+def test_matrix_constants_are_their_witnesses_on_the_superoperator_route(A):
+    """Each matrix C_p is its witness re-scored through superop_gamma without the PSD flag,
+    exactly; the optimizer's own score agrees with it to 1e-12."""
+    rep = matrix_poincare(A, [2.0, 5.0, 6.0, 10.0], budget=1500, seed=0)
+    for p, c, w in zip(rep.p_grid, rep.constants, rep.witnesses):
+        assert c == _superop_route_ratio(A, w, p), p
+        assert abs(matrix_poincare_ratio(A, w, p) - c) <= 1e-12 * c, p
+
+
+def test_lindblad_scores_keep_the_superoperator_route():
+    """A generator without a symbol scores exactly as the superoperator route."""
+    for A in (lindblad_generator(LINDBLAD_4), lindblad_generator([np.diag([0.0, 1.0, 2.0])])):
+        X = np.array([rand_matrix(A.n, 110 + i) for i in range(5)])
+        for p in (2.0, 3.0, 5.0, 6.0, 16.0):
+            assert np.array_equal(matrix_poincare_ratio(A, X, p), _superop_route_ratio(A, X, p))
+            assert matrix_poincare_ratio(A, X[0], p) == _superop_route_ratio(A, X[0], p)

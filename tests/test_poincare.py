@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from cocycle_lab import poincare, rng as clrng
-from cocycle_lab.algebra import (AlgebraElement, Semigroup, element, fix_project, gamma, lp_norm,
-                                regular_rep)
-from cocycle_lab.cocycles import gromov_form, length_function, word_length_psi
+from cocycle_lab.algebra import (AlgebraElement, Semigroup, element, fix_project, fourier, gamma,
+                                lp_norm, regular_rep)
+from cocycle_lab.cocycles import LengthFunction, gromov_form, length_function, word_length_psi
 from cocycle_lab.criterion import AlphaCertificate, best_alpha_pencil
 from cocycle_lab.families import builtin_length, delta_psi
 from cocycle_lab.groups import build_cyclic, build_product, group_from_dict, group_to_dict
-from cocycle_lab.linalg import schatten_norm
+from cocycle_lab.linalg import root, schatten_norm
 from cocycle_lab.matrixalg import heisenberg_multiplier, matrix_poincare, matrix_worst_constant
 from cocycle_lab.poincare import (GRAD_STEP, REL_IMPROVEMENT_STOP, ZeroNumeratorError,
                                   fit_exponent, l2_oracle, maximize_on_sphere, maximize_ratio,
@@ -69,7 +69,10 @@ def test_worst_constant_independent_of_thread_count(monkeypatch):
             "delta:5": lambda: worst_constant(Semigroup(builtin_length("delta:5")), 5.0,
                                               budget=3000, seed=1),
             "matrix": lambda: matrix_worst_constant(heisenberg_multiplier(2, "delta"), 4.0,
-                                                    budget=3000, seed=1)}
+                                                    budget=3000, seed=1),
+            # p = 6 on M_3: the twisted-kernel denominators take trace powers at q = 3
+            "M3-wordlength": lambda: matrix_worst_constant(heisenberg_multiplier(3, "wordlength"),
+                                                           6.0, budget=3000, seed=1)}
     for side, run in runs.items():
         res = {}
         for threads in ("1", "2"):
@@ -376,6 +379,54 @@ def test_groups_without_characters_keep_the_regular_representation(spec):
     F = AlgebraElement(sg.group, np.array([rand_coeffs(sg.group.order, 70 + i) for i in range(4)]))
     for p in (2.0, 3.0, 6.0, 10.0):
         assert np.array_equal(poincare_ratio(sg, F, p), _svd_route_ratio(sg, F, p, sg.gamma_psd))
+
+
+def _two_denominator_ratio(sg, f, p):
+    """The character route with the transforms of both Gamma(f0, f0) and Gamma(f0*, f0*),
+    whatever psi is."""
+    f0 = f - fix_project(sg, f)
+    rows = AlgebraElement(sg.group, f0.coeffs.reshape(-1, sg.group.order))
+    a = np.abs(fourier(rows))
+    b = np.abs(np.stack([fourier(gamma(sg, g, g)) for g in (rows, rows.adjoint())]))
+    amax, bmax = a.max(axis=-1), b.max(axis=(0, -1))
+    nonzero = lambda x: np.where(x > 0, x, 1.0)
+    mu = np.mean((a / nonzero(amax)[:, None]) ** p, axis=-1)
+    nu = np.mean((b / nonzero(bmax)[:, None]) ** (p / 2.0), axis=-1).max(axis=0)
+    shape = f.coeffs.shape[:-1]
+    return ratio_scores((amax * root(mu / nonzero(nu), p)).reshape(shape), bmax.reshape(shape),
+                        np.abs(f.coeffs).max(axis=-1))
+
+
+@pytest.mark.parametrize("spec", ["delta:5", "wordlength:8", "walsh:2:3", "not-cn:2x3x2"])
+def test_symmetric_psi_takes_one_kernel_gamma(spec, monkeypatch):
+    """With psi == psi[inv] exactly, the character route forms Gamma(f0, f0) alone and agrees
+    with the two-denominator route to 1e-15 relative; an asymmetric psi, which only a
+    LengthFunction built directly can hold, keeps both Gammas bit for bit."""
+    if spec.startswith("not-cn"):
+        group = build_product([build_cyclic(k) for k in (2, 3, 2)])
+        psi = _not_cn(group, 3)
+    else:
+        psi = builtin_length(spec)
+    sg = Semigroup(psi)
+    C = np.array([rand_coeffs(sg.group.order, 140 + i) for i in range(5)])
+    F = AlgebraElement(sg.group, C)
+    calls = []
+    real_gamma = poincare.gamma
+    monkeypatch.setattr(poincare, "gamma", lambda *a: calls.append(1) or real_gamma(*a))
+    for p in (2.0, 3.0, 5.0, 6.0, 10.0, 16.0):
+        got = poincare_ratio(sg, F, p)
+        want = _two_denominator_ratio(sg, F, p)
+        assert np.all(np.abs(got - want) <= 1e-15 * want), (p, np.abs(got / want - 1).max())
+    assert len(calls) == 6
+    g = np.flatnonzero(sg.group.inv != np.arange(sg.group.order))
+    if g.size == 0:                             # Z_2^3: every psi is symmetric
+        return
+    v = psi.values.copy()
+    v[g[0]] += 2.0 ** -44 * v.max()             # within length_function's 1e-12 symmetry test
+    asym = Semigroup(LengthFunction(sg.group, v))
+    for p in (2.0, 3.0, 6.0, 16.0):
+        assert np.array_equal(poincare_ratio(asym, F, p), _two_denominator_ratio(asym, F, p))
+    assert len(calls) == 6 + 2 * 4
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
