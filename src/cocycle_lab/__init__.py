@@ -19,9 +19,8 @@ from .criterion import (AlphaCertificate, best_alpha_bisection,
 from .poincare import (poincare_ratio, l2_oracle, worst_constant,
                        maximize_on_sphere, sweep_and_fit, fit_exponent,
                        PoincareReport, ZeroNumeratorError)
-from .matrixalg import (ClockShiftBasis, Superoperator, clock_shift_basis,
-                        heisenberg_multiplier, lindblad_generator,
-                        superop_gamma, superop_gamma2, matrix_poincare,
+from .matrixalg import (Superoperator, clock_shift_basis, heisenberg_multiplier,
+                        lindblad_generator, superop_gamma, superop_gamma2, matrix_poincare,
                         matrix_poincare_ratio, matrix_worst_constant)
 from .dilation import (BrownianScenario, sample_scenario, dilation_matrix,
                        dilation_mean, martingale_transform, TransformPass,

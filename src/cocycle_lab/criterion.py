@@ -106,10 +106,15 @@ def best_alpha_pencil(K: GromovForm) -> AlphaCertificate:
     return _certificate(M, alpha, "pencil")
 
 
-def check_element(sg: Semigroup, f: AlgebraElement, alpha: float) -> PositivityReport:
-    """Operator-level test: is Gamma_2(f,f) - alpha Gamma(f,f) PSD?"""
+def _require_alpha(alpha: float) -> None:
+    """The constant of Gamma_2 >= alpha Gamma must be finite and >= 0."""
     if not 0 <= alpha < np.inf:
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+
+
+def check_element(sg: Semigroup, f: AlgebraElement, alpha: float) -> PositivityReport:
+    """Operator-level test: is Gamma_2(f,f) - alpha Gamma(f,f) PSD?"""
+    _require_alpha(alpha)
     g2 = gamma2(sg, f, f)
     g1 = gamma(sg, f, f)
     diff = AlgebraElement(f.group, g2.coeffs - alpha * g1.coeffs)

@@ -1,11 +1,11 @@
 """Semigroups on the n x n matrix algebra.
 
-Two generator constructors: the Fourier multiplier diagonal in the
-clock/shift basis v_c u_b (delta or word-length symbol), and the
-commuting-family Lindblad generator A(x) = sum_j (x a_j^2 + a_j^2 x
-- 2 a_j x a_j).  Superoperators are materialized as n^2 x n^2 matrices
-over row-major vec, capped at n <= 12.  The working inner product is
-<x,y> = tr(x^dag y)/n and L_p norms are normalized Schatten norms.
+Two generator constructors: the Fourier multiplier (delta or word-length
+symbol) diagonal in the clock/shift basis v_c u_b read off Z_n's shifts and
+characters, and the commuting-family Lindblad generator A(x) = sum_j (x a_j^2
++ a_j^2 x - 2 a_j x a_j).  Superoperators are materialized as n^2 x n^2
+matrices over row-major vec, capped at n <= 12.  The working inner product
+is <x,y> = tr(x^dag y)/n and L_p norms are normalized Schatten norms.
 
 The multiplier also records its symbol, a length function on Z_n x Z_n:
 its algebra is the twisted group algebra of that group, so Gamma takes the
@@ -25,6 +25,7 @@ import numpy as np
 from . import rng
 from .algebra import AlgebraElement, Semigroup, _kernel_contract
 from .cocycles import LengthFunction, cyclic_length, length_function
+from .criterion import _require_alpha
 from .groups import build_cyclic, build_product, coordinates
 from .linalg import HERMITIAN_PRECHECK, psd_scale, schatten_norm
 from .poincare import (PoincareReport, WorstConstant, _require_finite, _require_p,
@@ -41,36 +42,20 @@ def unvec(v: np.ndarray, n: int) -> np.ndarray:
     return v.reshape(v.shape[:-1] + (n, n))
 
 
-@dataclass(frozen=True)
-class ClockShiftBasis:
-    n: int
-    u: tuple            # u[k] = diag phase matrix
-    v: tuple            # v[k] = shift by k
-
-    def product(self, b: int, c: int) -> np.ndarray:
-        """Basis element v_c u_b."""
-        return self.v[c] @ self.u[b]
-
-
-def clock_shift_basis(n: int) -> ClockShiftBasis:
-    """u_k = diag(e^{2 pi i k j/n}), v_k e_j = e_{j+k mod n}; the n^2
-    products v_c u_b are orthonormal for the normalized trace pairing."""
+def clock_shift_basis(n: int) -> np.ndarray:
+    """The (n^2, n, n) stack of w_s = v_c u_b at s = b n + c, read off Z_n's tables:
+    v_c = lambda(c) is rep_index == c (v_c e_j = e_(j+c)), u_b = diag(characters[b]),
+    exact at the quarter turns.  Orthonormal for the normalized trace pairing."""
     if n < 2:
         raise ValueError(f"clock/shift basis needs n >= 2, got {n}")
-    om = np.exp(2j * np.pi / n)
-    j = np.arange(n)
-    u = tuple(np.diag(om ** (k * j)) for k in range(n))
-    v1 = np.zeros((n, n), dtype=complex)
-    v1[(j + 1) % n, j] = 1.0
-    v = [np.eye(n, dtype=complex)]
-    for _ in range(n - 1):
-        v.append(v1 @ v[-1])
-    return ClockShiftBasis(n, u, tuple(v))
+    z = build_cyclic(n)
+    v = z.rep_index == np.arange(n)[:, None, None]
+    return (v[None] * z.characters[:, None, None, :]).reshape(n * n, n, n)
 
 
 class _SymbolKernel(NamedTuple):
     sg: Semigroup           # the symbol's semigroup on Z_n x Z_n
-    basis: np.ndarray       # (n^2, n^2), row s = vec(w_s), w_s = v_c u_b for s = b n + c
+    basis: np.ndarray       # (n^2, n^2), row s = vec(clock_shift_basis(n)[s])
     dual: np.ndarray        # conj(basis) / n: dual[s] . vec(x) = tau(w_s^dag x)
     weight: np.ndarray      # (n^2, n^2), K(s, s + u) omega^(-b_s c_u)
     psd: bool               # the Gromov form passes the PSD test: every Gamma(x, x) >= 0
@@ -85,6 +70,13 @@ class Superoperator:
     symbol: Optional[LengthFunction] = field(default=None, compare=False)
 
     def __post_init__(self):
+        n2 = self.n * self.n
+        if np.shape(self.mat) != (n2, n2):
+            raise ValueError(f"a superoperator on M_{self.n} is a {(n2, n2)} matrix, "
+                             f"got shape {np.shape(self.mat)}")
+        if not np.isfinite(self.mat).all():
+            i, k = np.argwhere(~np.isfinite(self.mat))[0]
+            raise ValueError(f"superoperator matrix has a non-finite entry at ({i}, {k})")
         self.mat.setflags(write=False)
 
     @cached_property
@@ -92,15 +84,14 @@ class Superoperator:
         """The twisted Gromov kernel of the symbol, built on first use.
 
         w_s^dag w_(s+u) = omega^(-b_s c_u) w_u for omega = e^(2 pi i/n), so
-        Gamma(x, x) = sum_u (sum_s conj(a_s) a_(s+u) weight[s, u]) w_u.
+        Gamma(x, x) = sum_u (sum_s conj(a_s) a_(s+u) weight[s, u]) w_u.  The twist
+        is row (0, b_s) of the symbol group's character table, conjugated.
         """
-        n = self.n
         sg = Semigroup(self.symbol)
-        b, c = coordinates(n * n, (n, n))
-        basis = clock_shift_basis(n)
-        W = np.array([vec(basis.product(bs, cs)) for bs, cs in zip(b, c)])
-        phase = np.exp(-2j * np.pi * (b[:, None] * c[None, :] % n) / n)
-        return _SymbolKernel(sg, W, W.conj() / n, sg._kernel_su * phase, sg.gamma_psd)
+        b, _ = coordinates(self.n * self.n, (self.n, self.n))
+        W = vec(clock_shift_basis(self.n))
+        return _SymbolKernel(sg, W, W.conj() / self.n,
+                             sg._kernel_su * sg.group.characters[b].conj(), sg.gamma_psd)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A(x) for an n x n matrix or an (..., n, n) stack."""
@@ -155,19 +146,16 @@ def multiplier_symbol(n: int, psi_mode: str) -> np.ndarray:
 
 
 def heisenberg_multiplier(n: int, psi_mode: str = "delta") -> Superoperator:
-    """Generator diagonal in the v_c u_b basis: A(v_c u_b) = psi(b,c) v_c u_b.
+    """Generator diagonal in the v_c u_b basis: A(v_c u_b) = psi(b,c) v_c u_b, formed as
+    A = W^T diag(psi) conj(W) / n in one product, W the vec'd clock_shift_basis(n).
 
     Its symbol is psi on build_product([Z_n, Z_n]) at the index s = b n + c.
     """
     _check_cap(n)
-    basis = clock_shift_basis(n)
+    W = vec(clock_shift_basis(n))
     sym = multiplier_symbol(n, psi_mode)
-    A = np.zeros((n * n, n * n), dtype=complex)
-    for b in range(n):
-        for c in range(n):
-            m = vec(basis.product(b, c))
-            A += sym[b, c] * np.outer(m, m.conj()) / n
-    group = build_product([build_cyclic(n), build_cyclic(n)])
+    A = (W.T * sym.reshape(-1)) @ W.conj() / n
+    group = build_product([build_cyclic(n)] * 2)
     return Superoperator(n, A, length_function(group, sym.reshape(-1)))
 
 
@@ -208,12 +196,18 @@ def lindblad_generator(a: Sequence[np.ndarray]) -> Superoperator:
     return sup
 
 
+def _require_matrices(n: int, *xs) -> None:
+    """Each argument must be an n x n matrix or an (..., n, n) stack."""
+    for x in xs:
+        if np.shape(x)[-2:] != (n, n):
+            raise ValueError(f"arguments must be {n}x{n} matrices, got shape {np.shape(x)}")
+
+
 def superop_gamma(A: Superoperator, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gamma(x,y) = (A(x^dag) y + x^dag A(y) - A(x^dag y))/2, per matrix of a stack."""
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    if x.shape[-2:] != (A.n, A.n) or y.shape[-2:] != (A.n, A.n):
-        raise ValueError(f"arguments must be {A.n}x{A.n} matrices")
+    _require_matrices(A.n, x, y)
     xd = np.swapaxes(x.conj(), -1, -2)
     return 0.5 * (A.apply(xd) @ y + xd @ A.apply(y) - A.apply(xd @ y))
 
@@ -233,8 +227,7 @@ def battery_matrix(n: int, seed: int, index: int) -> np.ndarray:
 def alpha_battery(A: Superoperator, alpha: float, seed: int, samples: int) -> float:
     """Least eigenvalue of the Hermitian part of Gamma_2(x,x) - alpha Gamma(x,x) over the
     first `samples` battery matrices, each scaled to unit Frobenius norm."""
-    if not np.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
+    _require_alpha(alpha)
     if samples < 1:
         raise ValueError(f"the alpha battery needs samples >= 1, got {samples}")
     worst = np.inf
@@ -280,6 +273,7 @@ def matrix_poincare_ratio(A: Superoperator, x: np.ndarray, p: float):
     the symbol passes the CN test (odd p/2 then takes trace powers).
     Without one, the superoperator route runs.
     """
+    _require_matrices(A.n, x)
     if A.symbol is None:
         return _superop_ratio(A, x, p)
     _require_p(p)

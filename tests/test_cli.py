@@ -179,7 +179,7 @@ def test_gallery_is_deterministic(tmp_path, capsys):
     assert len(match) == len(names) == 38  # 37 entries + summary
 
 
-def test_matrix_cli_alpha_check(tmp_path):
+def test_matrix_cli_alpha_check(tmp_path, capsys):
     out = tmp_path / "matrix.json"
     assert main(["matrix", "--n", "3", "--mode", "delta",
                  "--alpha-check", str(5.0 / 6.0), "--out", str(out)]) == 0
@@ -188,6 +188,9 @@ def test_matrix_cli_alpha_check(tmp_path):
     assert res["spectral_gap"] == pytest.approx(1.0)
     assert res["alpha_check"]["passed"] is True
     assert res["alpha_check"]["samples"] == 200
+    # a negative alpha is no Bakry-Emery constant: before, -1 read passed: true
+    assert main(["matrix", "--n", "2", "--alpha-check", "-1"]) == 1
+    assert capsys.readouterr().err == "matrix: alpha must be finite and >= 0, got -1.0\n"
 
 
 def test_lindblad_cli(tmp_path):
@@ -317,7 +320,7 @@ def test_cli_rejects_non_finite_inputs(tmp_path, capsys):
             err = capsys.readouterr().err
             assert err == f"{argv[0]}: {x}: coefficient 1 = ({bad}+0j) is not finite\n"
         assert main(["matrix", "--n", "2", "--alpha-check", bad]) == 1
-        assert capsys.readouterr().err == f"matrix: alpha must be finite, got {bad}\n"
+        assert capsys.readouterr().err == f"matrix: alpha must be finite and >= 0, got {bad}\n"
 
 
 def test_cli_oversized_group_specs_fail_fast_naming_the_cap(tmp_path, capsys):

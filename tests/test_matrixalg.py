@@ -1,3 +1,4 @@
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from cocycle_lab.algebra import Semigroup, element, gamma
 from cocycle_lab.families import heisenberg_delta, heisenberg_wordlength
-from cocycle_lab.groups import coordinates
+from cocycle_lab.groups import build_cyclic, coordinates
 from cocycle_lab.linalg import schatten_norm
 from cocycle_lab.matrixalg import (Superoperator, _symbol_gammas, alpha_battery,
                                    clock_shift_basis, heisenberg_multiplier,
@@ -27,18 +28,70 @@ def tr(x):
 
 def test_clock_shift_basis_identities():
     basis = clock_shift_basis(3)
-    assert np.allclose(basis.u[0], np.eye(3))
-    assert np.allclose(basis.v[0], np.eye(3))
+    assert basis.shape == (9, 3, 3)
+    assert np.allclose(basis[0], np.eye(3))
+    u1, v1 = basis[3], basis[1]     # u_b at s = b n, v_c at s = c
     om = np.exp(2j * np.pi / 3)
     # u v = omega v u
-    assert np.allclose(basis.u[1] @ basis.v[1], om * basis.v[1] @ basis.u[1])
+    assert np.allclose(u1 @ v1, om * v1 @ u1)
     with pytest.raises(ValueError, match="n >= 2"):
         clock_shift_basis(1)
 
 
+def _loop_clock_shift_basis(n):
+    """The loop construction, the reference: u_k = diag(omega^(k j)), v_1 e_j = e_(j+1), v_c its
+    c-th power, w_s = v_c @ u_b at s = b n + c.  The exponent k j is reduced mod n, since the
+    unreduced omega^(k j) drifts by 3.6e-15 at n = 6."""
+    om = np.exp(2j * np.pi / n)
+    j = np.arange(n)
+    u = [np.diag(om ** (k * j % n)) for k in range(n)]
+    v1 = np.zeros((n, n), dtype=complex)
+    v1[(j + 1) % n, j] = 1.0
+    v = [np.eye(n, dtype=complex)]
+    for _ in range(n - 1):
+        v.append(v1 @ v[-1])
+    return np.array([v[c] @ u[b] for b in range(n) for c in range(n)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_clock_shift_basis_matches_the_loop_construction(n):
+    assert np.abs(clock_shift_basis(n) - _loop_clock_shift_basis(n)).max() <= 1e-15
+
+
+CLOCK_SHIFT_2 = np.array([
+    [[1, 0], [0, 1]],  # b=0, c=0
+    [[0, 1], [1, 0]],  # b=0, c=1
+    [[1, 0], [0, -1]],  # b=1, c=0
+    [[0, -1], [1, 0]],  # b=1, c=1
+])
+CLOCK_SHIFT_4 = np.array([
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],  # b=0, c=0
+    [[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],  # b=0, c=1
+    [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]],  # b=0, c=2
+    [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]],  # b=0, c=3
+    [[1, 0, 0, 0], [0, 1j, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1j]],  # b=1, c=0
+    [[0, 0, 0, -1j], [1, 0, 0, 0], [0, 1j, 0, 0], [0, 0, -1, 0]],  # b=1, c=1
+    [[0, 0, -1, 0], [0, 0, 0, -1j], [1, 0, 0, 0], [0, 1j, 0, 0]],  # b=1, c=2
+    [[0, 1j, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1j], [1, 0, 0, 0]],  # b=1, c=3
+    [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]],  # b=2, c=0
+    [[0, 0, 0, -1], [1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0]],  # b=2, c=1
+    [[0, 0, 1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, -1, 0, 0]],  # b=2, c=2
+    [[0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1], [1, 0, 0, 0]],  # b=2, c=3
+    [[1, 0, 0, 0], [0, -1j, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1j]],  # b=3, c=0
+    [[0, 0, 0, 1j], [1, 0, 0, 0], [0, -1j, 0, 0], [0, 0, -1, 0]],  # b=3, c=1
+    [[0, 0, -1, 0], [0, 0, 0, 1j], [1, 0, 0, 0], [0, -1j, 0, 0]],  # b=3, c=2
+    [[0, -1j, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1j], [1, 0, 0, 0]],  # b=3, c=3
+])
+
+
+def test_clock_shift_basis_is_exact_at_the_quarter_turns():
+    """On M_2 and M_4 every entry is 0, +-1 or +-i, bit for bit."""
+    assert np.array_equal(clock_shift_basis(2), CLOCK_SHIFT_2)
+    assert np.array_equal(clock_shift_basis(4), CLOCK_SHIFT_4)
+
+
 def test_clock_shift_orthonormality():
-    basis = clock_shift_basis(4)
-    prods = [basis.product(b, c) for b in range(4) for c in range(4)]
+    prods = clock_shift_basis(4)
     for i, x in enumerate(prods):
         for j, y in enumerate(prods):
             want = 1.0 if i == j else 0.0
@@ -49,11 +102,10 @@ def test_multiplier_diagonal_action():
     A = heisenberg_multiplier(3, "delta")
     basis = clock_shift_basis(3)
     assert np.abs(A.apply(np.eye(3))).max() < 1e-12
-    x = basis.product(1, 1)
+    x = basis[1 * 3 + 1]
     assert np.abs(A.apply(x) - 2.0 * x).max() < 1e-12
     B = heisenberg_multiplier(4, "wordlength")
-    basis4 = clock_shift_basis(4)
-    y = basis4.product(1, 2)   # |1| + |2| = 3 on Z_4
+    y = clock_shift_basis(4)[1 * 4 + 2]   # |1| + |2| = 3 on Z_4
     assert np.abs(B.apply(y) - 3.0 * y).max() < 1e-12
     with pytest.raises(ValueError, match="psi_mode"):
         multiplier_symbol(3, "heat")
@@ -146,8 +198,7 @@ def test_expm_semigroup_and_decay():
     A = heisenberg_multiplier(2, "delta")
     assert np.abs(A.expm(0.0) - np.eye(4)).max() < 1e-12
     assert np.abs(A.expm(0.9) - A.expm(0.5) @ A.expm(0.4)).max() < 1e-12
-    basis = clock_shift_basis(2)
-    x = basis.product(1, 1)   # symbol value 2
+    x = clock_shift_basis(2)[1 * 2 + 1]   # symbol value 2
     for t in (0.3, 1.0):
         flowed = unvec(A.expm(t) @ vec(x), 2)
         assert np.abs(flowed - np.exp(-2.0 * t) * x).max() < 1e-12
@@ -179,14 +230,8 @@ def test_expm_semigroup_law_hypothesis(case, s, t):
 
 def _heisenberg_rep(n: int):
     """pi(a,b,c) = omega^a v_c u_b over the index order of build_heisenberg."""
-    basis = clock_shift_basis(n)
-    om = np.exp(2j * np.pi / n)
-    mats = []
-    for idx in range(n ** 3):
-        a, r = divmod(idx, n * n)
-        b, c = divmod(r, n)
-        mats.append(om ** a * basis.product(b, c))
-    return np.array(mats)
+    a, bc = np.divmod(np.arange(n ** 3), n * n)
+    return build_cyclic(n).characters[1, a, None, None] * clock_shift_basis(n)[bc]
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -301,10 +346,11 @@ def test_alpha_battery_matches_reference_loop(n):
 
 
 def test_alpha_battery_rejects_a_non_finite_alpha_and_an_empty_battery():
-    """min(inf, nan) keeps inf, so a NaN alpha would pass; zero samples would pass vacuously."""
+    """min(inf, nan) keeps inf, so a NaN alpha would pass; zero samples would pass vacuously;
+    a negative alpha follows check_element's rule."""
     A = heisenberg_multiplier(2, "delta")
-    for alpha in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match=f"^alpha must be finite, got {alpha}$"):
+    for alpha in (np.nan, np.inf, -np.inf, -1.0):
+        with pytest.raises(ValueError, match=f"^alpha must be finite and >= 0, got {alpha}$"):
             alpha_battery(A, alpha, 0, 200)
     for samples in (0, -1):
         with pytest.raises(ValueError, match=f"needs samples >= 1, got {samples}$"):
@@ -366,14 +412,13 @@ def test_multiplier_records_its_symbol(n):
 @pytest.mark.parametrize("n", [2, 3, 5, 6])
 def test_twisted_products_of_the_clock_shift_basis(n):
     """w_s^dag w_(s+u) = omega^(-b_s c_u) w_u, the phase of the twisted kernel."""
-    basis = clock_shift_basis(n)
+    w = clock_shift_basis(n)
     b, c = coordinates(n * n, (n, n))
-    om = np.exp(2j * np.pi / n)
-    w = [basis.product(bs, cs) for bs, cs in zip(b, c)]
+    chars = build_cyclic(n).characters
     for s in range(n * n):
         for u in range(n * n):
             t = (b[s] + b[u]) % n * n + (c[s] + c[u]) % n
-            want = om ** (-(b[s] * c[u])) * w[u]
+            want = chars[b[s], c[u]].conj() * w[u]
             assert np.abs(w[s].conj().T @ w[t] - want).max() <= 5e-15
 
 
@@ -393,6 +438,28 @@ def test_symbol_gammas_match_the_superoperator(n, mode, k, seed):
         want = superop_gamma(A, y, y)
         assert np.all(np.abs(g - want).max(axis=(-2, -1))
                       <= 1e-12 * np.abs(want).max(axis=(-2, -1)))
+
+
+def test_superoperator_checks_its_matrix():
+    """Superoperator(3, np.eye(4)) once had fix_dimension() 0 and an apply that died in matmul."""
+    with pytest.raises(ValueError, match=r"^a superoperator on M_3 is a \(9, 9\) matrix, "
+                                         r"got shape \(4, 4\)$"):
+        Superoperator(3, np.eye(4))
+    for bad in (np.nan, np.inf):
+        mat = np.eye(4, dtype=complex)
+        mat[2, 1] = bad
+        with pytest.raises(ValueError,
+                           match=r"^superoperator matrix has a non-finite entry at \(2, 1\)$"):
+            Superoperator(2, mat)
+
+
+def test_matrix_ratio_rejects_a_witness_of_the_wrong_shape():
+    """Both routes name the shape up front; the symbol route once died in a matmul message."""
+    for A in (heisenberg_multiplier(2, "delta"), lindblad_generator([np.diag([0.0, 1.0])])):
+        for x in (rand_matrix(3, 82), np.ones((5, 3, 3)), np.ones(4), np.ones((2, 4))):
+            with pytest.raises(ValueError, match=r"^arguments must be 2x2 matrices, got shape "
+                                                 + re.escape(str(x.shape)) + "$"):
+                matrix_poincare_ratio(A, x, 4.0)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
