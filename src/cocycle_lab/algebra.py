@@ -18,9 +18,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .cocycles import DEFAULT_TOL, GromovForm, LengthFunction, gromov_form
+from .cocycles import GromovForm, LengthFunction, gromov_form
 from .groups import FiniteGroup
-from .linalg import HERMITIAN_PRECHECK, psd_scale, schatten_norm
+from .linalg import HERMITIAN_PRECHECK, PsdVerdict, psd_scale, psd_verdict, schatten_norm
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ class Semigroup:
     @cached_property
     def gamma_psd(self) -> bool:
         """psi passes the Gromov-form PSD test, so every Gamma(f, f) is PSD (Schoenberg)."""
-        return self.gromov._psd_test().verdict
+        return self.gromov._psd_test().psd
 
     @cached_property
     def fix_mask(self) -> np.ndarray:
@@ -193,17 +193,11 @@ def gamma2(sg: Semigroup, f: AlgebraElement, g: AlgebraElement,
     raise ValueError(f"unknown gamma path {path!r}")
 
 
-@dataclass(frozen=True)
-class PositivityReport:
-    psd: bool
-    min_eig: float
-
-
-def operator_positivity(f: AlgebraElement) -> PositivityReport:
-    """Minimum eigenvalue of regular_rep(f) for Hermitian f."""
+def operator_positivity(f: AlgebraElement) -> PsdVerdict:
+    """psd_verdict on the spectrum of regular_rep(f); f must be Hermitian to the precheck."""
     herm_dev = np.abs(f.adjoint().coeffs - f.coeffs).max()
-    if herm_dev > HERMITIAN_PRECHECK:
+    if herm_dev > HERMITIAN_PRECHECK * psd_scale(f.coeffs):
         raise ValueError(f"element is not Hermitian: f* - f has max coefficient {herm_dev:.3e}")
     M = regular_rep(f)
     w = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
-    return PositivityReport(bool(w[0] >= -DEFAULT_TOL * psd_scale(w)), float(w[0]))
+    return psd_verdict(w)

@@ -249,7 +249,7 @@ _RUNNERS["group"] = run_group      # `group build` is parsed and configured by h
 def run_cn_check(config: dict) -> dict:
     psi = _psi_from_config(config["psi"])
     verdict = is_conditionally_negative(psi, tol=config["tol"])
-    return {"verdict": bool(verdict.verdict), "min_eig": float(verdict.min_eig)}
+    return {"verdict": verdict.psd, "min_eig": verdict.min_eig}
 
 
 @_command("realize", "factor the Gromov form into cocycle vectors", _OUT, psi="required")
@@ -345,9 +345,9 @@ def run_matrix(config: dict) -> dict:
     out = {"n": A.n, "mode": config["mode"]}
     if config["alpha_check"] is not None:
         alpha, samples = float(config["alpha_check"]), 200
-        worst = alpha_battery(A, alpha, config["seed"], samples)
-        out["alpha_check"] = {"alpha": alpha, "worst_min_eig": worst,
-                              "passed": bool(worst >= -DEFAULT_TOL), "samples": samples}
+        check = alpha_battery(A, alpha, config["seed"], samples)
+        out["alpha_check"] = {"alpha": alpha, "worst_min_eig": check.min_eig,
+                              "passed": check.psd, "samples": samples}
     return _generator_results(A, config, out)
 
 

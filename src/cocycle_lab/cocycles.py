@@ -2,7 +2,7 @@
 
 The Gromov form K(s,t) = (psi(s)+psi(t)-psi(s^{-1}t))/2 is the Gram matrix
 of the cocycle vectors b(g); psi is conditionally negative exactly when K
-is positive semidefinite.  K is diagonalised once: the PSD test reads
+is positive semidefinite.  K is diagonalised once: its psd_verdict reads
 lambda_min >= -tol*(1 + ||K||_2), and at tol = DEFAULT_TOL that bound is
 also the rank cut, above which the eigenvalues span ran K.  A realization
 is B alone: the orthogonal action alpha of the cocycle (b, alpha) is
@@ -17,9 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .groups import FiniteGroup, build_cyclic
-from .linalg import psd_scale
-
-DEFAULT_TOL = 1e-9
+from .linalg import DEFAULT_TOL, PsdVerdict, psd_scale, psd_verdict
 
 
 @dataclass(frozen=True)
@@ -32,8 +30,8 @@ class LengthFunction:
 
 
 def length_function(group: FiniteGroup, values) -> LengthFunction:
-    """Validated constructor: psi finite, psi(e) = 0, psi >= 0, psi(g) = psi(g^{-1}) to 1e-12;
-    stored as (v + v[inv]) / 2, so psi and its Gromov form are exactly symmetric."""
+    """Validated constructor: psi finite, psi(e) = 0, psi >= 0, psi(g) = psi(g^{-1}) to
+    1e-12 * psd_scale(psi); stored as (v + v[inv]) / 2, so psi and K are exactly symmetric."""
     v = np.asarray(values, dtype=float)
     if v.shape != (group.order,):
         raise ValueError(f"psi has shape {v.shape}, expected ({group.order},)")
@@ -45,9 +43,9 @@ def length_function(group: FiniteGroup, values) -> LengthFunction:
     if v.min() < 0:
         g = int(np.argmin(v))
         raise ValueError(f"psi({g}) = {v[g]} is negative")
-    asym = np.abs(v - v[group.inv]).max()
-    if asym > 1e-12:
-        g = int(np.argmax(np.abs(v - v[group.inv])))
+    asym = np.abs(v - v[group.inv])
+    if asym.max() > 1e-12 * psd_scale(v):
+        g = int(np.argmax(asym))
         raise ValueError(
             f"psi not symmetric: psi({g}) = {v[g]} but psi(inv({g})) = {v[group.inv[g]]}")
     return LengthFunction(group, (v + v[group.inv]) / 2)
@@ -80,16 +78,13 @@ class GromovForm:
         lam.flags.writeable = U.flags.writeable = False
         return lam, U
 
-    def _psd_test(self, tol: float = DEFAULT_TOL) -> CnVerdict:
-        if not 0 <= tol < np.inf:
-            raise ValueError(f"tol must be finite and >= 0, got {tol}")
-        lam = self.spectrum[0]
-        return CnVerdict(bool(lam[0] >= -tol * psd_scale(lam)), float(lam[0]))
+    def _psd_test(self, tol: float = DEFAULT_TOL) -> PsdVerdict:
+        return psd_verdict(self.spectrum[0], tol)
 
     def _rank_cut(self) -> float:
         """DEFAULT_TOL * (1 + ||K||_2), once K passes the PSD test (else ValueError)."""
         test = self._psd_test()
-        if not test.verdict:
+        if not test.psd:
             raise ValueError(f"K is not PSD: min eigenvalue {test.min_eig:.3e}")
         return DEFAULT_TOL * psd_scale(self.spectrum[0])
 
@@ -103,13 +98,7 @@ def gromov_form(psi: LengthFunction) -> GromovForm:
     return GromovForm(psi.group, K)
 
 
-@dataclass(frozen=True)
-class CnVerdict:
-    verdict: bool
-    min_eig: float
-
-
-def is_conditionally_negative(psi: LengthFunction, tol: float = DEFAULT_TOL) -> CnVerdict:
+def is_conditionally_negative(psi: LengthFunction, tol: float = DEFAULT_TOL) -> PsdVerdict:
     return gromov_form(psi)._psd_test(tol)
 
 

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, PositivityReport, Semigroup, gamma, gamma2, operator_positivity
-from .cocycles import DEFAULT_TOL, GromovForm
+from .algebra import AlgebraElement, Semigroup, gamma, gamma2, operator_positivity
+from .cocycles import GromovForm
+from .linalg import DEFAULT_TOL, PsdVerdict, psd_scale
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ def best_alpha_pencil(K: GromovForm) -> AlphaCertificate:
         Qkk = Uk.T @ Q @ Uk
         Qkk_p = np.linalg.pinv(Qkk, rcond=1e-12, hermitian=True)
         coupling = np.abs(Qrk - Qrk @ Qkk_p @ Qkk).max()
-        if coupling > DEFAULT_TOL * (1.0 + np.abs(Q).max()):
+        if coupling > DEFAULT_TOL * psd_scale(Q):
             cert = best_alpha_bisection(K)
             return AlphaCertificate(cert.alpha_star, "bisection-fallback",
                                     cert.witness, cert.residual)
@@ -112,7 +113,7 @@ def _require_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
 
 
-def check_element(sg: Semigroup, f: AlgebraElement, alpha: float) -> PositivityReport:
+def check_element(sg: Semigroup, f: AlgebraElement, alpha: float) -> PsdVerdict:
     """Operator-level test: is Gamma_2(f,f) - alpha Gamma(f,f) PSD?"""
     _require_alpha(alpha)
     g2 = gamma2(sg, f, f)

@@ -274,11 +274,15 @@ def group_from_dict(d: dict) -> FiniteGroup:
         if not _whole(d["order"]):
             raise ValueError(f"order {d['order']!r} is not an integer")
         order = int(d["order"])
+        if order > ORDER_CAP:
+            raise SizeCapError(f"order {order} exceeds cap {ORDER_CAP}")
         if isinstance(d["mul"], list) and all(isinstance(row, list) for row in d["mul"]):
             bad = [v for row in d["mul"] for v in row if not _whole(v)]
             if bad:                           # any other shape gets the shape message below
                 raise ValueError(f"mul entry {bad[0]!r} is not an integer")
         mul = np.asarray(d["mul"], dtype=np.int64)
+    except SizeCapError:
+        raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TableValidationError(f"malformed group JSON: {exc}") from exc
     labels = d.get("labels", [])
@@ -292,8 +296,6 @@ def group_from_dict(d: dict) -> FiniteGroup:
     if mul.shape != (order, order):
         raise TableValidationError(
             f"mul table has shape {mul.shape}, expected {(order, order)}")
-    if order > ORDER_CAP:
-        raise SizeCapError(f"order {order} exceeds cap {ORDER_CAP}")
     rows_ok = (np.sort(mul, axis=1) == np.arange(order)).all()
     if not rows_ok:
         r = int(np.argmin((np.sort(mul, axis=1) == np.arange(order)).all(axis=1)))

@@ -1,4 +1,4 @@
-"""Small shared numerical helpers: Schatten norms, the Hermitian and PSD tolerances, threaded map.
+"""Small shared numerical helpers: Schatten norms, the one PSD/tolerance rule, threaded map.
 
 Schatten norms at even integer p use matrix products only, and so does odd
 integer p on a stack the caller certifies PSD (psd=True): there
@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
 HERMITIAN_PRECHECK = 1e-10
+DEFAULT_TOL = 1e-9
 _BLOCK = 2 ** 16      # entries per block of the even-p Schatten route
 _NOT_FINITE = "Schatten norm input is not finite (it holds NaN or inf)"
 
@@ -29,9 +31,12 @@ def schatten_norm(mat: np.ndarray, p: float, psd: bool = False):
 
 
 def root(x, k: float):
-    """x^{1/k} elementwise by Python float power, so a stack rounds as its values do one by one.
+    """x^{1/k} elementwise by Python's scalar float power, so each value rounds as v ** (1/k).
 
-    numpy's vectorized power can differ from the scalar one in the last ulp.
+    np.power(x, 1/k) is consistent across stack lengths and strides, but it differs from
+    the scalar ** in the last ulp for about 5% of values at k in {3, 4, 6, 16} and under
+    0.1% at k = 2 (numpy 2.4.6, whose float64 power kernel is picked by CPU feature:
+    X86_V4/AVX512 on the CPU measured).  So only fewer roots, not a vectorized one, save time.
     """
     return np.array([v ** (1.0 / k) for v in np.ravel(x).tolist()]).reshape(np.shape(x))
 
@@ -116,9 +121,22 @@ def _trace_power(x: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     return c, (z.conj() * (y @ z)).real.reshape(len(y), -1).sum(axis=-1) / n
 
 
-def psd_scale(w: np.ndarray) -> float:
-    """1 + max(|lambda_min|, |lambda_max|) of ascending eigenvalues: the scale of PSD tests."""
-    return 1.0 + max(abs(w[0]), abs(w[-1]))
+def psd_scale(x: np.ndarray) -> float:
+    """1 + max|x|: the scale of a PSD verdict on eigenvalues x, and of an input precheck on x."""
+    return 1.0 + float(np.abs(x).max())
+
+
+@dataclass(frozen=True)
+class PsdVerdict:
+    psd: bool
+    min_eig: float
+
+
+def psd_verdict(w: np.ndarray, tol: float = DEFAULT_TOL) -> PsdVerdict:
+    """The one PSD verdict, on ascending eigenvalues w: lambda_min >= -tol * psd_scale(w)."""
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    return PsdVerdict(bool(w[0] >= -tol * psd_scale(w)), float(w[0]))
 
 
 def thread_map(fn, items) -> list:

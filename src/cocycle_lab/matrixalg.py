@@ -27,7 +27,7 @@ from .algebra import AlgebraElement, Semigroup, _kernel_contract
 from .cocycles import LengthFunction, cyclic_length, length_function
 from .criterion import _require_alpha
 from .groups import build_cyclic, build_product, coordinates
-from .linalg import HERMITIAN_PRECHECK, psd_scale, schatten_norm
+from .linalg import HERMITIAN_PRECHECK, PsdVerdict, psd_scale, psd_verdict, schatten_norm
 from .poincare import (PoincareReport, WorstConstant, _require_finite, _require_p,
                        maximize_ratio, ratio_scores, sweep)
 
@@ -160,7 +160,8 @@ def heisenberg_multiplier(n: int, psi_mode: str = "delta") -> Superoperator:
 
 
 def lindblad_generator(a: Sequence[np.ndarray]) -> Superoperator:
-    """A(x) = sum_j (x a_j^2 + a_j^2 x - 2 a_j x a_j) for commuting Hermitian a_j."""
+    """A(x) = sum_j (x a_j^2 + a_j^2 x - 2 a_j x a_j) for commuting Hermitian a_j, both
+    checked to HERMITIAN_PRECHECK times psd_scale of each a_j; A(1) = 0 and A = A^dag by algebra."""
     if not len(a):
         raise ValueError("empty Lindblad family")
     mats = [np.asarray(m, dtype=complex) for m in a]
@@ -173,13 +174,12 @@ def lindblad_generator(a: Sequence[np.ndarray]) -> Superoperator:
             i, k = np.argwhere(~np.isfinite(m))[0]
             raise ValueError(f"a[{j}] has a non-finite entry at ({i}, {k})")
         dev = np.abs(m - m.conj().T).max()
-        if dev > HERMITIAN_PRECHECK:
+        if dev > HERMITIAN_PRECHECK * psd_scale(m):
             raise ValueError(f"a[{j}] is not Hermitian: deviation {dev:.3e}")
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-            dev = np.abs(comm).max()
-            if dev > HERMITIAN_PRECHECK:
+            dev = np.abs(mats[i] @ mats[j] - mats[j] @ mats[i]).max()
+            if dev > HERMITIAN_PRECHECK * psd_scale(mats[i]) * psd_scale(mats[j]):
                 raise ValueError(
                     f"a[{i}] and a[{j}] do not commute: ||[a_{i},a_{j}]|| = {dev:.3e}")
     eye = np.eye(n, dtype=complex)
@@ -187,13 +187,7 @@ def lindblad_generator(a: Sequence[np.ndarray]) -> Superoperator:
     for m in mats:
         m2 = m @ m
         A += np.kron(eye, m2.T) + np.kron(m2, eye) - 2.0 * np.kron(m, m.T)
-    sup = Superoperator(n, A)
-    # construction-time sanity: A(1) = 0 and self-adjointness for the pairing
-    if np.abs(sup.apply(eye)).max() > HERMITIAN_PRECHECK:
-        raise ValueError("Lindblad generator does not annihilate the identity")
-    if np.abs(A - A.conj().T).max() > HERMITIAN_PRECHECK:
-        raise ValueError("Lindblad generator is not self-adjoint")
-    return sup
+    return Superoperator(n, A)
 
 
 def _require_matrices(n: int, *xs) -> None:
@@ -224,19 +218,20 @@ def battery_matrix(n: int, seed: int, index: int) -> np.ndarray:
     return st.standard_normal((n, n)) + 1j * st.standard_normal((n, n))
 
 
-def alpha_battery(A: Superoperator, alpha: float, seed: int, samples: int) -> float:
-    """Least eigenvalue of the Hermitian part of Gamma_2(x,x) - alpha Gamma(x,x) over the
-    first `samples` battery matrices, each scaled to unit Frobenius norm."""
+def alpha_battery(A: Superoperator, alpha: float, seed: int, samples: int) -> PsdVerdict:
+    """psd_verdict of the Hermitian part of Gamma_2(x,x) - alpha Gamma(x,x) on the first `samples`
+    unit-Frobenius battery matrices: psd if every one passes, min_eig the least eigenvalue."""
     _require_alpha(alpha)
     if samples < 1:
         raise ValueError(f"the alpha battery needs samples >= 1, got {samples}")
-    worst = np.inf
+    psd, worst = True, np.inf
     for i in range(samples):
         x = battery_matrix(A.n, seed, i)
         x /= np.linalg.norm(x)
         form = superop_gamma2(A, x, x) - alpha * superop_gamma(A, x, x)
-        worst = min(worst, float(np.linalg.eigvalsh(0.5 * (form + form.conj().T))[0]))
-    return worst
+        v = psd_verdict(np.linalg.eigvalsh(0.5 * (form + form.conj().T)))
+        psd, worst = psd and v.psd, min(worst, v.min_eig)
+    return PsdVerdict(psd, worst)
 
 
 def lindblad_gamma_residual(A: Superoperator, a: Sequence[np.ndarray], seed: int,

@@ -32,6 +32,14 @@ def test_adjoint_and_tau():
     assert tau(conv(fs, f)) == pytest.approx(1.0 + abs(2 + 1j) ** 2 + 0.25)
 
 
+def test_element_addition():
+    g = build_cyclic(3)
+    f = element(g, [1.0, 2.0 + 1j, 0.5]) + element(g, [0.5, -1.0, 1j])
+    assert np.array_equal(f.coeffs, [1.5, 1.0 + 1j, 0.5 + 1j])
+    with pytest.raises(ValueError, match="^algebra elements live over different groups$"):
+        f + element(build_cyclic(4), [0.0, 0.0, 0.0, 0.0])
+
+
 def test_regular_rep_circulant_oracle():
     g = build_cyclic(3)
     f = element(g, [0.0, 1.0, 1.0])

@@ -505,6 +505,16 @@ def test_cli_names_each_bad_flag_combination(tmp_path, capsys):
     assert not os.path.exists(unwritten)
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["--kind", "cyclic", "--n", "0"], "cyclic group needs n >= 1, got 0"),
+    (["--kind", "product", "--n", "2", "--m", "0"], "product of zero factors")])
+def test_group_build_names_an_empty_group(tmp_path, capsys, argv, want):
+    unwritten = tmp_path / "g.json"
+    assert main(["group", "build", *argv, "--out", str(unwritten)]) == 1
+    assert capsys.readouterr().err == f"group: {want}\n"
+    assert not unwritten.exists()
+
+
 def test_cn_check_rejects_a_tolerance_that_could_flip_the_verdict(tmp_path, capsys):
     """--tol inf called psi = [0, 1, 3, 1] on Z_4 (min eig -0.71) CN; NaN and -1 called a CN psi not CN."""
     for values in ([0, 1, 3, 1], [0, 1, 2, 1]):

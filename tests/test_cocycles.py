@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cocycle_lab.cocycles import (GromovForm, gromov_form, is_conditionally_negative,
+from cocycle_lab.cocycles import (GromovForm, LengthFunction, gromov_form, is_conditionally_negative,
                                   length_function, realize_cocycle,
                                   verify_schur_identity, word_length_cocycle,
                                   word_length_psi)
 from cocycle_lab.families import builtin_length, delta_psi, heisenberg_delta, walsh_length
 from cocycle_lab.groups import build_cyclic
+from cocycle_lab.linalg import psd_scale
 
 # Gromov matrix of the Z_4 word length over indices 1..3, by hand
 Z4_WORD_BLOCK = np.array([[1.0, 1.0, 0.0],
@@ -63,13 +64,13 @@ def test_gromov_form_word_length_oracle():
 def test_cn_verdicts():
     for n in (2, 3, 7, 12):
         v = is_conditionally_negative(delta_psi(n))
-        assert v.verdict and v.min_eig > -1e-12
+        assert v.psd and v.min_eig > -1e-12
     bad = length_function(build_cyclic(4), [0.0, 1.0, 3.0, 1.0])
     K = gromov_form(bad).K
     assert np.allclose(K[1:, 1:], Z4_BAD_MINOR)
     assert abs(np.linalg.det(Z4_BAD_MINOR) - (-4.5)) < 1e-12
     v = is_conditionally_negative(bad)
-    assert not v.verdict and v.min_eig < -0.1
+    assert not v.psd and v.min_eig < -0.1
 
 
 def test_cn_tolerance_must_be_finite_and_nonnegative():
@@ -79,7 +80,24 @@ def test_cn_tolerance_must_be_finite_and_nonnegative():
         for tol in (np.inf, np.nan, -1.0):
             with pytest.raises(ValueError, match=f"^tol must be finite and >= 0, got {tol}$"):
                 is_conditionally_negative(psi, tol=tol)
-    assert is_conditionally_negative(delta_psi(4), tol=0.0).verdict
+    assert is_conditionally_negative(delta_psi(4), tol=0.0).psd
+
+
+@pytest.mark.parametrize("n", [255, 512])
+def test_gromov_form_accepts_the_psi_a_realization_rebuilds(n):
+    """||b(g)||^2 of the realized word length is symmetric only to 2.9e-12 (n = 255) and
+    3.6e-12 (n = 512): above a bare 1e-12, within 1e-12 * psd_scale(psi)."""
+    real = realize_cocycle(gromov_form(builtin_length(f"wordlength:{n}")))
+    psi = LengthFunction(real.group, real.psi)
+    asym = np.abs(psi.values - psi.values[real.group.inv]).max()
+    assert 1e-12 < asym <= 1e-12 * psd_scale(psi.values)
+    assert np.array_equal(np.diag(gromov_form(psi).K), psi.values)
+
+
+def test_length_function_still_rejects_an_asymmetry_of_1e_9():
+    with pytest.raises(ValueError, match=re.escape(
+            "psi not symmetric: psi(1) = 1.0 but psi(inv(1)) = 1.000000001")):
+        length_function(build_cyclic(3), [0.0, 1.0, 1.0 + 1e-9])
 
 
 def reference_alpha(K: GromovForm) -> np.ndarray:
@@ -238,7 +256,7 @@ def test_schur_input_validation():
 def test_heisenberg_delta_degenerate_but_cn():
     psi = heisenberg_delta(2)
     v = is_conditionally_negative(psi)
-    assert v.verdict
+    assert v.psd
     real = realize_cocycle(gromov_form(psi))
     # pulled back from the abelianization: central directions vanish
     assert real.dimension < psi.group.order - 1
@@ -253,7 +271,7 @@ def test_conic_combinations_stay_cn(n, s, t):
     # nonnegative combinations of cn lengths are cn and realizable
     psi = length_function(build_cyclic(n),
                           s * delta_psi(n).values + t * word_length_psi(n).values)
-    assert is_conditionally_negative(psi).verdict
+    assert is_conditionally_negative(psi).psd
     K = gromov_form(psi)
     assert np.abs(realize_cocycle(K).psi - psi.values).max() < 1e-7
     assert_cocycle(K)

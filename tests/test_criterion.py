@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from cocycle_lab.algebra import Semigroup, delta
 from cocycle_lab.cli import _gallery_entries
-from cocycle_lab.cocycles import gromov_form, length_function, realize_cocycle, word_length_psi
+from cocycle_lab.cocycles import GromovForm, gromov_form, length_function, realize_cocycle, word_length_psi
 from cocycle_lab.criterion import (best_alpha_bisection, best_alpha_pencil,
                                    check_element)
 from cocycle_lab.families import builtin_length, delta_psi
@@ -62,6 +62,14 @@ def test_certificate_contents():
         assert abs(rayleigh - cert.residual) < 1e-9
         with pytest.raises(ValueError):
             cert.witness[0] = 5.0   # frozen
+
+
+def test_pencil_without_a_kernel():
+    """A nonsingular K, built directly, leaves the pencil S = Q_rr: with K = I,
+    K o K - alpha K = (1 - alpha) I, so both solvers give alpha* = 1."""
+    K = GromovForm(build_cyclic(2), np.eye(2))
+    assert best_alpha_pencil(K).alpha_star == 1.0
+    assert best_alpha_bisection(K).alpha_star == 1.0
 
 
 def test_check_element_oracle():

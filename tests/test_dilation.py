@@ -385,6 +385,14 @@ def test_inequality_report_fields(small_scenario):
         inequality_report(x, sc, 1.0, 5.0)
 
 
+def test_inequality_report_on_the_realized_word_length_of_z255():
+    """The scenario's semigroup rebuilds psi from B, symmetric only to 2.9e-12 on Z_255."""
+    coc = realize_cocycle(gromov_form(builtin_length("wordlength:255")))
+    sc = sample_scenario(coc, 2, 0.5, 8, seed=0)
+    rep = inequality_report(delta(coc.group, 1), sc, 1.0, 2.0)
+    assert rep.p == 2.0 and rep.transform_norm.mean > 0
+
+
 def test_inequality_report_without_alpha(small_scenario):
     sc = small_scenario
     x = element(sc.cocycle.group, [0.0, 1.0, 0.0, 0.0])

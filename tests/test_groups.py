@@ -113,6 +113,11 @@ def test_inverse_axiom_violation_named():
         validate_group(5, mul, inv)
 
 
+def test_group_from_dict_checks_the_cap_before_reading_mul():
+    with pytest.raises(SizeCapError, match=f"^order 5000 exceeds cap {ORDER_CAP}$"):
+        group_from_dict({"order": 5000, "mul": [[0]]})
+
+
 def test_size_caps():
     with pytest.raises(SizeCapError, match=f"cyclic order {ORDER_CAP + 1} exceeds cap {ORDER_CAP}"):
         build_cyclic(ORDER_CAP + 1)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cocycle_lab.algebra import Semigroup, element, gamma
 from cocycle_lab.families import heisenberg_delta, heisenberg_wordlength
 from cocycle_lab.groups import build_cyclic, coordinates
-from cocycle_lab.linalg import schatten_norm
+from cocycle_lab.linalg import psd_verdict, schatten_norm
 from cocycle_lab.matrixalg import (Superoperator, _symbol_gammas, alpha_battery,
                                    clock_shift_basis, heisenberg_multiplier,
                                    lindblad_gamma_residual, lindblad_generator, matrix_poincare,
@@ -154,6 +154,26 @@ def test_lindblad_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match=r"a\[1\] has a non-finite entry at \(1, 1\)"):
             lindblad_generator([np.eye(2), np.diag([0.0, bad])])
+
+
+HILBERT_3 = 1.0 / (np.arange(3)[:, None] + np.arange(3)[None, :] + 1)
+
+
+@pytest.mark.parametrize("s", [1e3, 1e6])
+def test_lindblad_generator_takes_a_scaled_hilbert_matrix(s):
+    """A(1) = 0 and A = A^dag hold by algebra; checked to a bare 1e-10, 1000 H_3 was rejected."""
+    base = lindblad_generator([HILBERT_3])
+    A = lindblad_generator([s * HILBERT_3])
+    assert A.fix_dimension() == base.fix_dimension()
+    want = s * s * base.min_positive_eig()
+    assert abs(A.min_positive_eig() - want) <= 1e-12 * want
+
+
+def test_lindblad_validation_still_rejects_scaled_bad_families():
+    with pytest.raises(ValueError, match=r"^a\[0\] is not Hermitian: deviation 1\.000e\+03$"):
+        lindblad_generator([1000 * np.array([[0.0, 1.0], [0.0, 0.0]])])
+    with pytest.raises(ValueError, match=r"^a\[0\] and a\[1\] do not commute"):
+        lindblad_generator([1000 * np.diag([1.0, 0.0]), 1000 * np.array([[0.0, 1.0], [1.0, 0.0]])])
 
 
 def test_lindblad_gamma_is_commutator_gram():
@@ -335,12 +355,16 @@ def test_batched_matrix_ratio_matches_reference(monkeypatch, A):
 def test_alpha_battery_matches_reference_loop(n):
     A = heisenberg_multiplier(n, "delta")
     for alpha in ((n + 2) / (2 * n), 2 * (n + 2) / (2 * n)):
-        worst = np.inf
+        worst, verdicts = np.inf, []
         for i in range(200):
             x = rand_matrix(n, i)
             form = superop_gamma2(A, x, x) - alpha * superop_gamma(A, x, x)
-            worst = min(worst, float(np.linalg.eigvalsh(0.5 * (form + form.conj().T))[0]))
-        assert alpha_battery(A, alpha, 0, 200) == worst
+            w = np.linalg.eigvalsh(0.5 * (form + form.conj().T))
+            worst = min(worst, float(w[0]))
+            verdicts.append(psd_verdict(w).psd)
+        check = alpha_battery(A, alpha, 0, 200)
+        assert check.min_eig == worst
+        assert check.psd is all(verdicts)
     # twice (n+2)/(2n) breaks Gamma_2 >= alpha Gamma on the battery (-0.78, -0.36, -0.19)
     assert worst < -1e-9
 
