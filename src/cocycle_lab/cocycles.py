@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .groups import FiniteGroup, build_cyclic
+from .groups import FiniteGroup, build_cyclic, coordinates
 from .linalg import DEFAULT_TOL, PsdVerdict, psd_scale, psd_verdict
 
 
@@ -171,9 +171,9 @@ def word_length_cocycle(n: int) -> CocycleRealization:
     return CocycleRealization(build_cyclic(n), d, B)
 
 
-def cyclic_length(mode: str, k: np.ndarray, n: int) -> np.ndarray:
+def cyclic_length(mode: str, k: np.ndarray, n) -> np.ndarray:
     """A length of Z_n at the coordinates k, as floats: 'delta' is k != 0 and
-    'wordlength' is min(k, n - k).  Every builtin length is a sum of these."""
+    'wordlength' is min(k, n - k), n broadcast against k.  coordinate_length sums these."""
     if mode == "delta":
         return (k != 0).astype(float)
     if mode == "wordlength":
@@ -181,9 +181,18 @@ def cyclic_length(mode: str, k: np.ndarray, n: int) -> np.ndarray:
     raise ValueError(f"unknown psi_mode {mode!r}")
 
 
+def coordinate_length(group: FiniteGroup, radices: Sequence[int], axes: Sequence[int],
+                      mode: str) -> LengthFunction:
+    """psi(g) = sum over a in axes of cyclic_length(mode, digit_a(g), radices[a]), the digits
+    read by coordinates(group.order, radices): the one sum behind every builtin length."""
+    axes = list(axes)
+    k, n = coordinates(group.order, radices)[axes], np.asarray(radices)[axes, None]
+    return length_function(group, cyclic_length(mode, k, n).sum(axis=0))
+
+
 def word_length_psi(n: int) -> LengthFunction:
     """psi(k) = min(k, n-k) on Z_n (any n >= 1)."""
-    return length_function(build_cyclic(n), cyclic_length("wordlength", np.arange(n), n))
+    return coordinate_length(build_cyclic(n), (n,), (0,), "wordlength")
 
 
 @dataclass(frozen=True)

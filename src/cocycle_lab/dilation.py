@@ -173,9 +173,9 @@ def martingale_transform(x: AlgebraElement, scenario: BrownianScenario, L: float
     gathered once.  Each chunk draws its increments and their copy once and
     forms ww[c, k, h, u] = conj(w_k(h)) w_k(u), the conjugation by D_k as an
     entrywise factor, from (c, steps, |G|) exponentials.  S_c and S_r read ww
-    against Lambda(Gamma_k); the copy's commutators give M~; the steps'
-    commutators give sum_k ||dx_k||_p^p unphased, then M.  That order keeps a
-    chunk's peak memory low.
+    against Lambda(Gamma_k), PSD when sg.gamma_psd; the copy's commutators give
+    M~; the steps' commutators give sum_k ||dx_k||_p^p unphased, then M.  That
+    order keeps a chunk's peak memory low.
     """
     _check_horizon(scenario, L)
     if float(p) not in BRACKET_PS:
@@ -199,7 +199,7 @@ def martingale_transform(x: AlgebraElement, scenario: BrownianScenario, L: float
                                               np.cumsum(dB, axis=1)[:, :-1]], axis=1))
         ww = w.conj()[..., :, None] * w[..., None, :]
         del w
-        sc, sr = schatten_pow_batch(np.einsum("ckhu,skhu->schu", ww, lgam), p / 2.0)
+        sc, sr = schatten_pow_batch(np.einsum("ckhu,skhu->schu", ww, lgam), p / 2.0, sg.gamma_psd)
         cm = commutator(scenario.increments_copy(lo, hi))
         Mt = 1j * np.einsum("ckhu,ckhu->chu", ww, cm)
         del cm

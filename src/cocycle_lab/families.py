@@ -1,45 +1,31 @@
 """Named conditionally negative length functions on the built-in groups."""
 from __future__ import annotations
 
-import numpy as np
-
-from .cocycles import LengthFunction, cyclic_length, length_function, word_length_psi
-from .groups import build_cyclic, build_heisenberg, build_power, coordinates
+from .cocycles import LengthFunction, coordinate_length, word_length_psi
+from .groups import build_cyclic, build_heisenberg, build_power
 
 
 def walsh_length(n: int, m: int) -> LengthFunction:
     """Number of nonzero coordinates of Z_n^m; cn via the product of delta lengths."""
     if n < 2 or m < 1:
         raise ValueError(f"walsh length needs n >= 2, m >= 1, got n={n}, m={m}")
-    group = build_power(n, m)
-    digits = coordinates(group.order, [n] * m)
-    return length_function(group, cyclic_length("delta", digits, n).sum(axis=0))
+    return coordinate_length(build_power(n, m), (n,) * m, range(m), "delta")
 
 
 def delta_psi(n: int) -> LengthFunction:
     """psi = 1 - delta_e on Z_n: the flat length charging every nontrivial element once."""
-    return length_function(build_cyclic(n), cyclic_length("delta", np.arange(n), n))
-
-
-def _abelianized(n: int, mode: str) -> LengthFunction:
-    """psi(a,b,c) = w(b) + w(c) on the mod-n Heisenberg group, w a cyclic length of Z_n."""
-    group = build_heisenberg(n)
-    _, b, c = coordinates(group.order, (n, n, n))
-    return length_function(group, cyclic_length(mode, b, n) + cyclic_length(mode, c, n))
+    return coordinate_length(build_cyclic(n), (n,), (0,), "delta")
 
 
 def heisenberg_delta(n: int) -> LengthFunction:
-    """psi(a,b,c) = (1 - delta_{b,0}) + (1 - delta_{c,0}) on the mod-n Heisenberg group.
-
-    Pulled back from the abelianization, so the center is in the kernel
-    and the Gromov form degenerates there by design.
-    """
-    return _abelianized(n, "delta")
+    """psi(a,b,c) = (1 - delta_{b,0}) + (1 - delta_{c,0}) on the mod-n Heisenberg group, pulled
+    back from the abelianization: the center is in the kernel, where K degenerates by design."""
+    return coordinate_length(build_heisenberg(n), (n, n, n), (1, 2), "delta")
 
 
 def heisenberg_wordlength(n: int) -> LengthFunction:
     """psi(a,b,c) = |b| + |c| with cyclic absolute values, also via the abelianization."""
-    return _abelianized(n, "wordlength")
+    return coordinate_length(build_heisenberg(n), (n, n, n), (1, 2), "wordlength")
 
 
 _ECHO = 80     # longest spec text an error message echoes in full

@@ -41,9 +41,9 @@ def root(x, k: float):
     return np.array([v ** (1.0 / k) for v in np.ravel(x).tolist()]).reshape(np.shape(x))
 
 
-def schatten_pow_batch(mats: np.ndarray, p: float) -> np.ndarray:
-    """(1/n) sum sigma_i^p per matrix in a (..., n, n) batch (no root taken)."""
-    return _schatten(mats, p, take_root=False)
+def schatten_pow_batch(mats: np.ndarray, p: float, psd: bool = False) -> np.ndarray:
+    """(1/n) sum sigma_i^p per matrix of a (..., n, n) batch, no root; psd as in schatten_norm."""
+    return _schatten(mats, p, take_root=False, psd=psd)
 
 
 def _schatten(mats: np.ndarray, p: float, take_root: bool, psd: bool = False) -> np.ndarray:

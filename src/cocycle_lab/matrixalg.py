@@ -7,12 +7,12 @@ characters, and the commuting-family Lindblad generator A(x) = sum_j (x a_j^2
 matrices over row-major vec, capped at n <= 12.  The working inner product
 is <x,y> = tr(x^dag y)/n and L_p norms are normalized Schatten norms.
 
-The multiplier also records its symbol, a length function on Z_n x Z_n:
-its algebra is the twisted group algebra of that group, so Gamma takes the
-Gromov-kernel contraction of the group side with a phase, and Poincare
-witnesses score through it.  The superoperator route (superop_gamma) is
-the reference that certifies every matrix constant, and the only route
-for Lindblad generators.
+The multiplier also records its symbol, the cocycles.coordinate_length
+w(b) + w(c) on Z_n x Z_n: its algebra is the twisted group algebra of that
+group, so Gamma takes the Gromov-kernel contraction of the group side with
+a phase, and Poincare witnesses score through it.  The superoperator route
+(superop_gamma) is the reference that certifies every matrix constant, and
+the only route for Lindblad generators.
 """
 from __future__ import annotations
 
@@ -24,9 +24,9 @@ import numpy as np
 
 from . import rng
 from .algebra import AlgebraElement, Semigroup, _kernel_contract
-from .cocycles import LengthFunction, cyclic_length, length_function
+from .cocycles import LengthFunction, coordinate_length
 from .criterion import _require_alpha
-from .groups import build_cyclic, build_product, coordinates
+from .groups import build_cyclic, build_power, coordinates
 from .linalg import HERMITIAN_PRECHECK, PsdVerdict, psd_scale, psd_verdict, schatten_norm
 from .poincare import (PoincareReport, WorstConstant, _require_finite, _require_p,
                        maximize_ratio, ratio_scores, sweep)
@@ -139,24 +139,17 @@ def _check_cap(n: int) -> None:
         raise ValueError(f"superoperator dimension n = {n} exceeds cap {SUPEROP_CAP}")
 
 
-def multiplier_symbol(n: int, psi_mode: str) -> np.ndarray:
-    """psi(b,c) = w(b) + w(c) on the (b,c) grid, w the cyclic delta or word length of Z_n."""
-    w = cyclic_length(psi_mode, np.arange(n), n)
-    return w[:, None] + w[None, :]
-
-
 def heisenberg_multiplier(n: int, psi_mode: str = "delta") -> Superoperator:
     """Generator diagonal in the v_c u_b basis: A(v_c u_b) = psi(b,c) v_c u_b, formed as
     A = W^T diag(psi) conj(W) / n in one product, W the vec'd clock_shift_basis(n).
 
-    Its symbol is psi on build_product([Z_n, Z_n]) at the index s = b n + c.
+    Its symbol psi(b,c) = w(b) + w(c), w the cyclic delta or word length, is the
+    coordinate_length of both axes of build_power(n, 2), at the index s = b n + c.
     """
     _check_cap(n)
     W = vec(clock_shift_basis(n))
-    sym = multiplier_symbol(n, psi_mode)
-    A = (W.T * sym.reshape(-1)) @ W.conj() / n
-    group = build_product([build_cyclic(n)] * 2)
-    return Superoperator(n, A, length_function(group, sym.reshape(-1)))
+    symbol = coordinate_length(build_power(n, 2), (n, n), (0, 1), psi_mode)
+    return Superoperator(n, (W.T * symbol.values) @ W.conj() / n, symbol)
 
 
 def lindblad_generator(a: Sequence[np.ndarray]) -> Superoperator:

@@ -294,10 +294,11 @@ def test_dilation_preserves_schatten_moments_hypothesis(spec, index, sample, k, 
     assert abs(got - want) <= 1e-12 * want
 
 
-@pytest.mark.parametrize("p", [4.0, 8.0])
+@pytest.mark.parametrize("p", [2.0, 4.0, 6.0, 8.0])
 def test_brackets_match_cocycle_coordinate_reference(p, small_scenario, wordlength_scenario,
                                                      heisenberg_scenario):
-    # p = 2 cannot tell S_c built from x from one built from x*: tau(S) is the same
+    # at odd p/2 the PSD trace route meets the reference's singular values; p = 2 alone
+    # cannot tell S_c built from x from one built from x*: tau(S) is the same
     cases = [(small_scenario, [0.0, 1.0, 0.7, 0.3j]),
              (wordlength_scenario, rand_coeffs(6, 3)),
              (heisenberg_scenario, rand_coeffs(27, 4))]

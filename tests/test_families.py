@@ -2,9 +2,10 @@
 import numpy as np
 import pytest
 
-from cocycle_lab.families import builtin_length
-from cocycle_lab.groups import ORDER_CAP
-from cocycle_lab.matrixalg import multiplier_symbol
+from cocycle_lab.cocycles import coordinate_length
+from cocycle_lab.families import builtin_length, walsh_length
+from cocycle_lab.groups import ORDER_CAP, build_power, coordinates
+from cocycle_lab.matrixalg import heisenberg_multiplier
 
 
 def _digits(g: int, n: int, m: int) -> list:
@@ -63,6 +64,37 @@ def test_heisenberg_lengths_read_b_and_c(n, mode):
 @pytest.mark.parametrize("n", [2, 3, 12])
 @pytest.mark.parametrize("mode", ["delta", "wordlength"])
 def test_multiplier_symbol(n, mode):
-    sym = multiplier_symbol(n, mode)
-    expected = [[_cyclic(mode, b, n) + _cyclic(mode, c, n) for c in range(n)] for b in range(n)]
-    _assert_bitwise(sym, expected)
+    sym = heisenberg_multiplier(n, mode).symbol
+    expected = [_cyclic(mode, b, n) + _cyclic(mode, c, n) for b in range(n) for c in range(n)]
+    _assert_bitwise(sym.values, expected)
+
+
+def _assert_same_length(got, want) -> None:
+    """Two length functions equal byte for byte: values, table, labels and metadata."""
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.group.mul.dtype == want.group.mul.dtype
+    assert got.group.mul.tobytes() == want.group.mul.tobytes()
+    assert got.group.labels == want.group.labels
+    assert got.group.metadata == want.group.metadata
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_delta_symbol_is_the_walsh_length_on_z_n_squared(n):
+    _assert_same_length(heisenberg_multiplier(n, "delta").symbol, walsh_length(n, 2))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("mode", ["delta", "wordlength"])
+def test_heisenberg_length_is_the_symbol_pulled_back(n, mode):
+    """psi on H_3(Z_n) at (a, b, c) is the multiplier's symbol at s = b n + c, bitwise."""
+    psi = builtin_length(f"heisenberg-{mode}:{n}")
+    _, b, c = coordinates(n ** 3, (n, n, n))
+    sym = heisenberg_multiplier(n, mode).symbol.values
+    assert psi.values.tobytes() == sym[b * n + c].tobytes()
+
+
+def test_coordinate_length_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown psi_mode 'heat'"):
+        coordinate_length(build_power(3, 2), (3, 3), (0, 1), "heat")
+    with pytest.raises(ValueError, match="psi_mode"):
+        heisenberg_multiplier(3, "heat")

@@ -8,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocycle_lab.algebra import Semigroup, element, gamma
+from cocycle_lab.cocycles import cyclic_length
 from cocycle_lab.families import heisenberg_delta, heisenberg_wordlength
 from cocycle_lab.groups import build_cyclic, coordinates
 from cocycle_lab.linalg import psd_verdict, schatten_norm
 from cocycle_lab.matrixalg import (Superoperator, _symbol_gammas, alpha_battery,
                                    clock_shift_basis, heisenberg_multiplier,
                                    lindblad_gamma_residual, lindblad_generator, matrix_poincare,
-                                   matrix_poincare_ratio,
-                                   matrix_worst_constant, multiplier_symbol,
+                                   matrix_poincare_ratio, matrix_worst_constant,
                                    superop_gamma, superop_gamma2, unvec, vec)
 from cocycle_lab.poincare import ZeroNumeratorError, ratio_scores
 
@@ -108,7 +108,7 @@ def test_multiplier_diagonal_action():
     y = clock_shift_basis(4)[1 * 4 + 2]   # |1| + |2| = 3 on Z_4
     assert np.abs(B.apply(y) - 3.0 * y).max() < 1e-12
     with pytest.raises(ValueError, match="psi_mode"):
-        multiplier_symbol(3, "heat")
+        heisenberg_multiplier(3, "heat")
 
 
 def test_multiplier_fix_and_gap():
@@ -422,7 +422,8 @@ def test_multiplier_records_its_symbol(n):
         b, c = coordinates(n * n, (n, n))
         assert A.symbol.group.order == n * n
         assert np.array_equal(A.symbol.group.mul[b * n, c], b * n + c)
-        assert np.array_equal(A.symbol.values, multiplier_symbol(n, mode)[b, c])
+        assert np.array_equal(A.symbol.values,
+                              cyclic_length(mode, b, n) + cyclic_length(mode, c, n))
         assert "_symbol_kernel" not in vars(A)
         assert A._symbol_kernel.psd
         for s, row in enumerate(A._symbol_kernel.basis):
