@@ -31,7 +31,7 @@ import numpy as np
 from .algebra import AlgebraElement, Semigroup, gamma, gamma_norm, regular_rep, semigroup_apply
 from .cocycles import CocycleRealization, LengthFunction
 from .criterion import AlphaCertificate
-from .linalg import schatten_pow_batch, thread_map
+from .linalg import block_map, schatten_pow_batch
 from . import rng
 
 BRACKET_PS = (2.0, 4.0, 6.0, 8.0)
@@ -110,17 +110,9 @@ def _grid_index(scenario: BrownianScenario, t: float) -> int:
     return k
 
 
-def _chunks(scenario: BrownianScenario) -> list[tuple[int, int]]:
-    order = scenario.cocycle.group.order
-    # c x steps x order^2 x (d + 2) near 2^21 entries; each chunk field is c x steps x order^2
-    per = max(1, scenario.steps * order * order * (scenario.d + 2))
-    c = max(1, int(2 ** 21 // per))
-    return [(lo, min(lo + c, scenario.samples)) for lo in range(0, scenario.samples, c)]
-
-
-def _map_chunks(scenario: BrownianScenario, fn) -> list:
-    """Apply fn(lo, hi) to every chunk; fixed-order results regardless of workers."""
-    return thread_map(lambda s: fn(*s), _chunks(scenario))
+def _sample_entries(scenario: BrownianScenario) -> int:
+    """Entries a block_map chunk holds per sample: steps x |G|^2 in each of d + 2 fields."""
+    return scenario.steps * scenario.cocycle.group.order ** 2 * (scenario.d + 2)
 
 
 def dilation_matrix(x: AlgebraElement, t: float, scenario: BrownianScenario,
@@ -134,20 +126,18 @@ def dilation_matrix(x: AlgebraElement, t: float, scenario: BrownianScenario,
 
 
 def dilation_mean(x: AlgebraElement, t: float, scenario: BrownianScenario):
-    """MC mean of the dilation matrices with entrywise standard errors."""
+    """MC mean and entrywise standard errors of the dilation matrices, over all samples at once."""
     k = _grid_index(scenario, t)
     lx = regular_rep(x)
 
     def work(lo, hi):
         w = _path_phases(scenario.cocycle, scenario.increments(lo, hi)[:, :k].sum(axis=1))
-        D = w.conj()[:, :, None] * lx * w[:, None, :]
-        return D.sum(axis=0), (np.abs(D) ** 2).sum(axis=0)
+        return w.conj()[:, :, None] * lx * w[:, None, :]
 
-    parts = _map_chunks(scenario, work)
-    N = scenario.samples
-    mean = sum(s for s, _ in parts) / N
-    var = np.maximum(sum(s2 for _, s2 in parts) / N - np.abs(mean) ** 2, 0.0)
-    return mean, np.sqrt(var / N)
+    D = np.concatenate(block_map(work, scenario.samples, _sample_entries(scenario)))
+    mean = D.mean(axis=0)
+    var = np.maximum((np.abs(D) ** 2).mean(axis=0) - np.abs(mean) ** 2, 0.0)
+    return mean, np.sqrt(var / scenario.samples)
 
 
 def _check_horizon(scenario: BrownianScenario, L: float) -> None:
@@ -170,12 +160,13 @@ def martingale_transform(x: AlgebraElement, scenario: BrownianScenario, L: float
     """M_n(x), its decoupled twin and the bracket moments at p, per sample, in one pass.
 
     Lambda(y_k) and 2 dt Lambda(Gamma_k) do not depend on the sample and are
-    gathered once.  Each chunk draws its increments and their copy once and
-    forms ww[c, k, h, u] = conj(w_k(h)) w_k(u), the conjugation by D_k as an
-    entrywise factor, from (c, steps, |G|) exponentials.  S_c and S_r read ww
-    against Lambda(Gamma_k), PSD when sg.gamma_psd; the copy's commutators give
-    M~; the steps' commutators give sum_k ||dx_k||_p^p unphased, then M.  That
-    order keeps a chunk's peak memory low.
+    gathered once.  Each chunk of linalg.block_map (_sample_entries per sample)
+    draws its increments and their copy once and forms ww[c, k, h, u] =
+    conj(w_k(h)) w_k(u), the conjugation by D_k as an entrywise factor, from
+    (c, steps, |G|) exponentials.  S_c and S_r read ww against Lambda(Gamma_k),
+    PSD when sg.gamma_psd; the copy's commutators give M~; the steps'
+    commutators give sum_k ||dx_k||_p^p unphased, then M.  That order keeps a
+    chunk's peak memory low.
     """
     _check_horizon(scenario, L)
     if float(p) not in BRACKET_PS:
@@ -207,7 +198,8 @@ def martingale_transform(x: AlgebraElement, scenario: BrownianScenario, L: float
         M = 1j * np.einsum("ckhu,ckhu->chu", ww, cm)
         return M, Mt, sc, sr, schatten_pow_batch(cm, p).sum(axis=1)
 
-    return TransformPass(p, *(np.concatenate(part) for part in zip(*_map_chunks(scenario, work))))
+    parts = block_map(work, scenario.samples, _sample_entries(scenario))
+    return TransformPass(p, *(np.concatenate(part) for part in zip(*parts)))
 
 
 def transform_l2_analytic(x: AlgebraElement, scenario: BrownianScenario, L: float) -> float:

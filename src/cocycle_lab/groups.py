@@ -16,8 +16,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .linalg import blocks
+
 ORDER_CAP = 4096
-_BLOCK = 2 ** 20      # table entries per row block of the associativity check
 
 
 class TableValidationError(ValueError):
@@ -99,7 +100,7 @@ def validate_group(order: int, mul: np.ndarray, inv: np.ndarray) -> None:
     and are closed under products, as (x*ab)*y = (xa*b)*y = xa*by = x*(a*by) =
     x*(ab*y); so once S generates the table, every element passes.  S is
     greedy: each next s is the smallest element not yet reached from e by
-    right products with S.  Cost order**2 * |S|, in row blocks of _BLOCK entries.
+    right products with S.  Cost order**2 * |S|, in linalg.blocks of 3 * order entries a row.
     Raises TableValidationError naming the first offending triple.
     """
     if mul.shape != (order, order):
@@ -129,12 +130,11 @@ def validate_group(order: int, mul: np.ndarray, inv: np.ndarray) -> None:
             f"inverse axiom fails: mul(inv({g})={inv[g]},{g}) = {ig[g]} != 0")
 
     t = mul.astype(np.min_scalar_type(order - 1))   # a narrow copy gathers faster
-    step = max(1, _BLOCK // order)
-    reached, cols = bytearray(order), []
+    spans, reached, cols = blocks(order, 3 * order), bytearray(order), []
     reached[0] = 1
     while (s := reached.find(0)) >= 0:        # the smallest element not yet reached
-        for lo in range(0, order, step):
-            block = t[lo:lo + step]
+        for lo, hi in spans:
+            block = t[lo:hi]
             lhs = t[block[:, s]]               # (x*s)*y over x in the block, all y
             rhs = block.take(t[s], axis=1)     # x*(s*y)
             if not np.array_equal(lhs, rhs):

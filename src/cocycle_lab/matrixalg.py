@@ -297,7 +297,7 @@ def matrix_worst_constant(A: Superoperator, p: float, budget: int = 20000,
     if A.fix_dimension() == n * n:
         raise ValueError("generator is identically 0: no spectral gap")
     res = maximize_ratio(lambda x: matrix_poincare_ratio(A, x, p),
-                         lambda z: unvec(z, n), n * n, budget, seed)
+                         lambda z: unvec(z, n), n * n, budget, seed, n ** 4)
     return res._replace(constant=float(_superop_ratio(A, res.witness, p)))
 
 

@@ -23,12 +23,11 @@ import numpy as np
 from .algebra import (AlgebraElement, Semigroup, fix_project, fourier, gamma, gamma_norm,
                       lp_norm)
 from .criterion import AlphaCertificate
-from .linalg import root, thread_map
+from .linalg import block_map, root
 from . import rng
 
 GRAD_STEP = 1e-6
 REL_IMPROVEMENT_STOP = 1e-8
-ROUND_ROWS = 128      # rows per objective call in an optimizer round: bounds its memory
 N_STARTS = 32         # optimizer starts per constant
 COORD_STARTS = 16     # of which at most this many are coordinate vectors
 
@@ -130,15 +129,14 @@ def maximize_on_sphere(fun: Callable[[np.ndarray], Any], dim: int, budget: int, 
     There are N_STARTS starts: the first min(dim, COORD_STARTS, N_STARTS)
     coordinate vectors, then start s draws from the stream (seed,
     TAG_POINCARE, s).  Each round scores the pending request of every active
-    start, in start order, in blocks of at most ROUND_ROWS rows through
-    thread_map: a start point or line-search probe (one row), or a
-    central-difference gradient (step 1e-6) of 2 dim rows, x + 1e-6 e_i then
-    x - 1e-6 e_i.  A start takes a new gradient while it has scored fewer
-    than budget // N_STARTS points, adapts its step by backtracking, and
-    stops when its relative improvement drops below 1e-8.  Each start
-    visits the points it would visit alone, whatever the block size or
-    thread count; ties resolve in start order.  Returns (best value, best
-    point, gap).
+    start, in start order, in one call of fun: a start point or line-search
+    probe (one row), or a central-difference gradient (step 1e-6) of 2 dim
+    rows, x + 1e-6 e_i then x - 1e-6 e_i.  A start takes a new gradient
+    while it has scored fewer than budget // N_STARTS points, adapts its
+    step by backtracking, and stops when its relative improvement drops
+    below 1e-8.  Each start visits the points it would visit alone, however
+    fun splits a round; ties resolve in start order.  Returns (best value,
+    best point, gap).
     """
     if budget < 1:
         raise ValueError(f"optimizer budget must be >= 1, got {budget}")
@@ -183,9 +181,7 @@ def maximize_on_sphere(fun: Callable[[np.ndarray], Any], dim: int, budget: int, 
     pending = {i: next(r) for i, r in enumerate(runs)}
     results = [None] * len(runs)
     while pending:
-        rows = np.concatenate(list(pending.values()))
-        blocks = [rows[lo:lo + ROUND_ROWS] for lo in range(0, len(rows), ROUND_ROWS)]
-        values = np.concatenate(thread_map(fun, blocks))
+        values = fun(np.concatenate(list(pending.values())))
         lo = 0
         for i, req in list(pending.items()):
             try:
@@ -199,18 +195,22 @@ def maximize_on_sphere(fun: Callable[[np.ndarray], Any], dim: int, budget: int, 
 
 
 def maximize_ratio(ratio: Callable[[Any], Any], chart: Callable[[np.ndarray], Any],
-                   dim: int, budget: int, seed: int) -> WorstConstant:
+                   dim: int, budget: int, seed: int, per_row: int) -> WorstConstant:
     """Maximize ratio(chart(x + iy)) over unit vectors (x, y) in R^{2 dim}.
 
     chart maps complex coordinates, shape (..., dim), to a witness or a
-    stack of witnesses, and ratio scores them all in one call.  A witness
-    in the fixed-point algebra scores 0; every other error propagates.
+    stack of witnesses.  ratio scores each linalg.block_map block of a round
+    in one call, per_row counting a witness's entries (order^2 on the group
+    side, n^4 for a matrix symbol).  A witness in the fixed-point algebra
+    scores 0; every other error propagates.
     """
-    def fun(Z: np.ndarray):
-        try:
-            return ratio(chart(Z[..., :dim] + 1j * Z[..., dim:]))
-        except ZeroNumeratorError as exc:
-            return exc.scores
+    def fun(Z: np.ndarray) -> np.ndarray:
+        def score(lo, hi):
+            try:
+                return ratio(chart(Z[lo:hi, :dim] + 1j * Z[lo:hi, dim:]))
+            except ZeroNumeratorError as exc:
+                return exc.scores
+        return np.concatenate(block_map(score, len(Z), per_row))
 
     val, z, gap = maximize_on_sphere(fun, 2 * dim, budget, seed)
     return WorstConstant(float(val), chart(z[:dim] + 1j * z[dim:]), float(gap))
@@ -233,7 +233,8 @@ def worst_constant(sg: Semigroup, p: float, budget: int = 20000, seed: int = 0) 
         c[..., nonfix] = z
         return AlgebraElement(sg.group, c)
 
-    res = maximize_ratio(lambda f: poincare_ratio(sg, f, p), chart, nonfix.size, budget, seed)
+    res = maximize_ratio(lambda f: poincare_ratio(sg, f, p), chart, nonfix.size, budget, seed,
+                         sg.group.order ** 2)
     return res._replace(constant=float(_ratio(sg, res.witness, p, False)))
 
 

@@ -6,17 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cocycle_lab import dilation, rng
+from cocycle_lab import dilation, linalg, rng
 from cocycle_lab.algebra import (Semigroup, delta, element, gamma, lp_norm,
                                  regular_rep, semigroup_apply)
 from cocycle_lab.cocycles import gromov_form, realize_cocycle, word_length_cocycle
 from cocycle_lab.criterion import AlphaCertificate, best_alpha_pencil
-from cocycle_lab.dilation import (BRACKET_PS, TransformPass, _chunks, _root_stat,
+from cocycle_lab.dilation import (BRACKET_PS, TransformPass, _root_stat, _sample_entries,
                                   bracket_estimates, dilation_matrix, dilation_mean,
                                   inequality_report, martingale_transform, sample_scenario,
                                   transform_l2_analytic)
 from cocycle_lab.families import builtin_length, walsh_length
-from cocycle_lab.linalg import schatten_norm, schatten_pow_batch
+from cocycle_lab.linalg import blocks, schatten_norm, schatten_pow_batch
 
 from conftest import assert_report_pinned, rand_coeffs
 
@@ -430,8 +430,7 @@ def test_inequality_report_draws_each_block_once(small_scenario, monkeypatch):
     for size in (sc.samples, 7):
         drawn = {"increments": [], "increments_copy": []}
         with monkeypatch.context() as m:
-            m.setattr(dilation, "_chunks", lambda s, c=size: [
-                (lo, min(lo + c, s.samples)) for lo in range(0, s.samples, c)])
+            m.setattr(linalg, "BLOCK_ENTRIES", size * _sample_entries(sc))
             for name, log in drawn.items():
                 draw = getattr(dilation.BrownianScenario, name)
                 m.setattr(dilation.BrownianScenario, name, lambda self, lo, hi, draw=draw, log=log:
@@ -442,23 +441,28 @@ def test_inequality_report_draws_each_block_once(small_scenario, monkeypatch):
 
 
 def test_inequality_report_independent_of_thread_count(monkeypatch):
-    # ... and of the chunking that the threads spread: chunks of 1, 7 and all samples
+    # ... and of the chunking that the threads spread: chunks of 1, 7 and all samples,
+    # at 1 and 2 threads; dilation_mean too
     for spec, steps, samples in (("walsh:2:2", 64, 1536), ("heisenberg-wordlength:3", 16, 64)):
         coc = realize_cocycle(gromov_form(builtin_length(spec)))
         sc = sample_scenario(coc, steps, 2.0 / steps, samples, seed=11)
-        assert len(_chunks(sc)) >= 2    # a single chunk leaves nothing to spread over threads
+        # a single chunk leaves nothing to spread over threads
+        assert len(blocks(samples, _sample_entries(sc))) >= 2
         x = element(coc.group, [0.0, 1.0, 0.7, 0.3j] if spec == "walsh:2:2"
                     else rand_coeffs(coc.group.order, 5))
         cert = best_alpha_pencil(gromov_form(sc.semigroup.psi))
-        reps = {}
+        reps, means = {}, {}
         for threads in ("1", "2"):
-            with monkeypatch.context() as m:
-                m.setenv("COCYCLE_LAB_THREADS", threads)
-                reps[f"threads={threads}"] = inequality_report(x, sc, 2.0, 4.0, alpha_cert=cert)
-        for size in (1, 7, samples):
-            with monkeypatch.context() as m:
-                m.setattr(dilation, "_chunks", lambda s, c=size: [
-                    (lo, min(lo + c, s.samples)) for lo in range(0, s.samples, c)])
-                reps[f"chunk={size}"] = inequality_report(x, sc, 2.0, 4.0, alpha_cert=cert)
+            for size in (None, 1, 7, samples):
+                name = f"threads={threads},chunk={size}"
+                with monkeypatch.context() as m:
+                    m.setenv("COCYCLE_LAB_THREADS", threads)
+                    if size is not None:
+                        m.setattr(linalg, "BLOCK_ENTRIES", size * _sample_entries(sc))
+                    reps[name] = inequality_report(x, sc, 2.0, 4.0, alpha_cert=cert)
+                    means[name] = dilation_mean(x, 0.5, sc)
+        want, (mean, se) = reps["threads=1,chunk=None"], means["threads=1,chunk=None"]
         for name, rep in reps.items():
-            assert rep == reps["threads=1"], (spec, name)
+            assert rep == want, (spec, name)
+            assert np.array_equal(means[name][0], mean) and np.array_equal(means[name][1], se), \
+                (spec, name)

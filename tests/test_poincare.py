@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from cocycle_lab import poincare, rng as clrng
+from cocycle_lab import linalg, matrixalg, poincare, rng as clrng
 from cocycle_lab.algebra import (AlgebraElement, Semigroup, element, fix_project, fourier, gamma,
                                 lp_norm, regular_rep)
 from cocycle_lab.cocycles import LengthFunction, gromov_form, length_function, word_length_psi
@@ -63,31 +63,60 @@ def test_worst_constant_deterministic():
 
 
 def test_worst_constant_independent_of_thread_count(monkeypatch):
-    # ... and of the row blocks that the threads spread: blocks of 1, 7 and one per round
-    runs = {"group": lambda: worst_constant(Semigroup(builtin_length("walsh:2:3")), 4.0,
-                                            budget=3000, seed=1),
-            "delta:5": lambda: worst_constant(Semigroup(builtin_length("delta:5")), 5.0,
-                                              budget=3000, seed=1),
-            "matrix": lambda: matrix_worst_constant(heisenberg_multiplier(2, "delta"), 4.0,
-                                                    budget=3000, seed=1),
+    # ... and of the row blocks that the threads spread: blocks of 1, 7 and one per
+    # round, each at 1 and 2 threads; per_row is the footprint each side passes
+    runs = {"group": (64, lambda: worst_constant(Semigroup(builtin_length("walsh:2:3")), 4.0,
+                                                 budget=3000, seed=1)),
+            "delta:5": (25, lambda: worst_constant(Semigroup(builtin_length("delta:5")), 5.0,
+                                                   budget=3000, seed=1)),
+            "matrix": (16, lambda: matrix_worst_constant(heisenberg_multiplier(2, "delta"), 4.0,
+                                                         budget=3000, seed=1)),
             # p = 6 on M_3: the twisted-kernel denominators take trace powers at q = 3
-            "M3-wordlength": lambda: matrix_worst_constant(heisenberg_multiplier(3, "wordlength"),
-                                                           6.0, budget=3000, seed=1)}
-    for side, run in runs.items():
+            "M3-wordlength": (81, lambda: matrix_worst_constant(
+                heisenberg_multiplier(3, "wordlength"), 6.0, budget=3000, seed=1))}
+    for side, (per_row, run) in runs.items():
         res = {}
         for threads in ("1", "2"):
-            with monkeypatch.context() as m:
-                m.setenv("COCYCLE_LAB_THREADS", threads)
-                res[f"threads={threads}"] = run()
-        for rows in (1, 7, sys.maxsize):
-            with monkeypatch.context() as m:
-                m.setattr(poincare, "ROUND_ROWS", rows)
-                res[f"rows={rows}"] = run()
-        a = res["threads=1"]
+            for rows in (None, 1, 7, sys.maxsize):
+                with monkeypatch.context() as m:
+                    m.setenv("COCYCLE_LAB_THREADS", threads)
+                    if rows is not None:
+                        m.setattr(linalg, "BLOCK_ENTRIES", rows * per_row)
+                    res[f"threads={threads},rows={rows}"] = run()
+        a = res["threads=1,rows=None"]
         for name, b in res.items():
             assert a.constant == b.constant and a.optimizer_gap == b.optimizer_gap, (side, name)
             assert np.array_equal(getattr(a.witness, "coeffs", a.witness),
                                   getattr(b.witness, "coeffs", b.witness)), (side, name)
+
+
+@pytest.mark.parametrize("case", ["walsh:2:3", "M2-delta", "heisenberg-wordlength:5"])
+def test_optimizer_blocks_bounded_by_entries(monkeypatch, case):
+    # every ratio call of an optimizer round scores at most BLOCK_ENTRIES // per_row rows
+    sizes = []
+
+    def spy(ratio):
+        return lambda w, x, p: sizes.append(len(getattr(x, "coeffs", x))) or ratio(w, x, p)
+
+    if case == "M2-delta":
+        per_row = 2 ** 4
+        monkeypatch.setattr(matrixalg, "matrix_poincare_ratio",
+                            spy(matrixalg.matrix_poincare_ratio))
+        matrix_worst_constant(heisenberg_multiplier(2, "delta"), 4.0, budget=2000, seed=0)
+    else:
+        sg = Semigroup(builtin_length(case))
+        per_row = sg.group.order ** 2
+        monkeypatch.setattr(poincare, "poincare_ratio", spy(poincare.poincare_ratio))
+        if case == "walsh:2:3":
+            worst_constant(sg, 4.0, budget=2000, seed=0)
+            # one call scores a whole round: every start's gradient stencil
+            assert max(sizes) == poincare.N_STARTS * 2 * 2 * int((~sg.fix_mask).sum())
+        else:
+            # one start, whose gradient round of 2 * 248 rows takes several blocks
+            monkeypatch.setattr(poincare, "N_STARTS", 1)
+            worst_constant(sg, 2.0, budget=2, seed=0)
+            assert sizes.count(linalg.BLOCK_ENTRIES // per_row) >= 2
+    assert max(sizes) <= max(1, linalg.BLOCK_ENTRIES // per_row)
 
 
 @pytest.mark.parametrize("threads", ["two", "0"])
@@ -183,11 +212,12 @@ def _one_start_at_a_time(fun, dim, budget, seed, n_starts):
     return results[best], requests
 
 
-@pytest.mark.parametrize("rows", [7, poincare.ROUND_ROWS], ids=["7", "default"])
+@pytest.mark.parametrize("rows", [1, 7, None], ids=["1", "7", "default"])
 def test_lock_step_matches_one_start_at_a_time(monkeypatch, rows):
-    monkeypatch.setattr(poincare, "ROUND_ROWS", rows)
-    v = np.random.default_rng(5).standard_normal(5)
-    dim, budget, n_starts = 5, 120, 4
+    if rows is not None:
+        monkeypatch.setattr(linalg, "BLOCK_ENTRIES", rows)    # per_row = 1: blocks of `rows` rows
+    v = np.random.default_rng(5).standard_normal(6)
+    dim, budget, n_starts = 6, 120, 4
     monkeypatch.setattr(poincare, "N_STARTS", n_starts)
     calls = []
 
@@ -196,31 +226,32 @@ def test_lock_step_matches_one_start_at_a_time(monkeypatch, rows):
         vals = np.array([(y @ v) ** 2 for y in np.atleast_2d(Y)])
         return vals if Y.ndim == 2 else float(vals[0])
 
-    got = maximize_on_sphere(fun, dim, budget, seed=2)
-    rounds_calls = calls[:]
     want, requests = _one_start_at_a_time(fun, dim, budget, 2, n_starts)
-    assert got[0] == want[0] and np.array_equal(got[1], want[1]) and got[2] == want[2]
     assert len(requests) == n_starts
     # round r holds the r-th request of every start that has one, in start order, and
-    # is scored in calls of `rows` rows; pull each start's requests out of the rounds
-    stream = iter(np.concatenate(rounds_calls))
-    pulled = [[] for _ in requests]
-    sizes = []
-    for r in range(max(map(len, requests))):
-        total = 0
-        for s, reqs in enumerate(requests):
-            if r < len(reqs):
-                k = len(np.atleast_2d(reqs[r]))
-                pulled[s].append(np.array([next(stream) for _ in range(k)]))
-                total += k
-        sizes += [min(rows, total - lo) for lo in range(0, total, rows)]
-    assert next(stream, None) is None
-    assert [len(Y) for Y in rounds_calls] == sizes      # no call exceeds the row bound
+    # is scored in calls of `rows` rows (the default fits a whole round in one call)
+    requests = [[np.atleast_2d(X) for X in reqs] for reqs in requests]
+    rounds = [np.concatenate([reqs[r] for reqs in requests if r < len(reqs)])
+              for r in range(max(map(len, requests)))]
+    step = rows or max(map(len, rounds))
+    want_calls = [R[lo:lo + step] for R in rounds for lo in range(0, len(R), step)]
+    key = lambda Y: (Y.shape, Y.tobytes())
+    for threads in ("1", "2"):
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setenv("COCYCLE_LAB_THREADS", threads)
+            # the chart hands fun the real sphere coordinates (x, y) back exactly
+            got = maximize_ratio(fun, lambda z: np.concatenate([z.real, z.imag], axis=-1),
+                                 dim // 2, budget, 2, per_row=1)
+        assert got.constant == want[0] and np.array_equal(got.witness, want[1])
+        assert got.optimizer_gap == want[2]
+        if threads == "1":
+            assert list(map(key, calls)) == list(map(key, want_calls))
+        else:                            # two threads score a round's blocks in any order
+            assert sorted(map(key, calls)) == sorted(map(key, want_calls))
     h = GRAD_STEP * np.eye(dim)
     per_start = budget // n_starts
-    for reqs, mine in zip(requests, pulled):
-        assert len(mine) == len(reqs)
-        assert all(np.array_equal(Y, np.atleast_2d(X)) for Y, X in zip(mine, reqs))
+    for mine in requests:
         last_point = None
         for Y in mine:
             if len(Y) == 1:              # start point or line-search probe: one point
@@ -297,7 +328,7 @@ def test_batched_ratio_matches_reference(monkeypatch, spec):
     C[3] = np.where(sg.fix_mask, C[3], 0.0)         # a witness in the fixed-point algebra
     chart = lambda z: AlgebraElement(sg.group, z)
     fun = captured_objective(monkeypatch, lambda: maximize_ratio(
-        lambda f: poincare_ratio(sg, f, 5.0), chart, order, budget=1, seed=0))
+        lambda f: poincare_ratio(sg, f, 5.0), chart, order, budget=1, seed=0, per_row=order ** 2))
     assert sg.gamma_psd         # so q = p/2 = 1, 3, 5, 7 take the trace powers
     for p in (2.0, 5.0, 6.0, 10.0, 14.0, 16.0):
         with pytest.raises(ZeroNumeratorError, match="zero numerator"):
