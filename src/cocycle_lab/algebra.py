@@ -20,7 +20,8 @@ import numpy as np
 
 from .cocycles import GromovForm, LengthFunction, gromov_form
 from .groups import FiniteGroup
-from .linalg import HERMITIAN_PRECHECK, PsdVerdict, psd_scale, psd_verdict, schatten_norm
+from .linalg import (HERMITIAN_PRECHECK, PsdVerdict, psd_scale, psd_verdict, require_finite,
+                     schatten_norm)
 
 
 @dataclass(frozen=True)
@@ -127,8 +128,7 @@ class Semigroup:
 
 def semigroup_apply(sg: Semigroup, f: AlgebraElement, t: float | np.ndarray) -> AlgebraElement:
     """T_t f; a column of times t[:, None] gives the stack of T_{t_k} f."""
-    if not np.isfinite(np.max(t)):
-        raise ValueError(f"semigroup time must be finite, got {np.max(t)}")
+    require_finite(t, "semigroup time")
     if np.min(t) < 0:
         raise ValueError(f"semigroup time must be >= 0, got {np.min(t)}")
     return AlgebraElement(f.group, f.coeffs * np.exp(-t * sg.psi.values))

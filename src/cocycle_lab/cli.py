@@ -34,6 +34,7 @@ from .criterion import best_alpha_bisection, best_alpha_pencil
 from .dilation import inequality_report, sample_scenario
 from .families import builtin_length
 from .groups import build_from_spec, group_to_dict, is_number, load_group
+from .linalg import echo, require_finite, require_list
 from .matrixalg import (alpha_battery, heisenberg_multiplier, lindblad_gamma_residual,
                         lindblad_generator, matrix_poincare)
 from .poincare import sweep_and_fit
@@ -112,12 +113,7 @@ def _psi_config_from_args(args, required: bool) -> Optional[dict]:
         data = {"psi": data}
     if not isinstance(data, dict) or "psi" not in data:
         raise ValueError(f"{args.psi} has no 'psi' field")
-    values = data["psi"]
-    if not isinstance(values, list):
-        raise ValueError(f"{args.psi}: 'psi' is {json.dumps(values)}, not a list of numbers")
-    for g, v in enumerate(values):
-        if not is_number(v):
-            raise ValueError(f"{args.psi}: psi({g}) = {json.dumps(v)} is not a number")
+    values = require_list(data["psi"], f"{args.psi}: psi", is_number, "a number")
     if group:
         gspec = _group_spec_from_file(group)
     elif "group" in data:
@@ -129,7 +125,7 @@ def _psi_config_from_args(args, required: bool) -> Optional[dict]:
         elif isinstance(gsrc, dict):
             gspec = dict(gsrc)
         else:
-            raise ValueError(f"{args.psi}: 'group' is {json.dumps(gsrc)}, "
+            raise ValueError(f"{args.psi}: 'group' is {echo(json.dumps(gsrc))}, "
                              "neither a group file path nor a group spec")
     else:
         flag = "--group FILE or " if hasattr(args, "group") else ""
@@ -145,41 +141,28 @@ def _psi_from_config(cfg: dict):
 
 
 def _coeffs_from_file(path: str) -> list:
+    """An element file's coefficients, numbers or [re, im] pairs, bare or under 'coeffs'."""
     data = _read_json(path)
-    coeffs = data.get("coeffs") if isinstance(data, dict) else data
-    if not isinstance(coeffs, list):
-        raise ValueError(f"{path}: an element is a list of numbers or [re, im] pairs, "
-                         "bare or under 'coeffs'")
-    pairs = []
-    for i, c in enumerate(coeffs):
-        if not (_is_pair(c) or is_number(c)):
-            raise ValueError(f"{path}: coefficient {i} = {json.dumps(c)} is not a number "
-                             "or an [re, im] pair")
-        re, im = (float(v) for v in c) if isinstance(c, list) else (float(c), 0.0)
-        if not np.isfinite([re, im]).all():
-            raise ValueError(f"{path}: coefficient {i} = {complex(re, im)} is not finite")
-        pairs.append([re, im])
-    return pairs
+    coeffs = require_list(data.get("coeffs") if isinstance(data, dict) else data,
+                          f"{path}: coeffs", lambda c: is_number(c) or _is_pair(c),
+                          "a number or an [re, im] pair")
+    z = np.array([complex(*c) if isinstance(c, list) else complex(c) for c in coeffs])
+    require_finite(z, f"{path}: coeffs")
+    return _cplx(z)
 
 
 def _family_from_file(path: str) -> list:
+    """A family file's matrices 'a', each a non-empty square list of rows of [re, im] pairs."""
     data = _read_json(path)
     if not isinstance(data, dict) or "a" not in data:
         raise ValueError(f"{path} has no 'a' field: the list of family matrices")
-    mats = data["a"]
-    if not isinstance(mats, list):
-        raise ValueError(f"{path}: 'a' is not a list of matrices")
-    for i, m in enumerate(mats):
-        if not (isinstance(m, list) and m and all(
-                isinstance(row, list) and len(row) == len(m) and all(_is_pair(z) for z in row)
-                for row in m)):
-            raise ValueError(f"{path}: matrix {i} of 'a' is not a square list of rows "
-                             "of [re, im] pairs")
-    return mats
+    square = lambda m: bool(require_list(     # a bad row or pair raises, named
+        m, "", lambda row: require_list(row, "", _is_pair, "an [re, im] pair", len(m)), "a row"))
+    return require_list(data["a"], f"{path}: a", square, "a non-empty square matrix")
 
 
 def _is_pair(z) -> bool:
-    return isinstance(z, list) and len(z) == 2 and all(map(is_number, z))
+    return isinstance(z, list) and len(z) == 2 and is_number(z[0]) and is_number(z[1])
 
 
 def _element_from_config(group, coeffs: list, flag: str) -> AlgebraElement:
@@ -494,16 +477,24 @@ def _group_spec_from_args(args) -> dict:
     return spec
 
 
+def _config_keys(command: str) -> dict:
+    """{key: loader} of a config of command; spec (group) and psi are loaded apart, under None."""
+    if command == "group":
+        return {"spec": None}
+    _, psi, flags = _COMMANDS[command]
+    loaded = {option.lstrip("-").replace("-", "_"): load for option, load, _ in flags if load}
+    return {"psi": None, **loaded} if psi else loaded
+
+
 def _config_from_args(args) -> dict:
     """config["psi"] from the psi flags, and loader(value) under each loaded flag's dest."""
     if args.command == "group":
         return {"spec": _group_spec_from_args(args)}
-    _, psi, flags = _COMMANDS[args.command]
+    psi = _COMMANDS[args.command][1]
     config = {"psi": _psi_config_from_args(args, psi != "optional")} if psi else {}
-    for option, load, _ in flags:
-        dest = option.lstrip("-").replace("-", "_")
+    for key, load in _config_keys(args.command).items():
         if load is not None:
-            config[dest] = None if getattr(args, dest) is None else load(getattr(args, dest))
+            config[key] = None if getattr(args, key) is None else load(getattr(args, key))
     return config
 
 
@@ -520,6 +511,10 @@ def _run_replay(args) -> int:
         raise ValueError(f"{args.report} is not a report: its config is not an object")
     if command not in _RUNNERS:
         raise ValueError(f"{args.report} names an unknown command {command!r}")
+    missing = [repr(k) for k in _config_keys(command) if k not in config]
+    if missing:
+        raise ValueError(f"{args.report} is not a report: its {command} config lacks "
+                         f"{', '.join(missing)}")
     if _digest(config) != report["inputs_digest"]:
         sys.stderr.write("replay: config digest mismatch (report edited or version drift)\n")
         return 1

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .groups import FiniteGroup, build_cyclic, coordinates
-from .linalg import DEFAULT_TOL, PsdVerdict, psd_scale, psd_verdict
+from .linalg import DEFAULT_TOL, PsdVerdict, psd_scale, psd_verdict, require_finite
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,7 @@ def length_function(group: FiniteGroup, values) -> LengthFunction:
     v = np.asarray(values, dtype=float)
     if v.shape != (group.order,):
         raise ValueError(f"psi has shape {v.shape}, expected ({group.order},)")
-    if not np.isfinite(v).all():
-        g = int(np.argmin(np.isfinite(v)))
-        raise ValueError(f"psi({g}) = {v[g]} is not finite")
+    require_finite(v, "psi")
     if v[0] != 0.0:
         raise ValueError(f"psi(e) = {v[0]}, must be 0")
     if v.min() < 0:
@@ -66,9 +64,7 @@ class GromovForm:
         n = self.group.order
         if self.K.shape != (n, n):
             raise ValueError(f"K has shape {self.K.shape}, expected {(n, n)}")
-        if not np.isfinite(self.K).all():
-            s, t = np.argwhere(~np.isfinite(self.K))[0]
-            raise ValueError(f"K({s},{t}) = {self.K[s, t]} is not finite")
+        require_finite(self.K, "K")
         self.K.setflags(write=False)
 
     @cached_property

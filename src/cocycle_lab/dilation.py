@@ -141,7 +141,7 @@ def dilation_mean(x: AlgebraElement, t: float, scenario: BrownianScenario):
 
 
 def _check_horizon(scenario: BrownianScenario, L: float) -> None:
-    if not np.isfinite(L) or abs(L - scenario.horizon) > 1e-12 * max(1.0, L):
+    if not abs(L - scenario.horizon) <= 1e-12 * max(1.0, scenario.horizon):
         raise ValueError(f"L = {L} does not match the scenario horizon {scenario.horizon}")
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from .cocycles import LengthFunction, coordinate_length, word_length_psi
 from .groups import build_cyclic, build_heisenberg, build_power
+from .linalg import echo
 
 
 def walsh_length(n: int, m: int) -> LengthFunction:
@@ -28,13 +29,6 @@ def heisenberg_wordlength(n: int) -> LengthFunction:
     return coordinate_length(build_heisenberg(n), (n, n, n), (1, 2), "wordlength")
 
 
-_ECHO = 80     # longest spec text an error message echoes in full
-
-
-def _shown(text: str) -> str:
-    return repr(text if len(text) <= _ECHO else text[:_ECHO - 3] + "...")
-
-
 def _spec_int(text: str, spec: str) -> int:
     try:
         return int(text)
@@ -42,8 +36,8 @@ def _spec_int(text: str, spec: str) -> int:
         pass
     digits = text.strip().lstrip("+-")
     if digits.isdecimal():      # a number past int()'s digit limit
-        raise ValueError(f"{len(digits)}-digit parameter is too large in length spec {_shown(spec)}")
-    raise ValueError(f"non-integer parameter in length spec {_shown(spec)}")
+        raise ValueError(f"{len(digits)}-digit parameter is too large in length spec {echo(spec)!r}")
+    raise ValueError(f"non-integer parameter in length spec {echo(spec)!r}")
 
 
 def builtin_length(spec: str) -> LengthFunction:
@@ -60,7 +54,7 @@ def builtin_length(spec: str) -> LengthFunction:
         "heisenberg-wordlength": (heisenberg_wordlength, 1),
     }
     if kind not in table:
-        raise ValueError(f"unknown length family {_shown(kind)}; choose from {sorted(table)}")
+        raise ValueError(f"unknown length family {echo(kind)!r}; choose from {sorted(table)}")
     fn, arity = table[kind]
     if len(nums) != arity:
         raise ValueError(f"{kind} takes {arity} integer parameter(s), got {len(nums)}")

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import blocks
+from .linalg import blocks, echo, require_list
 
 ORDER_CAP = 4096
 
@@ -265,41 +265,30 @@ def is_number(v) -> bool:
 
 
 def _whole(v) -> bool:
-    """v is a number without a fraction: not NaN or inf."""
-    return is_number(v) and float(v).is_integer()
+    """v is a number without a fraction: not NaN or inf.  An int of at most 1023 bits, the
+    common case, converts to a float without overflow, so it is one without the conversion."""
+    return type(v) is int and v.bit_length() <= 1023 or is_number(v) and float(v).is_integer()
 
 
 def group_from_dict(d: dict) -> FiniteGroup:
+    """The group of a table {"order", "mul": order rows of order integers, "labels"?}."""
     try:
-        if not _whole(d["order"]):
-            raise ValueError(f"order {d['order']!r} is not an integer")
+        if not isinstance(d, dict):
+            raise ValueError(f"table = {echo(json.dumps(d, default=repr))} is not an object")
+        if not (_whole(d["order"]) and d["order"] >= 1):
+            raise ValueError(f"order = {echo(json.dumps(d['order']))} is not a positive integer")
         order = int(d["order"])
         if order > ORDER_CAP:
             raise SizeCapError(f"order {order} exceeds cap {ORDER_CAP}")
-        if isinstance(d["mul"], list) and all(isinstance(row, list) for row in d["mul"]):
-            bad = [v for row in d["mul"] for v in row if not _whole(v)]
-            if bad:                           # any other shape gets the shape message below
-                raise ValueError(f"mul entry {bad[0]!r} is not an integer")
-        mul = np.asarray(d["mul"], dtype=np.int64)
+        row = lambda r: require_list(r, "", _whole, "an integer", order)
+        mul = np.array(require_list(d["mul"], "mul", row, "a row", order), dtype=np.int64)
+        labels = d.get("labels", [])         # [] means unlabelled
+        require_list(labels, "labels", lambda s: isinstance(s, str), "a string",
+                     order if labels else None)
     except SizeCapError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, ValueError, OverflowError) as exc:
         raise TableValidationError(f"malformed group JSON: {exc}") from exc
-    labels = d.get("labels", [])
-    bad = [s for s in labels if not isinstance(s, str)] if isinstance(labels, list) else [labels]
-    if bad:
-        raise TableValidationError(
-            f"labels must be a list of {order} strings, found type {type(bad[0]).__name__}")
-    if labels and len(labels) != order:
-        raise TableValidationError(
-            f"got {len(labels)} labels for order {order}")
-    if mul.shape != (order, order):
-        raise TableValidationError(
-            f"mul table has shape {mul.shape}, expected {(order, order)}")
-    rows_ok = (np.sort(mul, axis=1) == np.arange(order)).all()
-    if not rows_ok:
-        r = int(np.argmin((np.sort(mul, axis=1) == np.arange(order)).all(axis=1)))
-        raise TableValidationError(f"row {r} of mul is not a permutation (no inverse row)")
     return _finish(order, mul, labels, {"kind": "table"})
 
 

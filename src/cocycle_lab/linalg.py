@@ -1,4 +1,5 @@
-"""Small shared numerical helpers: Schatten norms, the one PSD/tolerance rule, the one block rule.
+"""Small shared numerical helpers: Schatten norms, the one PSD/tolerance rule, the one block
+rule, and the one bad-input rule: require_list and require_finite, which name the bad entry.
 
 Schatten norms at even integer p use matrix products only, and so does odd
 integer p on a stack the caller certifies PSD (psd=True): there
@@ -7,6 +8,7 @@ other p, and odd p without the flag, takes the singular values, the reference ro
 """
 from __future__ import annotations
 
+import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -16,7 +18,7 @@ import numpy as np
 HERMITIAN_PRECHECK = 1e-10
 DEFAULT_TOL = 1e-9
 BLOCK_ENTRIES = 2 ** 21   # array entries one block may hold at once, summed over its arrays
-_NOT_FINITE = "Schatten norm input is not finite (it holds NaN or inf)"
+ECHO = 80                 # longest value text a rejection echoes in full
 
 
 def schatten_norm(mat: np.ndarray, p: float, psd: bool = False):
@@ -55,11 +57,12 @@ def _schatten(mats: np.ndarray, p: float, take_root: bool, psd: bool = False) ->
     (blocks 8 times larger ran dilation-report 10% slower at 36% more RSS).  Any other p
     (odd, fractional, inf) takes the singular values, the reference route;
     for the root they are rescaled by their max before powering.  All scale
-    by _pow2_scale first; a p not >= 1 (NaN too) raises ValueError.
+    by _pow2_scale first; a p not >= 1 (NaN too), or a non-finite entry, raises ValueError.
     """
     if not p >= 1:
         raise ValueError(f"Schatten norm needs p >= 1, got {p}")
     mats = np.asarray(mats)
+    require_finite(mats, "Schatten norm input")
     if float(p).is_integer() and (p % 2 == 0 or psd):
         rule = _even_moment if p % 2 == 0 else _trace_power
         flat = mats.reshape((-1,) + mats.shape[-2:])
@@ -81,10 +84,8 @@ def _schatten(mats: np.ndarray, p: float, take_root: bool, psd: bool = False) ->
 
 def _pow2_scale(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(c, x / c) per matrix of a (..., n, n) stack, c = 2^e at or below its largest |entry|:
-    exact, since e >= -1022 keeps 1/c finite.  Non-finite input raises ValueError."""
+    exact, since e >= -1022 keeps 1/c finite."""
     amax = np.abs(x).max(axis=(-2, -1))
-    if not np.isfinite(amax).all():
-        raise ValueError(_NOT_FINITE)
     e = np.maximum(np.frexp(amax)[1] - 1, -1022)
     return np.ldexp(1.0, e), x * np.ldexp(1.0, -e)[..., None, None]
 
@@ -137,6 +138,37 @@ def psd_verdict(w: np.ndarray, tol: float = DEFAULT_TOL) -> PsdVerdict:
     if not 0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
     return PsdVerdict(bool(w[0] >= -tol * psd_scale(w)), float(w[0]))
+
+
+def echo(text: str) -> str:
+    """text as a rejection shows it: whole up to ECHO characters, else cut to end in '...'."""
+    return text if len(text) <= ECHO else text[:ECHO - 3] + "..."
+
+
+def require_list(value, name: str, ok, what: str, size: int | None = None) -> list:
+    """value, a JSON list (of size entries, when given) whose entries all pass ok; else ValueError
+    name = <value> is not a list [of length size], or name[i] = <entry> is not <what> for the
+    first bad entry.  ok may walk an entry by require_list(entry, "", ...), prefixed name[i]."""
+    if not isinstance(value, list) or size is not None and len(value) != size:
+        of = "" if size is None else f" of length {size}"
+        raise ValueError(f"{name} = {echo(json.dumps(value, default=repr))} is not a list{of}")
+    for i, v in enumerate(value):
+        try:
+            if ok(v):
+                continue
+        except ValueError as exc:       # a nested walk, named from its entry on
+            raise ValueError(f"{name}[{i}]{exc}") from None
+        raise ValueError(f"{name}[{i}] = {echo(json.dumps(v, default=repr))} is not {what}")
+    return value
+
+
+def require_finite(x, name: str) -> None:
+    """ValueError naming the first non-finite entry of x: name(i,...) = <value> is not finite,
+    or name = <value> for a scalar.  A finite x costs one np.isfinite(x).all()."""
+    if not np.isfinite(x).all():
+        at = tuple(np.argwhere(~np.isfinite(x))[0])
+        index = f"({','.join(map(str, at))})" if at else ""
+        raise ValueError(f"{name}{index} = {echo(str(np.asarray(x)[at]))} is not finite")
 
 
 def blocks(count: int, per_item: int) -> list[tuple[int, int]]:

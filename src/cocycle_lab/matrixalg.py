@@ -27,9 +27,9 @@ from .algebra import AlgebraElement, Semigroup, _kernel_contract
 from .cocycles import LengthFunction, coordinate_length
 from .criterion import _require_alpha
 from .groups import build_cyclic, build_power, coordinates
-from .linalg import HERMITIAN_PRECHECK, PsdVerdict, psd_scale, psd_verdict, schatten_norm
-from .poincare import (PoincareReport, WorstConstant, _require_finite, _require_p,
-                       maximize_ratio, ratio_scores, sweep)
+from .linalg import (HERMITIAN_PRECHECK, PsdVerdict, psd_scale, psd_verdict, require_finite,
+                     schatten_norm)
+from .poincare import PoincareReport, WorstConstant, _require_p, maximize_ratio, ratio_scores, sweep
 
 SUPEROP_CAP = 12
 
@@ -74,9 +74,7 @@ class Superoperator:
         if np.shape(self.mat) != (n2, n2):
             raise ValueError(f"a superoperator on M_{self.n} is a {(n2, n2)} matrix, "
                              f"got shape {np.shape(self.mat)}")
-        if not np.isfinite(self.mat).all():
-            i, k = np.argwhere(~np.isfinite(self.mat))[0]
-            raise ValueError(f"superoperator matrix has a non-finite entry at ({i}, {k})")
+        require_finite(self.mat, "superoperator matrix")
         self.mat.setflags(write=False)
 
     @cached_property
@@ -163,9 +161,7 @@ def lindblad_generator(a: Sequence[np.ndarray]) -> Superoperator:
     for j, m in enumerate(mats):
         if m.shape != (n, n):
             raise ValueError(f"a[{j}] has shape {m.shape}, expected {(n, n)}")
-        if not np.isfinite(m).all():
-            i, k = np.argwhere(~np.isfinite(m))[0]
-            raise ValueError(f"a[{j}] has a non-finite entry at ({i}, {k})")
+        require_finite(m, f"a[{j}]")
         dev = np.abs(m - m.conj().T).max()
         if dev > HERMITIAN_PRECHECK * psd_scale(m):
             raise ValueError(f"a[{j}] is not Hermitian: deviation {dev:.3e}")
@@ -265,9 +261,10 @@ def matrix_poincare_ratio(A: Superoperator, x: np.ndarray, p: float):
     if A.symbol is None:
         return _superop_ratio(A, x, p)
     _require_p(p)
+    require_finite(x, "Poincare ratio input")
     x0 = x - A.fix_project(x)
     gam = _symbol_gammas(A, x0)
-    _require_finite(x0, gam)
+    require_finite(gam, "Gamma of the Poincare ratio input")
     den = schatten_norm(gam, p / 2.0, A._symbol_kernel.psd)
     return ratio_scores(schatten_norm(x0, p), np.maximum(den[0], den[1]),
                         np.abs(x).max(axis=(-2, -1)))

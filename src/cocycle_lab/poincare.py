@@ -23,7 +23,7 @@ import numpy as np
 from .algebra import (AlgebraElement, Semigroup, fix_project, fourier, gamma, gamma_norm,
                       lp_norm)
 from .criterion import AlphaCertificate
-from .linalg import block_map, root
+from .linalg import block_map, require_finite, root
 from . import rng
 
 GRAD_STEP = 1e-6
@@ -69,6 +69,7 @@ def poincare_ratio(sg: Semigroup, f: AlgebraElement, p: float):
     if sg.group.characters is None:
         return _ratio(sg, f, p, sg.gamma_psd)
     _require_p(p)
+    require_finite(f.coeffs, "Poincare ratio input")
     f0 = f - fix_project(sg, f)
     rows = AlgebraElement(sg.group, f0.coeffs.reshape(-1, sg.group.order))
     a = np.abs(fourier(rows))
@@ -76,7 +77,7 @@ def poincare_ratio(sg: Semigroup, f: AlgebraElement, p: float):
     pair = (rows,) if np.array_equal(v, v[sg.group.inv]) else (rows, rows.adjoint())
     b = np.abs(np.stack([fourier(gamma(sg, g, g)) for g in pair]))
     amax, bmax = a.max(axis=-1), b.max(axis=(0, -1))
-    _require_finite(amax, bmax)
+    require_finite(bmax, "max|Gamma^| of the Poincare ratio input")
     mu = np.mean((a / _nonzero(amax)[:, None]) ** p, axis=-1)
     nu = np.mean((b / _nonzero(bmax)[:, None]) ** (p / 2.0), axis=-1).max(axis=0)
     # the numerator is ||f0||_p / nu^{1/p} with nu <= 1: at least ||f0||_p, and 0 exactly when it is
@@ -93,11 +94,6 @@ def _nonzero(x: np.ndarray) -> np.ndarray:
 def _require_p(p: float) -> None:
     if not p >= 2:
         raise ValueError(f"Poincare ratio needs p >= 2, got {p}")
-
-
-def _require_finite(*arrays: np.ndarray) -> None:
-    if not all(np.isfinite(x).all() for x in arrays):
-        raise ValueError("Poincare ratio input is not finite (it holds NaN or inf)")
 
 
 def _ratio(sg: Semigroup, f: AlgebraElement, p: float, psd: bool):

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from cocycle_lab.cli import _build_parser, _digest, _report_text, main
+from cocycle_lab.cli import _RUNNERS, _build_parser, _digest, _report_text, main
 from cocycle_lab.groups import ORDER_CAP, build_cyclic, build_product, group_to_dict, save_group
 
 from conftest import assert_report_pinned
@@ -278,16 +278,18 @@ def test_cli_errors_exit_nonzero(tmp_path, capsys):
     assert main(["lindblad", "--a", no_a]) == 1
     assert "no 'a' field" in capsys.readouterr().err
     eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
-    for i, (name, mats) in enumerate((("not_pairs", [[[0.0, 1.0]]]),
-                                      ("ragged", [eye, [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0]]]]),
-                                      ("bool_entry", [eye, eye, [[[1.0, 0.0], [0.0, 0.0]],
-                                                                 [[0.0, 0.0], [True, 0.0]]]]),
-                                      ("huge_entry", [eye, eye, eye, [[[1.0, 0.0], [0.0, 0.0]],
-                                                                      [[0.0, 10 ** 400], [1.0, 0.0]]]]))):
+    for name, mats, want in (
+            ("not_pairs", [[[0.0, 1.0]]], "a[0][0] = [0.0, 1.0] is not a list of length 1"),
+            ("ragged", [eye, [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0]]]],
+             "a[1][1] = [[1.0, 0.0]] is not a list of length 2"),
+            ("bool_entry", [eye, eye, [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [True, 0.0]]]],
+             "a[2][1][1] = [true, 0.0] is not an [re, im] pair"),
+            ("huge_entry", [eye, eye, eye, [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 10 ** 400], [1.0, 0.0]]]],
+             f"a[3][1][0] = [0.0, 1{'0' * 70}... is not an [re, im] pair"),
+            ("empty", [eye, []], "a[1] = [] is not a non-empty square matrix")):
         path = write_json(tmp_path / f"{name}.json", {"a": mats})
         assert main(["lindblad", "--a", path]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("lindblad:") and path in err and f"matrix {i} " in err
+        assert capsys.readouterr().err == f"lindblad: {path}: {want}\n"
 
     broken = tmp_path / "broken.json"
     broken.write_text('{"psi": [0, 1, 2, 1],\n')
@@ -311,14 +313,14 @@ def test_cli_rejects_non_finite_inputs(tmp_path, capsys):
         a.write_text(f'{{"a": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [{text}, 0.0]]]]}}')
         assert main(["lindblad", "--a", str(a)]) == 1
         err = capsys.readouterr().err
-        assert err == "lindblad: a[0] has a non-finite entry at (1, 1)\n"
+        assert err == f"lindblad: a[0](1,1) = ({bad}+0j) is not finite\n"
         x = tmp_path / f"x_{bad}.json"
         x.write_text(f"[0.0, {text}, 1.0, 0.0]")
         for argv in (["gamma", "--builtin", "wordlength:4", "--f", str(x)],
                      ["dilate", "--builtin", "walsh:2:2", "--x", str(x), "--L", "1.0"]):
             assert main(argv) == 1
             err = capsys.readouterr().err
-            assert err == f"{argv[0]}: {x}: coefficient 1 = ({bad}+0j) is not finite\n"
+            assert err == f"{argv[0]}: {x}: coeffs(1) = ({bad}+0j) is not finite\n"
         assert main(["matrix", "--n", "2", "--alpha-check", bad]) == 1
         assert capsys.readouterr().err == f"matrix: alpha must be finite and >= 0, got {bad}\n"
 
@@ -419,25 +421,25 @@ def test_cli_names_a_coefficient_entry_that_is_not_a_pair(tmp_path, capsys):
                               (3, '"1.5"', [0.0, 1.0, 0.0, "1.5"]),
                               (1, "true", [0.0, True, 1.0, 0.0]),
                               (2, "[false, 1.0]", {"coeffs": [0.0, 1.0, [False, 1.0], 0.0]}),
-                              (3, str(10 ** 400), [0.0, 1.0, 0.0, 10 ** 400])):
+                              (3, "1" + "0" * 76 + "...", [0.0, 1.0, 0.0, 10 ** 400])):
         path = write_json(tmp_path / f"bad{i}.json", payload)
         for argv in (["gamma", "--builtin", "wordlength:4", "--f", path],
                      ["gamma", "--builtin", "wordlength:4", "--f", f, "--g", path],
                      ["dilate", "--builtin", "walsh:2:2", "--x", path, "--L", "1.0"]):
             assert main(argv) == 1
-            assert capsys.readouterr().err == (f"{argv[0]}: {path}: coefficient {i} = {entry} "
+            assert capsys.readouterr().err == (f"{argv[0]}: {path}: coeffs[{i}] = {entry} "
                                                "is not a number or an [re, im] pair\n")
 
 
 def test_cli_names_the_malformed_field_of_a_psi_file(tmp_path, capsys):
     cyclic4, psi4 = {"kind": "cyclic", "n": 4}, [0, 1, 2, 1]
     for name, payload, want in (
-            ("psi_five", {"group": cyclic4, "psi": 5}, "'psi' is 5, not a list of numbers"),
-            ("psi_null", {"group": cyclic4, "psi": None}, "'psi' is null, not a list of numbers"),
-            ("psi_entry", {"group": cyclic4, "psi": [0, 1, None, 1]}, "psi(2) = null is not a number"),
-            ("psi_bool", {"group": cyclic4, "psi": [0, True, 2, 1]}, "psi(1) = true is not a number"),
+            ("psi_five", {"group": cyclic4, "psi": 5}, "psi = 5 is not a list"),
+            ("psi_null", {"group": cyclic4, "psi": None}, "psi = null is not a list"),
+            ("psi_entry", {"group": cyclic4, "psi": [0, 1, None, 1]}, "psi[2] = null is not a number"),
+            ("psi_bool", {"group": cyclic4, "psi": [0, True, 2, 1]}, "psi[1] = true is not a number"),
             ("psi_huge", {"group": cyclic4, "psi": [0, 1, 10 ** 400, 1]},
-             f"psi(2) = {10 ** 400} is not a number"),
+             f"psi[2] = 1{'0' * 76}... is not a number"),
             ("group_seven", {"group": 7, "psi": psi4},
              "'group' is 7, neither a group file path nor a group spec")):
         path = write_json(tmp_path / f"{name}.json", payload)
@@ -454,11 +456,48 @@ def test_cli_rejects_table_labels_that_are_not_a_list_of_strings(tmp_path, capsy
     path = write_json(tmp_path / "table.json", table)
     unwritten = tmp_path / "unwritten.json"
     assert main(["group", "build", "--kind", "table", "--path", path, "--out", str(unwritten)]) == 1
-    assert capsys.readouterr().err == "group: labels must be a list of 2 strings, found type int\n"
+    assert capsys.readouterr().err == ("group: malformed group JSON: labels = 5 "
+                                       "is not a list of length 2\n")
     assert not unwritten.exists()
     inline = write_json(tmp_path / "psi.json", {"group": {"kind": "table", **table}, "psi": [0, 1]})
     assert main(["cn-check", "--psi", inline]) == 1
-    assert capsys.readouterr().err == "cn-check: labels must be a list of 2 strings, found type int\n"
+    assert capsys.readouterr().err == ("cn-check: malformed group JSON: labels = 5 "
+                                       "is not a list of length 2\n")
+
+
+def test_cli_names_a_table_that_is_not_an_object_or_is_ragged(tmp_path, capsys):
+    """Both once got Python's text: 'list indices must be integers or slices, not str', and
+    numpy's 'inhomogeneous shape'; by --path and by a psi file's {"kind": "table", "path"}."""
+    unwritten = tmp_path / "unwritten.json"
+    for table, want in (([[0, 1], [1, 0]], "table = [[0, 1], [1, 0]] is not an object"),
+                        ({"order": 2, "mul": [[0, 1], [1]]}, "mul[1] = [1] is not a list of length 2")):
+        path = write_json(tmp_path / "table.json", table)
+        assert main(["group", "build", "--kind", "table", "--path", path,
+                     "--out", str(unwritten)]) == 1
+        assert capsys.readouterr().err == f"group: malformed group JSON: {want}\n"
+        psi = write_json(tmp_path / "psi.json", {"group": {"kind": "table", "path": path},
+                                                 "psi": [0, 1]})
+        assert main(["cn-check", "--psi", psi]) == 1
+        assert capsys.readouterr().err == f"cn-check: malformed group JSON: {want}\n"
+    assert not unwritten.exists()
+
+
+def test_replay_names_a_config_key_its_command_reads(tmp_path, capsys):
+    """Such a report, with a valid digest, once exited with a bare KeyError text: replay: 'psi'.
+    A key no command reads still replays."""
+    for command, config in (("alpha", {"psi": {"builtin": "wordlength:4"}, "method": "pencil"}),
+                            ("group", {"spec": {"kind": "cyclic", "n": 3}})):
+        results = _RUNNERS[command](config)
+        path = tmp_path / f"{command}.json"
+        for key in config:
+            lacking = {k: v for k, v in config.items() if k != key}
+            path.write_text(_report_text(command, lacking, results, None))
+            assert main(["replay", "--report", str(path)]) == 1
+            assert capsys.readouterr().err == (f"replay: {path} is not a report: its {command} "
+                                               f"config lacks '{key}'\n")
+        path.write_text(_report_text(command, {**config, "note": 1}, results, None))
+        assert main(["replay", "--report", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("replay: byte-identical")
 
 
 def test_cli_bare_psi_list_names_group_only_where_the_command_has_it(tmp_path, capsys):
@@ -498,7 +537,7 @@ def test_cli_names_each_bad_flag_combination(tmp_path, capsys):
             (["poincare", "--builtin", "wordlength:4", "--p", "2,x"],
              "bad p grid '2,x': expected comma-separated numbers"),
             (["matrix", "--n", "2", "--p", "2;4"], "bad p grid '2;4': expected comma-separated numbers"),
-            (["lindblad", "--a", no_list], f"{no_list}: 'a' is not a list of matrices"),
+            (["lindblad", "--a", no_list], f"{no_list}: a = 5 is not a list"),
             (["alpha", "--psi", psi, "--builtin", "wordlength:4"], "give either --psi or --builtin, not both")):
         assert main(argv) == 1
         assert capsys.readouterr().err == f"{argv[0]}: {want}\n"

@@ -152,7 +152,7 @@ def test_lindblad_validation():
     with pytest.raises(ValueError, match="shape"):
         lindblad_generator([np.eye(2), np.eye(3)])
     for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match=r"a\[1\] has a non-finite entry at \(1, 1\)"):
+        with pytest.raises(ValueError, match=rf"^a\[1\]\(1,1\) = \({bad}\+0j\) is not finite$"):
             lindblad_generator([np.eye(2), np.diag([0.0, bad])])
 
 
@@ -474,7 +474,7 @@ def test_superoperator_checks_its_matrix():
         mat = np.eye(4, dtype=complex)
         mat[2, 1] = bad
         with pytest.raises(ValueError,
-                           match=r"^superoperator matrix has a non-finite entry at \(2, 1\)$"):
+                           match=rf"^superoperator matrix\(2,1\) = \({bad}\+0j\) is not finite$"):
             Superoperator(2, mat)
 
 
@@ -499,8 +499,9 @@ def test_matrix_ratio_rejects_nan_p_and_non_finite_witnesses():
     for bad in (np.nan, np.inf):
         y = x.copy()
         y[1, 0] = bad
-        for w in (y, np.stack([x, y])):
-            with pytest.raises(ValueError, match="^Poincare ratio input is not finite"):
+        for w, at in ((y, "1,0"), (np.stack([x, y]), "1,1,0")):
+            with pytest.raises(ValueError, match=rf"^Poincare ratio input\({at}\) = "
+                                                 rf"\({bad}\+0j\) is not finite$"):
                 matrix_poincare_ratio(A, w, 4.0)
 
 
