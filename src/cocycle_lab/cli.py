@@ -134,10 +134,18 @@ def _psi_config_from_args(args, required: bool) -> Optional[dict]:
 
 
 def _psi_from_config(cfg: dict):
+    """The length function of a psi config, {"builtin": name} or {"group": spec, "values"}."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"psi = {echo(json.dumps(cfg))} is not an object")
     if "builtin" in cfg:
+        if not isinstance(cfg["builtin"], str):
+            raise ValueError(f"psi.builtin = {echo(json.dumps(cfg['builtin']))} is not a string")
         return builtin_length(cfg["builtin"])
-    group = build_from_spec(cfg["group"])
-    return length_function(group, cfg["values"])
+    missing = [repr(k) for k in ("group", "values") if k not in cfg]
+    if missing:
+        raise ValueError(f"psi lacks {', '.join(missing)}")
+    values = require_list(cfg["values"], "psi.values", is_number, "a number")
+    return length_function(build_from_spec(cfg["group"]), values)
 
 
 def _coeffs_from_file(path: str) -> list:

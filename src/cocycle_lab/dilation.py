@@ -31,7 +31,7 @@ import numpy as np
 from .algebra import AlgebraElement, Semigroup, gamma, gamma_norm, regular_rep, semigroup_apply
 from .cocycles import CocycleRealization, LengthFunction
 from .criterion import AlphaCertificate
-from .linalg import block_map, schatten_pow_batch
+from .linalg import blocks, schatten_pow_batch
 from . import rng
 
 BRACKET_PS = (2.0, 4.0, 6.0, 8.0)
@@ -104,14 +104,15 @@ def _path_phases(cocycle: CocycleRealization, B: np.ndarray) -> np.ndarray:
 
 
 def _grid_index(scenario: BrownianScenario, t: float) -> int:
-    k = int(round(t / scenario.dt))
+    q = t / scenario.dt
+    k = int(round(q)) if np.isfinite(q) else -1      # NaN and +-inf are on no grid
     if k < 0 or k > scenario.steps or abs(t - k * scenario.dt) > 1e-12 * max(1.0, scenario.horizon):
         raise ValueError(f"t = {t} is not on the grid (dt = {scenario.dt}, steps = {scenario.steps})")
     return k
 
 
 def _sample_entries(scenario: BrownianScenario) -> int:
-    """Entries a block_map chunk holds per sample: steps x |G|^2 in each of d + 2 fields."""
+    """Entries a chunk holds per sample: steps x |G|^2 in each of d + 2 fields."""
     return scenario.steps * scenario.cocycle.group.order ** 2 * (scenario.d + 2)
 
 
@@ -130,11 +131,11 @@ def dilation_mean(x: AlgebraElement, t: float, scenario: BrownianScenario):
     k = _grid_index(scenario, t)
     lx = regular_rep(x)
 
-    def work(lo, hi):
+    parts = []
+    for lo, hi in blocks(scenario.samples, _sample_entries(scenario)):
         w = _path_phases(scenario.cocycle, scenario.increments(lo, hi)[:, :k].sum(axis=1))
-        return w.conj()[:, :, None] * lx * w[:, None, :]
-
-    D = np.concatenate(block_map(work, scenario.samples, _sample_entries(scenario)))
+        parts.append(w.conj()[:, :, None] * lx * w[:, None, :])
+    D = np.concatenate(parts)
     mean = D.mean(axis=0)
     var = np.maximum((np.abs(D) ** 2).mean(axis=0) - np.abs(mean) ** 2, 0.0)
     return mean, np.sqrt(var / scenario.samples)
@@ -160,10 +161,10 @@ def martingale_transform(x: AlgebraElement, scenario: BrownianScenario, L: float
     """M_n(x), its decoupled twin and the bracket moments at p, per sample, in one pass.
 
     Lambda(y_k) and 2 dt Lambda(Gamma_k) do not depend on the sample and are
-    gathered once.  Each chunk of linalg.block_map (_sample_entries per sample)
-    draws its increments and their copy once and forms ww[c, k, h, u] =
-    conj(w_k(h)) w_k(u), the conjugation by D_k as an entrywise factor, from
-    (c, steps, |G|) exponentials.  S_c and S_r read ww against Lambda(Gamma_k),
+    gathered once.  Each chunk of linalg.blocks (_sample_entries per sample),
+    taken in order, draws its increments and their copy once and forms
+    ww[c, k, h, u] = conj(w_k(h)) w_k(u), the conjugation by D_k as an
+    entrywise factor, from (c, steps, |G|) exponentials.  S_c and S_r read ww against Lambda(Gamma_k),
     PSD when sg.gamma_psd; the copy's commutators give M~; the steps'
     commutators give sum_k ||dx_k||_p^p unphased, then M.  That order keeps a
     chunk's peak memory low.
@@ -198,7 +199,7 @@ def martingale_transform(x: AlgebraElement, scenario: BrownianScenario, L: float
         M = 1j * np.einsum("ckhu,ckhu->chu", ww, cm)
         return M, Mt, sc, sr, schatten_pow_batch(cm, p).sum(axis=1)
 
-    parts = block_map(work, scenario.samples, _sample_entries(scenario))
+    parts = [work(lo, hi) for lo, hi in blocks(scenario.samples, _sample_entries(scenario))]
     return TransformPass(p, *(np.concatenate(part) for part in zip(*parts)))
 
 

@@ -275,6 +275,9 @@ def group_from_dict(d: dict) -> FiniteGroup:
     try:
         if not isinstance(d, dict):
             raise ValueError(f"table = {echo(json.dumps(d, default=repr))} is not an object")
+        missing = [repr(k) for k in ("order", "mul") if k not in d]
+        if missing:
+            raise ValueError(f"table lacks {', '.join(missing)}")
         if not (_whole(d["order"]) and d["order"] >= 1):
             raise ValueError(f"order = {echo(json.dumps(d['order']))} is not a positive integer")
         order = int(d["order"])
@@ -287,19 +290,21 @@ def group_from_dict(d: dict) -> FiniteGroup:
                      order if labels else None)
     except SizeCapError:
         raise
-    except (KeyError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise TableValidationError(f"malformed group JSON: {exc}") from exc
     return _finish(order, mul, labels, {"kind": "table"})
 
 
 def load_group(path: str) -> FiniteGroup:
-    """Load and fully validate a group table from JSON {"order", "mul", "labels"?}."""
+    """Load and fully validate a group table from JSON {"order", "mul", "labels"?}; a rejection
+    names the file, as the CLI's psi, element and family files do."""
     with open(path) as fh:
         try:
-            d = json.load(fh)
+            return group_from_dict(json.load(fh))
         except json.JSONDecodeError as exc:
-            raise TableValidationError(f"invalid JSON in {path}: {exc}") from exc
-    return group_from_dict(d)
+            raise TableValidationError(f"{path} is not valid JSON: {exc}") from exc
+        except (TableValidationError, SizeCapError) as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
 
 
 def build_from_spec(spec: dict) -> FiniteGroup:
@@ -307,6 +312,8 @@ def build_from_spec(spec: dict) -> FiniteGroup:
 
     A table spec holds the table itself ({"order", "mul", "labels"?}), never a path.
     """
+    if not isinstance(spec, dict):
+        raise ValueError(f"group spec = {echo(json.dumps(spec, default=repr))} is not an object")
     kind = spec.get("kind")
     if kind == "table":
         return group_from_dict(spec)

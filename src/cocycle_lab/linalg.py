@@ -9,8 +9,6 @@ other p, and odd p without the flag, takes the singular values, the reference ro
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,19 +175,3 @@ def blocks(count: int, per_item: int) -> list[tuple[int, int]]:
     step = max(1, BLOCK_ENTRIES // max(1, per_item))
     return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
-
-def block_map(fn, count: int, per_item: int) -> list:
-    """[fn(lo, hi) for (lo, hi) in blocks(count, per_item)] on COCYCLE_LAB_THREADS threads (an
-    integer >= 1, read on every call), in block order; one block runs inline, without a pool."""
-    text = os.environ.get("COCYCLE_LAB_THREADS", "1")
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"COCYCLE_LAB_THREADS must be an integer >= 1, got {text!r}")
-    spans = blocks(count, per_item)
-    if workers == 1 or len(spans) == 1:
-        return [fn(lo, hi) for lo, hi in spans]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(lambda span: fn(*span), spans))

@@ -23,7 +23,7 @@ import numpy as np
 from .algebra import (AlgebraElement, Semigroup, fix_project, fourier, gamma, gamma_norm,
                       lp_norm)
 from .criterion import AlphaCertificate
-from .linalg import block_map, require_finite, root
+from .linalg import blocks, require_finite, root
 from . import rng
 
 GRAD_STEP = 1e-6
@@ -195,10 +195,10 @@ def maximize_ratio(ratio: Callable[[Any], Any], chart: Callable[[np.ndarray], An
     """Maximize ratio(chart(x + iy)) over unit vectors (x, y) in R^{2 dim}.
 
     chart maps complex coordinates, shape (..., dim), to a witness or a
-    stack of witnesses.  ratio scores each linalg.block_map block of a round
-    in one call, per_row counting a witness's entries (order^2 on the group
-    side, n^4 for a matrix symbol).  A witness in the fixed-point algebra
-    scores 0; every other error propagates.
+    stack of witnesses.  ratio scores each linalg.blocks block of a round in
+    one call, the blocks in order, per_row counting a witness's entries
+    (order^2 on the group side, n^4 for a matrix symbol).  A witness in the
+    fixed-point algebra scores 0; every other error propagates.
     """
     def fun(Z: np.ndarray) -> np.ndarray:
         def score(lo, hi):
@@ -206,7 +206,7 @@ def maximize_ratio(ratio: Callable[[Any], Any], chart: Callable[[np.ndarray], An
                 return ratio(chart(Z[lo:hi, :dim] + 1j * Z[lo:hi, dim:]))
             except ZeroNumeratorError as exc:
                 return exc.scores
-        return np.concatenate(block_map(score, len(Z), per_row))
+        return np.concatenate([score(lo, hi) for lo, hi in blocks(len(Z), per_row)])
 
     val, z, gap = maximize_on_sphere(fun, 2 * dim, budget, seed)
     return WorstConstant(float(val), chart(z[:dim] + 1j * z[dim:]), float(gap))

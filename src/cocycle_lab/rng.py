@@ -125,7 +125,7 @@ def normal_block(seed: int, tag: int, lo: int, hi: int, sd: float,
 
     The first row comes from `stream`; every later row re-keys that same Philox
     to counter 0 and an empty buffer, its state right after seeding.  Each call
-    builds its own Generator, so threads drawing blocks share none.
+    builds its own Generator, so no block's draws depend on another's.
     """
     out = np.empty((hi - lo,) + tuple(shape))
     if hi == lo:

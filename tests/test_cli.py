@@ -251,8 +251,8 @@ def test_cli_errors_exit_nonzero(tmp_path, capsys):
     unwritten = tmp_path / "unwritten.json"
     assert main(["group", "build", "--kind", "table", "--path", bad_table,
                  "--out", str(unwritten)]) == 1
-    assert re.fullmatch(r"group: associativity fails at \(i,j,k\)=\(\d+,\d+,\d+\): .*\n",
-                        capsys.readouterr().err)
+    assert re.fullmatch(rf"group: {re.escape(bad_table)}: associativity fails at "
+                        r"\(i,j,k\)=\(\d+,\d+,\d+\): .*\n", capsys.readouterr().err)
     assert not unwritten.exists()
     assert main(["group", "build", "--kind", "cyclic", "--n", "4097",
                  "--out", str(unwritten)]) == 1
@@ -456,7 +456,7 @@ def test_cli_rejects_table_labels_that_are_not_a_list_of_strings(tmp_path, capsy
     path = write_json(tmp_path / "table.json", table)
     unwritten = tmp_path / "unwritten.json"
     assert main(["group", "build", "--kind", "table", "--path", path, "--out", str(unwritten)]) == 1
-    assert capsys.readouterr().err == ("group: malformed group JSON: labels = 5 "
+    assert capsys.readouterr().err == (f"group: {path}: malformed group JSON: labels = 5 "
                                        "is not a list of length 2\n")
     assert not unwritten.exists()
     inline = write_json(tmp_path / "psi.json", {"group": {"kind": "table", **table}, "psi": [0, 1]})
@@ -467,18 +467,20 @@ def test_cli_rejects_table_labels_that_are_not_a_list_of_strings(tmp_path, capsy
 
 def test_cli_names_a_table_that_is_not_an_object_or_is_ragged(tmp_path, capsys):
     """Both once got Python's text: 'list indices must be integers or slices, not str', and
-    numpy's 'inhomogeneous shape'; by --path and by a psi file's {"kind": "table", "path"}."""
+    numpy's 'inhomogeneous shape'; by --path and by a psi file's {"kind": "table", "path"},
+    each named by its file.  A missing key once read as a bare KeyError text: 'mul'."""
     unwritten = tmp_path / "unwritten.json"
     for table, want in (([[0, 1], [1, 0]], "table = [[0, 1], [1, 0]] is not an object"),
+                        ({"order": 2}, "table lacks 'mul'"),
                         ({"order": 2, "mul": [[0, 1], [1]]}, "mul[1] = [1] is not a list of length 2")):
         path = write_json(tmp_path / "table.json", table)
         assert main(["group", "build", "--kind", "table", "--path", path,
                      "--out", str(unwritten)]) == 1
-        assert capsys.readouterr().err == f"group: malformed group JSON: {want}\n"
+        assert capsys.readouterr().err == f"group: {path}: malformed group JSON: {want}\n"
         psi = write_json(tmp_path / "psi.json", {"group": {"kind": "table", "path": path},
                                                  "psi": [0, 1]})
         assert main(["cn-check", "--psi", psi]) == 1
-        assert capsys.readouterr().err == f"cn-check: malformed group JSON: {want}\n"
+        assert capsys.readouterr().err == f"cn-check: {path}: malformed group JSON: {want}\n"
     assert not unwritten.exists()
 
 
@@ -498,6 +500,26 @@ def test_replay_names_a_config_key_its_command_reads(tmp_path, capsys):
         path.write_text(_report_text(command, {**config, "note": 1}, results, None))
         assert main(["replay", "--report", str(path)]) == 0
         assert capsys.readouterr().out.startswith("replay: byte-identical")
+
+
+def test_replay_names_a_malformed_psi_config(tmp_path, capsys):
+    """Such a cn-check report, with a valid digest, once died with a TypeError (psi = 5, or
+    values an object), an AttributeError from .split or from build_from_spec, or exited
+    with a bare KeyError text: replay: 'group'."""
+    results = _RUNNERS["cn-check"]({"psi": {"builtin": "wordlength:4"}, "tol": 1e-9})
+    cyclic = {"kind": "cyclic", "n": 2}
+    path = tmp_path / "cn.json"
+    for psi, want in ((5, "psi = 5 is not an object"),
+                      ({"builtin": 5}, "psi.builtin = 5 is not a string"),
+                      ({"group": 5, "values": [0.0, 1.0]}, "group spec = 5 is not an object"),
+                      ({"values": [0.0, 1.0]}, "psi lacks 'group'"),
+                      ({"group": cyclic}, "psi lacks 'values'"),
+                      ({}, "psi lacks 'group', 'values'"),
+                      ({"group": cyclic, "values": {"a": 1}}, 'psi.values = {"a": 1} is not a list'),
+                      ({"group": cyclic, "values": [0.0, "1"]}, 'psi.values[1] = "1" is not a number')):
+        path.write_text(_report_text("cn-check", {"psi": psi, "tol": 1e-9}, results, None))
+        assert main(["replay", "--report", str(path)]) == 1
+        assert capsys.readouterr().err == f"replay: {want}\n"
 
 
 def test_cli_bare_psi_list_names_group_only_where_the_command_has_it(tmp_path, capsys):
@@ -624,14 +646,6 @@ def test_reports_carry_no_nan_or_infinity():
     for bad in (float("inf"), -float("inf"), float("nan")):
         with pytest.raises(ValueError, match="not JSON compliant"):
             _report_text("dilate", {}, {"bdg_ratio": bad}, 0)
-
-
-def test_cli_rejects_invalid_thread_count(monkeypatch, capsys):
-    monkeypatch.setenv("COCYCLE_LAB_THREADS", "two")
-    assert main(["poincare", "--builtin", "wordlength:4", "--p", "2,4",
-                 "--budget", "10"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("poincare:") and "COCYCLE_LAB_THREADS" in err
 
 
 # argv per command, and the inputs_digest the same argv gave before the

@@ -72,6 +72,19 @@ def test_pencil_without_a_kernel():
     assert best_alpha_bisection(K).alpha_star == 1.0
 
 
+def test_pencil_falls_back_to_bisection_when_the_kernel_couples(monkeypatch):
+    """A zero pseudo-inverse of Q_kk leaves Q_rk unexplained, as a kernel direction that couples
+    to the range outside ran(Q_kk) would: the pencil hands the kernel to bisection whole."""
+    K = gromov_form(word_length_psi(4))
+    assert (K.spectrum[0] <= K._rank_cut()).any()          # wordlength:4 has a kernel
+    want = best_alpha_bisection(K)
+    monkeypatch.setattr(np.linalg, "pinv", lambda a, **kw: np.zeros_like(a))
+    cert = best_alpha_pencil(K)
+    assert cert.method == "bisection-fallback"
+    assert cert.alpha_star == want.alpha_star and cert.residual == want.residual
+    assert np.array_equal(cert.witness, want.witness)
+
+
 def test_check_element_oracle():
     sg = Semigroup(word_length_psi(4))
     f = delta(sg.group, 1)

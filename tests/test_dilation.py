@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -142,6 +143,11 @@ def test_scenario_validation():
                 call(x, sc, L)
     with pytest.raises(ValueError, match="not on the grid"):
         dilation_matrix(x, 0.3, sc, 0)
+    # NaN once raised "cannot convert float NaN to integer", and +-inf an OverflowError
+    for t in (np.nan, np.inf, -np.inf, 1e308):
+        for call in (lambda t: dilation_matrix(x, t, sc, 0), lambda t: dilation_mean(x, t, sc)):
+            with pytest.raises(ValueError, match=f"^t = {re.escape(str(t))} is not on the grid"):
+                call(t)
     with pytest.raises(ValueError, match="sample index"):
         dilation_matrix(x, 0.25, sc, 8)
     for p in (3.0, np.nan):
@@ -440,28 +446,26 @@ def test_inequality_report_draws_each_block_once(small_scenario, monkeypatch):
             assert sorted(log) == list(range(sc.samples)), (size, name)
 
 
-def test_inequality_report_independent_of_thread_count(monkeypatch):
-    # ... and of the chunking that the threads spread: chunks of 1, 7 and all samples,
-    # at 1 and 2 threads; dilation_mean too
+def test_inequality_report_independent_of_chunking(monkeypatch):
+    # ... and of the chunking: chunks of 1, 7 and all samples, and the default;
+    # dilation_mean too
     for spec, steps, samples in (("walsh:2:2", 64, 1536), ("heisenberg-wordlength:3", 16, 64)):
         coc = realize_cocycle(gromov_form(builtin_length(spec)))
         sc = sample_scenario(coc, steps, 2.0 / steps, samples, seed=11)
-        # a single chunk leaves nothing to spread over threads
+        # the default takes several chunks
         assert len(blocks(samples, _sample_entries(sc))) >= 2
         x = element(coc.group, [0.0, 1.0, 0.7, 0.3j] if spec == "walsh:2:2"
                     else rand_coeffs(coc.group.order, 5))
         cert = best_alpha_pencil(gromov_form(sc.semigroup.psi))
         reps, means = {}, {}
-        for threads in ("1", "2"):
-            for size in (None, 1, 7, samples):
-                name = f"threads={threads},chunk={size}"
-                with monkeypatch.context() as m:
-                    m.setenv("COCYCLE_LAB_THREADS", threads)
-                    if size is not None:
-                        m.setattr(linalg, "BLOCK_ENTRIES", size * _sample_entries(sc))
-                    reps[name] = inequality_report(x, sc, 2.0, 4.0, alpha_cert=cert)
-                    means[name] = dilation_mean(x, 0.5, sc)
-        want, (mean, se) = reps["threads=1,chunk=None"], means["threads=1,chunk=None"]
+        for size in (None, 1, 7, samples):
+            name = f"chunk={size}"
+            with monkeypatch.context() as m:
+                if size is not None:
+                    m.setattr(linalg, "BLOCK_ENTRIES", size * _sample_entries(sc))
+                reps[name] = inequality_report(x, sc, 2.0, 4.0, alpha_cert=cert)
+                means[name] = dilation_mean(x, 0.5, sc)
+        want, (mean, se) = reps["chunk=None"], means["chunk=None"]
         for name, rep in reps.items():
             assert rep == want, (spec, name)
             assert np.array_equal(means[name][0], mean) and np.array_equal(means[name][1], se), \

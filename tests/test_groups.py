@@ -222,10 +222,21 @@ def test_save_load_roundtrip(tmp_path):
 def test_load_rejects_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
-    with pytest.raises(TableValidationError, match="invalid JSON"):
+    with pytest.raises(TableValidationError, match=f"^{re.escape(str(path))} is not valid JSON: "):
         load_group(str(path))
-    path.write_text(json.dumps({"order": 2}))
-    with pytest.raises(TableValidationError, match="malformed group JSON"):
+    for table, want in (({"order": 2}, "table lacks 'mul'"), ({}, "table lacks 'order', 'mul'"),
+                        ({"order": 2, "mul": [[0, 1], [1]]},
+                         "mul[1] = [1] is not a list of length 2")):
+        with pytest.raises(TableValidationError,
+                           match=f"^malformed group JSON: {re.escape(want)}$"):
+            group_from_dict(table)
+        path.write_text(json.dumps(table))       # the file's name leads the same message
+        with pytest.raises(TableValidationError,
+                           match=f"^{re.escape(str(path))}: malformed group JSON: "
+                                 f"{re.escape(want)}$"):
+            load_group(str(path))
+    path.write_text(json.dumps({"order": 4097, "mul": []}))
+    with pytest.raises(SizeCapError, match=f"^{re.escape(str(path))}: order 4097 exceeds cap"):
         load_group(str(path))
 
 

@@ -62,9 +62,9 @@ def test_worst_constant_deterministic():
     assert np.array_equal(a.witness.coeffs, b.witness.coeffs)
 
 
-def test_worst_constant_independent_of_thread_count(monkeypatch):
-    # ... and of the row blocks that the threads spread: blocks of 1, 7 and one per
-    # round, each at 1 and 2 threads; per_row is the footprint each side passes
+def test_worst_constant_independent_of_blocks(monkeypatch):
+    # ... and of the row blocks a round is scored in: blocks of 1, 7 and one per
+    # round, and the default; per_row is the footprint each side passes
     runs = {"group": (64, lambda: worst_constant(Semigroup(builtin_length("walsh:2:3")), 4.0,
                                                  budget=3000, seed=1)),
             "delta:5": (25, lambda: worst_constant(Semigroup(builtin_length("delta:5")), 5.0,
@@ -76,14 +76,12 @@ def test_worst_constant_independent_of_thread_count(monkeypatch):
                 heisenberg_multiplier(3, "wordlength"), 6.0, budget=3000, seed=1))}
     for side, (per_row, run) in runs.items():
         res = {}
-        for threads in ("1", "2"):
-            for rows in (None, 1, 7, sys.maxsize):
-                with monkeypatch.context() as m:
-                    m.setenv("COCYCLE_LAB_THREADS", threads)
-                    if rows is not None:
-                        m.setattr(linalg, "BLOCK_ENTRIES", rows * per_row)
-                    res[f"threads={threads},rows={rows}"] = run()
-        a = res["threads=1,rows=None"]
+        for rows in (None, 1, 7, sys.maxsize):
+            with monkeypatch.context() as m:
+                if rows is not None:
+                    m.setattr(linalg, "BLOCK_ENTRIES", rows * per_row)
+                res[f"rows={rows}"] = run()
+        a = res["rows=None"]
         for name, b in res.items():
             assert a.constant == b.constant and a.optimizer_gap == b.optimizer_gap, (side, name)
             assert np.array_equal(getattr(a.witness, "coeffs", a.witness),
@@ -117,13 +115,6 @@ def test_optimizer_blocks_bounded_by_entries(monkeypatch, case):
             worst_constant(sg, 2.0, budget=2, seed=0)
             assert sizes.count(linalg.BLOCK_ENTRIES // per_row) >= 2
     assert max(sizes) <= max(1, linalg.BLOCK_ENTRIES // per_row)
-
-
-@pytest.mark.parametrize("threads", ["two", "0"])
-def test_invalid_thread_count_is_rejected(monkeypatch, threads):
-    monkeypatch.setenv("COCYCLE_LAB_THREADS", threads)
-    with pytest.raises(ValueError, match="COCYCLE_LAB_THREADS"):
-        worst_constant(Semigroup(word_length_psi(4)), 2.0, budget=10)
 
 
 def test_maximizer_budget_validation():
@@ -236,19 +227,13 @@ def test_lock_step_matches_one_start_at_a_time(monkeypatch, rows):
     step = rows or max(map(len, rounds))
     want_calls = [R[lo:lo + step] for R in rounds for lo in range(0, len(R), step)]
     key = lambda Y: (Y.shape, Y.tobytes())
-    for threads in ("1", "2"):
-        calls.clear()
-        with monkeypatch.context() as m:
-            m.setenv("COCYCLE_LAB_THREADS", threads)
-            # the chart hands fun the real sphere coordinates (x, y) back exactly
-            got = maximize_ratio(fun, lambda z: np.concatenate([z.real, z.imag], axis=-1),
-                                 dim // 2, budget, 2, per_row=1)
-        assert got.constant == want[0] and np.array_equal(got.witness, want[1])
-        assert got.optimizer_gap == want[2]
-        if threads == "1":
-            assert list(map(key, calls)) == list(map(key, want_calls))
-        else:                            # two threads score a round's blocks in any order
-            assert sorted(map(key, calls)) == sorted(map(key, want_calls))
+    calls.clear()
+    # the chart hands fun the real sphere coordinates (x, y) back exactly
+    got = maximize_ratio(fun, lambda z: np.concatenate([z.real, z.imag], axis=-1),
+                         dim // 2, budget, 2, per_row=1)
+    assert got.constant == want[0] and np.array_equal(got.witness, want[1])
+    assert got.optimizer_gap == want[2]
+    assert list(map(key, calls)) == list(map(key, want_calls))
     h = GRAD_STEP * np.eye(dim)
     per_start = budget // n_starts
     for mine in requests:
