@@ -22,7 +22,7 @@ import os
 import sys
 from dataclasses import asdict, fields
 from functools import cache
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -164,9 +164,13 @@ def _family_from_file(path: str) -> list:
     data = _read_json(path)
     if not isinstance(data, dict) or "a" not in data:
         raise ValueError(f"{path} has no 'a' field: the list of family matrices")
+    return _family(f"{path}: a", data["a"])
+
+
+def _family(name: str, a) -> list:
     square = lambda m: bool(require_list(     # a bad row or pair raises, named
         m, "", lambda row: require_list(row, "", _is_pair, "an [re, im] pair", len(m)), "a row"))
-    return require_list(data["a"], f"{path}: a", square, "a non-empty square matrix")
+    return require_list(a, name, square, "a non-empty square matrix")
 
 
 def _is_pair(z) -> bool:
@@ -193,13 +197,13 @@ _COMMANDS: dict = {}    # name -> (help, psi mode, flags): what the parser and t
 _RUNNERS: dict = {}     # name -> runner: what the CLI, the gallery and replay dispatch through
 
 
-def _command(name: str, summary: str, *flags: tuple, psi: str = ""):
+def _command(name: str, summary: str, *flags: "Flag", psi: str = ""):
     """Register the decorated runner as the subcommand `name`.
 
-    Each flag is (option, loader, add_argument keywords); a flag whose
-    loader is None only says where output goes.  psi is "required",
-    "optional" or "group" (which adds --group) for commands whose
-    --psi/--builtin flags resolve into config["psi"].
+    Each flag is a Flag; a flag whose loader is None only says where
+    output goes.  psi is "required", "optional" or "group" (which adds
+    --group) for commands whose --psi/--builtin flags resolve into
+    config["psi"].
     """
     def register(run):
         _COMMANDS[name] = (summary, psi, flags)
@@ -208,15 +212,51 @@ def _command(name: str, summary: str, *flags: tuple, psi: str = ""):
     return register
 
 
-def _flag(option: str, load=lambda value: value, **kw) -> tuple:
-    return option, load, kw
+class Flag(NamedTuple):
+    option: str
+    load: Optional[Callable]    # argparse value -> config value; None: not in the config
+    kw: dict                    # add_argument keywords
+    check: Optional[Callable]   # check(key, config value) raises ValueError naming a bad one
+
+
+def _flag(option: str, load=lambda value: value, check=None, **kw) -> Flag:
+    """The Flag; check defaults to one read off kw: its choices, store_true action or
+    int/float type.  A flag argparse may leave unset (not required, no default, no action)
+    also takes None."""
+    if load is not None and check is None:
+        if "choices" in kw:
+            check = _kind(lambda v: v in kw["choices"], "one of " + ", ".join(kw["choices"]))
+        elif kw.get("action") == "store_true":
+            check = _kind(lambda v: isinstance(v, bool), "true or false")
+        else:
+            kind = {int: (_is_int, "an integer"), float: (is_number, "a number")}
+            check = _kind(*kind[kw["type"]])
+    if check is not None and not (kw.get("required") or "default" in kw or "action" in kw):
+        check = lambda key, value, given=check: value is None or given(key, value)
+    return Flag(option, load, kw, check)
+
+
+def _kind(ok, what: str):
+    """check(name, value): ValueError name = <value> is not <what>, unless ok(value)."""
+    def check(name: str, value) -> None:
+        if not ok(value):
+            raise ValueError(f"{name} = {echo(json.dumps(value))} is not {what}")
+    return check
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 _OUT = _flag("--out", None, help="write the report here instead of stdout")
 _BUDGET = _flag("--budget", type=int, default=20000)
-_SEED = _flag("--seed", check_seed, type=int, default=0)
-_SWEEP = (_flag("--p", lambda text: _parse_pgrid(text) if text else None,
+_SEED_CHECK = _kind(lambda v: _is_int(v) and v >= 0, "a non-negative integer")
+_SEED = _flag("--seed", check_seed, _SEED_CHECK, type=int, default=0)
+_PGRID_CHECK = lambda name, value: require_list(value, name, is_number, "a number")
+_COEFFS_CHECK = lambda name, value: require_list(value, name, _is_pair, "an [re, im] pair")
+_SWEEP = (_flag("--p", lambda text: _parse_pgrid(text) if text else None, _PGRID_CHECK,
                 help="optional comma-separated p grid for a Poincare sweep"), _BUDGET, _SEED, _OUT)
+_METHOD = _flag("--method", choices=("pencil", "bisect", "both"), default="pencil")
 
 
 # ---------------------------------------------------------------- runners
@@ -266,13 +306,13 @@ def run_schur(config: dict) -> dict:
     return {"residual": float(rep.residual), "terms": rep.terms}
 
 
-@_command("alpha", "best constant in Gamma_2 >= alpha Gamma (kernel level)",
-          _flag("--method", choices=["pencil", "bisect", "both"], default="pencil"), _OUT,
+@_command("alpha", "best constant in Gamma_2 >= alpha Gamma (kernel level)", _METHOD, _OUT,
           psi="required")
 def run_alpha(config: dict) -> dict:
+    method = config["method"]
+    _METHOD.check("method", method)
     psi = _psi_from_config(config["psi"])
     K = gromov_form(psi)
-    method = config["method"]
     cert = best_alpha_bisection(K) if method == "bisect" else best_alpha_pencil(K)
     out = {"alpha_star": cert.alpha_star, "method": cert.method,
            "min_eig_at_alpha": cert.residual}
@@ -285,9 +325,10 @@ def run_alpha(config: dict) -> dict:
 
 
 @_command("gamma", "Gamma and Gamma_2 forms of algebra elements",
-          _flag("--f", _coeffs_from_file, required=True,
+          _flag("--f", _coeffs_from_file, _COEFFS_CHECK, required=True,
                 help="element JSON {'coeffs': [[re,im],...]}"),
-          _flag("--g", _coeffs_from_file, help="second element (defaults to f)"), _OUT,
+          _flag("--g", _coeffs_from_file, _COEFFS_CHECK, help="second element (defaults to f)"),
+          _OUT,
           psi="group")
 def run_gamma(config: dict) -> dict:
     psi = _psi_from_config(config["psi"])
@@ -311,7 +352,7 @@ def _poincare_results(report) -> dict:
 
 
 @_command("poincare", "L_p Poincare constants and growth fit",
-          _flag("--p", _parse_pgrid, default="2,4,8,16",
+          _flag("--p", _parse_pgrid, _PGRID_CHECK, default="2,4,8,16",
                 help="comma-separated p grid in [2,16], at least two distinct values"),
           _BUDGET, _SEED,
           _flag("--alpha", action="store_true", help="attach the sqrt(p/alpha*) envelope"),
@@ -343,7 +384,7 @@ def run_matrix(config: dict) -> dict:
 
 
 @_command("lindblad", "commuting-family Lindblad semigroup",
-          _flag("--a", _family_from_file, required=True,
+          _flag("--a", _family_from_file, _family, required=True,
                 help="family JSON {'a': [matrix, ...]}, rows of [re,im] pairs"), *_SWEEP)
 def run_lindblad(config: dict) -> dict:
     mats = [np.array([[complex(re, im) for re, im in row] for row in m])
@@ -365,13 +406,13 @@ def _generator_results(A, config: dict, out: dict) -> dict:
 
 
 @_command("dilate", "Monte-Carlo dilation and martingale transform",
-          _flag("--x", _coeffs_from_file, required=True,
+          _flag("--x", _coeffs_from_file, _COEFFS_CHECK, required=True,
                 help="element JSON {'coeffs': [[re,im],...]}"),
           _flag("--L", type=float, required=True),
           _flag("--steps", type=int, default=64),
           _flag("--samples", type=int, default=4096),
           _flag("--p", type=float, default=4.0),
-          _flag("--seed", check_seed, type=int, default=11),
+          _flag("--seed", check_seed, _SEED_CHECK, type=int, default=11),
           _flag("--alpha", action="store_true",
                 help="attach the bracket envelope at alpha = alpha*(psi)"), _OUT,
           psi="required")
@@ -462,8 +503,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                               "wordlength:8, heisenberg-delta:2")
         if psi == "group":
             sp.add_argument("--group", help="group JSON file; overrides the psi file's group")
-        for option, _, kw in flags:
-            sp.add_argument(option, **kw)
+        for flag in flags:
+            sp.add_argument(flag.option, **flag.kw)
 
     sp = sub.add_parser("replay", help="re-run a stored report and compare bytes")
     sp.add_argument("--report", required=True)
@@ -486,11 +527,11 @@ def _group_spec_from_args(args) -> dict:
 
 
 def _config_keys(command: str) -> dict:
-    """{key: loader} of a config of command; spec (group) and psi are loaded apart, under None."""
+    """{key: flag} of a config of command; spec (group) and psi are loaded apart, under None."""
     if command == "group":
         return {"spec": None}
     _, psi, flags = _COMMANDS[command]
-    loaded = {option.lstrip("-").replace("-", "_"): load for option, load, _ in flags if load}
+    loaded = {flag.option.lstrip("-").replace("-", "_"): flag for flag in flags if flag.load}
     return {"psi": None, **loaded} if psi else loaded
 
 
@@ -500,9 +541,9 @@ def _config_from_args(args) -> dict:
         return {"spec": _group_spec_from_args(args)}
     psi = _COMMANDS[args.command][1]
     config = {"psi": _psi_config_from_args(args, psi != "optional")} if psi else {}
-    for key, load in _config_keys(args.command).items():
-        if load is not None:
-            config[key] = None if getattr(args, key) is None else load(getattr(args, key))
+    for key, flag in _config_keys(args.command).items():
+        if flag is not None:
+            config[key] = None if getattr(args, key) is None else flag.load(getattr(args, key))
     return config
 
 
@@ -519,10 +560,14 @@ def _run_replay(args) -> int:
         raise ValueError(f"{args.report} is not a report: its config is not an object")
     if command not in _RUNNERS:
         raise ValueError(f"{args.report} names an unknown command {command!r}")
-    missing = [repr(k) for k in _config_keys(command) if k not in config]
+    keys = _config_keys(command)
+    missing = [repr(k) for k in keys if k not in config]
     if missing:
         raise ValueError(f"{args.report} is not a report: its {command} config lacks "
                          f"{', '.join(missing)}")
+    for key, flag in keys.items():
+        if flag is not None:
+            flag.check(key, config[key])
     if _digest(config) != report["inputs_digest"]:
         sys.stderr.write("replay: config digest mismatch (report edited or version drift)\n")
         return 1

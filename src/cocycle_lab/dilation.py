@@ -19,6 +19,15 @@ beta_k]|^p by unitary invariance.  With the Gaussian step integrated out
 (E_{k-1}[dB^j dB^l] = 2 dt delta_{jl}), the conditioned square functions are
 S_c = 2 dt sum_k D_k^* Lambda(Gamma(y_k, y_k)) D_k and S_r = the same with
 y_k^*: M, M~ and the bracket moments all come from one chunk pass.
+
+Diagonal matrices commute, so D_k^* [Lambda(y_k), diag beta_k] D_k = [E_k,
+diag beta_k] with E_k = D_k^* Lambda(y_k) D_k, and beta_k is linear in dB_k:
+
+    M_n(x)[h, u] = i sum_j (b_j(u^{-1}) - b_j(h^{-1})) Q_j[h, u],   Q_j = sum_k dB_k^j E_k,
+
+and M~_n(x) is the same sum over the copy's increments.  One product of E
+with the stacked increments [dB | dB'] gives both; the only commutator
+built is the unphased one of the primary draw, for sum_k tau|dx_k|^p.
 """
 from __future__ import annotations
 
@@ -86,11 +95,14 @@ def sample_scenario(cocycle: CocycleRealization, n: int, dt: float,
                     samples: int, seed: int) -> BrownianScenario:
     if not 0 < dt < np.inf:
         raise ValueError(f"step size must be positive and finite, got {dt}")
+    for name, value in (("steps", n), ("samples", samples), ("seed", seed)):
+        if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} = {value!r} is not an integer")
     if n < 1:
         raise ValueError(f"need at least one step, got {n}")
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    return BrownianScenario(cocycle, int(n), float(dt), int(samples), int(seed))
+    return BrownianScenario(cocycle, int(n), float(dt), int(samples), rng.check_seed(int(seed)))
 
 
 def _pair(cocycle: CocycleRealization, v: np.ndarray) -> np.ndarray:
@@ -112,7 +124,16 @@ def _grid_index(scenario: BrownianScenario, t: float) -> int:
 
 
 def _sample_entries(scenario: BrownianScenario) -> int:
-    """Entries a chunk holds per sample: steps x |G|^2 in each of d + 2 fields."""
+    """Entries charged to a chunk per sample: steps x |G|^2 in each of d + 2 fields.
+
+    martingale_transform holds at most two (steps, |G|, |G|) fields per sample
+    at once: ww, which becomes E in place and is freed, then the commutator
+    with its real beta difference.  All else it holds is |G|^2-sized per
+    sample (S_c, S_r, M, M~ and the (|G|^2, 2d) product).  Charging only the
+    two fields would double the walsh:2:2 benchmark's chunks (d = 2) to 1024
+    samples, which raised that report's peak RSS from 59 to 75 MiB on 2 vCPU,
+    so the d + 2 fields stay.
+    """
     return scenario.steps * scenario.cocycle.group.order ** 2 * (scenario.d + 2)
 
 
@@ -161,42 +182,47 @@ def martingale_transform(x: AlgebraElement, scenario: BrownianScenario, L: float
     """M_n(x), its decoupled twin and the bracket moments at p, per sample, in one pass.
 
     Lambda(y_k) and 2 dt Lambda(Gamma_k) do not depend on the sample and are
-    gathered once.  Each chunk of linalg.blocks (_sample_entries per sample),
-    taken in order, draws its increments and their copy once and forms
-    ww[c, k, h, u] = conj(w_k(h)) w_k(u), the conjugation by D_k as an
-    entrywise factor, from (c, steps, |G|) exponentials.  S_c and S_r read ww against Lambda(Gamma_k),
-    PSD when sg.gamma_psd; the copy's commutators give M~; the steps'
-    commutators give sum_k ||dx_k||_p^p unphased, then M.  That order keeps a
-    chunk's peak memory low.
+    gathered once, laid out (|G|, |G|, steps).  Each chunk of linalg.blocks
+    (_sample_entries per sample), taken in order, draws its increments and
+    their copy once and forms ww[c, h, u, k] = conj(w_k(h)) w_k(u), the
+    conjugation by D_k as an entrywise factor, from (c, |G|, steps)
+    exponentials.  S_c and S_r contract ww against Lambda(Gamma_k) over k,
+    PSD when sg.gamma_psd.  ww times Lambda(y_k), in place, is E_k; one
+    batched product of E, viewed (c, |G|^2, steps), with the stacked
+    increments [dB | dB'] gives Q_j for both draws, and M, M~ from them.
+    E is freed before the one commutator h_d needs, the primary draw's,
+    unphased: sum_k ||dx_k||_p^p.
     """
     _check_horizon(scenario, L)
     if float(p) not in BRACKET_PS:
         raise ValueError(f"bracket estimation supports p in {BRACKET_PS}, got {p}")
     p = float(p)
     coc, sg = scenario.cocycle, scenario.semigroup
+    n, d = coc.group.order, coc.dimension
     y = semigroup_apply(sg, x, L - scenario.times[:, None])
     ly = regular_rep(y)
     lgam = 2.0 * scenario.dt * np.stack([regular_rep(gamma(sg, y, y)),
                                          regular_rep(gamma(sg, y.adjoint(), y.adjoint()))])
-
-    def commutator(drive):   # [Lambda(y_k), diag beta_k][c, k], beta_k(u) = <b(u^{-1}), drive[c, k]>
-        beta = _pair(coc, drive)
-        cm = np.subtract(beta[..., None, :], beta[..., :, None], dtype=complex)
-        cm *= ly
-        return cm
+    ly_k, lgam_k = np.moveaxis(ly, 0, -1).copy(), np.moveaxis(lgam, 1, -1).copy()
+    bv = coc.vectors[coc.group.inv]
+    bdiff = bv[None, :, :] - bv[:, None, :]         # [h, u, j] = b_j(u^{-1}) - b_j(h^{-1})
 
     def work(lo, hi):
         dB = scenario.increments(lo, hi)
-        w = _path_phases(coc, np.concatenate([np.zeros_like(dB[:, :1]),
-                                              np.cumsum(dB, axis=1)[:, :-1]], axis=1))
-        ww = w.conj()[..., :, None] * w[..., None, :]
+        drives = np.concatenate([dB, scenario.increments_copy(lo, hi)], axis=2)
+        B = np.concatenate([np.zeros_like(dB[:, :1]), np.cumsum(dB, axis=1)[:, :-1]], axis=1)
+        w = np.exp(1j * np.einsum("ckj,uj->cuk", B, bv))   # _path_phases of B, step axis last
+        ww = w.conj()[:, :, None] * w[:, None]
         del w
-        sc, sr = schatten_pow_batch(np.einsum("ckhu,skhu->schu", ww, lgam), p / 2.0, sg.gamma_psd)
-        cm = commutator(scenario.increments_copy(lo, hi))
-        Mt = 1j * np.einsum("ckhu,ckhu->chu", ww, cm)
-        del cm
-        cm = commutator(dB)
-        M = 1j * np.einsum("ckhu,ckhu->chu", ww, cm)
+        sc, sr = schatten_pow_batch(np.stack([np.einsum("chuk,huk->chu", ww, g) for g in lgam_k]),
+                                    p / 2.0, sg.gamma_psd)
+        ww *= ly_k                                  # E
+        q = (ww.reshape(hi - lo, n * n, scenario.steps) @ drives).reshape(hi - lo, n, n, 2 * d)
+        del ww
+        M, Mt = (1j * np.einsum("chuj,huj->chu", q[..., half], bdiff)
+                 for half in (slice(None, d), slice(d, None)))
+        beta = _pair(coc, dB)                       # [c, k, u] = beta_k(u)
+        cm = (beta[..., None, :] - beta[..., :, None]) * ly     # [Lambda(y_k), diag beta_k]
         return M, Mt, sc, sr, schatten_pow_batch(cm, p).sum(axis=1)
 
     parts = [work(lo, hi) for lo, hi in blocks(scenario.samples, _sample_entries(scenario))]

@@ -9,7 +9,8 @@ import time
 
 import pytest
 
-from cocycle_lab.cli import _RUNNERS, _build_parser, _digest, _report_text, main
+from cocycle_lab.cli import (_COMMANDS, _RUNNERS, _build_parser, _config_keys, _digest,
+                              _report_text, main)
 from cocycle_lab.groups import ORDER_CAP, build_cyclic, build_product, group_to_dict, save_group
 
 from conftest import assert_report_pinned
@@ -520,6 +521,57 @@ def test_replay_names_a_malformed_psi_config(tmp_path, capsys):
         path.write_text(_report_text("cn-check", {"psi": psi, "tol": 1e-9}, results, None))
         assert main(["replay", "--report", str(path)]) == 1
         assert capsys.readouterr().err == f"replay: {want}\n"
+
+
+# a config of each registered command, of the kinds its flags declare; psi aside
+REPLAY_BASE_CONFIGS = {
+    "cn-check": {"tol": 1e-9},
+    "realize": {},
+    "schur-identity": {"n": 4},
+    "alpha": {"method": "pencil"},
+    "gamma": {"f": [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]], "g": None},
+    "poincare": {"p": [2.0, 4.0], "budget": 200, "seed": 0, "alpha": False},
+    "matrix": {"n": 2, "mode": "delta", "alpha_check": None, "p": None, "budget": 200, "seed": 0},
+    "lindblad": {"a": [[[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]], "p": None,
+                 "budget": 0, "seed": 0},
+    "dilate": {"x": [[0.0, 0.0], [1.0, 0.0], [0.7, 0.0], [0.0, 0.3]], "L": 1.0, "steps": 4,
+               "samples": 16, "p": 4.0, "seed": 11, "alpha": False},
+    "gallery": {"seed": 0},
+}
+
+
+@pytest.mark.parametrize("command, key, bad, want", [
+    ("cn-check", "tol", "x", 'tol = "x" is not a number'),
+    ("alpha", "method", 5, "method = 5 is not one of pencil, bisect, both")])
+def test_replay_names_a_config_value_of_the_wrong_kind(command, key, bad, want, tmp_path, capsys):
+    """Such a report, with a valid digest, once died with a TypeError (tol "x") or silently
+    ran the pencil (method 5)."""
+    config = {"psi": {"builtin": "wordlength:4"}, **REPLAY_BASE_CONFIGS[command], key: bad}
+    path = tmp_path / "report.json"
+    path.write_text(_report_text(command, config, {}, None))
+    assert main(["replay", "--report", str(path)]) == 1
+    assert capsys.readouterr().err == f"replay: {want}\n"
+
+
+def test_run_alpha_rejects_an_unknown_method():
+    # the gallery and replay call runners directly; every method but "bisect" ran the pencil
+    with pytest.raises(ValueError, match="^method = 5 is not one of pencil, bisect, both$"):
+        _RUNNERS["alpha"]({"psi": {"builtin": "wordlength:4"}, "method": 5})
+
+
+def test_replay_checks_every_config_value_through_its_flag(tmp_path, capsys):
+    """Each loaded config value of each command, replaced by an object, exits 1 naming it."""
+    assert set(REPLAY_BASE_CONFIGS) == set(_COMMANDS)
+    path = tmp_path / "report.json"
+    for command, base in REPLAY_BASE_CONFIGS.items():
+        keys = _config_keys(command)
+        assert set(keys) - {"psi"} == set(base), command
+        for key in base:
+            config = {"psi": {"builtin": "wordlength:4"}, **base, key: {"bad": 1}}
+            path.write_text(_report_text(command, config, {}, None))
+            assert main(["replay", "--report", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f'replay: {key} = {{"bad": 1}} is not '), (command, err)
 
 
 def test_cli_bare_psi_list_names_group_only_where_the_command_has_it(tmp_path, capsys):

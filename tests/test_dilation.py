@@ -1,6 +1,9 @@
 import dataclasses
 import functools
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -153,6 +156,25 @@ def test_scenario_validation():
     for p in (3.0, np.nan):
         with pytest.raises(ValueError, match="supports p in"):
             martingale_transform(x, sc, 1.0, p)
+
+
+@pytest.mark.parametrize("steps, samples, seed, want", [
+    (2.5, 8, 0, "steps = 2.5 is not an integer"),
+    (True, 8, 0, "steps = True is not an integer"),
+    (4, 8.9, 0, "samples = 8.9 is not an integer"),
+    (4, 8, 1.7, "seed = 1.7 is not an integer"),
+    (4, 8, -1, "seed must be a non-negative integer, got -1")])
+def test_scenario_rejects_a_count_or_seed_that_is_no_integer(steps, samples, seed, want):
+    # these were once cut to 2 steps, 8 samples, seed 1 and 1 step, and a negative seed
+    # failed only at the first draw
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        sample_scenario(word_length_cocycle(4), steps, 0.25, samples, seed)
+
+
+def test_scenario_takes_numpy_integers():
+    sc = sample_scenario(word_length_cocycle(4), np.int64(4), 0.25, np.int32(8), np.uint8(3))
+    assert (sc.steps, sc.samples, sc.seed) == (4, 8, 3)
+    assert all(type(v) is int for v in (sc.steps, sc.samples, sc.seed))
 
 
 def test_increments_deterministic_and_copy_independent(small_scenario):
@@ -470,3 +492,36 @@ def test_inequality_report_independent_of_chunking(monkeypatch):
             assert rep == want, (spec, name)
             assert np.array_equal(means[name][0], mean) and np.array_equal(means[name][1], se), \
                 (spec, name)
+
+
+BLAS_THREADS_SCRIPT = """
+import dataclasses, json
+from cocycle_lab.algebra import element
+from cocycle_lab.cocycles import gromov_form, realize_cocycle
+from cocycle_lab.criterion import best_alpha_pencil
+from cocycle_lab.dilation import inequality_report, sample_scenario
+from cocycle_lab.families import builtin_length
+for spec, steps, samples in (("walsh:2:2", 64, 1024), ("heisenberg-wordlength:3", 16, 256)):
+    K = gromov_form(builtin_length(spec))
+    sc = sample_scenario(realize_cocycle(K), steps, 2.0 / steps, samples, 11)
+    group, cert = sc.cocycle.group, best_alpha_pencil(K)
+    x = element(group, [complex(k % 3, 1.0 / (k + 1)) for k in range(group.order)])
+    for p in (2.0, 4.0, 8.0):
+        print(json.dumps(dataclasses.asdict(inequality_report(x, sc, 2.0, p, cert))))
+"""
+
+
+def test_inequality_report_independent_of_blas_threads():
+    # the product of E with the stacked increments is a BLAS call: reports under one and
+    # two OpenBLAS threads are byte-identical
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        run = subprocess.run([sys.executable, "-c", BLAS_THREADS_SCRIPT], capture_output=True,
+                             text=True, env=env, timeout=300)
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout)
+    assert outs[0].count("\n") == 6
+    assert outs[0] == outs[1]
