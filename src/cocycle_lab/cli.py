@@ -10,8 +10,9 @@ config encoding.  `replay` re-runs the embedded config and fails hard
 unless the regenerated report is byte-identical.  Complex numbers are
 encoded as [re, im] pairs; CSV output always uses the dot decimal.
 
-Each command is declared once, by the `_command` registration on its
-runner, which the parser, the config and the dispatch all read.
+Each command exists only by the `_command` registration on its runner: its
+flags give the parser, the config keys, their loading and their checks, and
+its writer the outputs.  `replay`, which runs a stored report, is built by hand.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from .cocycles import (DEFAULT_TOL, gromov_form, is_conditionally_negative, leng
 from .criterion import best_alpha_bisection, best_alpha_pencil
 from .dilation import inequality_report, sample_scenario
 from .families import builtin_length
-from .groups import build_from_spec, group_to_dict, is_number, load_group
+from .groups import build_from_spec, group_to_dict, is_integer, is_number, load_group
 from .linalg import echo, require_finite, require_list
 from .matrixalg import (alpha_battery, heisenberg_multiplier, lindblad_gamma_residual,
                         lindblad_generator, matrix_poincare)
@@ -114,38 +115,57 @@ def _psi_config_from_args(args, required: bool) -> Optional[dict]:
     if not isinstance(data, dict) or "psi" not in data:
         raise ValueError(f"{args.psi} has no 'psi' field")
     values = require_list(data["psi"], f"{args.psi}: psi", is_number, "a number")
-    if group:
-        gspec = _group_spec_from_file(group)
-    elif "group" in data:
-        gsrc = data["group"]
-        if isinstance(gsrc, dict) and gsrc.get("kind") == "table" and "path" in gsrc:
-            gsrc = gsrc["path"]         # inline the table: the config must not name a file
-        if isinstance(gsrc, str):
-            gspec = _group_spec_from_file(gsrc)
-        elif isinstance(gsrc, dict):
-            gspec = dict(gsrc)
-        else:
-            raise ValueError(f"{args.psi}: 'group' is {echo(json.dumps(gsrc))}, "
-                             "neither a group file path nor a group spec")
-    else:
+    if not (group or "group" in data):
         flag = "--group FILE or " if hasattr(args, "group") else ""
         raise ValueError(f"no group given: add {flag}a 'group' field to the psi JSON")
+    gsrc = group or data["group"]
+    if isinstance(gsrc, dict) and gsrc.get("kind") == "table" and "path" in gsrc:
+        gsrc = gsrc["path"]             # inline the table: the config must not name a file
+    if isinstance(gsrc, str):
+        gspec = _group_spec_from_file(gsrc)
+    elif isinstance(gsrc, dict):
+        gspec = dict(gsrc)
+    else:
+        raise ValueError(f"{args.psi}: 'group' is {echo(json.dumps(gsrc))}, "
+                         "neither a group file path nor a group spec")
     return {"group": gspec, "values": [float(v) for v in values]}
 
 
-def _psi_from_config(cfg: dict):
-    """The length function of a psi config, {"builtin": name} or {"group": spec, "values"}."""
-    if not isinstance(cfg, dict):
-        raise ValueError(f"psi = {echo(json.dumps(cfg))} is not an object")
+def _check_psi(key: str, cfg) -> None:
+    """A psi config is {"builtin": name} or {"group": spec, "values": numbers}."""
+    _kind(lambda v: isinstance(v, dict), "an object")(key, cfg)
     if "builtin" in cfg:
-        if not isinstance(cfg["builtin"], str):
-            raise ValueError(f"psi.builtin = {echo(json.dumps(cfg['builtin']))} is not a string")
-        return builtin_length(cfg["builtin"])
+        return _kind(lambda v: isinstance(v, str), "a string")(f"{key}.builtin", cfg["builtin"])
     missing = [repr(k) for k in ("group", "values") if k not in cfg]
     if missing:
-        raise ValueError(f"psi lacks {', '.join(missing)}")
-    values = require_list(cfg["values"], "psi.values", is_number, "a number")
-    return length_function(build_from_spec(cfg["group"]), values)
+        raise ValueError(f"{key} lacks {', '.join(missing)}")
+    require_list(cfg["values"], f"{key}.values", is_number, "a number")
+
+
+def _psi_from_config(cfg: dict):
+    """The length function of a psi config that passed _check_psi."""
+    return (builtin_length(cfg["builtin"]) if "builtin" in cfg
+            else length_function(build_from_spec(cfg["group"]), cfg["values"]))
+
+
+_GROUP_READS = {"cyclic": ("n",), "product": ("n", "m"), "heisenberg": ("n",), "table": ("path",)}
+
+
+def _group_spec_from_args(args) -> dict:
+    """The group spec of --kind and the flags that kind reads; a flag it does not read fails.
+    --kind product without --m is one factor."""
+    reads = _GROUP_READS[args.kind]
+    for key in ("n", "m", "path"):
+        if getattr(args, key) is not None and key not in reads:
+            raise ValueError(f"kind={args.kind} does not read --{key}")
+    if getattr(args, reads[0]) in (None, ""):
+        raise ValueError(f"kind={args.kind} needs --{reads[0]}")
+    if args.kind == "table":
+        return _group_spec_from_file(args.path)
+    spec = {"kind": args.kind, "n": args.n}
+    if args.kind == "product":
+        spec["m"] = 1 if args.m is None else args.m
+    return spec
 
 
 def _coeffs_from_file(path: str) -> list:
@@ -193,47 +213,47 @@ def _parse_pgrid(text: str) -> list:
 
 # ----------------------------------------------------------- registration
 
-_COMMANDS: dict = {}    # name -> (help, psi mode, flags): what the parser and the config read
-_RUNNERS: dict = {}     # name -> runner: what the CLI, the gallery and replay dispatch through
+_COMMANDS: dict = {}    # name -> (help, flags, writer): what the parser, the config and main read
+_RUNNERS: dict = {}     # name -> runner: what _run dispatches through
 
 
-def _command(name: str, summary: str, *flags: "Flag", psi: str = ""):
-    """Register the decorated runner as the subcommand `name`.
+class Flag(NamedTuple):
+    key: Optional[str]          # its config key; None: the flag only says where output goes
+    options: tuple              # (option, add_argument keywords) pairs it adds to the parser
+    load: Optional[Callable]    # parsed args -> config value
+    check: Optional[Callable]   # check(key, config value) raises ValueError naming a bad one
 
-    Each flag is a Flag; a flag whose loader is None only says where
-    output goes.  psi is "required", "optional" or "group" (which adds
-    --group) for commands whose --psi/--builtin flags resolve into
-    config["psi"].
-    """
+
+def _command(name: str, summary: str, *flags: Flag, write: Optional[Callable] = None):
+    """Register the decorated runner as the subcommand `name`.  Its Flags load the config
+    in their order; write(args, name, config) runs it and writes what it gives, by default
+    the report."""
     def register(run):
-        _COMMANDS[name] = (summary, psi, flags)
+        _COMMANDS[name] = (summary, flags, write or _write_report)
         _RUNNERS[name] = run
         return run
     return register
 
 
-class Flag(NamedTuple):
-    option: str
-    load: Optional[Callable]    # argparse value -> config value; None: not in the config
-    kw: dict                    # add_argument keywords
-    check: Optional[Callable]   # check(key, config value) raises ValueError naming a bad one
-
-
 def _flag(option: str, load=lambda value: value, check=None, **kw) -> Flag:
-    """The Flag; check defaults to one read off kw: its choices, store_true action or
-    int/float type.  A flag argparse may leave unset (not required, no default, no action)
-    also takes None."""
-    if load is not None and check is None:
+    """The Flag of one option, its config key the option's dest (none where load is None).
+    check defaults to one read off kw: its choices, store_true action or int/float type.
+    A flag argparse may leave unset (not required, no default, no action) takes None."""
+    if load is None:
+        return Flag(None, ((option, kw),), None, None)
+    if check is None:
         if "choices" in kw:
             check = _kind(lambda v: v in kw["choices"], "one of " + ", ".join(kw["choices"]))
         elif kw.get("action") == "store_true":
             check = _kind(lambda v: isinstance(v, bool), "true or false")
         else:
-            kind = {int: (_is_int, "an integer"), float: (is_number, "a number")}
+            kind = {int: (is_integer, "an integer"), float: (is_number, "a number")}
             check = _kind(*kind[kw["type"]])
-    if check is not None and not (kw.get("required") or "default" in kw or "action" in kw):
+    if not (kw.get("required") or "default" in kw or "action" in kw):
         check = lambda key, value, given=check: value is None or given(key, value)
-    return Flag(option, load, kw, check)
+    key = option.lstrip("-").replace("-", "_")
+    return Flag(key, ((option, kw),), lambda args: None if getattr(args, key) is None
+                else load(getattr(args, key)), check)
 
 
 def _kind(ok, what: str):
@@ -244,25 +264,68 @@ def _kind(ok, what: str):
     return check
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+def _write_report(args, name: str, config: dict) -> dict:
+    """Run config and write its report to --out, or to stdout."""
+    results = _run(name, config)
+    _emit(_report_text(name, config, results, config.get("seed")), args.out)
+    return results
 
 
+def _write_report_and_csv(args, name: str, config: dict) -> None:
+    """The report, and the (p, constant) rows to --emit-csv when given."""
+    results = _write_report(args, name, config)
+    if args.emit_csv:
+        rows = "".join(f"{p!r},{c!r}\n" for p, c in zip(results["p_grid"], results["constants"]))
+        _emit("p,constant\n" + rows, args.emit_csv)
+
+
+def _write_group(args, name: str, config: dict) -> None:
+    """The group table to --out, the bytes save_group writes, and the report to stdout."""
+    results = _run(name, config)
+    _emit(json.dumps(results["group"]) + "\n", args.out)
+    _emit(_report_text(name, config, results, None), None)
+
+
+def _write_gallery(args, name: str, config: dict) -> None:
+    """Each entry's report and the summary report into --out-dir, and a line on stdout."""
+    os.makedirs(args.out_dir, exist_ok=True)
+    results = _run(name, config, args.out_dir)
+    _emit(_report_text(name, config, results, config["seed"]),
+          os.path.join(args.out_dir, "summary.json"))
+    sys.stdout.write(f"gallery: {results['row_count']} entries in {args.out_dir}\n")
+
+
+_PSI = Flag("psi", (("--psi", {"help": "length function JSON {'group': path-or-spec, 'psi': [...]}"}),
+                    ("--builtin", {"help": "builtin family, e.g. walsh:2:3, wordlength:8, "
+                                           "heisenberg-delta:2"})),
+           lambda args: _psi_config_from_args(args, True), _check_psi)
 _OUT = _flag("--out", None, help="write the report here instead of stdout")
 _BUDGET = _flag("--budget", type=int, default=20000)
-_SEED_CHECK = _kind(lambda v: _is_int(v) and v >= 0, "a non-negative integer")
+_SEED_CHECK = _kind(lambda v: is_integer(v) and v >= 0, "a non-negative integer")
 _SEED = _flag("--seed", check_seed, _SEED_CHECK, type=int, default=0)
 _PGRID_CHECK = lambda name, value: require_list(value, name, is_number, "a number")
 _COEFFS_CHECK = lambda name, value: require_list(value, name, _is_pair, "an [re, im] pair")
 _SWEEP = (_flag("--p", lambda text: _parse_pgrid(text) if text else None, _PGRID_CHECK,
                 help="optional comma-separated p grid for a Poincare sweep"), _BUDGET, _SEED, _OUT)
 _METHOD = _flag("--method", choices=("pencil", "bisect", "both"), default="pencil")
+_GROUP_SPEC = Flag("spec", (("--kind", {"required": True, "choices": list(_GROUP_READS)}),
+                            ("--n", {"type": int, "help": "cyclic/product/heisenberg size parameter"}),
+                            ("--m", {"type": int, "help": "number of product factors"}),
+                            ("--path", {"help": "input table JSON (kind=table)"})),
+                   _group_spec_from_args,
+                   _kind(lambda spec: isinstance(spec, dict) and spec.get("kind") in _GROUP_READS,
+                         "a group spec"))
 
 
 # ---------------------------------------------------------------- runners
 # Each runner is a pure function config -> results so that replay can
 # re-execute reports without re-parsing argv.
 
+@_command("group", "build and save a group table",
+          _flag("group_command", None, choices=["build"],
+                help="build a group and write its JSON table"),
+          _GROUP_SPEC, _flag("--out", None, required=True, help="output group JSON"),
+          write=_write_group)
 def run_group(config: dict) -> dict:
     group = build_from_spec(config["spec"])
     return {
@@ -272,18 +335,15 @@ def run_group(config: dict) -> dict:
     }
 
 
-_RUNNERS["group"] = run_group      # `group build` is parsed and configured by hand: a nested spec
-
-
 @_command("cn-check", "conditional negativity verdict for psi",
-          _flag("--tol", type=float, default=DEFAULT_TOL), _OUT, psi="required")
+          _PSI, _flag("--tol", type=float, default=DEFAULT_TOL), _OUT)
 def run_cn_check(config: dict) -> dict:
     psi = _psi_from_config(config["psi"])
     verdict = is_conditionally_negative(psi, tol=config["tol"])
     return {"verdict": verdict.psd, "min_eig": verdict.min_eig}
 
 
-@_command("realize", "factor the Gromov form into cocycle vectors", _OUT, psi="required")
+@_command("realize", "factor the Gromov form into cocycle vectors", _PSI, _OUT)
 def run_realize(config: dict) -> dict:
     psi = _psi_from_config(config["psi"])
     K = gromov_form(psi)
@@ -299,18 +359,18 @@ def run_realize(config: dict) -> dict:
 
 
 @_command("schur-identity", "word-length Schur identity residual",
-          _flag("--n", type=int, required=True), _OUT, psi="optional")
+          _PSI._replace(load=lambda args: _psi_config_from_args(args, False),
+                        check=lambda key, cfg: cfg is None or _check_psi(key, cfg)),
+          _flag("--n", type=int, required=True), _OUT)
 def run_schur(config: dict) -> dict:
     psi = _psi_from_config(config["psi"]) if config["psi"] else None
     rep = verify_schur_identity(config["n"], psi)
     return {"residual": float(rep.residual), "terms": rep.terms}
 
 
-@_command("alpha", "best constant in Gamma_2 >= alpha Gamma (kernel level)", _METHOD, _OUT,
-          psi="required")
+@_command("alpha", "best constant in Gamma_2 >= alpha Gamma (kernel level)", _PSI, _METHOD, _OUT)
 def run_alpha(config: dict) -> dict:
     method = config["method"]
-    _METHOD.check("method", method)
     psi = _psi_from_config(config["psi"])
     K = gromov_form(psi)
     cert = best_alpha_bisection(K) if method == "bisect" else best_alpha_pencil(K)
@@ -325,11 +385,12 @@ def run_alpha(config: dict) -> dict:
 
 
 @_command("gamma", "Gamma and Gamma_2 forms of algebra elements",
+          _PSI._replace(options=_PSI.options + (
+              ("--group", {"help": "group JSON file; overrides the psi file's group"}),)),
           _flag("--f", _coeffs_from_file, _COEFFS_CHECK, required=True,
                 help="element JSON {'coeffs': [[re,im],...]}"),
           _flag("--g", _coeffs_from_file, _COEFFS_CHECK, help="second element (defaults to f)"),
-          _OUT,
-          psi="group")
+          _OUT)
 def run_gamma(config: dict) -> dict:
     psi = _psi_from_config(config["psi"])
     sg = Semigroup(psi)
@@ -352,12 +413,13 @@ def _poincare_results(report) -> dict:
 
 
 @_command("poincare", "L_p Poincare constants and growth fit",
+          _PSI,
           _flag("--p", _parse_pgrid, _PGRID_CHECK, default="2,4,8,16",
                 help="comma-separated p grid in [2,16], at least two distinct values"),
           _BUDGET, _SEED,
           _flag("--alpha", action="store_true", help="attach the sqrt(p/alpha*) envelope"),
           _flag("--emit-csv", None, help="write (p, constant) rows to this CSV"), _OUT,
-          psi="required")
+          write=_write_report_and_csv)
 def run_poincare(config: dict) -> dict:
     psi = _psi_from_config(config["psi"])
     sg = Semigroup(psi)
@@ -406,6 +468,7 @@ def _generator_results(A, config: dict, out: dict) -> dict:
 
 
 @_command("dilate", "Monte-Carlo dilation and martingale transform",
+          _PSI,
           _flag("--x", _coeffs_from_file, _COEFFS_CHECK, required=True,
                 help="element JSON {'coeffs': [[re,im],...]}"),
           _flag("--L", type=float, required=True),
@@ -414,8 +477,7 @@ def _generator_results(A, config: dict, out: dict) -> dict:
           _flag("--p", type=float, default=4.0),
           _flag("--seed", check_seed, _SEED_CHECK, type=int, default=11),
           _flag("--alpha", action="store_true",
-                help="attach the bracket envelope at alpha = alpha*(psi)"), _OUT,
-          psi="required")
+                help="attach the bracket envelope at alpha = alpha*(psi)"), _OUT)
 def run_dilate(config: dict) -> dict:
     if config["steps"] < 1:
         raise ValueError(f"need at least one step, got {config['steps']}")
@@ -463,12 +525,12 @@ def _summary_row(name: str, command: str, results: dict) -> dict:
 
 
 @_command("gallery", "run the whole example suite",
-          _flag("--out-dir", None, default="gallery"), _SEED)
+          _flag("--out-dir", None, default="gallery"), _SEED, write=_write_gallery)
 def run_gallery(config: dict, out_dir: Optional[str] = None) -> dict:
     seed = config["seed"]
     rows = []
     for name, command, sub in _gallery_entries(seed):
-        results = _RUNNERS[command](sub)
+        results = _run(command, sub)
         if out_dir:
             _emit(_report_text(command, sub, results, seed),
                   os.path.join(out_dir, f"{name}.json"))
@@ -483,68 +545,26 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="cocycle-lab",
                                  description="cocycle machinery on finite groups")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("group", help="build and save a group table")
-    gsub = sp.add_subparsers(dest="group_command", required=True)
-    gb = gsub.add_parser("build", help="build a group and write its JSON table")
-    gb.add_argument("--kind", required=True,
-                    choices=["cyclic", "product", "heisenberg", "table"])
-    gb.add_argument("--n", type=int, help="cyclic/product/heisenberg size parameter")
-    gb.add_argument("--m", type=int, default=1, help="number of product factors")
-    gb.add_argument("--path", help="input table JSON (kind=table)")
-    gb.add_argument("--out", required=True, help="output group JSON")
-
-    for name, (summary, psi, flags) in _COMMANDS.items():
+    for name, (summary, flags, _) in _COMMANDS.items():
         sp = sub.add_parser(name, help=summary)
-        if psi:
-            sp.add_argument("--psi", help="length function JSON "
-                                          "{'group': path-or-spec, 'psi': [...]}")
-            sp.add_argument("--builtin", help="builtin family, e.g. walsh:2:3, "
-                                              "wordlength:8, heisenberg-delta:2")
-        if psi == "group":
-            sp.add_argument("--group", help="group JSON file; overrides the psi file's group")
         for flag in flags:
-            sp.add_argument(flag.option, **flag.kw)
-
+            for option, kw in flag.options:
+                sp.add_argument(option, **kw)
     sp = sub.add_parser("replay", help="re-run a stored report and compare bytes")
     sp.add_argument("--report", required=True)
     return ap
 
 
-def _group_spec_from_args(args) -> dict:
-    spec = {"kind": args.kind}
-    if args.kind == "table":
-        if not args.path:
-            raise ValueError("kind=table needs --path")
-        spec.update(_group_spec_from_file(args.path))
-    else:
-        if args.n is None:
-            raise ValueError(f"kind={args.kind} needs --n")
-        spec["n"] = args.n
-        if args.kind == "product":
-            spec["m"] = args.m
-    return spec
-
-
 def _config_keys(command: str) -> dict:
-    """{key: flag} of a config of command; spec (group) and psi are loaded apart, under None."""
-    if command == "group":
-        return {"spec": None}
-    _, psi, flags = _COMMANDS[command]
-    loaded = {flag.option.lstrip("-").replace("-", "_"): flag for flag in flags if flag.load}
-    return {"psi": None, **loaded} if psi else loaded
+    """{key: flag} of a config of command."""
+    return {flag.key: flag for flag in _COMMANDS[command][1] if flag.key}
 
 
-def _config_from_args(args) -> dict:
-    """config["psi"] from the psi flags, and loader(value) under each loaded flag's dest."""
-    if args.command == "group":
-        return {"spec": _group_spec_from_args(args)}
-    psi = _COMMANDS[args.command][1]
-    config = {"psi": _psi_config_from_args(args, psi != "optional")} if psi else {}
-    for key, flag in _config_keys(args.command).items():
-        if flag is not None:
-            config[key] = None if getattr(args, key) is None else flag.load(getattr(args, key))
-    return config
+def _run(command: str, config: dict, *outputs) -> dict:
+    """The results of command on config, each value checked by its flag before the runner."""
+    for key, flag in _config_keys(command).items():
+        flag.check(key, config[key])
+    return _RUNNERS[command](config, *outputs)
 
 
 def _run_replay(args) -> int:
@@ -558,21 +578,16 @@ def _run_replay(args) -> int:
     command, config = report["command"], report["config"]
     if not isinstance(config, dict):
         raise ValueError(f"{args.report} is not a report: its config is not an object")
-    if command not in _RUNNERS:
+    if command not in _COMMANDS:
         raise ValueError(f"{args.report} names an unknown command {command!r}")
-    keys = _config_keys(command)
-    missing = [repr(k) for k in keys if k not in config]
+    missing = [repr(k) for k in _config_keys(command) if k not in config]
     if missing:
         raise ValueError(f"{args.report} is not a report: its {command} config lacks "
                          f"{', '.join(missing)}")
-    for key, flag in keys.items():
-        if flag is not None:
-            flag.check(key, config[key])
     if _digest(config) != report["inputs_digest"]:
         sys.stderr.write("replay: config digest mismatch (report edited or version drift)\n")
         return 1
-    results = _RUNNERS[command](config)
-    fresh = _report_text(command, config, results, report["seed"])
+    fresh = _report_text(command, config, _run(command, config), report["seed"])
     if fresh != original:
         sys.stderr.write("replay: regenerated report differs from the stored one\n")
         return 1
@@ -582,31 +597,15 @@ def _run_replay(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    cmd = args.command
     try:
-        if cmd == "replay":
+        if args.command == "replay":
             return _run_replay(args)
-        config = _config_from_args(args)
-        out = getattr(args, "out", None)
-        if cmd == "gallery":
-            os.makedirs(args.out_dir, exist_ok=True)
-            results = _RUNNERS[cmd](config, args.out_dir)
-            out = os.path.join(args.out_dir, "summary.json")
-        else:
-            results = _RUNNERS[cmd](config)
-        if cmd == "group":
-            _emit(json.dumps(results["group"]) + "\n", out)     # the bytes save_group writes
-            out = None
-        _emit(_report_text(cmd, config, results, config.get("seed")), out)
-        if cmd == "gallery":
-            sys.stdout.write(f"gallery: {results['row_count']} entries in {args.out_dir}\n")
-        if getattr(args, "emit_csv", None):
-            rows = [f"{p!r},{c!r}" for p, c in zip(results["p_grid"], results["constants"])]
-            with open(args.emit_csv, "w") as fh:
-                fh.write("\n".join(["p,constant"] + rows) + "\n")
+        config = {key: flag.load(args) for key, flag in _config_keys(args.command).items()}
+        _, _, write = _COMMANDS[args.command]
+        write(args, args.command, config)
         return 0
     except (ValueError, KeyError, OSError) as exc:
-        sys.stderr.write(f"{cmd}: {exc}\n")
+        sys.stderr.write(f"{args.command}: {exc}\n")
         return 1
 
 

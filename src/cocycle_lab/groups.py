@@ -264,6 +264,11 @@ def is_number(v) -> bool:
     return True
 
 
+def is_integer(v) -> bool:
+    """v is a Python or numpy integer, not a bool (which Python counts as an int)."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _whole(v) -> bool:
     """v is a number without a fraction: not NaN or inf.  An int of at most 1023 bits, the
     common case, converts to a float without overflow, so it is one without the conversion."""

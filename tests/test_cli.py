@@ -10,7 +10,7 @@ import time
 import pytest
 
 from cocycle_lab.cli import (_COMMANDS, _RUNNERS, _build_parser, _config_keys, _digest,
-                              _report_text, main)
+                              _report_text, _run, main)
 from cocycle_lab.groups import ORDER_CAP, build_cyclic, build_product, group_to_dict, save_group
 
 from conftest import assert_report_pinned
@@ -537,6 +537,7 @@ REPLAY_BASE_CONFIGS = {
     "dilate": {"x": [[0.0, 0.0], [1.0, 0.0], [0.7, 0.0], [0.0, 0.3]], "L": 1.0, "steps": 4,
                "samples": 16, "p": 4.0, "seed": 11, "alpha": False},
     "gallery": {"seed": 0},
+    "group": {"spec": {"kind": "cyclic", "n": 3}},
 }
 
 
@@ -554,9 +555,9 @@ def test_replay_names_a_config_value_of_the_wrong_kind(command, key, bad, want, 
 
 
 def test_run_alpha_rejects_an_unknown_method():
-    # the gallery and replay call runners directly; every method but "bisect" ran the pencil
+    # the gallery and replay run configs through _run; every method but "bisect" ran the pencil
     with pytest.raises(ValueError, match="^method = 5 is not one of pencil, bisect, both$"):
-        _RUNNERS["alpha"]({"psi": {"builtin": "wordlength:4"}, "method": 5})
+        _run("alpha", {"psi": {"builtin": "wordlength:4"}, "method": 5})
 
 
 def test_replay_checks_every_config_value_through_its_flag(tmp_path, capsys):
@@ -572,6 +573,20 @@ def test_replay_checks_every_config_value_through_its_flag(tmp_path, capsys):
             assert main(["replay", "--report", str(path)]) == 1
             err = capsys.readouterr().err
             assert err.startswith(f'replay: {key} = {{"bad": 1}} is not '), (command, err)
+
+
+def test_each_command_parses_exactly_the_options_of_its_flags():
+    """One registration gives the parser and the config: `<cmd> --help` lists the flags it
+    reads, and each config key comes from one flag."""
+    subparsers = next(a for a in _build_parser()._actions if a.dest == "command").choices
+    assert set(subparsers) == set(_COMMANDS) | {"replay"}
+    for name, (_, flags, _) in _COMMANDS.items():
+        parsed = [s for a in subparsers[name]._actions if a.dest != "help"
+                  for s in a.option_strings or [a.dest]]
+        declared = [option for flag in flags for option, _ in flag.options]
+        assert parsed == declared, name
+        keys = [flag.key for flag in flags if flag.key]
+        assert len(keys) == len(set(keys)) == len(_config_keys(name)), name
 
 
 def test_cli_bare_psi_list_names_group_only_where_the_command_has_it(tmp_path, capsys):
@@ -608,6 +623,14 @@ def test_cli_names_each_bad_flag_combination(tmp_path, capsys):
     for argv, want in (
             (["group", "build", "--kind", "table", "--out", unwritten], "kind=table needs --path"),
             (["group", "build", "--kind", "cyclic", "--out", unwritten], "kind=cyclic needs --n"),
+            (["group", "build", "--kind", "cyclic", "--n", "3", "--m", "5", "--out", unwritten],
+             "kind=cyclic does not read --m"),
+            (["group", "build", "--kind", "cyclic", "--n", "3", "--path", psi, "--out", unwritten],
+             "kind=cyclic does not read --path"),
+            (["group", "build", "--kind", "heisenberg", "--n", "2", "--m", "4", "--out", unwritten],
+             "kind=heisenberg does not read --m"),
+            (["group", "build", "--kind", "table", "--n", "2", "--path", psi, "--out", unwritten],
+             "kind=table does not read --n"),
             (["poincare", "--builtin", "wordlength:4", "--p", "2,x"],
              "bad p grid '2,x': expected comma-separated numbers"),
             (["matrix", "--n", "2", "--p", "2;4"], "bad p grid '2;4': expected comma-separated numbers"),

@@ -158,17 +158,38 @@ def test_scenario_validation():
             martingale_transform(x, sc, 1.0, p)
 
 
-@pytest.mark.parametrize("steps, samples, seed, want", [
-    (2.5, 8, 0, "steps = 2.5 is not an integer"),
-    (True, 8, 0, "steps = True is not an integer"),
-    (4, 8.9, 0, "samples = 8.9 is not an integer"),
-    (4, 8, 1.7, "seed = 1.7 is not an integer"),
-    (4, 8, -1, "seed must be a non-negative integer, got -1")])
-def test_scenario_rejects_a_count_or_seed_that_is_no_integer(steps, samples, seed, want):
+SCENARIO_CASES = [
+    (2.5, 8, 0, 0.25, "steps = 2.5 is not an integer"),
+    (True, 8, 0, 0.25, "steps = True is not an integer"),
+    (4, 8.9, 0, 0.25, "samples = 8.9 is not an integer"),
+    (4, 8, 1.7, 0.25, "seed = 1.7 is not an integer"),
+    (4, 8, -1, 0.25, "seed must be a non-negative integer, got -1"),
+    (4, 8, 0, True, "dt = True is not a number"),
+    (4, 8, 0, "0.1", "dt = '0.1' is not a number")]
+
+
+@pytest.mark.parametrize("steps, samples, seed, dt, want", SCENARIO_CASES,
+                         ids=["-".join(map(str, (*case[:3], case[4]))) for case in SCENARIO_CASES])
+def test_scenario_rejects_a_count_or_seed_that_is_no_integer(steps, samples, seed, dt, want):
     # these were once cut to 2 steps, 8 samples, seed 1 and 1 step, and a negative seed
-    # failed only at the first draw
+    # failed only at the first draw; dt True ran as a step of 1.0, and "0.1" died with a
+    # TypeError
     with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
-        sample_scenario(word_length_cocycle(4), steps, 0.25, samples, seed)
+        sample_scenario(word_length_cocycle(4), steps, dt, samples, seed)
+
+
+def test_dilation_names_a_sample_or_p_of_the_wrong_type():
+    """sample 1.5 died with numpy's TypeError and True read as sample 1; p "4" ran at p = 4."""
+    sc = sample_scenario(word_length_cocycle(4), 4, 0.25, 8, 0)
+    x = delta(sc.cocycle.group, 1)
+    for sample, want in ((1.5, "sample = 1.5 is not an integer"),
+                         (True, "sample = True is not an integer")):
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            dilation_matrix(x, 0.25, sc, sample)
+    assert dilation_matrix(x, 0.25, sc, np.int64(1)).shape == (4, 4)
+    for call in (martingale_transform, inequality_report):
+        with pytest.raises(ValueError, match="^p = '4' is not a number$"):
+            call(x, sc, 1.0, "4")
 
 
 def test_scenario_takes_numpy_integers():
