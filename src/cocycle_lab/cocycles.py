@@ -157,14 +157,11 @@ def word_length_cocycle(n: int) -> CocycleRealization:
         raise ValueError(
             f"word-length realization needs even n >= 2, got {n}; "
             f"for odd n embed Z_n into Z_(2n) and restrict")
+    group = build_cyclic(n)                     # the order cap fails before B exists
     d = n // 2
-    B = np.zeros((n, d))
-    for k in range(1, n):
-        if k <= d:
-            B[k, :k] = 1.0
-        else:
-            B[k, k - d:d] = 1.0
-    return CocycleRealization(build_cyclic(n), d, B)
+    k, j = np.arange(n)[:, None], np.arange(d)
+    B = ((k - d <= j) & (j < k)).astype(float)
+    return CocycleRealization(group, d, B)
 
 
 def cyclic_length(mode: str, k: np.ndarray, n) -> np.ndarray:
@@ -197,33 +194,30 @@ class SchurReport:
     terms: int
 
 
-def _word_block(m: int) -> np.ndarray:
-    """(m-1)x(m-1) word-length Gromov matrix of Z_m over indices 1..m-1."""
-    K = gromov_form(word_length_psi(m)).K
-    return K[1:, 1:]
-
-
 def verify_schur_identity(n: int, psi: Optional[LengthFunction] = None) -> SchurReport:
-    """Check K_n o K_n - K_n = 2 sum_{l=1}^{n/2-1} embedded K_{2l}.
+    """Check K o K - K = G o G - G, with G = Z Z^T for the wall matrix Z of the word length.
 
-    K_n is the word-length Gromov matrix over indices 1..n-1 and the l-th
-    block is embedded at offset (n-2l)/2.  The identity is exact for the
-    word length; passing a different psi on Z_n substitutes its Gromov
-    matrix on the left-hand side only, which serves as a negative control.
+    Z = word_length_cocycle(n).vectors has 0/1 columns z_r, so
+    G o G - G = 2 sum_{r<r'} (z_r o z_r')(z_r o z_r')^T, a sum of PSD terms: at
+    K = G this is Gamma_2 >= Gamma.  Grouped by the gap r' - r = g, the pairs sum
+    to the word-length Gromov matrix of Z_(n-2g) embedded at offset g, so terms
+    counts the n/2 - 1 gap classes.  K is the Gromov matrix of the word length,
+    or of psi on Z_n, which serves as a negative control.
     """
     if n < 4 or n % 2:
         raise ValueError(f"Schur identity needs even n >= 4, got {n}")
+    walls = word_length_cocycle(n)
     if psi is None:
-        Kn = _word_block(n)
-    else:
-        if psi.group.order != n:
-            raise ValueError(f"psi lives on a group of order {psi.group.order}, expected {n}")
-        Kn = gromov_form(psi).K[1:, 1:]
-    lhs = Kn * Kn - Kn
-    rhs = np.zeros_like(lhs)
-    terms = n // 2 - 1
-    for l in range(1, n // 2):
-        m = 2 * l
-        off = (n - m) // 2
-        rhs[off:off + m - 1, off:off + m - 1] += 2.0 * _word_block(m)
-    return SchurReport(float(np.abs(lhs - rhs).max()), terms)
+        psi = coordinate_length(walls.group, (n,), (0,), "wordlength")   # word_length_psi(n)
+    elif psi.group.order != n:
+        raise ValueError(f"psi lives on a group of order {psi.group.order}, expected {n}")
+    elif not np.array_equal(psi.group.mul, walls.group.mul):
+        raise ValueError(f"psi lives on a group of order {n} that is not Z_{n}")
+    K = gromov_form(psi).K
+    Z = walls.vectors
+    G = Z @ Z.T
+    G *= G - 1.0                                # G o G - G, exact: G is integer-valued
+    R = K * K
+    R -= K
+    R -= G
+    return SchurReport(float(np.abs(R, out=R).max()), n // 2 - 1)

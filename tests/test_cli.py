@@ -214,6 +214,9 @@ def test_cli_errors_exit_nonzero(tmp_path, capsys):
     assert "cn-check:" in capsys.readouterr().err
     assert main(["schur-identity", "--n", "5"]) == 1
     assert "schur-identity:" in capsys.readouterr().err
+    assert main(["schur-identity", "--n", "4", "--builtin", "walsh:2:2"]) == 1
+    assert capsys.readouterr().err == (
+        "schur-identity: psi lives on a group of order 4 that is not Z_4\n")
 
     for grid in ("2", "4,4", ""):
         assert main(["poincare", "--builtin", "wordlength:4", "--p", grid,

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from cocycle_lab.cocycles import (GromovForm, LengthFunction, gromov_form, is_co
                                   verify_schur_identity, word_length_cocycle,
                                   word_length_psi)
 from cocycle_lab.families import builtin_length, delta_psi, heisenberg_delta, walsh_length
-from cocycle_lab.groups import build_cyclic
+from cocycle_lab.groups import ORDER_CAP, SizeCapError, build_cyclic
 from cocycle_lab.linalg import psd_scale
 
 # Gromov matrix of the Z_4 word length over indices 1..3, by hand
@@ -234,23 +235,57 @@ def test_word_length_cocycle_odd_rejected():
         word_length_cocycle(7)
 
 
+def test_word_length_cocycle_checks_cap_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError, match="exceeds cap"):
+            word_length_cocycle(ORDER_CAP + 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_schur_identity_exact():
-    for n in (4, 6, 8, 12, 20):
+    for n in (4, 6, 8, 12, 20, 1024):
         rep = verify_schur_identity(n)
         assert rep.residual == 0.0
         assert rep.terms == n // 2 - 1
 
 
+def test_schur_wall_pairs_are_the_word_blocks():
+    """The reference route: the wall pairs of gap g sum to the Z_(n-2g) word-length
+    Gromov matrix at offset g, and twice their sum over g is G o G - G."""
+    for n in range(4, 41, 2):
+        Z = word_length_cocycle(n).vectors
+        G = Z @ Z.T
+        total = np.zeros_like(G)
+        for g in range(1, n // 2):
+            pairs = Z[:, :-g] * Z[:, g:]
+            block = np.zeros_like(G)
+            m = n - 2 * g
+            block[g + 1:g + m, g + 1:g + m] = gromov_form(word_length_psi(m)).K[1:, 1:]
+            assert np.array_equal(pairs @ pairs.T, block), (n, g)
+            total += block
+        assert np.array_equal(2.0 * total, G * G - G), n
+
+
 def test_schur_negative_control():
-    rep = verify_schur_identity(4, delta_psi(4))
-    assert rep.residual == 2.0
+    for n, residual in ((4, 2.0), (6, 6.0), (8, 12.0), (16, 56.0)):
+        rep = verify_schur_identity(n, delta_psi(n))
+        assert rep.residual == residual
+        assert rep.terms == n // 2 - 1
 
 
 def test_schur_input_validation():
     with pytest.raises(ValueError, match="even n >= 4"):
         verify_schur_identity(5)
-    with pytest.raises(ValueError, match="order"):
+    with pytest.raises(ValueError, match=re.escape("order 4, expected 6")):
         verify_schur_identity(6, delta_psi(4))
+    with pytest.raises(ValueError, match=re.escape("order 4 that is not Z_4")):
+        verify_schur_identity(4, walsh_length(2, 2))
+    with pytest.raises(ValueError, match=re.escape("order 8 that is not Z_8")):
+        verify_schur_identity(8, heisenberg_delta(2))
 
 
 def test_heisenberg_delta_degenerate_but_cn():
