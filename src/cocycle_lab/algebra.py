@@ -8,8 +8,8 @@ characters diagonalise it: its eigenvalues are the transform f^(chi),
 so ||f||_p^p = mean_chi |f^(chi)|^p at every p.
 The heat semigroup T_t acts by coefficient multipliers e^{-t psi(g)};
 Gamma and Gamma_2 have both a kernel code path (Gromov kernel weights)
-and a definitional one (through the generator), kept deliberately
-separate as a cross-check.
+and a definitional one (bakry_emery, the Bakry-Emery iteration through
+the generator), kept deliberately separate as a cross-check.
 """
 from __future__ import annotations
 
@@ -149,22 +149,32 @@ def _kernel_contract(sg: Semigroup, f: AlgebraElement, g: AlgebraElement, weight
     return AlgebraElement(f.group, (np.conj(f.coeffs)[..., None, :] @ w)[..., 0, :])
 
 
-def gamma(sg: Semigroup, f: AlgebraElement, g: AlgebraElement,
-          path: str = "kernel") -> AlgebraElement:
-    """Gamma(f,g) = (A(f*)g + f*A(g) - A(f*g))/2.
+def bakry_emery(apply, product, u, g, k: int):
+    """Gamma_k(f, g) = (Gamma_{k-1}(Af, g) + Gamma_{k-1}(f, Ag) - A Gamma_{k-1}(f, g))/2 of the
+    generator A = apply, from Gamma_0(f, g) = product(u, g) for u = f*.  (Af)* is taken to be
+    apply(u), so A must satisfy A(f*) = A(f)*, as every generator here does."""
+    if k == 0:
+        return product(u, g)
+    step = lambda v, h: bakry_emery(apply, product, v, h, k - 1)
+    return 0.5 * (step(apply(u), g) + step(u, apply(g)) - apply(step(u, g)))
 
-    Kernel path: coefficient of lambda(u) is sum_s conj(a_s) b_{su} K(s, su).
-    """
+
+def _gamma_k(sg: Semigroup, f: AlgebraElement, g: AlgebraElement, k: int, path: str):
+    """Gamma_k(f, g): on the kernel path the coefficient of lambda(u) is
+    sum_s conj(a_s) b_{su} K(s, su)^k, on the definitional path bakry_emery runs."""
     _same_group(f, g)
     if path == "kernel":
-        return _kernel_contract(sg, f, g, sg._kernel_su)
+        w = sg._kernel_su
+        return _kernel_contract(sg, f, g, w if k == 1 else w ** k)
     if path == "definitional":
-        fs = f.adjoint()
-        a = conv(generator_apply(sg, fs), g)
-        b = conv(fs, generator_apply(sg, g))
-        c = generator_apply(sg, conv(fs, g))
-        return AlgebraElement(f.group, 0.5 * (a.coeffs + b.coeffs - c.coeffs))
+        return bakry_emery(lambda h: generator_apply(sg, h), conv, f.adjoint(), g, k)
     raise ValueError(f"unknown gamma path {path!r}")
+
+
+def gamma(sg: Semigroup, f: AlgebraElement, g: AlgebraElement,
+          path: str = "kernel") -> AlgebraElement:
+    """Gamma(f,g) = (A(f*)g + f*A(g) - A(f*g))/2."""
+    return _gamma_k(sg, f, g, 1, path)
 
 
 def gamma_norm(sg: Semigroup, f: AlgebraElement, q: float, psd: bool = False):
@@ -178,19 +188,8 @@ def gamma_norm(sg: Semigroup, f: AlgebraElement, q: float, psd: bool = False):
 
 def gamma2(sg: Semigroup, f: AlgebraElement, g: AlgebraElement,
            path: str = "kernel") -> AlgebraElement:
-    """Gamma_2(f,g) = (Gamma(Af,g) + Gamma(f,Ag) - A Gamma(f,g))/2.
-
-    Kernel path: same contraction as gamma with kernel weight K(s, su)^2.
-    """
-    _same_group(f, g)
-    if path == "kernel":
-        return _kernel_contract(sg, f, g, sg._kernel_su ** 2)
-    if path == "definitional":
-        a = gamma(sg, generator_apply(sg, f), g)
-        b = gamma(sg, f, generator_apply(sg, g))
-        c = generator_apply(sg, gamma(sg, f, g))
-        return AlgebraElement(f.group, 0.5 * (a.coeffs + b.coeffs - c.coeffs))
-    raise ValueError(f"unknown gamma path {path!r}")
+    """Gamma_2(f,g) = (Gamma(Af,g) + Gamma(f,Ag) - A Gamma(f,g))/2."""
+    return _gamma_k(sg, f, g, 2, path)
 
 
 def operator_positivity(f: AlgebraElement) -> PsdVerdict:

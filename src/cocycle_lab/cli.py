@@ -34,7 +34,7 @@ from .cocycles import (DEFAULT_TOL, gromov_form, is_conditionally_negative, leng
 from .criterion import best_alpha_bisection, best_alpha_pencil
 from .dilation import inequality_report, sample_scenario
 from .families import builtin_length
-from .groups import build_from_spec, group_to_dict, is_integer, is_number, load_group
+from .groups import SPEC_KEYS, build_from_spec, group_to_dict, is_integer, is_number, load_group
 from .linalg import echo, require_finite, require_list
 from .matrixalg import (alpha_battery, heisenberg_multiplier, lindblad_gamma_residual,
                         lindblad_generator, matrix_poincare)

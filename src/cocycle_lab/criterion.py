@@ -116,7 +116,4 @@ def _require_alpha(alpha: float) -> None:
 def check_element(sg: Semigroup, f: AlgebraElement, alpha: float) -> PsdVerdict:
     """Operator-level test: is Gamma_2(f,f) - alpha Gamma(f,f) PSD?"""
     _require_alpha(alpha)
-    g2 = gamma2(sg, f, f)
-    g1 = gamma(sg, f, f)
-    diff = AlgebraElement(f.group, g2.coeffs - alpha * g1.coeffs)
-    return operator_positivity(diff)
+    return operator_positivity(gamma2(sg, f, f) - alpha * gamma(sg, f, f))

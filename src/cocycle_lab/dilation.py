@@ -40,7 +40,7 @@ import numpy as np
 from .algebra import AlgebraElement, Semigroup, gamma, gamma_norm, regular_rep, semigroup_apply
 from .cocycles import CocycleRealization, LengthFunction
 from .criterion import AlphaCertificate
-from .groups import is_integer, is_number
+from .groups import is_integer, is_number, require
 from .linalg import blocks, schatten_pow_batch
 from . import rng
 
@@ -94,22 +94,15 @@ class BrownianScenario:
 
 def sample_scenario(cocycle: CocycleRealization, n: int, dt: float,
                     samples: int, seed: int) -> BrownianScenario:
-    _require(is_number, "a number", dt=dt)
+    require(is_number, "a number", dt=dt)
     if not 0 < dt < np.inf:
         raise ValueError(f"step size must be positive and finite, got {dt}")
-    _require(is_integer, "an integer", steps=n, samples=samples, seed=seed)
+    require(is_integer, "an integer", steps=n, samples=samples, seed=seed)
     if n < 1:
         raise ValueError(f"need at least one step, got {n}")
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     return BrownianScenario(cocycle, int(n), float(dt), int(samples), rng.check_seed(int(seed)))
-
-
-def _require(ok, what: str, **values) -> None:
-    """ValueError name = value is not what, for the first of values that ok rejects."""
-    for name, value in values.items():
-        if not ok(value):
-            raise ValueError(f"{name} = {value!r} is not {what}")
 
 
 def _pair(cocycle: CocycleRealization, v: np.ndarray) -> np.ndarray:
@@ -148,7 +141,7 @@ def dilation_matrix(x: AlgebraElement, t: float, scenario: BrownianScenario,
                     sample: int) -> np.ndarray:
     """Realization of the time-t dilation of x at one sample path."""
     k = _grid_index(scenario, t)
-    _require(is_integer, "an integer", sample=sample)
+    require(is_integer, "an integer", sample=sample)
     if not 0 <= sample < scenario.samples:
         raise ValueError(f"sample index {sample} out of range [0, {scenario.samples})")
     w = _path_phases(scenario.cocycle, scenario.increments(sample, sample + 1)[0, :k].sum(axis=0))
@@ -202,7 +195,7 @@ def martingale_transform(x: AlgebraElement, scenario: BrownianScenario, L: float
     unphased: sum_k ||dx_k||_p^p.
     """
     _check_horizon(scenario, L)
-    _require(is_number, "a number", p=p)
+    require(is_number, "a number", p=p)
     if float(p) not in BRACKET_PS:
         raise ValueError(f"bracket estimation supports p in {BRACKET_PS}, got {p}")
     p = float(p)

@@ -269,6 +269,13 @@ def is_integer(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def require(ok, what: str, **values) -> None:
+    """ValueError name = value is not what, for the first of values that ok rejects."""
+    for name, value in values.items():
+        if not ok(value):
+            raise ValueError(f"{name} = {value!r} is not {what}")
+
+
 def _whole(v) -> bool:
     """v is a number without a fraction: not NaN or inf.  An int of at most 1023 bits, the
     common case, converts to a float without overflow, so it is one without the conversion."""
@@ -312,26 +319,30 @@ def load_group(path: str) -> FiniteGroup:
             raise type(exc)(f"{path}: {exc}") from exc
 
 
+# the keys besides "kind" that a group spec of each sized kind reads, in its builder's order
+SPEC_KEYS = {"cyclic": ("n",), "product": ("n", "m"), "heisenberg": ("n",)}
+
+
 def build_from_spec(spec: dict) -> FiniteGroup:
     """GroupSpec dispatch: {"kind": cyclic|product|heisenberg|table, ...}.
 
-    A table spec holds the table itself ({"order", "mul", "labels"?}), never a path.
+    A table spec holds the table itself ({"order", "mul", "labels"?}), never a path; a sized
+    kind rejects every key besides "kind" and its SPEC_KEYS.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"group spec = {echo(json.dumps(spec, default=repr))} is not an object")
     kind = spec.get("kind")
     if kind == "table":
         return group_from_dict(spec)
-    if kind not in ("cyclic", "product", "heisenberg"):
+    if not isinstance(kind, str) or kind not in SPEC_KEYS:
         raise ValueError(f"unknown group kind {kind!r}")
+    unread = [key for key in spec if key != "kind" and key not in SPEC_KEYS[kind]]
+    if unread:
+        raise ValueError(f"group kind {kind!r} does not read the key {unread[0]!r}")
     if "n" not in spec:
         raise ValueError(f"group kind {kind!r} needs the key 'n'")
-    sizes = (spec["n"], spec.get("m", 1) if kind == "product" else 1)
+    sizes = [spec.get(key, 1) for key in SPEC_KEYS[kind]]      # a product's m defaults to 1
     if not all(map(_whole, sizes)):
         raise ValueError(f"group kind {kind!r} needs integer sizes, got {spec!r}")
-    n, m = map(int, sizes)
-    if kind == "cyclic":
-        return build_cyclic(n)
-    if kind == "product":
-        return build_power(n, m)
-    return build_heisenberg(n)
+    build = {"cyclic": build_cyclic, "product": build_power, "heisenberg": build_heisenberg}[kind]
+    return build(*map(int, sizes))

@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import rng
-from .algebra import AlgebraElement, Semigroup, _kernel_contract
+from .algebra import AlgebraElement, Semigroup, _kernel_contract, bakry_emery
 from .cocycles import LengthFunction, coordinate_length
 from .criterion import _require_alpha
 from .groups import build_cyclic, build_power, coordinates
@@ -186,19 +186,21 @@ def _require_matrices(n: int, *xs) -> None:
             raise ValueError(f"arguments must be {n}x{n} matrices, got shape {np.shape(x)}")
 
 
-def superop_gamma(A: Superoperator, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gamma(x,y) = (A(x^dag) y + x^dag A(y) - A(x^dag y))/2, per matrix of a stack."""
+def _superop_gamma_k(A: Superoperator, x, y, k: int) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     _require_matrices(A.n, x, y)
-    xd = np.swapaxes(x.conj(), -1, -2)
-    return 0.5 * (A.apply(xd) @ y + xd @ A.apply(y) - A.apply(xd @ y))
+    return bakry_emery(A.apply, np.matmul, np.swapaxes(x.conj(), -1, -2), y, k)
+
+
+def superop_gamma(A: Superoperator, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gamma(x,y) = (A(x^dag) y + x^dag A(y) - A(x^dag y))/2, per matrix of a stack."""
+    return _superop_gamma_k(A, x, y, 1)
 
 
 def superop_gamma2(A: Superoperator, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gamma_2(x,y) = (Gamma(Ax,y) + Gamma(x,Ay) - A Gamma(x,y))/2."""
-    g = superop_gamma
-    return 0.5 * (g(A, A.apply(x), y) + g(A, x, A.apply(y)) - A.apply(g(A, x, y)))
+    """Gamma_2(x,y) = (Gamma(Ax,y) + Gamma(x,Ay) - A Gamma(x,y))/2, per matrix of a stack."""
+    return _superop_gamma_k(A, x, y, 2)
 
 
 def battery_matrix(n: int, seed: int, index: int) -> np.ndarray:

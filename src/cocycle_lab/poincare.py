@@ -23,7 +23,8 @@ import numpy as np
 from .algebra import (AlgebraElement, Semigroup, fix_project, fourier, gamma, gamma_norm,
                       lp_norm)
 from .criterion import AlphaCertificate
-from .linalg import blocks, require_finite, root
+from .groups import is_number, require
+from .linalg import blocks, require_finite, require_list, root
 from . import rng
 
 GRAD_STEP = 1e-6
@@ -92,6 +93,7 @@ def _nonzero(x: np.ndarray) -> np.ndarray:
 
 
 def _require_p(p: float) -> None:
+    require(is_number, "a number", p=p)
     if not p >= 2:
         raise ValueError(f"Poincare ratio needs p >= 2, got {p}")
 
@@ -267,7 +269,7 @@ def sweep(worst: Callable[[float, int], WorstConstant], p_grid: Sequence[float],
     alpha certificate; with alpha* = 0 (criterion fails) the slope is still
     fitted but no envelope exists.
     """
-    ps = [float(p) for p in p_grid]
+    ps = [float(p) for p in require_list(list(p_grid), "p grid", is_number, "a number")]
     if not all(2 <= p <= 16 for p in ps):
         raise ValueError(f"p grid must lie in [2, 16], got {ps}")
     if len(set(ps)) < 2:

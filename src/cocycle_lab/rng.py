@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .groups import is_integer
+
 TAG_SCENARIO = 1        # primary Brownian increments, index = sample
 TAG_SCENARIO_COPY = 2   # independent decoupling copy, index = sample
 TAG_POINCARE = 3        # optimizer starts, index = start
@@ -35,8 +37,8 @@ _MASK32 = 0xFFFFFFFF
 
 
 def check_seed(seed: int) -> int:
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    if not is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     return seed
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cocycle_lab import algebra
 from cocycle_lab.algebra import (AlgebraElement, Semigroup, conv, delta,
                                  element, fix_project, gamma, gamma2, gamma_norm,
                                  generator_apply, lp_norm, operator_positivity,
@@ -274,6 +275,49 @@ def test_gamma2_names_an_unknown_path(z4word):
     f = element(z4word.group, rand_coeffs(4, 20))
     with pytest.raises(ValueError, match="^unknown gamma path 'bogus'$"):
         gamma2(z4word, f, f, path="bogus")
+
+
+def _written_out_gamma(sg, f, g, path):
+    """Gamma(f, g) written out on each path: the reference gamma must match bit for bit."""
+    if path == "kernel":
+        w = np.take(g.coeffs, sg.group.mul, axis=-1) * sg._kernel_su
+        return (np.conj(f.coeffs)[..., None, :] @ w)[..., 0, :]
+    fs = f.adjoint()
+    a = conv(generator_apply(sg, fs), g)
+    b = conv(fs, generator_apply(sg, g))
+    c = generator_apply(sg, conv(fs, g))
+    return 0.5 * (a.coeffs + b.coeffs - c.coeffs)
+
+
+@pytest.mark.parametrize("spec", ["walsh:2:3", "wordlength:8", "delta:5", "heisenberg-delta:3",
+                                  "heisenberg-wordlength:3"])
+def test_gamma_is_bit_identical_to_the_written_out_formulas(spec):
+    """Gamma on both paths has the bits of the written-out formulas; the generator commutes with
+    the adjoint exactly (psi(g^-1) = psi(g)), which bakry_emery needs to carry Gamma_k in f*."""
+    sg = Semigroup(builtin_length(spec))
+    order = sg.group.order
+    for i in range(3):
+        f = element(sg.group, rand_coeffs(order, 200 + i))
+        h = element(sg.group, rand_coeffs(order, 300 + i))
+        for path in ("kernel", "definitional"):
+            assert np.array_equal(gamma(sg, f, h, path).coeffs, _written_out_gamma(sg, f, h, path))
+        assert np.array_equal(generator_apply(sg, f.adjoint()).coeffs,
+                              generator_apply(sg, f).adjoint().coeffs)
+
+
+def test_definitional_gamma2_runs_without_the_kernel(z4word, monkeypatch):
+    """The definitional Gamma_2 iterates the generator alone; it once built its three Gamma
+    terms on the kernel path, so the cross-check compared the kernel against itself in part."""
+    f = element(z4word.group, rand_coeffs(4, 20))
+    h = element(z4word.group, rand_coeffs(4, 60))
+    want = gamma2(z4word, f, h).coeffs
+
+    def no_kernel(*args):
+        raise AssertionError("kernel contraction on the definitional path")
+    monkeypatch.setattr(algebra, "_kernel_contract", no_kernel)
+    assert np.abs(gamma2(z4word, f, h, path="definitional").coeffs - want).max() < 1e-12
+    with pytest.raises(AssertionError, match="kernel contraction"):
+        gamma2(z4word, f, h)
 
 
 @settings(max_examples=30, deadline=None)

@@ -453,6 +453,11 @@ def test_cli_names_the_malformed_field_of_a_psi_file(tmp_path, capsys):
     no_n = write_json(tmp_path / "no_n.json", {"group": {"kind": "cyclic"}, "psi": psi4})
     assert main(["cn-check", "--psi", no_n]) == 1
     assert capsys.readouterr().err == "cn-check: group kind 'cyclic' needs the key 'n'\n"
+    # this once ran on Z_4 and wrote "m": 9 into the report's config
+    with_m = write_json(tmp_path / "with_m.json", {"group": {**cyclic4, "m": 9}, "psi": psi4})
+    assert main(["cn-check", "--psi", with_m, "--out", str(tmp_path / "unwritten.json")]) == 1
+    assert capsys.readouterr().err == "cn-check: group kind 'cyclic' does not read the key 'm'\n"
+    assert not (tmp_path / "unwritten.json").exists()
 
 
 def test_cli_rejects_table_labels_that_are_not_a_list_of_strings(tmp_path, capsys):

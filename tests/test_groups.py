@@ -273,6 +273,14 @@ def test_build_from_spec_dispatch():
     for kind in ("cyclic", "product", "heisenberg"):
         with pytest.raises(ValueError, match=f"^group kind '{kind}' needs the key 'n'$"):
             build_from_spec({"kind": kind})
+    for spec, key in (({"kind": "cyclic", "n": 4, "m": 9}, "m"),
+                      ({"kind": "heisenberg", "n": 2, "path": "x"}, "path"),
+                      ({"kind": "product", "n": 2, "m": 2, "labels": []}, "labels")):
+        with pytest.raises(ValueError, match=f"^group kind '{spec['kind']}' does not read the key "
+                                             f"'{key}'$"):
+            build_from_spec(spec)
+    with pytest.raises(ValueError, match=r"^unknown group kind \[1\]$"):
+        build_from_spec({"kind": [1], "n": 3})
     for spec in ({"kind": "cyclic", "n": None}, {"kind": "product", "n": 2, "m": "x"},
                  {"kind": "cyclic", "n": 4.7}, {"kind": "cyclic", "n": "4"},
                  {"kind": "cyclic", "n": True}, {"kind": "product", "n": 2, "m": 2.9},

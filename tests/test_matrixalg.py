@@ -187,6 +187,38 @@ def test_lindblad_gamma_is_commutator_gram():
         assert np.abs(got - want).max() < 1e-10
 
 
+def _generators():
+    """The M_2..M_4 multipliers in both modes and the Lindblad families of these tests."""
+    for n in (2, 3, 4):
+        for mode in ("delta", "wordlength"):
+            yield heisenberg_multiplier(n, mode)
+    for family in ([np.diag([0.0, 1.0])], [np.diag([0.0, 1.0, 2.0])], [HILBERT_3],
+                   [1e3 * HILBERT_3],
+                   [np.diag([0.0, 1.0, 0.0, 1.0]), np.diag([0.0, 0.0, 1.0, 1.0])]):
+        yield lindblad_generator(family)
+
+
+def test_superop_gamma_is_bit_identical_to_the_written_out_formula():
+    """superop_gamma, bakry_emery at k = 1, has the bits of the written-out formula
+    (A(x^dag) y + x^dag A(y) - A(x^dag y))/2, on one matrix and on a stack."""
+    for A in _generators():
+        x = np.stack([rand_matrix(A.n, 60 + i) for i in range(3)])
+        y = np.stack([rand_matrix(A.n, 70 + i) for i in range(3)])
+        for a, b in ((x[0], y[0]), (x, y)):
+            ad = np.swapaxes(a.conj(), -1, -2)
+            want = 0.5 * (A.apply(ad) @ b + ad @ A.apply(b) - A.apply(ad @ b))
+            assert np.array_equal(superop_gamma(A, a, b), want)
+
+
+def test_generators_commute_with_the_adjoint():
+    """A(x^dag) = A(x)^dag to rounding: bakry_emery takes (Ax)^dag to be A(x^dag)."""
+    for A in _generators():
+        for i in range(5):
+            x = rand_matrix(A.n, 90 + i)
+            want = A.apply(x).conj().T
+            assert np.abs(A.apply(x.conj().T) - want).max() <= 1e-13 * np.abs(A.mat).max()
+
+
 def test_gamma_positivity_both_kinds():
     gens = [heisenberg_multiplier(3, "delta"),
             lindblad_generator([np.diag([0.0, 1.0, 2.0])])]

@@ -46,6 +46,24 @@ def test_ratio_input_validation():
         poincare_ratio(sg, fixed, 2.0)
 
 
+def test_a_p_that_is_no_number_is_named():
+    """Strings in a p grid once ran as numbers, a bool as 1.0, and a string p died with a
+    TypeError from the comparison."""
+    sg = Semigroup(word_length_psi(4))
+    A = heisenberg_multiplier(2, "delta")
+    for grid, bad in ((["2", "4"], '"2"'), ([2.0, "4"], '"4"'), ((True, 4.0), "true")):
+        for sweep in (lambda: sweep_and_fit(sg, grid, budget=200),
+                      lambda: matrix_poincare(A, grid, budget=200)):
+            with pytest.raises(ValueError, match=rf"^p grid\[\d\] = {bad} is not a number$"):
+                sweep()
+    f = element(sg.group, [0.0, 1.0, 0.0, 0.0])
+    for call in (lambda: poincare_ratio(sg, f, "4"), lambda: worst_constant(sg, "4", budget=10),
+                 lambda: matrixalg.matrix_poincare_ratio(A, np.eye(2), "4"),
+                 lambda: matrix_worst_constant(A, "4", budget=10)):
+        with pytest.raises(ValueError, match="^p = '4' is not a number$"):
+            call()
+
+
 def test_worst_constant_hits_l2_oracle():
     sg = Semigroup(word_length_psi(4))
     res = worst_constant(sg, 2.0, budget=500, seed=0)

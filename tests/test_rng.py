@@ -1,9 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cocycle_lab import rng
+from cocycle_lab.algebra import Semigroup
+from cocycle_lab.families import builtin_length
+from cocycle_lab.matrixalg import battery_matrix
+from cocycle_lab.poincare import worst_constant
 
 # seeds of 1, 1, 2, 3, 4 and 5 words; indices of one word and of two
 SEEDS = (0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 2 ** 127 - 1, 2 ** 130)
@@ -62,3 +68,18 @@ def test_bad_seed_and_indices_are_named():
     for indices, shown in ((np.array([2, -3]), "-3 to 2"), ([5, 2 ** 64], f"5 to {2 ** 64}")):
         with pytest.raises(ValueError, match=rf"stream indices must lie in \[0, 2\^64\), got {shown}$"):
             rng.keys(0, 1, indices)
+
+
+def test_a_seed_that_is_no_integer_is_named():
+    """A bool seed once ran as 1, a float died inside numpy's SeedSequence and a string with a
+    TypeError; the optimizer starts, the battery and the scenarios share this check."""
+    sg = Semigroup(builtin_length("wordlength:4"))
+    for seed, shown in ((True, "True"), (1.5, "1.5"), (np.float64(2.0), "np.float64(2.0)"),
+                        ("3", "'3'"), (None, "None")):
+        for call in (lambda: rng.stream(seed, 3, 0), lambda: rng.keys(seed, 1, [0]),
+                     lambda: worst_constant(sg, 4.0, budget=10, seed=seed),
+                     lambda: battery_matrix(2, seed, 0)):
+            with pytest.raises(ValueError, match=rf"^seed must be a non-negative integer, "
+                                                 rf"got {re.escape(shown)}$"):
+                call()
+    assert rng.stream(np.int64(3), 3, 0).standard_normal() == rng.stream(3, 3, 0).standard_normal()
