@@ -313,8 +313,8 @@ _GROUP_SPEC = Flag("spec", (("--kind", {"required": True, "choices": list(_GROUP
                             ("--m", {"type": int, "help": "number of product factors"}),
                             ("--path", {"help": "input table JSON (kind=table)"})),
                    _group_spec_from_args,
-                   _kind(lambda spec: isinstance(spec, dict) and spec.get("kind") in _GROUP_READS,
-                         "a group spec"))
+                   _kind(lambda spec: isinstance(spec, dict) and isinstance(spec.get("kind"), str)
+                         and spec["kind"] in _GROUP_READS, "a group spec"))
 
 
 # ---------------------------------------------------------------- runners
@@ -578,6 +578,7 @@ def _run_replay(args) -> int:
     command, config = report["command"], report["config"]
     if not isinstance(config, dict):
         raise ValueError(f"{args.report} is not a report: its config is not an object")
+    _kind(lambda v: isinstance(v, str), "a string")("command", command)
     if command not in _COMMANDS:
         raise ValueError(f"{args.report} names an unknown command {command!r}")
     missing = [repr(k) for k in _config_keys(command) if k not in config]

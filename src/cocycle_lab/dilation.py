@@ -26,8 +26,22 @@ diag beta_k] with E_k = D_k^* Lambda(y_k) D_k, and beta_k is linear in dB_k:
     M_n(x)[h, u] = i sum_j (b_j(u^{-1}) - b_j(h^{-1})) Q_j[h, u],   Q_j = sum_k dB_k^j E_k,
 
 and M~_n(x) is the same sum over the copy's increments.  One product of E
-with the stacked increments [dB | dB'] gives both; the only commutator
-built is the unphased one of the primary draw, for sum_k tau|dx_k|^p.
+with the stacked increments [dB | dB'] gives both.
+
+h_d needs only tau|dx_k|^p = tau((C_k^* C_k)^{p/2}) for the unphased C_k =
+[Lambda(y_k), diag beta_k] = sum_j dB_k^j C_{k,j}, where C_{k,j} has entry (h, u)
+equal to (b_j(u^{-1}) - b_j(h^{-1})) Lambda(y_k)[h, u].  So C_k^* C_k is a
+quadratic form in the increments,
+
+    C_k^* C_k = sum_{j <= l} dB_k^j dB_k^l G_{k,(j,l)},
+    G_{k,(j,l)} = C_{k,j}^* C_{k,l} + [j != l] C_{k,l}^* C_{k,j},
+
+whose coefficients, the per-step Gram table, do not depend on the sample.
+Where the d(d+1)/2 pairs cost at most one |G| x |G| product per sample and
+step, and the table is no larger than M_n(x) (_gram_route), h_d reads C_k^*
+C_k off the table by a second product and powers it to p/2: a trace at p = 2,
+a sum of squares at p = 4, one product at p = 6 and 8.  Elsewhere it builds
+the commutator stack and powers it to p.
 """
 from __future__ import annotations
 
@@ -45,6 +59,7 @@ from .linalg import blocks, schatten_pow_batch
 from . import rng
 
 BRACKET_PS = (2.0, 4.0, 6.0, 8.0)
+GRAM_ROWS = 8       # samples per product with the Gram table, grouped by sample index
 
 
 @dataclass(frozen=True)
@@ -127,12 +142,14 @@ def _sample_entries(scenario: BrownianScenario) -> int:
     """Entries charged to a chunk per sample: steps x |G|^2 in each of d + 2 fields.
 
     martingale_transform holds at most two (steps, |G|, |G|) fields per sample
-    at once: ww, which becomes E in place and is freed, then the commutator
-    with its real beta difference.  All else it holds is |G|^2-sized per
-    sample (S_c, S_r, M, M~ and the (|G|^2, 2d) product).  Charging only the
-    two fields would double the walsh:2:2 benchmark's chunks (d = 2) to 1024
-    samples, which raised that report's peak RSS from 59 to 75 MiB on 2 vCPU,
-    so the d + 2 fields stay.
+    at once: ww, which becomes E in place and is freed, then C_k^* C_k off the
+    Gram table, or the commutator with its real beta difference.  All else it
+    holds is |G|^2-sized per sample (S_c, S_r, M, M~ and the (|G|^2, 2d)
+    product) or (steps, d(d+1)/2)-sized (the increment products dB^j dB^l);
+    _gram_product's zero rows add under 2 GRAM_ROWS samples of C_k^* C_k to a
+    chunk.  Charging only the two fields would double the walsh:2:2
+    benchmark's chunks (d = 2) to 1024 samples, which raised that report's
+    peak RSS from 59 to 75 MiB on 2 vCPU, so the d + 2 fields stay.
     """
     return scenario.steps * scenario.cocycle.group.order ** 2 * (scenario.d + 2)
 
@@ -168,6 +185,32 @@ def _check_horizon(scenario: BrownianScenario, L: float) -> None:
         raise ValueError(f"L = {L} does not match the scenario horizon {scenario.horizon}")
 
 
+def _gram_route(d: int, order: int, steps: int, samples: int) -> bool:
+    """h_d reads the per-step Gram table: its d(d+1)/2 pairs cost at most one |G| x |G|
+    product per sample and step, and the table is no larger than M_n(x) over all samples."""
+    pairs = d * (d + 1) // 2
+    return pairs <= order and steps * pairs <= samples
+
+
+def _gram_product(xx: np.ndarray, gram: np.ndarray, lo: int) -> np.ndarray:
+    """[c, k] = xx[c, k] @ gram[k] for the samples lo..lo+c-1 of an xx laid out (c, steps, pairs).
+
+    One product per step and group of GRAM_ROWS samples from a multiple of GRAM_ROWS, with
+    zero rows outside the chunk: every sample meets the same call shape at the same row
+    whatever the chunking, so BLAS gives it the same bits, as a product over the chunk's
+    rows does not.
+    """
+    c, steps, pairs = xx.shape
+    a = lo - lo % GRAM_ROWS
+    groups = -(-(lo + c - a) // GRAM_ROWS)
+    rows = np.zeros((groups * GRAM_ROWS, steps, pairs))
+    rows[lo - a:lo - a + c] = xx
+    out = np.empty((groups * GRAM_ROWS, steps, gram.shape[-1]))
+    np.matmul(rows.reshape(groups, GRAM_ROWS, steps, pairs).swapaxes(1, 2), gram,
+              out=out.reshape(groups, GRAM_ROWS, steps, -1).swapaxes(1, 2))
+    return out[lo - a:lo - a + c]
+
+
 class TransformPass(NamedTuple):
     """Per-sample output of martingale_transform at p."""
     p: float
@@ -191,8 +234,10 @@ def martingale_transform(x: AlgebraElement, scenario: BrownianScenario, L: float
     PSD when sg.gamma_psd.  ww times Lambda(y_k), in place, is E_k; one
     batched product of E, viewed (c, |G|^2, steps), with the stacked
     increments [dB | dB'] gives Q_j for both draws, and M, M~ from them.
-    E is freed before the one commutator h_d needs, the primary draw's,
-    unphased: sum_k ||dx_k||_p^p.
+    E is freed before h_d = sum_k ||dx_k||_p^p of the primary draw: on the
+    Gram route (_gram_route) from the module docstring's table G_k, formed
+    once per call as (steps, d(d+1)/2, |G|^2), against dB^j dB^l (j <= l) by
+    _gram_product; elsewhere from each chunk's commutator stack.
     """
     _check_horizon(scenario, L)
     require(is_number, "a number", p=p)
@@ -208,6 +253,13 @@ def martingale_transform(x: AlgebraElement, scenario: BrownianScenario, L: float
     ly_k, lgam_k = np.moveaxis(ly, 0, -1).copy(), np.moveaxis(lgam, 1, -1).copy()
     bv = coc.vectors[coc.group.inv]
     bdiff = bv[None, :, :] - bv[:, None, :]         # [h, u, j] = b_j(u^{-1}) - b_j(h^{-1})
+    jj, ll = np.triu_indices(d)                     # the pairs j <= l
+    gram = None
+    if _gram_route(d, n, scenario.steps, scenario.samples):
+        cj = ly[:, None] * np.moveaxis(bdiff, -1, 0)            # [k, j] = C_{k,j}
+        g = cj[:, jj].conj().swapaxes(-1, -2) @ cj[:, ll]       # C_{k,j}^* C_{k,l}
+        g = np.where((jj != ll)[:, None, None], g + g.conj().swapaxes(-1, -2), g)
+        gram = g.reshape(scenario.steps, len(jj), n * n).view(float)    # re, im interleaved
 
     def work(lo, hi):
         dB = scenario.increments(lo, hi)
@@ -223,9 +275,14 @@ def martingale_transform(x: AlgebraElement, scenario: BrownianScenario, L: float
         del ww
         M, Mt = (1j * np.einsum("chuj,huj->chu", q[..., half], bdiff)
                  for half in (slice(None, d), slice(d, None)))
-        beta = _pair(coc, dB)                       # [c, k, u] = beta_k(u)
-        cm = (beta[..., None, :] - beta[..., :, None]) * ly     # [Lambda(y_k), diag beta_k]
-        return M, Mt, sc, sr, schatten_pow_batch(cm, p).sum(axis=1)
+        if gram is None:
+            beta = _pair(coc, dB)                   # [c, k, u] = beta_k(u)
+            cm = (beta[..., None, :] - beta[..., :, None]) * ly     # [Lambda(y_k), diag beta_k]
+            dx = schatten_pow_batch(cm, p)
+        else:
+            cc = _gram_product(dB[..., jj] * dB[..., ll], gram, lo).view(complex)  # C_k^* C_k
+            dx = schatten_pow_batch(cc.reshape(hi - lo, scenario.steps, n, n), p / 2.0, psd=True)
+        return M, Mt, sc, sr, dx.sum(axis=1)
 
     parts = [work(lo, hi) for lo, hi in blocks(scenario.samples, _sample_entries(scenario))]
     return TransformPass(p, *(np.concatenate(part) for part in zip(*parts)))

@@ -119,8 +119,13 @@ class Superoperator:
         return unvec((self.fix_projector @ vec(x)[..., None])[..., 0], self.n)
 
     def min_positive_eig(self) -> float:
-        w, _ = self._eig
-        pos = w[(w > 0) & ~self._kernel]
+        """The spectral gap: the least positive symbol value of a multiplier, exact, and the
+        least eigenvalue of A off its kernel for every other generator."""
+        if self.symbol is not None:
+            pos = self.symbol.values[self.symbol.values > 0]
+        else:
+            w, _ = self._eig
+            pos = w[(w > 0) & ~self._kernel]
         if pos.size == 0:
             raise ValueError("generator has no positive spectrum: no gap")
         return float(pos.min())

@@ -562,6 +562,24 @@ def test_replay_names_a_config_value_of_the_wrong_kind(command, key, bad, want, 
     assert capsys.readouterr().err == f"replay: {want}\n"
 
 
+def test_replay_names_a_command_that_is_a_list(tmp_path, capsys):
+    """Such a report, with a valid digest, once died with a TypeError: unhashable type: 'list'."""
+    config = {"psi": {"builtin": "wordlength:4"}, **REPLAY_BASE_CONFIGS["alpha"]}
+    path = tmp_path / "report.json"
+    path.write_text(_report_text(["alpha"], config, {}, None))
+    assert main(["replay", "--report", str(path)]) == 1
+    assert capsys.readouterr().err == 'replay: command = ["alpha"] is not a string\n'
+
+
+def test_replay_names_a_group_spec_whose_kind_is_a_list(tmp_path, capsys):
+    """Such a group report, with a valid digest, once died with a TypeError: unhashable type."""
+    path = tmp_path / "report.json"
+    path.write_text(_report_text("group", {"spec": {"kind": ["cyclic"], "n": 3}}, {}, None))
+    assert main(["replay", "--report", str(path)]) == 1
+    assert capsys.readouterr().err == \
+        'replay: spec = {"kind": ["cyclic"], "n": 3} is not a group spec\n'
+
+
 def test_run_alpha_rejects_an_unknown_method():
     # the gallery and replay run configs through _run; every method but "bisect" ran the pencil
     with pytest.raises(ValueError, match="^method = 5 is not one of pencil, bisect, both$"):

@@ -325,6 +325,63 @@ def test_transform_matches_the_phase_field_reference(p, small_scenario, heisenbe
 
 
 @functools.cache
+def _route_scenario(spec, samples=256):
+    coc = realize_cocycle(gromov_form(builtin_length(spec)))
+    return sample_scenario(coc, 16, 0.125, samples, seed=5)
+
+
+def _on_gram_route(sc):
+    return dilation._gram_route(sc.d, sc.cocycle.group.order, sc.steps, sc.samples)
+
+
+@pytest.mark.parametrize("spec, gram", [("walsh:2:2", True), ("heisenberg-delta:2", True),
+                                        ("heisenberg-wordlength:3", True), ("wordlength:8", False)])
+def test_both_hd_routes_agree_per_sample(spec, gram, monkeypatch):
+    # h_d read off the per-step Gram table of C_k^* C_k against the commutator stack, each
+    # route forced in turn; wordlength:8 has d(d+1)/2 = 10 pairs > |G| = 8
+    sc = _route_scenario(spec)
+    assert _on_gram_route(sc) == gram
+    x = element(sc.cocycle.group, rand_coeffs(sc.cocycle.group.order, 8))
+    for p in BRACKET_PS:
+        got = {}
+        for route in (True, False):
+            monkeypatch.setattr(dilation, "_gram_route", lambda *args, route=route: route)
+            got[route] = martingale_transform(x, sc, 2.0, p)
+        for name in ("M", "Mt", "sc_pow", "sr_pow"):
+            assert np.array_equal(getattr(got[True], name), getattr(got[False], name)), name
+        a, b = got[True].dx_pow, got[False].dx_pow
+        assert np.all(np.abs(a - b) <= 1e-13 * np.abs(b)), (spec, p)
+
+
+def test_gram_route_is_independent_of_chunking(monkeypatch):
+    # chunks of 1, 7 and all samples: each sample's row of the Gram product is its own
+    # vector-matrix product, so the reports are equal
+    for spec in ("walsh:2:2", "heisenberg-wordlength:3"):
+        sc = _route_scenario(spec)
+        assert _on_gram_route(sc)
+        x = element(sc.cocycle.group, rand_coeffs(sc.cocycle.group.order, 5))
+        cert = best_alpha_pencil(gromov_form(sc.semigroup.psi))
+        for p in BRACKET_PS:
+            reps = []
+            for size in (1, 7, sc.samples):
+                with monkeypatch.context() as m:
+                    m.setattr(linalg, "BLOCK_ENTRIES", size * _sample_entries(sc))
+                    reps.append(inequality_report(x, sc, 2.0, p, alpha_cert=cert))
+            assert reps[0] == reps[1] == reps[2], (spec, p)
+
+
+def test_gram_route_identity_is_exactly_zero():
+    # lambda(e) commutes with every diag b_j: each C_{k,j} and so the Gram table is 0
+    for spec in ("walsh:2:2", "heisenberg-wordlength:3"):
+        sc = _route_scenario(spec)
+        assert _on_gram_route(sc)
+        one = delta(sc.cocycle.group, 0)
+        for p in BRACKET_PS:
+            tr = martingale_transform(one, sc, 2.0, p)
+            assert tr.dx_pow.shape == (sc.samples,) and not tr.dx_pow.any(), (spec, p)
+
+
+@functools.cache
 def _scenario(spec):
     coc = realize_cocycle(gromov_form(builtin_length(spec)))
     return sample_scenario(coc, 8, 0.125, 16, seed=9)

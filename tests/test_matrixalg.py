@@ -121,6 +121,16 @@ def test_multiplier_fix_and_gap():
         assert A.min_positive_eig() == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("mode", ["delta", "wordlength"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_multiplier_gap_is_the_least_positive_symbol_value(n, mode):
+    # read off the n^2 x n^2 eigh, the gap was 0.9999999999999998 at n = 3 (delta)
+    A = heisenberg_multiplier(n, mode)
+    assert A.min_positive_eig() == 1.0
+    reference = Superoperator(A.n, A.mat).min_positive_eig()     # no symbol: the eigh route
+    assert abs(reference - 1.0) <= 1e-12
+
+
 def test_superop_cap():
     with pytest.raises(ValueError, match="exceeds cap"):
         heisenberg_multiplier(14)
