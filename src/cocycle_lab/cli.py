@@ -34,8 +34,8 @@ from .cocycles import (DEFAULT_TOL, gromov_form, is_conditionally_negative, leng
 from .criterion import best_alpha_bisection, best_alpha_pencil
 from .dilation import inequality_report, sample_scenario
 from .families import builtin_length
-from .groups import SPEC_KEYS, build_from_spec, group_to_dict, is_integer, is_number, load_group
-from .linalg import echo, require_finite, require_list
+from .groups import SPEC_KEYS, build_from_spec, group_to_dict, load_group
+from .linalg import echo, is_integer, is_number, require, require_finite, require_list
 from .matrixalg import (alpha_battery, heisenberg_multiplier, lindblad_gamma_residual,
                         lindblad_generator, matrix_poincare)
 from .poincare import sweep_and_fit
@@ -133,9 +133,9 @@ def _psi_config_from_args(args, required: bool) -> Optional[dict]:
 
 def _check_psi(key: str, cfg) -> None:
     """A psi config is {"builtin": name} or {"group": spec, "values": numbers}."""
-    _kind(lambda v: isinstance(v, dict), "an object")(key, cfg)
+    require(cfg, key, lambda v: isinstance(v, dict), "an object")
     if "builtin" in cfg:
-        return _kind(lambda v: isinstance(v, str), "a string")(f"{key}.builtin", cfg["builtin"])
+        return require(cfg["builtin"], f"{key}.builtin", lambda v: isinstance(v, str), "a string")
     missing = [repr(k) for k in ("group", "values") if k not in cfg]
     if missing:
         raise ValueError(f"{key} lacks {', '.join(missing)}")
@@ -148,7 +148,7 @@ def _psi_from_config(cfg: dict):
             else length_function(build_from_spec(cfg["group"]), cfg["values"]))
 
 
-_GROUP_READS = {"cyclic": ("n",), "product": ("n", "m"), "heisenberg": ("n",), "table": ("path",)}
+_GROUP_READS = {**SPEC_KEYS, "table": ("path",)}      # the flags each --kind reads
 
 
 def _group_spec_from_args(args) -> dict:
@@ -243,25 +243,17 @@ def _flag(option: str, load=lambda value: value, check=None, **kw) -> Flag:
         return Flag(None, ((option, kw),), None, None)
     if check is None:
         if "choices" in kw:
-            check = _kind(lambda v: v in kw["choices"], "one of " + ", ".join(kw["choices"]))
+            ok, what = (lambda v: v in kw["choices"]), "one of " + ", ".join(kw["choices"])
         elif kw.get("action") == "store_true":
-            check = _kind(lambda v: isinstance(v, bool), "true or false")
+            ok, what = (lambda v: isinstance(v, bool)), "true or false"
         else:
-            kind = {int: (is_integer, "an integer"), float: (is_number, "a number")}
-            check = _kind(*kind[kw["type"]])
+            ok, what = {int: (is_integer, "an integer"), float: (is_number, "a number")}[kw["type"]]
+        check = lambda key, value: require(value, key, ok, what)
     if not (kw.get("required") or "default" in kw or "action" in kw):
         check = lambda key, value, given=check: value is None or given(key, value)
     key = option.lstrip("-").replace("-", "_")
     return Flag(key, ((option, kw),), lambda args: None if getattr(args, key) is None
                 else load(getattr(args, key)), check)
-
-
-def _kind(ok, what: str):
-    """check(name, value): ValueError name = <value> is not <what>, unless ok(value)."""
-    def check(name: str, value) -> None:
-        if not ok(value):
-            raise ValueError(f"{name} = {echo(json.dumps(value))} is not {what}")
-    return check
 
 
 def _write_report(args, name: str, config: dict) -> dict:
@@ -301,8 +293,7 @@ _PSI = Flag("psi", (("--psi", {"help": "length function JSON {'group': path-or-s
            lambda args: _psi_config_from_args(args, True), _check_psi)
 _OUT = _flag("--out", None, help="write the report here instead of stdout")
 _BUDGET = _flag("--budget", type=int, default=20000)
-_SEED_CHECK = _kind(lambda v: is_integer(v) and v >= 0, "a non-negative integer")
-_SEED = _flag("--seed", check_seed, _SEED_CHECK, type=int, default=0)
+_SEED = _flag("--seed", check_seed, lambda _, seed: check_seed(seed), type=int, default=0)
 _PGRID_CHECK = lambda name, value: require_list(value, name, is_number, "a number")
 _COEFFS_CHECK = lambda name, value: require_list(value, name, _is_pair, "an [re, im] pair")
 _SWEEP = (_flag("--p", lambda text: _parse_pgrid(text) if text else None, _PGRID_CHECK,
@@ -313,8 +304,9 @@ _GROUP_SPEC = Flag("spec", (("--kind", {"required": True, "choices": list(_GROUP
                             ("--m", {"type": int, "help": "number of product factors"}),
                             ("--path", {"help": "input table JSON (kind=table)"})),
                    _group_spec_from_args,
-                   _kind(lambda spec: isinstance(spec, dict) and isinstance(spec.get("kind"), str)
-                         and spec["kind"] in _GROUP_READS, "a group spec"))
+                   lambda key, spec: require(
+                       spec, key, lambda v: isinstance(v, dict) and isinstance(v.get("kind"), str)
+                       and v["kind"] in _GROUP_READS, "a group spec"))
 
 
 # ---------------------------------------------------------------- runners
@@ -472,15 +464,15 @@ def _generator_results(A, config: dict, out: dict) -> dict:
           _flag("--x", _coeffs_from_file, _COEFFS_CHECK, required=True,
                 help="element JSON {'coeffs': [[re,im],...]}"),
           _flag("--L", type=float, required=True),
-          _flag("--steps", type=int, default=64),
+          _flag("--steps", check=lambda key, steps: require(
+                    steps, key, lambda v: is_integer(v) and v >= 1, "an integer >= 1"),
+                type=int, default=64),
           _flag("--samples", type=int, default=4096),
           _flag("--p", type=float, default=4.0),
-          _flag("--seed", check_seed, _SEED_CHECK, type=int, default=11),
+          _flag("--seed", check_seed, _SEED.check, type=int, default=11),
           _flag("--alpha", action="store_true",
                 help="attach the bracket envelope at alpha = alpha*(psi)"), _OUT)
 def run_dilate(config: dict) -> dict:
-    if config["steps"] < 1:
-        raise ValueError(f"need at least one step, got {config['steps']}")
     psi = _psi_from_config(config["psi"])
     K = gromov_form(psi)
     real = realize_cocycle(K)
@@ -578,7 +570,7 @@ def _run_replay(args) -> int:
     command, config = report["command"], report["config"]
     if not isinstance(config, dict):
         raise ValueError(f"{args.report} is not a report: its config is not an object")
-    _kind(lambda v: isinstance(v, str), "a string")("command", command)
+    require(command, "command", lambda v: isinstance(v, str), "a string")
     if command not in _COMMANDS:
         raise ValueError(f"{args.report} names an unknown command {command!r}")
     missing = [repr(k) for k in _config_keys(command) if k not in config]

@@ -17,7 +17,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .groups import FiniteGroup, build_cyclic, coordinates
-from .linalg import DEFAULT_TOL, PsdVerdict, psd_scale, psd_verdict, require_finite
+from .linalg import (DEFAULT_TOL, PsdVerdict, is_integer, psd_scale, psd_verdict, require,
+                     require_finite)
 
 
 @dataclass(frozen=True)
@@ -151,12 +152,11 @@ def word_length_cocycle(n: int) -> CocycleRealization:
 
     b(k) = e_1 + ... + e_k for k <= n/2 and e_{k-n/2+1} + ... + e_{n/2}
     beyond; its alpha_1 is the signed shift e_j -> e_{j+1}, e_{n/2} -> -e_1,
-    and alpha_k = alpha_1^k.  Everything is integer-exact.
+    and alpha_k = alpha_1^k.  Everything is integer-exact.  For odd n, embed Z_n into
+    Z_(2n) and restrict.
     """
-    if n < 2 or n % 2:
-        raise ValueError(
-            f"word-length realization needs even n >= 2, got {n}; "
-            f"for odd n embed Z_n into Z_(2n) and restrict")
+    require(n, "word-length realization n", lambda v: is_integer(v) and v >= 2 and v % 2 == 0,
+            "an even integer >= 2")
     group = build_cyclic(n)                     # the order cap fails before B exists
     d = n // 2
     k, j = np.arange(n)[:, None], np.arange(d)
@@ -204,8 +204,7 @@ def verify_schur_identity(n: int, psi: Optional[LengthFunction] = None) -> Schur
     counts the n/2 - 1 gap classes.  K is the Gromov matrix of the word length,
     or of psi on Z_n, which serves as a negative control.
     """
-    if n < 4 or n % 2:
-        raise ValueError(f"Schur identity needs even n >= 4, got {n}")
+    require(n, "Schur n", lambda v: is_integer(v) and v >= 4 and v % 2 == 0, "an even integer >= 4")
     walls = word_length_cocycle(n)
     if psi is None:
         psi = coordinate_length(walls.group, (n,), (0,), "wordlength")   # word_length_psi(n)

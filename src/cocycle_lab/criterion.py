@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, Semigroup, gamma, gamma2, operator_positivity
 from .cocycles import GromovForm
-from .linalg import DEFAULT_TOL, PsdVerdict, psd_scale
+from .linalg import DEFAULT_TOL, PsdVerdict, is_number, psd_scale, require
 
 
 @dataclass(frozen=True)
@@ -107,13 +107,7 @@ def best_alpha_pencil(K: GromovForm) -> AlphaCertificate:
     return _certificate(M, alpha, "pencil")
 
 
-def _require_alpha(alpha: float) -> None:
-    """The constant of Gamma_2 >= alpha Gamma must be finite and >= 0."""
-    if not 0 <= alpha < np.inf:
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
-
-
 def check_element(sg: Semigroup, f: AlgebraElement, alpha: float) -> PsdVerdict:
     """Operator-level test: is Gamma_2(f,f) - alpha Gamma(f,f) PSD?"""
-    _require_alpha(alpha)
+    require(alpha, "alpha", lambda v: is_number(v) and 0 <= v < np.inf, "a finite number >= 0")
     return operator_positivity(gamma2(sg, f, f) - alpha * gamma(sg, f, f))

@@ -54,8 +54,7 @@ import numpy as np
 from .algebra import AlgebraElement, Semigroup, gamma, gamma_norm, regular_rep, semigroup_apply
 from .cocycles import CocycleRealization, LengthFunction
 from .criterion import AlphaCertificate
-from .groups import is_integer, is_number, require
-from .linalg import blocks, schatten_pow_batch
+from .linalg import blocks, is_integer, is_number, require, schatten_pow_batch
 from . import rng
 
 BRACKET_PS = (2.0, 4.0, 6.0, 8.0)
@@ -109,15 +108,10 @@ class BrownianScenario:
 
 def sample_scenario(cocycle: CocycleRealization, n: int, dt: float,
                     samples: int, seed: int) -> BrownianScenario:
-    require(is_number, "a number", dt=dt)
-    if not 0 < dt < np.inf:
-        raise ValueError(f"step size must be positive and finite, got {dt}")
-    require(is_integer, "an integer", steps=n, samples=samples, seed=seed)
-    if n < 1:
-        raise ValueError(f"need at least one step, got {n}")
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
-    return BrownianScenario(cocycle, int(n), float(dt), int(samples), rng.check_seed(int(seed)))
+    require(dt, "dt", lambda v: is_number(v) and 0 < v < np.inf, "a finite number > 0")
+    for name, count in (("steps", n), ("samples", samples)):
+        require(count, name, lambda v: is_integer(v) and v >= 1, "an integer >= 1")
+    return BrownianScenario(cocycle, int(n), float(dt), int(samples), int(rng.check_seed(seed)))
 
 
 def _pair(cocycle: CocycleRealization, v: np.ndarray) -> np.ndarray:
@@ -158,9 +152,8 @@ def dilation_matrix(x: AlgebraElement, t: float, scenario: BrownianScenario,
                     sample: int) -> np.ndarray:
     """Realization of the time-t dilation of x at one sample path."""
     k = _grid_index(scenario, t)
-    require(is_integer, "an integer", sample=sample)
-    if not 0 <= sample < scenario.samples:
-        raise ValueError(f"sample index {sample} out of range [0, {scenario.samples})")
+    require(sample, "sample", lambda v: is_integer(v) and 0 <= v < scenario.samples,
+            f"an integer in [0, {scenario.samples})")
     w = _path_phases(scenario.cocycle, scenario.increments(sample, sample + 1)[0, :k].sum(axis=0))
     return w.conj()[:, None] * regular_rep(x) * w
 
@@ -181,6 +174,7 @@ def dilation_mean(x: AlgebraElement, t: float, scenario: BrownianScenario):
 
 
 def _check_horizon(scenario: BrownianScenario, L: float) -> None:
+    require(L, "L", is_number, "a number")
     if not abs(L - scenario.horizon) <= 1e-12 * max(1.0, scenario.horizon):
         raise ValueError(f"L = {L} does not match the scenario horizon {scenario.horizon}")
 
@@ -240,10 +234,8 @@ def martingale_transform(x: AlgebraElement, scenario: BrownianScenario, L: float
     _gram_product; elsewhere from each chunk's commutator stack.
     """
     _check_horizon(scenario, L)
-    require(is_number, "a number", p=p)
-    if float(p) not in BRACKET_PS:
-        raise ValueError(f"bracket estimation supports p in {BRACKET_PS}, got {p}")
-    p = float(p)
+    p = float(require(p, "p", lambda v: is_number(v) and v in BRACKET_PS,
+                      "one of " + ", ".join(map(str, BRACKET_PS))))
     coc, sg = scenario.cocycle, scenario.semigroup
     n, d = coc.group.order, coc.dimension
     y = semigroup_apply(sg, x, L - scenario.times[:, None])

@@ -3,13 +3,13 @@ from __future__ import annotations
 
 from .cocycles import LengthFunction, coordinate_length, word_length_psi
 from .groups import build_cyclic, build_heisenberg, build_power
-from .linalg import echo
+from .linalg import echo, is_integer, require
 
 
 def walsh_length(n: int, m: int) -> LengthFunction:
     """Number of nonzero coordinates of Z_n^m; cn via the product of delta lengths."""
-    if n < 2 or m < 1:
-        raise ValueError(f"walsh length needs n >= 2, m >= 1, got n={n}, m={m}")
+    for name, size, least in (("walsh n", n, 2), ("walsh m", m, 1)):
+        require(size, name, lambda v: is_integer(v) and v >= least, f"an integer >= {least}")
     return coordinate_length(build_power(n, m), (n,) * m, range(m), "delta")
 
 

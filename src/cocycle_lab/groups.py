@@ -11,12 +11,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from numbers import Real
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import blocks, echo, require_list
+from .linalg import blocks, is_integer, is_number, require, require_list
 
 ORDER_CAP = 4096
 
@@ -176,8 +175,7 @@ def coordinates(order: int, radices: Sequence[int]) -> np.ndarray:
 
 def build_cyclic(n: int) -> FiniteGroup:
     """Z_n with mul(i,j) = (i+j) mod n."""
-    if n < 1:
-        raise ValueError(f"cyclic group needs n >= 1, got {n}")
+    require(n, "cyclic n", lambda v: is_integer(v) and v >= 1, "an integer >= 1")
     if n > ORDER_CAP:
         raise SizeCapError(f"cyclic order {_show(n)} exceeds cap {ORDER_CAP}")
     idx = np.arange(n)
@@ -212,7 +210,9 @@ def build_product(factors: Sequence[FiniteGroup]) -> FiniteGroup:
 
 def build_power(n: int, m: int) -> FiniteGroup:
     """Z_n^m; n^m is held to ORDER_CAP before any factor exists, so a huge m fails at once."""
-    if min(n, m) >= 1 and (max(n, m) > ORDER_CAP or n ** m > ORDER_CAP):
+    for name, size in (("product n", n), ("product m", m)):
+        require(size, name, lambda v: is_integer(v) and v >= 1, "an integer >= 1")
+    if max(n, m) > ORDER_CAP or n ** m > ORDER_CAP:
         what = f"order {_show(n)}^{_show(m)}" if n > 1 else f"factor count {_show(m)}"
         raise SizeCapError(f"product {what} exceeds cap {ORDER_CAP}")
     return build_product([build_cyclic(n)] * m)
@@ -225,8 +225,7 @@ def build_heisenberg(n: int) -> FiniteGroup:
     the convention is recorded in the metadata.  Encoding (a,b,c) -> (a*n+b)*n+c,
     so the identity (0,0,0) sits at index 0.
     """
-    if n < 2:
-        raise ValueError(f"Heisenberg group needs n >= 2, got {n}")
+    require(n, "Heisenberg n", lambda v: is_integer(v) and v >= 2, "an integer >= 2")
     order = n ** 3
     if order > ORDER_CAP:
         raise SizeCapError(f"Heisenberg order {_show(order)} exceeds cap {ORDER_CAP}")
@@ -252,30 +251,6 @@ def save_group(g: FiniteGroup, path: str) -> None:
         fh.write("\n")
 
 
-def is_number(v) -> bool:
-    """v is a real number a float holds: not a bool (which Python counts as an int),
-    a string, None or an int too large for a float."""
-    if isinstance(v, bool) or not isinstance(v, Real):
-        return False
-    try:
-        float(v)
-    except OverflowError:
-        return False
-    return True
-
-
-def is_integer(v) -> bool:
-    """v is a Python or numpy integer, not a bool (which Python counts as an int)."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def require(ok, what: str, **values) -> None:
-    """ValueError name = value is not what, for the first of values that ok rejects."""
-    for name, value in values.items():
-        if not ok(value):
-            raise ValueError(f"{name} = {value!r} is not {what}")
-
-
 def _whole(v) -> bool:
     """v is a number without a fraction: not NaN or inf.  An int of at most 1023 bits, the
     common case, converts to a float without overflow, so it is one without the conversion."""
@@ -285,14 +260,12 @@ def _whole(v) -> bool:
 def group_from_dict(d: dict) -> FiniteGroup:
     """The group of a table {"order", "mul": order rows of order integers, "labels"?}."""
     try:
-        if not isinstance(d, dict):
-            raise ValueError(f"table = {echo(json.dumps(d, default=repr))} is not an object")
+        require(d, "table", lambda v: isinstance(v, dict), "an object")
         missing = [repr(k) for k in ("order", "mul") if k not in d]
         if missing:
             raise ValueError(f"table lacks {', '.join(missing)}")
-        if not (_whole(d["order"]) and d["order"] >= 1):
-            raise ValueError(f"order = {echo(json.dumps(d['order']))} is not a positive integer")
-        order = int(d["order"])
+        order = int(require(d["order"], "order", lambda v: _whole(v) and v >= 1,
+                            "a positive integer"))
         if order > ORDER_CAP:
             raise SizeCapError(f"order {order} exceeds cap {ORDER_CAP}")
         row = lambda r: require_list(r, "", _whole, "an integer", order)
@@ -329,8 +302,7 @@ def build_from_spec(spec: dict) -> FiniteGroup:
     A table spec holds the table itself ({"order", "mul", "labels"?}), never a path; a sized
     kind rejects every key besides "kind" and its SPEC_KEYS.
     """
-    if not isinstance(spec, dict):
-        raise ValueError(f"group spec = {echo(json.dumps(spec, default=repr))} is not an object")
+    require(spec, "group spec", lambda v: isinstance(v, dict), "an object")
     kind = spec.get("kind")
     if kind == "table":
         return group_from_dict(spec)
@@ -342,7 +314,5 @@ def build_from_spec(spec: dict) -> FiniteGroup:
     if "n" not in spec:
         raise ValueError(f"group kind {kind!r} needs the key 'n'")
     sizes = [spec.get(key, 1) for key in SPEC_KEYS[kind]]      # a product's m defaults to 1
-    if not all(map(_whole, sizes)):
-        raise ValueError(f"group kind {kind!r} needs integer sizes, got {spec!r}")
     build = {"cyclic": build_cyclic, "product": build_power, "heisenberg": build_heisenberg}[kind]
-    return build(*map(int, sizes))
+    return build(*(int(v) if _whole(v) else v for v in sizes))  # the builder names a bad size

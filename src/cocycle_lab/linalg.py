@@ -1,5 +1,6 @@
 """Small shared numerical helpers: Schatten norms, the one PSD/tolerance rule, the one block
-rule, and the one bad-input rule: require_list and require_finite, which name the bad entry.
+rule, and the one bad-input rule: require for a scalar, require_list and require_finite,
+each naming the bad value or entry.
 
 Schatten norms at even integer p use matrix products only, and so does odd
 integer p on a stack the caller certifies PSD (psd=True): there
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -36,7 +38,10 @@ def root(x, k: float):
     np.power(x, 1/k) is consistent across stack lengths and strides, but it differs from
     the scalar ** in the last ulp for about 5% of values at k in {3, 4, 6, 16} and under
     0.1% at k = 2 (numpy 2.4.6, whose float64 power kernel is picked by CPU feature:
-    X86_V4/AVX512 on the CPU measured).  So only fewer roots, not a vectorized one, save time.
+    X86_V4/AVX512 on the CPU measured).  Swapped in, np.power moved the walsh:2:3,
+    wordlength:8 and walsh:3:2 sweep constants by up to 4e-11 relative with no speedup
+    beyond noise, and it would tie report bits to the power kernel a CPU picks, so a report
+    would not replay across machines.  Only fewer roots, not a vectorized one, save time.
     """
     return np.array([v ** (1.0 / k) for v in np.ravel(x).tolist()]).reshape(np.shape(x))
 
@@ -55,10 +60,9 @@ def _schatten(mats: np.ndarray, p: float, take_root: bool, psd: bool = False) ->
     (blocks 8 times larger ran dilation-report 10% slower at 36% more RSS).  Any other p
     (odd, fractional, inf) takes the singular values, the reference route;
     for the root they are rescaled by their max before powering.  All scale
-    by _pow2_scale first; a p not >= 1 (NaN too), or a non-finite entry, raises ValueError.
+    by _pow2_scale first; a p that is no number >= 1, or a non-finite entry, raises ValueError.
     """
-    if not p >= 1:
-        raise ValueError(f"Schatten norm needs p >= 1, got {p}")
+    require(p, "Schatten p", lambda v: is_number(v) and v >= 1, "a number >= 1")
     mats = np.asarray(mats)
     require_finite(mats, "Schatten norm input")
     if float(p).is_integer() and (p % 2 == 0 or psd):
@@ -133,8 +137,7 @@ class PsdVerdict:
 
 def psd_verdict(w: np.ndarray, tol: float = DEFAULT_TOL) -> PsdVerdict:
     """The one PSD verdict, on ascending eigenvalues w: lambda_min >= -tol * psd_scale(w)."""
-    if not 0 <= tol < np.inf:
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    require(tol, "tol", lambda v: is_number(v) and 0 <= v < np.inf, "a finite number >= 0")
     return PsdVerdict(bool(w[0] >= -tol * psd_scale(w)), float(w[0]))
 
 
@@ -143,20 +146,52 @@ def echo(text: str) -> str:
     return text if len(text) <= ECHO else text[:ECHO - 3] + "..."
 
 
+def _shown(value) -> str:
+    """value as a rejection shows it: its JSON, a numpy scalar as its Python value and anything
+    else JSON lacks as its repr, through echo."""
+    plain = lambda v: v.item() if isinstance(v, np.generic) else repr(v)
+    return echo(json.dumps(value, default=plain))
+
+
+def is_number(v) -> bool:
+    """v is a real number a float holds: not a bool (which Python counts as an int),
+    a string, None or an int too large for a float."""
+    if isinstance(v, bool) or not isinstance(v, Real):
+        return False
+    try:
+        float(v)
+    except OverflowError:
+        return False
+    return True
+
+
+def is_integer(v) -> bool:
+    """v is a Python or numpy integer, not a bool (which Python counts as an int)."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def require(value, name: str, ok, what: str):
+    """value, if ok(value); else ValueError name = <value> is not <what>, the value shown as
+    require_list shows an entry.  The one rule for a scalar argument's type and range."""
+    if not ok(value):
+        raise ValueError(f"{name} = {_shown(value)} is not {what}")
+    return value
+
+
 def require_list(value, name: str, ok, what: str, size: int | None = None) -> list:
     """value, a JSON list (of size entries, when given) whose entries all pass ok; else ValueError
     name = <value> is not a list [of length size], or name[i] = <entry> is not <what> for the
     first bad entry.  ok may walk an entry by require_list(entry, "", ...), prefixed name[i]."""
-    if not isinstance(value, list) or size is not None and len(value) != size:
-        of = "" if size is None else f" of length {size}"
-        raise ValueError(f"{name} = {echo(json.dumps(value, default=repr))} is not a list{of}")
+    of = "" if size is None else f" of length {size}"
+    require(value, name, lambda v: isinstance(v, list) and (size is None or len(v) == size),
+            f"a list{of}")
     for i, v in enumerate(value):
         try:
             if ok(v):
                 continue
         except ValueError as exc:       # a nested walk, named from its entry on
             raise ValueError(f"{name}[{i}]{exc}") from None
-        raise ValueError(f"{name}[{i}] = {echo(json.dumps(v, default=repr))} is not {what}")
+        raise ValueError(f"{name}[{i}] = {_shown(v)} is not {what}")
     return value
 
 

@@ -25,11 +25,10 @@ import numpy as np
 from . import rng
 from .algebra import AlgebraElement, Semigroup, _kernel_contract, bakry_emery
 from .cocycles import LengthFunction, coordinate_length
-from .criterion import _require_alpha
 from .groups import build_cyclic, build_power, coordinates
-from .linalg import (HERMITIAN_PRECHECK, PsdVerdict, psd_scale, psd_verdict, require_finite,
-                     schatten_norm)
-from .poincare import PoincareReport, WorstConstant, _require_p, maximize_ratio, ratio_scores, sweep
+from .linalg import (HERMITIAN_PRECHECK, PsdVerdict, is_integer, is_number, psd_scale,
+                     psd_verdict, require, require_finite, schatten_norm)
+from .poincare import PoincareReport, WorstConstant, maximize_ratio, ratio_scores, sweep
 
 SUPEROP_CAP = 12
 
@@ -45,9 +44,10 @@ def unvec(v: np.ndarray, n: int) -> np.ndarray:
 def clock_shift_basis(n: int) -> np.ndarray:
     """The (n^2, n, n) stack of w_s = v_c u_b at s = b n + c, read off Z_n's tables:
     v_c = lambda(c) is rep_index == c (v_c e_j = e_(j+c)), u_b = diag(characters[b]),
-    exact at the quarter turns.  Orthonormal for the normalized trace pairing."""
-    if n < 2:
-        raise ValueError(f"clock/shift basis needs n >= 2, got {n}")
+    exact at the quarter turns.  Orthonormal for the normalized trace pairing.  n is held to
+    SUPEROP_CAP, as every superoperator built from the basis is."""
+    require(n, "clock/shift n", lambda v: is_integer(v) and v >= 2, "an integer >= 2")
+    _check_cap(n)
     z = build_cyclic(n)
     v = z.rep_index == np.arange(n)[:, None, None]
     return (v[None] * z.characters[:, None, None, :]).reshape(n * n, n, n)
@@ -149,7 +149,6 @@ def heisenberg_multiplier(n: int, psi_mode: str = "delta") -> Superoperator:
     Its symbol psi(b,c) = w(b) + w(c), w the cyclic delta or word length, is the
     coordinate_length of both axes of build_power(n, 2), at the index s = b n + c.
     """
-    _check_cap(n)
     W = vec(clock_shift_basis(n))
     symbol = coordinate_length(build_power(n, 2), (n, n), (0, 1), psi_mode)
     return Superoperator(n, (W.T * symbol.values) @ W.conj() / n, symbol)
@@ -217,9 +216,8 @@ def battery_matrix(n: int, seed: int, index: int) -> np.ndarray:
 def alpha_battery(A: Superoperator, alpha: float, seed: int, samples: int) -> PsdVerdict:
     """psd_verdict of the Hermitian part of Gamma_2(x,x) - alpha Gamma(x,x) on the first `samples`
     unit-Frobenius battery matrices: psd if every one passes, min_eig the least eigenvalue."""
-    _require_alpha(alpha)
-    if samples < 1:
-        raise ValueError(f"the alpha battery needs samples >= 1, got {samples}")
+    require(alpha, "alpha", lambda v: is_number(v) and 0 <= v < np.inf, "a finite number >= 0")
+    require(samples, "samples", lambda v: is_integer(v) and v >= 1, "an integer >= 1")
     psd, worst = True, np.inf
     for i in range(samples):
         x = battery_matrix(A.n, seed, i)
@@ -234,6 +232,7 @@ def lindblad_gamma_residual(A: Superoperator, a: Sequence[np.ndarray], seed: int
                             samples: int) -> float:
     """Max entry of Gamma(x,x) - sum_j [a_j,x]^dag [a_j,x] over the first `samples` battery
     matrices: the Lindblad generator of the family a against its carre du champ."""
+    require(samples, "samples", lambda v: is_integer(v) and v >= 1, "an integer >= 1")
     resid = 0.0
     for i in range(samples):
         x = battery_matrix(A.n, seed, i)
@@ -265,9 +264,9 @@ def matrix_poincare_ratio(A: Superoperator, x: np.ndarray, p: float):
     Without one, the superoperator route runs.
     """
     _require_matrices(A.n, x)
+    require(p, "p", lambda v: is_number(v) and v >= 2, "a number >= 2")
     if A.symbol is None:
         return _superop_ratio(A, x, p)
-    _require_p(p)
     require_finite(x, "Poincare ratio input")
     x0 = x - A.fix_project(x)
     gam = _symbol_gammas(A, x0)
@@ -278,8 +277,8 @@ def matrix_poincare_ratio(A: Superoperator, x: np.ndarray, p: float):
 
 
 def _superop_ratio(A: Superoperator, x: np.ndarray, p: float):
-    """The ratio through superop_gamma, without the PSD flag: the reference route."""
-    _require_p(p)
+    """The ratio through superop_gamma, without the PSD flag: the reference route; its callers
+    check p."""
     x0 = x - A.fix_project(x)
     x0d = np.swapaxes(x0.conj(), -1, -2)
     return ratio_scores(schatten_norm(x0, p),
@@ -308,4 +307,4 @@ def matrix_worst_constant(A: Superoperator, p: float, budget: int = 20000,
 def matrix_poincare(A: Superoperator, p_grid: Sequence[float], budget: int = 20000,
                     seed: int = 0) -> PoincareReport:
     """Poincare sweep over matrix witnesses; E_Fix comes from ker(A).  No alpha envelope."""
-    return sweep(lambda p, s: matrix_worst_constant(A, p, budget, s), p_grid, seed, None)
+    return sweep(lambda p, s: matrix_worst_constant(A, p, budget, s), p_grid, seed)

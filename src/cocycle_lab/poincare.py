@@ -15,7 +15,7 @@ witness chart and ratio.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -23,8 +23,7 @@ import numpy as np
 from .algebra import (AlgebraElement, Semigroup, fix_project, fourier, gamma, gamma_norm,
                       lp_norm)
 from .criterion import AlphaCertificate
-from .groups import is_number, require
-from .linalg import blocks, require_finite, require_list, root
+from .linalg import blocks, is_integer, is_number, require, require_finite, require_list, root
 from . import rng
 
 GRAD_STEP = 1e-6
@@ -67,9 +66,9 @@ def poincare_ratio(sg: Semigroup, f: AlgebraElement, p: float):
     takes trace powers in gamma_norm; otherwise the denominator takes
     schatten_norm without the PSD flag.
     """
+    require(p, "p", lambda v: is_number(v) and v >= 2, "a number >= 2")
     if sg.group.characters is None:
         return _ratio(sg, f, p, sg.gamma_psd)
-    _require_p(p)
     require_finite(f.coeffs, "Poincare ratio input")
     f0 = f - fix_project(sg, f)
     rows = AlgebraElement(sg.group, f0.coeffs.reshape(-1, sg.group.order))
@@ -92,15 +91,8 @@ def _nonzero(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0, x, 1.0)
 
 
-def _require_p(p: float) -> None:
-    require(is_number, "a number", p=p)
-    if not p >= 2:
-        raise ValueError(f"Poincare ratio needs p >= 2, got {p}")
-
-
 def _ratio(sg: Semigroup, f: AlgebraElement, p: float, psd: bool):
-    """The ratio on the regular representation, the reference route."""
-    _require_p(p)
+    """The ratio on the regular representation, the reference route; its callers check p."""
     f0 = f - fix_project(sg, f)
     return ratio_scores(lp_norm(f0, p), gamma_norm(sg, f0, p / 2.0, psd),
                         np.abs(f.coeffs).max(axis=-1))
@@ -136,8 +128,7 @@ def maximize_on_sphere(fun: Callable[[np.ndarray], Any], dim: int, budget: int, 
     fun splits a round; ties resolve in start order.  Returns (best value,
     best point, gap).
     """
-    if budget < 1:
-        raise ValueError(f"optimizer budget must be >= 1, got {budget}")
+    require(budget, "budget", lambda v: is_integer(v) and v >= 1, "an integer >= 1")
     starts = list(np.eye(dim)[:min(dim, COORD_STARTS, N_STARTS)])
     for s in range(len(starts), N_STARTS):
         v = rng.stream(seed, rng.TAG_POINCARE, s).standard_normal(dim)
@@ -262,13 +253,8 @@ def fit_exponent(p_grid: Sequence[float], constants: Sequence[float]):
 
 
 def sweep(worst: Callable[[float, int], WorstConstant], p_grid: Sequence[float],
-          seed: int, alpha_cert: Optional[AlphaCertificate]) -> PoincareReport:
-    """worst(p, seed + i) for the i-th p, growth-exponent fit, optional envelope.
-
-    The envelope sqrt(p/alpha*) C_2 is only reported for a strictly positive
-    alpha certificate; with alpha* = 0 (criterion fails) the slope is still
-    fitted but no envelope exists.
-    """
+          seed: int) -> PoincareReport:
+    """worst(p, seed + i) for the i-th p, and the growth-exponent fit."""
     ps = [float(p) for p in require_list(list(p_grid), "p grid", is_number, "a number")]
     if not all(2 <= p <= 16 for p in ps):
         raise ValueError(f"p grid must lie in [2, 16], got {ps}")
@@ -276,20 +262,18 @@ def sweep(worst: Callable[[float, int], WorstConstant], p_grid: Sequence[float],
         raise ValueError(f"p grid needs two distinct values to fit the growth exponent, got {ps}")
     results = [worst(p, seed + i) for i, p in enumerate(ps)]
     constants = [r.constant for r in results]
-    slope, stderr, fit_resid = fit_exponent(ps, constants)
-    alpha_used = None
-    envelope = None
-    if alpha_cert is not None and alpha_cert.alpha_star > 0:
-        alpha_used = float(alpha_cert.alpha_star)
-        c2 = constants[ps.index(2.0)] if 2.0 in ps else worst(2.0, seed + len(ps)).constant
-        envelope = tuple(np.sqrt(p / alpha_used) * c2 for p in ps)
-    return PoincareReport(tuple(ps), tuple(constants),
-                          tuple(r.witness for r in results),
-                          slope, stderr, fit_resid, alpha_used, envelope)
+    return PoincareReport(tuple(ps), tuple(constants), tuple(r.witness for r in results),
+                          *fit_exponent(ps, constants))
 
 
 def sweep_and_fit(sg: Semigroup, p_grid: Sequence[float], budget: int = 20000,
                   seed: int = 0, alpha_cert: Optional[AlphaCertificate] = None) -> PoincareReport:
-    """sweep over worst_constant on the group algebra."""
-    return sweep(lambda p, s: worst_constant(sg, p, budget, s),
-                 p_grid, seed, alpha_cert)
+    """sweep over worst_constant on the group algebra, with the envelope sqrt(p/alpha*) C_2 for
+    a strictly positive alpha certificate, C_2 from l2_oracle.  With alpha* = 0 (criterion
+    fails) the slope is still fitted but no envelope exists."""
+    report = sweep(lambda p, s: worst_constant(sg, p, budget, s), p_grid, seed)
+    if alpha_cert is None or not alpha_cert.alpha_star > 0:
+        return report
+    alpha, c2 = float(alpha_cert.alpha_star), l2_oracle(sg)
+    return replace(report, alpha_used=alpha,
+                   envelope=tuple(np.sqrt(p / alpha) * c2 for p in report.p_grid))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .groups import is_integer
+from .linalg import is_integer, require
 
 TAG_SCENARIO = 1        # primary Brownian increments, index = sample
 TAG_SCENARIO_COPY = 2   # independent decoupling copy, index = sample
@@ -37,9 +37,7 @@ _MASK32 = 0xFFFFFFFF
 
 
 def check_seed(seed: int) -> int:
-    if not is_integer(seed) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    return seed
+    return require(seed, "seed", lambda v: is_integer(v) and v >= 0, "a non-negative integer")
 
 
 def stream(seed: int, tag: int, index: int) -> np.random.Generator:

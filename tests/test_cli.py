@@ -191,7 +191,7 @@ def test_matrix_cli_alpha_check(tmp_path, capsys):
     assert res["alpha_check"]["samples"] == 200
     # a negative alpha is no Bakry-Emery constant: before, -1 read passed: true
     assert main(["matrix", "--n", "2", "--alpha-check", "-1"]) == 1
-    assert capsys.readouterr().err == "matrix: alpha must be finite and >= 0, got -1.0\n"
+    assert capsys.readouterr().err == "matrix: alpha = -1.0 is not a finite number >= 0\n"
 
 
 def test_lindblad_cli(tmp_path):
@@ -306,7 +306,7 @@ def test_cli_errors_exit_nonzero(tmp_path, capsys):
 
 
 def test_cli_rejects_non_finite_inputs(tmp_path, capsys):
-    for text, bad in (("NaN", "nan"), ("Infinity", "inf")):
+    for text, bad in (("NaN", "nan"), ("Infinity", "inf")):     # JSON text, Python text
         psi = tmp_path / f"psi_{bad}.json"
         psi.write_text(f'{{"group": {{"kind": "cyclic", "n": 4}}, "psi": [0, {text}, 2, {text}]}}')
         for cmd in ("cn-check", "alpha"):
@@ -326,7 +326,7 @@ def test_cli_rejects_non_finite_inputs(tmp_path, capsys):
             err = capsys.readouterr().err
             assert err == f"{argv[0]}: {x}: coeffs(1) = ({bad}+0j) is not finite\n"
         assert main(["matrix", "--n", "2", "--alpha-check", bad]) == 1
-        assert capsys.readouterr().err == f"matrix: alpha must be finite and >= 0, got {bad}\n"
+        assert capsys.readouterr().err == f"matrix: alpha = {text} is not a finite number >= 0\n"
 
 
 def test_cli_oversized_group_specs_fail_fast_naming_the_cap(tmp_path, capsys):
@@ -356,8 +356,9 @@ def test_cli_names_each_bad_builtin_spec(capsys):
                                           "['delta', 'heisenberg-delta', 'heisenberg-wordlength', "
                                           "'walsh', 'wordlength']"),
                       ("walsh:2", "walsh takes 2 integer parameter(s), got 1"),
-                      ("walsh:1:2", "walsh length needs n >= 2, m >= 1, got n=1, m=2"),
-                      ("heisenberg-delta:1", "Heisenberg group needs n >= 2, got 1")):
+                      ("walsh:1:2", "walsh n = 1 is not an integer >= 2"),
+                      ("walsh:2:0", "walsh m = 0 is not an integer >= 1"),
+                      ("heisenberg-delta:1", "Heisenberg n = 1 is not an integer >= 2")):
         assert main(["alpha", "--builtin", spec]) == 1
         assert capsys.readouterr().err == f"alpha: {err}\n"
 
@@ -370,8 +371,17 @@ def test_cli_rejects_a_negative_seed(tmp_path, capsys):
                  ["matrix", "--n", "2"],
                  ["gallery", "--out-dir", str(tmp_path / "gallery")]):
         assert main(argv + ["--seed", "-1"]) == 1
-        assert capsys.readouterr().err == f"{argv[0]}: seed must be a non-negative integer, got -1\n"
+        assert capsys.readouterr().err == f"{argv[0]}: seed = -1 is not a non-negative integer\n"
     assert not (tmp_path / "gallery").exists()
+    # and the same text from a replayed report
+    for command in ("poincare", "dilate", "matrix", "gallery", "lindblad"):
+        config = {**REPLAY_BASE_CONFIGS[command], "seed": -1}
+        if command in ("poincare", "dilate"):
+            config["psi"] = {"builtin": "wordlength:4"}
+        path = tmp_path / f"{command}.json"
+        path.write_text(_report_text(command, config, {}, -1))
+        assert main(["replay", "--report", str(path)]) == 1
+        assert capsys.readouterr().err == "replay: seed = -1 is not a non-negative integer\n"
 
 
 def test_alpha_on_a_zero_psi_takes_the_pencil_no_range_branch(tmp_path):
@@ -668,8 +678,10 @@ def test_cli_names_each_bad_flag_combination(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, want", [
-    (["--kind", "cyclic", "--n", "0"], "cyclic group needs n >= 1, got 0"),
-    (["--kind", "product", "--n", "2", "--m", "0"], "product of zero factors")])
+    pytest.param(["--kind", "cyclic", "--n", "0"], "cyclic n = 0 is not an integer >= 1",
+                 id="argv0-cyclic group needs n >= 1, got 0"),
+    pytest.param(["--kind", "product", "--n", "2", "--m", "0"], "product m = 0 is not an integer >= 1",
+                 id="argv1-product of zero factors")])
 def test_group_build_names_an_empty_group(tmp_path, capsys, argv, want):
     unwritten = tmp_path / "g.json"
     assert main(["group", "build", *argv, "--out", str(unwritten)]) == 1
@@ -681,9 +693,9 @@ def test_cn_check_rejects_a_tolerance_that_could_flip_the_verdict(tmp_path, caps
     """--tol inf called psi = [0, 1, 3, 1] on Z_4 (min eig -0.71) CN; NaN and -1 called a CN psi not CN."""
     for values in ([0, 1, 3, 1], [0, 1, 2, 1]):
         psi = write_json(tmp_path / "psi.json", {"group": {"kind": "cyclic", "n": 4}, "psi": values})
-        for tol in ("inf", "nan", "-1"):
+        for tol, shown in (("inf", "Infinity"), ("nan", "NaN"), ("-1", "-1.0")):
             assert main(["cn-check", "--psi", psi, "--tol", tol]) == 1
-            assert capsys.readouterr().err == f"cn-check: tol must be finite and >= 0, got {float(tol)}\n"
+            assert capsys.readouterr().err == f"cn-check: tol = {shown} is not a finite number >= 0\n"
 
 
 def test_parser_is_built_once_and_keeps_no_flag_values(tmp_path):
@@ -715,12 +727,10 @@ def test_report_config_holds_the_table_not_its_path(tmp_path, capsys):
 
 def test_dilate_rejects_non_finite_horizon(tmp_path, capsys):
     x = write_json(tmp_path / "x.json", [0.0, 1.0, 0.7, [0.0, 0.3]])
-    for L in ("nan", "inf"):
+    for L, dt in (("nan", "NaN"), ("inf", "Infinity")):     # dt = L / steps
         assert main(["dilate", "--builtin", "walsh:2:2", "--x", x, "--L", L,
                      "--steps", "4", "--samples", "8", "--p", "2"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("dilate:")
-        assert f"step size must be positive and finite, got {L}" in err
+        assert capsys.readouterr().err == f"dilate: dt = {dt} is not a finite number > 0\n"
 
 
 def test_dilate_rejects_zero_steps(tmp_path, capsys):
@@ -728,7 +738,7 @@ def test_dilate_rejects_zero_steps(tmp_path, capsys):
     for steps in ("0", "-3"):
         assert main(["dilate", "--builtin", "walsh:2:2", "--x", x, "--L", "1.0",
                      "--steps", steps]) == 1
-        assert capsys.readouterr().err == f"dilate: need at least one step, got {steps}\n"
+        assert capsys.readouterr().err == f"dilate: steps = {steps} is not an integer >= 1\n"
 
 
 def test_dilate_on_the_fixed_point_algebra_fails_naming_the_cause(tmp_path, capsys):

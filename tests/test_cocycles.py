@@ -78,8 +78,8 @@ def test_cn_tolerance_must_be_finite_and_nonnegative():
     """A tol of inf would call every psi CN, and NaN or a negative tol would call none CN."""
     bad = length_function(build_cyclic(4), [0.0, 1.0, 3.0, 1.0])
     for psi in (bad, delta_psi(4)):
-        for tol in (np.inf, np.nan, -1.0):
-            with pytest.raises(ValueError, match=f"^tol must be finite and >= 0, got {tol}$"):
+        for tol, shown in ((np.inf, "Infinity"), (np.nan, "NaN"), (-1.0, "-1.0")):
+            with pytest.raises(ValueError, match=f"^tol = {shown} is not a finite number >= 0$"):
                 is_conditionally_negative(psi, tol=tol)
     assert is_conditionally_negative(delta_psi(4), tol=0.0).psd
 
@@ -229,10 +229,10 @@ def test_word_length_cocycle_matches_gromov():
 
 
 def test_word_length_cocycle_odd_rejected():
-    with pytest.raises(ValueError, match="even n"):
-        word_length_cocycle(5)
-    with pytest.raises(ValueError, match="embed"):
-        word_length_cocycle(7)
+    for n in (5, 7):
+        with pytest.raises(ValueError,
+                           match=f"^word-length realization n = {n} is not an even integer >= 2$"):
+            word_length_cocycle(n)
 
 
 def test_word_length_cocycle_checks_cap_before_allocating():
@@ -278,7 +278,7 @@ def test_schur_negative_control():
 
 
 def test_schur_input_validation():
-    with pytest.raises(ValueError, match="even n >= 4"):
+    with pytest.raises(ValueError, match="^Schur n = 5 is not an even integer >= 4$"):
         verify_schur_identity(5)
     with pytest.raises(ValueError, match=re.escape("order 4, expected 6")):
         verify_schur_identity(6, delta_psi(4))

@@ -99,8 +99,8 @@ def test_check_element_oracle():
 
 def test_check_element_rejects_a_non_finite_alpha():
     sg = Semigroup(word_length_psi(4))
-    for alpha in (np.nan, np.inf):
-        with pytest.raises(ValueError, match=f"^alpha must be finite and >= 0, got {alpha}$"):
+    for alpha, shown in ((np.nan, "NaN"), (np.inf, "Infinity")):
+        with pytest.raises(ValueError, match=f"^alpha = {shown} is not a finite number >= 0$"):
             check_element(sg, delta(sg.group, 1), alpha)
 
 

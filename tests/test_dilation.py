@@ -131,12 +131,12 @@ def heisenberg_scenario():
 
 def test_scenario_validation():
     coc = word_length_cocycle(4)
-    for dt in (0.0, -0.1, np.nan, np.inf):
-        with pytest.raises(ValueError, match="step size must be positive and finite"):
+    for dt, shown in ((0.0, "0.0"), (-0.1, "-0.1"), (np.nan, "NaN"), (np.inf, "Infinity")):
+        with pytest.raises(ValueError, match=f"^dt = {shown} is not a finite number > 0$"):
             sample_scenario(coc, 4, dt, 8, 0)
-    with pytest.raises(ValueError, match="at least one step"):
+    with pytest.raises(ValueError, match="^steps = 0 is not an integer >= 1$"):
         sample_scenario(coc, 0, 0.1, 8, 0)
-    with pytest.raises(ValueError, match="at least one sample"):
+    with pytest.raises(ValueError, match="^samples = 0 is not an integer >= 1$"):
         sample_scenario(coc, 4, 0.1, 0, 0)
     sc = sample_scenario(coc, 4, 0.25, 8, 0)
     x = delta(coc.group, 1)
@@ -151,26 +151,27 @@ def test_scenario_validation():
         for call in (lambda t: dilation_matrix(x, t, sc, 0), lambda t: dilation_mean(x, t, sc)):
             with pytest.raises(ValueError, match=f"^t = {re.escape(str(t))} is not on the grid"):
                 call(t)
-    with pytest.raises(ValueError, match="sample index"):
+    with pytest.raises(ValueError, match=r"^sample = 8 is not an integer in \[0, 8\)$"):
         dilation_matrix(x, 0.25, sc, 8)
-    for p in (3.0, np.nan):
-        with pytest.raises(ValueError, match="supports p in"):
+    for p, shown in ((3.0, "3.0"), (np.nan, "NaN")):
+        with pytest.raises(ValueError, match=f"^p = {shown} is not one of 2.0, 4.0, 6.0, 8.0$"):
             martingale_transform(x, sc, 1.0, p)
 
 
-SCENARIO_CASES = [
-    (2.5, 8, 0, 0.25, "steps = 2.5 is not an integer"),
-    (True, 8, 0, 0.25, "steps = True is not an integer"),
-    (4, 8.9, 0, 0.25, "samples = 8.9 is not an integer"),
-    (4, 8, 1.7, 0.25, "seed = 1.7 is not an integer"),
-    (4, 8, -1, 0.25, "seed must be a non-negative integer, got -1"),
-    (4, 8, 0, True, "dt = True is not a number"),
-    (4, 8, 0, "0.1", "dt = '0.1' is not a number")]
+SCENARIO_CASES = [     # (steps, samples, seed, dt, the case's name, its message)
+    (2.5, 8, 0, 0.25, "steps = 2.5 is not an integer", "steps = 2.5 is not an integer >= 1"),
+    (True, 8, 0, 0.25, "steps = True is not an integer", "steps = true is not an integer >= 1"),
+    (4, 8.9, 0, 0.25, "samples = 8.9 is not an integer", "samples = 8.9 is not an integer >= 1"),
+    (4, 8, 1.7, 0.25, "seed = 1.7 is not an integer", "seed = 1.7 is not a non-negative integer"),
+    (4, 8, -1, 0.25, "seed must be a non-negative integer, got -1",
+     "seed = -1 is not a non-negative integer"),
+    (4, 8, 0, True, "dt = True is not a number", "dt = true is not a finite number > 0"),
+    (4, 8, 0, "0.1", "dt = '0.1' is not a number", 'dt = "0.1" is not a finite number > 0')]
 
 
-@pytest.mark.parametrize("steps, samples, seed, dt, want", SCENARIO_CASES,
+@pytest.mark.parametrize("steps, samples, seed, dt, name, want", SCENARIO_CASES,
                          ids=["-".join(map(str, (*case[:3], case[4]))) for case in SCENARIO_CASES])
-def test_scenario_rejects_a_count_or_seed_that_is_no_integer(steps, samples, seed, dt, want):
+def test_scenario_rejects_a_count_or_seed_that_is_no_integer(steps, samples, seed, dt, name, want):
     # these were once cut to 2 steps, 8 samples, seed 1 and 1 step, and a negative seed
     # failed only at the first draw; dt True ran as a step of 1.0, and "0.1" died with a
     # TypeError
@@ -182,13 +183,13 @@ def test_dilation_names_a_sample_or_p_of_the_wrong_type():
     """sample 1.5 died with numpy's TypeError and True read as sample 1; p "4" ran at p = 4."""
     sc = sample_scenario(word_length_cocycle(4), 4, 0.25, 8, 0)
     x = delta(sc.cocycle.group, 1)
-    for sample, want in ((1.5, "sample = 1.5 is not an integer"),
-                         (True, "sample = True is not an integer")):
+    for sample, want in ((1.5, "sample = 1.5 is not an integer in [0, 8)"),
+                         (True, "sample = true is not an integer in [0, 8)")):
         with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             dilation_matrix(x, 0.25, sc, sample)
     assert dilation_matrix(x, 0.25, sc, np.int64(1)).shape == (4, 4)
     for call in (martingale_transform, inequality_report):
-        with pytest.raises(ValueError, match="^p = '4' is not a number$"):
+        with pytest.raises(ValueError, match='^p = "4" is not one of 2.0, 4.0, 6.0, 8.0$'):
             call(x, sc, 1.0, "4")
 
 
@@ -354,20 +355,25 @@ def test_both_hd_routes_agree_per_sample(spec, gram, monkeypatch):
 
 
 def test_gram_route_is_independent_of_chunking(monkeypatch):
-    # chunks of 1, 7 and all samples: each sample's row of the Gram product is its own
-    # vector-matrix product, so the reports are equal
-    for spec in ("walsh:2:2", "heisenberg-wordlength:3"):
+    # every TransformPass field, sample by sample, at chunks of 1, 7 and all samples, on both
+    # h_d routes: walsh:2:2 and heisenberg-wordlength:3 read the Gram table, wordlength:8
+    # (10 pairs > |G| = 8) builds the commutator stack.  A report's means and SEs can absorb
+    # a last-bit change in one sample; these arrays cannot
+    for spec, gram in (("walsh:2:2", True), ("heisenberg-wordlength:3", True),
+                       ("wordlength:8", False)):
         sc = _route_scenario(spec)
-        assert _on_gram_route(sc)
+        assert _on_gram_route(sc) == gram
         x = element(sc.cocycle.group, rand_coeffs(sc.cocycle.group.order, 5))
-        cert = best_alpha_pencil(gromov_form(sc.semigroup.psi))
         for p in BRACKET_PS:
-            reps = []
+            passes = []
             for size in (1, 7, sc.samples):
                 with monkeypatch.context() as m:
                     m.setattr(linalg, "BLOCK_ENTRIES", size * _sample_entries(sc))
-                    reps.append(inequality_report(x, sc, 2.0, p, alpha_cert=cert))
-            assert reps[0] == reps[1] == reps[2], (spec, p)
+                    passes.append(martingale_transform(x, sc, 2.0, p))
+            for field in TransformPass._fields:
+                for other in passes[1:]:
+                    assert np.array_equal(getattr(passes[0], field), getattr(other, field)), \
+                        (spec, p, field)
 
 
 def test_gram_route_identity_is_exactly_zero():
@@ -488,7 +494,7 @@ def test_inequality_report_fields(small_scenario):
     assert abs(rep.ito_mc.mean - rep.ito_analytic) <= 5 * rep.ito_mc.se
     assert rep.bracket_bound is not None
     assert rep.bracket_bound.slack >= -3 * max(rep.bracket_bound.se, 1e-12)
-    with pytest.raises(ValueError, match="supports p in"):
+    with pytest.raises(ValueError, match="^p = 5.0 is not one of 2.0, 4.0, 6.0, 8.0$"):
         inequality_report(x, sc, 1.0, 5.0)
 
 

@@ -281,13 +281,21 @@ def test_build_from_spec_dispatch():
             build_from_spec(spec)
     with pytest.raises(ValueError, match=r"^unknown group kind \[1\]$"):
         build_from_spec({"kind": [1], "n": 3})
-    for spec in ({"kind": "cyclic", "n": None}, {"kind": "product", "n": 2, "m": "x"},
-                 {"kind": "cyclic", "n": 4.7}, {"kind": "cyclic", "n": "4"},
-                 {"kind": "cyclic", "n": True}, {"kind": "product", "n": 2, "m": 2.9},
-                 {"kind": "heisenberg", "n": float("nan")}, {"kind": "cyclic", "n": 10 ** 400}):
-        with pytest.raises(ValueError, match=f"^group kind '{spec['kind']}' needs integer sizes, "
-                                             f"got {re.escape(repr(spec))}$"):
+    # a size that is no whole number reaches its builder, which names it
+    for spec, want in (({"kind": "cyclic", "n": None}, "cyclic n = null is not an integer >= 1"),
+                       ({"kind": "product", "n": 2, "m": "x"},
+                        'product m = "x" is not an integer >= 1'),
+                       ({"kind": "cyclic", "n": 4.7}, "cyclic n = 4.7 is not an integer >= 1"),
+                       ({"kind": "cyclic", "n": "4"}, 'cyclic n = "4" is not an integer >= 1'),
+                       ({"kind": "cyclic", "n": True}, "cyclic n = true is not an integer >= 1"),
+                       ({"kind": "product", "n": 2, "m": 2.9},
+                        "product m = 2.9 is not an integer >= 1"),
+                       ({"kind": "heisenberg", "n": float("nan")},
+                        "Heisenberg n = NaN is not an integer >= 2")):
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             build_from_spec(spec)
+    with pytest.raises(SizeCapError, match=f"^cyclic order ~2\\^1328 exceeds cap {ORDER_CAP}$"):
+        build_from_spec({"kind": "cyclic", "n": 10 ** 400})
 
 
 def test_group_from_dict_accepts_only_integral_entries():

@@ -34,7 +34,7 @@ def test_clock_shift_basis_identities():
     om = np.exp(2j * np.pi / 3)
     # u v = omega v u
     assert np.allclose(u1 @ v1, om * v1 @ u1)
-    with pytest.raises(ValueError, match="n >= 2"):
+    with pytest.raises(ValueError, match="^clock/shift n = 1 is not an integer >= 2$"):
         clock_shift_basis(1)
 
 
@@ -327,9 +327,9 @@ def test_matrix_ratio_rejects_fixed_points():
     A = heisenberg_multiplier(2, "delta")
     with pytest.raises(ValueError, match="zero numerator"):
         matrix_poincare_ratio(A, np.eye(2, dtype=complex), 2.0)
-    with pytest.raises(ValueError, match="p >= 2"):
+    with pytest.raises(ValueError, match="^p = 1.0 is not a number >= 2$"):
         matrix_poincare_ratio(A, rand_matrix(2, 80), 1.0)
-    with pytest.raises(ValueError, match="p >= 2"):
+    with pytest.raises(ValueError, match="^p = 1.0 is not a number >= 2$"):
         matrix_worst_constant(A, 1.0, budget=10)
 
 
@@ -415,11 +415,12 @@ def test_alpha_battery_rejects_a_non_finite_alpha_and_an_empty_battery():
     """min(inf, nan) keeps inf, so a NaN alpha would pass; zero samples would pass vacuously;
     a negative alpha follows check_element's rule."""
     A = heisenberg_multiplier(2, "delta")
-    for alpha in (np.nan, np.inf, -np.inf, -1.0):
-        with pytest.raises(ValueError, match=f"^alpha must be finite and >= 0, got {alpha}$"):
+    for alpha, shown in ((np.nan, "NaN"), (np.inf, "Infinity"), (-np.inf, "-Infinity"),
+                         (-1.0, "-1.0")):
+        with pytest.raises(ValueError, match=f"^alpha = {shown} is not a finite number >= 0$"):
             alpha_battery(A, alpha, 0, 200)
     for samples in (0, -1):
-        with pytest.raises(ValueError, match=f"needs samples >= 1, got {samples}$"):
+        with pytest.raises(ValueError, match=f"^samples = {samples} is not an integer >= 1$"):
             alpha_battery(A, 1.0, 0, samples)
 
 
@@ -533,9 +534,9 @@ def test_matrix_ratio_rejects_a_witness_of_the_wrong_shape():
 def test_matrix_ratio_rejects_nan_p_and_non_finite_witnesses():
     x = rand_matrix(2, 81)
     for A in (heisenberg_multiplier(2, "delta"), lindblad_generator([np.diag([0.0, 1.0])])):
-        with pytest.raises(ValueError, match=r"^Poincare ratio needs p >= 2, got nan$"):
+        with pytest.raises(ValueError, match=r"^p = NaN is not a number >= 2$"):
             matrix_poincare_ratio(A, x, float("nan"))
-        with pytest.raises(ValueError, match=r"^Poincare ratio needs p >= 2, got nan$"):
+        with pytest.raises(ValueError, match=r"^p = NaN is not a number >= 2$"):
             matrix_worst_constant(A, float("nan"), budget=10)
     A = heisenberg_multiplier(2, "delta")
     for bad in (np.nan, np.inf):

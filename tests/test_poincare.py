@@ -37,9 +37,9 @@ def test_zero_psi_has_no_gap():
 def test_ratio_input_validation():
     sg = Semigroup(word_length_psi(4))
     f = element(sg.group, [0.0, 1.0, 0.0, 0.0])
-    with pytest.raises(ValueError, match="p >= 2"):
+    with pytest.raises(ValueError, match="^p = 1.5 is not a number >= 2$"):
         poincare_ratio(sg, f, 1.5)
-    with pytest.raises(ValueError, match="p >= 2"):
+    with pytest.raises(ValueError, match="^p = 1.5 is not a number >= 2$"):
         worst_constant(sg, 1.5, budget=10)
     fixed = element(sg.group, [2.0, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="zero numerator"):
@@ -60,7 +60,7 @@ def test_a_p_that_is_no_number_is_named():
     for call in (lambda: poincare_ratio(sg, f, "4"), lambda: worst_constant(sg, "4", budget=10),
                  lambda: matrixalg.matrix_poincare_ratio(A, np.eye(2), "4"),
                  lambda: matrix_worst_constant(A, "4", budget=10)):
-        with pytest.raises(ValueError, match="^p = '4' is not a number$"):
+        with pytest.raises(ValueError, match='^p = "4" is not a number >= 2$'):
             call()
 
 
@@ -287,6 +287,22 @@ def test_sweep_envelope_dominates_constants():
     assert len(rep.witnesses) == 2
 
 
+def test_sweep_envelope_reads_c2_off_the_oracle(monkeypatch):
+    """A grid without p = 2 once ran a whole optimization at p = 2 for C_2 alone."""
+    sg = Semigroup(builtin_length("walsh:2:3"))
+    cert = best_alpha_pencil(gromov_form(sg.psi))
+    calls = []
+    real = poincare.maximize_on_sphere
+    monkeypatch.setattr(poincare, "maximize_on_sphere",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    rep = sweep_and_fit(sg, [4.0, 8.0], budget=200, seed=0, alpha_cert=cert)
+    assert len(calls) == 2
+    assert rep.envelope == tuple(np.sqrt(p / rep.alpha_used) * l2_oracle(sg) for p in (4.0, 8.0))
+    # with 2 in the grid the optimizer's C_2 is the oracle's, so the envelope keeps its bits
+    rep = sweep_and_fit(sg, [2.0, 4.0], budget=200, seed=0, alpha_cert=cert)
+    assert rep.constants[0] == l2_oracle(sg)
+
+
 def test_sweep_p_grid_range_checked():
     sg = Semigroup(word_length_psi(4))
     with pytest.raises(ValueError, match=r"\[2, 16\]"):
@@ -469,7 +485,7 @@ def test_character_route_rejects_non_finite_coefficients():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="not finite"):
             poincare_ratio(sg, element(sg.group, [0.0, 1.0, bad, 0.0]), 4.0)
-    with pytest.raises(ValueError, match="p >= 2"):
+    with pytest.raises(ValueError, match="^p = NaN is not a number >= 2$"):
         poincare_ratio(sg, element(sg.group, [0.0, 1.0, 0.0, 0.0]), float("nan"))
 
 
