@@ -20,8 +20,8 @@ import numpy as np
 
 from .cocycles import GromovForm, LengthFunction, gromov_form
 from .groups import FiniteGroup
-from .linalg import (HERMITIAN_PRECHECK, PsdVerdict, psd_scale, psd_verdict, require_finite,
-                     schatten_norm)
+from .linalg import (HERMITIAN_PRECHECK, PsdVerdict, psd_scale, psd_verdict, require,
+                     require_finite, schatten_norm)
 
 
 @dataclass(frozen=True)
@@ -163,12 +163,11 @@ def _gamma_k(sg: Semigroup, f: AlgebraElement, g: AlgebraElement, k: int, path: 
     """Gamma_k(f, g): on the kernel path the coefficient of lambda(u) is
     sum_s conj(a_s) b_{su} K(s, su)^k, on the definitional path bakry_emery runs."""
     _same_group(f, g)
+    require(path, "path", lambda v: v in ("kernel", "definitional"), "one of kernel, definitional")
     if path == "kernel":
         w = sg._kernel_su
         return _kernel_contract(sg, f, g, w if k == 1 else w ** k)
-    if path == "definitional":
-        return bakry_emery(lambda h: generator_apply(sg, h), conv, f.adjoint(), g, k)
-    raise ValueError(f"unknown gamma path {path!r}")
+    return bakry_emery(lambda h: generator_apply(sg, h), conv, f.adjoint(), g, k)
 
 
 def gamma(sg: Semigroup, f: AlgebraElement, g: AlgebraElement,

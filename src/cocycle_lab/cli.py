@@ -29,8 +29,8 @@ import numpy as np
 
 from . import __version__
 from .algebra import AlgebraElement, Semigroup, element, gamma, gamma2, tau
-from .cocycles import (DEFAULT_TOL, gromov_form, is_conditionally_negative, length_function,
-                       realize_cocycle, verify_schur_identity)
+from .cocycles import (CYCLIC_MODES, DEFAULT_TOL, gromov_form, is_conditionally_negative,
+                       length_function, realize_cocycle, verify_schur_identity)
 from .criterion import best_alpha_bisection, best_alpha_pencil
 from .dilation import inequality_report, sample_scenario
 from .families import builtin_length
@@ -423,7 +423,7 @@ def run_poincare(config: dict) -> dict:
 
 @_command("matrix", "clock/shift multiplier semigroup on M_n",
           _flag("--n", type=int, required=True),
-          _flag("--mode", choices=["delta", "wordlength"], default="delta"),
+          _flag("--mode", choices=CYCLIC_MODES, default="delta"),
           _flag("--alpha-check", type=float,
                 help="test Gamma_2 - alpha Gamma >= 0 on random matrices"), *_SWEEP)
 def run_matrix(config: dict) -> dict:

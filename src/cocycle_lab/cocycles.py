@@ -20,6 +20,8 @@ from .groups import FiniteGroup, build_cyclic, coordinates
 from .linalg import (DEFAULT_TOL, PsdVerdict, is_integer, psd_scale, psd_verdict, require,
                      require_finite)
 
+CYCLIC_MODES = ("delta", "wordlength")
+
 
 @dataclass(frozen=True)
 class LengthFunction:
@@ -167,11 +169,11 @@ def word_length_cocycle(n: int) -> CocycleRealization:
 def cyclic_length(mode: str, k: np.ndarray, n) -> np.ndarray:
     """A length of Z_n at the coordinates k, as floats: 'delta' is k != 0 and
     'wordlength' is min(k, n - k), n broadcast against k.  coordinate_length sums these."""
+    require(mode, "mode", lambda v: isinstance(v, str) and v in CYCLIC_MODES,
+            "one of " + ", ".join(CYCLIC_MODES))
     if mode == "delta":
         return (k != 0).astype(float)
-    if mode == "wordlength":
-        return np.minimum(k, n - k).astype(float)
-    raise ValueError(f"unknown psi_mode {mode!r}")
+    return np.minimum(k, n - k).astype(float)
 
 
 def coordinate_length(group: FiniteGroup, radices: Sequence[int], axes: Sequence[int],

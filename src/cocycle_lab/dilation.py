@@ -28,20 +28,23 @@ diag beta_k] with E_k = D_k^* Lambda(y_k) D_k, and beta_k is linear in dB_k:
 and M~_n(x) is the same sum over the copy's increments.  One product of E
 with the stacked increments [dB | dB'] gives both.
 
-h_d needs only tau|dx_k|^p = tau((C_k^* C_k)^{p/2}) for the unphased C_k =
-[Lambda(y_k), diag beta_k] = sum_j dB_k^j C_{k,j}, where C_{k,j} has entry (h, u)
-equal to (b_j(u^{-1}) - b_j(h^{-1})) Lambda(y_k)[h, u].  So C_k^* C_k is a
-quadratic form in the increments,
+h_d needs only tau|dx_k|^p = tau(H_k^{p/2}) for H_k = C_k^* C_k and the unphased
+C_k = [Lambda(y_k), diag beta_k] = sum_j dB_k^j C_{k,j}, where C_{k,j}[h, u] =
+(b_j(u^{-1}) - b_j(h^{-1})) Lambda(y_k)[h, u].  H_k = sum_a x_a G_{k,a} is linear
+in the P = d(d+1)/2 pair products x_a = dB_k^j dB_k^l (a = (j, l), j <= l), with
+G_{k,(j,l)} = C_{k,j}^* C_{k,l} + [j != l] C_{k,l}^* C_{k,j}.  So H_k^m = sum_mu
+y^(m)_mu S^(m)_{k,mu} over the degree-m monomials of x: y^(0) = 1, y^(1)_a = x_a
+and y^(2)_{ab} = x_a x_b (a <= b; s2 = P(P+1)/2 of them), with S^(0) = 1,
+S^(1)_a = G_a and S^(2)_{ab} = G_a G_b + [a != b] G_b G_a.  For p/2 = i + j with
+i = floor(p/4),
 
-    C_k^* C_k = sum_{j <= l} dB_k^j dB_k^l G_{k,(j,l)},
-    G_{k,(j,l)} = C_{k,j}^* C_{k,l} + [j != l] C_{k,l}^* C_{k,j},
+    tau(H_k^{p/2}) = y^(i) . T_k y^(j),   T_k[mu, nu] = Re tau(S^(i)_{k,mu} S^(j)_{k,nu}),
 
-whose coefficients, the per-step Gram table, do not depend on the sample.
-Where the d(d+1)/2 pairs cost at most one |G| x |G| product per sample and
-step, and the table is no larger than M_n(x) (_gram_route), h_d reads C_k^*
-C_k off the table by a second product and powers it to p/2: a trace at p = 2,
-a sum of squares at p = 4, one product at p = 6 and 8.  Elsewhere it builds
-the commutator stack and powers it to p.
+a form whose table does not depend on the sample: a dot product at p = 2,
+P x P at p = 4, P x s2 and s2 x s2 at p = 6 and 8.  Where T costs at most one
+|G| x |G| product per sample and step to build, amortized, and neither T nor
+the pair products outgrow M_n(x) (_gram_route), h_d reads it; elsewhere it
+powers the commutator stack to p.
 """
 from __future__ import annotations
 
@@ -58,7 +61,6 @@ from .linalg import blocks, is_integer, is_number, require, schatten_pow_batch
 from . import rng
 
 BRACKET_PS = (2.0, 4.0, 6.0, 8.0)
-GRAM_ROWS = 8       # samples per product with the Gram table, grouped by sample index
 
 
 @dataclass(frozen=True)
@@ -136,14 +138,14 @@ def _sample_entries(scenario: BrownianScenario) -> int:
     """Entries charged to a chunk per sample: steps x |G|^2 in each of d + 2 fields.
 
     martingale_transform holds at most two (steps, |G|, |G|) fields per sample
-    at once: ww, which becomes E in place and is freed, then C_k^* C_k off the
-    Gram table, or the commutator with its real beta difference.  All else it
-    holds is |G|^2-sized per sample (S_c, S_r, M, M~ and the (|G|^2, 2d)
-    product) or (steps, d(d+1)/2)-sized (the increment products dB^j dB^l);
-    _gram_product's zero rows add under 2 GRAM_ROWS samples of C_k^* C_k to a
-    chunk.  Charging only the two fields would double the walsh:2:2
-    benchmark's chunks (d = 2) to 1024 samples, which raised that report's
-    peak RSS from 59 to 75 MiB on 2 vCPU, so the d + 2 fields stay.
+    at once: ww, which becomes E in place and is freed, then the commutator
+    with its real beta difference.  All else it holds is |G|^2-sized per sample
+    (S_c, S_r, M, M~ and the (|G|^2, 2d) product) or, on the moment route,
+    under 5 s2 + d(d+3)/2 values per step for the monomials, the partial
+    form and their sums, where s2 <= |G|(|G| + 1)/2.  Charging only the two
+    fields would double the walsh:2:2 benchmark's chunks (d = 2) to 1024
+    samples, which raised that report's peak RSS from 59 to 75 MiB on 2 vCPU,
+    so the d + 2 fields stay.
     """
     return scenario.steps * scenario.cocycle.group.order ** 2 * (scenario.d + 2)
 
@@ -180,29 +182,39 @@ def _check_horizon(scenario: BrownianScenario, L: float) -> None:
 
 
 def _gram_route(d: int, order: int, steps: int, samples: int) -> bool:
-    """h_d reads the per-step Gram table: its d(d+1)/2 pairs cost at most one |G| x |G|
-    product per sample and step, and the table is no larger than M_n(x) over all samples."""
+    """h_d reads the moment table T of the module docstring where there are 1 to |G| pairs,
+    T costs at most one |G| x |G| product per sample and step to build, amortized (s2^2 |G|^2
+    against samples |G|^3, s2 = P(P+1)/2 for the P pairs), and neither the pair products nor
+    T over all steps is larger than M_n(x) over all samples."""
     pairs = d * (d + 1) // 2
-    return pairs <= order and steps * pairs <= samples
+    s2 = pairs * (pairs + 1) // 2
+    return (0 < pairs <= order and steps * pairs <= samples
+            and s2 * s2 <= samples * order and steps * s2 * s2 <= samples * order ** 2)
 
 
-def _gram_product(xx: np.ndarray, gram: np.ndarray, lo: int) -> np.ndarray:
-    """[c, k] = xx[c, k] @ gram[k] for the samples lo..lo+c-1 of an xx laid out (c, steps, pairs).
-
-    One product per step and group of GRAM_ROWS samples from a multiple of GRAM_ROWS, with
-    zero rows outside the chunk: every sample meets the same call shape at the same row
-    whatever the chunking, so BLAS gives it the same bits, as a product over the chunk's
-    rows does not.
-    """
-    c, steps, pairs = xx.shape
-    a = lo - lo % GRAM_ROWS
-    groups = -(-(lo + c - a) // GRAM_ROWS)
-    rows = np.zeros((groups * GRAM_ROWS, steps, pairs))
-    rows[lo - a:lo - a + c] = xx
-    out = np.empty((groups * GRAM_ROWS, steps, gram.shape[-1]))
-    np.matmul(rows.reshape(groups, GRAM_ROWS, steps, pairs).swapaxes(1, 2), gram,
-              out=out.reshape(groups, GRAM_ROWS, steps, -1).swapaxes(1, 2))
-    return out[lo - a:lo - a + c]
+def _moment_table(ly: np.ndarray, bdiff: np.ndarray, i: int, j: int) -> np.ndarray:
+    """T_k[mu, nu] = Re tau(S^(i)_{k,mu} S^(j)_{k,nu}) laid out [nu, mu, k], in blocks of steps
+    (one step where its S^(2) stack fills a block).  tau(A B) = (1/|G|) Re sum conj(B) o A for
+    Hermitian B.  BLAS sees only |G| x |G| products, one matrix at a time, and the inner
+    products are einsum, so no bit of T depends on the block size or the BLAS thread count."""
+    steps, n, _ = ly.shape
+    cb = np.moveaxis(bdiff, -1, 0)
+    jj, ll = np.triu_indices(len(cb))
+    a, b = np.triu_indices(len(jj))
+    size = (1, len(jj), len(a))
+    table = np.empty((size[j], size[i], steps))
+    for lo, hi in blocks(steps, 2 * n * n * (len(cb) + 2 * len(jj) + 4 * size[j])):
+        cj = ly[lo:hi, None] * cb                                       # [k, j] = C_{k,j}
+        g = cj[:, jj].conj().swapaxes(-1, -2) @ cj[:, ll]               # C_{k,j}^* C_{k,l}
+        g[:, jj != ll] += g[:, jj != ll].conj().swapaxes(-1, -2)        # G_{k,a}
+        s = [np.broadcast_to(np.eye(n, dtype=complex), (hi - lo, 1, n, n)), g]
+        if j == 2:
+            s.append(g[:, a] @ g[:, b])
+            s[2][:, a != b] += s[2][:, a != b].conj().swapaxes(-1, -2)
+        fi, fj = (np.ascontiguousarray(s[m]).reshape(hi - lo, size[m], -1).view(float)
+                  for m in (i, j))
+        table[..., lo:hi] = np.einsum("kmx,knx->nmk", fi, fj) / n
+    return table
 
 
 class TransformPass(NamedTuple):
@@ -229,9 +241,9 @@ def martingale_transform(x: AlgebraElement, scenario: BrownianScenario, L: float
     batched product of E, viewed (c, |G|^2, steps), with the stacked
     increments [dB | dB'] gives Q_j for both draws, and M, M~ from them.
     E is freed before h_d = sum_k ||dx_k||_p^p of the primary draw: on the
-    Gram route (_gram_route) from the module docstring's table G_k, formed
-    once per call as (steps, d(d+1)/2, |G|^2), against dB^j dB^l (j <= l) by
-    _gram_product; elsewhere from each chunk's commutator stack.
+    moment route (_gram_route) by the module docstring's form in the monomials
+    of dB^j dB^l against _moment_table's T, summed elementwise so that no bit
+    depends on the chunking; elsewhere from each chunk's commutator stack.
     """
     _check_horizon(scenario, L)
     p = float(require(p, "p", lambda v: is_number(v) and v in BRACKET_PS,
@@ -246,12 +258,9 @@ def martingale_transform(x: AlgebraElement, scenario: BrownianScenario, L: float
     bv = coc.vectors[coc.group.inv]
     bdiff = bv[None, :, :] - bv[:, None, :]         # [h, u, j] = b_j(u^{-1}) - b_j(h^{-1})
     jj, ll = np.triu_indices(d)                     # the pairs j <= l
-    gram = None
-    if _gram_route(d, n, scenario.steps, scenario.samples):
-        cj = ly[:, None] * np.moveaxis(bdiff, -1, 0)            # [k, j] = C_{k,j}
-        g = cj[:, jj].conj().swapaxes(-1, -2) @ cj[:, ll]       # C_{k,j}^* C_{k,l}
-        g = np.where((jj != ll)[:, None, None], g + g.conj().swapaxes(-1, -2), g)
-        gram = g.reshape(scenario.steps, len(jj), n * n).view(float)    # re, im interleaved
+    i, j = int(p) // 4, (int(p) + 2) // 4           # tau(H^{p/2}) = tau(H^i H^j)
+    table = (_moment_table(ly, bdiff, i, j)[:, :, None]     # [nu, mu, 1, k]
+             if _gram_route(d, n, scenario.steps, scenario.samples) else None)
 
     def work(lo, hi):
         dB = scenario.increments(lo, hi)
@@ -267,13 +276,19 @@ def martingale_transform(x: AlgebraElement, scenario: BrownianScenario, L: float
         del ww
         M, Mt = (1j * np.einsum("chuj,huj->chu", q[..., half], bdiff)
                  for half in (slice(None, d), slice(d, None)))
-        if gram is None:
+        if table is None:
             beta = _pair(coc, dB)                   # [c, k, u] = beta_k(u)
             cm = (beta[..., None, :] - beta[..., :, None]) * ly     # [Lambda(y_k), diag beta_k]
             dx = schatten_pow_batch(cm, p)
         else:
-            cc = _gram_product(dB[..., jj] * dB[..., ll], gram, lo).view(complex)  # C_k^* C_k
-            dx = schatten_pow_batch(cc.reshape(hi - lo, scenario.steps, n, n), p / 2.0, psd=True)
+            inc = np.moveaxis(dB, -1, 0)
+            x1 = inc[jj] * inc[ll]                  # [a, c, k] = dB^j dB^l
+            mono = [np.ones_like(x1[:1]), x1]       # the monomials y^(0), y^(1), y^(2)
+            if j == 2:
+                a, b = np.triu_indices(len(x1))
+                mono.append(x1[a] * x1[b])
+            z = sum(t * v for t, v in zip(table, mono[j]))    # [mu, c, k] = (T_k y^(j))_mu
+            dx = sum(u * w for u, w in zip(mono[i], z))
         return M, Mt, sc, sr, dx.sum(axis=1)
 
     parts = [work(lo, hi) for lo, hi in blocks(scenario.samples, _sample_entries(scenario))]

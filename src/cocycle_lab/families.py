@@ -53,8 +53,7 @@ def builtin_length(spec: str) -> LengthFunction:
         "heisenberg-delta": (heisenberg_delta, 1),
         "heisenberg-wordlength": (heisenberg_wordlength, 1),
     }
-    if kind not in table:
-        raise ValueError(f"unknown length family {echo(kind)!r}; choose from {sorted(table)}")
+    require(kind, "length family", lambda v: v in table, "one of " + ", ".join(table))
     fn, arity = table[kind]
     if len(nums) != arity:
         raise ValueError(f"{kind} takes {arity} integer parameter(s), got {len(nums)}")

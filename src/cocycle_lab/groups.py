@@ -294,6 +294,7 @@ def load_group(path: str) -> FiniteGroup:
 
 # the keys besides "kind" that a group spec of each sized kind reads, in its builder's order
 SPEC_KEYS = {"cyclic": ("n",), "product": ("n", "m"), "heisenberg": ("n",)}
+KINDS = ("table", *SPEC_KEYS)
 
 
 def build_from_spec(spec: dict) -> FiniteGroup:
@@ -303,11 +304,10 @@ def build_from_spec(spec: dict) -> FiniteGroup:
     kind rejects every key besides "kind" and its SPEC_KEYS.
     """
     require(spec, "group spec", lambda v: isinstance(v, dict), "an object")
-    kind = spec.get("kind")
+    kind = require(spec.get("kind"), "group kind", lambda v: isinstance(v, str) and v in KINDS,
+                   "one of " + ", ".join(KINDS))
     if kind == "table":
         return group_from_dict(spec)
-    if not isinstance(kind, str) or kind not in SPEC_KEYS:
-        raise ValueError(f"unknown group kind {kind!r}")
     unread = [key for key in spec if key != "kind" and key not in SPEC_KEYS[kind]]
     if unread:
         raise ValueError(f"group kind {kind!r} does not read the key {unread[0]!r}")

@@ -125,13 +125,14 @@ def normal_block(seed: int, tag: int, lo: int, hi: int, sd: float,
 
     The first row comes from `stream`; every later row re-keys that same Philox
     to counter 0 and an empty buffer, its state right after seeding.  Each call
-    builds its own Generator, so no block's draws depend on another's.
+    builds its own Generator, so no block's draws depend on another's.  The block
+    is scaled by sd once: numpy's normal(0, sd) is 0.0 + sd * z, the same bits.
     """
     out = np.empty((hi - lo,) + tuple(shape))
     if hi == lo:
         return out
     gen = stream(seed, tag, lo)
-    out[0] = gen.normal(0.0, sd, shape)
+    gen.standard_normal(out=out[0])
     bitgen = gen.bit_generator
     zero = np.zeros(4, dtype=np.uint64)
     fresh = {"counter": zero, "key": None}
@@ -140,5 +141,6 @@ def normal_block(seed: int, tag: int, lo: int, hi: int, sd: float,
     for row, key in enumerate(keys(seed, tag, np.arange(lo + 1, hi)), 1):
         fresh["key"] = key
         bitgen.state = state
-        out[row] = gen.normal(0.0, sd, shape)
+        gen.standard_normal(out=out[row])
+    out *= sd
     return out

@@ -352,9 +352,9 @@ def test_cli_names_each_bad_builtin_spec(capsys):
     for spec, err in (("walsh:2:x", "non-integer parameter in length spec 'walsh:2:x'"),
                       (huge, f"5000-digit parameter is too large in length spec "
                              f"{huge[:77] + '...'!r}"),
-                      ("x" * 5000 + ":2", f"unknown length family {'x' * 77 + '...'!r}; choose from "
-                                          "['delta', 'heisenberg-delta', 'heisenberg-wordlength', "
-                                          "'walsh', 'wordlength']"),
+                      ("x" * 5000 + ":2", 'length family = "' + "x" * 76 + "... is not one of "
+                                          "walsh, delta, wordlength, heisenberg-delta, "
+                                          "heisenberg-wordlength"),
                       ("walsh:2", "walsh takes 2 integer parameter(s), got 1"),
                       ("walsh:1:2", "walsh n = 1 is not an integer >= 2"),
                       ("walsh:2:0", "walsh m = 0 is not an integer >= 1"),

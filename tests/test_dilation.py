@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 from cocycle_lab import dilation, linalg, rng
 from cocycle_lab.algebra import (Semigroup, delta, element, gamma, lp_norm,
                                  regular_rep, semigroup_apply)
-from cocycle_lab.cocycles import gromov_form, realize_cocycle, word_length_cocycle
+from cocycle_lab.cocycles import gromov_form, length_function, realize_cocycle, word_length_cocycle
 from cocycle_lab.criterion import AlphaCertificate, best_alpha_pencil
 from cocycle_lab.dilation import (BRACKET_PS, TransformPass, _root_stat, _sample_entries,
                                   bracket_estimates, dilation_matrix, dilation_mean,
                                   inequality_report, martingale_transform, sample_scenario,
                                   transform_l2_analytic)
 from cocycle_lab.families import builtin_length, walsh_length
+from cocycle_lab.groups import build_cyclic
 from cocycle_lab.linalg import blocks, schatten_norm, schatten_pow_batch
 
 from conftest import assert_report_pinned, rand_coeffs
@@ -335,11 +336,13 @@ def _on_gram_route(sc):
     return dilation._gram_route(sc.d, sc.cocycle.group.order, sc.steps, sc.samples)
 
 
-@pytest.mark.parametrize("spec, gram", [("walsh:2:2", True), ("heisenberg-delta:2", True),
+@pytest.mark.parametrize("spec, gram", [("walsh:2:2", True), ("walsh:2:3", True),
+                                        ("wordlength:6", True), ("heisenberg-delta:2", True),
                                         ("heisenberg-wordlength:3", True), ("wordlength:8", False)])
 def test_both_hd_routes_agree_per_sample(spec, gram, monkeypatch):
-    # h_d read off the per-step Gram table of C_k^* C_k against the commutator stack, each
-    # route forced in turn; wordlength:8 has d(d+1)/2 = 10 pairs > |G| = 8
+    # h_d read off the per-step moment table against the commutator stack, each route forced
+    # in turn; walsh:2:3 and wordlength:6 (d = 3) have 21 monomials of degree 2, so p = 6 is a
+    # 6 x 21 form; wordlength:8 has d(d+1)/2 = 10 pairs > |G| = 8
     sc = _route_scenario(spec)
     assert _on_gram_route(sc) == gram
     x = element(sc.cocycle.group, rand_coeffs(sc.cocycle.group.order, 8))
@@ -356,11 +359,11 @@ def test_both_hd_routes_agree_per_sample(spec, gram, monkeypatch):
 
 def test_gram_route_is_independent_of_chunking(monkeypatch):
     # every TransformPass field, sample by sample, at chunks of 1, 7 and all samples, on both
-    # h_d routes: walsh:2:2 and heisenberg-wordlength:3 read the Gram table, wordlength:8
-    # (10 pairs > |G| = 8) builds the commutator stack.  A report's means and SEs can absorb
-    # a last-bit change in one sample; these arrays cannot
-    for spec, gram in (("walsh:2:2", True), ("heisenberg-wordlength:3", True),
-                       ("wordlength:8", False)):
+    # h_d routes: walsh:2:2, walsh:2:3, wordlength:6 and heisenberg-wordlength:3 read the
+    # moment table, wordlength:8 (10 pairs > |G| = 8) builds the commutator stack.  A report's
+    # means and SEs can absorb a last-bit change in one sample; these arrays cannot
+    for spec, gram in (("walsh:2:2", True), ("walsh:2:3", True), ("wordlength:6", True),
+                       ("heisenberg-wordlength:3", True), ("wordlength:8", False)):
         sc = _route_scenario(spec)
         assert _on_gram_route(sc) == gram
         x = element(sc.cocycle.group, rand_coeffs(sc.cocycle.group.order, 5))
@@ -377,7 +380,8 @@ def test_gram_route_is_independent_of_chunking(monkeypatch):
 
 
 def test_gram_route_identity_is_exactly_zero():
-    # lambda(e) commutes with every diag b_j: each C_{k,j} and so the Gram table is 0
+    # lambda(e) commutes with every diag b_j: each C_{k,j}, each G_{k,a} and so the moment
+    # table is 0
     for spec in ("walsh:2:2", "heisenberg-wordlength:3"):
         sc = _route_scenario(spec)
         assert _on_gram_route(sc)
@@ -385,6 +389,35 @@ def test_gram_route_identity_is_exactly_zero():
         for p in BRACKET_PS:
             tr = martingale_transform(one, sc, 2.0, p)
             assert tr.dx_pow.shape == (sc.samples,) and not tr.dx_pow.any(), (spec, p)
+
+
+def test_a_zero_dimensional_cocycle_has_zero_moments():
+    # psi = 0 realizes in dimension 0: no increments, so no pairs, and h_d keeps off the
+    # moment route, whose table would have no rows
+    coc = realize_cocycle(gromov_form(length_function(build_cyclic(3), np.zeros(3))))
+    sc = sample_scenario(coc, 4, 0.25, 8, seed=0)
+    assert coc.dimension == 0 and not _on_gram_route(sc)
+    for p in BRACKET_PS:
+        tr = martingale_transform(element(coc.group, [1.0, 0.5, 0.25]), sc, 1.0, p)
+        assert tr.dx_pow.shape == (8,) and not tr.dx_pow.any() and not tr.M.any(), p
+
+
+def test_moment_route_at_the_cli_default():
+    # dilate's default of 4096 samples x 64 steps: the builtins whose h_d reads the moment
+    # table.  walsh:3:3 and walsh:4:3 (d(d+1)/2 <= |G|) left it: their s2^2 x 64 table would
+    # be larger than M_n(x), s2 = 231 and 1035
+    specs = ([f"walsh:{n}:{m}" for n in (2, 3, 4) for m in (1, 2, 3)] + ["delta:3", "delta:7"]
+             + [f"wordlength:{n}" for n in range(4, 17)]
+             + [f"heisenberg-{mode}:{n}" for mode in ("delta", "wordlength") for n in (2, 3, 4)])
+    on = set()
+    for spec in specs:
+        coc = realize_cocycle(gromov_form(builtin_length(spec)))
+        if dilation._gram_route(coc.dimension, coc.group.order, 64, 4096):
+            on.add(spec)
+    assert on == {"walsh:2:1", "walsh:2:2", "walsh:2:3", "walsh:3:1", "delta:3", "wordlength:4",
+                  "wordlength:6", "heisenberg-delta:2", "heisenberg-delta:3", "heisenberg-delta:4",
+                  "heisenberg-wordlength:2", "heisenberg-wordlength:3",
+                  "heisenberg-wordlength:4"}
 
 
 @functools.cache

@@ -107,7 +107,7 @@ def test_multiplier_diagonal_action():
     B = heisenberg_multiplier(4, "wordlength")
     y = clock_shift_basis(4)[1 * 4 + 2]   # |1| + |2| = 3 on Z_4
     assert np.abs(B.apply(y) - 3.0 * y).max() < 1e-12
-    with pytest.raises(ValueError, match="psi_mode"):
+    with pytest.raises(ValueError, match='^mode = "heat" is not one of delta, wordlength$'):
         heisenberg_multiplier(3, "heat")
 
 
