@@ -74,7 +74,9 @@ class BrownianScenario:
     sample index.  A block of samples lo..hi-1 is drawn by
     rng.normal_block: one SeedSequence for sample lo, and a re-keyed
     Philox for each later sample, with the same values as one
-    rng.stream per sample.  _pass holds martingale_transform's kept pass.
+    rng.stream per sample.  _pass holds martingale_transform's kept
+    pass: M, M~, the bracket moments at every q and the primary
+    increments dB, until a fresh pass or the scenario's end frees them.
     """
     cocycle: CocycleRealization
     steps: int
@@ -137,18 +139,20 @@ def _grid_index(scenario: BrownianScenario, t: float) -> int:
 
 
 def _sample_entries(scenario: BrownianScenario) -> int:
-    """Entries charged to a chunk per sample: steps x |G|^2 in each of d + 2 fields.
+    """Entries charged to a chunk per sample: steps x |G|^2 complex values in each of d + 2
+    fields, each value two float64 entries, as _moment_table counts them.
 
-    martingale_transform holds at most two (steps, |G|, |G|) fields per sample at once:
-    ww, which becomes E in place and is freed, then the commutator with its real beta
+    martingale_transform holds at most two (steps, |G|, |G|) complex fields per sample at
+    once: ww, which becomes E in place and is freed, then the commutator with its real beta
     difference.  All else it holds is |G|^2-sized per sample (S_c and S_r, reduced to a
     moment per q, M, M~ and the (|G|^2, 2d) product) or, on the moment route, under 5 s2 +
     d(d+3)/2 values per step for the monomials, the partial form and their sums, s2 <=
-    |G|(|G| + 1)/2; a served pass's chunk holds dB and h_d alone.  Charging only the two
-    fields would double the walsh:2:2 benchmark's chunks (d = 2) to 1024 samples, which
-    raised that report's peak RSS from 59 to 75 MiB on 2 vCPU, so the d + 2 fields stay.
+    |G|(|G| + 1)/2; a served pass holds h_d's arrays for one chunk alone.  Charging
+    one entry per complex value gave the walsh:2:2 benchmark (d = 2) 512-sample chunks, and
+    its three-p report, with the kept pass's 4 MiB of dB, peaked at 63.2 MiB on 2 vCPU,
+    against 55.5 MiB at these 256-sample chunks (59.3 MiB at 512 without the kept dB).
     """
-    return scenario.steps * scenario.cocycle.group.order ** 2 * (scenario.d + 2)
+    return 2 * scenario.steps * scenario.cocycle.group.order ** 2 * (scenario.d + 2)
 
 
 def dilation_matrix(x: AlgebraElement, t: float, scenario: BrownianScenario,
@@ -246,11 +250,13 @@ def martingale_transform(x: AlgebraElement, scenario: BrownianScenario, L: float
     h_d = sum_k ||dx_k||_p^p of the primary draw: on p's moment route (_gram_route) by the
     module docstring's form in the monomials of dB^j dB^l against _moment_table's T, summed
     elementwise so that no bit depends on the chunking; elsewhere from each chunk's
-    commutator stack.  Where M and M~ fit one chunk's budget (linalg.BLOCK_ENTRIES), the
-    scenario keeps this pass for its last x coefficients, L and block plan and serves it (M
-    and M~ read-only) once to each later p, whose chunks re-draw dB for h_d alone; a p
-    already served, or another x, L or plan, runs a fresh pass.  A pass too large to keep
-    reduces S_c and S_r at p alone.
+    commutator stack.  Where M, M~ and the primary increments fit one chunk's budget
+    (samples (2 |G|^2 + steps d) <= linalg.BLOCK_ENTRIES), the scenario keeps this pass, dB
+    copied into one array as the chunks draw it, for its last x coefficients, L and block
+    plan, and serves it (M and M~ read-only) once to each later p, which reads h_d off the
+    kept dB, chunk by chunk, and draws nothing; a p already served, or another x, L or plan,
+    runs a fresh pass.  A pass too large to keep reduces S_c and S_r at p alone and keeps
+    nothing.
     """
     _check_horizon(scenario, L)
     p = float(require(p, "p", lambda v: is_number(v) and v in BRACKET_PS,
@@ -267,9 +273,10 @@ def martingale_transform(x: AlgebraElement, scenario: BrownianScenario, L: float
     table = (_moment_table(ly, bdiff, i, j)[:, :, None]     # [nu, mu, 1, k]
              if _gram_route(d, n, scenario.steps, scenario.samples, p) else None)
     plan = blocks(scenario.samples, _sample_entries(scenario))
-    qs = BRACKET_PS if 2 * scenario.samples * n * n <= linalg.BLOCK_ENTRIES else (p,)
+    keep = scenario.samples * (2 * n * n + scenario.steps * d) <= linalg.BLOCK_ENTRIES
+    qs = BRACKET_PS if keep else (p,)
     key = (x.coeffs.tobytes(), L, plan)
-    memo = scenario._pass if len(qs) > 1 else {}    # a pass too large to keep is not kept
+    memo = scenario._pass if keep else {}           # a pass too large to keep is not kept
     if memo.get("key") != key or p in memo["ps"]:
         memo.clear()                                # a fresh pass frees the last one first
         lgam = 2.0 * scenario.dt * np.stack([regular_rep(gamma(sg, y, y)),
@@ -290,10 +297,12 @@ def martingale_transform(x: AlgebraElement, scenario: BrownianScenario, L: float
         z = sum(t * v for t, v in zip(table, mono[j]))    # [mu, c, k] = (T_k y^(j))_mu
         return sum(u * w for u, w in zip(mono[i], z)).sum(axis=1)
 
+    kept = np.empty((scenario.samples if keep else 0, scenario.steps, d))   # dB of a kept pass
+
     def work(lo, hi):
         dB = scenario.increments(lo, hi)
-        if memo:                                    # a served pass: h_d alone
-            return (hd(dB),)
+        if keep:
+            kept[lo:hi] = dB
         drives = np.concatenate([dB, scenario.increments_copy(lo, hi)], axis=2)
         B = np.concatenate([np.zeros_like(dB[:, :1]), np.cumsum(dB, axis=1)[:, :-1]], axis=1)
         w = np.exp(1j * np.einsum("ckj,uj->cuk", B, bv))   # _path_phases of B, step axis last
@@ -308,11 +317,13 @@ def martingale_transform(x: AlgebraElement, scenario: BrownianScenario, L: float
                  for half in (slice(None, d), slice(d, None)))
         return M, Mt, s.T, hd(dB)                   # s.T: [c, q, S_c or S_r]
 
-    *full, dx = (np.concatenate(part) for part in zip(*[work(lo, hi) for lo, hi in plan]))
-    if not memo:
+    if memo:                                        # a served pass: h_d alone, from the kept dB
+        dx = np.concatenate([hd(memo["dB"][lo:hi]) for lo, hi in plan])
+    else:
+        *full, dx = (np.concatenate(part) for part in zip(*[work(lo, hi) for lo, hi in plan]))
         for a in full[:2]:                          # M and M~ serve every p
             a.flags.writeable = False
-        memo.update(key=key, ps=set(), M=full[0], Mt=full[1],
+        memo.update(key=key, ps=set(), M=full[0], Mt=full[1], dB=kept,
                     mom=dict(zip(qs, np.moveaxis(full[2], 0, -1).copy())))   # q: [S_c or S_r, c]
     memo["ps"].add(p)
     return TransformPass(p, memo["M"], memo["Mt"], *memo["mom"][p], dx)

@@ -54,22 +54,24 @@ def _words(n: int) -> list[int]:
     return out
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-    return r ^ (r >> np.uint32(16))
+def _mix(x, y):
+    r = (_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32) & _MASK32
+    return r ^ r >> 16
 
 
-def _hash(v: np.ndarray, const: int, mult: int) -> tuple:
-    """One SeedSequence hash step on uint32 words, and the next hash constant."""
+def _hash(v, const: int, mult: int) -> tuple:
+    """One SeedSequence hash step on a uint32 word, and the next hash constant."""
     nxt = const * mult & _MASK32
-    v = (v ^ np.uint32(const)) * np.uint32(nxt)
-    return v ^ (v >> np.uint32(16)), nxt
+    v = (v ^ const) * nxt & _MASK32
+    return v ^ v >> 16, nxt
 
 
 def _seed_keys(entropy: list) -> np.ndarray:
     """SeedSequence pool hash and generate_state(2, uint64) on columns of uint32 words.
 
-    entropy holds one (k,) uint32 array per entropy word; the result is (k, 2) uint64.
+    entropy holds one word per entropy position: an int where every column shares it, or a
+    (k,) uint32 array; the result is (k, 2) uint64.  The words that all columns share are
+    hashed once, as ints, and only the rest as arrays: the same arithmetic mod 2^32.
     """
     const, pool = _INIT_A, []
     for word in entropy[:_POOL]:
@@ -112,10 +114,8 @@ def keys(seed: int, tag: int, indices) -> np.ndarray:
     for sel, n_words in ((~wide, 1), (wide, 2)):
         if sel.any():
             part = idx[sel]
-            cols = [np.full(part.size, w, dtype=np.uint32) for w in run]
-            cols += [(part >> np.uint64(32 * j) & np.uint64(_MASK32)).astype(np.uint32)
-                     for j in range(n_words)]
-            out[sel] = _seed_keys(cols)
+            out[sel] = _seed_keys(run + [(part >> np.uint64(32 * j) & np.uint64(_MASK32))
+                                         .astype(np.uint32) for j in range(n_words)])
     return out
 
 
@@ -124,9 +124,12 @@ def normal_block(seed: int, tag: int, lo: int, hi: int, sd: float,
     """(hi - lo, *shape) draws; row i - lo is stream(seed, tag, i).normal(0, sd, shape).
 
     The first row comes from `stream`; every later row re-keys that same Philox
-    to counter 0 and an empty buffer, its state right after seeding.  Each call
-    builds its own Generator, so no block's draws depend on another's.  The block
-    is scaled by sd once: numpy's normal(0, sd) is 0.0 + sd * z, the same bits.
+    to counter 0 and an empty buffer, its state right after seeding.  The state
+    setter reads the key, counter and buffer word by word, so they go in as lists
+    of Python ints, which it reads faster than numpy scalars, to the same bits.
+    Each call builds its own Generator, so no block's draws depend on another's.
+    The block is scaled by sd once: numpy's normal(0, sd) is 0.0 + sd * z, the
+    same bits.
     """
     out = np.empty((hi - lo,) + tuple(shape))
     if hi == lo:
@@ -134,11 +137,10 @@ def normal_block(seed: int, tag: int, lo: int, hi: int, sd: float,
     gen = stream(seed, tag, lo)
     gen.standard_normal(out=out[0])
     bitgen = gen.bit_generator
-    zero = np.zeros(4, dtype=np.uint64)
-    fresh = {"counter": zero, "key": None}
-    state = {"bit_generator": "Philox", "state": fresh, "buffer": zero,
+    fresh = {"counter": [0] * 4, "key": None}
+    state = {"bit_generator": "Philox", "state": fresh, "buffer": [0] * 4,
              "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for row, key in enumerate(keys(seed, tag, np.arange(lo + 1, hi)), 1):
+    for row, key in enumerate(keys(seed, tag, np.arange(lo + 1, hi)).tolist(), 1):
         fresh["key"] = key
         bitgen.state = state
         gen.standard_normal(out=out[row])

@@ -603,14 +603,20 @@ def _log_draws(m, drawn):
                   log.extend(range(lo, hi)) or draw(self, lo, hi))
 
 
+def _fresh_route_scenario(spec):
+    coc = realize_cocycle(gromov_form(builtin_length(spec)))
+    return lambda: sample_scenario(coc, 16, 0.125, 256, seed=5)
+
+
 @pytest.mark.parametrize("spec, gram", [("walsh:2:2", True), ("wordlength:8", False)])
 def test_a_p_grid_shares_one_pass(spec, gram, monkeypatch):
-    # p = 2, 4, 8 on one scenario: the copy is drawn once, the primary increments once per p
-    # (for h_d, on its route), and each report equals the report on a fresh scenario.  Chunks
-    # of 37 samples keep M and M~ (2 x 256 |G|^2 entries) within one chunk's budget
-    coc = realize_cocycle(gromov_form(builtin_length(spec)))
-    fresh = lambda: sample_scenario(coc, 16, 0.125, 256, seed=5)
+    # p = 2, 4, 8 on one scenario: the copy and the primary increments are drawn once for the
+    # grid (the later p read h_d, on their route, off the kept dB), and each report equals
+    # the report on a fresh scenario.  Chunks of 37 samples keep M, M~ and dB (256 x (2 |G|^2
+    # + 16 d) entries) within one chunk's budget
+    fresh = _fresh_route_scenario(spec)
     sc = fresh()
+    coc = sc.cocycle
     assert all(dilation._gram_route(sc.d, coc.group.order, 16, 256, p) == gram
                for p in BRACKET_PS)
     x = element(coc.group, rand_coeffs(coc.group.order, 3))
@@ -623,16 +629,17 @@ def test_a_p_grid_shares_one_pass(spec, gram, monkeypatch):
             _log_draws(m, drawn)
             reports = [inequality_report(x, sc, 2.0, p, cert) for p in (2.0, 4.0, 8.0)]
         assert sorted(drawn["increments_copy"]) == list(range(sc.samples)), (spec, size)
-        assert sorted(drawn["increments"]) == sorted(3 * list(range(sc.samples))), (spec, size)
+        assert sorted(drawn["increments"]) == list(range(sc.samples)), (spec, size)
         for p, rep in zip((2.0, 4.0, 8.0), reports):
             assert rep == inequality_report(x, fresh(), 2.0, p, cert), (spec, size, p)
 
 
 def test_a_served_p_or_another_call_runs_a_fresh_pass(monkeypatch):
-    # the scenario serves its pass once to each p for one x, L and block plan: a repeated p,
-    # another x, another L (within the horizon's tolerance) or another plan draws the copy
-    # again, and so runs the kernel, and so does every p where M and M~ (2 x 64 x 16 entries)
-    # outgrow one chunk's budget, which keeps no pass; the served M and M~ are read-only
+    # the scenario serves its pass once to each p for one x, L and block plan, and a served p
+    # draws nothing; a repeated p, another x, another L (within the horizon's tolerance) or
+    # another plan draws both the increments and the copy again, and so runs the kernel, and so
+    # does every p where M, M~ and dB (64 x (2 x 16 + 8 x 2) entries) outgrow one chunk's
+    # budget, which keeps no pass; the served M and M~ are read-only
     sc = sample_scenario(walsh_cocycle(2, 2), 8, 0.125, 64, seed=5)
     x = element(sc.cocycle.group, [0.0, 1.0, 0.7, 0.3j])
     y = element(sc.cocycle.group, [0.0, 1.0, 0.7, 0.4j])
@@ -645,20 +652,72 @@ def test_a_served_p_or_another_call_runs_a_fresh_pass(monkeypatch):
              ("another plan", lambda: martingale_transform(y, sc, 1.0 + 1e-14, 2.0), True),
              ("too large", lambda: martingale_transform(y, sc, 1.0 + 1e-14, 4.0), True),
              ("too large, another p", lambda: martingale_transform(y, sc, 1.0 + 1e-14, 8.0), True)]
-    budget = {"another plan": 7 * _sample_entries(sc), "too large": 2 * 64 * 16 - 1,
-              "too large, another p": 2 * 64 * 16 - 1}
-    for name, call, copy in calls:
+    budget = {"another plan": 7 * _sample_entries(sc), "too large": 64 * (2 * 16 + 8 * 2) - 1,
+              "too large, another p": 64 * (2 * 16 + 8 * 2) - 1}
+    for name, call, fresh in calls:
         drawn = {"increments": [], "increments_copy": []}
         with monkeypatch.context() as m:
             if name in budget:
                 m.setattr(linalg, "BLOCK_ENTRIES", budget[name])
             _log_draws(m, drawn)
             call()
-        assert sorted(drawn["increments"]) == list(range(sc.samples)), name
-        assert sorted(drawn["increments_copy"]) == (list(range(sc.samples)) if copy else []), name
+        for log in drawn.values():
+            assert sorted(log) == (list(range(sc.samples)) if fresh else []), name
     again = martingale_transform(x, sc, 1.0, 2.0)
     for a, b in zip(again, base):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("spec, gram", [("walsh:2:2", True), ("wordlength:8", False)])
+def test_a_served_p_equals_a_fresh_scenario_sample_by_sample(spec, gram, monkeypatch):
+    # every TransformPass field of each p served from one kept pass, byte for byte, against the
+    # same p on a fresh scenario: at the default plan and at chunks of 37 samples, on the
+    # moment-table route (walsh:2:2) and the commutator route (wordlength:8).  A report's
+    # means and SEs can absorb a last-bit change in one sample; these bytes cannot
+    fresh = _fresh_route_scenario(spec)
+    sc = fresh()
+    assert all(dilation._gram_route(sc.d, sc.cocycle.group.order, 16, 256, p) == gram
+               for p in BRACKET_PS)
+    x = element(sc.cocycle.group, rand_coeffs(sc.cocycle.group.order, 6))
+    for size in (None, 37):
+        sc = fresh()
+        with monkeypatch.context() as m:
+            if size is not None:
+                m.setattr(linalg, "BLOCK_ENTRIES", size * _sample_entries(sc))
+            for p in BRACKET_PS:
+                served, want = martingale_transform(x, sc, 2.0, p), martingale_transform(
+                    x, fresh(), 2.0, p)
+                for field in TransformPass._fields:
+                    a, b = np.asarray(getattr(served, field)), np.asarray(getattr(want, field))
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), (spec, size, p, field)
+        assert sc._pass["ps"] == set(BRACKET_PS), (spec, size)
+
+
+def test_a_pass_whose_increments_outgrow_the_budget_is_not_kept(monkeypatch):
+    # walsh:2:2 at 256 x 16: M and M~ (2 x 256 x 16 entries) fit a budget one entry short of
+    # them with dB (256 x (2 x 16 + 16 x 2)), which is then kept for no p: each p draws the
+    # increments and the copy again, and its report equals a fresh scenario's.  One entry more
+    # keeps the pass, with every sample's dB as a fresh draw gives it
+    fresh = _fresh_route_scenario("walsh:2:2")
+    sc = fresh()
+    x = element(sc.cocycle.group, rand_coeffs(4, 3))
+    budget = 256 * (2 * 16 + 16 * 2) - 1
+    assert 2 * 256 * 16 <= budget
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "BLOCK_ENTRIES", budget)
+        want = {p: inequality_report(x, fresh(), 2.0, p) for p in (2.0, 4.0, 8.0)}
+        for p in (2.0, 4.0, 8.0):
+            drawn = {"increments": [], "increments_copy": []}
+            with monkeypatch.context() as inner:
+                _log_draws(inner, drawn)
+                assert inequality_report(x, sc, 2.0, p) == want[p], p
+            for name, log in drawn.items():
+                assert sorted(log) == list(range(sc.samples)), (p, name)
+            assert sc._pass == {}, p
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "BLOCK_ENTRIES", budget + 1)
+        inequality_report(x, sc, 2.0, 2.0)
+        assert sc._pass["dB"].tobytes() == sc.increments(0, sc.samples).tobytes()
 
 
 def test_an_x_over_another_group_is_refused():

@@ -48,6 +48,22 @@ def test_normal_block_equals_one_stream_per_sample(seed, tag, lo, hi):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.sampled_from(SEEDS[:4]), st.integers(0, 2 ** 70)),
+       st.sampled_from((rng.TAG_SCENARIO, rng.TAG_SCENARIO_COPY)),
+       st.one_of(st.integers(0, 2 ** 16), st.integers(2 ** 32 - 6, 2 ** 32 + 1),
+                 st.integers(0, 2 ** 40)),
+       st.integers(1, 6), st.sampled_from((0.5, 0.25)),
+       st.sampled_from(((3,), (4, 2))))
+@example(2 ** 70, rng.TAG_SCENARIO, 2 ** 32 - 3, 6, 0.5, (4, 2))    # a window across 2^32
+def test_normal_block_equals_one_stream_per_sample_hypothesis(seed, tag, lo, count, sd, shape):
+    """The re-keyed rows, their keys handed to the Philox state as Python ints, are bitwise the
+    rows of one stream per sample, for seeds of up to 3 words and windows across index 2^32."""
+    got = rng.normal_block(seed, tag, lo, lo + count, sd, shape)
+    want = reference_rows(seed, tag, lo, lo + count, sd, shape)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes(), (seed, tag, lo, count)
+
+
 def test_normal_block_builds_one_seed_sequence(monkeypatch):
     built = []
     real = np.random.SeedSequence
