@@ -139,20 +139,21 @@ def _grid_index(scenario: BrownianScenario, t: float) -> int:
 
 
 def _sample_entries(scenario: BrownianScenario) -> int:
-    """Entries charged to a chunk per sample: steps x |G|^2 complex values in each of d + 2
-    fields, each value two float64 entries, as _moment_table counts them.
+    """Entries charged to a chunk per sample: steps x |G|^2 in each of d + 2 fields.
 
-    martingale_transform holds at most two (steps, |G|, |G|) complex fields per sample at
-    once: ww, which becomes E in place and is freed, then the commutator with its real beta
+    martingale_transform holds at most two (steps, |G|, |G|) fields per sample at once:
+    ww, which becomes E in place and is freed, then the commutator with its real beta
     difference.  All else it holds is |G|^2-sized per sample (S_c and S_r, reduced to a
     moment per q, M, M~ and the (|G|^2, 2d) product) or, on the moment route, under 5 s2 +
     d(d+3)/2 values per step for the monomials, the partial form and their sums, s2 <=
-    |G|(|G| + 1)/2; a served pass holds h_d's arrays for one chunk alone.  Charging
-    one entry per complex value gave the walsh:2:2 benchmark (d = 2) 512-sample chunks, and
-    its three-p report, with the kept pass's 4 MiB of dB, peaked at 63.2 MiB on 2 vCPU,
-    against 55.5 MiB at these 256-sample chunks (59.3 MiB at 512 without the kept dB).
+    |G|(|G| + 1)/2; a served pass holds h_d's arrays for one chunk alone.  Charging only the
+    two fields would double the walsh:2:2 benchmark's chunks (d = 2) to 1024 samples, which
+    raises that report's peak RSS from 63 to about 79 MiB on 2 vCPU, so the d + 2 fields
+    stay.  Charging twice as much would offset the kept pass's 4 MiB of dB there (55 MiB)
+    but slows the commutator route's cold calls, whose smaller chunks fault their fields
+    back in (wordlength:8 at 4096 x 64, p = 8: 1.62 to 1.84 s).
     """
-    return 2 * scenario.steps * scenario.cocycle.group.order ** 2 * (scenario.d + 2)
+    return scenario.steps * scenario.cocycle.group.order ** 2 * (scenario.d + 2)
 
 
 def dilation_matrix(x: AlgebraElement, t: float, scenario: BrownianScenario,
@@ -297,11 +298,9 @@ def martingale_transform(x: AlgebraElement, scenario: BrownianScenario, L: float
         z = sum(t * v for t, v in zip(table, mono[j]))    # [mu, c, k] = (T_k y^(j))_mu
         return sum(u * w for u, w in zip(mono[i], z)).sum(axis=1)
 
-    kept = np.empty((scenario.samples if keep else 0, scenario.steps, d))   # dB of a kept pass
-
     def work(lo, hi):
         dB = scenario.increments(lo, hi)
-        if keep:
+        if keep:                                    # a pass to keep holds its dB
             kept[lo:hi] = dB
         drives = np.concatenate([dB, scenario.increments_copy(lo, hi)], axis=2)
         B = np.concatenate([np.zeros_like(dB[:, :1]), np.cumsum(dB, axis=1)[:, :-1]], axis=1)
@@ -320,6 +319,7 @@ def martingale_transform(x: AlgebraElement, scenario: BrownianScenario, L: float
     if memo:                                        # a served pass: h_d alone, from the kept dB
         dx = np.concatenate([hd(memo["dB"][lo:hi]) for lo, hi in plan])
     else:
+        kept = np.empty((scenario.samples, scenario.steps, d)) if keep else None
         *full, dx = (np.concatenate(part) for part in zip(*[work(lo, hi) for lo, hi in plan]))
         for a in full[:2]:                          # M and M~ serve every p
             a.flags.writeable = False
