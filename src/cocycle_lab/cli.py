@@ -13,14 +13,19 @@ encoded as [re, im] pairs; CSV output always uses the dot decimal.
 Each command exists only by the `_command` registration on its runner: its
 flags give the parser, the config keys, their loading and their checks, and
 its writer the outputs.  `replay`, which runs a stored report, is built by hand.
+Every command, replay included, runs numpy's bundled OpenBLAS at one thread,
+so a report replays byte-identically under any OPENBLAS_NUM_THREADS.
 """
 from __future__ import annotations
 
 import argparse
+import ctypes
+import glob
 import hashlib
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from functools import cache
 from typing import Callable, NamedTuple, Optional
@@ -588,18 +593,54 @@ def _run_replay(args) -> int:
     return 0
 
 
+@cache
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled scipy-openblas, or None where numpy
+    bundles no library with that setter."""
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                              "numpy.libs", "libscipy_openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """The body runs numpy's bundled OpenBLAS at one thread, and the previous count is restored
+    after it: a product split over threads sums in another order, so a report would depend on
+    OPENBLAS_NUM_THREADS.  Where no such setter exists, nothing changes."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, put = threads
+    previous = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(previous)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        if args.command == "replay":
-            return _run_replay(args)
-        config = {key: flag.load(args) for key, flag in _config_keys(args.command).items()}
-        _, _, write = _COMMANDS[args.command]
-        write(args, args.command, config)
-        return 0
-    except (ValueError, KeyError, OSError) as exc:
-        sys.stderr.write(f"{args.command}: {exc}\n")
-        return 1
+    with _one_blas_thread():
+        try:
+            if args.command == "replay":
+                return _run_replay(args)
+            config = {key: flag.load(args) for key, flag in _config_keys(args.command).items()}
+            _, _, write = _COMMANDS[args.command]
+            write(args, args.command, config)
+            return 0
+        except (ValueError, KeyError, OSError) as exc:
+            sys.stderr.write(f"{args.command}: {exc}\n")
+            return 1
 
 
 if __name__ == "__main__":

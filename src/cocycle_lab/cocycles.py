@@ -6,7 +6,9 @@ is positive semidefinite.  K is diagonalised once: its psd_verdict reads
 lambda_min >= -tol*(1 + ||K||_2), and at tol = DEFAULT_TOL that bound is
 also the rank cut, above which the eigenvalues span ran K.  A realization
 is B alone: the orthogonal action alpha of the cocycle (b, alpha) is
-determined by b and never formed.
+determined by b and never formed.  Both alpha* solvers read K o K - alpha K
+through GromovForm.span_pair, its compression onto the span of the b_i and
+the b_i o b_j.
 """
 from __future__ import annotations
 
@@ -87,6 +89,34 @@ class GromovForm:
             raise ValueError(f"K is not PSD: min eigenvalue {test.min_eig:.3e}")
         return DEFAULT_TOL * psd_scale(self.spectrum[0])
 
+    def _cocycle_vectors(self) -> np.ndarray:
+        """B = U_r sqrt(lam_r) over K's eigenvalues above the rank cut: K = B B^T to the cut."""
+        lam, U = self.spectrum
+        keep = lam > self._rank_cut()
+        return U[:, keep] * np.sqrt(lam[keep])
+
+    @cached_property
+    def span_pair(self) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """(P^T (K o K) P, P^T K P, P), read-only: K o K - alpha K on the cocycle's span.
+
+        With B the d cocycle vectors above the rank cut, K = B B^T and
+        K o K = sum_{i,j} (B_i o B_j)(B_i o B_j)^T both map into ran W, W = [B, B_i o B_j
+        (i <= j)], of m = d + d(d+1)/2 columns.  So for P an orthonormal basis of a space
+        holding ran W (one QR of W), K o K - alpha K is PSD exactly when its m x m
+        compression is, and a witness v of the compression is P v of K.  Where m >= order,
+        or d = 0, the pair is (K o K, K, None): K itself, uncompressed.
+        """
+        B = self._cocycle_vectors()
+        d = B.shape[1]
+        Q, M, P = self.K * self.K, self.K, None
+        if 0 < d * (d + 3) // 2 < self.group.order:
+            i, j = np.triu_indices(d)
+            P = np.linalg.qr(np.hstack([B, B[:, i] * B[:, j]]))[0]
+            Q, M = P.T @ Q @ P, P.T @ M @ P
+            P.flags.writeable = M.flags.writeable = False
+        Q.flags.writeable = False
+        return Q, M, P
+
 
 def gromov_form(psi: LengthFunction) -> GromovForm:
     """K(s,t) = (psi(s) + psi(t) - psi(s^{-1} t)) / 2 from psi.values as given: a LengthFunction
@@ -132,7 +162,6 @@ def realize_cocycle(K: GromovForm) -> CocycleRealization:
     checked entrywise to the rank cut, and a K that fails one is a ValueError
     naming the worst (s, t).
     """
-    lam, U = K.spectrum
     cut = K._rank_cut()
     diag = np.diag(K.K)
     for what, rhs, ref in (
@@ -144,9 +173,8 @@ def realize_cocycle(K: GromovForm) -> CocycleRealization:
         if dev[s, t] > cut:
             raise ValueError(f"K is not {what}: at (s, t) = ({s}, {t}), "
                              f"K(s,t) = {K.K[s, t]:.6g} but {rhs} = {ref[s, t]:.6g}")
-    keep = lam > cut
-    B = U[:, keep] * np.sqrt(lam[keep])
-    return CocycleRealization(K.group, int(keep.sum()), B)
+    B = K._cocycle_vectors()
+    return CocycleRealization(K.group, B.shape[1], B)
 
 
 def word_length_cocycle(n: int) -> CocycleRealization:

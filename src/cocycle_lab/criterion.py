@@ -2,12 +2,15 @@
 
 The kernel condition "K o K - alpha K is PSD" (o = entrywise product) is
 sufficient for the operator-level criterion; alpha* is its largest
-feasible alpha.  Two independent solvers are provided: Dinkelbach's
-iteration over Rayleigh-quotient upper bounds, from the least psi above
-K's rank cut down to eigh's rounding level (the reference, under the name
-best_alpha_bisection), and a direct generalized-eigenvalue method through a
-Schur complement onto the range of K; both read K's PSD test and rank cut
-off GromovForm.spectrum.  Every eigensolve is np.linalg.eigh or eigvalsh.
+feasible alpha, never below 0 since K o K is PSD (Schur's product theorem).
+Both solvers work on GromovForm.span_pair, the m x m compression of
+(K o K, K) onto the cocycle's span, m <= d(d+3)/2 (K itself where m >= |G|),
+and map their witness back as P v: Dinkelbach's iteration over
+Rayleigh-quotient upper bounds, from the least psi above K's rank cut down
+to eigh's rounding level (under the name best_alpha_bisection), and a
+direct generalized-eigenvalue method through a Schur complement onto the
+pair's range.  The tests keep the uncompressed |G| x |G| Dinkelbach as
+the independent reference.  Every eigensolve is np.linalg.eigh or eigvalsh.
 check_element tests single elements at the operator level.
 """
 from __future__ import annotations
@@ -32,9 +35,15 @@ class AlphaCertificate:
         self.witness.setflags(write=False)
 
 
-def _certificate(K: np.ndarray, alpha: float, method: str) -> AlphaCertificate:
-    w, V = np.linalg.eigh(K * K - alpha * K)
-    return AlphaCertificate(float(alpha), method, V[:, 0], float(w[0]))
+def _certificate(K: GromovForm, alpha: float, method: str, solved=None) -> AlphaCertificate:
+    """The certificate at max(alpha, 0), from the least eigenpair of the pair's Q - alpha M:
+    solved, the (w, V) of eigh at exactly that alpha, or one eigh here."""
+    Q, M, P = K.span_pair
+    if alpha < 0:
+        alpha, solved = 0.0, None
+    w, V = solved or np.linalg.eigh(Q - alpha * M)
+    v = V[:, 0] if P is None else P @ V[:, 0]
+    return AlphaCertificate(float(alpha), method, v, float(w[0]))
 
 
 def best_alpha_bisection(K: GromovForm) -> AlphaCertificate:
@@ -42,19 +51,19 @@ def best_alpha_bisection(K: GromovForm) -> AlphaCertificate:
 
     The diagonal of K o K - alpha K is psi^2 - alpha psi, so alpha* <= psi(g) whenever
     psi(g) > 0: start from alpha = min{psi(g) : psi(g) > cut} (max psi if none is).
-    Take the least eigenpair (w, v) of K o K - alpha K and move alpha to the Rayleigh
-    quotient v^T (K o K) v / v^T K v, also an upper bound on alpha*.  This is Newton's
-    method on the concave lambda_min from the right, so alpha falls strictly onto
-    alpha*.  Stop once w >= -n eps max|w|, rounding level for eigh: past it v is noise
-    and its quotient may undershoot alpha*.  Stop too when alpha stops falling, or when
-    v^T K v is at or under K's rank cut: then v lies in ker K.  Nothing splits ran/ker K
-    or forms a Schur complement, so this route is independent of best_alpha_pencil; of
-    K's spectrum it reads only the PSD test and the cut value.
+    On the pair (Q, M) = K.span_pair, take the least eigenpair (w, v) of Q - alpha M
+    and move alpha to the Rayleigh quotient v^T Q v / v^T M v, also an upper bound on
+    alpha*.  This is Newton's method on the concave lambda_min from the right, so alpha
+    falls strictly onto alpha*.  Stop once w >= -m eps max|w|, rounding level for eigh
+    on the m x m pair: past it v is noise and its quotient may undershoot alpha*.  Stop
+    too when alpha stops falling, or when v^T M v is at or under K's rank cut: then v
+    lies in ker M.  Nothing splits ran/ker M or forms a Schur complement, as
+    best_alpha_pencil does; both read K's range basis through the shared pair, so the
+    independent check is the tests' Dinkelbach on the uncompressed |G| x |G| matrices.
     """
     cut = K._rank_cut()
-    M = K.K
-    Q = M * M
-    psi = np.diag(M)
+    Q, M, _ = K.span_pair
+    psi = np.diag(K.K)
     alpha = float(psi[psi > cut].min(initial=psi.max()))
     rounding = len(M) * np.finfo(float).eps
     while True:
@@ -67,44 +76,46 @@ def best_alpha_bisection(K: GromovForm) -> AlphaCertificate:
         if not quotient < alpha:
             break
         alpha = quotient
-    return AlphaCertificate(alpha, "bisection", v, float(w[0]))
+    return _certificate(K, alpha, "bisection", (w, V))
 
 
 def best_alpha_pencil(K: GromovForm) -> AlphaCertificate:
-    """Direct solver: generalized eigenvalue of (K o K, K) on the range of K.
+    """Direct solver: generalized eigenvalue of the pair (Q, M) = K.span_pair on ran M.
 
-    Split K's eigenspaces into range and kernel; on vectors v = v_r + v_k the
-    constraint v^T (Q - alpha K) v >= 0 with Q = K o K eliminates v_k through
+    Split M's eigenspaces into range and kernel at K's rank cut; on vectors
+    v = v_r + v_k the constraint v^T (Q - alpha M) v >= 0 eliminates v_k through
     the pinned kernel block, leaving the Schur complement
     S = Q_rr - Q_rk Q_kk^+ Q_kr, so alpha* = lambda_min(L_r^{-1/2} S L_r^{-1/2}).
-    If kernel directions couple to the range outside ran(Q_kk) the
-    elimination is invalid and we fall back to bisection.
+    Q_kk^+ inverts the eigenvalues of Q_kk above DEFAULT_TOL * psd_scale(Q): below
+    it they are rounding, and where ran(K o K) lies in ran K all of Q_kk is, so a cut
+    relative to Q_kk's own norm would invert noise.  If Q_rk reaches that scale on
+    the dropped eigenvectors, kernel directions couple to the range outside
+    ran(Q_kk), the elimination is invalid and we fall back to bisection.  M's
+    spectrum is K.spectrum when the pair is K itself, else one m x m eigh.
     """
-    M = K.K
-    Q = M * M
-    lam, U = K.spectrum
+    Q, M, P = K.span_pair
+    lam, U = K.spectrum if P is None else np.linalg.eigh(M)
     keep = lam > K._rank_cut()
     if not keep.any():
-        return _certificate(M, float(np.diag(M).max()), "pencil")
+        return _certificate(K, float(np.diag(K.K).max()), "pencil")
     Ur, Uk = U[:, keep], U[:, ~keep]
     lr = lam[keep]
     Qrr = Ur.T @ Q @ Ur
     if Uk.shape[1]:
-        Qrk = Ur.T @ Q @ Uk
-        Qkk = Uk.T @ Q @ Uk
-        Qkk_p = np.linalg.pinv(Qkk, rcond=1e-12, hermitian=True)
-        coupling = np.abs(Qrk - Qrk @ Qkk_p @ Qkk).max()
-        if coupling > DEFAULT_TOL * psd_scale(Q):
+        cut = DEFAULT_TOL * psd_scale(Q)
+        mu, Vk = np.linalg.eigh(Uk.T @ Q @ Uk)
+        live = mu > cut
+        Qrk = Ur.T @ Q @ Uk @ Vk        # in Q_kk's eigenvectors
+        if np.abs(Qrk[:, ~live]).max(initial=0.0) > cut:
             cert = best_alpha_bisection(K)
             return AlphaCertificate(cert.alpha_star, "bisection-fallback",
                                     cert.witness, cert.residual)
-        S = Qrr - Qrk @ Qkk_p @ Qrk.T
+        S = Qrr - (Qrk[:, live] / mu[live]) @ Qrk[:, live].T
     else:
         S = Qrr
     rinv = 1.0 / np.sqrt(lr)
     W = 0.5 * (S + S.T) * rinv[:, None] * rinv[None, :]
-    alpha = float(np.linalg.eigvalsh(W)[0])
-    return _certificate(M, alpha, "pencil")
+    return _certificate(K, float(np.linalg.eigvalsh(W)[0]), "pencil")
 
 
 def check_element(sg: Semigroup, f: AlgebraElement, alpha: float) -> PsdVerdict:

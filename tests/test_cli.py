@@ -1,5 +1,6 @@
 import filecmp
 import json
+import math
 import os
 import re
 import shlex
@@ -833,3 +834,33 @@ def test_readme_cli_examples_parse():
     for ex in examples:
         assert ex[0] == "cocycle-lab"
         parser.parse_args(ex[1:])
+
+
+@pytest.mark.parametrize("n", [6, 8, 12, 16])
+def test_alpha_is_never_below_zero(n, tmp_path):
+    """psi_n(k) = 1 - cos(2 pi k / n) has alpha* = 0 for n >= 5, which both solvers reached
+    from below at rounding level; alpha = 0 is always feasible, as K o K is PSD."""
+    psi = write_json(tmp_path / "cos.json", {"group": {"kind": "cyclic", "n": n},
+                                             "psi": [1 - math.cos(2 * math.pi * k / n)
+                                                     for k in range(n)]})
+    out = tmp_path / "alpha.json"
+    assert main(["alpha", "--psi", psi, "--method", "both", "--out", str(out)]) == 0
+    res = read_report(out)["results"]
+    assert 0.0 <= res["alpha_star"] < 1e-12
+    assert 0.0 <= res["bisection"]["alpha_star"] < 1e-12
+
+
+def test_alpha_replays_across_blas_threads(tmp_path):
+    """alpha on wordlength:256 written under two OpenBLAS threads replays byte-identically
+    under one: every command runs numpy's bundled OpenBLAS at one thread."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    out = str(tmp_path / "alpha.json")
+    for threads, argv in (("2", ["alpha", "--builtin", "wordlength:256", "--method", "both",
+                                 "--out", out]),
+                          ("1", ["replay", "--report", out])):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        run = subprocess.run([sys.executable, "-m", "cocycle_lab.cli", *argv],
+                             capture_output=True, text=True, env=env, timeout=300)
+        assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("replay: byte-identical")

@@ -1,20 +1,62 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cocycle_lab.algebra import Semigroup, delta
 from cocycle_lab.cli import _gallery_entries
-from cocycle_lab.cocycles import GromovForm, gromov_form, length_function, realize_cocycle, word_length_psi
+from cocycle_lab.cocycles import (GromovForm, coordinate_length, gromov_form, length_function,
+                                  realize_cocycle, word_length_psi)
 from cocycle_lab.criterion import (best_alpha_bisection, best_alpha_pencil,
                                    check_element)
 from cocycle_lab.families import builtin_length, delta_psi
-from cocycle_lab.groups import build_cyclic
+from cocycle_lab.groups import build_cyclic, build_power
+from cocycle_lab.linalg import psd_scale
 
 GALLERY_ALPHA = [sub["psi"]["builtin"] for _, command, sub in _gallery_entries(0)
                  if command == "alpha"]
 LARGE = ["walsh:2:8", "wordlength:256", "heisenberg-wordlength:7"]    # orders 256, 256, 343
+COMPRESSED = ["walsh:3:5", "heisenberg-delta:7"]     # orders 243, 343; m = 65 and 90
+
+
+def reference_dinkelbach(K):
+    """Dinkelbach's iteration on the uncompressed |G| x |G| matrices K o K and K: the route
+    independent of the span pair, reading of K's spectrum only the rank cut.  Same start
+    and stopping rule as best_alpha_bisection, with rounding level n eps at order n."""
+    cut = K._rank_cut()
+    M = K.K
+    Q = M * M
+    psi = np.diag(M)
+    alpha = float(psi[psi > cut].min(initial=psi.max()))
+    rounding = len(M) * np.finfo(float).eps
+    while True:
+        w, V = np.linalg.eigh(Q - alpha * M)
+        v = V[:, 0]
+        mass = v @ M @ v
+        if w[0] >= -rounding * max(abs(w[0]), abs(w[-1])) or mass <= cut:
+            return alpha
+        quotient = float(v @ Q @ v / mass)
+        if not quotient < alpha:
+            return alpha
+        alpha = quotient
+
+
+def assert_solvers_match_reference(K):
+    star = reference_dinkelbach(K)
+    for cert in (best_alpha_pencil(K), best_alpha_bisection(K)):
+        assert cert.alpha_star >= 0
+        assert abs(cert.alpha_star - star) <= 1e-12 * (1 + abs(star)), cert.method
+
+
+def assert_span_holds_both_operators(K):
+    """ran K and ran(K o K) lie in ran P to 1e-12 of each operator's scale."""
+    _, _, P = K.span_pair
+    assert P is not None
+    assert np.allclose(P.T @ P, np.eye(P.shape[1]), rtol=0, atol=1e-12)
+    for A in (K.K, K.K * K.K):
+        off = A - P @ (P.T @ A)
+        assert np.linalg.norm(off, 2) <= 1e-12 * psd_scale(A)
 
 
 def test_delta_family_closed_form():
@@ -52,16 +94,20 @@ def test_heisenberg_methods_agree():
 
 
 def test_certificate_contents():
-    K = gromov_form(word_length_psi(6))
-    M = 0.5 * (K.K + K.K.T)
-    Q = M * M
-    for cert in (best_alpha_pencil(K), best_alpha_bisection(K)):
-        assert cert.method in ("pencil", "bisection-fallback", "bisection")
-        assert np.linalg.norm(cert.witness) == pytest.approx(1.0)
-        rayleigh = cert.witness @ (Q - cert.alpha_star * M) @ cert.witness
-        assert abs(rayleigh - cert.residual) < 1e-9
-        with pytest.raises(ValueError):
-            cert.witness[0] = 5.0   # frozen
+    """The witness is a unit vector of R^G, P v on a compressed pair (heisenberg-wordlength:7,
+    m = 90 < 343), and its Rayleigh quotient on the full K o K - alpha* K is the residual."""
+    for psi in (word_length_psi(6), builtin_length("heisenberg-wordlength:7")):
+        K = gromov_form(psi)
+        M = 0.5 * (K.K + K.K.T)
+        Q = M * M
+        for cert in (best_alpha_pencil(K), best_alpha_bisection(K)):
+            assert cert.method in ("pencil", "bisection-fallback", "bisection")
+            assert cert.witness.shape == (K.group.order,)
+            assert np.linalg.norm(cert.witness) == pytest.approx(1.0)
+            rayleigh = cert.witness @ (Q - cert.alpha_star * M) @ cert.witness
+            assert abs(rayleigh - cert.residual) < 1e-9
+            with pytest.raises(ValueError):
+                cert.witness[0] = 5.0   # frozen
 
 
 def test_pencil_without_a_kernel():
@@ -73,16 +119,33 @@ def test_pencil_without_a_kernel():
 
 
 def test_pencil_falls_back_to_bisection_when_the_kernel_couples(monkeypatch):
-    """A zero pseudo-inverse of Q_kk leaves Q_rk unexplained, as a kernel direction that couples
-    to the range outside ran(Q_kk) would: the pencil hands the kernel to bisection whole."""
+    """Q_kk's spectrum zeroed leaves Q_rk unexplained, as a kernel direction that couples to
+    the range outside ran(Q_kk) would: the pencil hands the kernel to bisection whole."""
     K = gromov_form(word_length_psi(4))
-    assert (K.spectrum[0] <= K._rank_cut()).any()          # wordlength:4 has a kernel
+    kernel = int((K.spectrum[0] <= K._rank_cut()).sum())
+    assert kernel and K.span_pair[2] is None        # wordlength:4 has a kernel, m >= |G|
     want = best_alpha_bisection(K)
-    monkeypatch.setattr(np.linalg, "pinv", lambda a, **kw: np.zeros_like(a))
+    eigh = np.linalg.eigh
+
+    def zeroed(a, *rest, **kw):
+        w, V = eigh(a, *rest, **kw)
+        return (np.zeros_like(w) if len(a) == kernel else w), V
+    monkeypatch.setattr(np.linalg, "eigh", zeroed)
     cert = best_alpha_pencil(K)
     assert cert.method == "bisection-fallback"
     assert cert.alpha_star == want.alpha_star and cert.residual == want.residual
     assert np.array_equal(cert.witness, want.witness)
+
+
+def test_pencil_drops_a_rounding_level_kernel_block():
+    """On Z_3 x Z_3 with psi = 2.23 delta(x), ran(K o K) lies in ran K, so Q_kk is rounding
+    noise through and through: a cut relative to Q_kk's own norm inverts that noise (alpha*
+    read -68.6 so), the cut at the coupling scale drops it.  alpha* = (n+2)/(2n) * 2.23."""
+    group = build_power(3, 2)
+    K = gromov_form(length_function(group, 2.23 * coordinate_length(group, (3, 3), (0,),
+                                                                     "delta").values))
+    for cert in (best_alpha_pencil(K), best_alpha_bisection(K)):
+        assert cert.alpha_star == pytest.approx(5 / 6 * 2.23, rel=1e-12)
 
 
 def test_check_element_oracle():
@@ -122,15 +185,15 @@ def test_random_conic_combinations_maximality():
 
 
 def _dinkelbach_iterates(K, star):
-    """best_alpha_bisection(K), its alphas replayed: the start min{psi > cut} (else max psi),
-    then each Rayleigh quotient of the previous least eigenvector.  Every solve must be at
-    exactly Q - alpha K for the next alpha in that sequence, and every alpha must be an
-    upper bound on the pencil's alpha* = star, falling strictly.  Every solve but the last
-    must find lambda_min below rounding level: past that, the least eigenvector is noise."""
-    M = K.K
-    Q = M * M
+    """best_alpha_bisection(K), its alphas replayed on the pair (Q, M) = K.span_pair: the start
+    min{psi > cut} (else max psi), then each Rayleigh quotient of the previous least
+    eigenvector.  Every solve must be at exactly Q - alpha M for the next alpha in that
+    sequence, and every alpha must be an upper bound on the pencil's alpha* = star, falling
+    strictly.  Every solve but the last must find lambda_min below rounding level: past
+    that, the least eigenvector is noise."""
+    Q, M, _ = K.span_pair
     tol = 1e-12 * (1 + star)
-    psi = np.diag(M)
+    psi = np.diag(K.K)
     above = psi[psi > K._rank_cut()]
     alphas = [float(above.min() if above.size else psi.max())]
     assert alphas[0] >= star - tol
@@ -163,6 +226,44 @@ def test_bisection_matches_pencil(name):
     b = _dinkelbach_iterates(K, a.alpha_star)
     assert a.method == "pencil" and b.method == "bisection"
     assert abs(a.alpha_star - b.alpha_star) <= 1e-12 * (1 + a.alpha_star)
+
+
+@pytest.mark.parametrize("name", GALLERY_ALPHA + LARGE + COMPRESSED)
+def test_both_solvers_match_the_uncompressed_reference(name):
+    K = gromov_form(builtin_length(name))
+    assert_solvers_match_reference(K)
+    if name in LARGE + COMPRESSED and name != "wordlength:256":
+        assert_span_holds_both_operators(K)
+
+
+def test_a_pair_as_large_as_the_group_is_k_itself():
+    """m = d(d+3)/2 >= |G| (wordlength:256, d = 128) or d = 0 leaves K uncompressed."""
+    for K in (gromov_form(builtin_length("wordlength:256")),
+              gromov_form(length_function(build_cyclic(3), np.zeros(3)))):
+        Q, M, P = K.span_pair
+        assert P is None and M is K.K and np.array_equal(Q, K.K * K.K)
+        assert not Q.flags.writeable
+    K = gromov_form(builtin_length("heisenberg-wordlength:7"))
+    Q, M, P = K.span_pair
+    assert P.shape == (343, 90) and Q.shape == M.shape == (90, 90)
+    assert not (Q.flags.writeable or M.flags.writeable or P.flags.writeable)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 6), coeffs=st.lists(st.just(0.0) | st.floats(0.1, 3.0),
+                                            min_size=4, max_size=4))
+def test_compressed_solvers_on_conic_combinations_over_z_n_squared_hypothesis(n, coeffs):
+    """psi = a delta(x) + b |x| + c delta(y) + e |y| on Z_n x Z_n, where the pair is
+    compressed (m < n^2): both solvers lie at the uncompressed reference, and P holds
+    ran K and ran(K o K)."""
+    group = build_power(n, 2)
+    values = sum(c * coordinate_length(group, (n, n), (axis,), mode).values
+                 for c, (axis, mode) in zip(coeffs, [(0, "delta"), (0, "wordlength"),
+                                                     (1, "delta"), (1, "wordlength")]))
+    K = gromov_form(length_function(group, values))
+    assume(K.span_pair[2] is not None)
+    assert_span_holds_both_operators(K)
+    assert_solvers_match_reference(K)
 
 
 @settings(max_examples=60, deadline=None)
@@ -198,6 +299,8 @@ def test_bisection_eigensolve_count(name, monkeypatch):
 
 @pytest.mark.parametrize("name", LARGE)
 def test_one_gromov_spectrum_serves_both_solvers_and_realize(name, monkeypatch):
+    """On walsh:2:8 and heisenberg-wordlength:7 both solvers work on the m x m pair, so K's
+    spectrum is the only n x n solve; on wordlength:256 (m >= n) the pair is K itself."""
     K = gromov_form(builtin_length(name))
     n = K.group.order
     solves = []     # per numpy eigensolve: (is its input K.K, is it n x n)
@@ -217,9 +320,14 @@ def test_one_gromov_spectrum_serves_both_solvers_and_realize(name, monkeypatch):
     monkeypatch.setattr(np.linalg, "pinv", lambda *a, **kw: pinv.append(1))
     realize_cocycle(K)
     assert sum(of_K for of_K, _ in solves) == 1
-    outside = solves[:in_pencil] + solves[in_pencil + in_bisection:]
-    assert sum(full for _, full in outside) <= 2    # K's spectrum and the pencil's certificate
     assert not pinv
+    if name == "wordlength:256":
+        assert K.span_pair[2] is None
+        outside = solves[:in_pencil] + solves[in_pencil + in_bisection:]
+        assert sum(full for _, full in outside) <= 2    # K's spectrum, the pencil's certificate
+    else:
+        assert K.span_pair[2] is not None
+        assert [full for _, full in solves].count(True) == 1
 
 
 def test_non_psd_kernel_rejected():
