@@ -7,6 +7,7 @@ element objects.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -194,13 +195,12 @@ def build_product(factors: Sequence[FiniteGroup]) -> FiniteGroup:
     order = math.prod(orders)                  # exact: an int64 product wraps past 2^63
     if order > ORDER_CAP:
         raise SizeCapError(f"product order {_show(order)} exceeds cap {ORDER_CAP}")
-    digits = coordinates(order, orders)        # digits[f][g] = coordinate of g in factor f
-    mul = np.zeros((order, order), dtype=np.int64)
-    for f, grp in enumerate(factors):
-        comp = grp.mul[np.ix_(digits[f], digits[f])]
-        mul = mul * orders[f] + comp
-    labels = ["(" + ",".join(f.label(int(k)) for f, k in zip(factors, col)) + ")"
-              for col in digits.T]
+    mul = np.zeros((1, 1), dtype=np.int64)
+    for f in factors:                          # (g, a) at index g * f.order + a: one broadcast
+        size = len(mul) * f.order
+        mul = (mul[:, None, :, None] * f.order + f.mul[None, :, None, :]).reshape(size, size)
+    labels = ["(" + ",".join(parts) + ")" for parts in
+              itertools.product(*(f.labels or [str(k) for k in range(f.order)] for f in factors))]
     metadata = {"kind": "product", "orders": orders}
     radices = [f.metadata.get("cyclic_radices") for f in factors]
     if None not in radices:                    # every factor is cyclic or a product of cyclics
@@ -229,10 +229,9 @@ def build_heisenberg(n: int) -> FiniteGroup:
     order = n ** 3
     if order > ORDER_CAP:
         raise SizeCapError(f"Heisenberg order {_show(order)} exceeds cap {ORDER_CAP}")
-    abc = coordinates(order, (n, n, n))
-    (a1, b1, c1), (a2, b2, c2) = abc[:, :, None], abc[:, None, :]
-    mul = ((a1 + a2 + b1 * c2) % n) * n * n + ((b1 + b2) % n) * n + (c1 + c2) % n
-    labels = [f"({a},{b},{c})" for a, b, c in abc.T]
+    a, b, c, x, y, z = np.ix_(*[np.arange(n)] * 6)    # (a,b,c) * (x,y,z), one broadcast
+    mul = ((a + x + b * z) % n * (n * n) + (b + y) % n * n + (c + z) % n).reshape(order, order)
+    labels = ["(" + ",".join(abc) + ")" for abc in itertools.product(map(str, range(n)), repeat=3)]
     return _finish(order, mul, labels,
                    {"kind": "heisenberg", "n": n,
                     "convention": "matrix (a,b,c) = [[1,b,a],[0,1,c],[0,0,1]]"})

@@ -864,3 +864,13 @@ def test_alpha_replays_across_blas_threads(tmp_path):
                              capture_output=True, text=True, env=env, timeout=300)
         assert run.returncode == 0, run.stderr
     assert run.stdout.startswith("replay: byte-identical")
+
+
+@pytest.mark.parametrize("spec", ["walsh:2:8", "heisenberg-delta:3"])
+def test_cn_check_of_a_builtin_is_exact_at_tol_0(spec, tmp_path):
+    """Both lengths are CN exactly, yet K's spectrum reads min_eig -3.5e-13 and -2.1e-15 on
+    them, not CN at --tol 0.  The builtin's cocycle B gives 0.0, and a replay agrees."""
+    out = str(tmp_path / "cn.json")
+    assert main(["cn-check", "--builtin", spec, "--tol", "0", "--out", out]) == 0
+    assert read_report(out)["results"] == {"verdict": True, "min_eig": 0.0}
+    assert main(["replay", "--report", out]) == 0

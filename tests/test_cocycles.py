@@ -6,13 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cocycle_lab.cocycles import (GromovForm, LengthFunction, gromov_form, is_conditionally_negative,
-                                  length_function, realize_cocycle,
+from cocycle_lab.cli import _gallery_entries
+from cocycle_lab.cocycles import (GromovForm, LengthFunction, _cyclic_cocycle, gromov_form,
+                                  is_conditionally_negative, length_function, realize_cocycle,
                                   verify_schur_identity, word_length_cocycle,
                                   word_length_psi)
 from cocycle_lab.families import builtin_length, delta_psi, heisenberg_delta, walsh_length
 from cocycle_lab.groups import ORDER_CAP, SizeCapError, build_cyclic
-from cocycle_lab.linalg import psd_scale
+from cocycle_lab.linalg import PsdVerdict, psd_scale
+
+# every builtin family at the sizes the tests run it: the gallery's alpha families (walsh n <= 4,
+# m <= 3, both Heisenberg modes n <= 4, wordlength 4..16), then the rest, up to ORDER_CAP
+BUILTIN_SIZES = sorted({sub["psi"]["builtin"] for _, command, sub in _gallery_entries(0)
+                        if command == "alpha"} | {
+    "delta:1", "delta:2", "delta:3", "delta:4", "delta:5", "delta:7", "delta:12",
+    "wordlength:1", "wordlength:2", "wordlength:3", "wordlength:255", "wordlength:256",
+    "wordlength:512", "walsh:2:8", "walsh:3:5", "walsh:2:12", "heisenberg-delta:7",
+    "heisenberg-delta:16", "heisenberg-wordlength:5", "heisenberg-wordlength:7",
+    "heisenberg-wordlength:16"})
 
 # Gromov matrix of the Z_4 word length over indices 1..3, by hand
 Z4_WORD_BLOCK = np.array([[1.0, 1.0, 0.0],
@@ -105,10 +116,10 @@ def reference_alpha(K: GromovForm) -> np.ndarray:
     """(order, d, d) stack of alpha_g solved from b(gh) - b(g) = alpha_g b(h) over all h.
 
     alpha_g^T = B^+ (b(gh) - b(g)) with B^+ = Lambda_r^{-1/2} U_r^T, U_r and
-    Lambda_r the part of K's spectrum above the rank cut.
+    Lambda_r the part of K's spectrum above the cut realize_cocycle reads.
     """
     lam, U = K.spectrum
-    keep = lam > K._rank_cut()
+    keep = lam > K._spectral_cut()
     B = realize_cocycle(K).vectors
     Bpinv = U[:, keep].T / np.sqrt(lam[keep])[:, None]
     return np.swapaxes(Bpinv @ (B[K.group.mul] - B[:, None, :]), 1, 2)
@@ -195,6 +206,65 @@ def test_realize_drops_the_directions_below_the_rank_cut():
     real = realize_cocycle(K)
     assert real.dimension == 3
     assert np.abs(real.vectors @ real.vectors.T - K.K).max() <= cut
+
+
+@pytest.mark.parametrize("spec", BUILTIN_SIZES)
+def test_builtin_cocycle_factors_the_gromov_form(spec):
+    """B B^T = K to 1e-13 * psd_scale(K), for the cocycle the family carries, compared row
+    block by row block against the Gromov form of psi itself."""
+    psi = builtin_length(spec)
+    B, K = psi.cocycle, gromov_form(psi).K
+    assert B is not None and not B.flags.writeable
+    assert np.array_equal(B[0], np.zeros(B.shape[1]))       # b(e) = 0
+    bound = 1e-13 * psd_scale(K)
+    for lo in range(0, len(K), 256):
+        assert np.abs(B[lo:lo + 256] @ B.T - K[lo:lo + 256]).max() <= bound, (spec, lo)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 15])
+@pytest.mark.parametrize("mode", ["delta", "wordlength"])
+def test_cyclic_cocycle_obeys_the_cocycle_law(n, mode):
+    """||b(k)||^2 is the cyclic length, and b(k + l) - b(k) = alpha_k b(l) with the Gram of
+    the b(k + l) - b(k) over l equal to that of the b(l), so alpha_k is orthogonal."""
+    k = np.arange(n)
+    b = _cyclic_cocycle(mode, k, n)
+    want = (k != 0) if mode == "delta" else np.minimum(k, n - k)
+    assert np.allclose(np.einsum("kj,kj->k", b, b), want, rtol=0, atol=1e-15)
+    for a in range(n):
+        moved = b[(a + k) % n] - b[a]
+        assert np.allclose(moved @ moved.T, b @ b.T, rtol=0, atol=1e-14), (a, mode)
+
+
+def test_the_cocycle_b_is_checked_against_k():
+    """A form given a wrong B is a ValueError naming (s, t), never a verdict: from the CN
+    test, the rank cut and the span pair where B is narrow (heisenberg-wordlength:4, c = 4
+    columns, 14 < 64), from the CN test where it is not (wordlength:9, c = 9)."""
+    for spec, narrow in (("heisenberg-wordlength:4", True), ("wordlength:9", False)):
+        psi = builtin_length(spec)
+        K = gromov_form(psi)
+        wrong = psi.cocycle.copy()
+        wrong[5, 1] += 0.5
+        bad = GromovForm(K.group, K.K, wrong)
+        assert bad._narrow == narrow
+        s, t = 5, int(np.argmax(np.abs(wrong @ wrong.T - K.K)[5]))
+        message = re.escape(f"K is not B B^T: at (s, t) = ({s}, {t}), ")
+        for use in (bad._psd_test, bad._rank_cut, lambda: bad.span_pair)[:3 if narrow else 1]:
+            with pytest.raises(ValueError, match=message):
+                use()
+    with pytest.raises(ValueError, match=re.escape("B has shape (9, 2, 1), expected (9, c)")):
+        GromovForm(K.group, K.K, np.zeros((9, 2, 1)))
+    nan = psi.cocycle.copy()
+    nan[3, 1] = np.nan
+    with pytest.raises(ValueError, match=re.escape("B(3,1) = nan is not finite")):
+        GromovForm(K.group, K.K, nan)
+
+
+@pytest.mark.parametrize("spec", BUILTIN_SIZES)
+def test_every_builtin_is_cn_exactly(spec):
+    """The CN verdict of a builtin reads B: true with min_eig 0.0 at tol 0, where K's
+    spectrum reads -3.5e-13 on walsh:2:8 and -2.1e-15 on heisenberg-delta:3."""
+    psi = builtin_length(spec)
+    assert is_conditionally_negative(psi, tol=0.0) == PsdVerdict(True, 0.0)
 
 
 def test_word_length_cocycle_oracle():

@@ -34,6 +34,34 @@ def test_cyclic_inverse_property(n):
     assert ((np.arange(n) + g.inv) % n == 0).all()
 
 
+def reference_product(factors):
+    """(table, labels) of a direct product by one |G|^2 gather per factor: the factor's table
+    at every pair of its digits, mixed-radix, first factor most significant.  The reference
+    route for build_product's one broadcast per factor."""
+    orders = [f.order for f in factors]
+    digits = coordinates(int(np.prod(orders)), orders)
+    mul = 0
+    for f, grp in enumerate(factors):
+        mul = mul * orders[f] + grp.mul[np.ix_(digits[f], digits[f])]
+    labels = tuple("(" + ",".join(f.label(int(k)) for f, k in zip(factors, col)) + ")"
+                   for col in digits.T)
+    return mul, labels
+
+
+@pytest.mark.parametrize("factors", [
+    lambda: [build_cyclic(3), build_cyclic(4), build_cyclic(5)],
+    lambda: [build_heisenberg(2), build_cyclic(2)],
+    lambda: [build_cyclic(2)] * 12,
+    lambda: [build_product([build_cyclic(2), build_cyclic(3)]), build_heisenberg(2)]],
+    ids=["Z3xZ4xZ5", "H3(Z2)xZ2", "Z2^12", "(Z2xZ3)xH3(Z2)"])
+def test_product_table_matches_the_per_factor_reference(factors):
+    factors = factors()
+    g = build_product(factors)
+    mul, labels = reference_product(factors)
+    assert g.mul.dtype == mul.dtype and np.array_equal(g.mul, mul)
+    assert g.labels == labels
+
+
 def test_product_mixed_radix():
     g = build_product([build_cyclic(2), build_cyclic(3)])
     # first factor most significant: (1,2) -> 1*3+2
@@ -375,6 +403,7 @@ def test_coordinates_follow_the_heisenberg_law(n):
     g = build_heisenberg(n)
     a, b, c = coordinates(g.order, (n, n, n))
     assert np.array_equal((a * n + b) * n + c, np.arange(g.order))
+    assert g.labels == tuple(f"({x},{y},{z})" for x, y, z in zip(a, b, c))
     pa, pb, pc = coordinates(g.order, (n, n, n))[:, g.mul]
     assert np.array_equal(pa, (a[:, None] + a[None, :] + b[:, None] * c[None, :]) % n)
     assert np.array_equal(pb, (b[:, None] + b[None, :]) % n)
