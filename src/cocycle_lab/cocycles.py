@@ -5,17 +5,17 @@ of the cocycle vectors b(g); psi is conditionally negative exactly when K
 is positive semidefinite.  Every builtin length (coordinate_length) carries
 its cocycle B in closed form, and its GromovForm reads B: K = B B^T is
 checked entrywise to DEFAULT_TOL * (1 + lambda_max(B^T B)), and the CN
-verdict is exact, min_eig 0.0.  Where B's c columns give a span pair
-smaller than K (c(c+3)/2 < |G|), that bound is also the rank cut, and the
-pair is read off B.  Otherwise the rank cut and the pair come from K's
-spectrum, as for a psi without B (read from a file, or built by
-length_function), whose psd_verdict reads lambda_min >= -tol*(1 + ||K||_2)
-off it too; at tol = DEFAULT_TOL that bound is the rank cut, above which
-the eigenvalues span ran K.  A realization is B alone, read off K's
-eigenbasis on every input: the orthogonal action alpha of the cocycle
-(b, alpha) is determined by b and never formed.  Both alpha* solvers read
-K o K - alpha K through GromovForm.span_pair, its compression onto the span
-of the b_i and the b_i o b_j.
+verdict is exact, min_eig 0.0.  That bound is also the rank cut: B is
+reduced to its rank through its Gram B^T B, and the span pair is read off
+the reduced B.  A psi without B (read from a file, or built by
+length_function) is diagonalised instead: its psd_verdict reads
+lambda_min >= -tol*(1 + ||K||_2) off K's spectrum, and at tol = DEFAULT_TOL
+that bound is the rank cut, above which the eigenvalues span ran K.  A
+realization is B alone, read off K's eigenbasis on every input: the
+orthogonal action alpha of the cocycle (b, alpha) is determined by b and
+never formed.  Both alpha* solvers read K o K - alpha K through
+GromovForm.span_pair, its compression onto the span of the b_i and the
+b_i o b_j.
 """
 from __future__ import annotations
 
@@ -67,9 +67,9 @@ def length_function(group: FiniteGroup, values) -> LengthFunction:
 
 @dataclass(frozen=True)
 class GromovForm:
-    """K, with the cocycle B behind it if known.  B, checked against K, gives the PSD test;
-    where B is narrow it also gives the rank cut and the span pair of both alpha* solvers.
-    K's spectrum, diagonalised at most once, serves realize and everything else.
+    """K, with the cocycle B behind it if known.  B, checked against K, gives the PSD test,
+    the rank cut and the span pair of both alpha* solvers.  K's spectrum, diagonalised at
+    most once, serves realize, the uncompressed pair, and every form without B.
 
     K must be finite, of shape (order, order), and B finite, of shape (order, c), or
     ValueError.  Built by gromov_form, K satisfies the Gromov identity exactly; one built
@@ -98,22 +98,13 @@ class GromovForm:
         lam.flags.writeable = U.flags.writeable = False
         return lam, U
 
-    @property
-    def _narrow(self) -> bool:
-        """B's own c columns give a span pair smaller than K, c(c+3)/2 < order: then its Gram
-        B^T B costs far less than K's spectrum.  A wider B (delta:n, wordlength:n) serves the
-        CN test alone, and the pair and rank cut are K's spectral ones."""
-        return self.B is not None and (c := self.B.shape[1]) * (c + 3) // 2 < self.group.order
-
     @cached_property
-    def _factor(self) -> tuple[float, Optional[np.ndarray]]:
+    def _factor(self) -> tuple[float, np.ndarray]:
         """(cut, B_r) from B: cut = DEFAULT_TOL * (1 + lambda_max(B^T B)), once K = B B^T is
         checked entrywise to it, in row blocks (a K that fails is a ValueError naming the worst
-        (s, t)).  For a narrow B, B_r = B V over the eigenvectors V of the Gram B^T B above the
-        cut, d orthogonal columns (B is rank-deficient on delta and odd word lengths); else
-        None, and only the Gram's eigenvalues are found."""
-        gram = self.B.T @ self.B
-        mu, V = np.linalg.eigh(gram) if self._narrow else (np.linalg.eigvalsh(gram), None)
+        (s, t)), and B_r = B V over the eigenvectors V of the Gram B^T B above the cut, d
+        orthogonal columns (B is rank-deficient on delta and odd word lengths)."""
+        mu, V = np.linalg.eigh(self.B.T @ self.B)
         cut = DEFAULT_TOL * (1.0 + mu.max(initial=0.0))
         worst, at = -1.0, (0, 0)
         for lo, hi in blocks(len(self.B), 3 * len(self.B)):
@@ -125,8 +116,6 @@ class GromovForm:
             s, t = at
             raise ValueError(f"K is not B B^T: at (s, t) = ({s}, {t}), K(s,t) = "
                              f"{self.K[s, t]:.6g} but b(s).b(t) = {self.B[s] @ self.B[t]:.6g}")
-        if V is None:
-            return cut, None
         Br = self.B @ V[:, mu > cut]
         Br.flags.writeable = False
         return cut, Br
@@ -140,8 +129,8 @@ class GromovForm:
         return psd_verdict(np.zeros(1), tol)
 
     def _rank_cut(self) -> float:
-        """B's cut where B is narrow, else K's spectral cut."""
-        return self._factor[0] if self._narrow else self._spectral_cut()
+        """B's cut, or K's spectral cut without B."""
+        return self._spectral_cut() if self.B is None else self._factor[0]
 
     def _spectral_cut(self) -> float:
         """DEFAULT_TOL * (1 + ||K||_2), once K's spectrum passes the PSD test (else ValueError)."""
@@ -160,17 +149,17 @@ class GromovForm:
     def span_pair(self) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
         """(P^T (K o K) P, P^T K P, P), read-only: K o K - alpha K on the cocycle's span.
 
-        With B the d cocycle vectors above the rank cut (B_r of a narrow B, else read off
-        K's spectrum), K = B B^T and K o K = sum_{i,j} (B_i o B_j)(B_i o B_j)^T both map
+        With B the d cocycle vectors above the rank cut (B_r, or read off K's spectrum
+        without B), K = B B^T and K o K = sum_{i,j} (B_i o B_j)(B_i o B_j)^T both map
         into ran W, W = [B, C], C = [B_i o B_j (i <= j)], of m = d + d(d+1)/2 columns.  So
         for P an orthonormal basis of a space holding ran W (one QR of W), K o K - alpha K
         is PSD exactly when its m x m compression is, and a witness v of the compression is
-        P v of K.  From a narrow B, the compression is read off R = P^T W alone:
+        P v of K.  With B, the compression is read off R = P^T W alone:
         M = R_B R_B^T and Q = R_C D R_C^T, D = 1 on i = j and 2 on i < j, so neither K's
         spectrum nor K o K is formed; else M = P^T K P and Q = P^T (K o K) P.  Where
         m >= order, or d = 0, the pair is (K o K, K, None): K itself, uncompressed.
         """
-        B = self._factor[1] if self._narrow else self._cocycle_vectors()
+        B = self._cocycle_vectors() if self.B is None else self._factor[1]
         d = B.shape[1]
         if not 0 < d * (d + 3) // 2 < self.group.order:
             Q = self.K * self.K
@@ -178,11 +167,11 @@ class GromovForm:
             return Q, self.K, None
         i, j = np.triu_indices(d)
         P, R = np.linalg.qr(np.hstack([B, B[:, i] * B[:, j]]))
-        if self._narrow:
+        if self.B is None:
+            Q, M = P.T @ (self.K * self.K) @ P, P.T @ self.K @ P
+        else:
             RB, RC = R[:, :d], R[:, d:]
             Q, M = (RC * np.where(i == j, 1.0, 2.0)) @ RC.T, RB @ RB.T
-        else:
-            Q, M = P.T @ (self.K * self.K) @ P, P.T @ self.K @ P
         for a in (Q, M, P):
             a.flags.writeable = False
         return Q, M, P

@@ -5,16 +5,17 @@ sufficient for the operator-level criterion; alpha* is its largest
 feasible alpha, never below 0 since K o K is PSD (Schur's product theorem).
 Both solvers work on GromovForm.span_pair, the m x m compression of
 (K o K, K) onto the cocycle's span, m <= d(d+3)/2 (K itself where m >= |G|),
-and map their witness back as P v.  Where a builtin's closed-form cocycle B
-has c columns with c(c+3)/2 < |G| (walsh:2:8, heisenberg-wordlength:7),
-the pair and the rank cut are read off B, and neither solver diagonalizes
-K; elsewhere (delta:n, wordlength:n, a psi without B) they come from K's
-spectrum.  The solvers: Dinkelbach's iteration over Rayleigh-quotient
-upper bounds, from the least psi above K's rank cut down
-to eigh's rounding level (under the name best_alpha_bisection), and a
-direct generalized-eigenvalue method through a Schur complement onto the
-pair's range.  The tests keep the uncompressed |G| x |G| Dinkelbach as
-the independent reference.  Every eigensolve is np.linalg.eigh or eigvalsh.
+and map their witness back as P v.  On a builtin, the pair and the rank
+cut are read off its closed-form cocycle B, so where the pair is
+compressed (walsh:2:8, heisenberg-wordlength:7) neither solver
+diagonalizes K; where it is K itself (wordlength:256) the pencil reads
+K's spectrum.  A psi without B takes both from K's spectrum.  The
+solvers: Dinkelbach's iteration over Rayleigh-quotient upper bounds, from
+the least psi above K's rank cut down to eigh's rounding level (under the
+name best_alpha_bisection), and a direct generalized-eigenvalue method
+through a Schur complement onto the pair's range.  The tests keep the
+uncompressed |G| x |G| Dinkelbach as the independent reference.  Every
+eigensolve is np.linalg.eigh or eigvalsh.
 check_element tests single elements at the operator level.
 """
 from __future__ import annotations

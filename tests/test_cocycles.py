@@ -237,18 +237,17 @@ def test_cyclic_cocycle_obeys_the_cocycle_law(n, mode):
 
 def test_the_cocycle_b_is_checked_against_k():
     """A form given a wrong B is a ValueError naming (s, t), never a verdict: from the CN
-    test, the rank cut and the span pair where B is narrow (heisenberg-wordlength:4, c = 4
-    columns, 14 < 64), from the CN test where it is not (wordlength:9, c = 9)."""
-    for spec, narrow in (("heisenberg-wordlength:4", True), ("wordlength:9", False)):
+    test, the rank cut and the span pair, whether the pair is compressed
+    (heisenberg-wordlength:4, d = 4, 14 < 64) or K itself (wordlength:9, d = 9)."""
+    for spec in ("heisenberg-wordlength:4", "wordlength:9"):
         psi = builtin_length(spec)
         K = gromov_form(psi)
         wrong = psi.cocycle.copy()
         wrong[5, 1] += 0.5
         bad = GromovForm(K.group, K.K, wrong)
-        assert bad._narrow == narrow
         s, t = 5, int(np.argmax(np.abs(wrong @ wrong.T - K.K)[5]))
         message = re.escape(f"K is not B B^T: at (s, t) = ({s}, {t}), ")
-        for use in (bad._psd_test, bad._rank_cut, lambda: bad.span_pair)[:3 if narrow else 1]:
+        for use in (bad._psd_test, bad._rank_cut, lambda: bad.span_pair):
             with pytest.raises(ValueError, match=message):
                 use()
     with pytest.raises(ValueError, match=re.escape("B has shape (9, 2, 1), expected (9, c)")):

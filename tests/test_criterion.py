@@ -232,13 +232,13 @@ def test_bisection_matches_pencil(name):
 @pytest.mark.parametrize("name", GALLERY_ALPHA + LARGE + COMPRESSED)
 def test_both_solvers_match_the_uncompressed_reference(name):
     """Both solvers lie within 1e-12 (1 + alpha*) of Dinkelbach on the uncompressed K o K
-    and K; on the larger families but wordlength:256, on the B route: the family's cocycle
-    is narrow, and the pair is read off R = P^T [B, C]."""
+    and K, on the B route.  On the larger families but wordlength:256 the pair is
+    compressed, read off R = P^T [B, C], and P holds ran K and ran(K o K)."""
     K = gromov_form(builtin_length(name))
     assert K.B is not None
     assert_solvers_match_reference(K)
     if name in LARGE + COMPRESSED and name != "wordlength:256":
-        assert K._narrow
+        assert K.span_pair[2] is not None
         assert_span_holds_both_operators(K)
 
 
@@ -291,7 +291,7 @@ def test_bisection_exact_on_wordlength_256():
 @pytest.mark.parametrize("name", GALLERY_ALPHA + LARGE)
 def test_bisection_eigensolve_count(name, monkeypatch):
     K = gromov_form(builtin_length(name))
-    K._rank_cut()       # the rank cut (B's Gram, or K's spectrum) is not counted
+    K._rank_cut()       # the rank cut, off B's Gram, is not counted
     calls = []
     for module, fn in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (scipy.linalg, "eigh")):
         solver = getattr(module, fn)
@@ -305,7 +305,7 @@ def test_bisection_eigensolve_count(name, monkeypatch):
 
 @pytest.mark.parametrize("name", LARGE)
 def test_one_gromov_spectrum_serves_both_solvers_and_realize(name, monkeypatch):
-    """K's spectrum is computed at most once per form.  On walsh:2:8 and
+    """K's spectrum is computed once per form, by whichever reads it first.  On walsh:2:8 and
     heisenberg-wordlength:7 neither solver nor the CN test solves an n x n eigenproblem:
     they read the cocycle B and its m x m pair, and K's spectrum is realize's alone.  On
     wordlength:256 (m >= n) the pair is K itself.  realize keeps K's eigenbasis: its vectors
@@ -331,7 +331,7 @@ def test_one_gromov_spectrum_serves_both_solvers_and_realize(name, monkeypatch):
     pinv = []
     monkeypatch.setattr(np.linalg, "pinv", lambda *a, **kw: pinv.append(1))
     real = realize_cocycle(K)
-    assert sum(of_K for of_K, _ in solves) <= 1
+    assert sum(of_K for of_K, _ in solves) == 1
     assert not pinv
     if name == "wordlength:256":
         assert K.span_pair[2] is None
