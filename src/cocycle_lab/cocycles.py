@@ -2,20 +2,14 @@
 
 The Gromov form K(s,t) = (psi(s)+psi(t)-psi(s^{-1}t))/2 is the Gram matrix
 of the cocycle vectors b(g); psi is conditionally negative exactly when K
-is positive semidefinite.  Every builtin length (coordinate_length) carries
-its cocycle B in closed form, and its GromovForm reads B: K = B B^T is
-checked entrywise to DEFAULT_TOL * (1 + lambda_max(B^T B)), and the CN
-verdict is exact, min_eig 0.0.  That bound is also the rank cut: B is
-reduced to its rank through its Gram B^T B, and the span pair is read off
-the reduced B.  A psi without B (read from a file, or built by
-length_function) is diagonalised instead: its psd_verdict reads
-lambda_min >= -tol*(1 + ||K||_2) off K's spectrum, and at tol = DEFAULT_TOL
-that bound is the rank cut, above which the eigenvalues span ran K.  A
-realization is B alone, read off K's eigenbasis on every input: the
-orthogonal action alpha of the cocycle (b, alpha) is determined by b and
-never formed.  Both alpha* solvers read K o K - alpha K through
-GromovForm.span_pair, its compression onto the span of the b_i and the
-b_i o b_j.
+is positive semidefinite.  The CN verdict, the span pair and both alpha*
+solvers read one factor of K, GromovForm.factor: a rank cut and d cocycle
+columns B_r with K = B_r B_r^T to within it.  A builtin length carries its
+cocycle B in closed form, and B_r is B reduced to its rank, so its CN
+verdict is exact; a psi without B (read from a file, or built by
+length_function) takes B_r = U_r sqrt(lambda_r) off K's spectrum.  A
+realization is that spectral factor on every input: the orthogonal action
+alpha of the cocycle (b, alpha) is determined by b and never formed.
 """
 from __future__ import annotations
 
@@ -67,9 +61,9 @@ def length_function(group: FiniteGroup, values) -> LengthFunction:
 
 @dataclass(frozen=True)
 class GromovForm:
-    """K, with the cocycle B behind it if known.  B, checked against K, gives the PSD test,
-    the rank cut and the span pair of both alpha* solvers.  K's spectrum, diagonalised at
-    most once, serves realize, the uncompressed pair, and every form without B.
+    """K, with the cocycle B behind it if known, and its one factor: see factor.  K's
+    spectrum, diagonalised at most once, serves realize, the uncompressed pair, and every
+    form without B.
 
     K must be finite, of shape (order, order), and B finite, of shape (order, c), or
     ValueError.  Built by gromov_form, K satisfies the Gromov identity exactly; one built
@@ -99,11 +93,15 @@ class GromovForm:
         return lam, U
 
     @cached_property
-    def _factor(self) -> tuple[float, np.ndarray]:
-        """(cut, B_r) from B: cut = DEFAULT_TOL * (1 + lambda_max(B^T B)), once K = B B^T is
-        checked entrywise to it, in row blocks (a K that fails is a ValueError naming the worst
-        (s, t)), and B_r = B V over the eigenvectors V of the Gram B^T B above the cut, d
-        orthogonal columns (B is rank-deficient on delta and odd word lengths)."""
+    def factor(self) -> tuple[float, np.ndarray]:
+        """(cut, B_r), read-only, what the PSD test, span_pair and both alpha* solvers read:
+        d orthogonal columns with K = B_r B_r^T to the rank cut.  With B, the cut is
+        DEFAULT_TOL * (1 + lambda_max(B^T B)), K = B B^T is checked entrywise to it in row
+        blocks (else a ValueError naming the worst (s, t)), and B_r = B V over the eigenvectors
+        V of the Gram B^T B above it: B is rank-deficient on delta and odd word lengths.
+        Without B, _spectral_factor()."""
+        if self.B is None:
+            return self._spectral_factor()
         mu, V = np.linalg.eigh(self.B.T @ self.B)
         cut = DEFAULT_TOL * (1.0 + mu.max(initial=0.0))
         worst, at = -1.0, (0, 0)
@@ -120,46 +118,42 @@ class GromovForm:
         Br.flags.writeable = False
         return cut, Br
 
-    def _psd_test(self, tol: float = DEFAULT_TOL) -> PsdVerdict:
-        """psd_verdict on K's spectrum; with B, on min_eig 0.0, exact once K = B B^T: B B^T
-        is PSD, and b(e) = 0 gives it a zero row."""
-        if self.B is None:
-            return psd_verdict(self.spectrum[0], tol)
-        self._factor                            # K = B B^T to the cut, or ValueError
-        return psd_verdict(np.zeros(1), tol)
-
-    def _rank_cut(self) -> float:
-        """B's cut, or K's spectral cut without B."""
-        return self._spectral_cut() if self.B is None else self._factor[0]
-
-    def _spectral_cut(self) -> float:
-        """DEFAULT_TOL * (1 + ||K||_2), once K's spectrum passes the PSD test (else ValueError)."""
-        test = psd_verdict(self.spectrum[0])
+    def _spectral_factor(self) -> tuple[float, np.ndarray]:
+        """(cut, U_r sqrt(lam_r)), read-only: cut = DEFAULT_TOL * (1 + ||K||_2) once K's spectrum
+        passes the PSD test (else ValueError), U_r and lam_r the eigenpairs above it."""
+        lam, U = self.spectrum
+        test = psd_verdict(lam)
         if not test.psd:
             raise ValueError(f"K is not PSD: min eigenvalue {test.min_eig:.3e}")
-        return DEFAULT_TOL * psd_scale(self.spectrum[0])
+        cut = DEFAULT_TOL * psd_scale(lam)
+        keep = lam > cut
+        Br = U[:, keep] * np.sqrt(lam[keep])
+        Br.flags.writeable = False
+        return cut, Br
 
-    def _cocycle_vectors(self) -> np.ndarray:
-        """B = U_r sqrt(lam_r) over K's eigenvalues above the spectral cut: K = B B^T to it."""
-        lam, U = self.spectrum
-        keep = lam > self._spectral_cut()
-        return U[:, keep] * np.sqrt(lam[keep])
+    def _psd_test(self, tol: float = DEFAULT_TOL) -> PsdVerdict:
+        """psd_verdict on K's spectrum; with B, on min_eig 0.0, exact once factor checks
+        K = B B^T: B B^T is PSD, and b(e) = 0 gives it a zero row."""
+        if self.B is None:
+            return psd_verdict(self.spectrum[0], tol)
+        self.factor                             # K = B B^T to the cut, or ValueError
+        return psd_verdict(np.zeros(1), tol)
 
     @cached_property
     def span_pair(self) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
         """(P^T (K o K) P, P^T K P, P), read-only: K o K - alpha K on the cocycle's span.
 
-        With B the d cocycle vectors above the rank cut (B_r, or read off K's spectrum
-        without B), K = B B^T and K o K = sum_{i,j} (B_i o B_j)(B_i o B_j)^T both map
-        into ran W, W = [B, C], C = [B_i o B_j (i <= j)], of m = d + d(d+1)/2 columns.  So
+        With B = factor[1], d columns, K = B B^T and K o K = sum (B_i o B_j)(B_i o B_j)^T
+        map into ran W, W = [B, C], C = [B_i o B_j (i <= j)], of m = d + d(d+1)/2 columns.  So
         for P an orthonormal basis of a space holding ran W (one QR of W), K o K - alpha K
         is PSD exactly when its m x m compression is, and a witness v of the compression is
-        P v of K.  With B, the compression is read off R = P^T W alone:
+        P v of K.  On a form with a cocycle, the compression is read off R = P^T W alone:
         M = R_B R_B^T and Q = R_C D R_C^T, D = 1 on i = j and 2 on i < j, so neither K's
-        spectrum nor K o K is formed; else M = P^T K P and Q = P^T (K o K) P.  Where
+        spectrum nor K o K is formed.  Without one, M = P^T K P and Q = P^T (K o K) P: read
+        off R there, alpha* on Z_2^2 misses the uncompressed one by 6.5e-12.  Where
         m >= order, or d = 0, the pair is (K o K, K, None): K itself, uncompressed.
         """
-        B = self._cocycle_vectors() if self.B is None else self._factor[1]
+        B = self.factor[1]
         d = B.shape[1]
         if not 0 < d * (d + 3) // 2 < self.group.order:
             Q = self.K * self.K
@@ -201,11 +195,18 @@ class CocycleRealization:
     b(gh) = b(g) + alpha_g b(h) over all h fixes each alpha_g.
     """
     group: FiniteGroup
-    dimension: int
     vectors: np.ndarray     # (order, d), rows b(g)
 
     def __post_init__(self):
+        n = self.group.order
+        if self.vectors.ndim != 2 or len(self.vectors) != n:
+            raise ValueError(f"vectors have shape {self.vectors.shape}, expected ({n}, d)")
+        require_finite(self.vectors, "b")
         self.vectors.setflags(write=False)
+
+    @property
+    def dimension(self) -> int:
+        return self.vectors.shape[1]
 
     @property
     def psi(self) -> np.ndarray:
@@ -214,7 +215,7 @@ class CocycleRealization:
 
 
 def realize_cocycle(K: GromovForm) -> CocycleRealization:
-    """Factor K = B B^T from K's eigenvalues above the rank cut; B's rows are the b(g).
+    """K's spectral factor B (GromovForm._spectral_factor); B's rows are the b(g).
 
     d is the numerical rank of K, and the b(g) span R^d.  An orthogonal
     alpha_g with b(gh) = b(g) + alpha_g b(h) exists for every g exactly when
@@ -225,7 +226,7 @@ def realize_cocycle(K: GromovForm) -> CocycleRealization:
     naming the worst (s, t).  A form with a cocycle B is realized the same way, in
     K's eigenbasis, the basis the dilation draws its increments in.
     """
-    cut = K._spectral_cut()
+    cut, B = K._spectral_factor()
     diag = np.diag(K.K)
     for what, rhs, ref in (
             ("symmetric", "K(t,s)", K.K.T),
@@ -236,8 +237,7 @@ def realize_cocycle(K: GromovForm) -> CocycleRealization:
         if dev[s, t] > cut:
             raise ValueError(f"K is not {what}: at (s, t) = ({s}, {t}), "
                              f"K(s,t) = {K.K[s, t]:.6g} but {rhs} = {ref[s, t]:.6g}")
-    B = K._cocycle_vectors()
-    return CocycleRealization(K.group, B.shape[1], B)
+    return CocycleRealization(K.group, B)
 
 
 def word_length_cocycle(n: int) -> CocycleRealization:
@@ -251,7 +251,7 @@ def word_length_cocycle(n: int) -> CocycleRealization:
     require(n, "word-length realization n", lambda v: is_integer(v) and v >= 2 and v % 2 == 0,
             "an even integer >= 2")
     group = build_cyclic(n)                     # the order cap fails before B exists
-    return CocycleRealization(group, n // 2, _walls(np.arange(n), n))
+    return CocycleRealization(group, _walls(np.arange(n), n))
 
 
 def _walls(k: np.ndarray, n: int) -> np.ndarray:

@@ -3,15 +3,15 @@
 The kernel condition "K o K - alpha K is PSD" (o = entrywise product) is
 sufficient for the operator-level criterion; alpha* is its largest
 feasible alpha, never below 0 since K o K is PSD (Schur's product theorem).
-Both solvers work on GromovForm.span_pair, the m x m compression of
-(K o K, K) onto the cocycle's span, m <= d(d+3)/2 (K itself where m >= |G|),
-and map their witness back as P v.  On a builtin, the pair and the rank
-cut are read off its closed-form cocycle B, so where the pair is
-compressed (walsh:2:8, heisenberg-wordlength:7) neither solver
-diagonalizes K; where it is K itself (wordlength:256) the pencil reads
-K's spectrum.  A psi without B takes both from K's spectrum.  The
-solvers: Dinkelbach's iteration over Rayleigh-quotient upper bounds, from
-the least psi above K's rank cut down to eigh's rounding level (under the
+Both solvers read the form's one factor, GromovForm.factor: its rank cut,
+and through GromovForm.span_pair the m x m compression of (K o K, K) onto
+the span of its d columns, m <= d(d+3)/2 (K itself where m >= |G|); they
+map their witness back as P v.  On a builtin the factor is its
+closed-form cocycle B, so where the pair is compressed (walsh:2:8,
+heisenberg-wordlength:7) neither solver diagonalizes K; where it is K
+itself (wordlength:256) the pencil reads K's spectrum.  The solvers:
+Dinkelbach's iteration over Rayleigh-quotient upper bounds, from the
+least psi above the rank cut down to eigh's rounding level (under the
 name best_alpha_bisection), and a direct generalized-eigenvalue method
 through a Schur complement onto the pair's range.  The tests keep the
 uncompressed |G| x |G| Dinkelbach as the independent reference.  Every
@@ -66,7 +66,7 @@ def best_alpha_bisection(K: GromovForm) -> AlphaCertificate:
     best_alpha_pencil does; both read K's range basis through the shared pair, so the
     independent check is the tests' Dinkelbach on the uncompressed |G| x |G| matrices.
     """
-    cut = K._rank_cut()
+    cut = K.factor[0]
     Q, M, _ = K.span_pair
     psi = np.diag(K.K)
     alpha = float(psi[psi > cut].min(initial=psi.max()))
@@ -100,24 +100,20 @@ def best_alpha_pencil(K: GromovForm) -> AlphaCertificate:
     """
     Q, M, P = K.span_pair
     lam, U = K.spectrum if P is None else np.linalg.eigh(M)
-    keep = lam > K._rank_cut()
+    keep = lam > K.factor[0]
     if not keep.any():
         return _certificate(K, float(np.diag(K.K).max()), "pencil")
     Ur, Uk = U[:, keep], U[:, ~keep]
     lr = lam[keep]
-    Qrr = Ur.T @ Q @ Ur
-    if Uk.shape[1]:
-        cut = DEFAULT_TOL * psd_scale(Q)
-        mu, Vk = np.linalg.eigh(Uk.T @ Q @ Uk)
-        live = mu > cut
-        Qrk = Ur.T @ Q @ Uk @ Vk        # in Q_kk's eigenvectors
-        if np.abs(Qrk[:, ~live]).max(initial=0.0) > cut:
-            cert = best_alpha_bisection(K)
-            return AlphaCertificate(cert.alpha_star, "bisection-fallback",
-                                    cert.witness, cert.residual)
-        S = Qrr - (Qrk[:, live] / mu[live]) @ Qrk[:, live].T
-    else:
-        S = Qrr
+    cut = DEFAULT_TOL * psd_scale(Q)
+    mu, Vk = np.linalg.eigh(Uk.T @ Q @ Uk)      # 0 x 0, and S = Q_rr, without a kernel
+    live = mu > cut
+    Qrk = Ur.T @ Q @ Uk @ Vk            # in Q_kk's eigenvectors
+    if np.abs(Qrk[:, ~live]).max(initial=0.0) > cut:
+        cert = best_alpha_bisection(K)
+        return AlphaCertificate(cert.alpha_star, "bisection-fallback",
+                                cert.witness, cert.residual)
+    S = Ur.T @ Q @ Ur - (Qrk[:, live] / mu[live]) @ Qrk[:, live].T
     rinv = 1.0 / np.sqrt(lr)
     W = 0.5 * (S + S.T) * rinv[:, None] * rinv[None, :]
     return _certificate(K, float(np.linalg.eigvalsh(W)[0]), "pencil")

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocycle_lab.cli import _gallery_entries
-from cocycle_lab.cocycles import (GromovForm, LengthFunction, _cyclic_cocycle, gromov_form,
+from cocycle_lab.cocycles import (CocycleRealization, GromovForm, LengthFunction,
+                                  _cyclic_cocycle, gromov_form,
                                   is_conditionally_negative, length_function, realize_cocycle,
                                   verify_schur_identity, word_length_cocycle,
                                   word_length_psi)
@@ -119,7 +120,7 @@ def reference_alpha(K: GromovForm) -> np.ndarray:
     Lambda_r the part of K's spectrum above the cut realize_cocycle reads.
     """
     lam, U = K.spectrum
-    keep = lam > K._spectral_cut()
+    keep = lam > K._spectral_factor()[0]
     B = realize_cocycle(K).vectors
     Bpinv = U[:, keep].T / np.sqrt(lam[keep])[:, None]
     return np.swapaxes(Bpinv @ (B[K.group.mul] - B[:, None, :]), 1, 2)
@@ -199,7 +200,7 @@ def test_realize_drops_the_directions_below_the_rank_cut():
     k = np.arange(8)
     psi = length_function(build_cyclic(8), 1 - np.cos(2 * np.pi * k / 8) + 1e-8 * (k != 0))
     K = gromov_form(psi)
-    cut = K._rank_cut()
+    cut = K.factor[0]
     assert np.isclose(cut, 7.0e-9, rtol=1e-6, atol=0)
     lam = K.spectrum[0]
     assert np.allclose(lam[1:6], [5e-9] * 4 + [4e-8 / 3], rtol=1e-6, atol=0)
@@ -219,6 +220,34 @@ def test_builtin_cocycle_factors_the_gromov_form(spec):
     bound = 1e-13 * psd_scale(K)
     for lo in range(0, len(K), 256):
         assert np.abs(B[lo:lo + 256] @ B.T - K[lo:lo + 256]).max() <= bound, (spec, lo)
+
+
+@pytest.mark.parametrize("spec", BUILTIN_SIZES)
+def test_the_two_rank_rules_agree(spec):
+    """factor cuts B's Gram at DEFAULT_TOL * (1 + lambda_max(B^T B)) and _spectral_factor cuts
+    K's spectrum at DEFAULT_TOL * (1 + ||K||_2): on every builtin both keep the same d, and
+    the cuts agree to 1e-13 relative (2.1e-15 at worst, on heisenberg-delta:16)."""
+    K = gromov_form(builtin_length(spec))
+    (cut, Br), (spectral_cut, Bs) = K.factor, K._spectral_factor()
+    assert Br.shape == Bs.shape
+    assert not (Br.flags.writeable or Bs.flags.writeable)
+    assert abs(cut - spectral_cut) <= 1e-13 * spectral_cut
+
+
+def test_a_realization_refuses_vectors_that_do_not_fit_its_group():
+    """Vectors of the wrong shape, or not finite, are a ValueError naming the shape or the
+    entry, not a broadcasting error deep in the dilation; d is read off the vectors."""
+    group = build_cyclic(4)
+    for shape in ((3, 2), (4,), (4, 2, 1)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"vectors have shape {shape}, expected (4, d)")):
+            CocycleRealization(group, np.zeros(shape))
+    nan = np.zeros((4, 2))
+    nan[2, 1] = np.nan
+    with pytest.raises(ValueError, match=re.escape("b(2,1) = nan is not finite")):
+        CocycleRealization(group, nan)
+    real = CocycleRealization(group, np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+    assert real.dimension == 2 and not real.vectors.flags.writeable
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 15])
@@ -247,7 +276,7 @@ def test_the_cocycle_b_is_checked_against_k():
         bad = GromovForm(K.group, K.K, wrong)
         s, t = 5, int(np.argmax(np.abs(wrong @ wrong.T - K.K)[5]))
         message = re.escape(f"K is not B B^T: at (s, t) = ({s}, {t}), ")
-        for use in (bad._psd_test, bad._rank_cut, lambda: bad.span_pair):
+        for use in (bad._psd_test, lambda: bad.factor, lambda: bad.span_pair):
             with pytest.raises(ValueError, match=message):
                 use()
     with pytest.raises(ValueError, match=re.escape("B has shape (9, 2, 1), expected (9, c)")):
