@@ -2,13 +2,14 @@
 
 The Gromov form K(s,t) = (psi(s)+psi(t)-psi(s^{-1}t))/2 is the Gram matrix
 of the cocycle vectors b(g); psi is conditionally negative exactly when K
-is positive semidefinite.  The CN verdict, the span pair and both alpha*
-solvers read one factor of K, GromovForm.factor: a rank cut and d cocycle
-columns B_r with K = B_r B_r^T to within it.  A builtin length carries its
-cocycle B in closed form, and B_r is B reduced to its rank, so its CN
-verdict is exact; a psi without B (read from a file, or built by
-length_function) takes B_r = U_r sqrt(lambda_r) off K's spectrum.  A
-realization is that spectral factor on every input: the orthogonal action
+is positive semidefinite, and GromovForm(psi) derives K from psi alone.  The
+CN verdict, the span pair and both alpha* solvers read one factor of K,
+GromovForm.factor: a rank cut and d cocycle columns B_r with K = B_r B_r^T
+to within it.  A builtin length carries its cocycle in closed form, the
+CocycleRealization psi.cocycle, and B_r is its vectors reduced to their
+rank, so its CN verdict is exact; a psi without one (read from a file, or
+built by length_function) takes B_r = U_r sqrt(lambda_r) off K's spectrum.
+A realization is that spectral factor on every input: the orthogonal action
 alpha of the cocycle (b, alpha) is determined by b and never formed.
 """
 from __future__ import annotations
@@ -30,13 +31,11 @@ CYCLIC_MODES = ("delta", "wordlength")
 class LengthFunction:
     group: FiniteGroup
     values: np.ndarray      # (order,) nonnegative reals, values[0] = 0
-    # (order, c) rows b(g) of a cocycle with psi(g) = ||b(g)||^2, as coordinate_length sets it
-    cocycle: Optional[np.ndarray] = field(default=None, compare=False)
+    # a cocycle with psi(g) = ||b(g)||^2, as coordinate_length sets it
+    cocycle: Optional[CocycleRealization] = field(default=None, compare=False)
 
     def __post_init__(self):
         self.values.setflags(write=False)
-        if self.cocycle is not None:
-            self.cocycle.setflags(write=False)
 
 
 def length_function(group: FiniteGroup, values) -> LengthFunction:
@@ -61,29 +60,30 @@ def length_function(group: FiniteGroup, values) -> LengthFunction:
 
 @dataclass(frozen=True)
 class GromovForm:
-    """K, with the cocycle B behind it if known, and its one factor: see factor.  K's
-    spectrum, diagonalised at most once, serves realize, the uncompressed pair, and every
-    form without B.
-
-    K must be finite, of shape (order, order), and B finite, of shape (order, c), or
-    ValueError.  Built by gromov_form, K satisfies the Gromov identity exactly; one built
-    directly is checked against it by realize_cocycle.
+    """K(s,t) = (psi(s) + psi(t) - psi(s^{-1} t)) / 2 of a length function psi, and its one
+    factor: see factor.  psi is revalidated as length_function checks it, and K is derived
+    from psi.values as given: a LengthFunction built directly (the dilation's ||b(g)||^2) is
+    not re-symmetrized, which would move its Gamma.  So diag K = psi exactly, K satisfies the
+    Gromov identity bit for bit, and |K - K^T| <= 1e-12 * psd_scale(psi) / 2.  K's spectrum,
+    diagonalised at most once, serves realize, the uncompressed pair, and every psi without
+    a cocycle.
     """
-    group: FiniteGroup
-    K: np.ndarray           # (order, order) real symmetric
-    B: Optional[np.ndarray] = None      # (order, c) with K = B B^T, rows b(g)
+    psi: LengthFunction
+    K: np.ndarray = field(init=False, repr=False, compare=False)    # (order, order) real
 
     def __post_init__(self):
-        n = self.group.order
-        if self.K.shape != (n, n):
-            raise ValueError(f"K has shape {self.K.shape}, expected {(n, n)}")
-        require_finite(self.K, "K")
-        self.K.setflags(write=False)
-        if self.B is not None:
-            if self.B.ndim != 2 or len(self.B) != n:
-                raise ValueError(f"B has shape {self.B.shape}, expected ({n}, c)")
-            require_finite(self.B, "B")
-            self.B.setflags(write=False)
+        length_function(self.psi.group, self.psi.values)      # revalidate invariants
+        v, conv = self.psi.values, self.psi.group.conv_index
+        K = np.add.outer(v, v)
+        for lo, hi in blocks(len(v), 2 * len(v)):   # in place, so no |G| x |G| temporary
+            K[lo:hi] -= v[conv[lo:hi]]
+        K *= 0.5
+        K.setflags(write=False)
+        object.__setattr__(self, "K", K)
+
+    @property
+    def group(self) -> FiniteGroup:
+        return self.psi.group
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
@@ -95,26 +95,27 @@ class GromovForm:
     @cached_property
     def factor(self) -> tuple[float, np.ndarray]:
         """(cut, B_r), read-only, what the PSD test, span_pair and both alpha* solvers read:
-        d orthogonal columns with K = B_r B_r^T to the rank cut.  With B, the cut is
-        DEFAULT_TOL * (1 + lambda_max(B^T B)), K = B B^T is checked entrywise to it in row
-        blocks (else a ValueError naming the worst (s, t)), and B_r = B V over the eigenvectors
-        V of the Gram B^T B above it: B is rank-deficient on delta and odd word lengths.
-        Without B, _spectral_factor()."""
-        if self.B is None:
+        d orthogonal columns with K = B_r B_r^T to the rank cut.  With psi's cocycle, whose
+        vectors are B, the cut is DEFAULT_TOL * (1 + lambda_max(B^T B)), K = B B^T is checked
+        entrywise to it in row blocks (else a ValueError naming the worst (s, t)), and
+        B_r = B V over the eigenvectors V of the Gram B^T B above it: B is rank-deficient on
+        delta and odd word lengths.  Without one, _spectral_factor()."""
+        if self.psi.cocycle is None:
             return self._spectral_factor()
-        mu, V = np.linalg.eigh(self.B.T @ self.B)
+        B = self.psi.cocycle.vectors
+        mu, V = np.linalg.eigh(B.T @ B)
         cut = DEFAULT_TOL * (1.0 + mu.max(initial=0.0))
         worst, at = -1.0, (0, 0)
-        for lo, hi in blocks(len(self.B), 3 * len(self.B)):
-            dev = np.abs(self.K[lo:hi] - self.B[lo:hi] @ self.B.T)
+        for lo, hi in blocks(len(B), 3 * len(B)):
+            dev = np.abs(self.K[lo:hi] - B[lo:hi] @ B.T)
             i = np.unravel_index(np.argmax(dev), dev.shape)
             if dev[i] > worst:
                 worst, at = dev[i], (lo + i[0], i[1])
         if worst > cut:
             s, t = at
             raise ValueError(f"K is not B B^T: at (s, t) = ({s}, {t}), K(s,t) = "
-                             f"{self.K[s, t]:.6g} but b(s).b(t) = {self.B[s] @ self.B[t]:.6g}")
-        Br = self.B @ V[:, mu > cut]
+                             f"{self.K[s, t]:.6g} but b(s).b(t) = {B[s] @ B[t]:.6g}")
+        Br = B @ V[:, mu > cut]
         Br.flags.writeable = False
         return cut, Br
 
@@ -132,9 +133,9 @@ class GromovForm:
         return cut, Br
 
     def _psd_test(self, tol: float = DEFAULT_TOL) -> PsdVerdict:
-        """psd_verdict on K's spectrum; with B, on min_eig 0.0, exact once factor checks
-        K = B B^T: B B^T is PSD, and b(e) = 0 gives it a zero row."""
-        if self.B is None:
+        """psd_verdict on K's spectrum; with a cocycle B, on min_eig 0.0, exact once factor
+        checks K = B B^T: B B^T is PSD, and b(e) = 0 gives it a zero row."""
+        if self.psi.cocycle is None:
             return psd_verdict(self.spectrum[0], tol)
         self.factor                             # K = B B^T to the cut, or ValueError
         return psd_verdict(np.zeros(1), tol)
@@ -147,7 +148,7 @@ class GromovForm:
         map into ran W, W = [B, C], C = [B_i o B_j (i <= j)], of m = d + d(d+1)/2 columns.  So
         for P an orthonormal basis of a space holding ran W (one QR of W), K o K - alpha K
         is PSD exactly when its m x m compression is, and a witness v of the compression is
-        P v of K.  On a form with a cocycle, the compression is read off R = P^T W alone:
+        P v of K.  On a psi with a cocycle, the compression is read off R = P^T W alone:
         M = R_B R_B^T and Q = R_C D R_C^T, D = 1 on i = j and 2 on i < j, so neither K's
         spectrum nor K o K is formed.  Without one, M = P^T K P and Q = P^T (K o K) P: read
         off R there, alpha* on Z_2^2 misses the uncompressed one by 6.5e-12.  Where
@@ -161,7 +162,7 @@ class GromovForm:
             return Q, self.K, None
         i, j = np.triu_indices(d)
         P, R = np.linalg.qr(np.hstack([B, B[:, i] * B[:, j]]))
-        if self.B is None:
+        if self.psi.cocycle is None:
             Q, M = P.T @ (self.K * self.K) @ P, P.T @ self.K @ P
         else:
             RB, RC = R[:, :d], R[:, d:]
@@ -172,15 +173,7 @@ class GromovForm:
 
 
 def gromov_form(psi: LengthFunction) -> GromovForm:
-    """K(s,t) = (psi(s) + psi(t) - psi(s^{-1} t)) / 2 from psi.values as given: a LengthFunction
-    built directly (the dilation's ||b(g)||^2) is not re-symmetrized, which would move its Gamma."""
-    length_function(psi.group, psi.values)      # revalidate invariants
-    v, conv = psi.values, psi.group.conv_index
-    K = np.add.outer(v, v)
-    for lo, hi in blocks(len(v), 2 * len(v)):   # in place, so no |G| x |G| temporary
-        K[lo:hi] -= v[conv[lo:hi]]
-    K *= 0.5
-    return GromovForm(psi.group, K, psi.cocycle)
+    return GromovForm(psi)
 
 
 def is_conditionally_negative(psi: LengthFunction, tol: float = DEFAULT_TOL) -> PsdVerdict:
@@ -191,8 +184,9 @@ def is_conditionally_negative(psi: LengthFunction, tol: float = DEFAULT_TOL) -> 
 class CocycleRealization:
     """The cocycle vectors b(g) of a 1-cocycle (b, alpha) on an orthogonal R^d.
 
-    alpha is determined by b and not stored: the b(h) span R^d, so
-    b(gh) = b(g) + alpha_g b(h) over all h fixes each alpha_g.
+    alpha is determined by b and not stored: b(gh) = b(g) + alpha_g b(h) over all h fixes
+    alpha_g on the span of the b(h), which may be a proper subspace of R^d (the closed form
+    of delta:n has n columns of rank n - 1, and odd word lengths are rank-deficient too).
     """
     group: FiniteGroup
     vectors: np.ndarray     # (order, d), rows b(g)
@@ -218,26 +212,14 @@ def realize_cocycle(K: GromovForm) -> CocycleRealization:
     """K's spectral factor B (GromovForm._spectral_factor); B's rows are the b(g).
 
     d is the numerical rank of K, and the b(g) span R^d.  An orthogonal
-    alpha_g with b(gh) = b(g) + alpha_g b(h) exists for every g exactly when
-    K is a Gromov form: symmetric, with K(s,t) = (K(s,s) + K(t,t) -
-    K(s^{-1}t, s^{-1}t))/2 for all s, t.  Then the Gram matrix of the
-    b(gh) - b(g) over h is K again.  After the PSD test, both conditions are
-    checked entrywise to the rank cut, and a K that fails one is a ValueError
-    naming the worst (s, t).  A form with a cocycle B is realized the same way, in
-    K's eigenbasis, the basis the dilation draws its increments in.
+    alpha_g with b(gh) = b(g) + alpha_g b(h) exists for every g because K is a
+    Gromov form: symmetric, with K(s,t) = (K(s,s) + K(t,t) - K(s^{-1}t,
+    s^{-1}t))/2 for all s, t, as GromovForm derives it.  Then the Gram matrix
+    of the b(gh) - b(g) over h is K again.  A psi with a cocycle is realized
+    the same way, in K's eigenbasis, the basis the dilation draws its
+    increments in.
     """
-    cut, B = K._spectral_factor()
-    diag = np.diag(K.K)
-    for what, rhs, ref in (
-            ("symmetric", "K(t,s)", K.K.T),
-            ("a Gromov form", "(K(s,s) + K(t,t) - K(s^-1 t, s^-1 t))/2",
-             0.5 * (diag[:, None] + diag[None, :] - diag[K.group.conv_index]))):
-        dev = np.abs(K.K - ref)
-        s, t = np.unravel_index(np.argmax(dev), dev.shape)
-        if dev[s, t] > cut:
-            raise ValueError(f"K is not {what}: at (s, t) = ({s}, {t}), "
-                             f"K(s,t) = {K.K[s, t]:.6g} but {rhs} = {ref[s, t]:.6g}")
-    return CocycleRealization(K.group, B)
+    return CocycleRealization(K.group, K._spectral_factor()[1])
 
 
 def word_length_cocycle(n: int) -> CocycleRealization:
@@ -246,12 +228,11 @@ def word_length_cocycle(n: int) -> CocycleRealization:
     b(k) = e_1 + ... + e_k for k <= n/2 and e_{k-n/2+1} + ... + e_{n/2}
     beyond; its alpha_1 is the signed shift e_j -> e_{j+1}, e_{n/2} -> -e_1,
     and alpha_k = alpha_1^k.  Everything is integer-exact.  For odd n, embed Z_n into
-    Z_(2n) and restrict.
+    Z_(2n) and restrict.  It is word_length_psi(n).cocycle.
     """
     require(n, "word-length realization n", lambda v: is_integer(v) and v >= 2 and v % 2 == 0,
             "an even integer >= 2")
-    group = build_cyclic(n)                     # the order cap fails before B exists
-    return CocycleRealization(group, _walls(np.arange(n), n))
+    return word_length_psi(n).cocycle
 
 
 def _walls(k: np.ndarray, n: int) -> np.ndarray:
@@ -263,7 +244,7 @@ def _walls(k: np.ndarray, n: int) -> np.ndarray:
 
 def _cyclic_cocycle(mode: str, k: np.ndarray, n: int) -> np.ndarray:
     """Rows b(k) of a cocycle of cyclic_length(mode, k, n) on Z_n, ||b(k)||^2 that length:
-    'delta' is (e_k - e_0)/sqrt 2, even 'wordlength' the walls of word_length_cocycle(n),
+    'delta' is (e_k - e_0)/sqrt 2, even 'wordlength' the n/2 walls of Z_n (_walls),
     odd 'wordlength' the walls of Z_2n at 2k, over sqrt 2.  mode as cyclic_length checks it."""
     if mode == "delta":
         B = np.zeros((len(k), n))
@@ -295,7 +276,7 @@ def coordinate_length(group: FiniteGroup, radices: Sequence[int], axes: Sequence
     psi = length_function(group, cyclic_length(mode, k, n).sum(axis=0))
     B = np.hstack([np.zeros((group.order, 0))]
                   + [_cyclic_cocycle(mode, k[a], radices[ax]) for a, ax in enumerate(axes)])
-    return replace(psi, cocycle=B)
+    return replace(psi, cocycle=CocycleRealization(group, B))
 
 
 def word_length_psi(n: int) -> LengthFunction:
@@ -312,7 +293,7 @@ class SchurReport:
 def verify_schur_identity(n: int, psi: Optional[LengthFunction] = None) -> SchurReport:
     """Check K o K - K = G o G - G, with G = Z Z^T for the wall matrix Z of the word length.
 
-    Z = word_length_cocycle(n).vectors has 0/1 columns z_r, so
+    Z = word_length_psi(n).cocycle.vectors has 0/1 columns z_r, so
     G o G - G = 2 sum_{r<r'} (z_r o z_r')(z_r o z_r')^T, a sum of PSD terms: at
     K = G this is Gamma_2 >= Gamma.  Grouped by the gap r' - r = g, the pairs sum
     to the word-length Gromov matrix of Z_(n-2g) embedded at offset g, so terms
@@ -320,15 +301,15 @@ def verify_schur_identity(n: int, psi: Optional[LengthFunction] = None) -> Schur
     or of psi on Z_n, which serves as a negative control.
     """
     require(n, "Schur n", lambda v: is_integer(v) and v >= 4 and v % 2 == 0, "an even integer >= 4")
-    walls = word_length_cocycle(n)
+    word = word_length_psi(n)
     if psi is None:
-        psi = coordinate_length(walls.group, (n,), (0,), "wordlength")   # word_length_psi(n)
+        psi = word
     elif psi.group.order != n:
         raise ValueError(f"psi lives on a group of order {psi.group.order}, expected {n}")
-    elif not np.array_equal(psi.group.mul, walls.group.mul):
+    elif not np.array_equal(psi.group.mul, word.group.mul):
         raise ValueError(f"psi lives on a group of order {n} that is not Z_{n}")
     K = gromov_form(psi).K
-    Z = walls.vectors
+    Z = word.cocycle.vectors
     G = Z @ Z.T
     G *= G - 1.0                                # G o G - G, exact: G is integer-valued
     R = K * K

@@ -3,13 +3,14 @@
 The kernel condition "K o K - alpha K is PSD" (o = entrywise product) is
 sufficient for the operator-level criterion; alpha* is its largest
 feasible alpha, never below 0 since K o K is PSD (Schur's product theorem).
-Both solvers read the form's one factor, GromovForm.factor: its rank cut,
-and through GromovForm.span_pair the m x m compression of (K o K, K) onto
-the span of its d columns, m <= d(d+3)/2 (K itself where m >= |G|); they
-map their witness back as P v.  On a builtin the factor is its
-closed-form cocycle B, so where the pair is compressed (walsh:2:8,
-heisenberg-wordlength:7) neither solver diagonalizes K; where it is K
-itself (wordlength:256) the pencil reads K's spectrum.  The solvers:
+Both solvers take a GromovForm, built from its length function psi alone,
+and read the form's one factor, GromovForm.factor: its rank cut, and
+through GromovForm.span_pair the m x m compression of (K o K, K) onto the
+span of its d columns, m <= d(d+3)/2 (K itself where m >= |G|); they map
+their witness back as P v.  On a builtin the factor is the closed-form
+cocycle psi.cocycle, a CocycleRealization, so where the pair is compressed
+(walsh:2:8, heisenberg-wordlength:7) neither solver diagonalizes K; where
+it is K itself (wordlength:256) the pencil reads K's spectrum.  The solvers:
 Dinkelbach's iteration over Rayleigh-quotient upper bounds, from the
 least psi above the rank cut down to eigh's rounding level (under the
 name best_alpha_bisection), and a direct generalized-eigenvalue method

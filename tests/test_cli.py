@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from cocycle_lab import cli
 from cocycle_lab.cli import (_COMMANDS, _RUNNERS, _build_parser, _config_keys, _digest,
                               _report_text, _run, main)
 from cocycle_lab.groups import ORDER_CAP, build_cyclic, build_product, group_to_dict, save_group
@@ -864,6 +865,16 @@ def test_alpha_replays_across_blas_threads(tmp_path):
                              capture_output=True, text=True, env=env, timeout=300)
         assert run.returncode == 0, run.stderr
     assert run.stdout.startswith("replay: byte-identical")
+
+
+def test_a_numpy_without_the_openblas_setter_runs_every_command_unchanged(tmp_path, monkeypatch):
+    """Where numpy bundles no OpenBLAS thread setter, main runs the command as it stands and
+    writes the same report bytes."""
+    argv = ["alpha", "--builtin", "walsh:2:3", "--method", "both", "--out"]
+    assert main(argv + [str(tmp_path / "with.json")]) == 0
+    monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
+    assert main(argv + [str(tmp_path / "without.json")]) == 0
+    assert (tmp_path / "with.json").read_bytes() == (tmp_path / "without.json").read_bytes()
 
 
 @pytest.mark.parametrize("spec", ["walsh:2:8", "heisenberg-delta:3"])

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -154,47 +155,6 @@ def test_realize_rejects_non_psd():
         realize_cocycle(gromov_form(bad))
 
 
-def test_realize_names_a_non_orthogonal_alpha():
-    # K = I is PSD but no Gromov form (K(e,e) = 1), so no orthogonal alpha_g fits
-    with pytest.raises(ValueError, match=re.escape(
-            "K is not a Gromov form: at (s, t) = (0, 0), K(s,t) = 1 but "
-            "(K(s,s) + K(t,t) - K(s^-1 t, s^-1 t))/2 = 0.5")):
-        realize_cocycle(GromovForm(build_cyclic(3), np.eye(3)))
-    # eigh reads one triangle only, so a K asymmetric above the diagonal passes the PSD test
-    K = gromov_form(walsh_length(2, 2))
-    asym = K.K.copy()
-    asym[0, 3] = 0.25
-    with pytest.raises(ValueError, match=re.escape(
-            "K is not symmetric: at (s, t) = (0, 3), K(s,t) = 0.25 but K(t,s) = 0")):
-        realize_cocycle(GromovForm(K.group, asym))
-    # a NaN off the diagonal would leave eigh's smallest eigenvalue 0 and pass the PSD
-    # test; GromovForm refuses it (test_gromov_form_rejects_a_non_finite_k)
-    nan = np.zeros((3, 3))
-    nan[1, 2] = nan[2, 1] = np.nan
-    with pytest.raises(ValueError, match=re.escape("K(1,2) = nan is not finite")):
-        realize_cocycle(GromovForm(build_cyclic(3), nan))
-
-
-def test_gromov_form_rejects_a_non_finite_k():
-    """Before the check, this K passed _psd_test and both alpha* solvers returned 0."""
-    for bad in (np.nan, np.inf, -np.inf):
-        K = np.zeros((3, 3))
-        K[1, 2] = K[2, 1] = bad
-        with pytest.raises(ValueError, match=re.escape(f"K(1,2) = {bad} is not finite")):
-            GromovForm(build_cyclic(3), K)
-    K = np.zeros((4, 4))
-    K[3, 0] = np.nan
-    with pytest.raises(ValueError, match=re.escape("K(3,0) = nan is not finite")):
-        GromovForm(build_cyclic(4), K)
-
-
-def test_gromov_form_rejects_a_k_of_the_wrong_shape():
-    for shape in ((4, 4), (3,), (3, 4), (3, 3, 1)):
-        with pytest.raises(ValueError, match=re.escape(
-                f"K has shape {shape}, expected (3, 3)")):
-            GromovForm(build_cyclic(3), np.zeros(shape))
-
-
 def test_realize_drops_the_directions_below_the_rank_cut():
     # four eigenvalues of 5e-9 fall below the cut of 7.0e-9 and one of 1.33e-8 stays above
     k = np.arange(8)
@@ -214,12 +174,41 @@ def test_builtin_cocycle_factors_the_gromov_form(spec):
     """B B^T = K to 1e-13 * psd_scale(K), for the cocycle the family carries, compared row
     block by row block against the Gromov form of psi itself."""
     psi = builtin_length(spec)
-    B, K = psi.cocycle, gromov_form(psi).K
-    assert B is not None and not B.flags.writeable
+    B, K = psi.cocycle.vectors, gromov_form(psi).K
+    assert not B.flags.writeable
     assert np.array_equal(B[0], np.zeros(B.shape[1]))       # b(e) = 0
     bound = 1e-13 * psd_scale(K)
     for lo in range(0, len(K), 256):
         assert np.abs(B[lo:lo + 256] @ B.T - K[lo:lo + 256]).max() <= bound, (spec, lo)
+
+
+def assert_gromov_identity(psi: LengthFunction) -> None:
+    """K(s,t) = (K(s,s) + K(t,t) - K(s^-1 t, s^-1 t)) / 2 bit for bit, and
+    |K - K^T| <= 1e-12 * psd_scale(psi) / 2, row block by row block: the two checks a
+    realization would otherwise need, which no K derived from a validated psi can fail."""
+    K = gromov_form(psi).K
+    diag, conv = np.diag(K), psi.group.conv_index
+    assert np.array_equal(diag, psi.values)
+    bound = 0.5e-12 * psd_scale(psi.values)
+    for lo in range(0, len(K), 256):
+        hi = lo + 256
+        rows = 0.5 * (diag[lo:hi, None] + diag[None, :] - diag[conv[lo:hi]])
+        assert np.array_equal(K[lo:hi], rows), lo
+        assert np.abs(K[lo:hi] - K[:, lo:hi].T).max() <= bound, lo
+
+
+@pytest.mark.parametrize("spec", BUILTIN_SIZES)
+def test_every_builtin_gromov_form_obeys_the_gromov_identity(spec):
+    assert_gromov_identity(builtin_length(spec))
+
+
+@pytest.mark.parametrize("spec", ["wordlength:513", "heisenberg-wordlength:7"])
+def test_a_rebuilt_norm_psi_obeys_the_gromov_identity(spec):
+    """The dilation's psi = ||b(g)||^2, rebuilt from a realization and not re-symmetrized."""
+    real = realize_cocycle(gromov_form(builtin_length(spec)))
+    psi = LengthFunction(real.group, real.psi)
+    assert not np.array_equal(psi.values, psi.values[real.group.inv])
+    assert_gromov_identity(psi)
 
 
 @pytest.mark.parametrize("spec", BUILTIN_SIZES)
@@ -270,21 +259,14 @@ def test_the_cocycle_b_is_checked_against_k():
     (heisenberg-wordlength:4, d = 4, 14 < 64) or K itself (wordlength:9, d = 9)."""
     for spec in ("heisenberg-wordlength:4", "wordlength:9"):
         psi = builtin_length(spec)
-        K = gromov_form(psi)
-        wrong = psi.cocycle.copy()
+        wrong = psi.cocycle.vectors.copy()
         wrong[5, 1] += 0.5
-        bad = GromovForm(K.group, K.K, wrong)
-        s, t = 5, int(np.argmax(np.abs(wrong @ wrong.T - K.K)[5]))
+        bad = GromovForm(replace(psi, cocycle=CocycleRealization(psi.group, wrong)))
+        s, t = 5, int(np.argmax(np.abs(wrong @ wrong.T - bad.K)[5]))
         message = re.escape(f"K is not B B^T: at (s, t) = ({s}, {t}), ")
         for use in (bad._psd_test, lambda: bad.factor, lambda: bad.span_pair):
             with pytest.raises(ValueError, match=message):
                 use()
-    with pytest.raises(ValueError, match=re.escape("B has shape (9, 2, 1), expected (9, c)")):
-        GromovForm(K.group, K.K, np.zeros((9, 2, 1)))
-    nan = psi.cocycle.copy()
-    nan[3, 1] = np.nan
-    with pytest.raises(ValueError, match=re.escape("B(3,1) = nan is not finite")):
-        GromovForm(K.group, K.K, nan)
 
 
 @pytest.mark.parametrize("spec", BUILTIN_SIZES)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 
 from cocycle_lab.algebra import Semigroup, delta
 from cocycle_lab.cli import _gallery_entries
-from cocycle_lab.cocycles import (GromovForm, coordinate_length, gromov_form,
+from cocycle_lab.cocycles import (coordinate_length, gromov_form,
                                   is_conditionally_negative, length_function, realize_cocycle,
                                   word_length_psi)
 from cocycle_lab.criterion import (best_alpha_bisection, best_alpha_pencil,
@@ -44,7 +46,7 @@ def reference_dinkelbach(K):
 
 
 def assert_solvers_match_reference(K):
-    star = reference_dinkelbach(GromovForm(K.group, K.K))      # K alone, without the cocycle B
+    star = reference_dinkelbach(gromov_form(replace(K.psi, cocycle=None)))   # without the cocycle
     for cert in (best_alpha_pencil(K), best_alpha_bisection(K)):
         assert cert.alpha_star >= 0
         assert abs(cert.alpha_star - star) <= 1e-12 * (1 + abs(star)), cert.method
@@ -109,14 +111,6 @@ def test_certificate_contents():
             assert abs(rayleigh - cert.residual) < 1e-9
             with pytest.raises(ValueError):
                 cert.witness[0] = 5.0   # frozen
-
-
-def test_pencil_without_a_kernel():
-    """A nonsingular K, built directly, leaves the pencil S = Q_rr: with K = I,
-    K o K - alpha K = (1 - alpha) I, so both solvers give alpha* = 1."""
-    K = GromovForm(build_cyclic(2), np.eye(2))
-    assert best_alpha_pencil(K).alpha_star == 1.0
-    assert best_alpha_bisection(K).alpha_star == 1.0
 
 
 def test_pencil_falls_back_to_bisection_when_the_kernel_couples(monkeypatch):
@@ -235,7 +229,7 @@ def test_both_solvers_match_the_uncompressed_reference(name):
     and K, on the B route.  On the larger families but wordlength:256 the pair is
     compressed, read off R = P^T [B, C], and P holds ran K and ran(K o K)."""
     K = gromov_form(builtin_length(name))
-    assert K.B is not None
+    assert K.psi.cocycle is not None
     assert_solvers_match_reference(K)
     if name in LARGE + COMPRESSED and name != "wordlength:256":
         assert K.span_pair[2] is not None
@@ -344,7 +338,8 @@ def test_one_gromov_spectrum_serves_both_solvers_and_realize(name, monkeypatch):
         assert not any(full for _, full in solves[:before_realize])
         assert solves[before_realize:] == [(True, True)]
     monkeypatch.undo()
-    assert np.array_equal(real.vectors, realize_cocycle(GromovForm(K.group, K.K)).vectors)
+    assert np.array_equal(real.vectors,
+                          realize_cocycle(gromov_form(replace(psi, cocycle=None))).vectors)
 
 
 def test_non_psd_kernel_rejected():

@@ -147,6 +147,11 @@ def test_group_from_dict_checks_the_cap_before_reading_mul():
         group_from_dict({"order": 5000, "mul": [[0]]})
 
 
+def test_a_product_of_zero_factors_is_refused():
+    with pytest.raises(ValueError, match="^product of zero factors$"):
+        build_product([])
+
+
 def test_size_caps():
     with pytest.raises(SizeCapError, match=f"cyclic order {ORDER_CAP + 1} exceeds cap {ORDER_CAP}"):
         build_cyclic(ORDER_CAP + 1)
