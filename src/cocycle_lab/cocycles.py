@@ -40,7 +40,9 @@ class LengthFunction:
 
 def length_function(group: FiniteGroup, values) -> LengthFunction:
     """Validated constructor: psi finite, psi(e) = 0, psi >= 0, psi(g) = psi(g^{-1}) to
-    1e-12 * psd_scale(psi); stored as (v + v[inv]) / 2, so psi and K are exactly symmetric."""
+    1e-12 * psd_scale(psi); stored as v / 2 + v[inv] / 2, so psi and K are exactly symmetric.
+    Halving first keeps the sum finite; wherever halving is exact (v above the subnormals)
+    it has the bits of (v + v[inv]) / 2."""
     v = np.asarray(values, dtype=float)
     if v.shape != (group.order,):
         raise ValueError(f"psi has shape {v.shape}, expected ({group.order},)")
@@ -55,7 +57,7 @@ def length_function(group: FiniteGroup, values) -> LengthFunction:
         g = int(np.argmax(asym))
         raise ValueError(
             f"psi not symmetric: psi({g}) = {v[g]} but psi(inv({g})) = {v[group.inv[g]]}")
-    return LengthFunction(group, (v + v[group.inv]) / 2)
+    return LengthFunction(group, v / 2 + v[group.inv] / 2)
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,7 @@ class GromovForm:
     not re-symmetrized, which would move its Gamma.  So diag K = psi exactly, K satisfies the
     Gromov identity bit for bit, and |K - K^T| <= 1e-12 * psd_scale(psi) / 2.  K's spectrum,
     diagonalised at most once, serves realize, the uncompressed pair, and every psi without
-    a cocycle.
+    a cocycle.  A psi with 2 max psi past the float range, whose K would overflow, is refused.
     """
     psi: LengthFunction
     K: np.ndarray = field(init=False, repr=False, compare=False)    # (order, order) real
@@ -74,6 +76,10 @@ class GromovForm:
     def __post_init__(self):
         length_function(self.psi.group, self.psi.values)      # revalidate invariants
         v, conv = self.psi.values, self.psi.group.conv_index
+        if v.max() > np.finfo(float).max / 2:
+            g = int(np.argmax(v))
+            raise ValueError(f"psi({g}) = {v[g]} overflows the Gromov form: 2 psi({g}) is "
+                             "not a finite float")
         K = np.add.outer(v, v)
         for lo, hi in blocks(len(v), 2 * len(v)):   # in place, so no |G| x |G| temporary
             K[lo:hi] -= v[conv[lo:hi]]

@@ -287,24 +287,35 @@ def _superop_ratio(A: Superoperator, x: np.ndarray, p: float):
                         np.abs(x).max(axis=(-2, -1)))
 
 
-def matrix_worst_constant(A: Superoperator, p: float, budget: int = 20000,
-                          seed: int = 0) -> WorstConstant:
+def matrix_worst_constant(A: Superoperator, p: float, budget: int = 20000, seed: int = 0, *,
+                          ascent: Optional[WorstConstant] = None) -> WorstConstant:
     """Empirical lower bound for the best L_p Poincare constant over matrix witnesses.
 
     The optimizer scores by matrix_poincare_ratio; the constant is the
     winning witness re-scored on the superoperator route without the PSD
     flag, so it stays a certified bound for a symbol that passes the CN
-    test only within its tolerance.
+    test only within its tolerance.  ascent, this p's result of an ascent
+    shared with other p (matrix_poincare's), replaces the search: the call
+    then only certifies it, and reads no budget or seed.
     """
+    if ascent is None:
+        [ascent] = _matrix_ascend(A, [(p, seed)], budget)
+    return ascent._replace(constant=float(_superop_ratio(A, ascent.witness, p)))
+
+
+def _matrix_ascend(A: Superoperator, problems: Sequence[tuple[float, int]],
+                   budget: int) -> list[WorstConstant]:
+    """maximize_ratio of matrix_poincare_ratio at each (p, seed) of problems."""
     n = A.n
     if A.fix_dimension() == n * n:
         raise ValueError("generator is identically 0: no spectral gap")
-    res = maximize_ratio(lambda x: matrix_poincare_ratio(A, x, p),
-                         lambda z: unvec(z, n), n * n, budget, seed, n ** 4)
-    return res._replace(constant=float(_superop_ratio(A, res.witness, p)))
+    return maximize_ratio(lambda x, p: matrix_poincare_ratio(A, x, p), lambda z: unvec(z, n),
+                          n * n, budget, problems, n ** 4)
 
 
 def matrix_poincare(A: Superoperator, p_grid: Sequence[float], budget: int = 20000,
                     seed: int = 0) -> PoincareReport:
-    """Poincare sweep over matrix witnesses; E_Fix comes from ker(A).  No alpha envelope."""
-    return sweep(lambda p, s: matrix_worst_constant(A, p, budget, s), p_grid, seed)
+    """Poincare sweep over matrix witnesses, each p certified by matrix_worst_constant; E_Fix
+    comes from ker(A).  No alpha envelope."""
+    return sweep(lambda problems: _matrix_ascend(A, problems, budget),
+                 lambda p, res: matrix_worst_constant(A, p, ascent=res), p_grid, seed)

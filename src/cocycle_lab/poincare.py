@@ -10,8 +10,13 @@ optimizer scores through the characters; the certifying re-score takes
 the regular representation everywhere.  At p = 2 the exact constant is
 (min nonzero psi)^{-1/2}, which doubles as an optimizer soundness oracle.
 sweep_and_fit runs a p grid and fits the growth exponent of log C_p
-against log p; matrixalg reuses maximize_ratio and sweep with its own
-witness chart and ratio.
+against log p.  The whole grid is one ascent: the starts of every p are
+rows of one set of arrays and advance in rounds, each round scoring every
+p that has an active start, one ratio call per p and row block; each p
+then gets its own worst_constant call, which certifies its winner.  A p's
+starts visit the points they would visit alone, so its constant depends
+on (psi, p, budget, seed + i) only.  matrixalg reuses maximize_ratio and
+sweep with its own witness chart and ratio.
 """
 from __future__ import annotations
 
@@ -112,107 +117,167 @@ class WorstConstant(NamedTuple):
     optimizer_gap: float    # relative improvement in the last accepted ascent step
 
 
-def maximize_on_sphere(fun: Callable[[np.ndarray], Any], dim: int, budget: int, seed: int):
-    """Multi-start projected gradient ascent on the unit sphere, the starts in lock step.
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_i . b_i for each row i, each by the BLAS dot that a_i @ b_i takes, with its bits."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
-    fun maps a (k, dim) stack of points to k values, each row on its own.
-    There are N_STARTS starts: the first min(dim, COORD_STARTS, N_STARTS)
-    coordinate vectors, then start s draws from the stream (seed,
-    TAG_POINCARE, s).  Each round scores the pending request of every active
-    start, in start order, in one call of fun: a start point or line-search
-    probe (one row), or a central-difference gradient (step 1e-6) of 2 dim
-    rows, x + 1e-6 e_i then x - 1e-6 e_i.  A start takes a new gradient
-    while it has scored fewer than budget // N_STARTS points, adapts its
-    step by backtracking, and stops when its relative improvement drops
-    below 1e-8.  Each start visits the points it would visit alone, however
-    fun splits a round; ties resolve in start order.  Returns (best value,
-    best point, gap).
+
+def _normalized(x: np.ndarray) -> np.ndarray:
+    """Each row of x over its 2-norm, with the bits of x_i / np.linalg.norm(x_i)."""
+    return x / np.sqrt(_dots(x, x))[:, None]
+
+
+def maximize_on_sphere(fun: Callable[[Any, np.ndarray], Any], dim: int, budget: int,
+                       problems: Sequence[tuple[Any, int]]) -> list:
+    """Multi-start projected gradient ascent on the unit sphere: one ascent for many problems.
+
+    problems is a sequence of (key, seed) pairs, and fun(key, Y) maps a (k, dim)
+    stack of points to k values of that problem's objective, each row on its
+    own.  Each problem has N_STARTS starts: the first min(dim, COORD_STARTS,
+    N_STARTS) coordinate vectors, then start s draws from the stream (seed,
+    TAG_POINCARE, s).  Every start of every problem is one row of the state
+    arrays (point, value, step, gap, evaluations, phase), and all advance
+    together in rounds.  A round scores the pending request of every active
+    start: a start point or line-search probe (one row), or a central-difference
+    gradient (step 1e-6) of 2 dim rows, x + 1e-6 e_i then x - 1e-6 e_i.  It calls
+    fun once for each problem that has an active start, the problems in order,
+    each with its starts' requests in start order.  A start takes a new
+    gradient while it has scored fewer than budget // N_STARTS points, adapts
+    its step by backtracking, and stops when its relative improvement drops
+    below 1e-8.  Each start visits the points it would visit alone, so a
+    problem gets the same calls of fun whatever the other problems are, and
+    however fun splits a round; ties resolve in start order.  Returns (best
+    value, best point, gap) for each problem, in order.
     """
     require(budget, "budget", lambda v: is_integer(v) and v >= 1, "an integer >= 1")
-    starts = list(np.eye(dim)[:min(dim, COORD_STARTS, N_STARTS)])
-    for s in range(len(starts), N_STARTS):
-        v = rng.stream(seed, rng.TAG_POINCARE, s).standard_normal(dim)
-        n = np.linalg.norm(v)
-        starts.append(v / n if n > 0 else np.eye(dim)[0])
-    per_start = max(1, budget // len(starts))
-    h = GRAD_STEP * np.eye(dim)
+    GRADIENT, PROBE, DONE = range(3)            # what a start asks of the next round
+    coord = np.eye(dim)[:min(dim, COORD_STARTS, N_STARTS)]
+    starts = []
+    for _, seed in problems:
+        starts.extend(coord)
+        for s in range(len(coord), N_STARTS):
+            v = rng.stream(seed, rng.TAG_POINCARE, s).standard_normal(dim)
+            n = np.linalg.norm(v)
+            starts.append(v / n if n > 0 else np.eye(dim)[0])
+    X = _normalized(np.reshape(starts, (len(starts), dim)))   # each start's current point
+    per_start = max(1, budget // N_STARTS)
+    # the first round scores every start point
+    val = np.concatenate([fun(key, X[k * N_STARTS:(k + 1) * N_STARTS].copy())
+                          for k, (key, _) in enumerate(problems)])
+    evals = np.ones(len(X), dtype=int)
+    phase = np.full(len(X), GRADIENT if per_start > 1 else DONE)
+    step, gap = np.full(len(X), 0.1), np.full(len(X), np.inf)
+    Q = np.empty_like(X)           # each line search's probe point
+    G = np.empty_like(X)           # the projected gradient at X that a line search follows
+    stencil = np.arange(2 * dim)
+    # flat offsets of a gradient's diagonals in its 2 dim x dim block, and the steps they take
+    diagonals = stencil * dim + np.tile(np.arange(dim), 2)
+    steps = np.repeat([GRAD_STEP, -GRAD_STEP], dim)
 
-    def run_start(x0: np.ndarray):
-        x = x0 / np.linalg.norm(x0)
-        val = (yield x[None])[0]
-        evals = 1
-        step, gap = 0.1, np.inf
-        while evals < per_start:
-            v = yield np.concatenate([x + h, x - h])
-            evals += 2 * dim
-            g = (v[:dim] - v[dim:]) / (2 * GRAD_STEP)
-            g -= (g @ x) * x                      # tangent projection
-            if np.linalg.norm(g) < 1e-12:
-                break
-            improved = False
-            while step > 1e-12:
-                xn = x + step * g
-                xn /= np.linalg.norm(xn)
-                vn = (yield xn[None])[0]
-                evals += 1
-                if vn > val:
-                    gap = (vn - val) / max(abs(val), 1e-30)
-                    x, val = xn, vn
-                    step *= 1.3
-                    improved = True
-                    break
-                step *= 0.5
-            if not improved or gap < REL_IMPROVEMENT_STOP:
-                break
-        return val, x, gap if np.isfinite(gap) else 0.0
+    while (live := np.flatnonzero(phase != DONE)).size:
+        grad = phase[live] == GRADIENT
+        size = np.where(grad, 2 * dim, 1)
+        at = np.cumsum(size) - size           # where each live start's request begins
+        # The round's rows, gathered from [Q; X + 0; X]: a probe is its row of Q, a gradient
+        # dim rows of X + 0 then dim of X, the step then added to and subtracted from their
+        # diagonals.  That gives the bits of x + h and x - h for h = GRAD_STEP I.
+        table = np.concatenate([Q, X + 0.0, X])
+        src = np.repeat(np.stack([np.where(grad, len(X) + live, live), 2 * len(X) + live],
+                                 1).ravel(), np.stack([size - dim * grad, dim * grad], 1).ravel())
+        shift = at[grad][:, None] * dim + diagonals
+        # one problem's rows at a time: a problem's live starts are a slice of live
+        ends = np.searchsorted(live, N_STARTS * np.arange(len(problems) + 1))
+        lines = np.append(at, len(src))[ends]
+        cuts = np.searchsorted(at[grad], lines)
+        values = []
+        for (key, _), r0, r1, c0, c1 in zip(problems, lines, lines[1:], cuts, cuts[1:]):
+            if r0 < r1:
+                rows = table.take(src[r0:r1], axis=0)
+                rows.reshape(-1)[shift[c0:c1] - r0 * dim] += steps
+                values.append(fun(key, rows))
+        v = np.concatenate(values)
 
-    runs = [run_start(x0) for x0 in starts]
-    pending = {i: next(r) for i, r in enumerate(runs)}
-    results = [None] * len(runs)
-    while pending:
-        values = fun(np.concatenate(list(pending.values())))
-        lo = 0
-        for i, req in list(pending.items()):
-            try:
-                pending[i] = runs[i].send(values[lo:lo + len(req)])
-            except StopIteration as done:
-                results[i] = done.value
-                del pending[i]
-            lo += len(req)
-    best = max(range(len(results)), key=lambda i: results[i][0])
-    return results[best]
+        i = live[grad]
+        V = v[at[grad][:, None] + stencil]
+        evals[i] += 2 * dim
+        g = (V[:, :dim] - V[:, dim:]) / (2 * GRAD_STEP)
+        g -= _dots(g, X[i])[:, None] * X[i]   # tangent projection
+        G[i] = g
+        flat = np.sqrt(_dots(g, g)) < 1e-12
+        phase[i[flat]] = DONE
+
+        j, vn = live[~grad], v[at[~grad]]
+        evals[j] += 1
+        up = vn > val[j]
+        a = j[up]
+        gap[a] = (vn[up] - val[a]) / np.maximum(np.abs(val[a]), 1e-30)
+        X[a], val[a] = Q[a], vn[up]
+        step[a] *= 1.3
+        phase[a] = np.where((gap[a] < REL_IMPROVEMENT_STOP) | (evals[a] >= per_start), DONE,
+                            GRADIENT)
+        step[j[~up]] *= 0.5
+
+        # a new gradient, or a failed probe, starts the next probe while the step exceeds 1e-12
+        b = np.concatenate([i[~flat], j[~up]])
+        stop = ~(step[b] > 1e-12)
+        phase[b[stop]] = DONE
+        b = b[~stop]
+        Q[b] = _normalized(X[b] + step[b][:, None] * G[b])
+        phase[b] = PROBE
+
+    results = []
+    for k in range(len(problems)):
+        best = max(range(k * N_STARTS, (k + 1) * N_STARTS), key=lambda i: val[i])
+        results.append((val[best], X[best], gap[best] if np.isfinite(gap[best]) else 0.0))
+    return results
 
 
-def maximize_ratio(ratio: Callable[[Any], Any], chart: Callable[[np.ndarray], Any],
-                   dim: int, budget: int, seed: int, per_row: int) -> WorstConstant:
-    """Maximize ratio(chart(x + iy)) over unit vectors (x, y) in R^{2 dim}.
+def maximize_ratio(ratio: Callable[[Any, Any], Any], chart: Callable[[np.ndarray], Any],
+                   dim: int, budget: int, problems: Sequence[tuple[Any, int]],
+                   per_row: int) -> list[WorstConstant]:
+    """Maximize ratio(chart(x + iy), key) over unit vectors (x, y) in R^{2 dim}, for each
+    (key, seed) of problems, in one maximize_on_sphere ascent.
 
     chart maps complex coordinates, shape (..., dim), to a witness or a
-    stack of witnesses.  ratio scores each linalg.blocks block of a round in
-    one call, the blocks in order, per_row counting a witness's entries
-    (order^2 on the group side, n^4 for a matrix symbol).  A witness in the
-    fixed-point algebra scores 0; every other error propagates.
+    stack of witnesses.  Each round scores each problem's rows by
+    ratio(., key), one call per linalg.blocks block, the blocks in order,
+    per_row counting a witness's entries (order^2 on the group side, n^4 for
+    a matrix symbol).  A witness in the fixed-point algebra scores 0; every
+    other error propagates.  Returns one WorstConstant per problem, its
+    constant the optimizer's score.
     """
-    def fun(Z: np.ndarray) -> np.ndarray:
+    def fun(key, Z: np.ndarray) -> np.ndarray:
         def score(lo, hi):
             try:
-                return ratio(chart(Z[lo:hi, :dim] + 1j * Z[lo:hi, dim:]))
+                return ratio(chart(Z[lo:hi, :dim] + 1j * Z[lo:hi, dim:]), key)
             except ZeroNumeratorError as exc:
                 return exc.scores
         return np.concatenate([score(lo, hi) for lo, hi in blocks(len(Z), per_row)])
 
-    val, z, gap = maximize_on_sphere(fun, 2 * dim, budget, seed)
-    return WorstConstant(float(val), chart(z[:dim] + 1j * z[dim:]), float(gap))
+    return [WorstConstant(float(val), chart(z[:dim] + 1j * z[dim:]), float(gap))
+            for val, z, gap in maximize_on_sphere(fun, 2 * dim, budget, problems)]
 
 
-def worst_constant(sg: Semigroup, p: float, budget: int = 20000, seed: int = 0) -> WorstConstant:
+def worst_constant(sg: Semigroup, p: float, budget: int = 20000, seed: int = 0, *,
+                   ascent: Optional[WorstConstant] = None) -> WorstConstant:
     """Empirical lower bound for the best L_p Poincare constant.
 
     The optimizer scores by poincare_ratio, through the characters where the
     group has them; the constant is the winning witness re-scored on the
     regular representation with psd=False on every group, so it stays a
     certified bound for a psi that passes the CN test only within its tolerance.
+    ascent, this p's result of an ascent shared with other p (sweep_and_fit's),
+    replaces the search: the call then only certifies it, and reads no budget or seed.
     """
+    if ascent is None:
+        [ascent] = _ascend(sg, [(p, seed)], budget)
+    return ascent._replace(constant=float(_ratio(sg, ascent.witness, p, False)))
+
+
+def _ascend(sg: Semigroup, problems: Sequence[tuple[float, int]],
+            budget: int) -> list[WorstConstant]:
+    """maximize_ratio of poincare_ratio at each (p, seed) of problems, over the coefficients
+    off the fixed-point algebra."""
     nonfix = np.where(~sg.fix_mask)[0]
     if nonfix.size == 0:
         raise ValueError("psi is identically 0: no spectral gap")
@@ -222,9 +287,8 @@ def worst_constant(sg: Semigroup, p: float, budget: int = 20000, seed: int = 0) 
         c[..., nonfix] = z
         return AlgebraElement(sg.group, c)
 
-    res = maximize_ratio(lambda f: poincare_ratio(sg, f, p), chart, nonfix.size, budget, seed,
-                         sg.group.order ** 2)
-    return res._replace(constant=float(_ratio(sg, res.witness, p, False)))
+    return maximize_ratio(lambda f, p: poincare_ratio(sg, f, p), chart, nonfix.size, budget,
+                          problems, sg.group.order ** 2)
 
 
 @dataclass(frozen=True)
@@ -252,15 +316,24 @@ def fit_exponent(p_grid: Sequence[float], constants: Sequence[float]):
     return float(coef[0]), float(np.sqrt(var)), float(np.abs(resid).max())
 
 
-def sweep(worst: Callable[[float, int], WorstConstant], p_grid: Sequence[float],
+def sweep(ascend: Callable[[list], list[WorstConstant]],
+          certify: Callable[[float, WorstConstant], WorstConstant], p_grid: Sequence[float],
           seed: int) -> PoincareReport:
-    """worst(p, seed + i) for the i-th p, and the growth-exponent fit."""
+    """The whole grid in one ascent, each p certified, and the growth-exponent fit.
+
+    ascend maximizes the ratio at each problem (p_i, seed + i) of the grid in
+    one maximize_ratio call, so each round scores every p that still has an
+    active start; certify(p_i, result) re-scores the i-th winner.  Each p's
+    starts advance as they would alone, so a p's constant depends on (psi, p,
+    budget, seed + i) only, not on the rest of the grid.
+    """
     ps = [float(p) for p in require_list(list(p_grid), "p grid", is_number, "a number")]
     if not all(2 <= p <= 16 for p in ps):
         raise ValueError(f"p grid must lie in [2, 16], got {ps}")
     if len(set(ps)) < 2:
         raise ValueError(f"p grid needs two distinct values to fit the growth exponent, got {ps}")
-    results = [worst(p, seed + i) for i, p in enumerate(ps)]
+    results = [certify(p, res)
+               for p, res in zip(ps, ascend([(p, seed + i) for i, p in enumerate(ps)]))]
     constants = [r.constant for r in results]
     return PoincareReport(tuple(ps), tuple(constants), tuple(r.witness for r in results),
                           *fit_exponent(ps, constants))
@@ -268,10 +341,11 @@ def sweep(worst: Callable[[float, int], WorstConstant], p_grid: Sequence[float],
 
 def sweep_and_fit(sg: Semigroup, p_grid: Sequence[float], budget: int = 20000,
                   seed: int = 0, alpha_cert: Optional[AlphaCertificate] = None) -> PoincareReport:
-    """sweep over worst_constant on the group algebra, with the envelope sqrt(p/alpha*) C_2 for
-    a strictly positive alpha certificate, C_2 from l2_oracle.  With alpha* = 0 (criterion
-    fails) the slope is still fitted but no envelope exists."""
-    report = sweep(lambda p, s: worst_constant(sg, p, budget, s), p_grid, seed)
+    """sweep over the group algebra, each p certified by worst_constant, with the envelope
+    sqrt(p/alpha*) C_2 for a strictly positive alpha certificate, C_2 from l2_oracle.  With
+    alpha* = 0 (criterion fails) the slope is still fitted but no envelope exists."""
+    report = sweep(lambda problems: _ascend(sg, problems, budget),
+                   lambda p, res: worst_constant(sg, p, ascent=res), p_grid, seed)
     if alpha_cert is None or not alpha_cert.alpha_star > 0:
         return report
     alpha, c2 = float(alpha_cert.alpha_star), l2_oracle(sg)

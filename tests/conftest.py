@@ -70,13 +70,15 @@ def _pinned_equal(got, want) -> bool:
 
 
 def captured_objective(monkeypatch, run):
-    """The batched objective that run() hands to poincare.maximize_on_sphere, which is not run."""
+    """The batched objective that run() hands to poincare.maximize_on_sphere, which is not run,
+    bound to run()'s one problem."""
     from cocycle_lab import poincare
     seen = {}
 
-    def capture(fun, dim, *args):
-        seen["fun"] = fun
-        return 0.0, np.ones(dim), 0.0
+    def capture(fun, dim, budget, problems):
+        [(key, _)] = problems
+        seen["fun"] = lambda Z: fun(key, Z)
+        return [(0.0, np.ones(dim), 0.0)]
 
     monkeypatch.setattr(poincare, "maximize_on_sphere", capture)
     run()

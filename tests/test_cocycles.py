@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cocycle_lab import cocycles
 from cocycle_lab.cli import _gallery_entries
 from cocycle_lab.cocycles import (CocycleRealization, GromovForm, LengthFunction,
                                   _cyclic_cocycle, gromov_form,
@@ -65,6 +67,35 @@ def test_length_function_stores_an_exactly_symmetric_psi():
     assert np.array_equal(psi.values, psi.values[g.inv])
     K = gromov_form(psi).K
     assert np.array_equal(K, K.T)
+
+
+def test_a_psi_at_the_float_range_is_stored_and_its_gromov_form_refused():
+    """length_function once added psi(g) + psi(g^-1) before halving, so psi = 1e308 overflowed
+    to inf with a RuntimeWarning, and its Gromov form came back with K = inf."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        psi = length_function(build_cyclic(3), [0.0, 1e308, 1e308])
+        assert psi.values.tolist() == [0.0, 1e308, 1e308]
+        with pytest.raises(ValueError, match=r"^psi\(1\) = 1e\+308 overflows the Gromov form"):
+            gromov_form(psi)
+        top = np.finfo(float).max / 2                        # 2 psi is finite: K is formed
+        assert gromov_form(length_function(build_cyclic(2), [0.0, top])).K[1, 1] == top
+
+
+@pytest.mark.parametrize("spec", BUILTIN_SIZES)
+def test_every_builtin_psi_keeps_the_bits_of_add_then_halve(monkeypatch, spec):
+    """length_function halves before it adds; on the raw values of every builtin that stores
+    the bits (v + v[inv]) / 2 did."""
+    raw = []
+
+    def spy(group, values):
+        raw.append((group, np.asarray(values, dtype=float)))
+        return length_function(group, values)
+
+    monkeypatch.setattr(cocycles, "length_function", spy)
+    psi = builtin_length(spec)
+    [(group, v)] = raw
+    assert np.array_equal(psi.values, (v + v[group.inv]) / 2)
 
 
 def test_gromov_form_word_length_oracle():

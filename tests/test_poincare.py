@@ -137,14 +137,14 @@ def test_optimizer_blocks_bounded_by_entries(monkeypatch, case):
 
 def test_maximizer_budget_validation():
     with pytest.raises(ValueError, match="budget"):
-        maximize_on_sphere(lambda x: 0.0, 2, budget=0, seed=0)
+        maximize_on_sphere(lambda _, x: 0.0, 2, budget=0, problems=[(None, 0)])
 
 
 def test_maximizer_finds_quadratic_peak():
     rng = np.random.default_rng(3)
     v = rng.standard_normal(4)
-    val, x, _ = maximize_on_sphere(lambda Y: (Y @ v) ** 2, 4,
-                                   budget=6000, seed=1)
+    [(val, x, _)] = maximize_on_sphere(lambda _, Y: (Y @ v) ** 2, 4,
+                                       budget=6000, problems=[(None, 1)])
     assert val >= 0.99 * float(v @ v)
     assert abs(np.linalg.norm(x) - 1.0) < 1e-9
 
@@ -152,9 +152,9 @@ def test_maximizer_finds_quadratic_peak():
 def test_maximizer_deterministic():
     rng = np.random.default_rng(4)
     v = rng.standard_normal(5)
-    fun = lambda Y: (Y @ v) ** 2
-    a = maximize_on_sphere(fun, 5, budget=1500, seed=7)
-    b = maximize_on_sphere(fun, 5, budget=1500, seed=7)
+    fun = lambda _, Y: (Y @ v) ** 2
+    [a] = maximize_on_sphere(fun, 5, budget=1500, problems=[(None, 7)])
+    [b] = maximize_on_sphere(fun, 5, budget=1500, problems=[(None, 7)])
     assert a[0] == b[0]
     assert np.array_equal(a[1], b[1])
 
@@ -162,13 +162,13 @@ def test_maximizer_deterministic():
 def test_maximizer_n_starts(monkeypatch):
     calls = []
 
-    def fun(Y):
+    def fun(_, Y):
         calls.append(Y.copy())
         return Y[:, 0] ** 2
 
     dim, budget, n_starts = 20, 400, 4
     monkeypatch.setattr(poincare, "N_STARTS", n_starts)
-    maximize_on_sphere(fun, dim, budget, seed=0)
+    maximize_on_sphere(fun, dim, budget, problems=[(None, 0)])
     assert np.array_equal(calls[0], np.eye(dim)[:n_starts])   # the first round: every start point
     assert sum(map(len, calls)) <= n_starts * (budget // n_starts + 2 * dim)
 
@@ -225,46 +225,57 @@ def _one_start_at_a_time(fun, dim, budget, seed, n_starts):
 def test_lock_step_matches_one_start_at_a_time(monkeypatch, rows):
     if rows is not None:
         monkeypatch.setattr(linalg, "BLOCK_ENTRIES", rows)    # per_row = 1: blocks of `rows` rows
-    v = np.random.default_rng(5).standard_normal(6)
     dim, budget, n_starts = 6, 120, 4
     monkeypatch.setattr(poincare, "N_STARTS", n_starts)
+    # three problems in one ascent, each with its own objective and seed
+    seeds = (2, 5, 9)
+    vs = np.random.default_rng(5).standard_normal((len(seeds), dim))
     calls = []
 
-    def fun(Y):                          # records its input and scores each row on its own
-        calls.append(Y.copy())
-        vals = np.array([(y @ v) ** 2 for y in np.atleast_2d(Y)])
+    def fun(Y, k):                       # records its input and scores each row on its own
+        calls.append((k, Y.copy()))
+        vals = np.array([(y @ vs[k]) ** 2 for y in np.atleast_2d(Y)])
         return vals if Y.ndim == 2 else float(vals[0])
 
-    want, requests = _one_start_at_a_time(fun, dim, budget, 2, n_starts)
-    assert len(requests) == n_starts
-    # round r holds the r-th request of every start that has one, in start order, and
-    # is scored in calls of `rows` rows (the default fits a whole round in one call)
-    requests = [[np.atleast_2d(X) for X in reqs] for reqs in requests]
-    rounds = [np.concatenate([reqs[r] for reqs in requests if r < len(reqs)])
-              for r in range(max(map(len, requests)))]
-    step = rows or max(map(len, rounds))
-    want_calls = [R[lo:lo + step] for R in rounds for lo in range(0, len(R), step)]
-    key = lambda Y: (Y.shape, Y.tobytes())
+    solo = [_one_start_at_a_time(lambda Y, k=k: fun(Y, k), dim, budget, seed, n_starts)
+            for k, seed in enumerate(seeds)]
+    # round r holds, problem by problem, the r-th request of every start of that problem that
+    # has one, in start order, and scores each problem's part in calls of `rows` rows (the
+    # default fits a problem's whole round in one call); a problem without one is not called
+    requests = [[[np.atleast_2d(X) for X in reqs] for reqs in log] for _, log in solo]
+    want_calls = []
+    for r in range(max(len(reqs) for log in requests for reqs in log)):
+        for k, log in enumerate(requests):
+            part = [reqs[r] for reqs in log if r < len(reqs)]
+            if part:
+                R = np.concatenate(part)
+                step = rows or len(R)
+                want_calls += [(k, R[lo:lo + step]) for lo in range(0, len(R), step)]
+    key = lambda call: (call[0], call[1].shape, call[1].tobytes())
     calls.clear()
     # the chart hands fun the real sphere coordinates (x, y) back exactly
     got = maximize_ratio(fun, lambda z: np.concatenate([z.real, z.imag], axis=-1),
-                         dim // 2, budget, 2, per_row=1)
-    assert got.constant == want[0] and np.array_equal(got.witness, want[1])
-    assert got.optimizer_gap == want[2]
+                         dim // 2, budget, list(enumerate(seeds)), per_row=1)
+    assert len(got) == len(seeds)
+    for res, (want, _) in zip(got, solo):
+        assert res.constant == want[0] and np.array_equal(res.witness, want[1])
+        assert res.optimizer_gap == want[2]
     assert list(map(key, calls)) == list(map(key, want_calls))
     h = GRAD_STEP * np.eye(dim)
     per_start = budget // n_starts
-    for mine in requests:
-        last_point = None
-        for Y in mine:
-            if len(Y) == 1:              # start point or line-search probe: one point
-                last_point = Y[0]
-            else:                        # gradient: the whole stencil around the last point
-                assert np.array_equal(Y, np.concatenate([last_point + h, last_point - h]))
-        points = [len(Y) for Y in mine]
-        last_gradient = max(i for i, n in enumerate(points) if n == 2 * dim)
-        assert sum(points[:last_gradient]) < per_start     # a new gradient only within budget
-        assert per_start <= sum(points) <= per_start + 2 * dim
+    for log in requests:
+        assert len(log) == n_starts
+        for mine in log:
+            last_point = None
+            for Y in mine:
+                if len(Y) == 1:              # start point or line-search probe: one point
+                    last_point = Y[0]
+                else:                        # gradient: the whole stencil around the last point
+                    assert np.array_equal(Y, np.concatenate([last_point + h, last_point - h]))
+            points = [len(Y) for Y in mine]
+            last_gradient = max(i for i, n in enumerate(points) if n == 2 * dim)
+            assert sum(points[:last_gradient]) < per_start     # a new gradient only within budget
+            assert per_start <= sum(points) <= per_start + 2 * dim
 
 
 def test_fit_exponent_recovers_power_law():
@@ -294,13 +305,54 @@ def test_sweep_envelope_reads_c2_off_the_oracle(monkeypatch):
     calls = []
     real = poincare.maximize_on_sphere
     monkeypatch.setattr(poincare, "maximize_on_sphere",
-                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+                        lambda fun, dim, budget, problems: calls.append(problems)
+                        or real(fun, dim, budget, problems))
     rep = sweep_and_fit(sg, [4.0, 8.0], budget=200, seed=0, alpha_cert=cert)
-    assert len(calls) == 2
+    assert calls == [[(4.0, 0), (8.0, 1)]]      # one ascent, for the problems p = 4 and 8
     assert rep.envelope == tuple(np.sqrt(p / rep.alpha_used) * l2_oracle(sg) for p in (4.0, 8.0))
     # with 2 in the grid the optimizer's C_2 is the oracle's, so the envelope keeps its bits
     rep = sweep_and_fit(sg, [2.0, 4.0], budget=200, seed=0, alpha_cert=cert)
     assert rep.constants[0] == l2_oracle(sg)
+
+
+SWEEP_CASES = {
+    "walsh:2:3": lambda: Semigroup(builtin_length("walsh:2:3")),
+    "heisenberg-delta:2": lambda: Semigroup(builtin_length("heisenberg-delta:2")),
+    "delta:5": lambda: Semigroup(builtin_length("delta:5")),
+    "wordlength:6": lambda: Semigroup(builtin_length("wordlength:6")),
+    "M2-delta": lambda: heisenberg_multiplier(2, "delta"),
+    "M3-wordlength": lambda: heisenberg_multiplier(3, "wordlength")}
+
+
+@pytest.mark.parametrize("case", SWEEP_CASES)
+def test_sweep_matches_each_p_alone(monkeypatch, case):
+    """The grid's one ascent gives the i-th p the constant, witness and gap of a search at
+    (p_i, seed + i) alone, bit for bit, and a sub-grid gives its p the same: a p's constant
+    depends on (psi, p, budget, seed + i) only."""
+    problem = SWEEP_CASES[case]()
+    if case.startswith("M"):
+        module, name, run = matrixalg, "matrix_worst_constant", matrix_poincare
+    else:
+        module, name, run = poincare, "worst_constant", sweep_and_fit
+    alone = getattr(module, name)
+    certified = []
+    monkeypatch.setattr(module, name, lambda *a, **kw: certified.append(alone(*a, **kw))
+                        or certified[-1])
+    grid, budget, seed = (2.0, 4.0, 8.0, 16.0), 3000, 3
+    rep = run(problem, grid, budget=budget, seed=seed)
+    assert len(certified) == len(grid)                  # one certifying call per p
+    for i, p in enumerate(grid):
+        want = alone(problem, p, budget, seed + i)
+        got = certified[i]
+        assert got.constant == want.constant == rep.constants[i], (p, got, want)
+        assert got.optimizer_gap == want.optimizer_gap, p
+        for w in (got.witness, rep.witnesses[i]):
+            assert np.array_equal(getattr(w, "coeffs", w), getattr(want.witness, "coeffs",
+                                                                   want.witness)), p
+    sub = run(problem, grid[2:], budget=budget, seed=seed + 2)
+    assert sub.constants == rep.constants[2:]
+    for a, b in zip(sub.witnesses, rep.witnesses[2:]):
+        assert np.array_equal(getattr(a, "coeffs", a), getattr(b, "coeffs", b))
 
 
 def test_sweep_p_grid_range_checked():
@@ -347,7 +399,8 @@ def test_batched_ratio_matches_reference(monkeypatch, spec):
     C[3] = np.where(sg.fix_mask, C[3], 0.0)         # a witness in the fixed-point algebra
     chart = lambda z: AlgebraElement(sg.group, z)
     fun = captured_objective(monkeypatch, lambda: maximize_ratio(
-        lambda f: poincare_ratio(sg, f, 5.0), chart, order, budget=1, seed=0, per_row=order ** 2))
+        lambda f, p: poincare_ratio(sg, f, p), chart, order, budget=1, problems=[(5.0, 0)],
+        per_row=order ** 2))
     assert sg.gamma_psd         # so q = p/2 = 1, 3, 5, 7 take the trace powers
     for p in (2.0, 5.0, 6.0, 10.0, 14.0, 16.0):
         with pytest.raises(ZeroNumeratorError, match="zero numerator"):
