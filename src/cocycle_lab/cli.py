@@ -73,7 +73,32 @@ def _report_text(command: str, config: dict, results: dict,
         "tool_version": __version__,
         "results": results,
     }
-    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    try:
+        return _json_text(report) + "\n"
+    except ValueError:      # json's C encoder does not name a non-finite float; this one does
+        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """The text of json.dumps(value, sort_keys=True, indent=2, allow_nan=False), written with
+    each non-empty list of plain floats and ints (not bools) in one call of json's C encoder."""
+    if not (isinstance(value, (dict, list, tuple)) and value):
+        return json.dumps(value, allow_nan=False)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        body = ("," + inner).join(f"{_json_key(key)}: {_json_text(item, inner)}"
+                                  for key, item in sorted(value.items()))
+        return "{" + inner + body + indent + "}"
+    if {float, int}.issuperset(map(type, value)):
+        body = json.dumps(value, separators=("," + inner, ":"), allow_nan=False)[1:-1]
+    else:
+        body = ("," + inner).join(_json_text(item, inner) for item in value)
+    return "[" + inner + body + indent + "]"
+
+
+def _json_key(key) -> str:
+    """A dict key as json writes it, one that is not a str as the string of its value: 1 as "1"."""
+    return json.dumps(key) if isinstance(key, str) else json.dumps({key: 0}, allow_nan=False)[1:-4]
 
 
 def _emit(text: str, out: Optional[str]) -> None:

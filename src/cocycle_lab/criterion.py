@@ -16,7 +16,8 @@ least psi above the rank cut down to eigh's rounding level (under the
 name best_alpha_bisection), and a direct generalized-eigenvalue method
 through a Schur complement onto the pair's range.  The tests keep the
 uncompressed |G| x |G| Dinkelbach as the independent reference.  Every
-eigensolve is np.linalg.eigh or eigvalsh.
+eigensolve is np.linalg.eigh or eigvalsh.  Only cli.main pins OpenBLAS to one
+thread: a library call runs at OPENBLAS_NUM_THREADS, which can move the last bits.
 check_element tests single elements at the operator level.
 """
 from __future__ import annotations

@@ -8,7 +8,10 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cocycle_lab import cli
 from cocycle_lab.cli import (_COMMANDS, _RUNNERS, _build_parser, _config_keys, _digest,
@@ -168,7 +171,7 @@ def test_dilate_cli_and_replay(tmp_path, capsys):
     assert "digest mismatch" in capsys.readouterr().err
 
 
-def test_gallery_is_deterministic(tmp_path, capsys):
+def test_gallery_is_deterministic(tmp_path, capsys, json_checked_reports):
     d1, d2 = str(tmp_path / "g1"), str(tmp_path / "g2")
     assert main(["gallery", "--out-dir", d1]) == 0
     assert main(["gallery", "--out-dir", d2]) == 0
@@ -180,6 +183,7 @@ def test_gallery_is_deterministic(tmp_path, capsys):
     match, mismatch, errors = filecmp.cmpfiles(d1, d2, names, shallow=False)
     assert mismatch == [] and errors == []
     assert len(match) == len(names) == 38  # 37 entries + summary
+    assert len(json_checked_reports) == 2 * 38
 
 
 def test_matrix_cli_alpha_check(tmp_path, capsys):
@@ -755,10 +759,71 @@ def test_dilate_on_the_fixed_point_algebra_fails_naming_the_cause(tmp_path, caps
 
 
 def test_reports_carry_no_nan_or_infinity():
+    """A non-finite float is refused by value, as a dict value and inside a list of numbers,
+    which json's C encoder writes."""
     assert _report_text("dilate", {}, {"bdg_ratio": 1.5}, 0).count("1.5") == 1
-    for bad in (float("inf"), -float("inf"), float("nan")):
-        with pytest.raises(ValueError, match="not JSON compliant"):
-            _report_text("dilate", {}, {"bdg_ratio": bad}, 0)
+    for bad in ("inf", "-inf", "nan"):
+        for results in ({"bdg_ratio": float(bad)}, {"constants": [1.5, float(bad), 2.0]}):
+            with pytest.raises(ValueError, match=f"not JSON compliant: {re.escape(bad)}$"):
+                _report_text("dilate", {}, results, 0)
+
+
+def _reference_report_text(command, config, results, seed):
+    """The report as json.dumps(..., indent=2) writes it: the route cli._report_text must match."""
+    report = {"command": command, "config": config, "inputs_digest": _digest(config),
+              "seed": seed, "tool_version": cli.__version__, "results": results}
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.fixture
+def json_checked_reports(monkeypatch):
+    """Every report written meanwhile is checked against json.dumps(..., indent=2) of the same
+    values; the list holds the checked reports' commands."""
+    checked, report_text = [], cli._report_text
+
+    def check(command, config, results, seed):
+        text = report_text(command, config, results, seed)
+        assert text == _reference_report_text(command, config, results, seed)
+        checked.append(command)
+        return text
+    monkeypatch.setattr(cli, "_report_text", check)
+    return checked
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 1e308, 0.1])
+_INTS = st.integers() | st.sampled_from([2 ** 63, 2 ** 64 + 1, -2 ** 63 - 1, 10 ** 40])
+_STRS = st.text() | st.sampled_from(["\u00e9\u2603\U0001d11e", '"\\/\b\f\n\r\t\x00\x7f', "\ud800"])
+_LEAVES = (_FLOATS | _INTS | st.booleans() | st.none() | _STRS | _FLOATS.map(np.float64)
+           | st.lists(_FLOATS | _INTS, max_size=6)
+           | st.lists(_FLOATS | _INTS | st.booleans() | st.none(), max_size=6))
+_JSON_VALUES = st.recursive(
+    _LEAVES, lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                           | st.dictionaries(_STRS, kids, max_size=4)
+                           | st.dictionaries(_FLOATS | _INTS | st.booleans(), kids, max_size=3)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+@example({"a": [[], {}, ()], "b": [[[]], ({},)], "c": (0.5, -0.0, 5e-324, 1e308, 2 ** 64)})
+@example([True, 1, 1.0, None, np.float64(0.1)])
+def test_the_report_writer_writes_the_bytes_of_json_indent_2(results):
+    for config in ({}, {"psi": {"builtin": "walsh:2:3"}, "p": (2.0, 4.0)}):
+        assert (_report_text("alpha", config, results, 7)
+                == _reference_report_text("alpha", config, results, 7))
+
+
+@pytest.mark.parametrize("bad", [
+    np.int64(1), [1.0, np.int64(2)], np.float32(0.5), {"k": {1, 2}}, [0.5, (1, {3})],
+    {(1, 2): 0.0}, {1: 0.0, "a": 1.0}, {float("nan"): 1.0}, 10 ** 5000, [1, 10 ** 5000]],
+    ids=["int64", "int64-in-list", "float32", "set", "set-in-tuple", "tuple-key", "mixed-keys",
+         "nan-key", "long-int", "long-int-in-list"])
+def test_the_report_writer_refuses_what_json_refuses(bad):
+    with pytest.raises((TypeError, ValueError)) as refused:
+        _reference_report_text("alpha", {}, bad, None)
+    with pytest.raises(refused.type):
+        _report_text("alpha", {}, bad, None)
 
 
 # argv per command, and the inputs_digest the same argv gave before the
@@ -789,7 +854,7 @@ REPLAY_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(REPLAY_CASES))
-def test_every_command_replays_with_pinned_config(case, tmp_path, capsys):
+def test_every_command_replays_with_pinned_config(case, tmp_path, capsys, json_checked_reports):
     files = {
         "psi": write_json(tmp_path / "psi.json",
                           {"group": {"kind": "cyclic", "n": 6}, "psi": [0, 1, 2, 3, 2, 1]}),
@@ -812,6 +877,7 @@ def test_every_command_replays_with_pinned_config(case, tmp_path, capsys):
     capsys.readouterr()
     assert main(["replay", "--report", str(report)]) == 0
     assert "byte-identical" in capsys.readouterr().out
+    assert json_checked_reports == [argv[0]] * 2
 
 
 def _readme_block(section: str, lang: str) -> str:
