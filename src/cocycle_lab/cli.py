@@ -493,7 +493,9 @@ def _generator_results(A, config: dict, out: dict) -> dict:
           _PSI,
           _flag("--x", _coeffs_from_file, _COEFFS_CHECK, required=True,
                 help="element JSON {'coeffs': [[re,im],...]}"),
-          _flag("--L", type=float, required=True),
+          _flag("--L", check=lambda key, L: require(
+                    L, key, lambda v: is_number(v) and 0 < v < np.inf, "a finite number > 0"),
+                type=float, required=True),
           _flag("--steps", check=lambda key, steps: require(
                     steps, key, lambda v: is_integer(v) and v >= 1, "an integer >= 1"),
                 type=int, default=64),

@@ -1,8 +1,12 @@
 """The Gamma_2 >= alpha Gamma criterion at the matrix-kernel level.
 
-The kernel condition "K o K - alpha K is PSD" (o = entrywise product) is
-sufficient for the operator-level criterion; alpha* is its largest
-feasible alpha, never below 0 since K o K is PSD (Schur's product theorem).
+On a finite group the kernel condition "M = K o K - alpha K is PSD" (o = entrywise
+product) is equivalent to the operator-level criterion.  For f = sum a_s lambda(s),
+Gamma_2(f,f) - alpha Gamma(f,f) = sum_{s,t} conj(a_s) a_t M(s,t) lambda(s)* lambda(t) reads
+a* M a in the trivial representation, which lambda contains, and is a sum of squares
+when M = sum c c^T.  On an infinite non-amenable group, through finite balls, the
+condition is only sufficient.  alpha* is its largest feasible alpha, never below 0 since
+K o K is PSD (Schur's product theorem).
 Both solvers take a GromovForm, built from its length function psi alone,
 and read the form's one factor, GromovForm.factor: its rank cut, and
 through GromovForm.span_pair the m x m compression of (K o K, K) onto the
@@ -18,7 +22,7 @@ through a Schur complement onto the pair's range.  The tests keep the
 uncompressed |G| x |G| Dinkelbach as the independent reference.  Every
 eigensolve is np.linalg.eigh or eigvalsh.  Only cli.main pins OpenBLAS to one
 thread: a library call runs at OPENBLAS_NUM_THREADS, which can move the last bits.
-check_element tests single elements at the operator level.
+check_element tests single elements at the operator level, a sampled route to the same alpha*.
 """
 from __future__ import annotations
 

@@ -298,6 +298,7 @@ def matrix_worst_constant(A: Superoperator, p: float, budget: int = 20000, seed:
     shared with other p (matrix_poincare's), replaces the search: the call
     then only certifies it, and reads no budget or seed.
     """
+    require(p, "p", lambda v: is_number(v) and v >= 2, "a number >= 2")
     if ascent is None:
         [ascent] = _matrix_ascend(A, [(p, seed)], budget)
     return ascent._replace(constant=float(_superop_ratio(A, ascent.witness, p)))

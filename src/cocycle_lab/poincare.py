@@ -137,11 +137,11 @@ def maximize_on_sphere(fun: Callable[[Any, np.ndarray], Any], dim: int, budget: 
     N_STARTS) coordinate vectors, then start s draws from the stream (seed,
     TAG_POINCARE, s).  Every start of every problem is one row of the state
     arrays (point, value, step, gap, evaluations, phase), and all advance
-    together in rounds.  A round scores the pending request of every active
-    start: a start point or line-search probe (one row), or a central-difference
-    gradient (step 1e-6) of 2 dim rows, x + 1e-6 e_i then x - 1e-6 e_i.  It calls
-    fun once for each problem that has an active start, the problems in order,
-    each with its starts' requests in start order.  A start takes a new
+    together in rounds.  The first round scores every start point, each later round
+    the pending request of every active start: a central-difference gradient (step
+    1e-6) of 2 dim rows, x + 1e-6 e_i then x - 1e-6 e_i, or a line-search probe (one
+    row).  It calls fun once per problem with an active start, the problems in order:
+    its gradient stencils, then its probes, each in start order.  A start takes a new
     gradient while it has scored fewer than budget // N_STARTS points, adapts
     its step by backtracking, and stops when its relative improvement drops
     below 1e-8.  Each start visits the points it would visit alone, so a
@@ -150,6 +150,7 @@ def maximize_on_sphere(fun: Callable[[Any, np.ndarray], Any], dim: int, budget: 
     value, best point, gap) for each problem, in order.
     """
     require(budget, "budget", lambda v: is_integer(v) and v >= 1, "an integer >= 1")
+    require(problems, "problems", lambda v: len(v) > 0, "a non-empty sequence of (key, seed) pairs")
     GRADIENT, PROBE, DONE = range(3)            # what a start asks of the next round
     coord = np.eye(dim)[:min(dim, COORD_STARTS, N_STARTS)]
     starts = []
@@ -169,49 +170,32 @@ def maximize_on_sphere(fun: Callable[[Any, np.ndarray], Any], dim: int, budget: 
     step, gap = np.full(len(X), 0.1), np.full(len(X), np.inf)
     Q = np.empty_like(X)           # each line search's probe point
     G = np.empty_like(X)           # the projected gradient at X that a line search follows
-    stencil = np.arange(2 * dim)
-    # flat offsets of a gradient's diagonals in its 2 dim x dim block, and the steps they take
-    diagonals = stencil * dim + np.tile(np.arange(dim), 2)
-    steps = np.repeat([GRAD_STEP, -GRAD_STEP], dim)
+    V, W = np.empty((len(X), 2 * dim)), np.empty(len(X))    # a round's stencil and probe values
+    # rows x + H are x + h then x - h, h = GRAD_STEP I; +0.0 and -0.0 off the diagonal keep x's bits
+    H = np.concatenate([np.eye(dim), -np.eye(dim)]) * GRAD_STEP
 
     while (live := np.flatnonzero(phase != DONE)).size:
         grad = phase[live] == GRADIENT
-        size = np.where(grad, 2 * dim, 1)
-        at = np.cumsum(size) - size           # where each live start's request begins
-        # The round's rows, gathered from [Q; X + 0; X]: a probe is its row of Q, a gradient
-        # dim rows of X + 0 then dim of X, the step then added to and subtracted from their
-        # diagonals.  That gives the bits of x + h and x - h for h = GRAD_STEP I.
-        table = np.concatenate([Q, X + 0.0, X])
-        src = np.repeat(np.stack([np.where(grad, len(X) + live, live), 2 * len(X) + live],
-                                 1).ravel(), np.stack([size - dim * grad, dim * grad], 1).ravel())
-        shift = at[grad][:, None] * dim + diagonals
-        # one problem's rows at a time: a problem's live starts are a slice of live
-        ends = np.searchsorted(live, N_STARTS * np.arange(len(problems) + 1))
-        lines = np.append(at, len(src))[ends]
-        cuts = np.searchsorted(at[grad], lines)
-        values = []
-        for (key, _), r0, r1, c0, c1 in zip(problems, lines, lines[1:], cuts, cuts[1:]):
-            if r0 < r1:
-                rows = table.take(src[r0:r1], axis=0)
-                rows.reshape(-1)[shift[c0:c1] - r0 * dim] += steps
-                values.append(fun(key, rows))
-        v = np.concatenate(values)
+        i, j = live[grad], live[~grad]
+        for k in np.flatnonzero(np.bincount(live // N_STARTS)):  # np.unique imports numpy.ma
+            grads, probes = i[i // N_STARTS == k], j[j // N_STARTS == k]
+            n = 2 * dim * len(grads)
+            v = fun(problems[k][0], np.concatenate([(X[grads, None] + H).reshape(n, dim),
+                                                    Q[probes]]))
+            V[grads], W[probes] = np.reshape(v[:n], (-1, 2 * dim)), v[n:]
 
-        i = live[grad]
-        V = v[at[grad][:, None] + stencil]
         evals[i] += 2 * dim
-        g = (V[:, :dim] - V[:, dim:]) / (2 * GRAD_STEP)
+        g = (V[i, :dim] - V[i, dim:]) / (2 * GRAD_STEP)
         g -= _dots(g, X[i])[:, None] * X[i]   # tangent projection
         G[i] = g
         flat = np.sqrt(_dots(g, g)) < 1e-12
         phase[i[flat]] = DONE
 
-        j, vn = live[~grad], v[at[~grad]]
         evals[j] += 1
-        up = vn > val[j]
+        up = W[j] > val[j]
         a = j[up]
-        gap[a] = (vn[up] - val[a]) / np.maximum(np.abs(val[a]), 1e-30)
-        X[a], val[a] = Q[a], vn[up]
+        gap[a] = (W[a] - val[a]) / np.maximum(np.abs(val[a]), 1e-30)
+        X[a], val[a] = Q[a], W[a]
         step[a] *= 1.3
         phase[a] = np.where((gap[a] < REL_IMPROVEMENT_STOP) | (evals[a] >= per_start), DONE,
                             GRADIENT)
@@ -269,6 +253,7 @@ def worst_constant(sg: Semigroup, p: float, budget: int = 20000, seed: int = 0, 
     ascent, this p's result of an ascent shared with other p (sweep_and_fit's),
     replaces the search: the call then only certifies it, and reads no budget or seed.
     """
+    require(p, "p", lambda v: is_number(v) and v >= 2, "a number >= 2")
     if ascent is None:
         [ascent] = _ascend(sg, [(p, seed)], budget)
     return ascent._replace(constant=float(_ratio(sg, ascent.witness, p, False)))

@@ -732,11 +732,20 @@ def test_report_config_holds_the_table_not_its_path(tmp_path, capsys):
 
 
 def test_dilate_rejects_non_finite_horizon(tmp_path, capsys):
+    """A horizon that is not a finite number > 0 is named as L, on the command line and on
+    replay; it was once named as dt = L / steps, which the user never passed."""
     x = write_json(tmp_path / "x.json", [0.0, 1.0, 0.7, [0.0, 0.3]])
-    for L, dt in (("nan", "NaN"), ("inf", "Infinity")):     # dt = L / steps
-        assert main(["dilate", "--builtin", "walsh:2:2", "--x", x, "--L", L,
-                     "--steps", "4", "--samples", "8", "--p", "2"]) == 1
-        assert capsys.readouterr().err == f"dilate: dt = {dt} is not a finite number > 0\n"
+    out = tmp_path / "dilate.json"
+    for L, shown in (("0", "0.0"), ("-1", "-1.0"), ("nan", "NaN"), ("inf", "Infinity")):
+        assert main(["dilate", "--builtin", "walsh:2:2", "--x", x, "--L", L, "--steps", "4",
+                     "--samples", "8", "--p", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"dilate: L = {shown} is not a finite number > 0\n"
+        assert not out.exists()
+    for L in (0.0, -1.0):
+        config = {"psi": {"builtin": "wordlength:4"}, **REPLAY_BASE_CONFIGS["dilate"], "L": L}
+        out.write_text(_report_text("dilate", config, {}, None))
+        assert main(["replay", "--report", str(out)]) == 1
+        assert capsys.readouterr().err == f"replay: L = {L} is not a finite number > 0\n"
 
 
 def test_dilate_rejects_zero_steps(tmp_path, capsys):

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from cocycle_lab.algebra import Semigroup, delta
 from cocycle_lab.cli import _gallery_entries
-from cocycle_lab.cocycles import (coordinate_length, gromov_form,
-                                  is_conditionally_negative, length_function, realize_cocycle,
-                                  word_length_psi)
+from cocycle_lab.cocycles import (CocycleRealization, LengthFunction, coordinate_length,
+                                  gromov_form, is_conditionally_negative, length_function,
+                                  realize_cocycle, word_length_psi)
 from cocycle_lab.criterion import (best_alpha_bisection, best_alpha_pencil,
                                    check_element)
 from cocycle_lab.families import builtin_length, delta_psi
@@ -276,6 +276,32 @@ def test_dinkelbach_iterates_on_conic_combinations_hypothesis(n, s, t):
                                     s * delta_psi(n).values + t * word_length_psi(n).values))
     star = best_alpha_pencil(K).alpha_star
     assert abs(_dinkelbach_iterates(K, star).alpha_star - star) <= 1e-12 * (1 + star)
+
+
+SCALED_BUILTINS = ["walsh:2:3", "walsh:3:2", "walsh:4:1", "delta:5", "delta:8", "wordlength:4",
+                   "wordlength:5", "wordlength:8", "heisenberg-delta:2", "heisenberg-delta:3",
+                   "heisenberg-wordlength:3"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from(SCALED_BUILTINS),
+       c=st.sampled_from([0.37, 3.0, 1e3]) | st.floats(1e-3, 1e3))
+def test_alpha_is_at_most_the_least_psi_and_one_homogeneous_hypothesis(spec, c):
+    """alpha* <= lambda_1 = min{psi > 0}, as the eigenvector lambda(g) of the generator binds
+    alpha <= psi(g), and alpha*(c psi) = c alpha*(psi): for each solver on c psi with the
+    closed-form cocycle sqrt(c) B and on c psi without a cocycle, whose factor is K's own."""
+    psi = builtin_length(spec)
+    lam1 = psi.values[psi.values > 0].min()
+    scaled = (LengthFunction(psi.group, c * psi.values,
+                             CocycleRealization(psi.group, np.sqrt(c) * psi.cocycle.vectors)),
+              length_function(psi.group, c * psi.values))
+    for solver in (best_alpha_pencil, best_alpha_bisection):
+        star = solver(gromov_form(psi)).alpha_star
+        assert 0 < star <= lam1 * (1 + 1e-12)
+        for q in scaled:
+            got = solver(gromov_form(q)).alpha_star
+            assert got <= c * lam1 * (1 + 1e-12), (solver.__name__, q.cocycle is None)
+            assert abs(got - c * star) <= 1e-12 * c * star, (solver.__name__, q.cocycle is None)
 
 
 def test_bisection_exact_on_wordlength_256():

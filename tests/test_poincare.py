@@ -64,6 +64,18 @@ def test_a_p_that_is_no_number_is_named():
             call()
 
 
+def test_certifying_a_shared_ascent_checks_p():
+    """With ascent given, p once reached only schatten_norm, which named p / 2."""
+    sg = Semigroup(word_length_psi(4))
+    A = heisenberg_multiplier(2, "delta")
+    for certify, problem in ((worst_constant, sg), (matrix_worst_constant, A)):
+        res = certify(problem, 2.0, budget=10)
+        assert certify(problem, 4.0, ascent=res).witness is res.witness
+        for p, shown in ((1.0, "1.0"), (float("nan"), "NaN"), (1.5, "1.5")):
+            with pytest.raises(ValueError, match=f"^p = {shown} is not a number >= 2$"):
+                certify(problem, p, ascent=res)
+
+
 def test_worst_constant_hits_l2_oracle():
     sg = Semigroup(word_length_psi(4))
     res = worst_constant(sg, 2.0, budget=500, seed=0)
@@ -138,6 +150,11 @@ def test_optimizer_blocks_bounded_by_entries(monkeypatch, case):
 def test_maximizer_budget_validation():
     with pytest.raises(ValueError, match="budget"):
         maximize_on_sphere(lambda _, x: 0.0, 2, budget=0, problems=[(None, 0)])
+
+
+def test_maximizer_needs_a_problem():
+    with pytest.raises(ValueError, match=r"^problems = \[\] is not a non-empty sequence"):
+        maximize_on_sphere(lambda _, x: x[:, 0], 3, budget=100, problems=[])
 
 
 def test_maximizer_finds_quadratic_peak():
@@ -221,11 +238,15 @@ def _one_start_at_a_time(fun, dim, budget, seed, n_starts):
     return results[best], requests
 
 
-@pytest.mark.parametrize("rows", [1, 7, None], ids=["1", "7", "default"])
-def test_lock_step_matches_one_start_at_a_time(monkeypatch, rows):
+@pytest.mark.parametrize("rows, n_starts, budget, mixed",
+                         [(rows, *size) for size in [(4, 120, False), (8, 400, True)]
+                          for rows in (1, 7, None)],
+                         ids=["1", "7", "default", "mixed-1", "mixed-7", "mixed-default"])
+def test_lock_step_matches_one_start_at_a_time(monkeypatch, rows, n_starts, budget, mixed):
+    """mixed: in some round a problem asks for a gradient and a probe, which pins their order."""
     if rows is not None:
         monkeypatch.setattr(linalg, "BLOCK_ENTRIES", rows)    # per_row = 1: blocks of `rows` rows
-    dim, budget, n_starts = 6, 120, 4
+    dim = 6
     monkeypatch.setattr(poincare, "N_STARTS", n_starts)
     # three problems in one ascent, each with its own objective and seed
     seeds = (2, 5, 9)
@@ -240,17 +261,21 @@ def test_lock_step_matches_one_start_at_a_time(monkeypatch, rows):
     solo = [_one_start_at_a_time(lambda Y, k=k: fun(Y, k), dim, budget, seed, n_starts)
             for k, seed in enumerate(seeds)]
     # round r holds, problem by problem, the r-th request of every start of that problem that
-    # has one, in start order, and scores each problem's part in calls of `rows` rows (the
-    # default fits a problem's whole round in one call); a problem without one is not called
+    # has one: its gradient stencils in start order, then its single points in start order.
+    # Each problem's part is scored in calls of `rows` rows (the default fits a problem's whole
+    # round in one call); a problem without one is not called
     requests = [[[np.atleast_2d(X) for X in reqs] for reqs in log] for _, log in solo]
-    want_calls = []
+    want_calls, mixed_rounds = [], 0
     for r in range(max(len(reqs) for log in requests for reqs in log)):
         for k, log in enumerate(requests):
             part = [reqs[r] for reqs in log if r < len(reqs)]
             if part:
+                part.sort(key=len, reverse=True)        # stable: start order within each kind
+                mixed_rounds += len(part[0]) > 1 and len(part[-1]) == 1
                 R = np.concatenate(part)
                 step = rows or len(R)
                 want_calls += [(k, R[lo:lo + step]) for lo in range(0, len(R), step)]
+    assert (mixed_rounds > 0) == mixed
     key = lambda call: (call[0], call[1].shape, call[1].tobytes())
     calls.clear()
     # the chart hands fun the real sphere coordinates (x, y) back exactly
