@@ -6,9 +6,13 @@ Schatten norms at even integer p use matrix products only, and so does odd
 integer p on a stack the caller certifies PSD (psd=True): there
 ||X||_p^p = tau(X^p), a trace read at p = 1 and a product beyond.  Every
 other p, and odd p without the flag, takes the singular values, the reference route.
+Those products take np.matmul, one BLAS call per matrix, for n > SMALL_N only: a 2 x 2 or
+3 x 3 stack multiplies by n broadcast multiply-adds over the whole stack (_mul), so its
+moments' bits come from numpy's elementwise loops, not from the BLAS build.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from numbers import Real
@@ -18,6 +22,11 @@ import numpy as np
 HERMITIAN_PRECHECK = 1e-10
 DEFAULT_TOL = 1e-9
 BLOCK_ENTRIES = 2 ** 21   # array entries one block may hold at once, summed over its arrays
+# Largest n whose (k, n, n) stack products are n broadcast multiply-adds (_mul), not np.matmul.
+# Time of the broadcast product over np.matmul on complex stacks, one thread, k = 64...8192
+# (2-vCPU x86-64 with AVX-512, numpy 2.4.6, OpenBLAS 0.3.31): 0.18-0.40 at n = 2,
+# 0.48-0.96 at n = 3, 0.94-1.8 at n = 4 and 1.4-8.6 at n >= 5.
+SMALL_N = 3
 ECHO = 80                 # longest value text a rejection echoes in full
 
 
@@ -35,6 +44,9 @@ def schatten_norm(mat: np.ndarray, p: float, psd: bool = False):
 def root(x, k: float):
     """x^{1/k} elementwise by Python's scalar float power, so each value rounds as v ** (1/k).
 
+    A negative entry, whose root that power makes complex, raises ValueError naming it
+    (at k = 1 the root is v itself).
+
     np.power(x, 1/k) is consistent across stack lengths and strides, but it differs from
     the scalar ** in the last ulp for about 5% of values at k in {3, 4, 6, 16} and under
     0.1% at k = 2 (numpy 2.4.6, whose float64 power kernel is picked by CPU feature:
@@ -43,7 +55,15 @@ def root(x, k: float):
     beyond noise, and it would tie report bits to the power kernel a CPU picks, so a report
     would not replay across machines.  Only fewer roots, not a vectorized one, save time.
     """
-    return np.array([v ** (1.0 / k) for v in np.ravel(x).tolist()]).reshape(np.shape(x))
+    x = np.asarray(x)
+    flat = x.ravel().tolist()
+    try:
+        out = np.fromiter(map(pow, flat, itertools.repeat(1.0 / float(k))), float, len(flat))
+    except TypeError:                   # pow made a complex root
+        i = next(i for i, v in enumerate(flat) if v < 0)
+        raise ValueError(f"root of order {k}: x{_index(np.unravel_index(i, x.shape))} = "
+                         f"{flat[i]!r} is negative") from None
+    return out.reshape(x.shape)
 
 
 def schatten_pow_batch(mats: np.ndarray, p: float, psd: bool = False) -> np.ndarray:
@@ -57,10 +77,14 @@ def _schatten(mats: np.ndarray, p: float, take_root: bool, psd: bool = False) ->
     Even integer p >= 2 takes matrix products (_even_moment), and so does
     odd integer p on a PSD stack (_trace_power), in blocks(count, 32 n^2): up to
     4 stacks of n x n at once (p <= 16), counted 8-fold to keep each in cache
-    (blocks 8 times larger ran dilation-report 10% slower at 36% more RSS).  Any other p
-    (odd, fractional, inf) takes the singular values, the reference route;
-    for the root they are rescaled by their max before powering.  All scale
-    by _pow2_scale first; a p that is no number >= 1, or a non-finite entry, raises ValueError.
+    (blocks 8 times larger ran dilation-report 10% slower at 36% more RSS).  The products
+    are _mul's: broadcast multiply-adds at n <= SMALL_N = 3, which ran 0.18-0.96 times
+    np.matmul's time there, so 2 x 2 and 3 x 3 moments take no BLAS call; np.matmul
+    beyond.  Any other p (odd, fractional, inf) takes the singular values, the reference
+    route; for the root they are rescaled by their max before powering.  All scale by
+    _pow2_scale first; a p that is no number >= 1, or a non-finite entry, raises ValueError,
+    and so does a stack passed as PSD with a negative odd trace power, naming its first such
+    matrix.
     """
     require(p, "Schatten p", lambda v: is_number(v) and v >= 1, "a number >= 1")
     mats = np.asarray(mats)
@@ -72,6 +96,10 @@ def _schatten(mats: np.ndarray, p: float, take_root: bool, psd: bool = False) ->
         for lo, hi in blocks(len(flat), 32 * mats.shape[-1] ** 2):
             scale[lo:hi], acc[lo:hi] = rule(flat[lo:hi], int(p))
         scale, acc = scale.reshape(mats.shape[:-2]), acc.reshape(mats.shape[:-2])
+        if rule is _trace_power and (acc < 0).any():
+            at = tuple(np.argwhere(acc < 0)[0])
+            raise ValueError(f"Schatten norm input{_index(at)} is not PSD: its trace power "
+                             f"tau(X^{int(p)}) is {float(acc[at] * scale[at] ** p)!r} < 0")
         return scale * root(acc, p) if take_root else scale ** p * acc
     c, y = _pow2_scale(mats)
     s = np.linalg.svd(y, compute_uv=False)
@@ -92,6 +120,32 @@ def _pow2_scale(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ldexp(1.0, e), x * np.ldexp(1.0, -e)[..., None, None]
 
 
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b per matrix of (k, n, n) stacks: at n <= SMALL_N, sum_j a[:, :, j] b[:, j, :] by
+    broadcast multiply-adds in j order, whose bits do not depend on the stack; np.matmul beyond."""
+    n = a.shape[-1]
+    if n > SMALL_N:
+        return a @ b
+    out = a[:, :, :1] * b[:, None, 0]
+    for j in range(1, n):
+        out += a[:, :, j:j + 1] * b[:, None, j]
+    return out
+
+
+def _power(a: np.ndarray, q: int) -> np.ndarray:
+    """a^q (q >= 1) per matrix of a (k, n, n) stack by _mul, multiplied in
+    np.linalg.matrix_power's order: (a a) a at q = 3, else squarings from the lowest bit."""
+    if q == 3:
+        return _mul(_mul(a, a), a)
+    z = out = None
+    while q:
+        z = a if z is None else _mul(z, z)
+        q, bit = divmod(q, 2)
+        if bit:
+            out = z if out is None else _mul(out, z)
+    return out
+
+
 def _even_moment(x: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """(c, tau((Y* Y)^m)) per matrix of a (k, n, n) stack x, p = 2m, with (c, Y) = _pow2_scale(x).
 
@@ -102,9 +156,9 @@ def _even_moment(x: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     m = p // 2
     z = y
     if m > 1:
-        z = np.linalg.matrix_power(np.swapaxes(y.conj(), -1, -2) @ y, m // 2)
+        z = _power(_mul(np.swapaxes(y.conj(), -1, -2), y), m // 2)
         if m % 2:
-            z = y @ z
+            z = _mul(y, z)
     sq = (z * z.conj()).real
     return c, sq.reshape(len(sq), -1).sum(axis=-1) / z.shape[-1]
 
@@ -120,8 +174,8 @@ def _trace_power(x: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     n = y.shape[-1]
     if q == 1:
         return c, np.trace(y, axis1=-2, axis2=-1).real / n
-    z = np.linalg.matrix_power(y, q // 2)
-    return c, (z.conj() * (y @ z)).real.reshape(len(y), -1).sum(axis=-1) / n
+    z = _power(y, q // 2)
+    return c, (z.conj() * _mul(y, z)).real.reshape(len(y), -1).sum(axis=-1) / n
 
 
 def psd_scale(x: np.ndarray) -> float:
@@ -200,8 +254,12 @@ def require_finite(x, name: str) -> None:
     or name = <value> for a scalar.  A finite x costs one np.isfinite(x).all()."""
     if not np.isfinite(x).all():
         at = tuple(np.argwhere(~np.isfinite(x))[0])
-        index = f"({','.join(map(str, at))})" if at else ""
-        raise ValueError(f"{name}{index} = {echo(str(np.asarray(x)[at]))} is not finite")
+        raise ValueError(f"{name}{_index(at)} = {echo(str(np.asarray(x)[at]))} is not finite")
+
+
+def _index(at) -> str:
+    """An entry's index as a rejection shows it: (i,j,...), or nothing for a scalar."""
+    return f"({','.join(map(str, at))})" if len(at) else ""
 
 
 def blocks(count: int, per_item: int) -> list[tuple[int, int]]:

@@ -87,7 +87,10 @@ def test_exact_l2_poincare_oracle():
 # finite-difference point in its own call.  The batched stencil rounds like
 # one-point calls with numpy 2.4 and OpenBLAS on x86-64, so the values match
 # exactly there; the 1e-9 relative pin leaves room for a BLAS whose stacked
-# products differ in the last ulp.
+# products differ in the last ulp.  The M_2 constants are no longer BLAS
+# products: since 2 x 2 and 3 x 3 stacks multiply by broadcast multiply-adds
+# (linalg.SMALL_N), which round without OpenBLAS's FMA, they read up to 3.6e-15
+# relative (p = 16) from the BLAS-route values, far inside the same pin.
 SWEEP_CONSTANTS = (1.0, 1.2694157594774518, 1.4071263475999323,
                    1.4823817139816449, 1.5614147116178423, 1.601094785606497)
 MATRIX_SWEEP_CONSTANTS = (1.0, 1.1892071149935584, 1.2599210497282256,

@@ -8,11 +8,14 @@ from cocycle_lab.criterion import check_element
 from cocycle_lab.dilation import inequality_report, sample_scenario
 from cocycle_lab.families import builtin_length, heisenberg_delta, walsh_length
 from cocycle_lab.groups import build_cyclic, build_heisenberg, build_power
-from cocycle_lab.linalg import psd_verdict, require, schatten_norm
+from cocycle_lab.linalg import (SMALL_N, _pow2_scale, psd_verdict, require, root, schatten_norm,
+                               schatten_pow_batch)
 from cocycle_lab.matrixalg import (alpha_battery, clock_shift_basis, heisenberg_multiplier,
                                    lindblad_gamma_residual, lindblad_generator,
                                    matrix_worst_constant)
 from cocycle_lab.poincare import worst_constant
+
+from conftest import rand_matrix, svd_schatten
 
 
 def test_require_shows_the_value_as_json():
@@ -91,3 +94,94 @@ def test_a_bad_scalar_is_named_with_its_value(call, want):
     with pytest.raises(ValueError) as info:
         call()
     assert type(info.value) is ValueError and str(info.value) == want
+
+
+def _psd(n: int, count: int, index: int) -> np.ndarray:
+    """count PSD n x n matrices B* B, from unnormalized random B."""
+    B = np.stack([rand_matrix(n, index + i, unit=False) for i in range(count)])
+    return np.swapaxes(B.conj(), -1, -2) @ B
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_small_stack_moments_are_per_matrix(n):
+    """At n <= SMALL_N the products are broadcast multiply-adds: each matrix's moment and norm
+    alone equal its row in stacks of 1, 2, 17 and 670, bit for bit, and the SVD's to 1e-13."""
+    assert n <= SMALL_N
+    stacks = {p: np.stack([rand_matrix(n, 300 + i, unit=False) for i in range(670)])
+              for p in (2, 4, 6, 8, 12, 16)}
+    psd = _psd(n, 670, 1300)
+    stacks.update({q: psd for q in (3, 5, 7)})
+    for p, X in stacks.items():
+        odd = p % 2 == 1
+        alone = [np.array([f(x, p, psd=odd) for x in X])
+                 for f in (schatten_pow_batch, schatten_norm)]
+        for count in (1, 2, 17, 670):
+            assert np.array_equal(schatten_pow_batch(X[:count], p, psd=odd), alone[0][:count]), p
+            assert np.array_equal(schatten_norm(X[:count], p, psd=odd), alone[1][:count]), p
+        ref = svd_schatten(X, p)
+        assert np.all(np.abs(alone[1] - ref) <= 1e-13 * ref), p
+        assert np.all(np.abs(alone[0] - ref ** p) <= 1e-13 * ref ** p), p
+
+
+def _matmul_moment(x: np.ndarray, p: int) -> np.ndarray:
+    """tau(|X|^p) per matrix by np.matmul and np.linalg.matrix_power, the products' BLAS route."""
+    c, y = _pow2_scale(x)
+    n = y.shape[-1]
+    if p % 2:
+        z = np.linalg.matrix_power(y, p // 2)
+        acc = (z.conj() * (y @ z)).real.reshape(len(y), -1).sum(axis=-1) / n
+    else:
+        m, z = p // 2, y
+        if m > 1:
+            z = np.linalg.matrix_power(np.swapaxes(y.conj(), -1, -2) @ y, m // 2)
+            if m % 2:
+                z = y @ z
+        acc = (z * z.conj()).real.reshape(len(z), -1).sum(axis=-1) / n
+    return c ** p * acc
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_larger_stacks_keep_matmul(n):
+    """Past SMALL_N the moments are np.matmul's and matrix_power's, bit for bit."""
+    X = np.stack([rand_matrix(n, 400 + i, unit=False) for i in range(33)])
+    psd = _psd(n, 33, 500)
+    for p in (2, 4, 6, 8, 10, 12, 14, 16):
+        assert np.array_equal(schatten_pow_batch(X, p), _matmul_moment(X, p)), p
+    for q in (3, 5, 7, 9):
+        assert np.array_equal(schatten_pow_batch(psd, q, psd=True), _matmul_moment(psd, q)), q
+
+
+def test_psd_flag_rejects_a_negative_trace_power():
+    """A stack passed as PSD whose odd trace power is negative raises, naming the matrix,
+    where a complex root's real part (or a negative moment) once came back."""
+    with pytest.raises(ValueError, match=r"^Schatten norm input is not PSD: its trace power "
+                                         r"tau\(X\^3\) is -1\.0 < 0$"):
+        schatten_norm(-np.eye(2), 3, psd=True)
+    with pytest.raises(ValueError, match=r"^Schatten norm input\(0\) is not PSD"):
+        schatten_pow_batch(-np.eye(2)[None], 3, psd=True)
+    stack = np.stack([np.eye(2), np.diag([1.0, -2.0]), -np.eye(2)])
+    with pytest.raises(ValueError, match=r"^Schatten norm input\(1\) is not PSD: its trace "
+                                         r"power tau\(X\^5\) is -15\.5 < 0$"):
+        schatten_pow_batch(stack, 5, psd=True)
+    # without the flag, odd p takes the singular values
+    assert schatten_norm(-np.eye(2), 3) == 1.0
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6, 16])
+def test_root_rounds_as_scalar_power(k):
+    """root(x, k) is [v ** (1/k) for v in x] bit for bit, in the shape of x; a negative
+    entry raises, naming it."""
+    tiny = np.finfo(float).smallest_subnormal
+    values = np.concatenate([[0.0, tiny, 3 * tiny, 2.2e-308, np.finfo(float).max, 1.7e308],
+                             np.random.default_rng(k).uniform(0.0, 10.0, 6)])
+    for x in (values.reshape(3, 4), values[5], np.array(values[7]), np.empty(0)):
+        got = root(x, k)
+        want = np.array([v ** (1 / k) for v in np.ravel(x).tolist()]).reshape(np.shape(x))
+        assert got.shape == np.shape(x) and got.dtype == float
+        assert np.array_equal(got, want)
+    bad = values.reshape(3, 4).copy()
+    bad[2, 1] = -2.5
+    with pytest.raises(ValueError, match=rf"^root of order {k}: x\(2,1\) = -2\.5 is negative$"):
+        root(bad, k)
+    with pytest.raises(ValueError, match=rf"^root of order {k}: x = -1e-300 is negative$"):
+        root(-1e-300, k)
