@@ -83,8 +83,8 @@ def _schatten(mats: np.ndarray, p: float, take_root: bool, psd: bool = False) ->
     beyond.  Any other p (odd, fractional, inf) takes the singular values, the reference
     route; for the root they are rescaled by their max before powering.  All scale by
     _pow2_scale first; a p that is no number >= 1, or a non-finite entry, raises ValueError,
-    and so does a stack passed as PSD with a negative odd trace power, naming its first such
-    matrix.
+    and so does a stack passed as PSD with a negative odd trace power or a diagonal entry
+    below -DEFAULT_TOL once scaled, naming its first such matrix.
     """
     require(p, "Schatten p", lambda v: is_number(v) and v >= 1, "a number >= 1")
     mats = np.asarray(mats)
@@ -96,10 +96,14 @@ def _schatten(mats: np.ndarray, p: float, take_root: bool, psd: bool = False) ->
         for lo, hi in blocks(len(flat), 32 * mats.shape[-1] ** 2):
             scale[lo:hi], acc[lo:hi] = rule(flat[lo:hi], int(p))
         scale, acc = scale.reshape(mats.shape[:-2]), acc.reshape(mats.shape[:-2])
-        if rule is _trace_power and (acc < 0).any():
-            at = tuple(np.argwhere(acc < 0)[0])
-            raise ValueError(f"Schatten norm input{_index(at)} is not PSD: its trace power "
-                             f"tau(X^{int(p)}) is {float(acc[at] * scale[at] ** p)!r} < 0")
+        if rule is _trace_power:        # a PSD Y = X / c has tau(Y^q) >= 0 and diag(Y) >= 0
+            diag = np.diagonal(mats, 0, -2, -1).real
+            neg = (diag < -DEFAULT_TOL * scale[..., None]).any(axis=-1)
+            if (bad := neg | (acc < 0)).any():
+                at = tuple(np.argwhere(bad)[0])
+                why = (f"its trace power tau(X^{int(p)}) is {float(acc[at] * scale[at] ** p)!r}"
+                       if acc[at] < 0 else f"its least diagonal entry is {float(diag[at].min())!r}")
+                raise ValueError(f"Schatten norm input{_index(at)} is not PSD: {why} < 0")
         return scale * root(acc, p) if take_root else scale ** p * acc
     c, y = _pow2_scale(mats)
     s = np.linalg.svd(y, compute_uv=False)

@@ -6,8 +6,9 @@ worst_constant maximizes the ratio
 
 over unit coefficient vectors; the result is a certified *lower* bound on
 the best constant.  On an abelian group with a character table the
-optimizer scores through the characters; the certifying re-score takes
-the regular representation everywhere.  At p = 2 the exact constant is
+optimizer scores through the characters, Gamma by its cocycle's derivation
+where that is cheaper; the certifying re-score takes the regular
+representation everywhere.  At p = 2 the exact constant is
 (min nonzero psi)^{-1/2}, which doubles as an optimizer soundness oracle.
 sweep_and_fit runs a p grid and fits the growth exponent of log C_p
 against log p.  The whole grid is one ascent: the starts of every p are
@@ -25,8 +26,8 @@ from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .algebra import (AlgebraElement, Semigroup, fix_project, fourier, gamma, gamma_norm,
-                      lp_norm)
+from .algebra import (AlgebraElement, Semigroup, fix_project, fourier, gamma_norm,
+                      gamma_transform, lp_norm)
 from .criterion import AlphaCertificate
 from .linalg import blocks, is_integer, is_number, require, require_finite, require_list, root
 from . import rng
@@ -63,8 +64,9 @@ def poincare_ratio(sg: Semigroup, f: AlgebraElement, p: float):
 
     On a group with a character table, whatever psi is, the ratio is
     (mean|f0^|^p / max mean|Gamma^|^{p/2})^{1/p} from the transforms of
-    f0 = f - E_Fix f and of the kernel Gamma(f0, f0) and Gamma(f0*, f0*),
-    each moment scaled by its max.  There an exactly symmetric psi (every
+    f0 = f - E_Fix f and of Gamma(f0, f0) and Gamma(f0*, f0*) (gamma_transform:
+    no kernel weight where sg.derivation exists), each moment scaled by its
+    max.  There an exactly symmetric psi (every
     length_function) has Gamma(f0*, f0*) = Gamma(f0, f0) as elements, so
     only the first is formed.  Every other group takes the regular
     representation: when psi passes the CN test (sg.gamma_psd), odd p/2
@@ -80,7 +82,7 @@ def poincare_ratio(sg: Semigroup, f: AlgebraElement, p: float):
     a = np.abs(fourier(rows))
     v = sg.psi.values
     pair = (rows,) if np.array_equal(v, v[sg.group.inv]) else (rows, rows.adjoint())
-    b = np.abs(np.stack([fourier(gamma(sg, g, g)) for g in pair]))
+    b = np.stack([gamma_transform(sg, g) for g in pair])
     amax, bmax = a.max(axis=-1), b.max(axis=(0, -1))
     require_finite(bmax, "max|Gamma^| of the Poincare ratio input")
     mu = np.mean((a / _nonzero(amax)[:, None]) ** p, axis=-1)

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from cocycle_lab import algebra
 from cocycle_lab.algebra import (AlgebraElement, Semigroup, conv, delta,
-                                 element, fix_project, gamma, gamma2, gamma_norm,
-                                 generator_apply, lp_norm, operator_positivity,
+                                 element, fix_project, fourier, gamma, gamma2, gamma_norm,
+                                 gamma_transform, generator_apply, lp_norm, operator_positivity,
                                  regular_rep, semigroup_apply, tau)
+from cocycle_lab.cli import _psi_from_config
 from cocycle_lab.cocycles import word_length_psi
 from cocycle_lab.families import builtin_length, delta_psi, walsh_length
 from cocycle_lab.groups import build_cyclic
@@ -329,6 +330,53 @@ def test_gamma_paths_agree_hypothesis(vals):
     a = gamma(sg, f, f, path="kernel")
     b = gamma(sg, f, f, path="definitional")
     assert np.abs(a.coeffs - b.coeffs).max() < 1e-12 * (1 + np.abs(c).max()) ** 2
+
+
+# every abelian builtin family small enough for the definitional Gamma's |G|^2 convolutions
+ABELIAN_SPECS = ("walsh:2:1", "walsh:2:2", "walsh:2:3", "walsh:2:5", "walsh:3:2", "walsh:3:3",
+                 "walsh:4:2", "walsh:5:2", "wordlength:2", "wordlength:5", "wordlength:8",
+                 "wordlength:16", "wordlength:32", "delta:2", "delta:3", "delta:8", "delta:16")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ABELIAN_SPECS), st.integers(0, 10 ** 6), st.integers(1, 5))
+def test_derivation_kernel_and_definitional_gamma_transforms_agree_hypothesis(spec, index, rows):
+    """|Gamma(f, f)^| from gamma_transform, from the derivation sum_j |(b_j a)^|^2 written out
+    over gromov.factor's columns, and from the transforms of the kernel and the definitional
+    Gamma agree to 1e-13 relative, whichever route the size rule gives the family."""
+    sg = Semigroup(builtin_length(spec))
+    order = sg.group.order
+    F = AlgebraElement(sg.group, np.array([rand_coeffs(order, index + i) for i in range(rows)]))
+    B = sg.gromov.factor[1]
+    derived = sum(np.abs(fourier(AlgebraElement(sg.group, b * F.coeffs))) ** 2 for b in B.T)
+    kernel = np.abs(fourier(gamma(sg, F, F)))
+    definitional = np.abs([fourier(gamma(sg, f, f, path="definitional")) for f in
+                           (element(sg.group, c) for c in F.coeffs)])    # conv takes one element
+    got = gamma_transform(sg, F)
+    for other in (derived, kernel, definitional):
+        assert np.abs(got - other).max() <= 1e-13 * kernel.max(), spec
+
+
+def test_derivation_route_rule():
+    """W = b_j(s) chi_k(s) is built where the group has characters, psi has a cocycle,
+    2 d <= order, d <= DERIVATION_D and d order^2 <= DERIVATION_ENTRIES: walsh:2:3 (d = 3 of 8)
+    and walsh:2:8 get it; delta:8 (d = 7 of 8), wordlength:64 (d = 32), walsh:2:9 (W would hold
+    9 * 512^2 entries), a --psi length without a cocycle and a Heisenberg group do not."""
+    sg = Semigroup(builtin_length("walsh:2:3"))
+    B, chi = sg.gromov.factor[1], sg.group.characters
+    assert B.shape == (8, 3) and not sg.derivation.flags.writeable
+    assert np.array_equal(sg.derivation.reshape(8, 3, 8), B[:, :, None] * chi.T[:, None, :])
+    psi = _psi_from_config({"group": {"kind": "product", "n": 2, "m": 3},
+                            "values": builtin_length("walsh:2:3").values.tolist()})
+    assert psi.cocycle is None and Semigroup(psi).group.characters is not None
+    assert Semigroup(builtin_length("walsh:2:8")).derivation.shape == (256, 8 * 256)
+    for other in (builtin_length("delta:8"), builtin_length("wordlength:64"), psi,
+                  builtin_length("walsh:2:9"), builtin_length("heisenberg-wordlength:3")):
+        assert Semigroup(other).derivation is None
+    # without W, gamma_transform is the kernel route bit for bit
+    sp = Semigroup(psi)
+    F = AlgebraElement(sp.group, np.array([rand_coeffs(8, 400 + i) for i in range(3)]))
+    assert np.array_equal(gamma_transform(sp, F), np.abs(fourier(gamma(sp, F, F))))
 
 
 def test_gamma_positivity(z4word):

@@ -167,6 +167,23 @@ def test_psd_flag_rejects_a_negative_trace_power():
     assert schatten_norm(-np.eye(2), 3) == 1.0
 
 
+def test_psd_flag_rejects_a_negative_diagonal():
+    """A stack passed as PSD with a positive odd trace power but a negative diagonal entry, which
+    no PSD matrix has, raises, naming the matrix: diag(2, -1) once read ||X||_3 = 1.5183 where
+    the singular values give 1.6510.  A diagonal entry of -1e-9 times the scale is let through."""
+    x = np.diag([2.0, -1.0])
+    assert schatten_norm(x, 3) == pytest.approx(1.6509636244473134, rel=1e-15)
+    with pytest.raises(ValueError, match=r"^Schatten norm input is not PSD: its least diagonal "
+                                         r"entry is -1\.0 < 0$"):
+        schatten_norm(x, 3, psd=True)
+    with pytest.raises(ValueError, match=r"^Schatten norm input\(1,0\) is not PSD: its least "
+                                         r"diagonal entry is -1\.0 < 0$"):
+        schatten_pow_batch(np.stack([np.eye(2), x])[:, None], 5, psd=True)
+    # within DEFAULT_TOL of the matrix's power-of-two scale, 2 here
+    y = np.diag([2.0, -1e-9])
+    assert schatten_norm(y, 3, psd=True) == pytest.approx(schatten_norm(y, 3), rel=1e-12)
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 6, 16])
 def test_root_rounds_as_scalar_power(k):
     """root(x, k) is [v ** (1/k) for v in x] bit for bit, in the shape of x; a negative

@@ -5,7 +5,7 @@ import pytest
 
 from cocycle_lab import linalg, matrixalg, poincare, rng as clrng
 from cocycle_lab.algebra import (AlgebraElement, Semigroup, element, fix_project, fourier, gamma,
-                                lp_norm, regular_rep)
+                                gamma_transform, lp_norm, regular_rep)
 from cocycle_lab.cocycles import LengthFunction, gromov_form, length_function, word_length_psi
 from cocycle_lab.criterion import AlphaCertificate, best_alpha_pencil
 from cocycle_lab.families import builtin_length, delta_psi
@@ -491,6 +491,23 @@ def test_character_route_matches_the_regular_representation(spec):
         assert np.array_equal(poincare_ratio(sg, AlgebraElement(sg.group, C[3:]), p), got[3:])
 
 
+def test_derivation_route_scores_each_row_as_alone():
+    """walsh:2:3 scores through the derivation W and never builds the |G| x |G| kernel weight;
+    poincare_ratio of a stack equals each row scored alone, bit for bit, in stacks of 1, 2, 17
+    and 670 rows, a strided one and a (66, 10, order) one."""
+    sg = Semigroup(builtin_length("walsh:2:3"))
+    assert sg.derivation is not None
+    C = np.array([rand_coeffs(8, 900 + i) for i in range(670)])
+    for p in (2.0, 5.0, 16.0):
+        alone = np.array([poincare_ratio(sg, element(sg.group, c), p) for c in C])
+        for rows in (np.s_[:1], np.s_[:2], np.s_[:17], np.s_[:], np.s_[::3]):     # views of C
+            assert np.array_equal(poincare_ratio(sg, AlgebraElement(sg.group, C[rows]), p),
+                                  alone[rows]), (p, rows)
+        cube = AlgebraElement(sg.group, C[:660].reshape(66, 10, 8))
+        assert np.array_equal(poincare_ratio(sg, cube, p), alone[:660].reshape(66, 10)), p
+    assert "_kernel_su" not in vars(sg)
+
+
 @pytest.mark.parametrize("spec", ["heisenberg-delta:3", "heisenberg-wordlength:2",
                                   "table:wordlength:6", "table:not-cn:6"])
 def test_groups_without_characters_keep_the_regular_representation(spec):
@@ -515,7 +532,7 @@ def _two_denominator_ratio(sg, f, p):
     f0 = f - fix_project(sg, f)
     rows = AlgebraElement(sg.group, f0.coeffs.reshape(-1, sg.group.order))
     a = np.abs(fourier(rows))
-    b = np.abs(np.stack([fourier(gamma(sg, g, g)) for g in (rows, rows.adjoint())]))
+    b = np.stack([gamma_transform(sg, g) for g in (rows, rows.adjoint())])
     amax, bmax = a.max(axis=-1), b.max(axis=(0, -1))
     nonzero = lambda x: np.where(x > 0, x, 1.0)
     mu = np.mean((a / nonzero(amax)[:, None]) ** p, axis=-1)
@@ -527,9 +544,10 @@ def _two_denominator_ratio(sg, f, p):
 
 @pytest.mark.parametrize("spec", ["delta:5", "wordlength:8", "walsh:2:3", "not-cn:2x3x2"])
 def test_symmetric_psi_takes_one_kernel_gamma(spec, monkeypatch):
-    """With psi == psi[inv] exactly, the character route forms Gamma(f0, f0) alone and agrees
-    with the two-denominator route to 1e-15 relative; an asymmetric psi, which only a
-    LengthFunction built directly can hold, keeps both Gammas bit for bit."""
+    """With psi == psi[inv] exactly, the character route transforms Gamma(f0, f0) alone (by the
+    derivation on walsh:2:3 and wordlength:8, the kernel elsewhere) and agrees with the
+    two-denominator route to 1e-15 relative; an asymmetric psi, which only a LengthFunction
+    built directly can hold, keeps both Gammas bit for bit."""
     if spec.startswith("not-cn"):
         group = build_product([build_cyclic(k) for k in (2, 3, 2)])
         psi = _not_cn(group, 3)
@@ -539,8 +557,8 @@ def test_symmetric_psi_takes_one_kernel_gamma(spec, monkeypatch):
     C = np.array([rand_coeffs(sg.group.order, 140 + i) for i in range(5)])
     F = AlgebraElement(sg.group, C)
     calls = []
-    real_gamma = poincare.gamma
-    monkeypatch.setattr(poincare, "gamma", lambda *a: calls.append(1) or real_gamma(*a))
+    real_gamma = poincare.gamma_transform
+    monkeypatch.setattr(poincare, "gamma_transform", lambda *a: calls.append(1) or real_gamma(*a))
     for p in (2.0, 3.0, 5.0, 6.0, 10.0, 16.0):
         got = poincare_ratio(sg, F, p)
         want = _two_denominator_ratio(sg, F, p)
