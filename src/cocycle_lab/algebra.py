@@ -83,9 +83,10 @@ def tau(f: AlgebraElement) -> complex:
 
 
 def conv(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
-    """(f g)[u] = sum_s a_s b_{s^{-1} u}."""
+    """(f g)[u] = sum_s a_s b_{s^{-1} u}, per row of a stack."""
     _same_group(f, g)
-    return AlgebraElement(f.group, f.coeffs @ g.coeffs[f.group.conv_index])
+    b = np.take(g.coeffs, f.group.conv_index, axis=-1)
+    return AlgebraElement(f.group, (f.coeffs[..., None, :] @ b)[..., 0, :])
 
 
 def regular_rep(f: AlgebraElement) -> np.ndarray:
@@ -171,12 +172,6 @@ def fix_project(sg: Semigroup, f: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(f.group, np.where(sg.fix_mask, f.coeffs, 0.0))
 
 
-def _kernel_contract(sg: Semigroup, f: AlgebraElement, g: AlgebraElement, weight):
-    """sum_s conj(a_s) b_{su} weight[s, u] as the coefficient of lambda(u), per row of a stack."""
-    w = np.take(g.coeffs, sg.group.mul, axis=-1) * weight
-    return AlgebraElement(f.group, (np.conj(f.coeffs)[..., None, :] @ w)[..., 0, :])
-
-
 def bakry_emery(apply, product, u, g, k: int):
     """Gamma_k(f, g) = (Gamma_{k-1}(Af, g) + Gamma_{k-1}(f, Ag) - A Gamma_{k-1}(f, g))/2 of the
     generator A = apply, from Gamma_0(f, g) = product(u, g) for u = f*.  (Af)* is taken to be
@@ -194,7 +189,8 @@ def _gamma_k(sg: Semigroup, f: AlgebraElement, g: AlgebraElement, k: int, path: 
     require(path, "path", lambda v: v in ("kernel", "definitional"), "one of kernel, definitional")
     if path == "kernel":
         w = sg._kernel_su
-        return _kernel_contract(sg, f, g, w if k == 1 else w ** k)
+        w = np.take(g.coeffs, sg.group.mul, axis=-1) * (w if k == 1 else w ** k)
+        return AlgebraElement(f.group, (np.conj(f.coeffs)[..., None, :] @ w)[..., 0, :])
     return bakry_emery(lambda h: generator_apply(sg, h), conv, f.adjoint(), g, k)
 
 

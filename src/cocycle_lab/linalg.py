@@ -2,13 +2,12 @@
 rule, and the one bad-input rule: require for a scalar, require_list and require_finite,
 each naming the bad value or entry.
 
-Schatten norms at even integer p use matrix products only, and so does odd
-integer p on a stack the caller certifies PSD (psd=True): there
-||X||_p^p = tau(X^p), a trace read at p = 1 and a product beyond.  Every
-other p, and odd p without the flag, takes the singular values, the reference route.
-Those products take np.matmul, one BLAS call per matrix, for n > SMALL_N only: a 2 x 2 or
-3 x 3 stack multiplies by n broadcast multiply-adds over the whole stack (_mul), so its
-moments' bits come from numpy's elementwise loops, not from the BLAS build.
+Schatten norms of (..., r, n) stacks, r >= n, use matrix products only at even integer p
+(tau|X|^p = tau((X* X)^{p/2})), and so at odd p on square stacks the caller certifies PSD
+(psd=True; only algebra.gamma_norm and the dilation brackets pass it, as
+Semigroup.gamma_psd): there ||X||_p^p = tau(X^p).  Every other p takes the singular values,
+the reference route.  A product with rows x inner x columns <= SMALL_N^3 is broadcast
+multiply-adds (_mul), so its bits come from numpy's elementwise loops, not the BLAS build.
 """
 from __future__ import annotations
 
@@ -22,10 +21,10 @@ import numpy as np
 HERMITIAN_PRECHECK = 1e-10
 DEFAULT_TOL = 1e-9
 BLOCK_ENTRIES = 2 ** 21   # array entries one block may hold at once, summed over its arrays
-# Largest n whose (k, n, n) stack products are n broadcast multiply-adds (_mul), not np.matmul.
-# Time of the broadcast product over np.matmul on complex stacks, one thread, k = 64...8192
-# (2-vCPU x86-64 with AVX-512, numpy 2.4.6, OpenBLAS 0.3.31): 0.18-0.40 at n = 2,
-# 0.48-0.96 at n = 3, 0.94-1.8 at n = 4 and 1.4-8.6 at n >= 5.
+# _mul's broadcast products take r m c <= SMALL_N^3 multiply-adds.  Their time over np.matmul
+# on complex (k, n, n) stacks, one thread, k = 64...8192 (2-vCPU x86-64, AVX-512, numpy 2.4.6,
+# OpenBLAS 0.3.31): 0.18-0.40 at n = 2, 0.48-0.96 at 3, 0.94-1.8 at 4 and 1.4-8.6 at
+# n >= 5; 0.35-0.81 for 2 x 4 by 4 x 2 (16), 1.3-2.3 for 3 x 12 by 12 x 3 (108).
 SMALL_N = 3
 ECHO = 80                 # longest value text a rejection echoes in full
 
@@ -33,9 +32,9 @@ ECHO = 80                 # longest value text a rejection echoes in full
 def schatten_norm(mat: np.ndarray, p: float, psd: bool = False):
     """((1/n) sum sigma_i^p)^{1/p} of a matrix; max sigma for p = inf.
 
-    A float for one matrix; an array for an (..., n, n) stack, which takes
-    one call.  psd=True lets odd integer p take trace powers, which give
-    the norm only where every matrix is PSD.
+    A float for one matrix; an array for an (..., r, n) stack, r >= n, which
+    takes one call.  psd=True lets odd integer p take trace powers, which give
+    the norm only where every matrix is square and PSD.
     """
     out = _schatten(mat, p, take_root=True, psd=psd)
     return float(out) if np.ndim(out) == 0 else out
@@ -67,33 +66,37 @@ def root(x, k: float):
 
 
 def schatten_pow_batch(mats: np.ndarray, p: float, psd: bool = False) -> np.ndarray:
-    """(1/n) sum sigma_i^p per matrix of a (..., n, n) batch, no root; psd as in schatten_norm."""
+    """(1/n) sum sigma_i^p per matrix of an (..., r, n) batch, no root; as schatten_norm."""
     return _schatten(mats, p, take_root=False, psd=psd)
 
 
 def _schatten(mats: np.ndarray, p: float, take_root: bool, psd: bool = False) -> np.ndarray:
-    """tau(|X|^p) per matrix of a stack, or its p-th root: the one product / SVD rule.
+    """tau(|X|^p) per matrix of an (..., r, n) stack, or its p-th root: the product/SVD rule.
 
     Even integer p >= 2 takes matrix products (_even_moment), and so does
-    odd integer p on a PSD stack (_trace_power), in blocks(count, 32 n^2): up to
-    4 stacks of n x n at once (p <= 16), counted 8-fold to keep each in cache
+    odd integer p on a PSD square stack (_trace_power), in blocks(count, 32 r n): up to
+    4 stacks of r x n at once (p <= 16), counted 8-fold to keep each in cache
     (blocks 8 times larger ran dilation-report 10% slower at 36% more RSS).  The products
-    are _mul's: broadcast multiply-adds at n <= SMALL_N = 3, which ran 0.18-0.96 times
-    np.matmul's time there, so 2 x 2 and 3 x 3 moments take no BLAS call; np.matmul
-    beyond.  Any other p (odd, fractional, inf) takes the singular values, the reference
-    route; for the root they are rescaled by their max before powering.  All scale by
-    _pow2_scale first; a p that is no number >= 1, or a non-finite entry, raises ValueError,
-    and so does a stack passed as PSD with a negative odd trace power or a diagonal entry
+    are _mul's: broadcast multiply-adds where rows x inner x columns <= SMALL_N^3 = 27, which
+    ran 0.18-0.96 times np.matmul's time on 2 x 2 and 3 x 3 squares and 0.35-0.81 on a 4 x 2
+    stack's, so those moments take no BLAS call; np.matmul beyond.  Any other p (odd,
+    fractional, inf) takes the singular values, the reference route; for the root they are
+    rescaled by their max before powering.  All scale by _pow2_scale first; a p that is no
+    number >= 1, a non-finite entry or a wide stack (r < n) raises ValueError, and so does a
+    stack passed as PSD with a negative odd trace power or a diagonal entry
     below -DEFAULT_TOL once scaled, naming its first such matrix.
     """
     require(p, "Schatten p", lambda v: is_number(v) and v >= 1, "a number >= 1")
     mats = np.asarray(mats)
     require_finite(mats, "Schatten norm input")
+    if mats.ndim >= 2 and mats.shape[-2] < mats.shape[-1]:
+        raise ValueError(f"Schatten norm input has {mats.shape[-2]} x {mats.shape[-1]} "
+                         f"matrices: fewer rows than columns")
     if float(p).is_integer() and (p % 2 == 0 or psd):
         rule = _even_moment if p % 2 == 0 else _trace_power
         flat = mats.reshape((-1,) + mats.shape[-2:])
         scale, acc = np.empty((2, len(flat)))
-        for lo, hi in blocks(len(flat), 32 * mats.shape[-1] ** 2):
+        for lo, hi in blocks(len(flat), 32 * mats.shape[-2] * mats.shape[-1]):
             scale[lo:hi], acc[lo:hi] = rule(flat[lo:hi], int(p))
         scale, acc = scale.reshape(mats.shape[:-2]), acc.reshape(mats.shape[:-2])
         if rule is _trace_power:        # a PSD Y = X / c has tau(Y^q) >= 0 and diag(Y) >= 0
@@ -125,14 +128,14 @@ def _pow2_scale(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b per matrix of (k, n, n) stacks: at n <= SMALL_N, sum_j a[:, :, j] b[:, j, :] by
-    broadcast multiply-adds in j order, whose bits do not depend on the stack; np.matmul beyond."""
-    n = a.shape[-1]
-    if n > SMALL_N:
+    """a @ b per matrix of (..., r, m), (..., m, c) stacks: at r m c <= SMALL_N^3 by broadcast
+    multiply-adds in j order, whose bits do not depend on the stack; np.matmul beyond."""
+    r, m = a.shape[-2:]
+    if r * m * b.shape[-1] > SMALL_N ** 3:
         return a @ b
-    out = a[:, :, :1] * b[:, None, 0]
-    for j in range(1, n):
-        out += a[:, :, j:j + 1] * b[:, None, j]
+    out = a[..., :1] * b[..., None, 0, :]
+    for j in range(1, m):
+        out += a[..., j:j + 1] * b[..., None, j, :]
     return out
 
 
@@ -151,7 +154,7 @@ def _power(a: np.ndarray, q: int) -> np.ndarray:
 
 
 def _even_moment(x: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(c, tau((Y* Y)^m)) per matrix of a (k, n, n) stack x, p = 2m, with (c, Y) = _pow2_scale(x).
+    """(c, tau((Y* Y)^m)) per matrix of a (k, r, n) stack x, p = 2m, (c, Y) = _pow2_scale(x).
 
     With H = Y* Y, tau(H^m) = (1/n) ||Z||_F^2 for Z = H^{m/2} (m even) or
     Z = Y H^{(m-1)/2} (m odd): a sum of squares, and Z = Y itself at p = 2.

@@ -8,26 +8,27 @@ matrices over row-major vec, capped at n <= 12.  The working inner product
 is <x,y> = tr(x^dag y)/n and L_p norms are normalized Schatten norms.
 
 The multiplier also records its symbol, the cocycles.coordinate_length
-w(b) + w(c) on Z_n x Z_n: its algebra is the twisted group algebra of that
-group, so Gamma takes the Gromov-kernel contraction of the group side with
-a phase, and Poincare witnesses score through it.  The superoperator route
-(superop_gamma) is the reference that certifies every matrix constant, and
-the only route for Lindblad generators.
+w(b) + w(c) on Z_n x Z_n, whose cocycle b gives the derivation
+D_j(x) = sum_s b_j(s) tau(w_s^dag x) w_s with Gamma(x, x) = sum_j D_j(x)^dag D_j(x),
+one diagonal of x at a time (Superoperator.derive).  Stacked as a (d n) x n matrix,
+||D(x)||_p = ||Gamma(x, x)||_{p/2}^{1/2}, so Poincare witnesses score by Schatten norms
+of D, with no PSD flag.  The superoperator route (superop_gamma) is the reference that
+certifies every matrix constant, and the only route for Lindblad generators.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import rng
-from .algebra import AlgebraElement, Semigroup, _kernel_contract, bakry_emery
-from .cocycles import LengthFunction, coordinate_length
-from .groups import build_cyclic, build_power, coordinates
+from .algebra import bakry_emery
+from .cocycles import LengthFunction, coordinate_length, gromov_form
+from .groups import build_cyclic, build_power
 from .linalg import (HERMITIAN_PRECHECK, PsdVerdict, is_integer, is_number, psd_scale,
-                     psd_verdict, require, require_finite, schatten_norm)
+                     psd_verdict, require, require_finite, root, schatten_norm, _mul)
 from .poincare import PoincareReport, WorstConstant, maximize_ratio, ratio_scores, sweep
 
 SUPEROP_CAP = 12
@@ -53,14 +54,6 @@ def clock_shift_basis(n: int) -> np.ndarray:
     return (v[None] * z.characters[:, None, None, :]).reshape(n * n, n, n)
 
 
-class _SymbolKernel(NamedTuple):
-    sg: Semigroup           # the symbol's semigroup on Z_n x Z_n
-    basis: np.ndarray       # (n^2, n^2), row s = vec(clock_shift_basis(n)[s])
-    dual: np.ndarray        # conj(basis) / n: dual[s] . vec(x) = tau(w_s^dag x)
-    weight: np.ndarray      # (n^2, n^2), K(s, s + u) omega^(-b_s c_u)
-    psd: bool               # the Gromov form passes the PSD test: every Gamma(x, x) >= 0
-
-
 @dataclass(frozen=True)
 class Superoperator:
     """A generator as an n^2 x n^2 matrix; symbol is the multiplier's length on Z_n x Z_n,
@@ -78,18 +71,40 @@ class Superoperator:
         self.mat.setflags(write=False)
 
     @cached_property
-    def _symbol_kernel(self) -> _SymbolKernel:
-        """The twisted Gromov kernel of the symbol, built on first use.
+    def derivation(self) -> Optional[np.ndarray]:
+        """The symbol's derivation by diagonals, read-only, built on first use; None without one.
 
-        w_s^dag w_(s+u) = omega^(-b_s c_u) w_u for omega = e^(2 pi i/n), so
-        Gamma(x, x) = sum_u (sum_s conj(a_s) a_(s+u) weight[s, u]) w_u.  The twist
-        is row (0, b_s) of the symbol group's character table, conjugated.
-        """
-        sg = Semigroup(self.symbol)
-        b, _ = coordinates(self.n * self.n, (self.n, self.n))
-        W = vec(clock_shift_basis(self.n))
-        return _SymbolKernel(sg, W, W.conj() / self.n,
-                             sg._kernel_su * sg.group.characters[b].conj(), sg.gamma_psd)
+        D_j(x) = sum_s b_j(s) tau(w_s^dag x) w_s, b_j the d columns of the symbol's Gromov factor,
+        has sum_j D_j(x)^dag D_j(x) = Gamma(x, x).  w_s = v_c u_b (s = b n + c) is chi_b(l) at
+        (l + c, l) and 0 elsewhere, so D_j takes the c-th diagonal of x to that of D_j(x):
+        derivation[c, l, j n + m] = sum_b conj(chi_b(l)) b_j(s) chi_b(m) / n, the d n^3 entries
+        of the dense (n^2, d n^2) map that are not 0."""
+        if self.symbol is None:
+            return None
+        n = self.n
+        chi = build_cyclic(n).characters
+        B = gromov_form(self.symbol).factor[1].reshape(n, n, -1)
+        D = np.einsum("bl,bcj,bm->cljm", chi.conj() / n, B, chi).reshape(n, n, -1)
+        D.setflags(write=False)
+        return D
+
+    @cached_property
+    def _diagonals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat indices of x[l + c, l] in vec(x) at c n + l, and of D_j(x)[i, m] in derive's
+        products at ((i - m) mod n) d n + j n + m."""
+        n, d = self.n, self.derivation.shape[-1] // self.n
+        c, l = np.indices((n, n))
+        j, i, m = np.indices((d, n, n))
+        return ((c + l) % n * n + l).ravel(), ((i - m) % n * d * n + j * n + m).ravel()
+
+    def derive(self, x: np.ndarray) -> np.ndarray:
+        """[D_1(x); ...; D_d(x)] of an n x n matrix or an (..., n, n) stack, as (..., d n, n)
+        matrices, for a generator with a symbol: one (1 x n) by (n x d n) product per diagonal
+        and matrix (_mul's), so a matrix has the bits it has alone in any stack."""
+        into, back = self._diagonals
+        out = np.take(vec(x), into, axis=-1).reshape(x.shape[:-2] + (self.n, 1, self.n))
+        out = vec(_mul(out, self.derivation).reshape(x.shape[:-2] + (self.n, -1)))
+        return np.take(out, back, axis=-1).reshape(x.shape[:-2] + (-1, self.n))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A(x) for an n x n matrix or an (..., n, n) stack."""
@@ -241,27 +256,14 @@ def lindblad_gamma_residual(A: Superoperator, a: Sequence[np.ndarray], seed: int
     return resid
 
 
-def _symbol_gammas(A: Superoperator, x: np.ndarray) -> np.ndarray:
-    """Gamma(x,x) and Gamma(x^dag,x^dag) stacked on a new first axis, through A's symbol.
-
-    The coefficients a_s = tau(w_s^dag x) contract with the twisted kernel
-    one row at a time, as on the group side, so a matrix gets the same
-    bits alone and inside any stack.
-    """
-    ker = A._symbol_kernel
-    xs = vec(np.stack([x, np.swapaxes(x.conj(), -1, -2)]))
-    f = AlgebraElement(ker.sg.group, np.einsum("...m,sm->...s", xs, ker.dual))
-    g = _kernel_contract(ker.sg, f, f, ker.weight).coeffs
-    return unvec(np.einsum("...u,um->...m", g, ker.basis), A.n)
-
-
 def matrix_poincare_ratio(A: Superoperator, x: np.ndarray, p: float):
     """Poincare ratio per witness of x, an n x n matrix or an (..., n, n) stack.
 
-    With a symbol, Gamma(x0,x0) and Gamma(x0^dag,x0^dag) come from the
-    twisted kernel and take one schatten_norm call, with the PSD flag when
-    the symbol passes the CN test (odd p/2 then takes trace powers).
-    Without one, the superoperator route runs.
+    With a symbol the denominator is max(||D(x0)||_p, ||D(x0^dag)||_p), D the
+    derivation stacked as a (d n) x n matrix, so tau|D|^p = tau(Gamma^{p/2}):
+    even p takes matrix products, every other p the singular values of D.
+    Every product is per row, so a witness scores as it does alone.  Without a
+    symbol, the superoperator route runs.
     """
     _require_matrices(A.n, x)
     require(p, "p", lambda v: is_number(v) and v >= 2, "a number >= 2")
@@ -269,21 +271,18 @@ def matrix_poincare_ratio(A: Superoperator, x: np.ndarray, p: float):
         return _superop_ratio(A, x, p)
     require_finite(x, "Poincare ratio input")
     x0 = x - A.fix_project(x)
-    gam = _symbol_gammas(A, x0)
-    require_finite(gam, "Gamma of the Poincare ratio input")
-    den = schatten_norm(gam, p / 2.0, A._symbol_kernel.psd)
+    den = schatten_norm(A.derive(np.stack([x0, np.swapaxes(x0.conj(), -1, -2)])), p)
     return ratio_scores(schatten_norm(x0, p), np.maximum(den[0], den[1]),
                         np.abs(x).max(axis=(-2, -1)))
 
 
 def _superop_ratio(A: Superoperator, x: np.ndarray, p: float):
-    """The ratio through superop_gamma, without the PSD flag: the reference route; its callers
-    check p."""
+    """The ratio through superop_gamma, the reference route; its callers check p."""
     x0 = x - A.fix_project(x)
     x0d = np.swapaxes(x0.conj(), -1, -2)
     return ratio_scores(schatten_norm(x0, p),
-                        np.maximum(schatten_norm(superop_gamma(A, x0, x0), p / 2.0),
-                                   schatten_norm(superop_gamma(A, x0d, x0d), p / 2.0)),
+                        root(np.maximum(schatten_norm(superop_gamma(A, x0, x0), p / 2.0),
+                                        schatten_norm(superop_gamma(A, x0d, x0d), p / 2.0)), 2),
                         np.abs(x).max(axis=(-2, -1)))
 
 

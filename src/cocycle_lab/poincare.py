@@ -47,12 +47,12 @@ class ZeroNumeratorError(ValueError):
 
 
 def ratio_scores(num, den, coeff_max):
-    """num / den^{1/2} per witness: a float for one, an array for a stack.
+    """num / den per witness, the two norms of the ratio: a float for one, an array for a stack.
 
     num < 1e-14 (1 + coeff_max) flags a witness in the fixed-point algebra.
     """
     zero = num < 1e-14 * (1.0 + coeff_max)
-    r = np.where(zero, 0.0, num / root(np.where(zero, 1.0, den), 2.0))
+    r = np.where(zero, 0.0, num / np.where(zero, 1.0, den))
     r = float(r) if r.ndim == 0 else r
     if np.any(zero):
         raise ZeroNumeratorError(r)
@@ -89,8 +89,8 @@ def poincare_ratio(sg: Semigroup, f: AlgebraElement, p: float):
     nu = np.mean((b / _nonzero(bmax)[:, None]) ** (p / 2.0), axis=-1).max(axis=0)
     # the numerator is ||f0||_p / nu^{1/p} with nu <= 1: at least ||f0||_p, and 0 exactly when it is
     shape = f.coeffs.shape[:-1]
-    return ratio_scores((amax * root(mu / _nonzero(nu), p)).reshape(shape), bmax.reshape(shape),
-                        np.abs(f.coeffs).max(axis=-1))
+    return ratio_scores((amax * root(mu / _nonzero(nu), p)).reshape(shape),
+                        root(bmax.reshape(shape), 2), np.abs(f.coeffs).max(axis=-1))
 
 
 def _nonzero(x: np.ndarray) -> np.ndarray:
@@ -101,7 +101,7 @@ def _nonzero(x: np.ndarray) -> np.ndarray:
 def _ratio(sg: Semigroup, f: AlgebraElement, p: float, psd: bool):
     """The ratio on the regular representation, the reference route; its callers check p."""
     f0 = f - fix_project(sg, f)
-    return ratio_scores(lp_norm(f0, p), gamma_norm(sg, f0, p / 2.0, psd),
+    return ratio_scores(lp_norm(f0, p), root(gamma_norm(sg, f0, p / 2.0, psd), 2),
                         np.abs(f.coeffs).max(axis=-1))
 
 

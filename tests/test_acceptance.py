@@ -94,7 +94,8 @@ def test_exact_l2_poincare_oracle():
 # constants are no longer BLAS products: since 2 x 2 and 3 x 3 stacks multiply by
 # broadcast multiply-adds (linalg.SMALL_N), which round without OpenBLAS's FMA,
 # they read up to 3.6e-15 relative (p = 16) from the BLAS-route values, far
-# inside the same pin.
+# inside the same pin; scored through the symbol's derivation, ||D(x)||_p, the
+# ascent stops at other points, and they read up to 1.3e-14 from these pins.
 SWEEP_CONSTANTS = (1.0, 1.2694157594774518, 1.4071263475999323,
                    1.4823817139816449, 1.5614147116178423, 1.601094785606497)
 MATRIX_SWEEP_CONSTANTS = (1.0, 1.1892071149935584, 1.2599210497282256,

@@ -104,23 +104,38 @@ def _psd(n: int, count: int, index: int) -> np.ndarray:
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_small_stack_moments_are_per_matrix(n):
-    """At n <= SMALL_N the products are broadcast multiply-adds: each matrix's moment and norm
-    alone equal its row in stacks of 1, 2, 17 and 670, bit for bit, and the SVD's to 1e-13."""
+    """Each matrix's moment and norm alone equal its row in stacks of 1, 2, 17 and 670, bit for
+    bit, and the SVD's to 1e-13: on n x n stacks, whose products are broadcast multiply-adds at
+    n <= SMALL_N, and on the (d n) x n derivations D(x) of the delta multiplier, whose products
+    D* D are broadcast multiply-adds at n = 2 (d = 2) and np.matmul's at n = 3 (d = 4)."""
     assert n <= SMALL_N
-    stacks = {p: np.stack([rand_matrix(n, 300 + i, unit=False) for i in range(670)])
-              for p in (2, 4, 6, 8, 12, 16)}
-    psd = _psd(n, 670, 1300)
-    stacks.update({q: psd for q in (3, 5, 7)})
-    for p, X in stacks.items():
-        odd = p % 2 == 1
-        alone = [np.array([f(x, p, psd=odd) for x in X])
+    x = np.stack([rand_matrix(n, 700 + i, unit=False) for i in range(670)])
+    tall = heisenberg_multiplier(n, "delta").derive(x)
+    assert (n * tall.shape[1] * n <= SMALL_N ** 3) is (n == 2)
+    cases = [(p, np.stack([rand_matrix(n, 300 + i, unit=False) for i in range(670)]), False)
+             for p in (2, 4, 6, 8, 12, 16)]
+    cases += [(q, _psd(n, 670, 1300), True) for q in (3, 5, 7)]
+    cases += [(p, tall, False) for p in (2, 3, 4, 6, 8, 12, 16)]
+    for p, X, psd in cases:
+        alone = [np.array([f(m, p, psd=psd) for m in X])
                  for f in (schatten_pow_batch, schatten_norm)]
         for count in (1, 2, 17, 670):
-            assert np.array_equal(schatten_pow_batch(X[:count], p, psd=odd), alone[0][:count]), p
-            assert np.array_equal(schatten_norm(X[:count], p, psd=odd), alone[1][:count]), p
+            assert np.array_equal(schatten_pow_batch(X[:count], p, psd=psd), alone[0][:count]), p
+            assert np.array_equal(schatten_norm(X[:count], p, psd=psd), alone[1][:count]), p
         ref = svd_schatten(X, p)
         assert np.all(np.abs(alone[1] - ref) <= 1e-13 * ref), p
         assert np.all(np.abs(alone[0] - ref ** p) <= 1e-13 * ref ** p), p
+
+
+def test_wide_stacks_are_rejected():
+    """A stack with fewer rows than columns once read a norm that mixed two normalizations
+    (schatten_norm(np.ones((1, 2)), p) gave 1.0, 1.4142 and 1.1892 at p = 2, 3, 4)."""
+    for p in (2, 3, 4):
+        for f in (schatten_norm, schatten_pow_batch):
+            with pytest.raises(ValueError, match=r"^Schatten norm input has 1 x 2 matrices: "
+                                                 r"fewer rows than columns$"):
+                f(np.ones((1, 2)), p)
+    assert schatten_norm(np.ones((2, 1)), 3) == pytest.approx(np.sqrt(2.0), rel=1e-15)
 
 
 def _matmul_moment(x: np.ndarray, p: int) -> np.ndarray:

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocycle_lab.algebra import Semigroup, element, gamma
-from cocycle_lab.cocycles import cyclic_length
+from cocycle_lab.cocycles import cyclic_length, gromov_form
 from cocycle_lab.families import heisenberg_delta, heisenberg_wordlength
 from cocycle_lab.groups import build_cyclic, coordinates
-from cocycle_lab.linalg import psd_verdict, schatten_norm
-from cocycle_lab.matrixalg import (Superoperator, _symbol_gammas, alpha_battery,
+from cocycle_lab.linalg import psd_verdict, root, schatten_norm
+from cocycle_lab.matrixalg import (Superoperator, alpha_battery,
                                    clock_shift_basis, heisenberg_multiplier,
                                    lindblad_gamma_residual, lindblad_generator, matrix_poincare,
                                    matrix_poincare_ratio, matrix_worst_constant,
@@ -365,10 +365,12 @@ def _reference_matrix_ratio(A, x, p):
                                heisenberg_multiplier(2, "wordlength"),
                                heisenberg_multiplier(3, "delta"),
                                heisenberg_multiplier(3, "wordlength"),
+                               heisenberg_multiplier(5, "wordlength"),
+                               heisenberg_multiplier(6, "delta"),
                                lindblad_generator([np.diag([0.0, 1.0, 0.0, 1.0]),
                                                    np.diag([0.0, 0.0, 1.0, 1.0])])],
                          ids=["M2-delta", "M2-wordlength", "M3-delta", "M3-wordlength",
-                              "lindblad-4"])
+                              "M5-wordlength", "M6-delta", "lindblad-4"])
 def test_batched_matrix_ratio_matches_reference(monkeypatch, A):
     n = A.n
     X = np.array([rand_matrix(n, 90 + i) for i in range(6)])
@@ -451,15 +453,15 @@ def _superop_route_ratio(A, x, p):
     x0 = x - A.fix_project(x)
     x0d = np.swapaxes(x0.conj(), -1, -2)
     return ratio_scores(schatten_norm(x0, p),
-                        np.maximum(schatten_norm(superop_gamma(A, x0, x0), p / 2.0),
-                                   schatten_norm(superop_gamma(A, x0d, x0d), p / 2.0)),
+                        root(np.maximum(schatten_norm(superop_gamma(A, x0, x0), p / 2.0),
+                                        schatten_norm(superop_gamma(A, x0d, x0d), p / 2.0)), 2),
                         np.abs(x).max(axis=(-2, -1)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_multiplier_records_its_symbol(n):
     """The multiplier's symbol is psi(b,c) on Z_n x Z_n at s = b n + c, left out of equality
-    and with its kernel built on first use; every other generator has none."""
+    and with its derivation, read-only, built on first use; every other generator has none."""
     for mode in ("delta", "wordlength"):
         A = heisenberg_multiplier(n, mode)
         b, c = coordinates(n * n, (n, n))
@@ -467,19 +469,22 @@ def test_multiplier_records_its_symbol(n):
         assert np.array_equal(A.symbol.group.mul[b * n, c], b * n + c)
         assert np.array_equal(A.symbol.values,
                               cyclic_length(mode, b, n) + cyclic_length(mode, c, n))
-        assert "_symbol_kernel" not in vars(A)
-        assert A._symbol_kernel.psd
-        for s, row in enumerate(A._symbol_kernel.basis):
-            w = unvec(row, n)
+        assert "derivation" not in vars(A)
+        D = A.derivation
+        assert vars(A)["derivation"] is D
+        assert D.shape == (n, n, gromov_form(A.symbol).factor[1].shape[1] * n)
+        with pytest.raises(ValueError, match="read-only"):
+            D[0, 0, 0] = 1.0
+        for s, w in enumerate(clock_shift_basis(n)):
             assert np.abs(A.apply(w) - A.symbol.values[s] * w).max() < 1e-12
-    assert lindblad_generator(LINDBLAD_4).symbol is None
-    assert Superoperator(2, np.zeros((4, 4), dtype=complex)).symbol is None
+    for A in (lindblad_generator(LINDBLAD_4), Superoperator(2, np.zeros((4, 4), dtype=complex))):
+        assert A.symbol is None and A.derivation is None
     assert Superoperator.__dataclass_fields__["symbol"].compare is False
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 6])
 def test_twisted_products_of_the_clock_shift_basis(n):
-    """w_s^dag w_(s+u) = omega^(-b_s c_u) w_u, the phase of the twisted kernel."""
+    """w_s^dag w_(s+u) = omega^(-b_s c_u) w_u: the basis spans a twisted group algebra."""
     w = clock_shift_basis(n)
     b, c = coordinates(n * n, (n, n))
     chars = build_cyclic(n).characters
@@ -494,15 +499,24 @@ def test_twisted_products_of_the_clock_shift_basis(n):
 @given(st.integers(2, 6), st.sampled_from(["delta", "wordlength"]), st.integers(0, 3),
        st.integers(0, 2 ** 32 - 1))
 def test_symbol_gammas_match_the_superoperator(n, mode, k, seed):
-    """Gamma(x,x) and Gamma(x^dag,x^dag) through the twisted kernel match superop_gamma
-    to 1e-12 relative per matrix, for one matrix (k = 0) and stacks of k."""
+    """sum_j D_j(x)^dag D_j(x) through A.derive matches superop_gamma(x, x) to 1e-12
+    relative per matrix, at x and x^dag, for one matrix (k = 0) and stacks of k; and A.derive
+    equals the dense (n^2, d n^2) map written out from the clock/shift basis to 1e-13."""
     A = _multiplier(n, mode)
     shape = (n, n) if k == 0 else (k, n, n)
     r = np.random.default_rng(seed)
     x = r.standard_normal(shape) + 1j * r.standard_normal(shape)
-    got = _symbol_gammas(A, x)
-    assert got.shape == (2,) + shape
-    for g, y in zip(got, (x, np.swapaxes(x.conj(), -1, -2))):
+    W = vec(clock_shift_basis(n))
+    B = gromov_form(A.symbol).factor[1]
+    dense = np.einsum("sm,sj,sk->mjk", W.conj() / n, B, W).reshape(n * n, -1)
+    for y in (x, np.swapaxes(x.conj(), -1, -2)):
+        D = A.derive(y)
+        assert D.shape == shape[:-2] + (B.shape[1] * n, n)
+        want = (vec(y) @ dense).reshape(D.shape)
+        assert np.all(np.abs(D - want).max(axis=(-2, -1))
+                      <= 1e-13 * np.abs(want).max(axis=(-2, -1)))
+        D = D.reshape(shape[:-2] + (-1, n, n))
+        g = np.einsum("...jri,...jrk->...ik", D.conj(), D)
         want = superop_gamma(A, y, y)
         assert np.all(np.abs(g - want).max(axis=(-2, -1))
                       <= 1e-12 * np.abs(want).max(axis=(-2, -1)))
