@@ -212,13 +212,10 @@ def gamma_transform(sg: Semigroup, f: AlgebraElement) -> np.ndarray:
     return sum((s[:, j:j + n] for j in range(n, s.shape[1], n)), s[:, :n])
 
 
-def gamma_norm(sg: Semigroup, f: AlgebraElement, q: float, psd: bool = False):
-    """max{||Gamma(f,f)||_q, ||Gamma(f*,f*)||_q} per element of f, an element or a stack.
-
-    psd=True, for a psi that passes the CN test (Semigroup.gamma_psd), lets odd q take trace powers.
-    """
-    return np.maximum(*(schatten_norm(regular_rep(gamma(sg, g, g)), q, psd)
-                        for g in (f, f.adjoint())))
+def gamma_norm(sg: Semigroup, f: AlgebraElement, q: float):
+    """max{||Gamma(f,f)||_q, ||Gamma(f*,f*)||_q} per element of f, an element or a stack, by
+    linalg.schatten_norm: products at even q, singular values at any other q."""
+    return np.maximum(*(schatten_norm(regular_rep(gamma(sg, g, g)), q) for g in (f, f.adjoint())))
 
 
 def gamma2(sg: Semigroup, f: AlgebraElement, g: AlgebraElement,

@@ -77,6 +77,7 @@ class BrownianScenario:
     rng.stream per sample.  _pass holds martingale_transform's kept
     pass: M, M~, the bracket moments at every q and the primary
     increments dB, until a fresh pass or the scenario's end frees them.
+    A b whose Gromov form K is not B B^T is refused on construction.
     """
     cocycle: CocycleRealization
     steps: int
@@ -84,6 +85,9 @@ class BrownianScenario:
     samples: int
     seed: int
     _pass: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.semigroup.gromov.factor    # K = B B^T, so every Gamma(f, f) is PSD; else ValueError
 
     @property
     def d(self) -> int:
@@ -109,11 +113,12 @@ class BrownianScenario:
 
     @cached_property
     def semigroup(self) -> Semigroup:
-        return Semigroup(LengthFunction(self.cocycle.group, self.cocycle.psi))
+        return Semigroup(LengthFunction(self.cocycle.group, self.cocycle.psi, self.cocycle))
 
 
 def sample_scenario(cocycle: CocycleRealization, n: int, dt: float,
                     samples: int, seed: int) -> BrownianScenario:
+    """n steps of dt, samples paths from seed; a b with K != B B^T raises ValueError at (s, t)."""
     require(dt, "dt", lambda v: is_number(v) and 0 < v < np.inf, "a finite number > 0")
     for name, count in (("steps", n), ("samples", samples)):
         require(count, name, lambda v: is_integer(v) and v >= 1, "an integer >= 1")
@@ -240,24 +245,23 @@ def martingale_transform(x: AlgebraElement, scenario: BrownianScenario, L: float
                          p: float) -> TransformPass:
     """M_n(x), its decoupled twin and the bracket moments at p, per sample, in one pass.
 
-    Lambda(y_k) and 2 dt Lambda(Gamma_k) do not depend on the sample and are gathered once,
-    laid out (|G|, |G|, steps).  Each chunk of linalg.blocks (_sample_entries per sample),
-    taken in order, draws its increments and their copy once and forms ww[c, h, u, k] =
-    conj(w_k(h)) w_k(u), the conjugation by D_k as an entrywise factor, from (c, |G|, steps)
-    exponentials.  S_c and S_r contract ww against Lambda(Gamma_k) over k, PSD when
-    sg.gamma_psd, reduced to tau|S|^{q/2} at each q in BRACKET_PS.  ww times Lambda(y_k), in
-    place, is E_k; one batched product of E, viewed (c, |G|^2, steps), with the stacked
-    increments [dB | dB'] gives Q_j for both draws, and M, M~ from them.  E is freed before
-    h_d = sum_k ||dx_k||_p^p of the primary draw: on p's moment route (_gram_route) by the
-    module docstring's form in the monomials of dB^j dB^l against _moment_table's T, summed
-    elementwise so that no bit depends on the chunking; elsewhere from each chunk's
-    commutator stack.  Where M, M~ and the primary increments fit one chunk's budget
-    (samples (2 |G|^2 + steps d) <= linalg.BLOCK_ENTRIES), the scenario keeps this pass, dB
-    copied into one array as the chunks draw it, for its last x coefficients, L and block
-    plan, and serves it (M and M~ read-only) once to each later p, which reads h_d off the
-    kept dB, chunk by chunk, and draws nothing; a p already served, or another x, L or plan,
-    runs a fresh pass.  A pass too large to keep reduces S_c and S_r at p alone and keeps
-    nothing.
+    Lambda(y_k) and 2 dt Lambda(Gamma_k) do not depend on the sample and are gathered once, laid
+    out (|G|, |G|, steps).  Each chunk of linalg.blocks (_sample_entries per sample), taken in
+    order, draws its increments and their copy once and forms ww[c, h, u, k] = conj(w_k(h))
+    w_k(u), the conjugation by D_k as an entrywise factor, from (c, |G|, steps) exponentials.
+    S_c and S_r contract ww against Lambda(Gamma_k) over k, PSD since the scenario checked its
+    b, reduced to tau|S|^{q/2} at each q in BRACKET_PS, by linalg._trace_power at odd q/2.  ww times
+    Lambda(y_k), in place, is E_k; one batched product of E, viewed (c, |G|^2, steps), with the
+    stacked increments [dB | dB'] gives Q_j for both draws, and M, M~ from them.  E is freed
+    before h_d = sum_k ||dx_k||_p^p of the primary draw: on p's moment route (_gram_route) by
+    the module docstring's form in the monomials of dB^j dB^l against _moment_table's T, summed
+    elementwise so that no bit depends on the chunking; elsewhere from each chunk's commutator
+    stack.  Where M, M~ and the primary increments fit one chunk's budget (samples (2 |G|^2 +
+    steps d) <= linalg.BLOCK_ENTRIES), the scenario keeps this pass, dB copied into one array as
+    the chunks draw it, for its last x coefficients, L and block plan, and serves it (M and M~
+    read-only) once to each later p, which reads h_d off the kept dB, chunk by chunk, and draws
+    nothing; a p already served, or another x, L or plan, runs a fresh pass.  A pass too large
+    to keep reduces S_c and S_r at p alone and keeps nothing.
     """
     _check_horizon(scenario, L)
     p = float(require(p, "p", lambda v: is_number(v) and v in BRACKET_PS,
@@ -308,7 +312,8 @@ def martingale_transform(x: AlgebraElement, scenario: BrownianScenario, L: float
         ww = w.conj()[:, :, None] * w[:, None]
         del w
         s = np.stack([np.einsum("chuk,huk->chu", ww, g) for g in lgam_k])     # S_c, S_r
-        s = np.stack([schatten_pow_batch(s, r / 2.0, sg.gamma_psd) for r in qs], axis=1)
+        s = np.stack([(linalg._trace_power if r % 4 == 2 else schatten_pow_batch)(s, r / 2.0)
+                      for r in qs], axis=1)
         ww *= ly_k                                  # E
         q = (ww.reshape(hi - lo, n * n, scenario.steps) @ drives).reshape(hi - lo, n, n, 2 * d)
         del ww

@@ -2,12 +2,12 @@
 rule, and the one bad-input rule: require for a scalar, require_list and require_finite,
 each naming the bad value or entry.
 
-Schatten norms of (..., r, n) stacks, r >= n, use matrix products only at even integer p
-(tau|X|^p = tau((X* X)^{p/2})), and so at odd p on square stacks the caller certifies PSD
-(psd=True; only algebra.gamma_norm and the dilation brackets pass it, as
-Semigroup.gamma_psd): there ||X||_p^p = tau(X^p).  Every other p takes the singular values,
-the reference route.  A product with rows x inner x columns <= SMALL_N^3 is broadcast
-multiply-adds (_mul), so its bits come from numpy's elementwise loops, not the BLAS build.
+Schatten norms of (..., r, n) stacks, r >= n, take matrix products, tau((X* X)^{p/2}), at even
+integer p and the singular values at any other: no caller can tell them that X is PSD.  A PSD
+X has ||X||_q^q = tau(X^q), which _trace_power takes by products at odd q for the two callers
+that hold a checked certificate: poincare_ratio under Semigroup.gamma_psd, and the dilation
+brackets of a BrownianScenario, whose b passed GromovForm.factor.  A product with rows x inner
+x columns <= SMALL_N^3 is broadcast multiply-adds (_mul), whose bits are not the BLAS build's.
 """
 from __future__ import annotations
 
@@ -29,14 +29,10 @@ SMALL_N = 3
 ECHO = 80                 # longest value text a rejection echoes in full
 
 
-def schatten_norm(mat: np.ndarray, p: float, psd: bool = False):
-    """((1/n) sum sigma_i^p)^{1/p} of a matrix; max sigma for p = inf.
-
-    A float for one matrix; an array for an (..., r, n) stack, r >= n, which
-    takes one call.  psd=True lets odd integer p take trace powers, which give
-    the norm only where every matrix is square and PSD.
-    """
-    out = _schatten(mat, p, take_root=True, psd=psd)
+def schatten_norm(mat: np.ndarray, p: float):
+    """((1/n) sum sigma_i^p)^{1/p} of a matrix, max sigma at p = inf: products at even p, singular
+    values at any other.  A float for one matrix; an array for an (..., r, n) stack, r >= n."""
+    out = _schatten(mat, p, take_root=True)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -65,48 +61,56 @@ def root(x, k: float):
     return out.reshape(x.shape)
 
 
-def schatten_pow_batch(mats: np.ndarray, p: float, psd: bool = False) -> np.ndarray:
-    """(1/n) sum sigma_i^p per matrix of an (..., r, n) batch, no root; as schatten_norm."""
-    return _schatten(mats, p, take_root=False, psd=psd)
+def schatten_pow_batch(mats: np.ndarray, p: float) -> np.ndarray:
+    """tau|X|^p per matrix of an (..., r, n) batch at finite p, no root; as schatten_norm."""
+    return _schatten(mats, p, take_root=False)
 
 
-def _schatten(mats: np.ndarray, p: float, take_root: bool, psd: bool = False) -> np.ndarray:
+def _trace_power(mats: np.ndarray, q: float, take_root: bool = False) -> np.ndarray:
+    """tau(X^q) per matrix of a square stack at odd integer q, or its q-th root, by products: a PSD
+    X's Schatten moment, for the module docstring's two certified callers alone."""
+    require(q, "trace power q", lambda v: is_number(v) and v >= 1 and float(v) % 2 == 1,
+            "an odd integer >= 1")
+    if np.ndim(mats) < 2 or np.shape(mats)[-2] != np.shape(mats)[-1]:
+        raise ValueError(f"trace power input has shape {np.shape(mats)}: not square")
+    return _schatten(mats, q, take_root, trace_power=True)
+
+
+def _schatten(mats: np.ndarray, p: float, take_root: bool, trace_power: bool = False):
     """tau(|X|^p) per matrix of an (..., r, n) stack, or its p-th root: the product/SVD rule.
 
-    Even integer p >= 2 takes matrix products (_even_moment), and so does
-    odd integer p on a PSD square stack (_trace_power), in blocks(count, 32 r n): up to
-    4 stacks of r x n at once (p <= 16), counted 8-fold to keep each in cache
-    (blocks 8 times larger ran dilation-report 10% slower at 36% more RSS).  The products
-    are _mul's: broadcast multiply-adds where rows x inner x columns <= SMALL_N^3 = 27, which
-    ran 0.18-0.96 times np.matmul's time on 2 x 2 and 3 x 3 squares and 0.35-0.81 on a 4 x 2
-    stack's, so those moments take no BLAS call; np.matmul beyond.  Any other p (odd,
-    fractional, inf) takes the singular values, the reference route; for the root they are
-    rescaled by their max before powering.  All scale by _pow2_scale first; a p that is no
-    number >= 1, a non-finite entry or a wide stack (r < n) raises ValueError, and so does a
-    stack passed as PSD with a negative odd trace power or a diagonal entry
-    below -DEFAULT_TOL once scaled, naming its first such matrix.
+    Even integer p >= 2 takes matrix products (_even_moment), and so does _trace_power's odd p
+    (_odd_moment), in blocks(count, 32 r n): up to 4 stacks of r x n at once (p <= 16), counted
+    8-fold to keep each in cache (blocks 8 times larger ran dilation-report 10% slower at 36%
+    more RSS).  The products are _mul's, timed at SMALL_N.  Any other p (odd, fractional, inf)
+    takes the singular values, the reference route, for the root rescaled by their max before
+    powering.  All scale by _pow2_scale first; a p that is no number >= 1 (or inf with no root
+    to take), a non-finite entry or a wide stack (r < n) raises ValueError, and so does a trace
+    power's matrix, the first named, whose tau(X^p) is negative or whose diagonal has an entry
+    below -DEFAULT_TOL once scaled.
     """
     require(p, "Schatten p", lambda v: is_number(v) and v >= 1, "a number >= 1")
+    require(p, "Schatten moment p", lambda v: take_root or v < np.inf, "finite")
     mats = np.asarray(mats)
     require_finite(mats, "Schatten norm input")
     if mats.ndim >= 2 and mats.shape[-2] < mats.shape[-1]:
         raise ValueError(f"Schatten norm input has {mats.shape[-2]} x {mats.shape[-1]} "
                          f"matrices: fewer rows than columns")
-    if float(p).is_integer() and (p % 2 == 0 or psd):
-        rule = _even_moment if p % 2 == 0 else _trace_power
+    if trace_power or float(p) % 2 == 0:
+        rule = _odd_moment if trace_power else _even_moment
         flat = mats.reshape((-1,) + mats.shape[-2:])
         scale, acc = np.empty((2, len(flat)))
         for lo, hi in blocks(len(flat), 32 * mats.shape[-2] * mats.shape[-1]):
             scale[lo:hi], acc[lo:hi] = rule(flat[lo:hi], int(p))
         scale, acc = scale.reshape(mats.shape[:-2]), acc.reshape(mats.shape[:-2])
-        if rule is _trace_power:        # a PSD Y = X / c has tau(Y^q) >= 0 and diag(Y) >= 0
+        if trace_power:                 # a PSD Y = X / c has tau(Y^q) >= 0 and diag(Y) >= 0
             diag = np.diagonal(mats, 0, -2, -1).real
             neg = (diag < -DEFAULT_TOL * scale[..., None]).any(axis=-1)
             if (bad := neg | (acc < 0)).any():
                 at = tuple(np.argwhere(bad)[0])
                 why = (f"its trace power tau(X^{int(p)}) is {float(acc[at] * scale[at] ** p)!r}"
                        if acc[at] < 0 else f"its least diagonal entry is {float(diag[at].min())!r}")
-                raise ValueError(f"Schatten norm input{_index(at)} is not PSD: {why} < 0")
+                raise ValueError(f"trace power input{_index(at)} is not PSD: {why} < 0")
         return scale * root(acc, p) if take_root else scale ** p * acc
     c, y = _pow2_scale(mats)
     s = np.linalg.svd(y, compute_uv=False)
@@ -170,8 +174,8 @@ def _even_moment(x: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return c, sq.reshape(len(sq), -1).sum(axis=-1) / z.shape[-1]
 
 
-def _trace_power(x: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """(c, tau(Y^q)) per matrix of a PSD (k, n, n) stack x, q odd, with (c, Y) = _pow2_scale(x).
+def _odd_moment(x: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(c, tau(Y^q)) per matrix of a (k, n, n) stack x, q odd, with (c, Y) = _pow2_scale(x).
 
     q = 1 is the normalized trace; q = 2m + 1 is (1/n) Re sum conj(Z) o (Y Z)
     with Z = Y^m.  Y's entries are below 2 in modulus, so tau(Y^q) <= (2n)^q

@@ -12,8 +12,8 @@ w(b) + w(c) on Z_n x Z_n, whose cocycle b gives the derivation
 D_j(x) = sum_s b_j(s) tau(w_s^dag x) w_s with Gamma(x, x) = sum_j D_j(x)^dag D_j(x),
 one diagonal of x at a time (Superoperator.derive).  Stacked as a (d n) x n matrix,
 ||D(x)||_p = ||Gamma(x, x)||_{p/2}^{1/2}, so Poincare witnesses score by Schatten norms
-of D, with no PSD flag.  The superoperator route (superop_gamma) is the reference that
-certifies every matrix constant, and the only route for Lindblad generators.
+of D, which take no trace power.  The superoperator route (superop_gamma) is the reference
+that certifies every matrix constant, and the only route for Lindblad generators.
 """
 from __future__ import annotations
 
@@ -291,11 +291,11 @@ def matrix_worst_constant(A: Superoperator, p: float, budget: int = 20000, seed:
     """Empirical lower bound for the best L_p Poincare constant over matrix witnesses.
 
     The optimizer scores by matrix_poincare_ratio; the constant is the
-    winning witness re-scored on the superoperator route without the PSD
-    flag, so it stays a certified bound for a symbol that passes the CN
-    test only within its tolerance.  ascent, this p's result of an ascent
-    shared with other p (matrix_poincare's), replaces the search: the call
-    then only certifies it, and reads no budget or seed.
+    winning witness re-scored on the superoperator route, whose Schatten
+    norms take no trace power, so it stays a certified bound for a symbol
+    that passes the CN test only within its tolerance.  ascent, this p's
+    result of an ascent shared with other p (matrix_poincare's), replaces
+    the search: the call then only certifies it, and reads no budget or seed.
     """
     require(p, "p", lambda v: is_number(v) and v >= 2, "a number >= 2")
     if ascent is None:

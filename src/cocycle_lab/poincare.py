@@ -26,11 +26,11 @@ from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .algebra import (AlgebraElement, Semigroup, fix_project, fourier, gamma_norm,
-                      gamma_transform, lp_norm)
+from .algebra import (AlgebraElement, Semigroup, fix_project, fourier, gamma, gamma_norm,
+                      gamma_transform, lp_norm, regular_rep)
 from .criterion import AlphaCertificate
 from .linalg import blocks, is_integer, is_number, require, require_finite, require_list, root
-from . import rng
+from . import linalg, rng
 
 GRAD_STEP = 1e-6
 REL_IMPROVEMENT_STOP = 1e-8
@@ -69,13 +69,18 @@ def poincare_ratio(sg: Semigroup, f: AlgebraElement, p: float):
     max.  There an exactly symmetric psi (every
     length_function) has Gamma(f0*, f0*) = Gamma(f0, f0) as elements, so
     only the first is formed.  Every other group takes the regular
-    representation: when psi passes the CN test (sg.gamma_psd), odd p/2
-    takes trace powers in gamma_norm; otherwise the denominator takes
-    schatten_norm without the PSD flag.
+    representation: when psi passes the CN test (sg.gamma_psd), Gamma(f, f)
+    is PSD (Schoenberg), the certificate under which odd p/2 takes its trace
+    power (linalg._trace_power); otherwise _ratio, by gamma_norm.
     """
     require(p, "p", lambda v: is_number(v) and v >= 2, "a number >= 2")
     if sg.group.characters is None:
-        return _ratio(sg, f, p, sg.gamma_psd)
+        if not (sg.gamma_psd and p % 4 == 2):
+            return _ratio(sg, f, p)
+        f0 = f - fix_project(sg, f)
+        den = np.maximum(*(linalg._trace_power(regular_rep(gamma(sg, g, g)), p / 2.0, True)
+                           for g in (f0, f0.adjoint())))
+        return ratio_scores(lp_norm(f0, p), root(den, 2), np.abs(f.coeffs).max(axis=-1))
     require_finite(f.coeffs, "Poincare ratio input")
     f0 = f - fix_project(sg, f)
     rows = AlgebraElement(sg.group, f0.coeffs.reshape(-1, sg.group.order))
@@ -98,10 +103,10 @@ def _nonzero(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0, x, 1.0)
 
 
-def _ratio(sg: Semigroup, f: AlgebraElement, p: float, psd: bool):
+def _ratio(sg: Semigroup, f: AlgebraElement, p: float):
     """The ratio on the regular representation, the reference route; its callers check p."""
     f0 = f - fix_project(sg, f)
-    return ratio_scores(lp_norm(f0, p), root(gamma_norm(sg, f0, p / 2.0, psd), 2),
+    return ratio_scores(lp_norm(f0, p), root(gamma_norm(sg, f0, p / 2.0), 2),
                         np.abs(f.coeffs).max(axis=-1))
 
 
@@ -250,15 +255,16 @@ def worst_constant(sg: Semigroup, p: float, budget: int = 20000, seed: int = 0, 
 
     The optimizer scores by poincare_ratio, through the characters where the
     group has them; the constant is the winning witness re-scored on the
-    regular representation with psd=False on every group, so it stays a
-    certified bound for a psi that passes the CN test only within its tolerance.
+    regular representation by gamma_norm, which takes no trace power, on
+    every group, so it stays a certified bound for a psi that passes the CN
+    test only within its tolerance.
     ascent, this p's result of an ascent shared with other p (sweep_and_fit's),
     replaces the search: the call then only certifies it, and reads no budget or seed.
     """
     require(p, "p", lambda v: is_number(v) and v >= 2, "a number >= 2")
     if ascent is None:
         [ascent] = _ascend(sg, [(p, seed)], budget)
-    return ascent._replace(constant=float(_ratio(sg, ascent.witness, p, False)))
+    return ascent._replace(constant=float(_ratio(sg, ascent.witness, p)))
 
 
 def _ascend(sg: Semigroup, problems: Sequence[tuple[float, int]],

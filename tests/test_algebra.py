@@ -12,7 +12,7 @@ from cocycle_lab.cli import _psi_from_config
 from cocycle_lab.cocycles import word_length_psi
 from cocycle_lab.families import builtin_length, delta_psi, walsh_length
 from cocycle_lab.groups import build_cyclic
-from cocycle_lab.linalg import (_pow2_scale, _trace_power, schatten_norm,
+from cocycle_lab.linalg import (_odd_moment, _pow2_scale, _trace_power, schatten_norm,
                                 schatten_pow_batch)
 
 from conftest import rand_coeffs, rand_matrix, svd_schatten
@@ -150,25 +150,26 @@ def test_even_p_moments_match_svd_hypothesis(spec, index, p):
        st.sampled_from((1e-300, 1e-150, 1.0, 1e150, 1e300)), st.sampled_from((1, 3, 5, 7)))
 def test_odd_trace_powers_match_svd_on_psd_stacks_hypothesis(n, index, rank, scale, q):
     """On PSD stacks B*B, rank deficient too, tau(X^q) by trace powers matches the singular
-    values to 1e-12 at odd q; at entries near 1e+-300 neither it nor the norm overflows."""
+    values to 1e-12 at odd q; at entries near 1e+-300 neither it nor its root overflows."""
     B = np.stack([rand_matrix(n, index + i, unit=False) for i in range(3)])
     B[:, min(rank, n):] = 0.0
     X = scale * (np.swapaxes(B.conj(), -1, -2) @ B)
-    c, acc = _trace_power(X, q)
+    c, acc = _odd_moment(X, q)
     y = _pow2_scale(X)[1]
+    assert np.array_equal(_trace_power(y, q), acc)     # y's power-of-two scale is 1
     want = np.mean(np.linalg.svd(y, compute_uv=False) ** q, axis=-1)
     assert np.all(np.isfinite(c)) and np.all(np.isfinite(acc))
     assert np.all(np.abs(acc - want) <= 1e-12 * want)
-    norms = schatten_norm(X, q, psd=True)
+    norms = _trace_power(X, q, take_root=True)
     ref = np.array([svd_schatten(x / scale, q) * scale for x in X])
     assert np.all(np.isfinite(norms))
     assert np.all(np.abs(norms - ref) <= 1e-12 * ref)
-    assert np.array_equal(norms, [schatten_norm(x, q, psd=True) for x in X])
+    assert np.array_equal(norms, [_trace_power(x, q, take_root=True) for x in X])
 
 
 @pytest.mark.parametrize("spec", ["walsh:2:3", "heisenberg-wordlength:2", "wordlength:6"])
 def test_gamma_norm_is_the_larger_gamma_norm_of_f_and_its_adjoint(spec):
-    """Per element of a stack, on the SVD route and, for a CN psi, on trace powers."""
+    """Per element of a stack, on the SVD route; for a CN psi the trace powers at odd q agree."""
     sg = Semigroup(builtin_length(spec))
     C = np.stack([rand_coeffs(sg.group.order, i) for i in range(5)])
     assert sg.gamma_psd
@@ -179,7 +180,10 @@ def test_gamma_norm_is_the_larger_gamma_norm_of_f_and_its_adjoint(spec):
             want = max(svd_schatten(regular_rep(gamma(sg, g, g)), q) for g in (f, f.adjoint()))
             assert abs(norms[i] - want) <= 1e-12 * want
             assert norms[i] == gamma_norm(sg, f, q)
-            assert abs(gamma_norm(sg, f, q, psd=True) - want) <= 1e-12 * want
+            if q % 2 == 1:
+                trace = max(_trace_power(regular_rep(gamma(sg, g, g)), q, take_root=True)
+                            for g in (f, f.adjoint()))
+                assert abs(trace - want) <= 1e-12 * want
 
 
 def test_semigroup_laws(z4word):

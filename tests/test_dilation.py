@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 from cocycle_lab import dilation, linalg, rng
 from cocycle_lab.algebra import (Semigroup, delta, element, gamma, lp_norm,
                                  regular_rep, semigroup_apply)
-from cocycle_lab.cocycles import gromov_form, length_function, realize_cocycle, word_length_cocycle
+from cocycle_lab.cli import _gallery_entries
+from cocycle_lab.cocycles import (CocycleRealization, gromov_form, length_function, realize_cocycle,
+                                  word_length_cocycle)
 from cocycle_lab.criterion import AlphaCertificate, best_alpha_pencil
-from cocycle_lab.dilation import (BRACKET_PS, TransformPass, _root_stat, _sample_entries,
-                                  bracket_estimates, dilation_matrix, dilation_mean,
+from cocycle_lab.dilation import (BRACKET_PS, BrownianScenario, TransformPass, _root_stat,
+                                  _sample_entries, bracket_estimates, dilation_matrix, dilation_mean,
                                   inequality_report, martingale_transform, sample_scenario,
                                   transform_l2_analytic)
 from cocycle_lab.families import builtin_length, walsh_length
@@ -206,6 +208,36 @@ def test_scenario_takes_numpy_integers():
     sc = sample_scenario(word_length_cocycle(4), np.int64(4), 0.25, np.int32(8), np.uint8(3))
     assert (sc.steps, sc.samples, sc.seed) == (4, 8, 3)
     assert all(type(v) is int for v in (sc.steps, sc.samples, sc.seed))
+
+
+def test_scenario_rejects_a_b_that_is_not_a_cocycle():
+    """b = (0, 0), (1, 0), (0, 1), (1, 0) on Z_4 is symmetric, with ||b||^2 = delta, but its
+    Gromov form K is not B B^T (K(1, 2) = 1/2, b(1).b(2) = 0), so it is no cocycle and the
+    brackets' trace powers have no certificate.  Its scenario once ran: at x = (0, 1, 0.7, 0),
+    L = 1, 64 steps x 4096 samples, seed 11, p = 2, the Ito mean read 1.4896 +- 0.0078 against
+    the analytic 1.2683, 28 SE off.  sample_scenario, and a scenario built directly, refuse it."""
+    coc = CocycleRealization(build_cyclic(4), np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
+                                                        [1.0, 0.0]]))
+    want = r"^K is not B B\^T: at \(s, t\) = \(1, 2\), K\(s,t\) = 0\.5 but b\(s\)\.b\(t\) = 0$"
+    with pytest.raises(ValueError, match=want):
+        sample_scenario(coc, 64, 1.0 / 64, 4096, 11)
+    with pytest.raises(ValueError, match=want):
+        BrownianScenario(coc, 4, 0.25, 8, 0)
+
+
+_GALLERY = {sub["psi"]["builtin"] for _, command, sub in _gallery_entries(0) if command == "alpha"}
+
+
+@pytest.mark.parametrize("spec", sorted(_GALLERY | {"delta:7", "wordlength:512"}))
+def test_every_builtin_realization_passes_the_cocycle_check(spec):
+    """realize_cocycle's b of every gallery family (walsh:2:2 and heisenberg-wordlength:3
+    among them), delta:7 and wordlength:512 has K = B B^T to GromovForm.factor's cut; the
+    scenario's semigroup carries b and reads its CN verdict without diagonalizing K."""
+    assert {"walsh:2:2", "heisenberg-wordlength:3"} <= _GALLERY
+    coc = realize_cocycle(gromov_form(builtin_length(spec)))
+    sg = sample_scenario(coc, 2, 0.5, 4, 0).semigroup
+    assert sg.psi.cocycle is coc and sg.gamma_psd
+    assert "spectrum" not in vars(sg.gromov)
 
 
 def test_increments_deterministic_and_copy_independent(small_scenario):

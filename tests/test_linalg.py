@@ -1,15 +1,18 @@
+import inspect
+import re
+
 import numpy as np
 import pytest
 
-from cocycle_lab.algebra import Semigroup, element
+from cocycle_lab.algebra import Semigroup, element, gamma_norm
 from cocycle_lab.cocycles import (gromov_form, is_conditionally_negative, realize_cocycle,
                                   verify_schur_identity, word_length_cocycle, word_length_psi)
 from cocycle_lab.criterion import check_element
 from cocycle_lab.dilation import inequality_report, sample_scenario
 from cocycle_lab.families import builtin_length, heisenberg_delta, walsh_length
 from cocycle_lab.groups import build_cyclic, build_heisenberg, build_power
-from cocycle_lab.linalg import (SMALL_N, _pow2_scale, psd_verdict, require, root, schatten_norm,
-                               schatten_pow_batch)
+from cocycle_lab.linalg import (SMALL_N, _pow2_scale, _trace_power, psd_verdict, require, root,
+                               schatten_norm, schatten_pow_batch)
 from cocycle_lab.matrixalg import (alpha_battery, clock_shift_basis, heisenberg_multiplier,
                                    lindblad_gamma_residual, lindblad_generator,
                                    matrix_worst_constant)
@@ -106,25 +109,53 @@ def _psd(n: int, count: int, index: int) -> np.ndarray:
 def test_small_stack_moments_are_per_matrix(n):
     """Each matrix's moment and norm alone equal its row in stacks of 1, 2, 17 and 670, bit for
     bit, and the SVD's to 1e-13: on n x n stacks, whose products are broadcast multiply-adds at
-    n <= SMALL_N, and on the (d n) x n derivations D(x) of the delta multiplier, whose products
-    D* D are broadcast multiply-adds at n = 2 (d = 2) and np.matmul's at n = 3 (d = 4)."""
+    n <= SMALL_N, on PSD stacks through the odd trace power, and on the (d n) x n derivations
+    D(x) of the delta multiplier, whose products D* D are broadcast multiply-adds at n = 2
+    (d = 2) and np.matmul's at n = 3 (d = 4)."""
     assert n <= SMALL_N
     x = np.stack([rand_matrix(n, 700 + i, unit=False) for i in range(670)])
     tall = heisenberg_multiplier(n, "delta").derive(x)
     assert (n * tall.shape[1] * n <= SMALL_N ** 3) is (n == 2)
-    cases = [(p, np.stack([rand_matrix(n, 300 + i, unit=False) for i in range(670)]), False)
+    schatten = (schatten_pow_batch, schatten_norm)
+    kernel = (_trace_power, lambda m, q: _trace_power(m, q, take_root=True))
+    cases = [(p, np.stack([rand_matrix(n, 300 + i, unit=False) for i in range(670)]), schatten)
              for p in (2, 4, 6, 8, 12, 16)]
-    cases += [(q, _psd(n, 670, 1300), True) for q in (3, 5, 7)]
-    cases += [(p, tall, False) for p in (2, 3, 4, 6, 8, 12, 16)]
-    for p, X, psd in cases:
-        alone = [np.array([f(m, p, psd=psd) for m in X])
-                 for f in (schatten_pow_batch, schatten_norm)]
+    cases += [(q, _psd(n, 670, 1300), kernel) for q in (3, 5, 7)]
+    cases += [(p, tall, schatten) for p in (2, 3, 4, 6, 8, 12, 16)]
+    for p, X, (moment, norm) in cases:
+        alone = [np.array([f(m, p) for m in X]) for f in (moment, norm)]
         for count in (1, 2, 17, 670):
-            assert np.array_equal(schatten_pow_batch(X[:count], p, psd=psd), alone[0][:count]), p
-            assert np.array_equal(schatten_norm(X[:count], p, psd=psd), alone[1][:count]), p
+            assert np.array_equal(moment(X[:count], p), alone[0][:count]), p
+            assert np.array_equal(norm(X[:count], p), alone[1][:count]), p
         ref = svd_schatten(X, p)
         assert np.all(np.abs(alone[1] - ref) <= 1e-13 * ref), p
         assert np.all(np.abs(alone[0] - ref ** p) <= 1e-13 * ref ** p), p
+
+
+def test_schatten_norms_take_no_positivity_on_trust():
+    """No caller can declare a matrix PSD: odd p takes the singular values, where a PSD flag once
+    read 2.3513 for [[1, 2], [2, 1]] at p = 3 (indefinite, diagonal >= 0, tau(X^3) > 0), 1.5183
+    for diag(2, -1), and 1.8171 for the 3 x 2 ones matrix, whose broadcast product went
+    unchecked."""
+    for x, want in (([[1.0, 2.0], [2.0, 1.0]], 2.4101), (np.diag([2.0, -1.0]), 1.6510),
+                    (np.ones((3, 2)), 1.9442)):
+        got = schatten_norm(np.asarray(x), 3)
+        assert got == pytest.approx(svd_schatten(np.asarray(x), 3), rel=1e-14)
+        assert round(got, 4) == want
+    for f in (schatten_norm, schatten_pow_batch, gamma_norm):
+        assert "psd" not in inspect.signature(f).parameters
+
+
+def test_a_moment_rejects_p_inf():
+    """schatten_pow_batch(X, inf) once read inf for 2 I and 0.0 for 0.5 I, whatever the spectrum;
+    the norm at p = inf stays the largest singular value."""
+    for x in (2.0 * np.eye(2), 0.5 * np.eye(2)):
+        with pytest.raises(ValueError, match=r"^Schatten moment p = Infinity is not finite$"):
+            schatten_pow_batch(x, np.inf)
+        with pytest.raises(ValueError, match=r"^trace power q = Infinity is not an odd integer"):
+            _trace_power(x, np.inf)
+        assert schatten_norm(x, np.inf) == x[0, 0]
+    assert schatten_norm(np.diag([3.0, -5.0, 1.0]), np.inf) == 5.0
 
 
 def test_wide_stacks_are_rejected():
@@ -163,40 +194,54 @@ def test_larger_stacks_keep_matmul(n):
     for p in (2, 4, 6, 8, 10, 12, 14, 16):
         assert np.array_equal(schatten_pow_batch(X, p), _matmul_moment(X, p)), p
     for q in (3, 5, 7, 9):
-        assert np.array_equal(schatten_pow_batch(psd, q, psd=True), _matmul_moment(psd, q)), q
+        assert np.array_equal(_trace_power(psd, q), _matmul_moment(psd, q)), q
 
 
-def test_psd_flag_rejects_a_negative_trace_power():
-    """A stack passed as PSD whose odd trace power is negative raises, naming the matrix,
-    where a complex root's real part (or a negative moment) once came back."""
-    with pytest.raises(ValueError, match=r"^Schatten norm input is not PSD: its trace power "
+def test_trace_power_rejects_a_negative_trace_power():
+    """A stack whose odd trace power is negative, which a broken PSD certificate would pass,
+    raises, naming the matrix, where a complex root's real part (or a negative moment) once
+    came back."""
+    with pytest.raises(ValueError, match=r"^trace power input is not PSD: its trace power "
                                          r"tau\(X\^3\) is -1\.0 < 0$"):
-        schatten_norm(-np.eye(2), 3, psd=True)
-    with pytest.raises(ValueError, match=r"^Schatten norm input\(0\) is not PSD"):
-        schatten_pow_batch(-np.eye(2)[None], 3, psd=True)
+        _trace_power(-np.eye(2), 3, take_root=True)
+    with pytest.raises(ValueError, match=r"^trace power input\(0\) is not PSD"):
+        _trace_power(-np.eye(2)[None], 3)
     stack = np.stack([np.eye(2), np.diag([1.0, -2.0]), -np.eye(2)])
-    with pytest.raises(ValueError, match=r"^Schatten norm input\(1\) is not PSD: its trace "
+    with pytest.raises(ValueError, match=r"^trace power input\(1\) is not PSD: its trace "
                                          r"power tau\(X\^5\) is -15\.5 < 0$"):
-        schatten_pow_batch(stack, 5, psd=True)
-    # without the flag, odd p takes the singular values
+        _trace_power(stack, 5)
+    # the Schatten norm at odd p takes the singular values
     assert schatten_norm(-np.eye(2), 3) == 1.0
 
 
-def test_psd_flag_rejects_a_negative_diagonal():
-    """A stack passed as PSD with a positive odd trace power but a negative diagonal entry, which
-    no PSD matrix has, raises, naming the matrix: diag(2, -1) once read ||X||_3 = 1.5183 where
-    the singular values give 1.6510.  A diagonal entry of -1e-9 times the scale is let through."""
+def test_trace_power_rejects_a_negative_diagonal():
+    """A stack with a positive odd trace power but a negative diagonal entry, which no PSD matrix
+    has, raises, naming the matrix: diag(2, -1) once read ||X||_3 = 1.5183 where the singular
+    values give 1.6510.  A diagonal entry of -1e-9 times the scale is let through."""
     x = np.diag([2.0, -1.0])
     assert schatten_norm(x, 3) == pytest.approx(1.6509636244473134, rel=1e-15)
-    with pytest.raises(ValueError, match=r"^Schatten norm input is not PSD: its least diagonal "
+    with pytest.raises(ValueError, match=r"^trace power input is not PSD: its least diagonal "
                                          r"entry is -1\.0 < 0$"):
-        schatten_norm(x, 3, psd=True)
-    with pytest.raises(ValueError, match=r"^Schatten norm input\(1,0\) is not PSD: its least "
+        _trace_power(x, 3, take_root=True)
+    with pytest.raises(ValueError, match=r"^trace power input\(1,0\) is not PSD: its least "
                                          r"diagonal entry is -1\.0 < 0$"):
-        schatten_pow_batch(np.stack([np.eye(2), x])[:, None], 5, psd=True)
+        _trace_power(np.stack([np.eye(2), x])[:, None], 5)
     # within DEFAULT_TOL of the matrix's power-of-two scale, 2 here
     y = np.diag([2.0, -1e-9])
-    assert schatten_norm(y, 3, psd=True) == pytest.approx(schatten_norm(y, 3), rel=1e-12)
+    assert _trace_power(y, 3, take_root=True) == pytest.approx(schatten_norm(y, 3), rel=1e-12)
+
+
+def test_trace_power_rejects_a_stack_that_is_not_square():
+    """The broadcast product once multiplied a 3 x 2 by a 3 x 2 with no inner-dimension check,
+    and a 3 x 2 ones matrix read 1.8171 where its norm is 1.9442; q must be an odd integer."""
+    for x in (np.ones((3, 2)), np.ones((5, 3, 2)), np.ones(3)):
+        with pytest.raises(ValueError, match=rf"^trace power input has shape "
+                                             rf"{re.escape(str(x.shape))}: not square$"):
+            _trace_power(x, 3, take_root=True)
+    for q in (2, 3.5, 0, -1, True):
+        with pytest.raises(ValueError, match=r"^trace power q = .* is not an odd integer >= 1$"):
+            _trace_power(np.eye(2), q)
+    assert _trace_power(np.eye(2), 3.0) == _trace_power(np.eye(2), 3) == 1.0
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 6, 16])

@@ -10,7 +10,7 @@ from cocycle_lab.cocycles import LengthFunction, gromov_form, length_function, w
 from cocycle_lab.criterion import AlphaCertificate, best_alpha_pencil
 from cocycle_lab.families import builtin_length, delta_psi
 from cocycle_lab.groups import build_cyclic, build_product, group_from_dict, group_to_dict
-from cocycle_lab.linalg import root, schatten_norm
+from cocycle_lab.linalg import _trace_power, root, schatten_norm
 from cocycle_lab.matrixalg import heisenberg_multiplier, matrix_poincare, matrix_worst_constant
 from cocycle_lab.poincare import (GRAD_STEP, REL_IMPROVEMENT_STOP, ZeroNumeratorError,
                                   fit_exponent, l2_oracle, maximize_on_sphere, maximize_ratio,
@@ -447,14 +447,16 @@ def test_batched_ratio_matches_reference(monkeypatch, spec):
 
 
 def _svd_route_ratio(sg, f, p, psd=False):
-    """The ratio on the regular representation: schatten_norm denominators, which take
-    trace powers at odd p/2 only with psd=True, whatever group and psi are."""
+    """The ratio on the regular representation: schatten_norm denominators, or with psd=True
+    the trace powers at odd p/2, whatever group and psi are."""
     f0 = f - fix_project(sg, f)
     f0s = f0.adjoint()
+    norm = schatten_norm
+    if psd and p % 4 == 2:
+        norm = lambda m, q: _trace_power(m, q, take_root=True)
     return ratio_scores(lp_norm(f0, p),
-                        root(np.maximum(
-                            schatten_norm(regular_rep(gamma(sg, f0, f0)), p / 2.0, psd),
-                            schatten_norm(regular_rep(gamma(sg, f0s, f0s)), p / 2.0, psd)), 2),
+                        root(np.maximum(norm(regular_rep(gamma(sg, f0, f0)), p / 2.0),
+                                        norm(regular_rep(gamma(sg, f0s, f0s)), p / 2.0)), 2),
                         np.abs(f.coeffs).max(axis=-1))
 
 
