@@ -11,7 +11,7 @@ of the regular representation Lambda(x)[h, u] = x(h u^{-1}):
 
     pi_B(x) = D_B^* Lambda(x) D_B,   dx_k = i D_k^* [Lambda(y_k), diag beta_k] D_k,
 
-|G| exponentials per path point, an exact *-homomorphism sample by sample.
+|G| phases per path point (_path_phases), an exact *-homomorphism sample by sample.
 dx_k is the step of the transform M_n(x), with y_k = T_{L-t_k} x, D_k at
 B_{t_k} and beta_k(u) = <b(u^{-1}), dB_k>; its decoupled twin M~_n(x) takes
 an independent increment copy, and tau|dx_k|^p = tau|[Lambda(y_k), diag
@@ -125,14 +125,19 @@ def sample_scenario(cocycle: CocycleRealization, n: int, dt: float,
     return BrownianScenario(cocycle, int(n), float(dt), int(samples), int(rng.check_seed(seed)))
 
 
-def _pair(cocycle: CocycleRealization, v: np.ndarray) -> np.ndarray:
-    """<b(u^{-1}), v[..., :]> per group element u: [..., u]."""
-    return np.einsum("...j,uj->...u", v, cocycle.vectors[cocycle.group.inv])
+def _pair(cocycle: CocycleRealization, paths: np.ndarray) -> np.ndarray:
+    """<b(u^{-1}), paths[..., k, :]> per u, [..., u, k]: the (|G|, d) cocycle @ each (d, k) path,
+    one product of one shape per path, so no bit depends on how many paths are stacked."""
+    return cocycle.vectors[cocycle.group.inv] @ np.swapaxes(paths, -1, -2)
 
 
-def _path_phases(cocycle: CocycleRealization, B: np.ndarray) -> np.ndarray:
-    """w_B[..., u] = e^{i <b(u^{-1}), B[..., :]>} at path points B[..., j]."""
-    return np.exp(1j * _pair(cocycle, B))
+def _path_phases(cocycle: CocycleRealization, paths: np.ndarray) -> np.ndarray:
+    """e^{i _pair} as cos and sin written into one complex array: exp(1j phi)'s bits, faster."""
+    phi = _pair(cocycle, paths)
+    w = np.empty(phi.shape, complex)
+    np.cos(phi, out=w.real)
+    np.sin(phi, out=w.imag)
+    return w
 
 
 def _grid_index(scenario: BrownianScenario, t: float) -> int:
@@ -168,7 +173,8 @@ def dilation_matrix(x: AlgebraElement, t: float, scenario: BrownianScenario,
     algebra._same_group(x, scenario.cocycle, FOREIGN_X)
     require(sample, "sample", lambda v: is_integer(v) and 0 <= v < scenario.samples,
             f"an integer in [0, {scenario.samples})")
-    w = _path_phases(scenario.cocycle, scenario.increments(sample, sample + 1)[0, :k].sum(axis=0))
+    B = scenario.increments(sample, sample + 1)[:, :k].sum(axis=1, keepdims=True)
+    w = _path_phases(scenario.cocycle, B)[0, :, 0]
     return w.conj()[:, None] * regular_rep(x) * w
 
 
@@ -180,7 +186,8 @@ def dilation_mean(x: AlgebraElement, t: float, scenario: BrownianScenario):
 
     parts = []
     for lo, hi in blocks(scenario.samples, _sample_entries(scenario)):
-        w = _path_phases(scenario.cocycle, scenario.increments(lo, hi)[:, :k].sum(axis=1))
+        B = scenario.increments(lo, hi)[:, :k].sum(axis=1, keepdims=True)
+        w = _path_phases(scenario.cocycle, B)[..., 0]
         parts.append(w.conj()[:, :, None] * lx * w[:, None, :])
     D = np.concatenate(parts)
     mean = D.mean(axis=0)
@@ -248,14 +255,14 @@ def martingale_transform(x: AlgebraElement, scenario: BrownianScenario, L: float
     Lambda(y_k) and 2 dt Lambda(Gamma_k) do not depend on the sample and are gathered once, laid
     out (|G|, |G|, steps).  Each chunk of linalg.blocks (_sample_entries per sample), taken in
     order, draws its increments and their copy once and forms ww[c, h, u, k] = conj(w_k(h))
-    w_k(u), the conjugation by D_k as an entrywise factor, from (c, |G|, steps) exponentials.
+    w_k(u), the conjugation by D_k as an entrywise factor, from (c, |G|, steps) _path_phases.
     S_c and S_r contract ww against Lambda(Gamma_k) over k, PSD since the scenario checked its
-    b, reduced to tau|S|^{q/2} at each q in BRACKET_PS, by linalg._trace_power at odd q/2.  ww times
+    b, reduced to tau|S|^{q/2} at each q in BRACKET_PS at once by linalg._psd_moments.  ww times
     Lambda(y_k), in place, is E_k; one batched product of E, viewed (c, |G|^2, steps), with the
     stacked increments [dB | dB'] gives Q_j for both draws, and M, M~ from them.  E is freed
     before h_d = sum_k ||dx_k||_p^p of the primary draw: on p's moment route (_gram_route) by
     the module docstring's form in the monomials of dB^j dB^l against _moment_table's T, summed
-    elementwise so that no bit depends on the chunking; elsewhere from each chunk's commutator
+    by einsum, so that no bit depends on the chunking; elsewhere from each chunk's commutator
     stack.  Where M, M~ and the primary increments fit one chunk's budget (samples (2 |G|^2 +
     steps d) <= linalg.BLOCK_ENTRIES), the scenario keeps this pass, dB copied into one array as
     the chunks draw it, for its last x coefficients, L and block plan, and serves it (M and M~
@@ -275,7 +282,7 @@ def martingale_transform(x: AlgebraElement, scenario: BrownianScenario, L: float
     bdiff = bv[None, :, :] - bv[:, None, :]         # [h, u, j] = b_j(u^{-1}) - b_j(h^{-1})
     jj, ll = np.triu_indices(d)                     # the pairs j <= l
     i, j = int(p) // 4, (int(p) + 2) // 4           # tau(H^{p/2}) = tau(H^i H^j)
-    table = (_moment_table(ly, bdiff, i, j)[:, :, None]     # [nu, mu, 1, k]
+    table = (_moment_table(ly, bdiff, i, j)                 # [nu, mu, k]
              if _gram_route(d, n, scenario.steps, scenario.samples, p) else None)
     plan = blocks(scenario.samples, _sample_entries(scenario))
     keep = scenario.samples * (2 * n * n + scenario.steps * d) <= linalg.BLOCK_ENTRIES
@@ -290,7 +297,7 @@ def martingale_transform(x: AlgebraElement, scenario: BrownianScenario, L: float
 
     def hd(dB):                                     # sum_k tau|dx_k|^p per sample
         if table is None:
-            beta = _pair(coc, dB)                   # [c, k, u] = beta_k(u)
+            beta = np.swapaxes(_pair(coc, dB), -1, -2)      # [c, k, u] = beta_k(u)
             cm = (beta[..., None, :] - beta[..., :, None]) * ly     # [Lambda(y_k), diag beta_k]
             return schatten_pow_batch(cm, p).sum(axis=1)
         inc = np.moveaxis(dB, -1, 0)
@@ -299,8 +306,8 @@ def martingale_transform(x: AlgebraElement, scenario: BrownianScenario, L: float
         if j == 2:
             a, b = np.triu_indices(len(x1))
             mono.append(x1[a] * x1[b])
-        z = sum(t * v for t, v in zip(table, mono[j]))    # [mu, c, k] = (T_k y^(j))_mu
-        return sum(u * w for u, w in zip(mono[i], z)).sum(axis=1)
+        z = np.einsum("nmk,nck->mck", table, mono[j])      # [mu, c, k] = (T_k y^(j))_mu
+        return np.einsum("mck,mck->ck", mono[i], z).sum(axis=1)
 
     def work(lo, hi):
         dB = scenario.increments(lo, hi)
@@ -308,18 +315,17 @@ def martingale_transform(x: AlgebraElement, scenario: BrownianScenario, L: float
             kept[lo:hi] = dB
         drives = np.concatenate([dB, scenario.increments_copy(lo, hi)], axis=2)
         B = np.concatenate([np.zeros_like(dB[:, :1]), np.cumsum(dB, axis=1)[:, :-1]], axis=1)
-        w = np.exp(1j * np.einsum("ckj,uj->cuk", B, bv))   # _path_phases of B, step axis last
+        w = _path_phases(coc, B)
         ww = w.conj()[:, :, None] * w[:, None]
         del w
         s = np.stack([np.einsum("chuk,huk->chu", ww, g) for g in lgam_k])     # S_c, S_r
-        s = np.stack([(linalg._trace_power if r % 4 == 2 else schatten_pow_batch)(s, r / 2.0)
-                      for r in qs], axis=1)
+        s = linalg._psd_moments(s, [r / 2.0 for r in qs])         # [q, S_c or S_r, c]
         ww *= ly_k                                  # E
         q = (ww.reshape(hi - lo, n * n, scenario.steps) @ drives).reshape(hi - lo, n, n, 2 * d)
         del ww
         M, Mt = (1j * np.einsum("chuj,huj->chu", q[..., half], bdiff)
                  for half in (slice(None, d), slice(d, None)))
-        return M, Mt, s.T, hd(dB)                   # s.T: [c, q, S_c or S_r]
+        return M, Mt, np.moveaxis(s, -1, 0), hd(dB)
 
     if memo:                                        # a served pass: h_d alone, from the kept dB
         dx = np.concatenate([hd(memo["dB"][lo:hi]) for lo, hi in plan])
@@ -423,7 +429,7 @@ def inequality_report(x: AlgebraElement, scenario: BrownianScenario, L: float, p
     tr = martingale_transform(x, scenario, L, p)
     br = bracket_estimates(tr)
     p = tr.p
-    mn = _root_stat(schatten_pow_batch(tr.M, p), p)
+    mn = _root_stat(m_pow := schatten_pow_batch(tr.M, p), p)
     mt = _root_stat(schatten_pow_batch(tr.Mt, p), p)
     denom = np.sqrt(p) * max(br.hc.mean, br.hr.mean)
     if not (mt.mean > 0 and denom > 0):
@@ -433,7 +439,7 @@ def inequality_report(x: AlgebraElement, scenario: BrownianScenario, L: float, p
     ratio = mn.mean / mt.mean
     ratio_se = ratio * (mn.se / mn.mean + mt.se / mt.mean) if mn.mean > 0 else 0.0
     bdg = mn.mean / denom
-    ito = _mean_se(schatten_pow_batch(tr.M, 2.0))
+    ito = _mean_se(m_pow if p == 2.0 else schatten_pow_batch(tr.M, 2.0))
     bound = None
     if alpha_cert is not None and alpha_cert.alpha_star > 0:
         a = alpha_cert.alpha_star

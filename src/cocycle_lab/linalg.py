@@ -4,9 +4,9 @@ each naming the bad value or entry.
 
 Schatten norms of (..., r, n) stacks, r >= n, take matrix products, tau((X* X)^{p/2}), at even
 integer p and the singular values at any other: no caller can tell them that X is PSD.  A PSD
-X has ||X||_q^q = tau(X^q), which _trace_power takes by products at odd q for the two callers
-that hold a checked certificate: poincare_ratio under Semigroup.gamma_psd, and the dilation
-brackets of a BrownianScenario, whose b passed GromovForm.factor.  A product with rows x inner
+X has ||X||_q^q = tau(X^q), taken by products for two callers that hold a checked certificate:
+by _trace_power at odd q for poincare_ratio under Semigroup.gamma_psd, and by _psd_moments at all
+q at once for martingale_transform, whose b passed GromovForm.factor.  A product with rows x inner
 x columns <= SMALL_N^3 is broadcast multiply-adds (_mul), whose bits are not the BLAS build's.
 """
 from __future__ import annotations
@@ -68,49 +68,50 @@ def schatten_pow_batch(mats: np.ndarray, p: float) -> np.ndarray:
 
 def _trace_power(mats: np.ndarray, q: float, take_root: bool = False) -> np.ndarray:
     """tau(X^q) per matrix of a square stack at odd integer q, or its q-th root, by products: a PSD
-    X's Schatten moment, for the module docstring's two certified callers alone."""
+    X's Schatten moment, for poincare_ratio's certificate alone; _psd_moments at the one q."""
     require(q, "trace power q", lambda v: is_number(v) and v >= 1 and float(v) % 2 == 1,
             "an odd integer >= 1")
+    return _psd_moments(mats, (q,), take_root)[0]
+
+
+def _psd_moments(mats: np.ndarray, qs, take_root: bool = False) -> np.ndarray:
+    """tau(X^q), or its root, per matrix of a PSD square stack at each integer q of qs, [q, ...]:
+    at odd q _trace_power's, else schatten_pow_batch's (schatten_norm's), bit for bit, from one
+    finiteness check and _pow2_scale, with _trace_power's refusals (not square, not PSD)."""
     if np.ndim(mats) < 2 or np.shape(mats)[-2] != np.shape(mats)[-1]:
         raise ValueError(f"trace power input has shape {np.shape(mats)}: not square")
-    return _schatten(mats, q, take_root, trace_power=True)
+    require_finite(mats := np.asarray(mats), "Schatten norm input")
+    scale, acc = _moments(mats, qs)
+    diag = np.diagonal(mats, 0, -2, -1).real
+    neg = (diag < -DEFAULT_TOL * scale[..., None]).any(axis=-1)
+    for q, a in zip(qs, acc):
+        if q % 2 and (bad := neg | (a < 0)).any():
+            at = tuple(np.argwhere(bad)[0])
+            why = (f"its trace power tau(X^{int(q)}) is {float(a[at] * scale[at] ** q)!r}"
+                   if a[at] < 0 else f"its least diagonal entry is {float(diag[at].min())!r}")
+            raise ValueError(f"trace power input{_index(at)} is not PSD: {why} < 0")
+    return np.stack([scale * root(a, q) if take_root else scale ** q * a for q, a in zip(qs, acc)])
 
 
-def _schatten(mats: np.ndarray, p: float, take_root: bool, trace_power: bool = False):
+def _schatten(mats: np.ndarray, p: float, take_root: bool):
     """tau(|X|^p) per matrix of an (..., r, n) stack, or its p-th root: the product/SVD rule.
 
-    Even integer p >= 2 takes matrix products (_even_moment), and so does _trace_power's odd p
-    (_odd_moment), in blocks(count, 32 r n): up to 4 stacks of r x n at once (p <= 16), counted
-    8-fold to keep each in cache (blocks 8 times larger ran dilation-report 10% slower at 36%
-    more RSS).  The products are _mul's, timed at SMALL_N.  Any other p (odd, fractional, inf)
-    takes the singular values, the reference route, for the root rescaled by their max before
-    powering.  All scale by _pow2_scale first; a p that is no number >= 1 (or inf with no root
-    to take), a non-finite entry or a wide stack (r < n) raises ValueError, and so does a trace
-    power's matrix, the first named, whose tau(X^p) is negative or whose diagonal has an entry
-    below -DEFAULT_TOL once scaled.
+    Even integer p >= 2 takes matrix products (_moments).  Any other p (odd, fractional, inf) takes
+    the singular values, the reference route, for the root rescaled by their max before powering.
+    All scale by _pow2_scale first; a p that is no number >= 1 (or inf with no root to take), a
+    non-finite entry, an input with fewer than 2 axes or a wide stack (r < n) raises ValueError.
     """
     require(p, "Schatten p", lambda v: is_number(v) and v >= 1, "a number >= 1")
     require(p, "Schatten moment p", lambda v: take_root or v < np.inf, "finite")
     mats = np.asarray(mats)
     require_finite(mats, "Schatten norm input")
-    if mats.ndim >= 2 and mats.shape[-2] < mats.shape[-1]:
+    if mats.ndim < 2:
+        raise ValueError(f"Schatten norm input has shape {mats.shape}: not a matrix")
+    if mats.shape[-2] < mats.shape[-1]:
         raise ValueError(f"Schatten norm input has {mats.shape[-2]} x {mats.shape[-1]} "
                          f"matrices: fewer rows than columns")
-    if trace_power or float(p) % 2 == 0:
-        rule = _odd_moment if trace_power else _even_moment
-        flat = mats.reshape((-1,) + mats.shape[-2:])
-        scale, acc = np.empty((2, len(flat)))
-        for lo, hi in blocks(len(flat), 32 * mats.shape[-2] * mats.shape[-1]):
-            scale[lo:hi], acc[lo:hi] = rule(flat[lo:hi], int(p))
-        scale, acc = scale.reshape(mats.shape[:-2]), acc.reshape(mats.shape[:-2])
-        if trace_power:                 # a PSD Y = X / c has tau(Y^q) >= 0 and diag(Y) >= 0
-            diag = np.diagonal(mats, 0, -2, -1).real
-            neg = (diag < -DEFAULT_TOL * scale[..., None]).any(axis=-1)
-            if (bad := neg | (acc < 0)).any():
-                at = tuple(np.argwhere(bad)[0])
-                why = (f"its trace power tau(X^{int(p)}) is {float(acc[at] * scale[at] ** p)!r}"
-                       if acc[at] < 0 else f"its least diagonal entry is {float(diag[at].min())!r}")
-                raise ValueError(f"trace power input{_index(at)} is not PSD: {why} < 0")
+    if float(p) % 2 == 0:
+        scale, (acc,) = _moments(mats, (p,))
         return scale * root(acc, p) if take_root else scale ** p * acc
     c, y = _pow2_scale(mats)
     s = np.linalg.svd(y, compute_uv=False)
@@ -121,6 +122,20 @@ def _schatten(mats: np.ndarray, p: float, take_root: bool, trace_power: bool = F
         return c * smax
     acc = np.mean((s / np.where(smax > 0, smax, 1.0)[..., None]) ** p, axis=-1)
     return c * (smax * root(acc, p))     # c * smax alone can overflow where the norm does not
+
+
+def _moments(mats: np.ndarray, ps) -> tuple[np.ndarray, np.ndarray]:
+    """(c, [tau(Y^p) at odd p, else tau((Y* Y)^{p/2}), per p of ps]) per matrix of a finite (..., r,
+    n) stack X, (c, Y) = _pow2_scale(X), by _mul's products in blocks(count, 32 r n): up to 4 r x n
+    stacks at once (p <= 16), counted 8-fold to keep each in cache (blocks 8 times larger ran
+    dilation-report 10% slower at 36% more RSS)."""
+    flat = mats.reshape((-1,) + mats.shape[-2:])
+    scale, acc = np.empty(len(flat)), np.empty((len(ps), len(flat)))
+    for lo, hi in blocks(len(flat), 32 * mats.shape[-2] * mats.shape[-1]):
+        scale[lo:hi], y = _pow2_scale(flat[lo:hi])
+        for a, p in zip(acc, ps):
+            a[lo:hi] = (_odd_moment if p % 2 else _even_moment)(y, int(p))
+    return scale.reshape(mats.shape[:-2]), acc.reshape((len(ps),) + mats.shape[:-2])
 
 
 def _pow2_scale(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -157,13 +172,12 @@ def _power(a: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
-def _even_moment(x: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(c, tau((Y* Y)^m)) per matrix of a (k, r, n) stack x, p = 2m, (c, Y) = _pow2_scale(x).
+def _even_moment(y: np.ndarray, p: int) -> np.ndarray:
+    """tau((Y* Y)^m) per matrix of a (k, r, n) stack y, p = 2m, scaled by _pow2_scale.
 
     With H = Y* Y, tau(H^m) = (1/n) ||Z||_F^2 for Z = H^{m/2} (m even) or
     Z = Y H^{(m-1)/2} (m odd): a sum of squares, and Z = Y itself at p = 2.
     """
-    c, y = _pow2_scale(x)
     m = p // 2
     z = y
     if m > 1:
@@ -171,22 +185,21 @@ def _even_moment(x: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
         if m % 2:
             z = _mul(y, z)
     sq = (z * z.conj()).real
-    return c, sq.reshape(len(sq), -1).sum(axis=-1) / z.shape[-1]
+    return sq.reshape(len(sq), -1).sum(axis=-1) / z.shape[-1]
 
 
-def _odd_moment(x: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """(c, tau(Y^q)) per matrix of a (k, n, n) stack x, q odd, with (c, Y) = _pow2_scale(x).
+def _odd_moment(y: np.ndarray, q: int) -> np.ndarray:
+    """tau(Y^q) per matrix of a (k, n, n) stack y, q odd, scaled by _pow2_scale.
 
     q = 1 is the normalized trace; q = 2m + 1 is (1/n) Re sum conj(Z) o (Y Z)
     with Z = Y^m.  Y's entries are below 2 in modulus, so tau(Y^q) <= (2n)^q
     does not overflow.
     """
-    c, y = _pow2_scale(x)
     n = y.shape[-1]
     if q == 1:
-        return c, np.trace(y, axis1=-2, axis2=-1).real / n
+        return np.trace(y, axis1=-2, axis2=-1).real / n
     z = _power(y, q // 2)
-    return c, (z.conj() * _mul(y, z)).real.reshape(len(y), -1).sum(axis=-1) / n
+    return (z.conj() * _mul(y, z)).real.reshape(len(y), -1).sum(axis=-1) / n
 
 
 def psd_scale(x: np.ndarray) -> float:

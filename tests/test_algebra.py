@@ -154,8 +154,8 @@ def test_odd_trace_powers_match_svd_on_psd_stacks_hypothesis(n, index, rank, sca
     B = np.stack([rand_matrix(n, index + i, unit=False) for i in range(3)])
     B[:, min(rank, n):] = 0.0
     X = scale * (np.swapaxes(B.conj(), -1, -2) @ B)
-    c, acc = _odd_moment(X, q)
-    y = _pow2_scale(X)[1]
+    c, y = _pow2_scale(X)
+    acc = _odd_moment(y, q)
     assert np.array_equal(_trace_power(y, q), acc)     # y's power-of-two scale is 1
     want = np.mean(np.linalg.svd(y, compute_uv=False) ** q, axis=-1)
     assert np.all(np.isfinite(c)) and np.all(np.isfinite(acc))

@@ -400,10 +400,12 @@ def test_both_hd_routes_agree_per_sample(spec, gram, monkeypatch):
 def test_gram_route_is_independent_of_chunking(monkeypatch):
     # every TransformPass field, sample by sample, at chunks of 1, 7 and all samples, on both
     # h_d routes: walsh:2:2, walsh:2:3, wordlength:6 and heisenberg-wordlength:3 read the
-    # moment table, wordlength:8 (10 pairs > |G| = 8) builds the commutator stack.  A report's
-    # means and SEs can absorb a last-bit change in one sample; these arrays cannot
+    # moment table, wordlength:8 (10 pairs > |G| = 8) and wordlength:16 (d = 8, the largest
+    # cocycle by path product here) build the commutator stack.  A report's means and SEs can
+    # absorb a last-bit change in one sample; these arrays cannot
     for spec, gram in (("walsh:2:2", True), ("walsh:2:3", True), ("wordlength:6", True),
-                       ("heisenberg-wordlength:3", True), ("wordlength:8", False)):
+                       ("heisenberg-wordlength:3", True), ("wordlength:8", False),
+                       ("wordlength:16", False)):
         sc = _route_scenario(spec)
         assert _on_gram_route(sc) == gram
         x = element(sc.cocycle.group, rand_coeffs(sc.cocycle.group.order, 5))
@@ -801,7 +803,8 @@ from cocycle_lab.cocycles import gromov_form, realize_cocycle
 from cocycle_lab.criterion import best_alpha_pencil
 from cocycle_lab.dilation import inequality_report, sample_scenario
 from cocycle_lab.families import builtin_length
-for spec, steps, samples in (("walsh:2:2", 64, 1024), ("heisenberg-wordlength:3", 16, 256)):
+for spec, steps, samples in (("walsh:2:2", 64, 1024), ("heisenberg-wordlength:3", 16, 256),
+                             ("wordlength:16", 32, 512)):
     K = gromov_form(builtin_length(spec))
     sc = sample_scenario(realize_cocycle(K), steps, 2.0 / steps, samples, 11)
     group, cert = sc.cocycle.group, best_alpha_pencil(K)
@@ -812,8 +815,9 @@ for spec, steps, samples in (("walsh:2:2", 64, 1024), ("heisenberg-wordlength:3"
 
 
 def test_inequality_report_independent_of_blas_threads():
-    # the product of E with the stacked increments is a BLAS call: reports under one and
-    # two OpenBLAS threads are byte-identical
+    # the path phases (a product of the cocycle by each path, d = 8 on wordlength:16) and the
+    # product of E with the stacked increments are BLAS calls: reports under one and two
+    # OpenBLAS threads are byte-identical
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     outs = []
     for threads in ("1", "2"):
@@ -823,5 +827,5 @@ def test_inequality_report_independent_of_blas_threads():
                              text=True, env=env, timeout=300)
         assert run.returncode == 0, run.stderr
         outs.append(run.stdout)
-    assert outs[0].count("\n") == 6
+    assert outs[0].count("\n") == 9
     assert outs[0] == outs[1]

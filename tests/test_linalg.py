@@ -11,8 +11,8 @@ from cocycle_lab.criterion import check_element
 from cocycle_lab.dilation import inequality_report, sample_scenario
 from cocycle_lab.families import builtin_length, heisenberg_delta, walsh_length
 from cocycle_lab.groups import build_cyclic, build_heisenberg, build_power
-from cocycle_lab.linalg import (SMALL_N, _pow2_scale, _trace_power, psd_verdict, require, root,
-                               schatten_norm, schatten_pow_batch)
+from cocycle_lab.linalg import (SMALL_N, _pow2_scale, _psd_moments, _trace_power, psd_verdict,
+                               require, root, schatten_norm, schatten_pow_batch)
 from cocycle_lab.matrixalg import (alpha_battery, clock_shift_basis, heisenberg_multiplier,
                                    lindblad_gamma_residual, lindblad_generator,
                                    matrix_worst_constant)
@@ -43,8 +43,9 @@ _WL4 = word_length_psi(4)
 _M2 = lambda: heisenberg_multiplier(2, "delta")
 _A = [np.diag([0.0, 1.0])]
 
-# calls that once died with numpy's or Python's TypeError, an IndexError, or ran on a coerced
-# value (True as 1, 10.5 as 10), or returned a residual of an empty battery
+# calls that once died with numpy's or Python's TypeError, an IndexError (a Schatten norm of a
+# vector or a scalar, or numpy's AxisError at odd p), or ran on a coerced value (True as 1, 10.5
+# as 10), or returned a residual of an empty battery
 TYPE_GAPS = [
     ("build_cyclic(3.0)", lambda: build_cyclic(3.0), "cyclic n = 3.0 is not an integer >= 1"),
     ("build_power(2.0, 2)", lambda: build_power(2.0, 2), "product n = 2.0 is not an integer >= 1"),
@@ -73,6 +74,10 @@ TYPE_GAPS = [
      "Schatten p = true is not a number >= 1"),
     ("schatten_norm(x, '4')", lambda: schatten_norm(np.eye(2), "4"),
      'Schatten p = "4" is not a number >= 1'),
+    *[(f"{f.__name__}({x!r}, {p})", lambda f=f, x=x, p=p: f(x, p),
+       f"Schatten norm input has shape {np.shape(x)}: not a matrix")
+      for f in (schatten_norm, schatten_pow_batch) for x in (np.ones(3), np.float64(2.0))
+      for p in (2, 3)],
     ("psd_verdict(w, tol='x')", lambda: psd_verdict(np.zeros(2), tol="x"),
      'tol = "x" is not a finite number >= 0'),
     ("is_conditionally_negative(psi, tol='x')", lambda: is_conditionally_negative(_WL4, tol="x"),
@@ -242,6 +247,41 @@ def test_trace_power_rejects_a_stack_that_is_not_square():
         with pytest.raises(ValueError, match=r"^trace power q = .* is not an odd integer >= 1$"):
             _trace_power(np.eye(2), q)
     assert _trace_power(np.eye(2), 3.0) == _trace_power(np.eye(2), 3) == 1.0
+
+
+@pytest.mark.parametrize("n", [4, 8, 27])
+def test_psd_moments_equal_the_moment_at_each_q(n):
+    """_psd_moments reads tau(X^q) at every q of the dilation brackets, q = 1, 2, 3, 4, off one
+    scaled stack: _trace_power's moment and root at odd q, schatten_pow_batch's and
+    schatten_norm's at even q, bit for bit, on (2, c, n, n) stacks shaped like S_c and S_r."""
+    r = np.random.default_rng(n)
+    qs = (1.0, 2.0, 3.0, 4.0)
+    for c in (1, 7, 512):
+        b = r.standard_normal((2, c, n, n)) + 1j * r.standard_normal((2, c, n, n))
+        s = np.swapaxes(b.conj(), -1, -2) @ b
+        for take_root, odd, even in ((False, _trace_power, schatten_pow_batch),
+                                     (True, lambda m, q: _trace_power(m, q, True), schatten_norm)):
+            want = np.stack([(odd if q % 2 else even)(s, q) for q in qs])
+            assert np.array_equal(_psd_moments(s, qs, take_root), want), (c, take_root)
+
+
+def test_psd_moments_refuse_what_the_trace_power_refuses():
+    """The test_trace_power_rejects_* inputs raise the same ValueError from _psd_moments as from
+    _trace_power, at their odd q alone and among even q."""
+    x = np.diag([2.0, -1.0])
+    cases = [(-np.eye(2), 3), (-np.eye(2)[None], 3),
+             (np.stack([np.eye(2), np.diag([1.0, -2.0]), -np.eye(2)]), 5), (x, 3),
+             (np.stack([np.eye(2), x])[:, None], 5),
+             (np.ones((3, 2)), 3), (np.ones((5, 3, 2)), 3), (np.ones(3), 3)]
+    for mats, q in cases:
+        with pytest.raises(ValueError) as want:
+            _trace_power(mats, q)
+        for qs in ((q,), (2, q, 4)):
+            with pytest.raises(ValueError) as got:
+                _psd_moments(mats, qs)
+            assert str(got.value) == str(want.value), qs
+    y = np.diag([2.0, -1e-9])
+    assert np.array_equal(_psd_moments(y, (2, 3)), [schatten_pow_batch(y, 2), _trace_power(y, 3)])
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 6, 16])
