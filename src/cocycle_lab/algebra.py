@@ -26,12 +26,13 @@ from .linalg import (HERMITIAN_PRECHECK, PsdVerdict, psd_scale, psd_verdict, req
                      require_finite, schatten_norm)
 
 # gamma_transform squares the derivation where 2 d <= order, d <= DERIVATION_D and W's d order^2
-# entries fit DERIVATION_ENTRIES (32 MiB, a linalg.blocks block); else it transforms the kernel
-# Gamma.  Derivation over kernel time, 64-4096 rows, one thread (2-vCPU x86-64, AVX-512, numpy
-# 2.4.6), at (order, d): walsh:2:3 (8, 3) 0.21-0.58, walsh:2:6 (64, 6) 0.10-0.20, walsh:2:8
-# (256, 8) 0.47-0.59, walsh:2:9 (512, 9) 0.61-0.69, walsh:3:3 (27, 6) 0.30-0.50, wordlength:8
-# (8, 4) 0.55-0.67, :16 (16, 8) 0.71-0.86, :32 (32, 16) 0.86-1.11, :64 (64, 32) 1.62-2.42,
-# wordlength:7 (7, 6) 0.84-1.00, delta:8 (8, 7) 0.86-1.05, delta:32 (32, 31) 1.72-2.66.
+# entries fit DERIVATION_ENTRIES (32 MiB); else it transforms the kernel Gamma.  Not merged with
+# linalg.BLOCK_ENTRIES: a route picked by block size would make bits follow the blocking (64 sends
+# walsh:2:3 to the kernel).  Derivation over kernel time, 64-4096 rows, one thread (2-vCPU x86-64,
+# AVX-512, numpy 2.4.6), at (order, d): walsh:2:3 (8, 3) 0.21-0.58, walsh:2:6 (64, 6) 0.10-0.20,
+# walsh:2:8 (256, 8) 0.47-0.59, walsh:2:9 (512, 9) 0.61-0.69, walsh:3:3 (27, 6) 0.30-0.50,
+# wordlength:8 (8, 4) 0.55-0.67, :16 (16, 8) 0.71-0.86, :32 (32, 16) 0.86-1.11, :64 (64, 32)
+# 1.62-2.42, wordlength:7 (7, 6) 0.84-1.00, delta:8 (8, 7) 0.86-1.05, delta:32 (32, 31) 1.72-2.66.
 DERIVATION_D = 16
 DERIVATION_ENTRIES = 2 ** 21
 
@@ -147,7 +148,8 @@ class Semigroup:
 
     @cached_property
     def gamma_psd(self) -> bool:
-        """psi passes the Gromov-form PSD test, so every Gamma(f, f) is PSD (Schoenberg)."""
+        """psi passes the Gromov-form PSD test, so every Gamma(f, f) is PSD (Schoenberg): the
+        certificate under which poincare_ratio takes linalg._psd_moments at integer p/2."""
         return self.gromov._psd_test().psd
 
     @cached_property

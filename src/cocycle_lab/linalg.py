@@ -4,10 +4,10 @@ each naming the bad value or entry.
 
 Schatten norms of (..., r, n) stacks, r >= n, take matrix products, tau((X* X)^{p/2}), at even
 integer p and the singular values at any other: no caller can tell them that X is PSD.  A PSD
-X has ||X||_q^q = tau(X^q), taken by products for two callers that hold a checked certificate:
-by _trace_power at odd q for poincare_ratio under Semigroup.gamma_psd, and by _psd_moments at all
-q at once for martingale_transform, whose b passed GromovForm.factor.  A product with rows x inner
-x columns <= SMALL_N^3 is broadcast multiply-adds (_mul), whose bits are not the BLAS build's.
+X has ||X||_q^q = tau(X^q), taken at integer q by _psd_moments alone, for the two callers that
+hold a checked certificate: poincare_ratio under Semigroup.gamma_psd and martingale_transform,
+whose b passed GromovForm.factor.  A product with rows x inner x columns <= SMALL_N^3 is
+broadcast multiply-adds (_mul), whose bits are not the BLAS build's.
 """
 from __future__ import annotations
 
@@ -66,18 +66,15 @@ def schatten_pow_batch(mats: np.ndarray, p: float) -> np.ndarray:
     return _schatten(mats, p, take_root=False)
 
 
-def _trace_power(mats: np.ndarray, q: float, take_root: bool = False) -> np.ndarray:
-    """tau(X^q) per matrix of a square stack at odd integer q, or its q-th root, by products: a PSD
-    X's Schatten moment, for poincare_ratio's certificate alone; _psd_moments at the one q."""
-    require(q, "trace power q", lambda v: is_number(v) and v >= 1 and float(v) % 2 == 1,
-            "an odd integer >= 1")
-    return _psd_moments(mats, (q,), take_root)[0]
-
-
 def _psd_moments(mats: np.ndarray, qs, take_root: bool = False) -> np.ndarray:
-    """tau(X^q), or its root, per matrix of a PSD square stack at each integer q of qs, [q, ...]:
-    at odd q _trace_power's, else schatten_pow_batch's (schatten_norm's), bit for bit, from one
-    finiteness check and _pow2_scale, with _trace_power's refusals (not square, not PSD)."""
+    """tau(X^q), or its root, per matrix of a PSD square stack at each integer q >= 1 of qs, [q,
+    ...]: products off one finiteness check and _pow2_scale, at even q schatten_pow_batch's bit
+    for bit.  A q that is no integer >= 1, a stack that is not square, and a matrix whose odd trace
+    power is negative or whose diagonal has an entry below -DEFAULT_TOL times its scale (not PSD)
+    raise ValueError."""
+    for q in qs:
+        require(q, "trace power q", lambda v: is_number(v) and v >= 1 and float(v) % 1 == 0,
+                "an integer >= 1")
     if np.ndim(mats) < 2 or np.shape(mats)[-2] != np.shape(mats)[-1]:
         raise ValueError(f"trace power input has shape {np.shape(mats)}: not square")
     require_finite(mats := np.asarray(mats), "Schatten norm input")

@@ -267,9 +267,9 @@ def matrix_poincare_ratio(A: Superoperator, x: np.ndarray, p: float):
     """
     _require_matrices(A.n, x)
     require(p, "p", lambda v: is_number(v) and v >= 2, "a number >= 2")
+    require_finite(x, "Poincare ratio input")
     if A.symbol is None:
         return _superop_ratio(A, x, p)
-    require_finite(x, "Poincare ratio input")
     x0 = x - A.fix_project(x)
     den = schatten_norm(A.derive(np.stack([x0, np.swapaxes(x0.conj(), -1, -2)])), p)
     return ratio_scores(schatten_norm(x0, p), np.maximum(den[0], den[1]),

@@ -49,9 +49,9 @@ class ZeroNumeratorError(ValueError):
 def ratio_scores(num, den, coeff_max):
     """num / den per witness, the two norms of the ratio: a float for one, an array for a stack.
 
-    num < 1e-14 (1 + coeff_max) flags a witness in the fixed-point algebra.
+    num <= 1e-14 coeff_max flags a witness in the fixed-point algebra, a test no scaling moves.
     """
-    zero = num < 1e-14 * (1.0 + coeff_max)
+    zero = num <= 1e-14 * coeff_max
     r = np.where(zero, 0.0, num / np.where(zero, 1.0, den))
     r = float(r) if r.ndim == 0 else r
     if np.any(zero):
@@ -69,19 +69,19 @@ def poincare_ratio(sg: Semigroup, f: AlgebraElement, p: float):
     max.  There an exactly symmetric psi (every
     length_function) has Gamma(f0*, f0*) = Gamma(f0, f0) as elements, so
     only the first is formed.  Every other group takes the regular
-    representation: when psi passes the CN test (sg.gamma_psd), Gamma(f, f)
-    is PSD (Schoenberg), the certificate under which odd p/2 takes its trace
-    power (linalg._trace_power); otherwise _ratio, by gamma_norm.
+    representation: under sg.gamma_psd (psi passes the CN test, so Gamma(f, f)
+    is PSD, Schoenberg) an integer p/2 takes linalg._psd_moments, gamma_norm's
+    bits at even p/2; a fractional one, or no certificate, takes _ratio.
     """
     require(p, "p", lambda v: is_number(v) and v >= 2, "a number >= 2")
+    require_finite(f.coeffs, "Poincare ratio input")
     if sg.group.characters is None:
-        if not (sg.gamma_psd and p % 4 == 2):
+        if not (sg.gamma_psd and p / 2.0 % 1 == 0):
             return _ratio(sg, f, p)
         f0 = f - fix_project(sg, f)
-        den = np.maximum(*(linalg._trace_power(regular_rep(gamma(sg, g, g)), p / 2.0, True)
+        den = np.maximum(*(linalg._psd_moments(regular_rep(gamma(sg, g, g)), (p / 2.0,), True)[0]
                            for g in (f0, f0.adjoint())))
         return ratio_scores(lp_norm(f0, p), root(den, 2), np.abs(f.coeffs).max(axis=-1))
-    require_finite(f.coeffs, "Poincare ratio input")
     f0 = f - fix_project(sg, f)
     rows = AlgebraElement(sg.group, f0.coeffs.reshape(-1, sg.group.order))
     a = np.abs(fourier(rows))
@@ -255,7 +255,7 @@ def worst_constant(sg: Semigroup, p: float, budget: int = 20000, seed: int = 0, 
 
     The optimizer scores by poincare_ratio, through the characters where the
     group has them; the constant is the winning witness re-scored on the
-    regular representation by gamma_norm, which takes no trace power, on
+    regular representation by gamma_norm, which takes no PSD moment, on
     every group, so it stays a certified bound for a psi that passes the CN
     test only within its tolerance.
     ascent, this p's result of an ascent shared with other p (sweep_and_fit's),

@@ -11,8 +11,8 @@ from cocycle_lab.criterion import check_element
 from cocycle_lab.dilation import inequality_report, sample_scenario
 from cocycle_lab.families import builtin_length, heisenberg_delta, walsh_length
 from cocycle_lab.groups import build_cyclic, build_heisenberg, build_power
-from cocycle_lab.linalg import (SMALL_N, _pow2_scale, _psd_moments, _trace_power, psd_verdict,
-                               require, root, schatten_norm, schatten_pow_batch)
+from cocycle_lab.linalg import (SMALL_N, _pow2_scale, _psd_moments, psd_verdict, require, root,
+                               schatten_norm, schatten_pow_batch)
 from cocycle_lab.matrixalg import (alpha_battery, clock_shift_basis, heisenberg_multiplier,
                                    lindblad_gamma_residual, lindblad_generator,
                                    matrix_worst_constant)
@@ -114,7 +114,7 @@ def _psd(n: int, count: int, index: int) -> np.ndarray:
 def test_small_stack_moments_are_per_matrix(n):
     """Each matrix's moment and norm alone equal its row in stacks of 1, 2, 17 and 670, bit for
     bit, and the SVD's to 1e-13: on n x n stacks, whose products are broadcast multiply-adds at
-    n <= SMALL_N, on PSD stacks through the odd trace power, and on the (d n) x n derivations
+    n <= SMALL_N, on PSD stacks through _psd_moments at odd q, and on the (d n) x n derivations
     D(x) of the delta multiplier, whose products D* D are broadcast multiply-adds at n = 2
     (d = 2) and np.matmul's at n = 3 (d = 4)."""
     assert n <= SMALL_N
@@ -122,7 +122,8 @@ def test_small_stack_moments_are_per_matrix(n):
     tall = heisenberg_multiplier(n, "delta").derive(x)
     assert (n * tall.shape[1] * n <= SMALL_N ** 3) is (n == 2)
     schatten = (schatten_pow_batch, schatten_norm)
-    kernel = (_trace_power, lambda m, q: _trace_power(m, q, take_root=True))
+    kernel = (lambda m, q: _psd_moments(m, (q,))[0],
+              lambda m, q: _psd_moments(m, (q,), True)[0])
     cases = [(p, np.stack([rand_matrix(n, 300 + i, unit=False) for i in range(670)]), schatten)
              for p in (2, 4, 6, 8, 12, 16)]
     cases += [(q, _psd(n, 670, 1300), kernel) for q in (3, 5, 7)]
@@ -157,8 +158,8 @@ def test_a_moment_rejects_p_inf():
     for x in (2.0 * np.eye(2), 0.5 * np.eye(2)):
         with pytest.raises(ValueError, match=r"^Schatten moment p = Infinity is not finite$"):
             schatten_pow_batch(x, np.inf)
-        with pytest.raises(ValueError, match=r"^trace power q = Infinity is not an odd integer"):
-            _trace_power(x, np.inf)
+        with pytest.raises(ValueError, match=r"^trace power q = Infinity is not an integer >= 1$"):
+            _psd_moments(x, (np.inf,))
         assert schatten_norm(x, np.inf) == x[0, 0]
     assert schatten_norm(np.diag([3.0, -5.0, 1.0]), np.inf) == 5.0
 
@@ -199,22 +200,51 @@ def test_larger_stacks_keep_matmul(n):
     for p in (2, 4, 6, 8, 10, 12, 14, 16):
         assert np.array_equal(schatten_pow_batch(X, p), _matmul_moment(X, p)), p
     for q in (3, 5, 7, 9):
-        assert np.array_equal(_trace_power(psd, q), _matmul_moment(psd, q)), q
+        assert np.array_equal(_psd_moments(psd, (q,))[0], _matmul_moment(psd, q)), q
+
+
+@pytest.mark.parametrize("n", [4, 8, 27])
+def test_psd_moments_equal_the_moment_at_each_q(n):
+    """_psd_moments reads tau(X^q) at every q of the dilation brackets, q = 1, 2, 3, 4, off one
+    scaled stack, each q as it reads alone: schatten_pow_batch's and schatten_norm's at even q
+    and _matmul_moment's at q = 3, bit for bit, and the SVD's root at odd q to 1e-12, on
+    (2, c, n, n) stacks shaped like S_c and S_r."""
+    r = np.random.default_rng(n)
+    qs = (1.0, 2.0, 3.0, 4.0)
+    for c in (1, 7, 512):
+        b = r.standard_normal((2, c, n, n)) + 1j * r.standard_normal((2, c, n, n))
+        s = np.swapaxes(b.conj(), -1, -2) @ b
+        for take_root, even in ((False, schatten_pow_batch), (True, schatten_norm)):
+            got = _psd_moments(s, qs, take_root)
+            for q, g in zip(qs, got):
+                assert np.array_equal(g, _psd_moments(s, (q,), take_root)[0]), (c, q, take_root)
+                if q % 2 == 0:
+                    assert np.array_equal(g, even(s, q)), (c, q, take_root)
+                elif take_root:
+                    ref = svd_schatten(s, q)
+                    assert np.all(np.abs(g - ref) <= 1e-12 * ref), (c, q)
+        moment = _matmul_moment(s.reshape(-1, n, n), 3).reshape(2, c)
+        assert np.array_equal(_psd_moments(s, qs)[2], moment), c
+
+
+def _refuses(mats, q, want):
+    """_psd_moments(mats, ...) raises ValueError(want) at q alone and among even q, with and
+    without the root."""
+    for qs in ((q,), (2, q, 4)):
+        for take_root in (False, True):
+            with pytest.raises(ValueError, match=f"^{want}$"):
+                _psd_moments(mats, qs, take_root)
 
 
 def test_trace_power_rejects_a_negative_trace_power():
     """A stack whose odd trace power is negative, which a broken PSD certificate would pass,
     raises, naming the matrix, where a complex root's real part (or a negative moment) once
     came back."""
-    with pytest.raises(ValueError, match=r"^trace power input is not PSD: its trace power "
-                                         r"tau\(X\^3\) is -1\.0 < 0$"):
-        _trace_power(-np.eye(2), 3, take_root=True)
-    with pytest.raises(ValueError, match=r"^trace power input\(0\) is not PSD"):
-        _trace_power(-np.eye(2)[None], 3)
+    neg = r"is not PSD: its trace power tau\(X\^"
+    _refuses(-np.eye(2), 3, rf"trace power input {neg}3\) is -1\.0 < 0")
+    _refuses(-np.eye(2)[None], 3, rf"trace power input\(0\) {neg}3\) is -1\.0 < 0")
     stack = np.stack([np.eye(2), np.diag([1.0, -2.0]), -np.eye(2)])
-    with pytest.raises(ValueError, match=r"^trace power input\(1\) is not PSD: its trace "
-                                         r"power tau\(X\^5\) is -15\.5 < 0$"):
-        _trace_power(stack, 5)
+    _refuses(stack, 5, rf"trace power input\(1\) {neg}5\) is -15\.5 < 0")
     # the Schatten norm at odd p takes the singular values
     assert schatten_norm(-np.eye(2), 3) == 1.0
 
@@ -225,63 +255,33 @@ def test_trace_power_rejects_a_negative_diagonal():
     values give 1.6510.  A diagonal entry of -1e-9 times the scale is let through."""
     x = np.diag([2.0, -1.0])
     assert schatten_norm(x, 3) == pytest.approx(1.6509636244473134, rel=1e-15)
-    with pytest.raises(ValueError, match=r"^trace power input is not PSD: its least diagonal "
-                                         r"entry is -1\.0 < 0$"):
-        _trace_power(x, 3, take_root=True)
-    with pytest.raises(ValueError, match=r"^trace power input\(1,0\) is not PSD: its least "
-                                         r"diagonal entry is -1\.0 < 0$"):
-        _trace_power(np.stack([np.eye(2), x])[:, None], 5)
+    diag = r"is not PSD: its least diagonal entry is -1\.0 < 0"
+    _refuses(x, 3, rf"trace power input {diag}")
+    _refuses(np.stack([np.eye(2), x])[:, None], 5, rf"trace power input\(1,0\) {diag}")
     # within DEFAULT_TOL of the matrix's power-of-two scale, 2 here
     y = np.diag([2.0, -1e-9])
-    assert _trace_power(y, 3, take_root=True) == pytest.approx(schatten_norm(y, 3), rel=1e-12)
+    assert np.array_equal(_psd_moments(y, (2, 3)),
+                          [schatten_pow_batch(y, 2), _matmul_moment(y[None], 3)[0]])
+    assert _psd_moments(y, (3,), True)[0] == pytest.approx(schatten_norm(y, 3), rel=1e-12)
 
 
 def test_trace_power_rejects_a_stack_that_is_not_square():
     """The broadcast product once multiplied a 3 x 2 by a 3 x 2 with no inner-dimension check,
-    and a 3 x 2 ones matrix read 1.8171 where its norm is 1.9442; q must be an odd integer."""
+    and a 3 x 2 ones matrix read 1.8171 where its norm is 1.9442."""
     for x in (np.ones((3, 2)), np.ones((5, 3, 2)), np.ones(3)):
-        with pytest.raises(ValueError, match=rf"^trace power input has shape "
-                                             rf"{re.escape(str(x.shape))}: not square$"):
-            _trace_power(x, 3, take_root=True)
-    for q in (2, 3.5, 0, -1, True):
-        with pytest.raises(ValueError, match=r"^trace power q = .* is not an odd integer >= 1$"):
-            _trace_power(np.eye(2), q)
-    assert _trace_power(np.eye(2), 3.0) == _trace_power(np.eye(2), 3) == 1.0
-
-
-@pytest.mark.parametrize("n", [4, 8, 27])
-def test_psd_moments_equal_the_moment_at_each_q(n):
-    """_psd_moments reads tau(X^q) at every q of the dilation brackets, q = 1, 2, 3, 4, off one
-    scaled stack: _trace_power's moment and root at odd q, schatten_pow_batch's and
-    schatten_norm's at even q, bit for bit, on (2, c, n, n) stacks shaped like S_c and S_r."""
-    r = np.random.default_rng(n)
-    qs = (1.0, 2.0, 3.0, 4.0)
-    for c in (1, 7, 512):
-        b = r.standard_normal((2, c, n, n)) + 1j * r.standard_normal((2, c, n, n))
-        s = np.swapaxes(b.conj(), -1, -2) @ b
-        for take_root, odd, even in ((False, _trace_power, schatten_pow_batch),
-                                     (True, lambda m, q: _trace_power(m, q, True), schatten_norm)):
-            want = np.stack([(odd if q % 2 else even)(s, q) for q in qs])
-            assert np.array_equal(_psd_moments(s, qs, take_root), want), (c, take_root)
+        _refuses(x, 3, rf"trace power input has shape {re.escape(str(x.shape))}: not square")
+    assert schatten_norm(np.ones((3, 2)), 3) == pytest.approx(1.9442, abs=5e-5)
 
 
 def test_psd_moments_refuse_what_the_trace_power_refuses():
-    """The test_trace_power_rejects_* inputs raise the same ValueError from _psd_moments as from
-    _trace_power, at their odd q alone and among even q."""
-    x = np.diag([2.0, -1.0])
-    cases = [(-np.eye(2), 3), (-np.eye(2)[None], 3),
-             (np.stack([np.eye(2), np.diag([1.0, -2.0]), -np.eye(2)]), 5), (x, 3),
-             (np.stack([np.eye(2), x])[:, None], 5),
-             (np.ones((3, 2)), 3), (np.ones((5, 3, 2)), 3), (np.ones(3), 3)]
-    for mats, q in cases:
-        with pytest.raises(ValueError) as want:
-            _trace_power(mats, q)
-        for qs in ((q,), (2, q, 4)):
-            with pytest.raises(ValueError) as got:
-                _psd_moments(mats, qs)
-            assert str(got.value) == str(want.value), qs
-    y = np.diag([2.0, -1e-9])
-    assert np.array_equal(_psd_moments(y, (2, 3)), [schatten_pow_batch(y, 2), _trace_power(y, 3)])
+    """A q that is no integer >= 1 raises, naming q, at q alone and among even q, where
+    diag(1, 4) once read 2.924 at q = 1.5 for a norm of 2.726; an integer q given as a float
+    is taken."""
+    for q, shown in ((0, "0"), (0.5, "0.5"), (1.5, "1.5"), (-1, "-1"), (np.nan, "NaN"),
+                     (np.inf, "Infinity"), (True, "true")):
+        _refuses(np.diag([1.0, 4.0]), q, rf"trace power q = {shown} is not an integer >= 1")
+    assert schatten_norm(np.diag([1.0, 4.0]), 1.5) == pytest.approx(2.726, abs=5e-4)
+    assert np.array_equal(_psd_moments(np.eye(2), (1, 2.0, 3.0)), [1.0, 1.0, 1.0])
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 6, 16])

@@ -552,14 +552,17 @@ def test_matrix_ratio_rejects_nan_p_and_non_finite_witnesses():
             matrix_poincare_ratio(A, x, float("nan"))
         with pytest.raises(ValueError, match=r"^p = NaN is not a number >= 2$"):
             matrix_worst_constant(A, float("nan"), budget=10)
-    A = heisenberg_multiplier(2, "delta")
-    for bad in (np.nan, np.inf):
-        y = x.copy()
-        y[1, 0] = bad
-        for w, at in ((y, "1,0"), (np.stack([x, y]), "1,1,0")):
-            with pytest.raises(ValueError, match=rf"^Poincare ratio input\({at}\) = "
-                                                 rf"\({bad}\+0j\) is not finite$"):
-                matrix_poincare_ratio(A, w, 4.0)
+    # with a symbol and without: a NaN was once named as Gamma's entry (0,0) = (nan+nanj)
+    for A, (i, j) in ((heisenberg_multiplier(2, "delta"), (1, 0)),
+                      (lindblad_generator([np.diag([0.0, 1.0, 3.0])]), (1, 2))):
+        x = rand_matrix(A.n, 81)
+        for bad in (np.nan, np.inf):
+            y = x.copy()
+            y[i, j] = bad
+            for w, at in ((y, f"{i},{j}"), (np.stack([x, y]), f"1,{i},{j}")):
+                with pytest.raises(ValueError, match=rf"^Poincare ratio input\({at}\) = "
+                                                     rf"\({bad}\+0j\) is not finite$"):
+                    matrix_poincare_ratio(A, w, 4.0)
 
 
 @pytest.mark.parametrize("A", [heisenberg_multiplier(2, "delta"),

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from cocycle_lab import linalg, matrixalg, poincare, rng as clrng
-from cocycle_lab.algebra import (AlgebraElement, Semigroup, element, fix_project, fourier, gamma,
-                                gamma_transform, lp_norm, regular_rep)
+from cocycle_lab.algebra import (AlgebraElement, Semigroup, delta, element, fix_project, fourier,
+                                gamma, gamma_transform, lp_norm, regular_rep)
 from cocycle_lab.cocycles import LengthFunction, gromov_form, length_function, word_length_psi
 from cocycle_lab.criterion import AlphaCertificate, best_alpha_pencil
 from cocycle_lab.families import builtin_length, delta_psi
 from cocycle_lab.groups import build_cyclic, build_product, group_from_dict, group_to_dict
-from cocycle_lab.linalg import _trace_power, root, schatten_norm
+from cocycle_lab.linalg import _psd_moments, root, schatten_norm
 from cocycle_lab.matrixalg import heisenberg_multiplier, matrix_poincare, matrix_worst_constant
 from cocycle_lab.poincare import (GRAD_STEP, REL_IMPROVEMENT_STOP, ZeroNumeratorError,
                                   fit_exponent, l2_oracle, maximize_on_sphere, maximize_ratio,
@@ -448,12 +448,12 @@ def test_batched_ratio_matches_reference(monkeypatch, spec):
 
 def _svd_route_ratio(sg, f, p, psd=False):
     """The ratio on the regular representation: schatten_norm denominators, or with psd=True
-    the trace powers at odd p/2, whatever group and psi are."""
+    _psd_moments at integer p/2, whatever group and psi are."""
     f0 = f - fix_project(sg, f)
     f0s = f0.adjoint()
     norm = schatten_norm
-    if psd and p % 4 == 2:
-        norm = lambda m, q: _trace_power(m, q, take_root=True)
+    if psd and p / 2 % 1 == 0:
+        norm = lambda m, q: _psd_moments(m, (q,), True)[0]
     return ratio_scores(lp_norm(f0, p),
                         root(np.maximum(norm(regular_rep(gamma(sg, f0, f0)), p / 2.0),
                                         norm(regular_rep(gamma(sg, f0s, f0s)), p / 2.0)), 2),
@@ -515,7 +515,7 @@ def test_derivation_route_scores_each_row_as_alone():
                                   "table:wordlength:6", "table:not-cn:6"])
 def test_groups_without_characters_keep_the_regular_representation(spec):
     """Heisenberg groups and loaded tables score exactly as the regular-representation
-    route, trace powers at odd p/2 for a CN psi included."""
+    route, PSD moments at integer p/2 for a CN psi included."""
     if spec.startswith("table"):
         table = group_from_dict(group_to_dict(build_cyclic(6)))
         psi = (_not_cn(table, 3) if "not-cn" in spec
@@ -525,7 +525,7 @@ def test_groups_without_characters_keep_the_regular_representation(spec):
     sg = Semigroup(psi)
     assert sg.group.characters is None
     F = AlgebraElement(sg.group, np.array([rand_coeffs(sg.group.order, 70 + i) for i in range(4)]))
-    for p in (2.0, 3.0, 6.0, 10.0):
+    for p in (2.0, 3.0, 4.0, 6.0, 8.0, 10.0):
         assert np.array_equal(poincare_ratio(sg, F, p), _svd_route_ratio(sg, F, p, sg.gamma_psd))
 
 
@@ -580,10 +580,22 @@ def test_symmetric_psi_takes_one_kernel_gamma(spec, monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_character_route_rejects_non_finite_coefficients():
+    """A non-finite witness coefficient is named as the ratio's input on every route: the
+    characters on walsh:2:2, and on heisenberg-delta:2 _ratio at p = 4 and _psd_moments at
+    p = 6, where a NaN was once named as Gamma's entry (0,0) = (nan+nanj)."""
     sg = Semigroup(builtin_length("walsh:2:2"))
     for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="not finite"):
+        with pytest.raises(ValueError, match=rf"^Poincare ratio input\(2\) = \({bad}\+0j\) "
+                                             r"is not finite$"):
             poincare_ratio(sg, element(sg.group, [0.0, 1.0, bad, 0.0]), 4.0)
+    heis = Semigroup(builtin_length("heisenberg-delta:2"))
+    assert heis.group.characters is None and heis.gamma_psd
+    for bad in (np.nan, np.inf):
+        c = np.array([rand_coeffs(8, 30)] * 2)
+        c[1, 5] = bad
+        for p in (4.0, 6.0):
+            with pytest.raises(ValueError, match=rf"^Poincare ratio input\(1,5\) = \({bad}\+"):
+                poincare_ratio(heis, AlgebraElement(heis.group, c), p)
     with pytest.raises(ValueError, match="^p = NaN is not a number >= 2$"):
         poincare_ratio(sg, element(sg.group, [0.0, 1.0, 0.0, 0.0]), float("nan"))
 
@@ -622,9 +634,47 @@ def test_odd_q_denominators_take_trace_powers_only_for_a_cn_psi(monkeypatch):
 def test_sweep_constants_are_their_witnesses_on_the_svd_route(spec):
     """Each constant is its witness re-scored with SVD denominators, exactly; on this grid
     and budget the optimizer's own score of some winner (through the characters on walsh,
-    trace powers on the Heisenberg group) may differ in its last ulp."""
+    PSD moments on the Heisenberg group) may differ in its last ulp, except at even p/2 on
+    the Heisenberg group, where _psd_moments takes gamma_norm's products bit for bit."""
     sg = Semigroup(builtin_length(spec))
     assert sg.gamma_psd
-    rep = sweep_and_fit(sg, [2.0, 6.0, 10.0, 14.0], budget=1500, seed=0)
+    rep = sweep_and_fit(sg, [2.0, 4.0, 6.0, 8.0, 10.0, 14.0], budget=1500, seed=0)
     for p, c, w in zip(rep.p_grid, rep.constants, rep.witnesses):
         assert c == _svd_route_ratio(sg, w, p), p
+        score = poincare_ratio(sg, w, p)
+        assert abs(score - c) <= 1e-13 * c, p
+        if sg.group.characters is None:
+            assert score == _svd_route_ratio(sg, w, p, psd=True), p
+            assert score == c or p / 2 % 2 == 1, p
+
+
+def test_a_ratio_does_not_change_when_its_witness_is_scaled():
+    """Every route reads a scaled witness's ratio as the witness's, to 1e-15 relative, at
+    scales 1e-100 to 1e100: the characters and _ratio on walsh:2:3, the regular representation
+    of heisenberg-delta:2 (_ratio at p = 5, _psd_moments at p = 4 and 6), the derivation and
+    superoperator routes of the M_3 delta multiplier and a Lindblad generator.  An absolute
+    floor once called 1e-16 times each of these witnesses a fixed point.  Witnesses in the
+    fixed-point algebra, lambda(e), I_3 and diag(1, 2, 3), raise at every scale."""
+    walsh, heis = (Semigroup(builtin_length(s)) for s in ("walsh:2:3", "heisenberg-delta:2"))
+    mult = heisenberg_multiplier(3, "delta")
+    lind = matrixalg.lindblad_generator([np.diag([0.0, 1.0, 3.0])])
+    g, x = np.arange(8) + 1j, np.arange(9.0).reshape(3, 3) + 1j
+    routes = [lambda s: poincare_ratio(walsh, element(walsh.group, s * g), 4.0),
+              lambda s: poincare._ratio(walsh, element(walsh.group, s * g), 4.0)]
+    routes += [lambda s, p=p: poincare_ratio(heis, element(heis.group, s * g), p)
+               for p in (4.0, 5.0, 6.0)]
+    routes += [lambda s: matrixalg.matrix_poincare_ratio(mult, s * x, 4.0),
+               lambda s: matrixalg._superop_ratio(mult, s * x, 4.0),
+               lambda s: matrixalg.matrix_poincare_ratio(lind, s * x, 4.0)]
+    fixed = [lambda s: poincare_ratio(walsh, s * delta(walsh.group, 0), 4.0),
+             lambda s: poincare_ratio(heis, s * delta(heis.group, 0), 6.0),
+             lambda s: matrixalg.matrix_poincare_ratio(mult, s * np.eye(3, dtype=complex), 4.0),
+             lambda s: matrixalg.matrix_poincare_ratio(lind, s * np.diag([1.0, 2.0, 3.0]), 4.0)]
+    for i, ratio in enumerate(routes):
+        want = ratio(1.0)
+        for scale in (1e-100, 1e-16, 1e-5, 1e100):
+            assert abs(ratio(scale) - want) <= 1e-15 * want, (i, scale)
+    for i, ratio in enumerate(fixed):
+        for scale in (1e-100, 1e-16, 1.0, 1e100):
+            with pytest.raises(ZeroNumeratorError):
+                ratio(scale)
