@@ -205,13 +205,26 @@ def gamma(sg: Semigroup, f: AlgebraElement, g: AlgebraElement,
 def gamma_transform(sg: Semigroup, f: AlgebraElement) -> np.ndarray:
     """|Gamma(f, f)^| per row of a (k, order) stack f: sum_j |(b_j a)^|^2 through sg.derivation,
     whose stacked product gives each row the bits it has alone; else |fourier(gamma(f, f))|."""
-    W = sg.derivation
-    if W is None:
+    if sg.derivation is None:
         return np.abs(fourier(gamma(sg, f, f)))
-    t = (np.ascontiguousarray(f.coeffs)[:, None, :] @ W)[:, 0]
+    t = derived_transform(sg, f)
     s, n = t.real ** 2 + t.imag ** 2, sg.group.order
     # the j blocks added in order: 0.8 of the time of .sum(axis=1) over (k, d, order) at k = 225
     return sum((s[:, j:j + n] for j in range(n, s.shape[1], n)), s[:, :n])
+
+
+def derived_transform(sg: Semigroup, f: AlgebraElement) -> np.ndarray:
+    """(b_j a)^(chi_k) at j order + k per row of a (k, order) stack f, through sg.derivation: one
+    stacked (1 x order) by W product per row, with the bits the row has alone."""
+    return (np.ascontiguousarray(f.coeffs)[:, None, :] @ sg.derivation)[:, 0]
+
+
+def gamma_gradient(apply, product, x, m):
+    """A(x m) + A(x) m - x A(m), the gradient in x of the trace of m Gamma(x, x) for a fixed
+    self-adjoint m, with A = apply, the products by product, and the trace of the pairing the
+    gradient is taken in (tau on coefficients, tr on matrix entries).  It needs tr(y A(z)) =
+    tr(A(y) z) and A(x*) = A(x)*, as every generator here has for a symmetric psi."""
+    return apply(product(x, m)) + product(apply(x), m) - product(x, apply(m))
 
 
 def gamma_norm(sg: Semigroup, f: AlgebraElement, q: float):

@@ -3,11 +3,13 @@ rule, and the one bad-input rule: require for a scalar, require_list and require
 each naming the bad value or entry.
 
 Schatten norms of (..., r, n) stacks, r >= n, take matrix products, tau((X* X)^{p/2}), at even
-integer p and the singular values at any other: no caller can tell them that X is PSD.  A PSD
+integer p <= 16 and the singular values at any other: no caller can tell them that X is PSD.  A PSD
 X has ||X||_q^q = tau(X^q), taken at integer q by _psd_moments alone, for the two callers that
 hold a checked certificate: poincare_ratio under Semigroup.gamma_psd and martingale_transform,
 whose b passed GromovForm.factor.  A product with rows x inner x columns <= SMALL_N^3 is
-broadcast multiply-adds (_mul), whose bits are not the BLAS build's.
+broadcast multiply-adds (_mul), whose bits are not the BLAS build's.  _schatten_grad and
+_trace_power_grad give the gradients of log tau|X|^p and log tau|H|^q that the Poincare ascent
+follows, by products at an integer power of a PSD operand and by eigh at any other.
 """
 from __future__ import annotations
 
@@ -30,8 +32,9 @@ ECHO = 80                 # longest value text a rejection echoes in full
 
 
 def schatten_norm(mat: np.ndarray, p: float):
-    """((1/n) sum sigma_i^p)^{1/p} of a matrix, max sigma at p = inf: products at even p, singular
-    values at any other.  A float for one matrix; an array for an (..., r, n) stack, r >= n."""
+    """((1/n) sum sigma_i^p)^{1/p} of a matrix, max sigma at p = inf: products at even p <= 16,
+    singular values at any other.  A float for one matrix; an array for an (..., r, n) stack,
+    r >= n."""
     out = _schatten(mat, p, take_root=True)
     return float(out) if np.ndim(out) == 0 else out
 
@@ -93,8 +96,9 @@ def _psd_moments(mats: np.ndarray, qs, take_root: bool = False) -> np.ndarray:
 def _schatten(mats: np.ndarray, p: float, take_root: bool):
     """tau(|X|^p) per matrix of an (..., r, n) stack, or its p-th root: the product/SVD rule.
 
-    Even integer p >= 2 takes matrix products (_moments).  Any other p (odd, fractional, inf) takes
-    the singular values, the reference route, for the root rescaled by their max before powering.
+    Even integer p in [2, 16] takes matrix products (_moments), whose scaled spectral norm, up to
+    2n, cannot overflow there.  Any other p (odd, fractional, beyond 16, inf) takes the singular
+    values, the reference route, for the root rescaled by their max before powering.
     All scale by _pow2_scale first; a p that is no number >= 1 (or inf with no root to take), a
     non-finite entry, an input with fewer than 2 axes or a wide stack (r < n) raises ValueError.
     """
@@ -107,7 +111,7 @@ def _schatten(mats: np.ndarray, p: float, take_root: bool):
     if mats.shape[-2] < mats.shape[-1]:
         raise ValueError(f"Schatten norm input has {mats.shape[-2]} x {mats.shape[-1]} "
                          f"matrices: fewer rows than columns")
-    if float(p) % 2 == 0:
+    if float(p) % 2 == 0 and p <= 16:
         scale, (acc,) = _moments(mats, (p,))
         return scale * root(acc, p) if take_root else scale ** p * acc
     c, y = _pow2_scale(mats)
@@ -197,6 +201,31 @@ def _odd_moment(y: np.ndarray, q: int) -> np.ndarray:
         return np.trace(y, axis1=-2, axis2=-1).real / n
     z = _power(y, q // 2)
     return (z.conj() * _mul(y, z)).real.reshape(len(y), -1).sum(axis=-1) / n
+
+
+def _schatten_grad(x: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """(G, tr|X|^p) per matrix of an (..., r, n) stack, G = p X (X* X)^{p/2-1} / tr|X|^p the
+    gradient of log tr|X|^p in X's entries: d log tr|X|^p = Re sum conj(G) o dX (A. S. Lewis,
+    Math. Oper. Res. 21, 1996), 2 X L from _trace_power_grad's L at the PSD H = X* X, q = p/2."""
+    L, moment = _trace_power_grad(_mul(np.swapaxes(x.conj(), -1, -2), x), p / 2.0, psd=True)
+    return 2 * _mul(x, L), moment
+
+
+def _trace_power_grad(h: np.ndarray, q: float, psd: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(L, tr|H|^q) per matrix of a Hermitian (..., n, n) stack, L = q sign(H) |H|^{q-1} / tr|H|^q:
+    d log tr|H|^q = tr(L dH).  A PSD H (psd: X* X, or a checked certificate) at integer q takes
+    _power's products, H^{q-1}; any other takes eigh, V sign(w)|w|^{q-1} V*, so an H with
+    negative eigenvalues gets the gradient of its Schatten moment.  Taken on _pow2_scale's H / c;
+    a moment of 0 divides by 1."""
+    c, y = _pow2_scale(h)
+    if not psd or q % 1:
+        w, v = np.linalg.eigh(y)
+        m = _mul(v * (np.sign(w) * np.abs(w) ** (q - 1))[..., None, :],
+                 np.swapaxes(v.conj(), -1, -2))
+    else:
+        m = _power(y, int(q) - 1) if q > 1 else np.broadcast_to(np.eye(y.shape[-1]), y.shape)
+    t = (y * m.conj()).real.sum(axis=(-2, -1))        # tr(H m) = sum |w|^q
+    return q * m / (c * np.where(t > 0, t, 1.0))[..., None, None], c ** q * t
 
 
 def psd_scale(x: np.ndarray) -> float:

@@ -24,12 +24,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rng
-from .algebra import bakry_emery
+from .algebra import bakry_emery, gamma_gradient
 from .cocycles import LengthFunction, coordinate_length, gromov_form
 from .groups import build_cyclic, build_power
 from .linalg import (HERMITIAN_PRECHECK, PsdVerdict, is_integer, is_number, psd_scale,
-                     psd_verdict, require, require_finite, root, schatten_norm, _mul)
-from .poincare import PoincareReport, WorstConstant, maximize_ratio, ratio_scores, sweep
+                     psd_verdict, require, require_finite, root, schatten_norm, _mul,
+                     _schatten_grad, _trace_power_grad)
+from .poincare import (PoincareReport, WorstConstant, maximize_ratio, ratio_scores, sweep,
+                       _ratio_gradient, _require_p)
 
 SUPEROP_CAP = 12
 
@@ -89,22 +91,33 @@ class Superoperator:
         return D
 
     @cached_property
-    def _diagonals(self) -> tuple[np.ndarray, np.ndarray]:
+    def _diagonals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Flat indices of x[l + c, l] in vec(x) at c n + l, and of D_j(x)[i, m] in derive's
-        products at ((i - m) mod n) d n + j n + m."""
+        products at ((i - m) mod n) d n + j n + m; then the inverse of each permutation."""
         n, d = self.n, self.derivation.shape[-1] // self.n
         c, l = np.indices((n, n))
         j, i, m = np.indices((d, n, n))
-        return ((c + l) % n * n + l).ravel(), ((i - m) % n * d * n + j * n + m).ravel()
+        into, back = ((c + l) % n * n + l).ravel(), ((i - m) % n * d * n + j * n + m).ravel()
+        return into, back, np.argsort(into), np.argsort(back)
 
     def derive(self, x: np.ndarray) -> np.ndarray:
         """[D_1(x); ...; D_d(x)] of an n x n matrix or an (..., n, n) stack, as (..., d n, n)
         matrices, for a generator with a symbol: one (1 x n) by (n x d n) product per diagonal
         and matrix (_mul's), so a matrix has the bits it has alone in any stack."""
-        into, back = self._diagonals
+        into, back, _, _ = self._diagonals
         out = np.take(vec(x), into, axis=-1).reshape(x.shape[:-2] + (self.n, 1, self.n))
         out = vec(_mul(out, self.derivation).reshape(x.shape[:-2] + (self.n, -1)))
         return np.take(out, back, axis=-1).reshape(x.shape[:-2] + (-1, self.n))
+
+    def derive_adjoint(self, z: np.ndarray) -> np.ndarray:
+        """sum_j D_j(z_j) of (..., d n, n) matrices z = [z_1; ...; z_d], as (..., n, n): derive's
+        adjoint for the entrywise pairing, its steps run backwards, each product by the
+        derivation's conjugate transpose, per matrix and diagonal as derive's."""
+        _, _, into, back = self._diagonals
+        lead = z.shape[:-2]
+        out = np.take(vec(z), back, axis=-1).reshape(lead + (self.n, 1, -1))
+        out = _mul(out, np.swapaxes(self.derivation.conj(), -1, -2)).reshape(lead + (-1,))
+        return unvec(np.take(out, into, axis=-1), self.n)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A(x) for an n x n matrix or an (..., n, n) stack."""
@@ -256,7 +269,7 @@ def lindblad_gamma_residual(A: Superoperator, a: Sequence[np.ndarray], seed: int
     return resid
 
 
-def matrix_poincare_ratio(A: Superoperator, x: np.ndarray, p: float):
+def matrix_poincare_ratio(A: Superoperator, x: np.ndarray, p: float, gradient: bool = False):
     """Poincare ratio per witness of x, an n x n matrix or an (..., n, n) stack.
 
     With a symbol the denominator is max(||D(x0)||_p, ||D(x0^dag)||_p), D the
@@ -264,26 +277,56 @@ def matrix_poincare_ratio(A: Superoperator, x: np.ndarray, p: float):
     even p takes matrix products, every other p the singular values of D.
     Every product is per row, so a witness scores as it does alone.  Without a
     symbol, the superoperator route runs.
+
+    With gradient, x a (k, n, n) stack, returns (scores, G) with the same scores: G[i] the
+    gradient of the i-th ratio R in x's entries, dR = Re sum conj(G[i]) o dx.  It is
+    (R / p)(grad N / N - grad D / D) on the active branch of the max, projected off ker A
+    (poincare._ratio_gradient): linalg._schatten_grad of x0 and of D(x0), the second pulled back
+    by derive_adjoint; on the superoperator route grad D = q (A(x0 M) + A(x0) M - x0 A(M)),
+    M = sign(Gamma)|Gamma|^{q-1} by eigh, q = p/2, as its Gamma need not be PSD.
     """
     _require_matrices(A.n, x)
-    require(p, "p", lambda v: is_number(v) and v >= 2, "a number >= 2")
+    _require_p(p)
     require_finite(x, "Poincare ratio input")
     if A.symbol is None:
-        return _superop_ratio(A, x, p)
+        return _superop_ratio(A, x, p, gradient)
     x0 = x - A.fix_project(x)
-    den = schatten_norm(A.derive(np.stack([x0, np.swapaxes(x0.conj(), -1, -2)])), p)
+    Y = A.derive(np.stack([x0, _adjoint(x0)]))
+    den = schatten_norm(Y, p)
+
+    def grad(r):
+        (gn, _), (gy, moments) = _schatten_grad(x0, p), _schatten_grad(Y, p)
+        gd = A.derive_adjoint(gy)
+        return _ratio_gradient(r, p, gn, gd, moments, _adjoint, _off_fix(A))
+
     return ratio_scores(schatten_norm(x0, p), np.maximum(den[0], den[1]),
-                        np.abs(x).max(axis=(-2, -1)))
+                        np.abs(x).max(axis=(-2, -1)), grad if gradient else None)
 
 
-def _superop_ratio(A: Superoperator, x: np.ndarray, p: float):
-    """The ratio through superop_gamma, the reference route; its callers check p."""
+def _adjoint(x: np.ndarray) -> np.ndarray:
+    return np.swapaxes(x.conj(), -1, -2)
+
+
+def _off_fix(A: Superoperator):
+    return lambda x: x - A.fix_project(x)
+
+
+def _superop_ratio(A: Superoperator, x: np.ndarray, p: float, gradient: bool = False):
+    """The ratio through superop_gamma, the reference route; its callers check p.  gradient as
+    matrix_poincare_ratio's."""
     x0 = x - A.fix_project(x)
-    x0d = np.swapaxes(x0.conj(), -1, -2)
+    pair = (x0, _adjoint(x0))
+    gammas = [superop_gamma(A, y, y) for y in pair]
+
+    def grad(r):
+        gn, _ = _schatten_grad(x0, p)
+        L, moments = _trace_power_grad(np.stack(gammas), p / 2.0, psd=False)
+        gd = np.stack([gamma_gradient(A.apply, _mul, y, m) for y, m in zip(pair, L)])
+        return _ratio_gradient(r, p, gn, gd, moments, _adjoint, _off_fix(A))
+
     return ratio_scores(schatten_norm(x0, p),
-                        root(np.maximum(schatten_norm(superop_gamma(A, x0, x0), p / 2.0),
-                                        schatten_norm(superop_gamma(A, x0d, x0d), p / 2.0)), 2),
-                        np.abs(x).max(axis=(-2, -1)))
+                        root(np.maximum(*(schatten_norm(g, p / 2.0) for g in gammas)), 2),
+                        np.abs(x).max(axis=(-2, -1)), grad if gradient else None)
 
 
 def matrix_worst_constant(A: Superoperator, p: float, budget: int = 20000, seed: int = 0, *,
@@ -297,7 +340,7 @@ def matrix_worst_constant(A: Superoperator, p: float, budget: int = 20000, seed:
     result of an ascent shared with other p (matrix_poincare's), replaces
     the search: the call then only certifies it, and reads no budget or seed.
     """
-    require(p, "p", lambda v: is_number(v) and v >= 2, "a number >= 2")
+    _require_p(p)
     if ascent is None:
         [ascent] = _matrix_ascend(A, [(p, seed)], budget)
     return ascent._replace(constant=float(_superop_ratio(A, ascent.witness, p)))
@@ -309,8 +352,12 @@ def _matrix_ascend(A: Superoperator, problems: Sequence[tuple[float, int]],
     n = A.n
     if A.fix_dimension() == n * n:
         raise ValueError("generator is identically 0: no spectral gap")
-    return maximize_ratio(lambda x, p: matrix_poincare_ratio(A, x, p), lambda z: unvec(z, n),
-                          n * n, budget, problems, n ** 4)
+
+    def scores(x: np.ndarray, p: float):
+        r, G = matrix_poincare_ratio(A, x, p, gradient=True)
+        return r, vec(G)
+
+    return maximize_ratio(scores, lambda z: unvec(z, n), n * n, budget, problems, n ** 4)
 
 
 def matrix_poincare(A: Superoperator, p_grid: Sequence[float], budget: int = 20000,

@@ -13,11 +13,16 @@ representation everywhere.  At p = 2 the exact constant is
 sweep_and_fit runs a p grid and fits the growth exponent of log C_p
 against log p.  The whole grid is one ascent: the starts of every p are
 rows of one set of arrays and advance in rounds, each round scoring every
-p that has an active start, one ratio call per p and row block; each p
-then gets its own worst_constant call, which certifies its winner.  A p's
-starts visit the points they would visit alone, so its constant depends
-on (psi, p, budget, seed + i) only.  matrixalg reuses maximize_ratio and
-sweep with its own witness chart and ratio.
+p that has a live start, one scoring call per p and row block; each p
+then gets its own worst_constant call, which certifies its winner.  Every
+scoring route returns each row's ratio with its exact gradient
+(poincare_ratio and matrix_poincare_ratio with gradient=True), so the
+first round scores the start points and each later round sends each live
+start's one line-search probe; an accepted probe's gradient is the next
+step's.  The budget still charges a gradient 2 dim points, the stencil it
+replaced.  A p's starts visit the points they would visit alone, so its
+constant depends on (psi, p, budget, seed + i) only.  matrixalg reuses
+maximize_ratio and sweep with its own witness chart and ratio.
 """
 from __future__ import annotations
 
@@ -26,13 +31,13 @@ from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .algebra import (AlgebraElement, Semigroup, fix_project, fourier, gamma, gamma_norm,
-                      gamma_transform, lp_norm, regular_rep)
+from .algebra import (AlgebraElement, Semigroup, conv, derived_transform, fix_project, fourier,
+                      gamma, gamma_gradient, gamma_norm, gamma_transform, generator_apply, lp_norm,
+                      regular_rep)
 from .criterion import AlphaCertificate
 from .linalg import blocks, is_integer, is_number, require, require_finite, require_list, root
 from . import linalg, rng
 
-GRAD_STEP = 1e-6
 REL_IMPROVEMENT_STOP = 1e-8
 N_STARTS = 32         # optimizer starts per constant
 COORD_STARTS = 16     # of which at most this many are coordinate vectors
@@ -46,20 +51,37 @@ class ZeroNumeratorError(ValueError):
         self.scores = scores
 
 
-def ratio_scores(num, den, coeff_max):
+def ratio_scores(num, den, coeff_max, gradient=None):
     """num / den per witness, the two norms of the ratio: a float for one, an array for a stack.
 
-    num <= 1e-14 coeff_max flags a witness in the fixed-point algebra, a test no scaling moves.
+    num <= 1e-14 coeff_max flags a witness in the fixed-point algebra, a test no scaling moves:
+    ZeroNumeratorError, whose scores hold it as 0.  With gradient, a map from the scores of a
+    stack to their gradients, returns (scores, gradients) instead, such a witness scored 0 with
+    gradient 0.
     """
     zero = num <= 1e-14 * coeff_max
     r = np.where(zero, 0.0, num / np.where(zero, 1.0, den))
+    if gradient is not None:
+        g = gradient(r)
+        g[zero] = 0.0
+        return r, g
     r = float(r) if r.ndim == 0 else r
     if np.any(zero):
         raise ZeroNumeratorError(r)
     return r
 
 
-def poincare_ratio(sg: Semigroup, f: AlgebraElement, p: float):
+def _in_p_range(p) -> bool:
+    """p is a number in [2, 16], the p every Poincare entry point takes: even moments beyond 16
+    leave the range linalg's products are sized for, and p = inf has no gradient."""
+    return is_number(p) and 2 <= p <= 16
+
+
+def _require_p(p) -> float:
+    return require(p, "p", _in_p_range, "a number in [2, 16]")
+
+
+def poincare_ratio(sg: Semigroup, f: AlgebraElement, p: float, gradient: bool = False):
     """Ratio per witness of f, an element or a stack; ||Gamma^{1/2}||_p = ||Gamma||_{p/2}^{1/2}.
 
     On a group with a character table, whatever psi is, the ratio is
@@ -71,36 +93,114 @@ def poincare_ratio(sg: Semigroup, f: AlgebraElement, p: float):
     only the first is formed.  Every other group takes the regular
     representation: under sg.gamma_psd (psi passes the CN test, so Gamma(f, f)
     is PSD, Schoenberg) an integer p/2 takes linalg._psd_moments, gamma_norm's
-    bits at even p/2; a fractional one, or no certificate, takes _ratio.
+    bits at even p/2; a fractional one, or no certificate, takes gamma_norm's
+    Schatten norms, _ratio's bits.  Both Gammas' representations are formed
+    once, for the scores and the gradient.
+
+    With gradient, f a (k, order) stack, returns (scores, G) with the same scores: G[i] the
+    gradient of the i-th ratio R in f's coefficients a, dR = Re sum conj(G[i]) o da.  With
+    N = tau|f0|^p and D = tau|Gamma|^q, q = p/2, on the active branch of the max,
+    G = (R / p)(grad N / N - grad D / D) (_ratio_gradient), grad N = p f0 (f0* f0)^{p/2-1}.
+    Through the characters both are transforms; elsewhere grad D = q (A(f0 M) + A(f0) M -
+    f0 A(M)), M = sign(Gamma)|Gamma|^{q-1} (algebra.gamma_gradient), so a psi that fails the
+    CN test, whose Gamma(f, f) need not be PSD, gets its exact gradient too.
     """
-    require(p, "p", lambda v: is_number(v) and v >= 2, "a number >= 2")
+    _require_p(p)
     require_finite(f.coeffs, "Poincare ratio input")
-    if sg.group.characters is None:
-        if not (sg.gamma_psd and p / 2.0 % 1 == 0):
-            return _ratio(sg, f, p)
-        f0 = f - fix_project(sg, f)
-        den = np.maximum(*(linalg._psd_moments(regular_rep(gamma(sg, g, g)), (p / 2.0,), True)[0]
-                           for g in (f0, f0.adjoint())))
-        return ratio_scores(lp_norm(f0, p), root(den, 2), np.abs(f.coeffs).max(axis=-1))
     f0 = f - fix_project(sg, f)
+    coeff_max = np.abs(f.coeffs).max(axis=-1)
+    if sg.group.characters is None:
+        psd = sg.gamma_psd and p / 2.0 % 1 == 0
+        reps = [regular_rep(gamma(sg, g, g)) for g in (f0, f0.adjoint())]
+        if psd:
+            den = np.maximum(*(linalg._psd_moments(h, (p / 2.0,), True)[0] for h in reps))
+        else:                                   # gamma_norm's bits, on the reps formed once
+            den = np.maximum(*(linalg.schatten_norm(h, p / 2.0) for h in reps))
+        grad = lambda r: _regular_gradient(sg, f0, reps, p, psd, r)
+        return ratio_scores(lp_norm(f0, p), root(den, 2), coeff_max, grad if gradient else None)
     rows = AlgebraElement(sg.group, f0.coeffs.reshape(-1, sg.group.order))
-    a = np.abs(fourier(rows))
+    F = fourier(rows)
+    a = np.abs(F)
     v = sg.psi.values
     pair = (rows,) if np.array_equal(v, v[sg.group.inv]) else (rows, rows.adjoint())
     b = np.stack([gamma_transform(sg, g) for g in pair])
     amax, bmax = a.max(axis=-1), b.max(axis=(0, -1))
     require_finite(bmax, "max|Gamma^| of the Poincare ratio input")
     mu = np.mean((a / _nonzero(amax)[:, None]) ** p, axis=-1)
-    nu = np.mean((b / _nonzero(bmax)[:, None]) ** (p / 2.0), axis=-1).max(axis=0)
+    bh = b / _nonzero(bmax)[:, None]
+    nus = np.mean(bh ** (p / 2.0), axis=-1)
+    nu = nus.max(axis=0)
     # the numerator is ||f0||_p / nu^{1/p} with nu <= 1: at least ||f0||_p, and 0 exactly when it is
+
+    def grad(r):
+        n, chi = sg.group.order, sg.group.characters
+        ah = F / _nonzero(amax)[:, None]
+        gn = p * np.einsum("...k,kg->...g", ah * np.abs(ah) ** (p - 2), chi.conj())
+        gd = [_transform_gradient(sg, g, h, p / 2.0) / _nonzero(n * bmax * nu_g)[:, None]
+              for g, h, nu_g in zip(pair, bh, nus)]
+        return _ratio_gradient(r, p, gn / _nonzero(n * amax * mu)[:, None], gd, nus,
+                               _coeff_adjoint(sg), _off_fix(sg))
+
     shape = f.coeffs.shape[:-1]
     return ratio_scores((amax * root(mu / _nonzero(nu), p)).reshape(shape),
-                        root(bmax.reshape(shape), 2), np.abs(f.coeffs).max(axis=-1))
+                        root(bmax.reshape(shape), 2), coeff_max, grad if gradient else None)
 
 
 def _nonzero(x: np.ndarray) -> np.ndarray:
     """x with its zeros replaced by 1: a divisor that leaves a zero row at 0."""
     return np.where(x > 0, x, 1.0)
+
+
+def _ratio_gradient(r, p, gn, gd, moments, adjoint, project) -> np.ndarray:
+    """(r / p)(gn - gd) per row of a stack, projected by project: the gradient of a ratio
+    r = (N / D)^{1/p}, gn = grad N / N and gd = grad D / D on the branch of the max with the
+    larger moment.  gd and moments hold one branch, or two, those of x0 and of x0*, the second
+    taken back to x0 by adjoint."""
+    g = gd[0]
+    axes = (-1,) + (1,) * (g.ndim - 1)
+    if len(gd) == 2:
+        g = np.where((moments[1] > moments[0]).reshape(axes), adjoint(gd[1]), g)
+    return project(r.reshape(axes) / p * (gn - g))
+
+
+def _coeff_adjoint(sg: Semigroup):
+    return lambda c: AlgebraElement(sg.group, c).adjoint().coeffs
+
+
+def _off_fix(sg: Semigroup):
+    return lambda c: np.where(sg.fix_mask, 0.0, c)
+
+
+def _transform_gradient(sg: Semigroup, f: AlgebraElement, bh: np.ndarray, q: float) -> np.ndarray:
+    """n bmax^{1-q} grad tau|Gamma(f, f)|^q per row of f, from bh = |Gamma^| / bmax: through
+    sg.derivation (Gamma^ >= 0) 2 q sum_j conj(b_j chi) (b_j a)^ bh^{q-1}, else
+    q (A(f M) + A(f) M - f A(M)) times n, M the element whose transform is sign(Gamma^) bh^{q-1}:
+    a psi that fails the CN test has a Gamma^ of either sign."""
+    n, chi = sg.group.order, sg.group.characters
+    w = bh ** (q - 1)
+    if sg.derivation is None:
+        w = w * np.sign(fourier(gamma(sg, f, f)).real)
+        m = AlgebraElement(sg.group, np.einsum("...k,kg->...g", w, chi.conj()))
+        return q * gamma_gradient(lambda h: generator_apply(sg, h), conv, f, m).coeffs
+    t = derived_transform(sg, f) * np.tile(w, sg.derivation.shape[1] // n)
+    return 2 * q * (t[:, None, :] @ sg.derivation.conj().T)[:, 0]
+
+
+def _regular_gradient(sg: Semigroup, f0: AlgebraElement, reps, p: float, psd: bool,
+                      r: np.ndarray) -> np.ndarray:
+    """The ratio gradient on the regular representation, from reps, the regular representations
+    of Gamma(f0, f0) and Gamma(f0*, f0*): linalg's Schatten and trace-power gradients (products
+    under the certificate psd, eigh otherwise), read off as coefficients (the column of the
+    identity, times the order)."""
+    n = sg.group.order
+    gn = n * linalg._schatten_grad(regular_rep(f0), p)[0][..., 0]
+    gd, moments = [], []
+    for g, h in zip((f0, f0.adjoint()), reps):
+        L, moment = linalg._trace_power_grad(h, p / 2.0, psd)
+        m = AlgebraElement(sg.group, L[..., 0])
+        gd.append(n * gamma_gradient(lambda x: generator_apply(sg, x), conv, g, m).coeffs)
+        moments.append(moment)
+    return _ratio_gradient(r, p, gn, gd, moments, _coeff_adjoint(sg), _off_fix(sg))
 
 
 def _ratio(sg: Semigroup, f: AlgebraElement, p: float):
@@ -134,31 +234,32 @@ def _normalized(x: np.ndarray) -> np.ndarray:
     return x / np.sqrt(_dots(x, x))[:, None]
 
 
-def maximize_on_sphere(fun: Callable[[Any, np.ndarray], Any], dim: int, budget: int,
+def maximize_on_sphere(fun: Callable[[Any, np.ndarray], tuple], dim: int, budget: int,
                        problems: Sequence[tuple[Any, int]]) -> list:
     """Multi-start projected gradient ascent on the unit sphere: one ascent for many problems.
 
     problems is a sequence of (key, seed) pairs, and fun(key, Y) maps a (k, dim)
-    stack of points to k values of that problem's objective, each row on its
-    own.  Each problem has N_STARTS starts: the first min(dim, COORD_STARTS,
-    N_STARTS) coordinate vectors, then start s draws from the stream (seed,
-    TAG_POINCARE, s).  Every start of every problem is one row of the state
-    arrays (point, value, step, gap, evaluations, phase), and all advance
-    together in rounds.  The first round scores every start point, each later round
-    the pending request of every active start: a central-difference gradient (step
-    1e-6) of 2 dim rows, x + 1e-6 e_i then x - 1e-6 e_i, or a line-search probe (one
-    row).  It calls fun once per problem with an active start, the problems in order:
-    its gradient stencils, then its probes, each in start order.  A start takes a new
-    gradient while it has scored fewer than budget // N_STARTS points, adapts
-    its step by backtracking, and stops when its relative improvement drops
-    below 1e-8.  Each start visits the points it would visit alone, so a
-    problem gets the same calls of fun whatever the other problems are, and
-    however fun splits a round; ties resolve in start order.  Returns (best
-    value, best point, gap) for each problem, in order.
+    stack of points to (values, gradients), k values of that problem's objective
+    and their (k, dim) gradients, each row on its own.  Each problem has N_STARTS
+    starts: the first min(dim, COORD_STARTS, N_STARTS) coordinate vectors, then
+    start s draws from the stream (seed, TAG_POINCARE, s).  Every start of every
+    problem is one row of the state arrays (point, value, gradient, step, gap,
+    evaluations), and all advance together in rounds.  The first round scores
+    every start point; each later round scores the one line-search probe of every
+    live start.  A round calls fun once per problem with a row in it, the problems
+    in order and each problem's rows in start order.  An accepted probe's gradient
+    is the next step's: a step follows the tangent projection of the gradient at
+    its point.  The budget counts points, and a gradient is charged 2 dim of
+    them, the price of a central-difference stencil: a start takes a new gradient
+    while it has been charged fewer than budget // N_STARTS points, adapts its
+    step by backtracking, and stops when its relative improvement drops below
+    1e-8.  Each start visits the points it would visit alone, so a problem gets
+    the same calls of fun whatever the other problems are, and however fun splits
+    a round; ties resolve in start order.  Returns (best value, best point, gap)
+    for each problem, in order.
     """
     require(budget, "budget", lambda v: is_integer(v) and v >= 1, "an integer >= 1")
     require(problems, "problems", lambda v: len(v) > 0, "a non-empty sequence of (key, seed) pairs")
-    GRADIENT, PROBE, DONE = range(3)            # what a start asks of the next round
     coord = np.eye(dim)[:min(dim, COORD_STARTS, N_STARTS)]
     starts = []
     for _, seed in problems:
@@ -168,53 +269,42 @@ def maximize_on_sphere(fun: Callable[[Any, np.ndarray], Any], dim: int, budget: 
             n = np.linalg.norm(v)
             starts.append(v / n if n > 0 else np.eye(dim)[0])
     X = _normalized(np.reshape(starts, (len(starts), dim)))   # each start's current point
+
+    def score(rows: np.ndarray, Y: np.ndarray):
+        """fun at each point Y[i] of start rows[i] (rows ascending), one call per problem."""
+        val, grad = np.empty(len(rows)), np.empty((len(rows), dim))
+        for k in np.flatnonzero(np.bincount(rows // N_STARTS)):  # np.unique imports numpy.ma
+            mine = rows // N_STARTS == k
+            val[mine], grad[mine] = fun(problems[k][0], Y[mine])
+        return val, grad
+
     per_start = max(1, budget // N_STARTS)
-    # the first round scores every start point
-    val = np.concatenate([fun(key, X[k * N_STARTS:(k + 1) * N_STARTS].copy())
-                          for k, (key, _) in enumerate(problems)])
+    val, D = score(np.arange(len(X)), X)   # D: the gradient at each start's point
     evals = np.ones(len(X), dtype=int)
-    phase = np.full(len(X), GRADIENT if per_start > 1 else DONE)
     step, gap = np.full(len(X), 0.1), np.full(len(X), np.inf)
-    Q = np.empty_like(X)           # each line search's probe point
     G = np.empty_like(X)           # the projected gradient at X that a line search follows
-    V, W = np.empty((len(X), 2 * dim)), np.empty(len(X))    # a round's stencil and probe values
-    # rows x + H are x + h then x - h, h = GRAD_STEP I; +0.0 and -0.0 off the diagonal keep x's bits
-    H = np.concatenate([np.eye(dim), -np.eye(dim)]) * GRAD_STEP
-
-    while (live := np.flatnonzero(phase != DONE)).size:
-        grad = phase[live] == GRADIENT
-        i, j = live[grad], live[~grad]
-        for k in np.flatnonzero(np.bincount(live // N_STARTS)):  # np.unique imports numpy.ma
-            grads, probes = i[i // N_STARTS == k], j[j // N_STARTS == k]
-            n = 2 * dim * len(grads)
-            v = fun(problems[k][0], np.concatenate([(X[grads, None] + H).reshape(n, dim),
-                                                    Q[probes]]))
-            V[grads], W[probes] = np.reshape(v[:n], (-1, 2 * dim)), v[n:]
-
-        evals[i] += 2 * dim
-        g = (V[i, :dim] - V[i, dim:]) / (2 * GRAD_STEP)
-        g -= _dots(g, X[i])[:, None] * X[i]   # tangent projection
-        G[i] = g
-        flat = np.sqrt(_dots(g, g)) < 1e-12
-        phase[i[flat]] = DONE
-
-        evals[j] += 1
-        up = W[j] > val[j]
-        a = j[up]
-        gap[a] = (W[a] - val[a]) / np.maximum(np.abs(val[a]), 1e-30)
-        X[a], val[a] = Q[a], W[a]
+    take = np.arange(len(X)) if per_start > 1 else np.arange(0)    # starts taking a gradient
+    retry = np.arange(0)           # starts whose probe failed
+    while True:
+        evals[take] += 2 * dim
+        g = D[take] - _dots(D[take], X[take])[:, None] * X[take]   # tangent projection
+        G[take] = g
+        # a new gradient, or a failed probe, sends the next probe while the step exceeds 1e-12
+        live = np.concatenate([take[~(np.sqrt(_dots(g, g)) < 1e-12)], retry])
+        live = np.sort(live[step[live] > 1e-12])
+        if not live.size:
+            break
+        Q = _normalized(X[live] + step[live][:, None] * G[live])
+        W, DW = score(live, Q)
+        evals[live] += 1
+        up = W > val[live]
+        a = live[up]
+        gap[a] = (W[up] - val[a]) / np.maximum(np.abs(val[a]), 1e-30)
+        X[a], val[a], D[a] = Q[up], W[up], DW[up]
         step[a] *= 1.3
-        phase[a] = np.where((gap[a] < REL_IMPROVEMENT_STOP) | (evals[a] >= per_start), DONE,
-                            GRADIENT)
-        step[j[~up]] *= 0.5
-
-        # a new gradient, or a failed probe, starts the next probe while the step exceeds 1e-12
-        b = np.concatenate([i[~flat], j[~up]])
-        stop = ~(step[b] > 1e-12)
-        phase[b[stop]] = DONE
-        b = b[~stop]
-        Q[b] = _normalized(X[b] + step[b][:, None] * G[b])
-        phase[b] = PROBE
+        take = a[~((gap[a] < REL_IMPROVEMENT_STOP) | (evals[a] >= per_start))]
+        retry = live[~up]
+        step[retry] *= 0.5
 
     results = []
     for k in range(len(problems)):
@@ -223,27 +313,26 @@ def maximize_on_sphere(fun: Callable[[Any, np.ndarray], Any], dim: int, budget: 
     return results
 
 
-def maximize_ratio(ratio: Callable[[Any, Any], Any], chart: Callable[[np.ndarray], Any],
+def maximize_ratio(scores: Callable[[Any, Any], tuple], chart: Callable[[np.ndarray], Any],
                    dim: int, budget: int, problems: Sequence[tuple[Any, int]],
                    per_row: int) -> list[WorstConstant]:
-    """Maximize ratio(chart(x + iy), key) over unit vectors (x, y) in R^{2 dim}, for each
-    (key, seed) of problems, in one maximize_on_sphere ascent.
+    """Maximize the ratio of chart(x + iy) at key over unit vectors (x, y) in R^{2 dim}, for
+    each (key, seed) of problems, in one maximize_on_sphere ascent.
 
-    chart maps complex coordinates, shape (..., dim), to a witness or a
-    stack of witnesses.  Each round scores each problem's rows by
-    ratio(., key), one call per linalg.blocks block, the blocks in order,
-    per_row counting a witness's entries (order^2 on the group side, n^4 for
-    a matrix symbol).  A witness in the fixed-point algebra scores 0; every
-    other error propagates.  Returns one WorstConstant per problem, its
+    chart maps complex coordinates, shape (k, dim), to a stack of witnesses, and
+    scores(witnesses, key) returns their (ratios, G), G[i] the gradient in the
+    i-th witness's chart coordinates z, dR = Re sum conj(G[i]) o dz: the gradient
+    in (x, y) is (Re G, Im G).  A witness in the fixed-point algebra scores 0.
+    Each round scores each problem's rows, one call per linalg.blocks block, the
+    blocks in order, per_row counting a witness's entries (order^2 on the group
+    side, n^4 for a matrix symbol).  Returns one WorstConstant per problem, its
     constant the optimizer's score.
     """
-    def fun(key, Z: np.ndarray) -> np.ndarray:
-        def score(lo, hi):
-            try:
-                return ratio(chart(Z[lo:hi, :dim] + 1j * Z[lo:hi, dim:]), key)
-            except ZeroNumeratorError as exc:
-                return exc.scores
-        return np.concatenate([score(lo, hi) for lo, hi in blocks(len(Z), per_row)])
+    def fun(key, Z: np.ndarray):
+        parts = [scores(chart(Z[lo:hi, :dim] + 1j * Z[lo:hi, dim:]), key)
+                 for lo, hi in blocks(len(Z), per_row)]
+        G = np.concatenate([g for _, g in parts])
+        return np.concatenate([v for v, _ in parts]), np.concatenate([G.real, G.imag], axis=1)
 
     return [WorstConstant(float(val), chart(z[:dim] + 1j * z[dim:]), float(gap))
             for val, z, gap in maximize_on_sphere(fun, 2 * dim, budget, problems)]
@@ -261,7 +350,7 @@ def worst_constant(sg: Semigroup, p: float, budget: int = 20000, seed: int = 0, 
     ascent, this p's result of an ascent shared with other p (sweep_and_fit's),
     replaces the search: the call then only certifies it, and reads no budget or seed.
     """
-    require(p, "p", lambda v: is_number(v) and v >= 2, "a number >= 2")
+    _require_p(p)
     if ascent is None:
         [ascent] = _ascend(sg, [(p, seed)], budget)
     return ascent._replace(constant=float(_ratio(sg, ascent.witness, p)))
@@ -280,8 +369,11 @@ def _ascend(sg: Semigroup, problems: Sequence[tuple[float, int]],
         c[..., nonfix] = z
         return AlgebraElement(sg.group, c)
 
-    return maximize_ratio(lambda f, p: poincare_ratio(sg, f, p), chart, nonfix.size, budget,
-                          problems, sg.group.order ** 2)
+    def scores(f: AlgebraElement, p: float):
+        r, G = poincare_ratio(sg, f, p, gradient=True)
+        return r, G[:, nonfix]
+
+    return maximize_ratio(scores, chart, nonfix.size, budget, problems, sg.group.order ** 2)
 
 
 @dataclass(frozen=True)
@@ -321,7 +413,7 @@ def sweep(ascend: Callable[[list], list[WorstConstant]],
     budget, seed + i) only, not on the rest of the grid.
     """
     ps = [float(p) for p in require_list(list(p_grid), "p grid", is_number, "a number")]
-    if not all(2 <= p <= 16 for p in ps):
+    if not all(map(_in_p_range, ps)):
         raise ValueError(f"p grid must lie in [2, 16], got {ps}")
     if len(set(ps)) < 2:
         raise ValueError(f"p grid needs two distinct values to fit the growth exponent, got {ps}")

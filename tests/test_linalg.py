@@ -11,8 +11,8 @@ from cocycle_lab.criterion import check_element
 from cocycle_lab.dilation import inequality_report, sample_scenario
 from cocycle_lab.families import builtin_length, heisenberg_delta, walsh_length
 from cocycle_lab.groups import build_cyclic, build_heisenberg, build_power
-from cocycle_lab.linalg import (SMALL_N, _pow2_scale, _psd_moments, psd_verdict, require, root,
-                               schatten_norm, schatten_pow_batch)
+from cocycle_lab.linalg import (SMALL_N, _moments, _pow2_scale, _psd_moments, psd_verdict, require,
+                               root, schatten_norm, schatten_pow_batch)
 from cocycle_lab.matrixalg import (alpha_battery, clock_shift_basis, heisenberg_multiplier,
                                    lindblad_gamma_residual, lindblad_generator,
                                    matrix_worst_constant)
@@ -150,6 +150,22 @@ def test_schatten_norms_take_no_positivity_on_trust():
         assert round(got, 4) == want
     for f in (schatten_norm, schatten_pow_batch, gamma_norm):
         assert "psd" not in inspect.signature(f).parameters
+
+
+def test_even_p_beyond_16_takes_the_singular_values():
+    """The products' input is scaled by its largest entry, which leaves a spectral norm up to
+    2n: at p = 400 the ones matrix, whose spectral norm is 8, once overflowed to inf.  Above
+    p = 16 every even p takes the singular values, to 1e-12 of the SVD reference, and at every
+    even p <= 16 the products keep their bits."""
+    ones = np.ones((8, 8))
+    stack = np.stack([ones / 8] + [rand_matrix(8, 30 + i) for i in range(3)])
+    for p in (18.0, 64.0, 400.0, 600.0):
+        assert abs(schatten_norm(ones, p) - 8 * 8.0 ** (-1 / p)) <= 1e-12 * 8
+        want = svd_schatten(stack, p)
+        assert np.all(np.abs(schatten_norm(stack, p) - want) <= 1e-12 * want), p
+    for p in range(2, 17, 2):
+        scale, (acc,) = _moments(stack, (p,))
+        assert np.array_equal(schatten_norm(stack, float(p)), scale * root(acc, p)), p
 
 
 def test_a_moment_rejects_p_inf():

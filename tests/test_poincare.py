@@ -1,7 +1,10 @@
+import re
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cocycle_lab import linalg, matrixalg, poincare, rng as clrng
 from cocycle_lab.algebra import (AlgebraElement, Semigroup, delta, element, fix_project, fourier,
@@ -12,11 +15,11 @@ from cocycle_lab.families import builtin_length, delta_psi
 from cocycle_lab.groups import build_cyclic, build_product, group_from_dict, group_to_dict
 from cocycle_lab.linalg import _psd_moments, root, schatten_norm
 from cocycle_lab.matrixalg import heisenberg_multiplier, matrix_poincare, matrix_worst_constant
-from cocycle_lab.poincare import (GRAD_STEP, REL_IMPROVEMENT_STOP, ZeroNumeratorError,
+from cocycle_lab.poincare import (REL_IMPROVEMENT_STOP, ZeroNumeratorError,
                                   fit_exponent, l2_oracle, maximize_on_sphere, maximize_ratio,
                                   poincare_ratio, ratio_scores, sweep_and_fit, worst_constant)
 
-from conftest import captured_objective, rand_coeffs
+from conftest import captured_objective, rand_coeffs, rand_matrix
 
 
 def test_l2_oracle_values():
@@ -37,9 +40,9 @@ def test_zero_psi_has_no_gap():
 def test_ratio_input_validation():
     sg = Semigroup(word_length_psi(4))
     f = element(sg.group, [0.0, 1.0, 0.0, 0.0])
-    with pytest.raises(ValueError, match="^p = 1.5 is not a number >= 2$"):
+    with pytest.raises(ValueError, match="^p = 1.5 is not a number in \\[2, 16\\]$"):
         poincare_ratio(sg, f, 1.5)
-    with pytest.raises(ValueError, match="^p = 1.5 is not a number >= 2$"):
+    with pytest.raises(ValueError, match="^p = 1.5 is not a number in \\[2, 16\\]$"):
         worst_constant(sg, 1.5, budget=10)
     fixed = element(sg.group, [2.0, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="zero numerator"):
@@ -60,7 +63,7 @@ def test_a_p_that_is_no_number_is_named():
     for call in (lambda: poincare_ratio(sg, f, "4"), lambda: worst_constant(sg, "4", budget=10),
                  lambda: matrixalg.matrix_poincare_ratio(A, np.eye(2), "4"),
                  lambda: matrix_worst_constant(A, "4", budget=10)):
-        with pytest.raises(ValueError, match='^p = "4" is not a number >= 2$'):
+        with pytest.raises(ValueError, match='^p = "4" is not a number in \\[2, 16\\]$'):
             call()
 
 
@@ -72,7 +75,7 @@ def test_certifying_a_shared_ascent_checks_p():
         res = certify(problem, 2.0, budget=10)
         assert certify(problem, 4.0, ascent=res).witness is res.witness
         for p, shown in ((1.0, "1.0"), (float("nan"), "NaN"), (1.5, "1.5")):
-            with pytest.raises(ValueError, match=f"^p = {shown} is not a number >= 2$"):
+            with pytest.raises(ValueError, match=f"^p = {shown} is not a number in \\[2, 16\\]$"):
                 certify(problem, p, ascent=res)
 
 
@@ -124,7 +127,8 @@ def test_optimizer_blocks_bounded_by_entries(monkeypatch, case):
     sizes = []
 
     def spy(ratio):
-        return lambda w, x, p: sizes.append(len(getattr(x, "coeffs", x))) or ratio(w, x, p)
+        return lambda w, x, p, **kw: sizes.append(len(getattr(x, "coeffs", x))) or ratio(w, x, p,
+                                                                                         **kw)
 
     if case == "M2-delta":
         per_row = 2 ** 4
@@ -137,39 +141,45 @@ def test_optimizer_blocks_bounded_by_entries(monkeypatch, case):
         monkeypatch.setattr(poincare, "poincare_ratio", spy(poincare.poincare_ratio))
         if case == "walsh:2:3":
             worst_constant(sg, 4.0, budget=2000, seed=0)
-            # one call scores a whole round: every start's gradient stencil
-            assert max(sizes) == poincare.N_STARTS * 2 * 2 * int((~sg.fix_mask).sum())
+            # one call scores a whole round: the first, every start point
+            assert max(sizes) == poincare.N_STARTS
         else:
-            # one start, whose gradient round of 2 * 248 rows takes several blocks
-            monkeypatch.setattr(poincare, "N_STARTS", 1)
+            # 300 starts, whose first round of 300 rows takes several blocks
+            monkeypatch.setattr(poincare, "N_STARTS", 300)
             worst_constant(sg, 2.0, budget=2, seed=0)
             assert sizes.count(linalg.BLOCK_ENTRIES // per_row) >= 2
     assert max(sizes) <= max(1, linalg.BLOCK_ENTRIES // per_row)
 
 
+def _square(v):
+    """The objective (y . v)^2 per row of a stack, with its gradient 2 (y . v) v."""
+    def fun(_, Y):
+        t = Y @ v
+        return t ** 2, 2 * t[:, None] * v
+    return fun
+
+
 def test_maximizer_budget_validation():
     with pytest.raises(ValueError, match="budget"):
-        maximize_on_sphere(lambda _, x: 0.0, 2, budget=0, problems=[(None, 0)])
+        maximize_on_sphere(lambda _, Y: (Y[:, 0], Y), 2, budget=0, problems=[(None, 0)])
 
 
 def test_maximizer_needs_a_problem():
     with pytest.raises(ValueError, match=r"^problems = \[\] is not a non-empty sequence"):
-        maximize_on_sphere(lambda _, x: x[:, 0], 3, budget=100, problems=[])
+        maximize_on_sphere(lambda _, Y: (Y[:, 0], Y), 3, budget=100, problems=[])
 
 
 def test_maximizer_finds_quadratic_peak():
     rng = np.random.default_rng(3)
     v = rng.standard_normal(4)
-    [(val, x, _)] = maximize_on_sphere(lambda _, Y: (Y @ v) ** 2, 4,
-                                       budget=6000, problems=[(None, 1)])
+    [(val, x, _)] = maximize_on_sphere(_square(v), 4, budget=6000, problems=[(None, 1)])
     assert val >= 0.99 * float(v @ v)
     assert abs(np.linalg.norm(x) - 1.0) < 1e-9
 
 
 def test_maximizer_deterministic():
     rng = np.random.default_rng(4)
-    v = rng.standard_normal(5)
-    fun = lambda _, Y: (Y @ v) ** 2
+    fun = _square(rng.standard_normal(5))
     [a] = maximize_on_sphere(fun, 5, budget=1500, problems=[(None, 7)])
     [b] = maximize_on_sphere(fun, 5, budget=1500, problems=[(None, 7)])
     assert a[0] == b[0]
@@ -181,52 +191,57 @@ def test_maximizer_n_starts(monkeypatch):
 
     def fun(_, Y):
         calls.append(Y.copy())
-        return Y[:, 0] ** 2
+        return Y[:, 0] ** 2, 2 * Y[:, :1] * np.eye(len(Y[0]))[0]
 
     dim, budget, n_starts = 20, 400, 4
     monkeypatch.setattr(poincare, "N_STARTS", n_starts)
     maximize_on_sphere(fun, dim, budget, problems=[(None, 0)])
     assert np.array_equal(calls[0], np.eye(dim)[:n_starts])   # the first round: every start point
+    assert all(len(Y) <= n_starts for Y in calls)             # later ones: a probe per start
     assert sum(map(len, calls)) <= n_starts * (budget // n_starts + 2 * dim)
 
 
 def _one_start_at_a_time(fun, dim, budget, seed, n_starts):
-    """maximize_on_sphere with each start run alone, one objective call per request.
+    """maximize_on_sphere with each start run alone, one objective call per point.
 
-    Returns its result and each start's requests in order.
+    fun maps one point to (value, gradient).  Returns its result and each start's log in
+    order, (point, kind): its start point ("start"), then its line-search probes, each along a
+    new gradient ("new") or backtracking after a failed probe ("retry"), and each gradient it
+    takes at its point ("gradient"), which scores nothing but is charged 2 dim points.
     """
     starts = list(np.eye(dim)[:min(dim, 16, n_starts)])
     for s in range(len(starts), n_starts):
         v = clrng.stream(seed, clrng.TAG_POINCARE, s).standard_normal(dim)
         starts.append(v / np.linalg.norm(v))
     per_start = max(1, budget // n_starts)
-    h = GRAD_STEP * np.eye(dim)
     results, requests = [], []
     for x0 in starts:
         log = []
         requests.append(log)
 
-        def f(X):
-            log.append(X)
-            return fun(X)
+        def f(x, kind):
+            log.append((x, kind))
+            return fun(x)
 
         x = x0 / np.linalg.norm(x0)
-        val = f(x)
-        step, gap = 0.1, np.inf
-        while sum(len(np.atleast_2d(X)) for X in log) < per_start:
-            v = f(np.concatenate([x + h, x - h]))
-            g = (v[:dim] - v[dim:]) / (2 * GRAD_STEP)
-            g -= (g @ x) * x
+        val, d = f(x, "start")
+        charged, step, gap = 1, 0.1, np.inf
+        while charged < per_start:
+            charged += 2 * dim                   # a gradient costs what its stencil did
+            log.append((x, "gradient"))
+            g = d - (d @ x) * x
             if np.linalg.norm(g) < 1e-12:
                 break
-            improved = False
+            improved, kind = False, "new"
             while step > 1e-12:
                 xn = x + step * g
                 xn /= np.linalg.norm(xn)
-                vn = f(xn)
+                vn, dn = f(xn, kind)
+                kind = "retry"
+                charged += 1
                 if vn > val:
                     gap = (vn - val) / max(abs(val), 1e-30)
-                    x, val = xn, vn
+                    x, val, d = xn, vn, dn
                     step *= 1.3
                     improved = True
                     break
@@ -243,7 +258,10 @@ def _one_start_at_a_time(fun, dim, budget, seed, n_starts):
                           for rows in (1, 7, None)],
                          ids=["1", "7", "default", "mixed-1", "mixed-7", "mixed-default"])
 def test_lock_step_matches_one_start_at_a_time(monkeypatch, rows, n_starts, budget, mixed):
-    """mixed: in some round a problem asks for a gradient and a probe, which pins their order."""
+    """Round r scores the r-th point of every start that has one: the start points, then each
+    live start's probe, problem by problem and in start order within a problem.  mixed: in
+    some round a problem sends a probe along a new gradient and a backtracking one, which pins
+    that both kinds go in start order."""
     if rows is not None:
         monkeypatch.setattr(linalg, "BLOCK_ENTRIES", rows)    # per_row = 1: blocks of `rows` rows
     dim = 6
@@ -255,52 +273,57 @@ def test_lock_step_matches_one_start_at_a_time(monkeypatch, rows, n_starts, budg
 
     def fun(Y, k):                       # records its input and scores each row on its own
         calls.append((k, Y.copy()))
-        vals = np.array([(y @ vs[k]) ** 2 for y in np.atleast_2d(Y)])
-        return vals if Y.ndim == 2 else float(vals[0])
+        t = np.array([y @ vs[k] for y in Y])
+        return t ** 2, 2 * t[:, None] * vs[k]
 
-    solo = [_one_start_at_a_time(lambda Y, k=k: fun(Y, k), dim, budget, seed, n_starts)
+    def alone(k):
+        def f(x):
+            val, grad = fun(x[None], k)
+            return val[0], grad[0]
+        return f
+
+    solo = [_one_start_at_a_time(alone(k), dim, budget, seed, n_starts)
             for k, seed in enumerate(seeds)]
-    # round r holds, problem by problem, the r-th request of every start of that problem that
-    # has one: its gradient stencils in start order, then its single points in start order.
-    # Each problem's part is scored in calls of `rows` rows (the default fits a problem's whole
-    # round in one call); a problem without one is not called
-    requests = [[[np.atleast_2d(X) for X in reqs] for reqs in log] for _, log in solo]
+    # each problem's part of a round is scored in calls of `rows` rows (the default fits a
+    # problem's whole round in one call); a problem without a point in the round is not called
+    requests = [[[(x, kind) for x, kind in reqs if kind != "gradient"] for reqs in log]
+                for _, log in solo]
     want_calls, mixed_rounds = [], 0
     for r in range(max(len(reqs) for log in requests for reqs in log)):
         for k, log in enumerate(requests):
             part = [reqs[r] for reqs in log if r < len(reqs)]
             if part:
-                part.sort(key=len, reverse=True)        # stable: start order within each kind
-                mixed_rounds += len(part[0]) > 1 and len(part[-1]) == 1
-                R = np.concatenate(part)
+                mixed_rounds += {kind for _, kind in part} == {"new", "retry"}
+                R = np.array([x for x, _ in part])
                 step = rows or len(R)
                 want_calls += [(k, R[lo:lo + step]) for lo in range(0, len(R), step)]
     assert (mixed_rounds > 0) == mixed
     key = lambda call: (call[0], call[1].shape, call[1].tobytes())
+
+    def scores(Y, k):                    # complex chart coordinates in, as maximize_ratio's
+        val, grad = fun(Y, k)
+        return val, grad[:, :dim // 2] + 1j * grad[:, dim // 2:]
+
     calls.clear()
     # the chart hands fun the real sphere coordinates (x, y) back exactly
-    got = maximize_ratio(fun, lambda z: np.concatenate([z.real, z.imag], axis=-1),
+    got = maximize_ratio(scores, lambda z: np.concatenate([z.real, z.imag], axis=-1),
                          dim // 2, budget, list(enumerate(seeds)), per_row=1)
     assert len(got) == len(seeds)
     for res, (want, _) in zip(got, solo):
         assert res.constant == want[0] and np.array_equal(res.witness, want[1])
         assert res.optimizer_gap == want[2]
     assert list(map(key, calls)) == list(map(key, want_calls))
-    h = GRAD_STEP * np.eye(dim)
     per_start = budget // n_starts
-    for log in requests:
+    for _, log in solo:
         assert len(log) == n_starts
         for mine in log:
-            last_point = None
-            for Y in mine:
-                if len(Y) == 1:              # start point or line-search probe: one point
-                    last_point = Y[0]
-                else:                        # gradient: the whole stencil around the last point
-                    assert np.array_equal(Y, np.concatenate([last_point + h, last_point - h]))
-            points = [len(Y) for Y in mine]
-            last_gradient = max(i for i, n in enumerate(points) if n == 2 * dim)
-            assert sum(points[:last_gradient]) < per_start     # a new gradient only within budget
-            assert per_start <= sum(points) <= per_start + 2 * dim
+            kinds = [kind for _, kind in mine]
+            # a probe along a new gradient follows that gradient, taken at the point it leaves
+            assert all(kinds[i - 1] == "gradient" for i, kind in enumerate(kinds) if kind == "new")
+            charged = [2 * dim if kind == "gradient" else 1 for kind in kinds]
+            last_gradient = max(i for i, kind in enumerate(kinds) if kind == "gradient")
+            assert sum(charged[:last_gradient]) < per_start     # a new gradient only within budget
+            assert per_start <= sum(charged) <= per_start + 2 * dim
 
 
 def test_fit_exponent_recovers_power_law():
@@ -424,8 +447,8 @@ def test_batched_ratio_matches_reference(monkeypatch, spec):
     C[3] = np.where(sg.fix_mask, C[3], 0.0)         # a witness in the fixed-point algebra
     chart = lambda z: AlgebraElement(sg.group, z)
     fun = captured_objective(monkeypatch, lambda: maximize_ratio(
-        lambda f, p: poincare_ratio(sg, f, p), chart, order, budget=1, problems=[(5.0, 0)],
-        per_row=order ** 2))
+        lambda f, p: poincare_ratio(sg, f, p, gradient=True), chart, order, budget=1,
+        problems=[(5.0, 0)], per_row=order ** 2))
     assert sg.gamma_psd         # so q = p/2 = 1, 3, 5, 7 take the trace powers
     for p in (2.0, 5.0, 6.0, 10.0, 14.0, 16.0):
         with pytest.raises(ZeroNumeratorError, match="zero numerator"):
@@ -441,9 +464,12 @@ def test_batched_ratio_matches_reference(monkeypatch, spec):
         rows = np.delete(C, 3, axis=0)
         assert np.array_equal(poincare_ratio(sg, AlgebraElement(sg.group, rows), p),
                               np.delete(scores, 3))
-    # through the optimizer's objective the fixed-point row scores 0
-    scores = fun(np.concatenate([C.real, C.imag], axis=1))
-    assert scores[3] == 0.0 and np.all(np.delete(scores, 3) > 0)
+    # through the optimizer's objective the fixed-point row scores 0 with gradient 0, and every
+    # other row scores as poincare_ratio, bit for bit
+    scores, grads = fun(np.concatenate([C.real, C.imag], axis=1))
+    assert scores[3] == 0.0 and not grads[3].any()
+    rows = AlgebraElement(sg.group, np.delete(C, 3, axis=0))
+    assert np.array_equal(np.delete(scores, 3), poincare_ratio(sg, rows, 5.0))
 
 
 def _svd_route_ratio(sg, f, p, psd=False):
@@ -596,7 +622,7 @@ def test_character_route_rejects_non_finite_coefficients():
         for p in (4.0, 6.0):
             with pytest.raises(ValueError, match=rf"^Poincare ratio input\(1,5\) = \({bad}\+"):
                 poincare_ratio(heis, AlgebraElement(heis.group, c), p)
-    with pytest.raises(ValueError, match="^p = NaN is not a number >= 2$"):
+    with pytest.raises(ValueError, match="^p = NaN is not a number in \\[2, 16\\]$"):
         poincare_ratio(sg, element(sg.group, [0.0, 1.0, 0.0, 0.0]), float("nan"))
 
 
@@ -678,3 +704,90 @@ def test_a_ratio_does_not_change_when_its_witness_is_scaled():
         for scale in (1e-100, 1e-16, 1.0, 1e100):
             with pytest.raises(ZeroNumeratorError):
                 ratio(scale)
+
+
+def test_every_poincare_entry_point_takes_p_in_2_to_16():
+    """p beyond the sweep's [2, 16] once ran: walsh:2:3 certified C_600 = inf and C_1e300 =
+    NaN, and the M_2 ratio at p = 1e300 read NaN.  Each entry point, a certifying call
+    included, names such a p, and p = inf, which has no gradient."""
+    sg = Semigroup(builtin_length("walsh:2:3"))
+    A = heisenberg_multiplier(2, "delta")
+    f = element(sg.group, rand_coeffs(8, 5))
+    group, matrix = worst_constant(sg, 4.0, budget=10), matrix_worst_constant(A, 4.0, budget=10)
+    for p, shown in ((16.5, "16.5"), (600.0, "600.0"), (1e300, "1e+300"),
+                     (float("inf"), "Infinity")):
+        for call in (lambda: poincare_ratio(sg, f, p), lambda: worst_constant(sg, p, budget=10),
+                     lambda: worst_constant(sg, p, ascent=group),
+                     lambda: matrixalg.matrix_poincare_ratio(A, np.diag([1.0, -1.0]), p),
+                     lambda: matrix_worst_constant(A, p, budget=10),
+                     lambda: matrix_worst_constant(A, p, ascent=matrix)):
+            with pytest.raises(ValueError, match=rf"^p = {re.escape(shown)} is not a number "
+                                                 r"in \[2, 16\]$"):
+                call()
+    assert poincare_ratio(sg, f, 16.0) > 0 and worst_constant(sg, 16.0, ascent=group).constant > 0
+
+
+def _central_differences(ratio, c, h=1e-6):
+    """dR = Re sum conj(G) o dc by central differences of step h in each real coordinate of c,
+    all 4 c.size shifted witnesses scored as one stack."""
+    shifts = h * np.concatenate([np.eye(c.size), 1j * np.eye(c.size)]).reshape((-1,) + c.shape)
+    v = ratio(np.concatenate([c + shifts, c - shifts]))
+    d = (v[:len(shifts)] - v[len(shifts):]) / (2 * h)
+    return (d[:c.size] + 1j * d[c.size:]).reshape(c.shape)
+
+
+def _asymmetric(spec):
+    """spec's psi with psi(1) moved by 2^-44 max psi: symmetric only to rounding, so the
+    character route takes both Gammas and the max of two branches."""
+    psi = builtin_length(spec)
+    v = psi.values.copy()
+    v[1] += 2.0 ** -44 * v.max()
+    return Semigroup(LengthFunction(psi.group, v))
+
+
+GRADIENT_CASES = {
+    "walsh:2:3": lambda: Semigroup(builtin_length("walsh:2:3")),
+    "delta:5": lambda: Semigroup(builtin_length("delta:5")),
+    "wordlength:6": lambda: Semigroup(builtin_length("wordlength:6")),
+    "wordlength:7": lambda: Semigroup(builtin_length("wordlength:7")),
+    "heisenberg-delta:2": lambda: Semigroup(builtin_length("heisenberg-delta:2")),
+    "heisenberg-wordlength:2": lambda: Semigroup(builtin_length("heisenberg-wordlength:2")),
+    "asymmetric-wordlength:6": lambda: _asymmetric("wordlength:6"),
+    "not-cn:2x3x2": lambda: Semigroup(_not_cn(build_product([build_cyclic(k) for k in (2, 3, 2)]),
+                                              3)),
+    "table:not-cn:6": lambda: Semigroup(_not_cn(group_from_dict(group_to_dict(build_cyclic(6))),
+                                                3)),
+    "M2-delta": lambda: heisenberg_multiplier(2, "delta"),
+    "M2-wordlength": lambda: heisenberg_multiplier(2, "wordlength"),
+    "M3-delta": lambda: heisenberg_multiplier(3, "delta"),
+    "M3-wordlength": lambda: heisenberg_multiplier(3, "wordlength"),
+    "lindblad-2": lambda: matrixalg.lindblad_generator([np.array([[1.0, 1.0], [1.0, -1.0]])])}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(GRADIENT_CASES)), st.sampled_from((2.0, 3.0, 4.0, 6.0, 8.0, 16.0)),
+       st.integers(0, 10 ** 6))
+@example("not-cn:2x3x2", 2.0, 0)
+@example("table:not-cn:6", 2.0, 0)
+@example("table:not-cn:6", 6.0, 0)
+def test_ratio_gradient_matches_central_differences_hypothesis(case, p, index):
+    """On every scoring route (the derivation W and the kernel Gamma through the characters,
+    both regular-representation routes, Superoperator.derive and the superoperator route) the
+    gradient the ascent follows matches central differences (h = 1e-6) to 1e-6, relative to
+    R / |c|, the scale of the gradient of the degree-0 ratio R, or to |G| where that is
+    larger; the scores are the ratio's, bit for bit.  The not-cn cases have a Gamma(f, f) of
+    either sign, through the characters and on a loaded table without them."""
+    problem = GRADIENT_CASES[case]()
+    if case.startswith(("M", "lindblad")):
+        C = np.stack([rand_matrix(problem.n, index + i) for i in range(2)])
+        ratio = lambda X: matrixalg.matrix_poincare_ratio(problem, X, p)
+        scores, G = matrixalg.matrix_poincare_ratio(problem, C, p, gradient=True)
+    else:
+        C = np.stack([rand_coeffs(problem.group.order, index + i) for i in range(2)])
+        ratio = lambda c: poincare_ratio(problem, AlgebraElement(problem.group, c), p)
+        scores, G = poincare_ratio(problem, AlgebraElement(problem.group, C), p, gradient=True)
+    assert np.array_equal(scores, ratio(C))
+    for c, r, g in zip(C, scores, G):
+        fd = _central_differences(ratio, c)
+        assert np.abs(fd - g).max() <= 1e-6 * max(np.abs(g).max(), r / np.linalg.norm(c)), \
+            (np.abs(fd - g).max(), r)
