@@ -7,12 +7,16 @@ integer p <= 16 and the singular values at any other: no caller can tell them th
 X has ||X||_q^q = tau(X^q), taken at integer q by _psd_moments alone, for the two callers that
 hold a checked certificate: poincare_ratio under Semigroup.gamma_psd and martingale_transform,
 whose b passed GromovForm.factor.  A product with rows x inner x columns <= SMALL_N^3 is
-broadcast multiply-adds (_mul), whose bits are not the BLAS build's.  _schatten_grad and
-_trace_power_grad give the gradients of log tau|X|^p and log tau|H|^q that the Poincare ascent
-follows, by products at an integer power of a PSD operand and by eigh at any other.
+broadcast multiply-adds (_mul), whose bits are not the BLAS build's.  _schatten_grad gives a
+stack's Schatten norms (schatten_norm's bits), moments and the gradients of log tau|X|^p that
+the Poincare ascent follows (A. S. Lewis's Schatten derivative), one p per matrix: at even p
+one Gram product and one power chain serve the norm and the gradient.  _trace_power_grad gives
+the gradient of log tau|H|^q of a Hermitian H, by products at an integer power of a PSD H and
+by eigh at any other.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -39,8 +43,9 @@ def schatten_norm(mat: np.ndarray, p: float):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def root(x, k: float):
-    """x^{1/k} elementwise by Python's scalar float power, so each value rounds as v ** (1/k).
+def root(x, k):
+    """x^{1/k} elementwise by Python's scalar float power, so each value rounds as v ** (1/k);
+    k is one number, or one per entry of x.
 
     A negative entry, whose root that power makes complex, raises ValueError naming it
     (at k = 1 the root is v itself).
@@ -55,11 +60,15 @@ def root(x, k: float):
     """
     x = np.asarray(x)
     flat = x.ravel().tolist()
+    one = np.ndim(k) == 0
+    ks = k if one else np.broadcast_to(k, x.shape).ravel().tolist()
+    inv = itertools.repeat(1.0 / float(k)) if one else [1.0 / v for v in ks]
     try:
-        out = np.fromiter(map(pow, flat, itertools.repeat(1.0 / float(k))), float, len(flat))
+        out = np.fromiter(map(pow, flat, inv), float, len(flat))
     except TypeError:                   # pow made a complex root
         i = next(i for i, v in enumerate(flat) if v < 0)
-        raise ValueError(f"root of order {k}: x{_index(np.unravel_index(i, x.shape))} = "
+        raise ValueError(f"root of order {k if one else ks[i]}: "
+                         f"x{_index(np.unravel_index(i, x.shape))} = "
                          f"{flat[i]!r} is negative") from None
     return out.reshape(x.shape)
 
@@ -182,9 +191,14 @@ def _even_moment(y: np.ndarray, p: int) -> np.ndarray:
     m = p // 2
     z = y
     if m > 1:
-        z = _power(_mul(np.swapaxes(y.conj(), -1, -2), y), m // 2)
+        z = _power(_gram(y), m // 2)
         if m % 2:
             z = _mul(y, z)
+    return _mean_square(z)
+
+
+def _mean_square(z: np.ndarray) -> np.ndarray:
+    """(1/n) ||Z||_F^2 per matrix of a (k, r, n) stack."""
     sq = (z * z.conj()).real
     return sq.reshape(len(sq), -1).sum(axis=-1) / z.shape[-1]
 
@@ -203,12 +217,91 @@ def _odd_moment(y: np.ndarray, q: int) -> np.ndarray:
     return (z.conj() * _mul(y, z)).real.reshape(len(y), -1).sum(axis=-1) / n
 
 
-def _schatten_grad(x: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """(G, tr|X|^p) per matrix of an (..., r, n) stack, G = p X (X* X)^{p/2-1} / tr|X|^p the
-    gradient of log tr|X|^p in X's entries: d log tr|X|^p = Re sum conj(G) o dX (A. S. Lewis,
-    Math. Oper. Res. 21, 1996), 2 X L from _trace_power_grad's L at the PSD H = X* X, q = p/2."""
-    L, moment = _trace_power_grad(_mul(np.swapaxes(x.conj(), -1, -2), x), p / 2.0, psd=True)
-    return 2 * _mul(x, L), moment
+def _schatten_grad(x: np.ndarray, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(||X||_p, tr|X|^p, G) per matrix of a (k, r, n) stack, r >= n, at p one number in [2, 16]
+    or one per matrix: the norm with schatten_norm's bits, the moment, and G = p X (X* X)^{p/2-1} /
+    tr|X|^p, the gradient of log tr|X|^p in X's entries, d log tr|X|^p = Re sum conj(G) o dX
+    (A. S. Lewis, Math. Oper. Res. 21, 1996).
+
+    With (c, Y) = _pow2_scale(X) and H = Y* Y, the rows at even p = 2m share one Gram product and
+    one chain of squarings of H (_row_powers): the norm's H^{m/2} (_even_moment's) and the
+    gradient's H^{m-1}.  _pow2_scale(H) is _pow2_scale(X* X) bit for bit, so each is its X* X
+    power up to an exact power of two.  Rows at any other p take the singular values and
+    _trace_power_grad's eigh at H, per p.  c enters last, as an exact scaling, so no product of
+    X's scale can overflow.  A p out of [2, 16], or of the wrong length, raises ValueError.
+    """
+    x = np.asarray(x)
+    if x.ndim != 3 or x.shape[1] < x.shape[2]:
+        raise ValueError(f"Schatten gradient input has shape {x.shape}: not a (k, r, n) stack "
+                         f"with r >= n")
+    p = _require_ps(p, len(x), "Schatten gradient p")
+    require_finite(x, "Schatten norm input")
+    c, y = _pow2_scale(x)
+    norm, moment, grad = np.empty(len(x)), np.empty(len(x)), np.empty(x.shape, y.dtype)
+    if (E := p % 2 == 0).any():
+        norm[E], moment[E], grad[E] = _even_grad(c[E], y[E], p[E])
+    for q in dict.fromkeys(p[~E].tolist()):
+        O = p == q
+        L, mh = _trace_power_grad(_gram(y[O]), q / 2.0, psd=True)
+        norm[O], moment[O] = _schatten(x[O], q, take_root=True), c[O] ** q * mh
+        grad[O] = _mul(y[O], L) * (2.0 / c[O])[:, None, None]
+    return norm, moment, grad
+
+
+def _require_ps(p, k: int, name: str) -> np.ndarray:
+    """p as k floats: one number in [2, 16] for all, or k such numbers; else ValueError naming p,
+    or its first bad entry."""
+    ok, what = lambda v: is_number(v) and 2 <= v <= 16, "a number in [2, 16]"
+    if np.ndim(p) == 0:
+        return np.full(k, float(require(p, name, ok, what)))
+    ps = np.ravel(p)
+    if ps.dtype.kind not in "fiu" or len(ps) != k or not ((ps >= 2) & (ps <= 16)).all():
+        require_list(ps.tolist(), name, ok, what, size=k)
+    return ps.astype(float)
+
+
+def _even_grad(c: np.ndarray, y: np.ndarray, p: np.ndarray):
+    """_schatten_grad's (norm, moment, G) at even p, one per matrix of _pow2_scale's (c, y)."""
+    m = (p // 2).astype(int)
+    h = _gram(y)
+    half, last = _row_powers(h, [np.maximum(m // 2, 1), np.maximum(m - 1, 1)])
+    acc = np.empty(len(y))
+    for R, z in ((m == 1, y), (m % 2 == 0, half), ((m > 1) & (m % 2 == 1), None)):
+        if R.any():                     # _even_moment's Z, by kind of row
+            acc[R] = _mean_square(_mul(y[R], half[R]) if z is None else z[R])
+    last = np.where((m == 1)[:, None, None], np.eye(y.shape[-1]), last)    # H^0 at p = 2
+    t = (h * last.conj()).real.sum(axis=(-2, -1))                          # tr H^m
+    L = (p / 2.0)[:, None, None] * last
+    L /= np.where(t > 0, t, 1.0)[:, None, None]
+    del h, half, last                   # a round's stack is large: free them before the product
+    g = _mul(y, L)
+    g *= (2.0 / c)[:, None, None]
+    return c * root(acc, p), c ** p * t, g
+
+
+def _row_powers(h: np.ndarray, exps: list) -> list:
+    """[h^e for e in exps] per matrix of a (k, n, n) stack, each e a (k,) array of integers >= 1,
+    from one chain of squarings h, h^2, h^4, ...  Each row's product is multiplied in _power's
+    order, so its h^e has the bits of _power(h[i], e[i])."""
+    squares = [h]
+    for _ in range(1, int(np.max(exps)).bit_length()):
+        squares.append(_mul(squares[-1], squares[-1]))
+    out = []
+    for e in exps:
+        out.append(np.empty_like(h))
+        for v in dict.fromkeys(e.tolist()):
+            R = e == v
+            if v == 3:                  # (a a) a
+                out[-1][R] = _mul(squares[1][R], h[R])
+            else:                       # the squarings of v's bits, lowest first
+                out[-1][R] = functools.reduce(
+                    _mul, [squares[b][R] for b in range(v.bit_length()) if v >> b & 1])
+    return out
+
+
+def _gram(y: np.ndarray) -> np.ndarray:
+    """Y* Y per matrix of a stack, by _mul."""
+    return _mul(np.swapaxes(y.conj(), -1, -2), y)
 
 
 def _trace_power_grad(h: np.ndarray, q: float, psd: bool) -> tuple[np.ndarray, np.ndarray]:

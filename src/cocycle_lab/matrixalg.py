@@ -30,8 +30,8 @@ from .groups import build_cyclic, build_power
 from .linalg import (HERMITIAN_PRECHECK, PsdVerdict, is_integer, is_number, psd_scale,
                      psd_verdict, require, require_finite, root, schatten_norm, _mul,
                      _schatten_grad, _trace_power_grad)
-from .poincare import (PoincareReport, WorstConstant, maximize_ratio, ratio_scores, sweep,
-                       _ratio_gradient, _require_p)
+from .poincare import (PoincareReport, WorstConstant, maximize_ratio, sweep, _by_p,
+                       _ratio_gradient, _require_p, _scored)
 
 SUPEROP_CAP = 12
 
@@ -269,14 +269,18 @@ def lindblad_gamma_residual(A: Superoperator, a: Sequence[np.ndarray], seed: int
     return resid
 
 
-def matrix_poincare_ratio(A: Superoperator, x: np.ndarray, p: float, gradient: bool = False):
-    """Poincare ratio per witness of x, an n x n matrix or an (..., n, n) stack.
+def matrix_poincare_ratio(A: Superoperator, x: np.ndarray, p, gradient: bool = False):
+    """Poincare ratio per witness of x, an n x n matrix or an (..., n, n) stack, at p one number
+    or an array of one per witness.  Each witness scores as it does alone at its own p, bit for
+    bit.
 
     With a symbol the denominator is max(||D(x0)||_p, ||D(x0^dag)||_p), D the
     derivation stacked as a (d n) x n matrix, so tau|D|^p = tau(Gamma^{p/2}):
-    even p takes matrix products, every other p the singular values of D.
-    Every product is per row, so a witness scores as it does alone.  Without a
-    symbol, the superoperator route runs.
+    even p takes matrix products, every other p the singular values of D, both
+    norms, their moments and gradients from linalg._schatten_grad.  Without a
+    symbol, the superoperator route runs, its rows grouped by p.  A witness whose
+    largest |entry| lies outside [2^-WINDOW, 2^WINDOW] is scored divided by a power
+    of two (poincare._scored).
 
     With gradient, x a (k, n, n) stack, returns (scores, G) with the same scores: G[i] the
     gradient of the i-th ratio R in x's entries, dR = Re sum conj(G[i]) o dx.  It is
@@ -286,21 +290,23 @@ def matrix_poincare_ratio(A: Superoperator, x: np.ndarray, p: float, gradient: b
     M = sign(Gamma)|Gamma|^{q-1} by eigh, q = p/2, as its Gamma need not be PSD.
     """
     _require_matrices(A.n, x)
-    _require_p(p)
+    p = _require_p(p, np.shape(x)[:-2])
     require_finite(x, "Poincare ratio input")
     if A.symbol is None:
         return _superop_ratio(A, x, p, gradient)
-    x0 = x - A.fix_project(x)
-    Y = A.derive(np.stack([x0, _adjoint(x0)]))
-    den = schatten_norm(Y, p)
 
-    def grad(r):
-        (gn, _), (gy, moments) = _schatten_grad(x0, p), _schatten_grad(Y, p)
-        gd = A.derive_adjoint(gy)
-        return _ratio_gradient(r, p, gn, gd, moments, _adjoint, _off_fix(A))
+    def parts(x):
+        x0 = x - A.fix_project(x)
+        num, _, gn = _schatten_grad(x0, p)
+        Y = A.derive(np.stack([x0, _adjoint(x0)]))
+        den, moments, gy = _schatten_grad(Y.reshape((-1,) + Y.shape[-2:]),
+                                          p if np.ndim(p) == 0 else np.tile(p, 2))
+        den, moments, gy = den.reshape(2, -1), moments.reshape(2, -1), gy.reshape(Y.shape)
+        grad = lambda r: _ratio_gradient(r, p, gn, A.derive_adjoint(gy), moments, _adjoint,
+                                         _off_fix(A))
+        return num, np.maximum(den[0], den[1]), grad if gradient else None
 
-    return ratio_scores(schatten_norm(x0, p), np.maximum(den[0], den[1]),
-                        np.abs(x).max(axis=(-2, -1)), grad if gradient else None)
+    return _scored(np.asarray(x), (-2, -1), parts)
 
 
 def _adjoint(x: np.ndarray) -> np.ndarray:
@@ -311,22 +317,31 @@ def _off_fix(A: Superoperator):
     return lambda x: x - A.fix_project(x)
 
 
-def _superop_ratio(A: Superoperator, x: np.ndarray, p: float, gradient: bool = False):
-    """The ratio through superop_gamma, the reference route; its callers check p.  gradient as
-    matrix_poincare_ratio's."""
-    x0 = x - A.fix_project(x)
-    pair = (x0, _adjoint(x0))
-    gammas = [superop_gamma(A, y, y) for y in pair]
+def _superop_ratio(A: Superoperator, x: np.ndarray, p, gradient: bool = False):
+    """The ratio through superop_gamma, the reference route, its rows grouped by p; its callers
+    check p.  gradient and the window as matrix_poincare_ratio's."""
+    def parts(x):
+        x0 = x - A.fix_project(x)
+        pair = (x0, _adjoint(x0))
+        gammas = np.stack([superop_gamma(A, y, y) for y in pair])
+        num, den = np.empty(len(x)), np.empty(len(x))
+        L, moments = np.empty(gammas.shape, complex), np.empty((2, len(x)))
+        if gradient:
+            num[:], _, gn = _schatten_grad(x0, p)              # schatten_norm's bits
+        for q, R in _by_p(p):
+            den[R] = np.maximum(*(schatten_norm(g[R], q / 2.0) for g in gammas))
+            if gradient:
+                L[:, R], moments[:, R] = _trace_power_grad(gammas[:, R], q / 2.0, psd=False)
+            else:
+                num[R] = schatten_norm(x0[R], q)
 
-    def grad(r):
-        gn, _ = _schatten_grad(x0, p)
-        L, moments = _trace_power_grad(np.stack(gammas), p / 2.0, psd=False)
-        gd = np.stack([gamma_gradient(A.apply, _mul, y, m) for y, m in zip(pair, L)])
-        return _ratio_gradient(r, p, gn, gd, moments, _adjoint, _off_fix(A))
+        def grad(r):
+            gd = np.stack([gamma_gradient(A.apply, _mul, y, m) for y, m in zip(pair, L)])
+            return _ratio_gradient(r, p, gn, gd, moments, _adjoint, _off_fix(A))
 
-    return ratio_scores(schatten_norm(x0, p),
-                        root(np.maximum(*(schatten_norm(g, p / 2.0) for g in gammas)), 2),
-                        np.abs(x).max(axis=(-2, -1)), grad if gradient else None)
+        return num, root(den, 2), grad if gradient else None
+
+    return _scored(np.asarray(x), (-2, -1), parts)
 
 
 def matrix_worst_constant(A: Superoperator, p: float, budget: int = 20000, seed: int = 0, *,
@@ -353,8 +368,8 @@ def _matrix_ascend(A: Superoperator, problems: Sequence[tuple[float, int]],
     if A.fix_dimension() == n * n:
         raise ValueError("generator is identically 0: no spectral gap")
 
-    def scores(x: np.ndarray, p: float):
-        r, G = matrix_poincare_ratio(A, x, p, gradient=True)
+    def scores(x: np.ndarray, ps: list):
+        r, G = matrix_poincare_ratio(A, x, np.array(ps), gradient=True)
         return r, vec(G)
 
     return maximize_ratio(scores, lambda z: unvec(z, n), n * n, budget, problems, n ** 4)

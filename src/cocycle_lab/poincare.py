@@ -12,9 +12,9 @@ representation everywhere.  At p = 2 the exact constant is
 (min nonzero psi)^{-1/2}, which doubles as an optimizer soundness oracle.
 sweep_and_fit runs a p grid and fits the growth exponent of log C_p
 against log p.  The whole grid is one ascent: the starts of every p are
-rows of one set of arrays and advance in rounds, each round scoring every
-p that has a live start, one scoring call per p and row block; each p
-then gets its own worst_constant call, which certifies its winner.  Every
+rows of one set of arrays and advance in rounds, each round one scoring
+call per row block with every live row of every p, each row at its own p;
+each p then gets its own worst_constant call, which certifies its winner.  Every
 scoring route returns each row's ratio with its exact gradient
 (poincare_ratio and matrix_poincare_ratio with gradient=True), so the
 first round scores the start points and each later round sends each live
@@ -77,22 +77,66 @@ def _in_p_range(p) -> bool:
     return is_number(p) and 2 <= p <= 16
 
 
-def _require_p(p) -> float:
-    return require(p, "p", _in_p_range, "a number in [2, 16]")
+def _require_p(p, lead: Optional[tuple] = None):
+    """p, one number in [2, 16]; with lead, a witness stack's leading shape, also an array of one
+    such number per witness, as a flat float array."""
+    if lead is None or np.ndim(p) == 0:
+        return require(p, "p", _in_p_range, "a number in [2, 16]")
+    return linalg._require_ps(p, int(np.prod(lead)), "p")
 
 
-def poincare_ratio(sg: Semigroup, f: AlgebraElement, p: float, gradient: bool = False):
-    """Ratio per witness of f, an element or a stack; ||Gamma^{1/2}||_p = ||Gamma||_{p/2}^{1/2}.
+def _by_p(p) -> list:
+    """(value, rows) per distinct value of p, one number or one per row: rows is slice(None),
+    which takes no copy, where one value covers every row, else a row mask."""
+    values = [p] if np.ndim(p) == 0 else list(dict.fromkeys(p.tolist()))
+    return [(values[0], slice(None))] if len(values) == 1 else [(v, p == v) for v in values]
+
+
+def _col(p, ndim: int):
+    """p, one number or one per row, shaped to broadcast against a stack with ndim axes."""
+    return np.reshape(p, (-1,) + (1,) * (ndim - 1)) if np.ndim(p) else p
+
+
+# A witness whose largest |entry| lies outside [2^-WINDOW, 2^WINDOW] is scored divided by a power of
+# two: inside, Gamma (degree 2) and its moments up to p = 16 (degree 16) stay in float range.
+WINDOW = 32
+
+
+def _scored(c: np.ndarray, axes: tuple, parts: Callable) -> Any:
+    """ratio_scores of parts(w) = (numerators, denominators, gradient map or None), w the
+    witnesses of c as a flat stack, each witness whose largest |entry| lies outside
+    [2^-WINDOW, 2^WINDOW] times s = 2^-e, 2^e the power of two at or below that entry.  The
+    ratio has degree 0, R(c) = R(s c), so only a gradient is scaled back, grad R(c) =
+    s grad R(s c).  Witnesses inside keep their bits."""
+    shape = c.shape[:c.ndim - len(axes)]
+    c = c.reshape((-1,) + c.shape[len(shape):])
+    amax = np.abs(c).max(axis=axes)
+    e = np.clip(np.frexp(amax)[1] - 1, -1022, 1023)
+    s = np.where((amax > 0) & (np.abs(e) > WINDOW), np.ldexp(1.0, -e), 1.0)
+    if moved := (s != 1.0).any():
+        c = c * np.expand_dims(s, axes)
+        amax = np.abs(c).max(axis=axes)
+    num, den, grad = parts(c)
+    out = ratio_scores(num.reshape(shape), den.reshape(shape), amax.reshape(shape), grad)
+    return (out[0], out[1] * _col(s, out[1].ndim)) if moved and grad is not None else out
+
+
+def poincare_ratio(sg: Semigroup, f: AlgebraElement, p, gradient: bool = False):
+    """Ratio per witness of f, an element or a stack, at p one number or an array of one per
+    witness; ||Gamma^{1/2}||_p = ||Gamma||_{p/2}^{1/2}.  A witness scores as alone at its p, bit
+    for bit; one whose largest coefficient lies outside [2^-WINDOW, 2^WINDOW] is scored divided
+    by a power of two (_scored).
 
     On a group with a character table, whatever psi is, the ratio is
     (mean|f0^|^p / max mean|Gamma^|^{p/2})^{1/p} from the transforms of
     f0 = f - E_Fix f and of Gamma(f0, f0) and Gamma(f0*, f0*) (gamma_transform:
     no kernel weight where sg.derivation exists), each moment scaled by its
-    max.  There an exactly symmetric psi (every
+    max: the transforms and maxima once per call, the powers per distinct p.
+    There an exactly symmetric psi (every
     length_function) has Gamma(f0*, f0*) = Gamma(f0, f0) as elements, so
     only the first is formed.  Every other group takes the regular
-    representation: under sg.gamma_psd (psi passes the CN test, so Gamma(f, f)
-    is PSD, Schoenberg) an integer p/2 takes linalg._psd_moments, gamma_norm's
+    representation, its rows grouped by p: under sg.gamma_psd (psi passes the CN test, so
+    Gamma(f, f) is PSD, Schoenberg) an integer p/2 takes linalg._psd_moments, gamma_norm's
     bits at even p/2; a fractional one, or no certificate, takes gamma_norm's
     Schatten norms, _ratio's bits.  Both Gammas' representations are formed
     once, for the scores and the gradient.
@@ -105,45 +149,79 @@ def poincare_ratio(sg: Semigroup, f: AlgebraElement, p: float, gradient: bool = 
     f0 A(M)), M = sign(Gamma)|Gamma|^{q-1} (algebra.gamma_gradient), so a psi that fails the
     CN test, whose Gamma(f, f) need not be PSD, gets its exact gradient too.
     """
-    _require_p(p)
+    p = _require_p(p, f.coeffs.shape[:-1])
     require_finite(f.coeffs, "Poincare ratio input")
-    f0 = f - fix_project(sg, f)
-    coeff_max = np.abs(f.coeffs).max(axis=-1)
-    if sg.group.characters is None:
-        psd = sg.gamma_psd and p / 2.0 % 1 == 0
-        reps = [regular_rep(gamma(sg, g, g)) for g in (f0, f0.adjoint())]
+    parts = _character_parts if sg.group.characters is not None else _regular_parts
+    return _scored(f.coeffs, (-1,), lambda c: parts(sg, _off_fix_element(sg, c), p, gradient))
+
+
+def _off_fix_element(sg: Semigroup, c: np.ndarray) -> AlgebraElement:
+    """f0 = f - E_Fix f of the witnesses c."""
+    f = AlgebraElement(sg.group, c)
+    return f - fix_project(sg, f)
+
+
+def _regular_parts(sg: Semigroup, f0: AlgebraElement, p, gradient: bool):
+    """poincare_ratio's numerators, denominators and gradient map (or None) on the regular
+    representation."""
+    pair = (f0, f0.adjoint())
+    reps = [regular_rep(gamma(sg, g, g)) for g in pair]
+    num, den = np.empty(len(f0.coeffs)), np.empty(len(f0.coeffs))
+    M, moments = np.empty((2,) + f0.coeffs.shape, complex), np.empty((2, len(num)))
+    if gradient:
+        num[:], _, gn = linalg._schatten_grad(regular_rep(f0), p)    # lp_norm's bits
+    for q, R in _by_p(p):
+        psd = sg.gamma_psd and q / 2.0 % 1 == 0
+        hs = [h[R] for h in reps]
         if psd:
-            den = np.maximum(*(linalg._psd_moments(h, (p / 2.0,), True)[0] for h in reps))
+            den[R] = np.maximum(*(linalg._psd_moments(h, (q / 2.0,), True)[0] for h in hs))
         else:                                   # gamma_norm's bits, on the reps formed once
-            den = np.maximum(*(linalg.schatten_norm(h, p / 2.0) for h in reps))
-        grad = lambda r: _regular_gradient(sg, f0, reps, p, psd, r)
-        return ratio_scores(lp_norm(f0, p), root(den, 2), coeff_max, grad if gradient else None)
-    rows = AlgebraElement(sg.group, f0.coeffs.reshape(-1, sg.group.order))
-    F = fourier(rows)
+            den[R] = np.maximum(*(linalg.schatten_norm(h, q / 2.0) for h in hs))
+        if not gradient:
+            num[R] = lp_norm(AlgebraElement(sg.group, f0.coeffs[R]), q)
+        for i, h in enumerate(hs if gradient else ()):    # M: each L's column of the identity
+            L, moments[i, R] = linalg._trace_power_grad(h, q / 2.0, psd)
+            M[i, R] = L[..., 0]
+    if not gradient:
+        return num, root(den, 2), None
+    n = sg.group.order
+    gd = [n * gamma_gradient(lambda x: generator_apply(sg, x), conv, g,
+                             AlgebraElement(sg.group, m)).coeffs for g, m in zip(pair, M)]
+    return num, root(den, 2), lambda r: _ratio_gradient(r, p, n * gn[..., 0], gd, moments,
+                                                        _coeff_adjoint(sg), _off_fix(sg))
+
+
+def _character_parts(sg: Semigroup, f0: AlgebraElement, p, gradient: bool):
+    """poincare_ratio's numerators, denominators and gradient map (or None) through the
+    characters."""
+    F = fourier(f0)
     a = np.abs(F)
     v = sg.psi.values
-    pair = (rows,) if np.array_equal(v, v[sg.group.inv]) else (rows, rows.adjoint())
+    pair = (f0,) if np.array_equal(v, v[sg.group.inv]) else (f0, f0.adjoint())
     b = np.stack([gamma_transform(sg, g) for g in pair])
     amax, bmax = a.max(axis=-1), b.max(axis=(0, -1))
     require_finite(bmax, "max|Gamma^| of the Poincare ratio input")
-    mu = np.mean((a / _nonzero(amax)[:, None]) ** p, axis=-1)
-    bh = b / _nonzero(bmax)[:, None]
-    nus = np.mean(bh ** (p / 2.0), axis=-1)
+    ah, bh = a / _nonzero(amax)[:, None], b / _nonzero(bmax)[:, None]
+    mu, nus = np.empty(len(a)), np.empty(b.shape[:2])
+    for q, R in _by_p(p):
+        mu[R] = np.mean(ah[R] ** q, axis=-1)
+        nus[:, R] = np.mean(bh[:, R] ** (q / 2.0), axis=-1)
     nu = nus.max(axis=0)
     # the numerator is ||f0||_p / nu^{1/p} with nu <= 1: at least ||f0||_p, and 0 exactly when it is
 
     def grad(r):
         n, chi = sg.group.order, sg.group.characters
-        ah = F / _nonzero(amax)[:, None]
-        gn = p * np.einsum("...k,kg->...g", ah * np.abs(ah) ** (p - 2), chi.conj())
-        gd = [_transform_gradient(sg, g, h, p / 2.0) / _nonzero(n * bmax * nu_g)[:, None]
-              for g, h, nu_g in zip(pair, bh, nus)]
+        fh = F / _nonzero(amax)[:, None]
+        gn, w = np.empty_like(F), np.empty_like(bh)
+        for q, R in _by_p(p):
+            gn[R] = q * np.einsum("...k,kg->...g", fh[R] * np.abs(fh[R]) ** (q - 2), chi.conj())
+            w[:, R] = bh[:, R] ** (q / 2.0 - 1)
+        gd = [_transform_gradient(sg, g, wg, _col(p, 2) / 2.0) / _nonzero(n * bmax * nu_g)[:, None]
+              for g, wg, nu_g in zip(pair, w, nus)]
         return _ratio_gradient(r, p, gn / _nonzero(n * amax * mu)[:, None], gd, nus,
                                _coeff_adjoint(sg), _off_fix(sg))
 
-    shape = f.coeffs.shape[:-1]
-    return ratio_scores((amax * root(mu / _nonzero(nu), p)).reshape(shape),
-                        root(bmax.reshape(shape), 2), coeff_max, grad if gradient else None)
+    return amax * root(mu / _nonzero(nu), p), root(bmax, 2), grad if gradient else None
 
 
 def _nonzero(x: np.ndarray) -> np.ndarray:
@@ -153,14 +231,14 @@ def _nonzero(x: np.ndarray) -> np.ndarray:
 
 def _ratio_gradient(r, p, gn, gd, moments, adjoint, project) -> np.ndarray:
     """(r / p)(gn - gd) per row of a stack, projected by project: the gradient of a ratio
-    r = (N / D)^{1/p}, gn = grad N / N and gd = grad D / D on the branch of the max with the
-    larger moment.  gd and moments hold one branch, or two, those of x0 and of x0*, the second
-    taken back to x0 by adjoint."""
+    r = (N / D)^{1/p}, p one number or one per row, gn = grad N / N and gd = grad D / D on the
+    branch of the max with the larger moment.  gd and moments hold one branch, or two, those of
+    x0 and of x0*, the second taken back to x0 by adjoint."""
     g = gd[0]
     axes = (-1,) + (1,) * (g.ndim - 1)
     if len(gd) == 2:
         g = np.where((moments[1] > moments[0]).reshape(axes), adjoint(gd[1]), g)
-    return project(r.reshape(axes) / p * (gn - g))
+    return project(r.reshape(axes) / _col(p, g.ndim) * (gn - g))
 
 
 def _coeff_adjoint(sg: Semigroup):
@@ -171,13 +249,12 @@ def _off_fix(sg: Semigroup):
     return lambda c: np.where(sg.fix_mask, 0.0, c)
 
 
-def _transform_gradient(sg: Semigroup, f: AlgebraElement, bh: np.ndarray, q: float) -> np.ndarray:
-    """n bmax^{1-q} grad tau|Gamma(f, f)|^q per row of f, from bh = |Gamma^| / bmax: through
-    sg.derivation (Gamma^ >= 0) 2 q sum_j conj(b_j chi) (b_j a)^ bh^{q-1}, else
-    q (A(f M) + A(f) M - f A(M)) times n, M the element whose transform is sign(Gamma^) bh^{q-1}:
-    a psi that fails the CN test has a Gamma^ of either sign."""
+def _transform_gradient(sg: Semigroup, f: AlgebraElement, w: np.ndarray, q) -> np.ndarray:
+    """n bmax^{1-q} grad tau|Gamma(f, f)|^q per row of f, from w = bh^{q-1}, bh = |Gamma^| / bmax,
+    q one number or a column of one per row: through sg.derivation (Gamma^ >= 0)
+    2 q sum_j conj(b_j chi) (b_j a)^ w, else q (A(f M) + A(f) M - f A(M)) times n, M the element
+    whose transform is sign(Gamma^) w: a psi that fails the CN test has a Gamma^ of either sign."""
     n, chi = sg.group.order, sg.group.characters
-    w = bh ** (q - 1)
     if sg.derivation is None:
         w = w * np.sign(fourier(gamma(sg, f, f)).real)
         m = AlgebraElement(sg.group, np.einsum("...k,kg->...g", w, chi.conj()))
@@ -186,28 +263,13 @@ def _transform_gradient(sg: Semigroup, f: AlgebraElement, bh: np.ndarray, q: flo
     return 2 * q * (t[:, None, :] @ sg.derivation.conj().T)[:, 0]
 
 
-def _regular_gradient(sg: Semigroup, f0: AlgebraElement, reps, p: float, psd: bool,
-                      r: np.ndarray) -> np.ndarray:
-    """The ratio gradient on the regular representation, from reps, the regular representations
-    of Gamma(f0, f0) and Gamma(f0*, f0*): linalg's Schatten and trace-power gradients (products
-    under the certificate psd, eigh otherwise), read off as coefficients (the column of the
-    identity, times the order)."""
-    n = sg.group.order
-    gn = n * linalg._schatten_grad(regular_rep(f0), p)[0][..., 0]
-    gd, moments = [], []
-    for g, h in zip((f0, f0.adjoint()), reps):
-        L, moment = linalg._trace_power_grad(h, p / 2.0, psd)
-        m = AlgebraElement(sg.group, L[..., 0])
-        gd.append(n * gamma_gradient(lambda x: generator_apply(sg, x), conv, g, m).coeffs)
-        moments.append(moment)
-    return _ratio_gradient(r, p, gn, gd, moments, _coeff_adjoint(sg), _off_fix(sg))
-
-
 def _ratio(sg: Semigroup, f: AlgebraElement, p: float):
-    """The ratio on the regular representation, the reference route; its callers check p."""
-    f0 = f - fix_project(sg, f)
-    return ratio_scores(lp_norm(f0, p), root(gamma_norm(sg, f0, p / 2.0), 2),
-                        np.abs(f.coeffs).max(axis=-1))
+    """The ratio on the regular representation, the reference route, windowed as
+    poincare_ratio; its callers check p."""
+    def parts(c):
+        f0 = _off_fix_element(sg, c)
+        return lp_norm(f0, p), root(gamma_norm(sg, f0, p / 2.0), 2), None
+    return _scored(f.coeffs, (-1,), parts)
 
 
 def l2_oracle(sg: Semigroup) -> float:
@@ -234,52 +296,44 @@ def _normalized(x: np.ndarray) -> np.ndarray:
     return x / np.sqrt(_dots(x, x))[:, None]
 
 
-def maximize_on_sphere(fun: Callable[[Any, np.ndarray], tuple], dim: int, budget: int,
+def maximize_on_sphere(fun: Callable[[list, np.ndarray], tuple], dim: int, budget: int,
                        problems: Sequence[tuple[Any, int]]) -> list:
     """Multi-start projected gradient ascent on the unit sphere: one ascent for many problems.
 
-    problems is a sequence of (key, seed) pairs, and fun(key, Y) maps a (k, dim)
-    stack of points to (values, gradients), k values of that problem's objective
-    and their (k, dim) gradients, each row on its own.  Each problem has N_STARTS
-    starts: the first min(dim, COORD_STARTS, N_STARTS) coordinate vectors, then
-    start s draws from the stream (seed, TAG_POINCARE, s).  Every start of every
-    problem is one row of the state arrays (point, value, gradient, step, gap,
-    evaluations), and all advance together in rounds.  The first round scores
-    every start point; each later round scores the one line-search probe of every
-    live start.  A round calls fun once per problem with a row in it, the problems
-    in order and each problem's rows in start order.  An accepted probe's gradient
-    is the next step's: a step follows the tangent projection of the gradient at
-    its point.  The budget counts points, and a gradient is charged 2 dim of
-    them, the price of a central-difference stencil: a start takes a new gradient
-    while it has been charged fewer than budget // N_STARTS points, adapts its
-    step by backtracking, and stops when its relative improvement drops below
-    1e-8.  Each start visits the points it would visit alone, so a problem gets
-    the same calls of fun whatever the other problems are, and however fun splits
-    a round; ties resolve in start order.  Returns (best value, best point, gap)
-    for each problem, in order.
+    problems is a sequence of (key, seed) pairs, and fun(keys, Y) maps a (k, dim)
+    stack of points, with keys the list of their k problem keys, to (values,
+    gradients): each row's value of its problem's objective and its (dim,)
+    gradient, each row on its own.  Each problem has N_STARTS starts: the first
+    min(dim, COORD_STARTS, N_STARTS) coordinate vectors, then start s draws
+    the stream (seed, TAG_POINCARE, s), all of a problem's in one rng.normal_block.
+    Every start of every problem is one row of the state arrays (point, value,
+    gradient, step, gap, evaluations), and all advance together in rounds.  The
+    first round scores every start point; each later round scores the one
+    line-search probe of every live start.  A round is one call of fun, the
+    problems in order and each problem's rows in start order.  An accepted
+    probe's gradient is the next step's: a step follows the tangent projection of
+    the gradient at its point.  The budget counts points, and a gradient is
+    charged 2 dim of them, the price of a central-difference stencil: a start
+    takes a new gradient while it has been charged fewer than budget // N_STARTS
+    points, adapts its step by backtracking, and stops when its relative
+    improvement drops below 1e-8.  Each start visits the points it would visit
+    alone, so a problem's rows are the same whatever the other problems are, and
+    however fun splits a round; ties resolve in start order.  Returns (best value,
+    best point, gap) for each problem, in order.
     """
     require(budget, "budget", lambda v: is_integer(v) and v >= 1, "an integer >= 1")
     require(problems, "problems", lambda v: len(v) > 0, "a non-empty sequence of (key, seed) pairs")
     coord = np.eye(dim)[:min(dim, COORD_STARTS, N_STARTS)]
     starts = []
     for _, seed in problems:
-        starts.extend(coord)
-        for s in range(len(coord), N_STARTS):
-            v = rng.stream(seed, rng.TAG_POINCARE, s).standard_normal(dim)
-            n = np.linalg.norm(v)
-            starts.append(v / n if n > 0 else np.eye(dim)[0])
-    X = _normalized(np.reshape(starts, (len(starts), dim)))   # each start's current point
-
-    def score(rows: np.ndarray, Y: np.ndarray):
-        """fun at each point Y[i] of start rows[i] (rows ascending), one call per problem."""
-        val, grad = np.empty(len(rows)), np.empty((len(rows), dim))
-        for k in np.flatnonzero(np.bincount(rows // N_STARTS)):  # np.unique imports numpy.ma
-            mine = rows // N_STARTS == k
-            val[mine], grad[mine] = fun(problems[k][0], Y[mine])
-        return val, grad
-
+        starts.append(coord)
+        v = rng.normal_block(seed, rng.TAG_POINCARE, len(coord), N_STARTS, 1.0, (dim,))
+        n = np.sqrt(_dots(v, v))            # np.linalg.norm's bits, row by row
+        starts.append(np.where((n > 0)[:, None], v / _nonzero(n)[:, None], np.eye(dim)[0]))
+    X = _normalized(np.concatenate(starts))   # each start's current point
+    keys = [key for key, _ in problems for _ in range(N_STARTS)]   # each row's problem key
     per_start = max(1, budget // N_STARTS)
-    val, D = score(np.arange(len(X)), X)   # D: the gradient at each start's point
+    val, D = fun(keys, X)          # D: the gradient at each start's point
     evals = np.ones(len(X), dtype=int)
     step, gap = np.full(len(X), 0.1), np.full(len(X), np.inf)
     G = np.empty_like(X)           # the projected gradient at X that a line search follows
@@ -295,7 +349,7 @@ def maximize_on_sphere(fun: Callable[[Any, np.ndarray], tuple], dim: int, budget
         if not live.size:
             break
         Q = _normalized(X[live] + step[live][:, None] * G[live])
-        W, DW = score(live, Q)
+        W, DW = fun([keys[i] for i in live.tolist()], Q)
         evals[live] += 1
         up = W > val[live]
         a = live[up]
@@ -320,16 +374,17 @@ def maximize_ratio(scores: Callable[[Any, Any], tuple], chart: Callable[[np.ndar
     each (key, seed) of problems, in one maximize_on_sphere ascent.
 
     chart maps complex coordinates, shape (k, dim), to a stack of witnesses, and
-    scores(witnesses, key) returns their (ratios, G), G[i] the gradient in the
-    i-th witness's chart coordinates z, dR = Re sum conj(G[i]) o dz: the gradient
-    in (x, y) is (Re G, Im G).  A witness in the fixed-point algebra scores 0.
-    Each round scores each problem's rows, one call per linalg.blocks block, the
+    scores(witnesses, keys) returns their (ratios, G), keys the list of each
+    witness's problem key and G[i] the gradient in the i-th witness's chart
+    coordinates z, dR = Re sum conj(G[i]) o dz: the gradient in (x, y) is
+    (Re G, Im G).  A witness in the fixed-point algebra scores 0.  Each round
+    scores the rows of every problem, one call per linalg.blocks block, the
     blocks in order, per_row counting a witness's entries (order^2 on the group
     side, n^4 for a matrix symbol).  Returns one WorstConstant per problem, its
     constant the optimizer's score.
     """
-    def fun(key, Z: np.ndarray):
-        parts = [scores(chart(Z[lo:hi, :dim] + 1j * Z[lo:hi, dim:]), key)
+    def fun(keys: list, Z: np.ndarray):
+        parts = [scores(chart(Z[lo:hi, :dim] + 1j * Z[lo:hi, dim:]), keys[lo:hi])
                  for lo, hi in blocks(len(Z), per_row)]
         G = np.concatenate([g for _, g in parts])
         return np.concatenate([v for v, _ in parts]), np.concatenate([G.real, G.imag], axis=1)
@@ -369,8 +424,8 @@ def _ascend(sg: Semigroup, problems: Sequence[tuple[float, int]],
         c[..., nonfix] = z
         return AlgebraElement(sg.group, c)
 
-    def scores(f: AlgebraElement, p: float):
-        r, G = poincare_ratio(sg, f, p, gradient=True)
+    def scores(f: AlgebraElement, ps: list):
+        r, G = poincare_ratio(sg, f, np.array(ps), gradient=True)
         return r, G[:, nonfix]
 
     return maximize_ratio(scores, chart, nonfix.size, budget, problems, sg.group.order ** 2)

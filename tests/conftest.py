@@ -77,7 +77,7 @@ def captured_objective(monkeypatch, run):
 
     def capture(fun, dim, budget, problems):
         [(key, _)] = problems
-        seen["fun"] = lambda Z: fun(key, Z)
+        seen["fun"] = lambda Z: fun([key] * len(Z), Z)
         return [(0.0, np.ones(dim), 0.0)]
 
     monkeypatch.setattr(poincare, "maximize_on_sphere", capture)

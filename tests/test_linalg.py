@@ -11,8 +11,9 @@ from cocycle_lab.criterion import check_element
 from cocycle_lab.dilation import inequality_report, sample_scenario
 from cocycle_lab.families import builtin_length, heisenberg_delta, walsh_length
 from cocycle_lab.groups import build_cyclic, build_heisenberg, build_power
-from cocycle_lab.linalg import (SMALL_N, _moments, _pow2_scale, _psd_moments, psd_verdict, require,
-                               root, schatten_norm, schatten_pow_batch)
+from cocycle_lab.linalg import (SMALL_N, _moments, _mul, _pow2_scale, _psd_moments, _schatten_grad,
+                               _trace_power_grad, psd_verdict, require, root, schatten_norm,
+                               schatten_pow_batch)
 from cocycle_lab.matrixalg import (alpha_battery, clock_shift_basis, heisenberg_multiplier,
                                    lindblad_gamma_residual, lindblad_generator,
                                    matrix_worst_constant)
@@ -318,3 +319,48 @@ def test_root_rounds_as_scalar_power(k):
         root(bad, k)
     with pytest.raises(ValueError, match=rf"^root of order {k}: x = -1e-300 is negative$"):
         root(-1e-300, k)
+
+
+def _lewis(x, p):
+    """(G, tr|X|^p) by the Schatten derivative in X's own units: _trace_power_grad at the PSD
+    X* X, q = p / 2, then G = 2 X L."""
+    L, moment = _trace_power_grad(_mul(np.swapaxes(x.conj(), -1, -2), x), p / 2.0, psd=True)
+    return 2 * _mul(x, L), moment
+
+
+SCHATTEN_GRAD_SHAPES = [(2, 2), (4, 2), (3, 3), (12, 3), (5, 5)]
+
+
+@pytest.mark.parametrize("shape", SCHATTEN_GRAD_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_schatten_grad_is_the_norm_and_lewis_gradient(shape):
+    """_schatten_grad gives schatten_norm's norm and the Lewis formula's moment and gradient bit for
+    bit at every integer p in [2, 16] (5 x 5 and 12 x 3 take BLAS products), and a stack of mixed p,
+    fractional ones included, gives each row what a call at its p alone gives it."""
+    rng = np.random.default_rng(sum(shape))
+    k = 30
+    x = rng.standard_normal((k,) + shape) + 1j * rng.standard_normal((k,) + shape)
+    x *= 10.0 ** rng.uniform(-3, 3, (k, 1, 1))
+    for p in range(2, 17):
+        norm, moment, G = _schatten_grad(x, p)
+        want_G, want_moment = _lewis(x, p)
+        assert np.array_equal(norm, schatten_norm(x, p)), p
+        assert np.array_equal(moment, want_moment) and np.array_equal(G, want_G), p
+    ps = rng.choice([2.0, 3.0, 4.0, 5.5, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0, 2.5], k)
+    mixed = _schatten_grad(x, ps)
+    for i, p in enumerate(ps):
+        alone = _schatten_grad(x[i:i + 1], p)
+        assert all(np.array_equal(a[0], b[i]) for a, b in zip(alone, mixed)), p
+
+
+def test_schatten_grad_names_a_bad_p():
+    x = np.ones((3, 2, 2))
+    for p, shown in ((1.5, "1.5"), (17.0, "17.0"), (float("nan"), "NaN"), ("4", '"4"')):
+        with pytest.raises(ValueError, match=rf"^Schatten gradient p = {re.escape(shown)} is not a "
+                                             r"number in \[2, 16\]$"):
+            _schatten_grad(x, p)
+    with pytest.raises(ValueError, match=r"^Schatten gradient p\[1\] = 18.0 is not a number in "
+                                         r"\[2, 16\]$"):
+        _schatten_grad(x, [4.0, 18.0, 2.0])
+    with pytest.raises(ValueError, match=r"^Schatten gradient p = \[4.0, 6.0\] is not a list of "
+                                         r"length 3$"):
+        _schatten_grad(x, [4.0, 6.0])

@@ -201,6 +201,22 @@ def test_maximizer_n_starts(monkeypatch):
     assert sum(map(len, calls)) <= n_starts * (budget // n_starts + 2 * dim)
 
 
+def test_start_points_are_the_stream_draws():
+    """The random starts, one rng.normal_block per problem, are the per-start streams' draws over
+    their norms, bit for bit, on 20 seeds at dim 8 (the first round scores every start point)."""
+    dim, seeds = 8, range(20)
+    first = []
+    maximize_on_sphere(lambda keys, Y: first.append(Y.copy()) or (Y[:, 0], Y), dim, 1,
+                       [(s, s) for s in seeds])
+    for k, seed in enumerate(seeds):
+        want = list(np.eye(dim))
+        for s in range(dim, poincare.N_STARTS):
+            v = clrng.stream(seed, clrng.TAG_POINCARE, s).standard_normal(dim)
+            want.append(v / np.linalg.norm(v))
+        want = np.array([x / np.linalg.norm(x) for x in want])
+        assert np.array_equal(first[0][k * poincare.N_STARTS:(k + 1) * poincare.N_STARTS], want)
+
+
 def _one_start_at_a_time(fun, dim, budget, seed, n_starts):
     """maximize_on_sphere with each start run alone, one objective call per point.
 
@@ -258,10 +274,10 @@ def _one_start_at_a_time(fun, dim, budget, seed, n_starts):
                           for rows in (1, 7, None)],
                          ids=["1", "7", "default", "mixed-1", "mixed-7", "mixed-default"])
 def test_lock_step_matches_one_start_at_a_time(monkeypatch, rows, n_starts, budget, mixed):
-    """Round r scores the r-th point of every start that has one: the start points, then each
-    live start's probe, problem by problem and in start order within a problem.  mixed: in
-    some round a problem sends a probe along a new gradient and a backtracking one, which pins
-    that both kinds go in start order."""
+    """Round r scores the r-th point of every start that has one, in one call with each row's
+    problem key: the start points, then each live start's probe, problem by problem and in
+    start order within a problem.  mixed: in some round a problem sends a probe along a new
+    gradient and a backtracking one, which pins that both kinds go in start order."""
     if rows is not None:
         monkeypatch.setattr(linalg, "BLOCK_ENTRIES", rows)    # per_row = 1: blocks of `rows` rows
     dim = 6
@@ -271,37 +287,39 @@ def test_lock_step_matches_one_start_at_a_time(monkeypatch, rows, n_starts, budg
     vs = np.random.default_rng(5).standard_normal((len(seeds), dim))
     calls = []
 
-    def fun(Y, k):                       # records its input and scores each row on its own
-        calls.append((k, Y.copy()))
-        t = np.array([y @ vs[k] for y in Y])
-        return t ** 2, 2 * t[:, None] * vs[k]
+    def fun(Y, keys):                    # records its input and scores each row on its own
+        calls.append((list(keys), Y.copy()))
+        t = np.array([y @ vs[k] for y, k in zip(Y, keys)])
+        return t ** 2, 2 * t[:, None] * vs[keys]
 
     def alone(k):
         def f(x):
-            val, grad = fun(x[None], k)
+            val, grad = fun(x[None], [k])
             return val[0], grad[0]
         return f
 
     solo = [_one_start_at_a_time(alone(k), dim, budget, seed, n_starts)
             for k, seed in enumerate(seeds)]
-    # each problem's part of a round is scored in calls of `rows` rows (the default fits a
-    # problem's whole round in one call); a problem without a point in the round is not called
+    # a round is scored in calls of `rows` rows (the default fits the whole round in one call),
+    # the problems in order and a problem without a point in the round left out
     requests = [[[(x, kind) for x, kind in reqs if kind != "gradient"] for reqs in log]
                 for _, log in solo]
     want_calls, mixed_rounds = [], 0
     for r in range(max(len(reqs) for log in requests for reqs in log)):
+        keys, R = [], []
         for k, log in enumerate(requests):
             part = [reqs[r] for reqs in log if r < len(reqs)]
-            if part:
-                mixed_rounds += {kind for _, kind in part} == {"new", "retry"}
-                R = np.array([x for x, _ in part])
-                step = rows or len(R)
-                want_calls += [(k, R[lo:lo + step]) for lo in range(0, len(R), step)]
+            mixed_rounds += {kind for _, kind in part} == {"new", "retry"}
+            keys += [k] * len(part)
+            R += [x for x, _ in part]
+        step = rows or len(R)
+        want_calls += [(keys[lo:lo + step], np.array(R[lo:lo + step]))
+                       for lo in range(0, len(R), step)]
     assert (mixed_rounds > 0) == mixed
     key = lambda call: (call[0], call[1].shape, call[1].tobytes())
 
-    def scores(Y, k):                    # complex chart coordinates in, as maximize_ratio's
-        val, grad = fun(Y, k)
+    def scores(Y, keys):                 # complex chart coordinates in, as maximize_ratio's
+        val, grad = fun(Y, keys)
         return val, grad[:, :dim // 2] + 1j * grad[:, dim // 2:]
 
     calls.clear()
@@ -324,6 +342,29 @@ def test_lock_step_matches_one_start_at_a_time(monkeypatch, rows, n_starts, budg
             last_gradient = max(i for i, kind in enumerate(kinds) if kind == "gradient")
             assert sum(charged[:last_gradient]) < per_start     # a new gradient only within budget
             assert per_start <= sum(charged) <= per_start + 2 * dim
+
+
+def test_a_sweep_calls_the_ratio_once_per_round(monkeypatch):
+    """Over a 6-p grid the shared ascent calls poincare_ratio once per round, with every live
+    row of every p: as many calls as the longest ascent at one p alone, as many rows as all of
+    them together, each call's p in grid order and the first round holding every p."""
+    sg = Semigroup(builtin_length("walsh:2:3"))
+    grid, budget = (2.0, 4.0, 6.0, 8.0, 12.0, 16.0), 2000
+    calls = []
+    real = poincare.poincare_ratio
+    monkeypatch.setattr(poincare, "poincare_ratio", lambda sg, f, p, **kw:
+                        calls.append(np.array(p, ndmin=1)) or real(sg, f, p, **kw))
+    alone = []
+    for i, p in enumerate(grid):
+        calls.clear()
+        worst_constant(sg, p, budget=budget, seed=i)
+        alone.append((len(calls), sum(map(len, calls))))
+    calls.clear()
+    sweep_and_fit(sg, grid, budget=budget, seed=0)
+    assert len(calls) == max(n for n, _ in alone) > 1
+    assert sum(map(len, calls)) == sum(rows for _, rows in alone)
+    assert all(np.array_equal(ps, np.sort(ps)) for ps in calls)
+    assert set(calls[0]) == set(grid)
 
 
 def test_fit_exponent_recovers_power_law():
@@ -725,6 +766,104 @@ def test_every_poincare_entry_point_takes_p_in_2_to_16():
                                                  r"in \[2, 16\]$"):
                 call()
     assert poincare_ratio(sg, f, 16.0) > 0 and worst_constant(sg, 16.0, ascent=group).constant > 0
+
+
+def _lindblad_2x2():
+    return matrixalg.lindblad_generator([np.array([[1.0, 1.0], [1.0, -1.0]])])
+
+
+def _group_ratio(sg):
+    return lambda c, p, g=False: poincare_ratio(sg, AlgebraElement(sg.group, c), p, gradient=g)
+
+
+def _matrix_ratio(A):
+    return lambda x, p, g=False: matrixalg.matrix_poincare_ratio(A, x, p, gradient=g)
+
+
+MIXED_P_ROUTES = {
+    "characters-W": lambda: Semigroup(builtin_length("walsh:2:3")),
+    "characters-kernel-not-cn": lambda: Semigroup(_not_cn(build_product(
+        [build_cyclic(k) for k in (2, 3, 2)]), 3)),
+    "regular-psd": lambda: Semigroup(builtin_length("heisenberg-delta:2")),
+    "regular-not-cn": lambda: Semigroup(_not_cn(group_from_dict(group_to_dict(build_cyclic(6))), 3)),
+    "symbol-M2": lambda: heisenberg_multiplier(2, "delta"),
+    "symbol-M3": lambda: heisenberg_multiplier(3, "wordlength"),
+    "superop-lindblad-2": _lindblad_2x2}
+
+
+@pytest.mark.parametrize("route", MIXED_P_ROUTES)
+def test_a_mixed_p_stack_scores_each_row_as_its_p_alone(route):
+    """One call at p = (2, 3, 4, 6, 8, 12, 16, ...) per row, a fixed-point row included, scores and
+    differentiates each row as a call at that row's p alone, bit for bit, on every route: the
+    characters through W and through the kernel Gamma (a psi that fails the CN test), the
+    regular representation with and without gamma_psd, the symbol route and the superoperator
+    route.  Without gradient the same scores come back, the fixed-point row raising as 0."""
+    problem = MIXED_P_ROUTES[route]()
+    if isinstance(problem, Semigroup):
+        assert (problem.derivation is not None) == (route == "characters-W")
+        assert (problem.group.characters is None) == route.startswith("regular")
+        if route.startswith("regular"):
+            assert problem.gamma_psd == (route == "regular-psd")
+        C = np.array([rand_coeffs(problem.group.order, 300 + i) for i in range(15)])
+        C[-1] = np.where(problem.fix_mask, C[-1], 0.0)
+        ratio = _group_ratio(problem)
+    else:
+        assert (problem.symbol is not None) == route.startswith("symbol")
+        C = np.array([rand_matrix(problem.n, 300 + i) for i in range(15)])
+        C[-1] = np.eye(problem.n)
+        ratio = _matrix_ratio(problem)
+    ps = np.array([2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0] * 2 + [4.0])
+    scores, G = ratio(C, ps, True)
+    assert scores[-1] == 0.0 and not G[-1].any()
+    for p in dict.fromkeys(ps.tolist()):
+        rows = ps == p
+        want, want_G = ratio(C[rows], p, True)
+        assert np.array_equal(scores[rows], want) and np.array_equal(G[rows], want_G), p
+    with pytest.raises(ZeroNumeratorError) as exc:
+        ratio(C, ps)
+    assert np.array_equal(exc.value.scores, scores)
+
+
+def test_a_p_per_witness_is_checked():
+    sg = Semigroup(builtin_length("walsh:2:3"))
+    C = np.array([rand_coeffs(8, i) for i in range(3)])
+    A = heisenberg_multiplier(2, "delta")
+    X = np.array([rand_matrix(2, i) for i in range(3)])
+    for ratio, w in ((_group_ratio(sg), C), (_matrix_ratio(A), X)):
+        with pytest.raises(ValueError, match=r"^p\[1\] = 17.0 is not a number in \[2, 16\]$"):
+            ratio(w, np.array([4.0, 17.0, 2.0]))
+        with pytest.raises(ValueError, match=r"^p\[0\] = NaN is not a number in \[2, 16\]$"):
+            ratio(w, np.array([np.nan, 4.0, 2.0]), True)
+        with pytest.raises(ValueError, match=r"^p = \[4.0, 6.0\] is not a list of length 3$"):
+            ratio(w, np.array([4.0, 6.0]))
+
+
+def test_extreme_scales_keep_the_ratio_and_its_gradient():
+    """Scaling a witness by 1e-300 to 1e300 keeps its ratio to 1e-15 relative and its gradient,
+    times the scale, to 1e-12 of its largest entry or of R / |c|, the scale of the gradient of a
+    ratio of degree 0 (the 2 x 2 Lindblad gradient at p = 2 is rounding noise), on walsh:2:3 (characters, and _ratio),
+    heisenberg-delta:2 (the regular representation, and _ratio), the M_2 delta multiplier (the
+    symbol route, and _superop_ratio) and the 2 x 2 Lindblad family.  walsh:2:3 at p = 8 once read
+    inf at 1e-200 and raised at 1e160, and the M_2 gradient was NaN at 1e160: Gamma and X* X
+    left float range."""
+    walsh, heis = (Semigroup(builtin_length(s)) for s in ("walsh:2:3", "heisenberg-delta:2"))
+    A, lind = heisenberg_multiplier(2, "delta"), _lindblad_2x2()
+    cases = [(_group_ratio(sg), lambda c, p, sg=sg: poincare._ratio(sg, element(sg.group, c), p),
+              np.array([rand_coeffs(sg.group.order, 400 + i) for i in range(2)]))
+             for sg in (walsh, heis)]
+    cases += [(_matrix_ratio(B), lambda x, p, B=B: matrixalg._superop_ratio(B, x, p),
+               np.array([rand_matrix(2, 400 + i) for i in range(2)])) for B in (A, lind)]
+    scales = (1e-300, 1e-200, 1e-160, 1e-100, 1e-50, 1e-20, 1e20, 1e50, 1e100, 1e160, 1e200, 1e300)
+    for i, (ratio, certify, C) in enumerate(cases):
+        for p in (2.0, 3.0, 4.0, 8.0, 16.0):
+            r1, G1 = ratio(C, p, True)
+            g1 = max(np.abs(G1).max(), r1.max())        # |C[i]| = 1: R / |c| is R
+            c1 = certify(C[0], p)
+            for scale in scales:
+                r, G = ratio(scale * C, p, True)
+                assert np.all(np.abs(r - r1) <= 1e-15 * r1), (i, p, scale, r / r1 - 1)
+                assert np.abs(G * scale - G1).max() <= 1e-12 * g1, (i, p, scale)
+                assert abs(certify(scale * C[0], p) - c1) <= 1e-15 * c1, (i, p, scale)
 
 
 def _central_differences(ratio, c, h=1e-6):
